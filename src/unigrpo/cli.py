@@ -2,7 +2,6 @@
 
 Commands: pretrain, train, ablate, verify, eval.  Exit codes: 0 success,
 2 configuration error, 3 checkpoint error, 4 numeric/oracle failure.
-The environment variable UNIGRPO_THREADS caps rollout parallelism.
 """
 
 from __future__ import annotations

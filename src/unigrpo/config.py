@@ -86,6 +86,9 @@ class TrainConfig:
     def validate(self) -> "TrainConfig":
         if self.group_size < 2:
             raise ConfigError("group_size must be >= 2")
+        for name in ("prompts_per_batch", "max_trace_len", "eval_samples", "pretrain_batch"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1")
         if self.ppo_epochs < 1:
             raise ConfigError("ppo_epochs must be >= 1")
         if self.lambda_flow < 0:

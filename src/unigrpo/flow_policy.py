@@ -114,6 +114,12 @@ def cfg_velocity(v_cond: np.ndarray, v_uncond: np.ndarray, w: float) -> np.ndarr
     return np.asarray(v_uncond) + w * (np.asarray(v_cond) - np.asarray(v_uncond))
 
 
+def evals_per_step(cfg_scale: float) -> int:
+    """Velocity-net evaluations per sample per denoising step; a guidance
+    scale of exactly 1 needs only the conditional branch."""
+    return 1 if cfg_scale == 1.0 else 2
+
+
 # ---- trajectory records ----
 
 
@@ -168,64 +174,56 @@ class FlowPolicy:
 
     # ---- conditioning ----
 
-    def cond_np(self, params: ParamSet, tokens) -> np.ndarray:
-        """Mean-pooled embedding of a token sequence; zeros for empty input."""
-        if len(tokens) == 0:
-            return np.zeros(self.cond_dim)
-        return params["cemb"][np.asarray(tokens, dtype=np.int64)].mean(axis=0)
+    def pool_weights(self, token_seqs) -> np.ndarray:
+        """(len(token_seqs), vocab) mean-pooling weights: row i holds each
+        token's share of sequence i; an empty sequence gets a zero row."""
+        n = len(token_seqs)
+        lens = np.array([len(seq) for seq in token_seqs], dtype=np.int64)
+        tokens = np.fromiter((tok for seq in token_seqs for tok in seq), np.int64, int(lens.sum()))
+        cells = np.repeat(np.arange(n) * self.vocab, lens) + tokens
+        shares = np.repeat(1.0 / np.maximum(lens, 1), lens)
+        return np.bincount(cells, weights=shares, minlength=n * self.vocab).reshape(n, self.vocab)
+
+    def cond_np(self, params: ParamSet, token_seqs) -> np.ndarray:
+        """(len(token_seqs), cond_dim) mean-pooled token embeddings."""
+        return self.pool_weights(token_seqs) @ params["cemb"]
 
     def cond_var(self, tape: Tape, params: ParamSet, token_seqs) -> Var:
-        """(len(token_seqs), cond_dim) pooled embeddings on the tape."""
-        flat, pool = [], np.zeros((len(token_seqs), sum(len(t) for t in token_seqs)))
-        col = 0
-        for i, seq in enumerate(token_seqs):
-            flat.extend(seq)
-            pool[i, col : col + len(seq)] = 1.0 / len(seq)
-            col += len(seq)
-        emb = tape.gather_rows(tape.param(params, "cemb"), np.array(flat, dtype=np.int64))
-        return tape.cmatmul(pool, emb)
+        """cond_np on the tape, differentiable w.r.t. the embedding table."""
+        return tape.cmatmul(self.pool_weights(token_seqs), tape.param(params, "cemb"))
 
     # ---- velocity net ----
 
-    def velocity_np(self, params: ParamSet, x: np.ndarray, t, cond: np.ndarray) -> np.ndarray:
+    def velocity_np(self, params: ParamSet, x: np.ndarray, t, cond: np.ndarray,
+                    cfg_scale: float = 1.0) -> np.ndarray:
+        """Velocity at (x, t) given pooled conditions; a guidance scale other
+        than 1 combines it with the unconditional (zero-condition) branch."""
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         cond = np.atleast_2d(cond)
         if cond.shape[0] == 1 and x.shape[0] > 1:
             cond = np.broadcast_to(cond, (x.shape[0], cond.shape[1]))
         feats = time_features(np.broadcast_to(np.asarray(t, dtype=np.float64), (x.shape[0],)))
-        inp = np.concatenate([x, feats, cond], axis=1)
-        return mlp_forward_np(params, inp, self.arch, "tanh")
+        v = mlp_forward_np(params, np.concatenate([x, feats, cond], axis=1), self.arch, "tanh")
+        if cfg_scale == 1.0:
+            return v
+        null = np.zeros_like(cond)
+        v_un = mlp_forward_np(params, np.concatenate([x, feats, null], axis=1), self.arch, "tanh")
+        return cfg_velocity(v, v_un, cfg_scale)
 
-    def velocity_var(self, tape: Tape, params: ParamSet, x: np.ndarray, t, cond: Var) -> Var:
+    def velocity_var(self, tape: Tape, params: ParamSet, x: np.ndarray, t, cond: Var,
+                     cfg_scale: float = 1.0) -> Var:
+        """velocity_np on the tape, differentiable w.r.t. the net and `cond`."""
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         feats = time_features(np.broadcast_to(np.asarray(t, dtype=np.float64), (x.shape[0],)))
-        inp = tape.concat([tape.leaf(np.concatenate([x, feats], axis=1)), cond], axis=1)
-        return mlp_var(tape, params, inp, self.arch, "tanh")
-
-    def velocity(self, params: ParamSet, x: np.ndarray, t: float, cond: np.ndarray):
-        """Single-point velocity with a tape (differentiable w.r.t. the net)."""
-        if not (0.0 < t <= 1.0):
-            raise ValueError(f"flow time must lie in (0, 1], got {t}")
-        tape = Tape()
-        cvar = tape.leaf(np.atleast_2d(cond))
-        out = self.velocity_var(tape, params, np.atleast_2d(x), t, cvar)
-        tape.output = out
-        return out.value[0], tape
+        xt = tape.leaf(np.concatenate([x, feats], axis=1))
+        v = mlp_var(tape, params, tape.concat([xt, cond], axis=1), self.arch, "tanh")
+        if cfg_scale == 1.0:
+            return v
+        null = tape.leaf(np.zeros(cond.shape))
+        v_un = mlp_var(tape, params, tape.concat([xt, null], axis=1), self.arch, "tanh")
+        return v_un + tape.cmul(v - v_un, cfg_scale)
 
     # ---- rollouts ----
-
-    def sde_step(
-        self, params: ParamSet, x: np.ndarray, t: float, dt: float,
-        sigma_t: float, cond: np.ndarray, rng: np.random.Generator,
-    ) -> FlowStep:
-        """One noise-injected transition; stores everything the loss needs."""
-        if not (0.0 < t <= 1.0) or dt <= 0.0 or sigma_t < 0.0:
-            raise ConfigError(f"invalid step parameters t={t}, dt={dt}, sigma_t={sigma_t}")
-        v = self.velocity_np(params, x, t, cond)[0]
-        eps = rng.standard_normal(DIM)
-        mu, s, x_next = sde_step_values(x, v, t, dt, sigma_t, eps)
-        logp = transition_logprob(mu, s, x_next) if s > 0.0 else None
-        return FlowStep(t, dt, x, x_next, v, mu, float(s), sigma_t, logp, True)
 
     def hybrid_rollout(
         self,
@@ -248,20 +246,13 @@ class FlowPolicy:
                 f"out of range for {n} steps"
             )
         window = tuple(range(window_start, window_start + window_size))
-        cond = self.cond_np(params, cond_tokens)
-        null = np.zeros(self.cond_dim)
+        cond = self.cond_np(params, [cond_tokens])
         x = rng.standard_normal(DIM)
         steps: list[FlowStep] = []
-        nev = 0
         for k in range(n):
             t = float(times[k])
             dt = float(times[k] - times[k + 1])
-            v = self.velocity_np(params, x, t, cond)[0]
-            nev += 1
-            if cfg_scale != 1.0:
-                v_un = self.velocity_np(params, x, t, null)[0]
-                nev += 1
-                v = cfg_velocity(v, v_un, cfg_scale)
+            v = self.velocity_np(params, x, t, cond, cfg_scale)[0]
             if k in window:
                 sigma_t = sigma_level * np.sqrt(t)
                 eps = rng.standard_normal(DIM)
@@ -272,6 +263,7 @@ class FlowPolicy:
                 x_next = x - v * dt
                 steps.append(FlowStep(t, dt, x, x_next, v, x_next, 0.0, 0.0, None, False))
             x = x_next
+        nev = n * evals_per_step(cfg_scale)
         return FlowTrajectory(tuple(cond_tokens), window, steps, x, nev, cfg_scale)
 
     def ode_rollout_batch(
@@ -288,22 +280,15 @@ class FlowPolicy:
         A guidance scale of exactly 1 collapses to the conditional branch and
         costs a single evaluation per step.
         """
-        cond = self.cond_np(params, cond_tokens)
-        null = np.zeros(self.cond_dim)
+        cond = self.cond_np(params, [cond_tokens])
         x = np.atleast_2d(np.asarray(x1, dtype=np.float64)).copy()
         states: list[tuple[np.ndarray, float]] = []
-        nev = 0
         for k in range(len(times) - 1):
             t = float(times[k])
             dt = float(times[k] - times[k + 1])
             states.append((x.copy(), t))
-            v = self.velocity_np(params, x, t, cond)
-            nev += x.shape[0]
-            if cfg_scale != 1.0:
-                v_un = self.velocity_np(params, x, t, null)
-                nev += x.shape[0]
-                v = cfg_velocity(v, v_un, cfg_scale)
-            x = x - v * dt
+            x = x - self.velocity_np(params, x, t, cond, cfg_scale) * dt
+        nev = x.shape[0] * (len(times) - 1) * evals_per_step(cfg_scale)
         return x, states, nev
 
     # ---- flow-matching pretraining ----
@@ -405,67 +390,53 @@ class FlowPolicy:
     ) -> tuple[float, GradSet, FlowLossStats]:
         """Clipped objective over each trajectory's stochastic window with
         standardized ratios, minus the configured drift regularizer evaluated
-        at the stored states against the frozen reference."""
+        at the stored states against the frozen reference.  Each trajectory
+        weighs 1/len(trajs), so one call over several groups equals the mean
+        of per-group calls."""
         G = len(trajs)
         assert len(advantages) == G
         base = trajs[0].times
+        cfg_scale = trajs[0].cfg_scale
         for tr in trajs[1:]:
             if tr.times != base:
-                raise ConfigError("trajectories in one group must share a schedule")
-            if tr.cfg_scale != trajs[0].cfg_scale:
-                raise ConfigError("trajectories in one group must share a guidance scale")
+                raise ConfigError("trajectories in one batch must share a schedule")
+            if tr.cfg_scale != cfg_scale:
+                raise ConfigError("trajectories in one batch must share a guidance scale")
         if reg_mode not in ("none", "latent-kl", "velocity-mse"):
             raise ConfigError(f"unknown regularizer mode '{reg_mode}'")
 
-        xs, ts, dts, sig, s_arr, xn, mu_old, logp_old = [], [], [], [], [], [], [], []
-        adv_rows, w_rows, row_traj, origin = [], [], [], []
+        steps, adv_rows, w_rows, row_cond, origin = [], [], [], [], []
         for i, tr in enumerate(trajs):
-            w_steps = [tr.steps[k] for k in tr.window]
-            if not w_steps:
-                continue
-            for k, st in zip(tr.window, w_steps):
+            for k in tr.window:
+                st = tr.steps[k]
                 if st.s <= 0.0 or st.logp is None:
                     raise ConfigError(
                         f"windowed step {k} of trajectory {i} has no stochastic statistics"
                     )
-                xs.append(st.x)
-                ts.append(st.t)
-                dts.append(st.dt)
-                sig.append(st.sigma_t)
-                s_arr.append(st.s)
-                xn.append(st.x_next)
-                mu_old.append(st.mu)
-                logp_old.append(st.logp)
+                steps.append(st)
                 adv_rows.append(advantages[i])
-                w_rows.append(1.0 / (G * len(w_steps)))
-                row_traj.append(i)
+                w_rows.append(1.0 / (G * len(tr.window)))
+                row_cond.append(tr.cond_tokens)
                 origin.append((i, k))
-        if not xs:
-            raise ConfigError("no stochastic steps recorded in this group")
+        if not steps:
+            raise ConfigError("no stochastic steps recorded in this batch")
 
-        xs = np.stack(xs)
-        ts = np.array(ts)
-        dts = np.array(dts)
-        sig = np.array(sig)
-        s_arr = np.array(s_arr)
-        xn = np.stack(xn)
-        mu_old = np.stack(mu_old)
-        logp_old = np.array(logp_old)
+        xs = np.stack([st.x for st in steps])
+        ts = np.array([st.t for st in steps])
+        dts = np.array([st.dt for st in steps])
+        sig = np.array([st.sigma_t for st in steps])
+        s_arr = np.array([st.s for st in steps])
+        xn = np.stack([st.x_next for st in steps])
+        mu_old = np.stack([st.mu for st in steps])
+        logp_old = np.array([st.logp for st in steps])
         adv_rows = np.array(adv_rows)
         w_rows = np.array(w_rows)
-        row_traj = np.array(row_traj)
 
         tape = Tape()
-        cond_traj = self.cond_var(tape, params, [list(tr.cond_tokens) for tr in trajs])
-        cond_rows = tape.gather_rows(cond_traj, row_traj)
-
-        v = self.velocity_var(tape, params, xs, ts, cond_rows)
-        if trajs[0].cfg_scale != 1.0:
-            null = tape.leaf(np.zeros((len(xs), self.cond_dim)))
-            v_un = self.velocity_var(tape, params, xs, ts, null)
-            v = v_un + tape.cmul(v - v_un, trajs[0].cfg_scale)
-        c1 = np.array([drift_coefficients(t, s)[0] for t, s in zip(ts, sig)])[:, None]
-        c2 = np.array([drift_coefficients(t, s)[1] for t, s in zip(ts, sig)])[:, None]
+        v = self.velocity_var(tape, params, xs, ts, self.cond_var(tape, params, row_cond),
+                              cfg_scale)
+        coef = np.array([drift_coefficients(t, s) for t, s in zip(ts, sig)])
+        c1, c2 = coef[:, :1], coef[:, 1:]
         f = tape.cmul(v, c1) + tape.leaf(c2 * xs)
         mu = tape.cadd(tape.cmul(f, -dts[:, None]), xs)
 
@@ -491,19 +462,18 @@ class FlowPolicy:
         j = tape.sum(per_step * w_rows)
 
         reg_value = 0.0
-        if reg_mode == "velocity-mse":
-            v_ref = self._reference_velocity(ref_params, trajs, xs, ts, row_traj)
-            reg_rows = tape.sum_rows(tape.square(tape.cadd(v, -v_ref)))
-            reg_value = float(reg_rows.value @ w_rows)
-            j = j - tape.sum(reg_rows * (reg_weight * w_rows))
-        elif reg_mode == "latent-kl":
-            v_ref = self._reference_velocity(ref_params, trajs, xs, ts, row_traj)
-            f_ref = c1 * v_ref + c2 * xs
-            mu_ref = xs - f_ref * dts[:, None]
-            dref = tape.cadd(mu, -mu_ref)
-            reg_rows = tape.cmul(
-                tape.sum_rows(tape.square(dref)), 1.0 / (2.0 * sig**2 * dts)
-            )
+        if reg_mode != "none":
+            # frozen-reference velocities at the stored states, constant in theta
+            v_ref = self.velocity_np(ref_params, xs, ts, self.cond_np(ref_params, row_cond),
+                                     cfg_scale)
+            if reg_mode == "velocity-mse":
+                reg_rows = tape.sum_rows(tape.square(tape.cadd(v, -v_ref)))
+            else:
+                mu_ref = xs - (c1 * v_ref + c2 * xs) * dts[:, None]
+                reg_rows = tape.cmul(
+                    tape.sum_rows(tape.square(tape.cadd(mu, -mu_ref))),
+                    1.0 / (2.0 * sig**2 * dts),
+                )
             reg_value = float(reg_rows.value @ w_rows)
             j = j - tape.sum(reg_rows * (reg_weight * w_rows))
         tape.output = j
@@ -519,19 +489,3 @@ class FlowPolicy:
             step_count=len(xs),
         )
         return float(j.value), gs, stats
-
-    def _reference_velocity(self, ref_params, trajs, xs, ts, row_traj) -> np.ndarray:
-        """Frozen-reference velocities at the stored states (constant w.r.t. theta),
-        including the guidance combination when the rollouts used one."""
-        conds = np.stack([self.cond_np(ref_params, tr.cond_tokens) for tr in trajs])
-        cond_rows = conds[row_traj]
-        feats = time_features(ts)
-        inp = np.concatenate([xs, feats, cond_rows], axis=1)
-        v = mlp_forward_np(ref_params, inp, self.arch, "tanh")
-        if trajs[0].cfg_scale != 1.0:
-            null = np.zeros_like(cond_rows)
-            v_u = mlp_forward_np(
-                ref_params, np.concatenate([xs, feats, null], axis=1), self.arch, "tanh"
-            )
-            v = cfg_velocity(v, v_u, trajs[0].cfg_scale)
-        return v

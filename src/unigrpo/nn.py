@@ -1,4 +1,5 @@
-"""Parameter containers, MLP forward/backward, Adam, and a finite-difference oracle.
+"""Parameter containers, MLP construction (tape and plain numpy), Adam, and a
+finite-difference oracle.
 
 All training math is float64: at desk scale this is free and it keeps
 gradient checks sharp.
@@ -46,10 +47,6 @@ class ParamSet:
     def items(self):
         return self._blocks.items()
 
-    @property
-    def n_params(self) -> int:
-        return sum(a.size for a in self._blocks.values())
-
     def copy(self) -> "ParamSet":
         return ParamSet(self._blocks)
 
@@ -71,11 +68,10 @@ class ParamSet:
 class GradSet:
     """Gradient accumulator, shape-congruent with one ParamSet."""
 
-    __slots__ = ("_blocks", "count")
+    __slots__ = ("_blocks",)
 
     def __init__(self, params: ParamSet):
         self._blocks = {name: np.zeros_like(arr) for name, arr in params.items()}
-        self.count = 0
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self._blocks[name]
@@ -83,7 +79,7 @@ class GradSet:
     def items(self):
         return self._blocks.items()
 
-    def add_(self, grads: dict[str, np.ndarray] | "GradSet", scale: float = 1.0) -> "GradSet":
+    def add_(self, grads: dict[str, np.ndarray] | "GradSet") -> "GradSet":
         for name, g in grads.items():
             if name not in self._blocks:
                 raise ConfigError(f"gradient for unknown block '{name}'")
@@ -92,19 +88,12 @@ class GradSet:
                     f"gradient shape mismatch for block '{name}': "
                     f"{g.shape} vs {self._blocks[name].shape}"
                 )
-            self._blocks[name] += scale * g
-        self.count += 1
+            self._blocks[name] += g
         return self
 
     def scale_(self, c: float) -> "GradSet":
         for g in self._blocks.values():
             g *= c
-        return self
-
-    def zero_(self) -> "GradSet":
-        for g in self._blocks.values():
-            g[...] = 0.0
-        self.count = 0
         return self
 
     def first_nonfinite_block(self) -> str | None:
@@ -246,38 +235,6 @@ def mlp_forward_np(
             else:
                 h = h / (1.0 + np.exp(-h))
     return h
-
-
-def forward_mlp(
-    params: ParamSet,
-    x: np.ndarray,
-    arch: tuple[int, ...],
-    activation: str = "tanh",
-    prefix: str = "",
-) -> tuple[np.ndarray, Tape]:
-    """MLP forward returning (output, tape); accepts a vector or a batch."""
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    rows = x[None, :] if single else x
-    tape = Tape()
-    xin = tape.leaf(rows)
-    out = mlp_var(tape, params, xin, arch, activation, prefix)
-    tape.output = out
-    return (out.value[0] if single else out.value), tape
-
-
-def backward(tape: Tape, output_seed) -> GradSet:
-    """Replay a tape backward into a GradSet for the ParamSet it drew from."""
-    if tape.param_source is None:
-        raise ValueError("tape has no registered parameters")
-    seed = np.asarray(output_seed, dtype=np.float64)
-    if tape.output is not None and seed.ndim == 1 and tape.output.value.ndim == 2:
-        # convenience: a vector seed against a single-row batched output
-        if tape.output.value.shape[0] == 1 and seed.shape[0] == tape.output.value.shape[1]:
-            seed = seed[None, :]
-    gs = GradSet(tape.param_source)
-    gs.add_(tape.param_grads(seed))
-    return gs
 
 
 # ---- finite-difference gradient oracle ----

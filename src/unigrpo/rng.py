@@ -2,9 +2,8 @@
 
 Every random draw in the package comes from a stream identified by
 (seed, purpose tag, integer indices).  Streams are independent Philox
-generators, so parallel rollout workers get reproducible randomness
-regardless of scheduling, and resuming a run can rebuild any stream
-from its coordinates alone.
+generators, so a fixed seed repeats every draw, and resuming a run can
+rebuild any stream from its coordinates alone.
 """
 
 from __future__ import annotations

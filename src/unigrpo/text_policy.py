@@ -21,8 +21,9 @@ from .task import EOS, PAD, PROMPT_LEN, TRACE_LEN, VOCAB_SIZE, canonical_trace
 
 @dataclass(frozen=True)
 class ReasoningTrace:
-    """Sampled token sequence with its sampling-time log-probs."""
+    """Token sequence decoded from a prompt, with its sampling-time log-probs."""
 
+    prompt_tokens: tuple[int, ...]
     tokens: tuple[int, ...]
     logprobs: np.ndarray
 
@@ -129,8 +130,7 @@ class TextPolicy:
         logps: list[float] = []
         for _ in range(max_len):
             rows = self.context_rows(prompt_tokens, tokens + [PAD])[-1:]
-            logits = self.logits_np(params, rows)[0]
-            logp = _log_softmax_np(logits / temperature)
+            logp = _log_softmax_np(self.logits_np(params, rows)[0] * (1.0 / temperature))
             p = np.exp(logp)
             p /= p.sum()
             tok = int(rng.choice(self.vocab, p=p))
@@ -138,7 +138,7 @@ class TextPolicy:
             logps.append(float(logp[tok]))
             if tok == EOS:
                 break
-        return ReasoningTrace(tuple(tokens), np.array(logps))
+        return ReasoningTrace(tuple(prompt_tokens), tuple(tokens), np.array(logps))
 
     def greedy_trace(self, params: ParamSet, prompt_tokens, max_len: int | None = None):
         """Deterministic decode; argmax ties resolve to the lowest token id."""
@@ -178,21 +178,25 @@ class TextPolicy:
     def surrogate_loss(
         self,
         params: ParamSet,
-        prompt_tokens,
         traces: list[ReasoningTrace],
         advantages: np.ndarray,
         clip_eps: float,
         beta_txt: float,
         ref_params: ParamSet,
+        temperature: float = 1.0,
     ) -> tuple[float, GradSet, TextLossStats]:
         """Clipped importance-weighted objective, averaged per token within a
-        trace and across the group, minus the exact per-token KL to the
-        reference head.  Returns the ascent gradient."""
+        trace and across traces, minus the exact per-token KL to the reference
+        head.  Both policies are scored at the sampling temperature, so the
+        ratio is taken against the distribution the traces were drawn from.
+        Each trace weighs 1/len(traces), so one call over several groups
+        equals the mean of per-group calls.  Returns the ascent gradient."""
         G = len(traces)
         assert len(advantages) == G
+        inv_t = 1.0 / temperature
         rows_list, targets, old_lp, adv_rows, w_rows, origin = [], [], [], [], [], []
         for i, tr in enumerate(traces):
-            rows_list.append(self.context_rows(prompt_tokens, list(tr.tokens)))
+            rows_list.append(self.context_rows(tr.prompt_tokens, list(tr.tokens)))
             targets.extend(tr.tokens)
             old_lp.extend(tr.logprobs)
             adv_rows.extend([advantages[i]] * len(tr))
@@ -205,7 +209,7 @@ class TextPolicy:
         w_rows = np.array(w_rows)
 
         tape = Tape()
-        logits = self._logits_var(tape, params, rows)
+        logits = tape.cmul(self._logits_var(tape, params, rows), inv_t)
         ls = tape.log_softmax(logits)
         logp = tape.select_cols(ls, targets)
         ratio = tape.exp(logp - old_lp)
@@ -221,7 +225,7 @@ class TextPolicy:
         j = tape.sum(per_tok * w_rows)
 
         # exact KL(pi_theta || pi_ref) over the vocabulary, token level
-        ref_ls = _log_softmax_np(self.logits_np(ref_params, rows))
+        ref_ls = _log_softmax_np(self.logits_np(ref_params, rows) * inv_t)
         kl_np = float(np.sum(np.exp(ls.value) * (ls.value - ref_ls), axis=1) @ w_rows)
         if beta_txt != 0.0:
             kl_rows = tape.sum_rows(tape.softmax(logits) * (ls - ref_ls))

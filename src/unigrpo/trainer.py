@@ -11,10 +11,8 @@ the guidance ablation are degenerate configurations of the same loop.
 from __future__ import annotations
 
 import json
-import os
 import subprocess
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -26,7 +24,7 @@ from .config import TrainConfig, config_to_dict, dump_config
 from .errors import CheckpointError, ConfigError, NumericError
 from .flow_policy import FlowPolicy, FlowTrajectory, timestep_schedule
 from .metrics import MetricsRow, MetricsWriter, read_metrics, truncate_metrics
-from .nn import AdamState, GradSet, ParamSet, adam_step
+from .nn import AdamState, ParamSet, adam_step
 from .rng import stream
 from .task import (
     PROMPT_LEN,
@@ -119,7 +117,7 @@ def _member_rollout(rt: Runtime, prompt: Prompt, text_old: ParamSet, flow_old: P
         # from the stochastic denoising window
         tokens = rt.text_policy.greedy_trace(text_old, prompt.tokens, cfg.max_trace_len)
         lp, _ = rt.text_policy.token_logprobs(text_old, prompt.tokens, tokens)
-        trace = ReasoningTrace(tokens, lp)
+        trace = ReasoningTrace(prompt.tokens, tokens, lp)
     flow_rng = stream(seed, "flow", update, slot, member)
     starts = cfg.window_starts
     start = starts[int(flow_rng.integers(len(starts)))]
@@ -134,15 +132,6 @@ def _member_rollout(rt: Runtime, prompt: Prompt, text_old: ParamSet, flow_old: P
         cfg_scale=cfg.train_cfg_scale if cfg.train_cfg else 1.0,
     )
     return trace, traj, score(traj.x0, prompt, rt.geom)
-
-
-def rollout_group(rt: Runtime, prompt: Prompt, text_old: ParamSet, flow_old: ParamSet,
-                  seed: int, update: int, slot: int) -> GroupRollout:
-    results = [
-        _member_rollout(rt, prompt, text_old, flow_old, seed, update, slot, m)
-        for m in range(rt.cfg.group_size)
-    ]
-    return _assemble_group(rt, prompt, results)
 
 
 def _assemble_group(rt: Runtime, prompt: Prompt, results) -> GroupRollout:
@@ -163,29 +152,14 @@ def _assemble_group(rt: Runtime, prompt: Prompt, results) -> GroupRollout:
 
 def collect_rollouts(rt: Runtime, prompts: list[Prompt], text_old: ParamSet,
                      flow_old: ParamSet, seed: int, update: int) -> list[GroupRollout]:
-    """Rollouts for one batch, optionally threaded (UNIGRPO_THREADS caps the
-    pool); stream derivation makes the result identical either way."""
-    cfg = rt.cfg
-    tasks = [(slot, member) for slot in range(len(prompts)) for member in range(cfg.group_size)]
-    threads = int(os.environ.get("UNIGRPO_THREADS", "1") or "1")
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            flat = list(pool.map(
-                lambda sm: _member_rollout(
-                    rt, prompts[sm[0]], text_old, flow_old, seed, update, sm[0], sm[1]
-                ),
-                tasks,
-            ))
-    else:
-        flat = [
-            _member_rollout(rt, prompts[s], text_old, flow_old, seed, update, s, m)
-            for s, m in tasks
-        ]
-    groups = []
-    for slot in range(len(prompts)):
-        chunk = flat[slot * cfg.group_size : (slot + 1) * cfg.group_size]
-        groups.append(_assemble_group(rt, prompts[slot], chunk))
-    return groups
+    """One group of rollouts per prompt; prompt `slot` is its batch index."""
+    return [
+        _assemble_group(rt, prompt, [
+            _member_rollout(rt, prompt, text_old, flow_old, seed, update, slot, member)
+            for member in range(rt.cfg.group_size)
+        ])
+        for slot, prompt in enumerate(prompts)
+    ]
 
 
 # ---- update phase ----
@@ -211,7 +185,10 @@ def unified_update(
     adam_flow: AdamState,
 ) -> tuple[ParamSet, ParamSet, UpdateStats]:
     """PPO epochs of joint ascent on J_text + lambda * J_flow against the
-    stored old-policy statistics; degenerate groups are excluded entirely."""
+    stored old-policy statistics; degenerate groups are excluded entirely.
+    Each epoch evaluates one surrogate per trained policy over all active
+    groups.  A non-finite objective or gradient skips the whole update:
+    parameters and both optimizer states are returned as they came in."""
     cfg = rt.cfg
     active = [g for g in groups if not g.degenerate]
     stats = UpdateStats(0.0, 0.0, 0.0, 0.0)
@@ -221,50 +198,45 @@ def unified_update(
     reg_weight = cfg.beta_img if cfg.reg_mode == "latent-kl" else cfg.mse_weight
     if cfg.reg_mode == "none":
         reg_weight = 0.0
+    traces = [tr for g in active for tr in g.traces]
+    trajs = [tj for g in active for tj in g.trajs]
+    advantages = np.concatenate([g.advantages for g in active])
 
+    entry_text, entry_flow = text_params, flow_params
+    # adam_step rebinds its moment arrays, so shallow dict copies suffice
+    saved = [(adam, dict(adam.m), dict(adam.v), adam.step) for adam in (adam_text, adam_flow)]
     try:
         for epoch in range(cfg.ppo_epochs):
             new_text, new_flow = text_params, flow_params
             if cfg.train_text:
-                j_sum, grads = 0.0, GradSet(text_params)
-                fracs = []
-                for g in active:
-                    j, gs, st = rt.text_policy.surrogate_loss(
-                        text_params, g.prompt.tokens, g.traces, g.advantages,
-                        cfg.clip_eps, cfg.beta_txt, text_ref,
-                    )
-                    j_sum += j
-                    grads.add_(gs, scale=1.0 / len(active))
-                    fracs.append(st.clip_fraction)
-                if not np.isfinite(j_sum):
+                j, grads, st = rt.text_policy.surrogate_loss(
+                    text_params, traces, advantages, cfg.clip_eps, cfg.beta_txt, text_ref,
+                    cfg.temperature,
+                )
+                if not np.isfinite(j):
                     raise NumericError("non-finite text surrogate")
                 if epoch == 0:
-                    stats.j_text = j_sum / len(active)
-                stats.clip_frac_text = float(np.mean(fracs))
-                grads.scale_(-1.0)  # ascend
-                new_text = adam_step(text_params, grads, adam_text)
+                    stats.j_text = j
+                stats.clip_frac_text = st.clip_fraction
+                new_text = adam_step(text_params, grads.scale_(-1.0), adam_text)  # ascend
             if cfg.train_flow:
-                j_sum, grads = 0.0, GradSet(flow_params)
-                fracs = []
-                for g in active:
-                    j, gs, st = rt.flow_policy.surrogate_loss(
-                        flow_params, g.trajs, g.advantages, cfg.clip_eps,
-                        cfg.reg_mode, reg_weight, flow_ref,
-                    )
-                    j_sum += j
-                    grads.add_(gs, scale=1.0 / len(active))
-                    fracs.append(st.clip_fraction)
-                if not np.isfinite(j_sum):
+                j, grads, st = rt.flow_policy.surrogate_loss(
+                    flow_params, trajs, advantages, cfg.clip_eps,
+                    cfg.reg_mode, reg_weight, flow_ref,
+                )
+                if not np.isfinite(j):
                     raise NumericError("non-finite flow surrogate")
                 if epoch == 0:
-                    stats.j_flow = j_sum / len(active)
-                stats.clip_frac_flow = float(np.mean(fracs))
-                grads.scale_(-cfg.lambda_flow)  # ascend lambda * J_flow
-                new_flow = adam_step(flow_params, grads, adam_flow)
+                    stats.j_flow = j
+                stats.clip_frac_flow = st.clip_fraction
+                # ascend lambda * J_flow
+                new_flow = adam_step(flow_params, grads.scale_(-cfg.lambda_flow), adam_flow)
             text_params, flow_params = new_text, new_flow
     except NumericError:
+        for adam, m, v, step in saved:
+            adam.m, adam.v, adam.step = m, v, step
         stats.skipped = True
-        return text_params, flow_params, stats
+        return entry_text, entry_flow, stats
     return text_params, flow_params, stats
 
 
@@ -297,8 +269,8 @@ def evaluate(rt: Runtime, text_params: ParamSet, flow_params: ParamSet,
             flow_params, tokens, rt.times_eval, x1, cfg_scale=cfg.eval_cfg_scale
         )
         rewards.extend(reward(x, prompt, rt.geom) for x in x0)
-        cond_cur = rt.flow_policy.cond_np(flow_params, tokens)
-        cond_ref = rt.flow_policy.cond_np(flow_ref, tokens)
+        cond_cur = rt.flow_policy.cond_np(flow_params, [tokens])
+        cond_ref = rt.flow_policy.cond_np(flow_ref, [tokens])
         for x, t in states:
             v_cur = rt.flow_policy.velocity_np(flow_params, x, t, cond_cur)
             v_ref = rt.flow_policy.velocity_np(flow_ref, x, t, cond_ref)
@@ -359,7 +331,7 @@ def _build_id() -> str:
     try:
         return subprocess.run(
             ["git", "describe", "--always", "--dirty"],
-            capture_output=True, text=True, timeout=5,
+            cwd=Path(__file__).resolve().parent, capture_output=True, text=True, timeout=5,
         ).stdout.strip() or "unknown"
     except Exception:
         return "unknown"

@@ -112,7 +112,7 @@ def gradient_oracles(corrupt_gradient: bool = False) -> list[OracleResult]:
     tmoved = tparams.with_blocks({"W2": tparams["W2"] + 0.01})
 
     def text_loss(p):
-        j, gs, _ = text.surrogate_loss(p, prompt.tokens, traces, adv, 0.2, 0.05, tref)
+        j, gs, _ = text.surrogate_loss(p, traces, adv, 0.2, 0.05, tref)
         return j, gs
 
     fn = _corrupt(text_loss, "W0") if corrupt_gradient else text_loss
@@ -149,7 +149,7 @@ def gradient_oracles(corrupt_gradient: bool = False) -> list[OracleResult]:
             return j, gs
 
         rep = finite_diff_check(
-            flow_loss, fmoved, probes=100, tol=1e-4, rng=stream(SEED, "fd-f", hash(reg_mode) % 100)
+            flow_loss, fmoved, probes=100, tol=1e-4, rng=stream(SEED, f"fd-f-{reg_mode}")
         )
         results.append(OracleResult(
             f"grad/flow-surrogate-{reg_mode}", rep.max_rel_err, 1e-4, rep.passed,

@@ -16,10 +16,10 @@ from unigrpo.ablate import ablate
 from unigrpo.config import TrainConfig
 from unigrpo.task import make_prompt
 from unigrpo.trainer import (
+    collect_rollouts,
     group_advantages,
     make_runtime,
     pretrain_all,
-    rollout_group,
     train,
 )
 
@@ -92,9 +92,9 @@ def test_criterion_6_cfg_free_rollout_contract(tmp_path):
     flow = checkpoint.load_params(pre / "flow.ckpt")
     prompt = make_prompt(1, "near", "tight")
 
-    plain = rollout_group(rt, prompt, text, flow, seed=0, update=1, slot=0)
+    plain = collect_rollouts(rt, [prompt], text, flow, seed=0, update=1)[0]
     rt_cfg = make_runtime(replace(cfg, train_cfg=True))
-    guided = rollout_group(rt_cfg, prompt, text, flow, seed=0, update=1, slot=0)
+    guided = collect_rollouts(rt_cfg, [prompt], text, flow, seed=0, update=1)[0]
 
     n = cfg.train_timesteps
     ok = all(t.velocity_evals == n for t in plain.trajs) and all(

@@ -71,6 +71,10 @@ class TestValidation:
             {"sde_window_hi": 99},
             {"sde_window_size": 99},
             {"sigma_level": 0.0},
+            {"max_trace_len": 0},
+            {"prompts_per_batch": 0},
+            {"eval_samples": 0},
+            {"pretrain_batch": 0},
         ],
     )
     def test_invalid_configs_rejected(self, kw):

@@ -163,32 +163,53 @@ class TestCfgVelocity:
 class TestVelocityNet:
     def test_zero_final_layer_gives_zero_velocity(self):
         params = _params()
-        v, _ = POLICY.velocity(params, np.array([0.7, -0.3]), 0.5, np.ones(POLICY.cond_dim))
-        np.testing.assert_array_equal(v, np.zeros(DIM))
+        v = POLICY.velocity_np(params, np.array([0.7, -0.3]), 0.5, np.ones(POLICY.cond_dim))
+        np.testing.assert_array_equal(v, np.zeros((1, DIM)))
 
     def test_deterministic(self):
         params = _params(1)
         params = params.with_blocks({"W2": _params(2)["W2"]})
         x, cond = np.array([0.1, 0.2]), np.ones(POLICY.cond_dim)
-        v1, _ = POLICY.velocity(params, x, 0.3, cond)
-        v2, _ = POLICY.velocity(params, x, 0.3, cond)
+        v1 = POLICY.velocity_np(params, x, 0.3, cond)
+        v2 = POLICY.velocity_np(params, x, 0.3, cond)
         np.testing.assert_array_equal(v1, v2)
 
-    def test_time_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            POLICY.velocity(_params(), np.zeros(2), 0.0, np.zeros(POLICY.cond_dim))
+    def test_guidance_combines_branches(self):
+        params = _nontrivial_params(21)
+        x = stream(21, "x").standard_normal((3, DIM))
+        cond = POLICY.cond_np(params, [TRACE])
+        v_c = POLICY.velocity_np(params, x, 0.4, cond)
+        v_u = POLICY.velocity_np(params, x, 0.4, np.zeros(POLICY.cond_dim))
+        np.testing.assert_array_equal(
+            POLICY.velocity_np(params, x, 0.4, cond, cfg_scale=2.0), cfg_velocity(v_c, v_u, 2.0)
+        )
+
+
+class TestPooling:
+    def test_mean_of_embedding_rows(self):
+        params = _params(22)
+        seqs = [TRACE, (3, 3, 5), ()]
+        cond = POLICY.cond_np(params, seqs)
+        for row, seq in zip(cond, seqs):
+            expected = params["cemb"][list(seq)].mean(axis=0) if seq else np.zeros(POLICY.cond_dim)
+            np.testing.assert_allclose(row, expected, rtol=0, atol=1e-15)
 
 
 class TestSdeStep:
+    TIMES, _ = timestep_schedule(10, 3.0)
+
     def test_zero_noise_is_euler(self):
         params = _params(3)
         params = params.with_blocks({"W2": _params(4)["W2"]})
-        x, cond = np.array([0.4, -0.1]), POLICY.cond_np(params, TRACE)
-        step = POLICY.sde_step(params, x, 0.8, 0.1, 0.0, cond, stream(0, "sde"))
-        v = POLICY.velocity_np(params, x, 0.8, cond)[0]
-        np.testing.assert_array_equal(step.x_next, x - v * 0.1)
-        np.testing.assert_array_equal(step.mu, step.x_next)
-        assert step.s == 0.0 and step.logp is None
+        cond = POLICY.cond_np(params, [TRACE])
+        n = len(self.TIMES) - 1
+        traj = POLICY.hybrid_rollout(params, TRACE, self.TIMES, 0, n, 0.0, stream(0, "sde"))
+        for k in traj.window:
+            step = traj.steps[k]
+            v = POLICY.velocity_np(params, step.x, step.t, cond)[0]
+            np.testing.assert_array_equal(step.x_next, step.x - v * step.dt)
+            np.testing.assert_array_equal(step.mu, step.x_next)
+            assert step.sde and step.s == 0.0 and step.logp is None
 
     def test_zero_drift_pure_noise(self):
         mu, s, x_next = sde_step_values(
@@ -200,16 +221,19 @@ class TestSdeStep:
     def test_stored_stats_reproduce_logp(self):
         params = _params(5)
         params = params.with_blocks({"W2": _params(6)["W2"]})
-        cond = POLICY.cond_np(params, TRACE)
-        step = POLICY.sde_step(params, np.array([0.2, 0.6]), 0.9, 0.08, 0.8, cond, stream(1, "sde"))
-        assert step.logp == pytest.approx(
-            transition_logprob(step.mu, step.s, step.x_next), abs=1e-12
-        )
+        traj = POLICY.hybrid_rollout(params, TRACE, self.TIMES, 1, 3, 0.8, stream(1, "sde"))
+        for k in traj.window:
+            step = traj.steps[k]
+            mu, s, _ = sde_step_values(step.x, step.v, step.t, step.dt, step.sigma_t, np.zeros(DIM))
+            np.testing.assert_array_equal(mu, step.mu)
+            assert s == step.s
+            assert step.logp == pytest.approx(
+                transition_logprob(step.mu, step.s, step.x_next), abs=1e-12
+            )
 
     def test_t_zero_rejected(self):
         with pytest.raises((ConfigError, NumericError)):
-            POLICY.sde_step(_params(), np.zeros(2), 0.0, 0.1, 0.5,
-                            np.zeros(POLICY.cond_dim), stream(0, "x"))
+            sde_step_values(np.zeros(2), np.zeros(2), 0.0, 0.1, 0.5, np.zeros(2))
 
 
 def _nontrivial_params(seed=7):
@@ -338,7 +362,7 @@ class TestPretraining:
             alpha = (t - (1 - t) * tau**2) / rho2
             return alpha * (x - (1 - t) * mu0) - mu0
 
-        cond = POLICY.cond_np(params, TRACE)
+        cond = POLICY.cond_np(params, [TRACE])
         errs = []
         for _ in range(500):
             t = float(1.0 - rng.random())
@@ -398,7 +422,7 @@ class TestFlowSurrogate:
             acc = 0.0
             for k in tr.window:
                 st = tr.steps[k]
-                cond = POLICY.cond_np(moved, tr.cond_tokens)
+                cond = POLICY.cond_np(moved, [tr.cond_tokens])
                 v = POLICY.velocity_np(moved, st.x, st.t, cond)[0]
                 c1, c2 = drift_coefficients(st.t, st.sigma_t)
                 mu = st.x - (c1 * v + c2 * st.x) * st.dt

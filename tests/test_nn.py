@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from unigrpo.autodiff import Tape
 from unigrpo.checkpoint import load_blocks, load_params, save_blocks, save_params
 from unigrpo.errors import CheckpointError, ConfigError, NumericError
 from unigrpo.nn import (
@@ -10,11 +11,10 @@ from unigrpo.nn import (
     GradSet,
     ParamSet,
     adam_step,
-    backward,
     finite_diff_check,
-    forward_mlp,
     init_mlp_blocks,
     mlp_forward_np,
+    mlp_var,
 )
 
 
@@ -23,41 +23,56 @@ def _mlp_params(seed=0, arch=(3, 8, 8, 2), **kw):
     return ParamSet(init_mlp_blocks(rng, arch, **kw)), arch
 
 
+def _tape_mlp(params, x, arch, activation="tanh"):
+    """(n, arch[-1]) output of mlp_var on a fresh tape, plus the tape."""
+    tape = Tape()
+    out = mlp_var(tape, params, tape.leaf(np.atleast_2d(x)), arch, activation)
+    tape.output = out
+    return out.value, tape
+
+
+def _grads(tape, seed):
+    """Parameter gradients of the tape output as a GradSet over its whole ParamSet."""
+    return GradSet(tape.param_source).add_(tape.param_grads(seed))
+
+
 class TestForwardMlp:
     def test_zero_net_zero_output(self):
         arch = (4, 6, 3)
         blocks = {k: np.zeros_like(v) for k, v in init_mlp_blocks(np.random.default_rng(0), arch).items()}
-        out, _ = forward_mlp(ParamSet(blocks), np.ones(4), arch, activation="tanh")
-        np.testing.assert_array_equal(out, np.zeros(3))
+        out, _ = _tape_mlp(ParamSet(blocks), np.ones(4), arch, activation="tanh")
+        np.testing.assert_array_equal(out, np.zeros((1, 3)))
+        np.testing.assert_array_equal(mlp_forward_np(ParamSet(blocks), np.ones(4), arch), np.zeros(3))
 
     def test_single_affine_layer(self):
         params = ParamSet({"W0": [[2.0]], "b0": [1.0]})
-        out, _ = forward_mlp(params, np.array([3.0]), (1, 1))
-        np.testing.assert_allclose(out, [7.0])
+        out, _ = _tape_mlp(params, np.array([3.0]), (1, 1))
+        np.testing.assert_allclose(out, [[7.0]])
+        np.testing.assert_allclose(mlp_forward_np(params, np.array([3.0]), (1, 1)), [7.0])
 
     def test_matches_independent_reevaluation(self):
         # straight-line second implementation of the same arithmetic
         params, arch = _mlp_params(seed=42)
         rng = np.random.default_rng(1)
         x = rng.normal(size=arch[0])
-        out, _ = forward_mlp(params, x, arch, activation="tanh")
+        out, _ = _tape_mlp(params, x, arch, activation="tanh")
         h = x.copy()
         for i in range(len(arch) - 1):
             h = h @ params[f"W{i}"] + params[f"b{i}"]
             if i < len(arch) - 2:
                 h = np.tanh(h)
-        np.testing.assert_allclose(out, h, rtol=0, atol=0)
+        np.testing.assert_allclose(out[0], h, rtol=0, atol=0)
 
     def test_shape_mismatch_names_block(self):
         params, arch = _mlp_params()
         bad = ParamSet({**dict(params.items()), "W1": np.zeros((2, 2))})
         with pytest.raises(ConfigError, match="W1"):
-            forward_mlp(bad, np.zeros(arch[0]), arch)
+            _tape_mlp(bad, np.zeros(arch[0]), arch)
 
     def test_batched_input(self):
         params, arch = _mlp_params()
         x = np.random.default_rng(2).normal(size=(5, arch[0]))
-        out, _ = forward_mlp(params, x, arch)
+        out, _ = _tape_mlp(params, x, arch)
         assert out.shape == (5, arch[-1])
         np.testing.assert_array_equal(out, mlp_forward_np(params, x, arch))
 
@@ -65,13 +80,11 @@ class TestForwardMlp:
 class TestBackward:
     def test_square_gradient(self):
         # f(w) = w^2 via a 1-param "net": use tape from forward and square by hand
-        from unigrpo.autodiff import Tape
-
         params = ParamSet({"w": np.array([3.0])})
         tape = Tape()
         w = tape.param(params, "w")
         tape.output = tape.square(w)
-        gs = backward(tape, np.array([1.0]))
+        gs = _grads(tape, np.array([1.0]))
         np.testing.assert_allclose(gs["w"], [6.0])
 
     def test_tanh_net_matches_finite_difference(self):
@@ -79,30 +92,26 @@ class TestBackward:
         x = np.random.default_rng(4).normal(size=arch[0])
 
         def loss(p):
-            out, tape = forward_mlp(p, x, arch, activation="tanh")
-            return float(out.sum()), backward(tape, np.ones_like(out))
+            out, tape = _tape_mlp(p, x, arch, activation="tanh")
+            return float(out.sum()), _grads(tape, np.ones_like(out))
 
         report = finite_diff_check(loss, params, probes=120, tol=1e-5)
         assert report.passed, report.failing_blocks
 
     def test_untouched_blocks_get_zero(self):
-        from unigrpo.autodiff import Tape
-
         params = ParamSet({"a": np.ones(2), "b": np.ones(3)})
         tape = Tape()
         a = tape.param(params, "a")
         tape.output = tape.sum(tape.square(a))
-        gs = backward(tape, 1.0)
+        gs = _grads(tape, 1.0)
         np.testing.assert_array_equal(gs["b"], np.zeros(3))
 
     def test_constant_function_zero_gradset(self):
-        from unigrpo.autodiff import Tape
-
         params = ParamSet({"a": np.ones(2)})
         tape = Tape()
         tape.param(params, "a")
         tape.output = tape.leaf(np.array(5.0))
-        gs = backward(tape, 1.0)
+        gs = _grads(tape, 1.0)
         np.testing.assert_array_equal(gs["a"], np.zeros(2))
 
 
@@ -151,12 +160,10 @@ class TestFiniteDiff:
         params = ParamSet({"w": np.arange(5, dtype=float)})
 
         def loss(p):
-            from unigrpo.autodiff import Tape
-
             tape = Tape()
             w = tape.param(p, "w")
             tape.output = tape.sum(tape.square(w))
-            return float(tape.output.value), backward(tape, 1.0)
+            return float(tape.output.value), _grads(tape, 1.0)
 
         report = finite_diff_check(loss, params, probes=50, tol=1e-8)
         assert report.passed
@@ -180,8 +187,8 @@ class TestFiniteDiff:
         x = np.random.default_rng(9).normal(size=arch[0])
 
         def loss(p):
-            out, tape = forward_mlp(p, x, arch)
-            gs = backward(tape, np.ones_like(out))
+            out, tape = _tape_mlp(p, x, arch)
+            gs = _grads(tape, np.ones_like(out))
             gs.add_({"W0": np.full_like(gs["W0"], 0.5)})  # deliberate corruption
             return float(out.sum()), gs
 

@@ -77,9 +77,9 @@ class TestSampling:
             POLICY.sample_trace(_params(), PROMPT.tokens, 0.0, 4, stream(0, "s"))
 
 
-def _group(params, g=4, seed=0):
+def _group(params, g=4, seed=0, temperature=1.0):
     return [
-        POLICY.sample_trace(params, PROMPT.tokens, 1.0, POLICY.max_len, stream(seed, "g", i))
+        POLICY.sample_trace(params, PROMPT.tokens, temperature, POLICY.max_len, stream(seed, "g", i))
         for i in range(g)
     ]
 
@@ -90,8 +90,7 @@ class TestSurrogate:
         traces = _group(params)
         adv = np.array([0.5, -0.2, 1.0, -1.3])
         j, _, stats = POLICY.surrogate_loss(
-            params, PROMPT.tokens, traces, adv, clip_eps=0.2, beta_txt=0.0,
-            ref_params=params,
+            params, traces, adv, clip_eps=0.2, beta_txt=0.0, ref_params=params,
         )
         assert j == pytest.approx(adv.mean(), abs=1e-10)
         assert stats.clip_fraction == 0.0
@@ -101,19 +100,15 @@ class TestSurrogate:
         # force r = 1.3 by shifting the stored old logprob
         params = _params(7)
         lp, _ = POLICY.token_logprobs(params, PROMPT.tokens, (EOS,))
-        tr = ReasoningTrace((EOS,), np.array([lp[0] - np.log(1.3)]))
-        j, _, _ = POLICY.surrogate_loss(
-            params, PROMPT.tokens, [tr], np.array([2.0]), 0.2, 0.0, params
-        )
+        tr = ReasoningTrace(PROMPT.tokens, (EOS,), np.array([lp[0] - np.log(1.3)]))
+        j, _, _ = POLICY.surrogate_loss(params, [tr], np.array([2.0]), 0.2, 0.0, params)
         assert j == pytest.approx(min(1.3 * 2.0, 1.2 * 2.0), abs=1e-9)
 
     def test_single_token_clip_negative_advantage(self):
         params = _params(8)
         lp, _ = POLICY.token_logprobs(params, PROMPT.tokens, (EOS,))
-        tr = ReasoningTrace((EOS,), np.array([lp[0] - np.log(0.7)]))
-        j, _, _ = POLICY.surrogate_loss(
-            params, PROMPT.tokens, [tr], np.array([-1.0]), 0.2, 0.0, params
-        )
+        tr = ReasoningTrace(PROMPT.tokens, (EOS,), np.array([lp[0] - np.log(0.7)]))
+        j, _, _ = POLICY.surrogate_loss(params, [tr], np.array([-1.0]), 0.2, 0.0, params)
         assert j == pytest.approx(min(-0.7, -0.8), abs=1e-9)
 
     def test_clipping_bound(self):
@@ -121,10 +116,8 @@ class TestSurrogate:
         traces = _group(params, g=6, seed=3)
         adv = np.array([2.0, -2.0, 1.0, -1.0, 0.5, -0.5])
         eps = 0.2
-        old = [ReasoningTrace(t.tokens, t.logprobs + 0.5) for t in traces]  # big ratios
-        j, _, stats = POLICY.surrogate_loss(
-            params, PROMPT.tokens, old, adv, eps, 0.0, params
-        )
+        old = [ReasoningTrace(t.prompt_tokens, t.tokens, t.logprobs + 0.5) for t in traces]  # big ratios
+        j, _, stats = POLICY.surrogate_loss(params, old, adv, eps, 0.0, params)
         assert abs(j) <= (1 + eps) * np.max(np.abs(adv)) + 1e-12
         assert 0.0 <= stats.clip_fraction <= 1.0
 
@@ -133,39 +126,44 @@ class TestSurrogate:
         other = _params(11)
         traces = _group(params)
         adv = np.zeros(4)
-        _, _, stats_same = POLICY.surrogate_loss(
-            params, PROMPT.tokens, traces, adv, 0.2, 0.1, params
-        )
-        _, _, stats_diff = POLICY.surrogate_loss(
-            params, PROMPT.tokens, traces, adv, 0.2, 0.1, other
-        )
+        _, _, stats_same = POLICY.surrogate_loss(params, traces, adv, 0.2, 0.1, params)
+        _, _, stats_diff = POLICY.surrogate_loss(params, traces, adv, 0.2, 0.1, other)
         assert abs(stats_same.mean_kl) < 1e-10
         assert stats_diff.mean_kl > 0.0
 
     def test_nan_ratio_aborts_with_position(self):
         params = _params(12)
-        tr = ReasoningTrace((EOS,), np.array([-np.inf]))
+        tr = ReasoningTrace(PROMPT.tokens, (EOS,), np.array([-np.inf]))
         with pytest.raises(NumericError, match="trace 0, position 0"):
-            POLICY.surrogate_loss(
-                params, PROMPT.tokens, [tr], np.array([1.0]), 0.2, 0.0, params
-            )
+            POLICY.surrogate_loss(params, [tr], np.array([1.0]), 0.2, 0.0, params)
+
+    @pytest.mark.parametrize("temperature", [0.7, 1.0, 1.3])
+    def test_first_epoch_ratios_are_one_at_any_temperature(self, temperature):
+        # the surrogate must score at the temperature the traces were drawn
+        # at; a clip range of 1e-12 counts every token with |ratio - 1| > 1e-12
+        params = _params(15)
+        traces = _group(params, g=6, seed=7, temperature=temperature)
+        _, _, stats = POLICY.surrogate_loss(
+            params, traces, np.ones(6), 1e-12, 0.0, params, temperature
+        )
+        assert stats.clip_fraction == 0.0
+        assert abs(stats.max_ratio - 1.0) <= 1e-12
 
     def test_gradient_matches_finite_differences(self):
         params = _params(13)
         ref = _params(14)
-        traces = _group(params, g=3, seed=5)
-        adv = np.array([1.0, -0.5, 0.25])
         # move params off theta_old so the ratios are nontrivial
         moved = params.with_blocks({"W2": params["W2"] + 0.01})
+        adv = np.array([1.0, -0.5, 0.25])
+        for temperature in (1.0, 0.7):
+            traces = _group(params, g=3, seed=5, temperature=temperature)
 
-        def loss(p):
-            j, gs, _ = POLICY.surrogate_loss(
-                p, PROMPT.tokens, traces, adv, 0.2, 0.05, ref
-            )
-            return j, gs
+            def loss(p):
+                j, gs, _ = POLICY.surrogate_loss(p, traces, adv, 0.2, 0.05, ref, temperature)
+                return j, gs
 
-        report = finite_diff_check(loss, moved, probes=100, tol=1e-4, rng=stream(0, "fd"))
-        assert report.passed, (report.max_rel_err, report.failing_blocks)
+            report = finite_diff_check(loss, moved, probes=100, tol=1e-4, rng=stream(0, "fd"))
+            assert report.passed, (temperature, report.max_rel_err, report.failing_blocks)
 
 
 class TestPretrain:

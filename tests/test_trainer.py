@@ -1,12 +1,16 @@
 """Trainer machinery: advantages, rollouts, unified updates, persistence."""
 
+import shutil
+import subprocess
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import unigrpo.trainer as trainer_mod
 from unigrpo import checkpoint
 from unigrpo.config import TrainConfig
-from unigrpo.errors import CheckpointError
+from unigrpo.errors import CheckpointError, NumericError
 from unigrpo.metrics import read_metrics
 from unigrpo.nn import AdamState
 from unigrpo.rng import stream
@@ -18,7 +22,6 @@ from unigrpo.trainer import (
     make_eval_set,
     make_runtime,
     pretrain_all,
-    rollout_group,
     train,
     unified_update,
 )
@@ -92,8 +95,8 @@ class TestRollouts:
         rt = _rt()
         text, flow = _snap(rt, tiny_pretrain)
         prompt = make_prompt(1, "near", "tight")
-        a = rollout_group(rt, prompt, text, flow, seed=0, update=3, slot=0)
-        b = rollout_group(rt, prompt, text, flow, seed=0, update=3, slot=0)
+        a = collect_rollouts(rt, [prompt], text, flow, seed=0, update=3)[0]
+        b = collect_rollouts(rt, [prompt], text, flow, seed=0, update=3)[0]
         np.testing.assert_array_equal(a.rewards, b.rewards)
         for ta, tb in zip(a.trajs, b.trajs):
             np.testing.assert_array_equal(ta.x0, tb.x0)
@@ -112,7 +115,7 @@ class TestRollouts:
             return real(x0, prompt, geom)
 
         monkeypatch.setattr(task_mod, "reward", counting)
-        rollout_group(rt, make_prompt(2, "far", "wide"), text, flow, 0, 1, 0)
+        collect_rollouts(rt, [make_prompt(2, "far", "wide")], text, flow, 0, 1)
         assert len(calls) == rt.cfg.group_size
 
     def test_identical_members_make_degenerate_group(self, tiny_pretrain):
@@ -130,7 +133,7 @@ class TestRollouts:
     def test_velocity_eval_budget_per_trajectory(self, tiny_pretrain):
         rt = _rt()
         text, flow = _snap(rt, tiny_pretrain)
-        g = rollout_group(rt, make_prompt(3, "near", "wide"), text, flow, 0, 2, 0)
+        g = collect_rollouts(rt, [make_prompt(3, "near", "wide")], text, flow, 0, 2)[0]
         for traj in g.trajs:
             assert traj.velocity_evals == rt.cfg.train_timesteps
 
@@ -154,17 +157,6 @@ class TestRollouts:
             expected = starts[int(rng.integers(len(starts)))]
             res = trainer_mod._member_rollout(rt, prompt, text, flow, cfg.seed, 7, 0, m)
             assert res[1].window[0] == expected
-
-    def test_threaded_collection_matches_serial(self, tiny_pretrain, monkeypatch):
-        rt = _rt()
-        text, flow = _snap(rt, tiny_pretrain)
-        prompts = [make_prompt(1, "near", "tight"), make_prompt(2, "far", "wide")]
-        serial = collect_rollouts(rt, prompts, text, flow, 0, 5)
-        monkeypatch.setenv("UNIGRPO_THREADS", "4")
-        threaded = collect_rollouts(rt, prompts, text, flow, 0, 5)
-        for a, b in zip(serial, threaded):
-            np.testing.assert_array_equal(a.rewards, b.rewards)
-            np.testing.assert_array_equal(a.advantages, b.advantages)
 
 
 class TestUnifiedUpdate:
@@ -220,8 +212,7 @@ class TestUnifiedUpdate:
         active = [g for g in groups if not g.degenerate]
         j_text_sep = np.mean([
             rt.text_policy.surrogate_loss(
-                text, g.prompt.tokens, g.traces, g.advantages,
-                cfg.clip_eps, cfg.beta_txt, text,
+                text, g.traces, g.advantages, cfg.clip_eps, cfg.beta_txt, text,
             )[0]
             for g in active
         ])
@@ -238,6 +229,63 @@ class TestUnifiedUpdate:
         # reg evaluated at theta = theta_ref contributes exactly 0
         assert stats.j_text == pytest.approx(0.0, abs=1e-10)
         assert stats.j_flow == pytest.approx(0.0, abs=1e-10)
+
+
+    @pytest.mark.parametrize("reg_mode", ["none", "latent-kl", "velocity-mse"])
+    def test_one_batch_call_equals_mean_of_group_calls(self, tiny_pretrain, reg_mode):
+        # per-row weights carry 1/(G * len), so concatenating the groups
+        # changes neither the objective nor its gradient
+        rt, groups, text, flow, _, _ = self._setup(tiny_pretrain, prompts_per_batch=3)
+        text_moved = text.with_blocks({"W2": text["W2"] + 0.01})
+        flow_moved = flow.with_blocks({"b2": flow["b2"] + 0.01})
+        text_ref = text.with_blocks({"b2": text["b2"] - 0.02})
+        calls = {
+            "text": lambda gs: rt.text_policy.surrogate_loss(
+                text_moved, [tr for g in gs for tr in g.traces],
+                np.concatenate([g.advantages for g in gs]), 0.2, 0.05, text_ref, 0.7,
+            ),
+            "flow": lambda gs: rt.flow_policy.surrogate_loss(
+                flow_moved, [tj for g in gs for tj in g.trajs],
+                np.concatenate([g.advantages for g in gs]), 0.2, reg_mode, 0.02, flow,
+            ),
+        }
+        for name, call in calls.items():
+            j_batch, g_batch, _ = call(groups)
+            per_group = [call([g]) for g in groups]
+            assert j_batch == pytest.approx(np.mean([r[0] for r in per_group]), abs=1e-12), name
+            for block, arr in g_batch.items():
+                mean = np.mean([r[1][block] for r in per_group], axis=0)
+                np.testing.assert_allclose(arr, mean, rtol=0, atol=1e-12, err_msg=f"{name} {block}")
+
+    def test_failed_epoch_leaves_no_trace(self, tiny_pretrain, monkeypatch):
+        rt, groups, text, flow, at, af = self._setup(tiny_pretrain)
+        # a completed update first, so the optimizer state is non-trivial
+        text, flow, _ = unified_update(rt, groups, text, flow, text, flow, at, af)
+        entry = {
+            key: ({k: a.copy() for k, a in st.m.items()},
+                  {k: a.copy() for k, a in st.v.items()}, st.step)
+            for key, st in (("at", at), ("af", af))
+        }
+        real = rt.flow_policy.surrogate_loss
+        calls = []
+
+        def fails_in_epoch_two(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise NumericError("injected")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(rt.flow_policy, "surrogate_loss", fails_in_epoch_two)
+        new_text, new_flow, stats = unified_update(rt, groups, text, flow, text, flow, at, af)
+        assert stats.skipped and len(calls) == 2
+        for new, old in ((new_text, text), (new_flow, flow)):
+            for name, arr in old.items():
+                assert new[name].tobytes() == arr.tobytes(), name
+        for st, (m, v, step) in ((at, entry["at"]), (af, entry["af"])):
+            assert st.step == step
+            for name in m:
+                assert st.m[name].tobytes() == m[name].tobytes(), name
+                assert st.v[name].tobytes() == v[name].tobytes(), name
 
 
 class TestEvaluate:
@@ -315,6 +363,17 @@ class TestTrainLoop:
         params = checkpoint.load_params(tmp_path / "run/text.ckpt")
         checkpoint.save_params(tmp_path / "again.ckpt", params)
         assert (tmp_path / "run/text.ckpt").read_bytes() == (tmp_path / "again.ckpt").read_bytes()
+
+
+    @pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+    def test_build_id_ignores_caller_cwd(self, tmp_path, monkeypatch):
+        package_dir = Path(trainer_mod.__file__).resolve().parent
+        expected = subprocess.run(
+            ["git", "describe", "--always", "--dirty"],
+            cwd=package_dir, capture_output=True, text=True,
+        ).stdout.strip() or "unknown"
+        monkeypatch.chdir(tmp_path)
+        assert trainer_mod._build_id() == expected
 
 
 class TestPretrainAll:
