@@ -75,14 +75,15 @@ def sde_step_values(x, v, t, dt, sigma_t, eps):
     return mu, s, mu + s * eps
 
 
-def transition_logprob(mu: np.ndarray, s: float, x_next: np.ndarray) -> float:
-    """Isotropic Gaussian log-density of x_next under N(mu, s^2 I)."""
+def transition_logprob(mu: np.ndarray, s: float, x_next: np.ndarray):
+    """Isotropic Gaussian log-density of x_next under N(mu, s^2 I), taken over
+    the last axis: a float for one point, an array for a batch of rows."""
     if s <= 0.0:
         raise NumericError("transition std must be positive")
     mu = np.asarray(mu, dtype=np.float64)
-    d = mu.size
-    return float(-0.5 * d * np.log(2.0 * np.pi * s * s)
-                 - np.sum((np.asarray(x_next) - mu) ** 2) / (2.0 * s * s))
+    d = mu.shape[-1]
+    return (-0.5 * d * np.log(2.0 * np.pi * s * s)
+            - np.sum((np.asarray(x_next) - mu) ** 2, axis=-1) / (2.0 * s * s))
 
 
 def ratio_norm(log_r: float, dmu: np.ndarray, sigma_t: float, dt: float) -> float:
@@ -152,6 +153,15 @@ class FlowTrajectory:
 
 
 @dataclass
+class FlowBatch:
+    """One lockstep rollout: its trajectories in row order and their total
+    velocity-net evaluations."""
+
+    trajs: list[FlowTrajectory]
+    velocity_evals: int
+
+
+@dataclass
 class FlowLossStats:
     surrogate: float
     mean_ratio: float
@@ -196,12 +206,11 @@ class FlowPolicy:
 
     def velocity_np(self, params: ParamSet, x: np.ndarray, t, cond: np.ndarray,
                     cfg_scale: float = 1.0) -> np.ndarray:
-        """Velocity at (x, t) given pooled conditions; a guidance scale other
-        than 1 combines it with the unconditional (zero-condition) branch."""
+        """Velocity at (x, t) given one pooled condition per row; a guidance
+        scale other than 1 combines it with the unconditional (zero-condition)
+        branch."""
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         cond = np.atleast_2d(cond)
-        if cond.shape[0] == 1 and x.shape[0] > 1:
-            cond = np.broadcast_to(cond, (x.shape[0], cond.shape[1]))
         feats = time_features(np.broadcast_to(np.asarray(t, dtype=np.float64), (x.shape[0],)))
         v = mlp_forward_np(params, np.concatenate([x, feats, cond], axis=1), self.arch, "tanh")
         if cfg_scale == 1.0:
@@ -225,62 +234,63 @@ class FlowPolicy:
 
     # ---- rollouts ----
 
-    def hybrid_rollout(
-        self,
-        params: ParamSet,
-        cond_tokens,
-        times: np.ndarray,
-        window_start: int,
-        window_size: int,
-        sigma_level: float,
-        rng: np.random.Generator,
-        cfg_scale: float = 1.0,
-    ) -> FlowTrajectory:
-        """Full denoising trajectory from fresh noise: steps inside the window
-        are stochastic and recorded with transition statistics, all others are
-        plain Euler steps."""
+    def hybrid_rollout(self, params: ParamSet, cond_seqs, times: np.ndarray, window_starts,
+                       window_size: int, sigma_level: float, rngs,
+                       cfg_scale: float = 1.0) -> FlowBatch:
+        """Lockstep denoising of one trajectory per row from fresh noise, with
+        one velocity_np call per step for all rows.  Row i conditions on
+        cond_seqs[i] and draws its start point, then one noise vector per
+        windowed step, from rngs[i].  Steps inside its window [window_starts[i],
+        window_starts[i] + window_size) are stochastic and recorded with
+        transition statistics; all others are plain Euler steps."""
         n = len(times) - 1
-        if window_size < 0 or window_start < 0 or window_start + window_size > n:
-            raise ConfigError(
-                f"SDE window [{window_start}, {window_start + window_size}) "
-                f"out of range for {n} steps"
-            )
-        window = tuple(range(window_start, window_start + window_size))
-        cond = self.cond_np(params, [cond_tokens])
-        x = rng.standard_normal(DIM)
-        steps: list[FlowStep] = []
+        for start in window_starts:
+            if window_size < 0 or start < 0 or start + window_size > n:
+                raise ConfigError(
+                    f"SDE window [{start}, {start + window_size}) out of range for {n} steps"
+                )
+        starts = np.asarray(window_starts, dtype=np.int64)
+        cond = self.cond_np(params, cond_seqs)
+        x = np.stack([rng.standard_normal(DIM) for rng in rngs])
+        steps: list[list[FlowStep]] = [[] for _ in rngs]
         for k in range(n):
             t = float(times[k])
             dt = float(times[k] - times[k + 1])
-            v = self.velocity_np(params, x, t, cond, cfg_scale)[0]
-            if k in window:
+            v = self.velocity_np(params, x, t, cond, cfg_scale)
+            x_next = x - v * dt
+            mu = x_next.copy()
+            sde = (starts <= k) & (k < starts + window_size)
+            rows = np.flatnonzero(sde)
+            s, sigma_t, logp = 0.0, 0.0, [None] * len(x)
+            if rows.size:
                 sigma_t = sigma_level * np.sqrt(t)
-                eps = rng.standard_normal(DIM)
-                mu, s, x_next = sde_step_values(x, v, t, dt, sigma_t, eps)
-                logp = transition_logprob(mu, s, x_next) if s > 0.0 else None
-                steps.append(FlowStep(t, dt, x, x_next, v, mu, float(s), sigma_t, logp, True))
-            else:
-                x_next = x - v * dt
-                steps.append(FlowStep(t, dt, x, x_next, v, x_next, 0.0, 0.0, None, False))
+                eps = np.stack([rngs[i].standard_normal(DIM) for i in rows])
+                mu[rows], s, x_next[rows] = sde_step_values(x[rows], v[rows], t, dt, sigma_t, eps)
+                if s > 0.0:
+                    for i, lp in zip(rows, transition_logprob(mu[rows], s, x_next[rows])):
+                        logp[i] = float(lp)
+            for i, row_steps in enumerate(steps):
+                w = bool(sde[i])
+                stats = (float(s), sigma_t) if w else (0.0, 0.0)
+                row_steps.append(FlowStep(t, dt, x[i], x_next[i], v[i], mu[i], *stats, logp[i], w))
             x = x_next
         nev = n * evals_per_step(cfg_scale)
-        return FlowTrajectory(tuple(cond_tokens), window, steps, x, nev, cfg_scale)
+        return FlowBatch([
+            FlowTrajectory(tuple(seq), tuple(range(start, start + window_size)), row_steps,
+                           x[i], nev, cfg_scale)
+            for i, (seq, start, row_steps) in enumerate(zip(cond_seqs, window_starts, steps))
+        ], nev * len(steps))
 
-    def ode_rollout_batch(
-        self,
-        params: ParamSet,
-        cond_tokens,
-        times: np.ndarray,
-        x1: np.ndarray,
-        cfg_scale: float = 1.0,
-    ):
-        """Deterministic Euler sampling for a batch of start points.
+    def ode_rollout_batch(self, params: ParamSet, cond_seqs, times: np.ndarray, x1: np.ndarray,
+                          cfg_scale: float = 1.0):
+        """Deterministic Euler sampling of every row of x1 at once; row i
+        conditions on cond_seqs[i].
 
         Returns (x0 batch, visited states [(x, t), ...], velocity eval count).
         A guidance scale of exactly 1 collapses to the conditional branch and
         costs a single evaluation per step.
         """
-        cond = self.cond_np(params, [cond_tokens])
+        cond = self.cond_np(params, cond_seqs)
         x = np.atleast_2d(np.asarray(x1, dtype=np.float64)).copy()
         states: list[tuple[np.ndarray, float]] = []
         for k in range(len(times) - 1):
@@ -365,7 +375,7 @@ class FlowPolicy:
         for q, b, s in all_tuples():
             trace = canonical_trace(make_prompt(q, b, s))
             x1 = rng.standard_normal((n_per_cond, DIM))
-            x0, _, _ = self.ode_rollout_batch(params, trace, times, x1)
+            x0, _, _ = self.ode_rollout_batch(params, [trace] * n_per_cond, times, x1)
             d = _QUAD_DIR[q]
             ok = (np.sign(x0[:, 0]) == np.sign(d[0])) & (np.sign(x0[:, 1]) == np.sign(d[1]))
             per_cond[f"{q}-{b}-{s}"] = float(ok.mean())

@@ -25,6 +25,8 @@ METRICS_HEADER = [
     "nonfinite_samples",
 ]
 
+TIMINGS_HEADER = ["update", "wall_clock", "rollout_s", "update_s", "eval_s", "io_s"]
+
 
 @dataclass
 class MetricsRow:
@@ -38,7 +40,6 @@ class MetricsRow:
     velocity_drift: float
     text_accuracy: float
     nonfinite_samples: int
-    wall_clock: float = 0.0  # written to the timings sidecar, not the CSV
 
 
 def _fmt(value) -> str:
@@ -64,13 +65,17 @@ class MetricsWriter:
         self._timings = open(self.timings_path, mode)
         if not append:
             self._csv.write(",".join(METRICS_HEADER) + "\n")
-            self._timings.write("update,wall_clock\n")
+            self._timings.write(",".join(TIMINGS_HEADER) + "\n")
 
     def write_row(self, row: MetricsRow) -> None:
         rec = asdict(row)
         self._csv.write(",".join(_fmt(rec[name]) for name in METRICS_HEADER) + "\n")
         self._csv.flush()
-        self._timings.write(f"{row.update},{row.wall_clock:.3f}\n")
+
+    def write_timings(self, update: int, wall_clock: float, rollout_s: float,
+                      update_s: float, eval_s: float, io_s: float) -> None:
+        seconds = (wall_clock, rollout_s, update_s, eval_s, io_s)
+        self._timings.write(f"{update}," + ",".join(f"{s:.6f}" for s in seconds) + "\n")
         self._timings.flush()
 
     def write_group_record(self, record: dict) -> None:

@@ -100,78 +100,48 @@ class TextPolicy:
         x = tape.bias_add(flat, wpe)
         return mlp_var(tape, params, x, self.arch, "silu")
 
-    # ---- log-probabilities ----
-
-    def token_logprobs(self, params: ParamSet, prompt_tokens, trace_tokens):
-        """Per-position log pi(y_k | prompt, y_<k) plus the tape that built them."""
-        trace_tokens = tuple(int(t) for t in trace_tokens)
-        if any(t < 0 or t >= self.vocab for t in trace_tokens):
-            raise ValueError(f"token out of vocabulary in trace {trace_tokens}")
-        rows = self.context_rows(prompt_tokens, trace_tokens)
-        tape = Tape()
-        logits = self._logits_var(tape, params, rows)
-        logp = tape.select_cols(tape.log_softmax(logits), np.array(trace_tokens))
-        tape.output = logp
-        return logp.value, tape
-
     # ---- sampling ----
 
-    def sample_trace(
-        self,
-        params: ParamSet,
-        prompt_tokens,
-        temperature: float,
-        max_len: int,
-        rng: np.random.Generator,
-    ) -> ReasoningTrace:
+    def sample_trace(self, params: ParamSet, prompts, temperature: float, max_len: int,
+                     rngs=None) -> list[ReasoningTrace]:
+        """Lockstep decode of one trace per prompt: each position scores every
+        row that has not yet emitted EOS in one logits_np call.  Row i draws
+        each token from softmax(logits / T) with one choice from rngs[i];
+        without generators every row takes the argmax, ties to the lowest
+        token id.  Each trace stores the log-probs of its chosen tokens at T."""
         if temperature <= 0:
             raise ValueError("temperature must be positive")
-        tokens: list[int] = []
-        logps: list[float] = []
-        for _ in range(max_len):
-            rows = self.context_rows(prompt_tokens, tokens + [PAD])[-1:]
-            logp = _log_softmax_np(self.logits_np(params, rows)[0] * (1.0 / temperature))
-            p = np.exp(logp)
-            p /= p.sum()
-            tok = int(rng.choice(self.vocab, p=p))
-            tokens.append(tok)
-            logps.append(float(logp[tok]))
-            if tok == EOS:
-                break
-        return ReasoningTrace(tuple(prompt_tokens), tuple(tokens), np.array(logps))
-
-    def greedy_trace(self, params: ParamSet, prompt_tokens, max_len: int | None = None):
-        """Deterministic decode; argmax ties resolve to the lowest token id."""
-        max_len = max_len or self.max_len
-        tokens: list[int] = []
-        for _ in range(max_len):
-            rows = self.context_rows(prompt_tokens, tokens + [PAD])[-1:]
-            tok = int(np.argmax(self.logits_np(params, rows)[0]))
-            tokens.append(tok)
-            if tok == EOS:
-                break
-        return tuple(tokens)
-
-    def greedy_traces_batch(self, params: ParamSet, prompts) -> list[tuple[int, ...]]:
-        """Greedy decode for many prompts at once (lockstep over positions)."""
         n = len(prompts)
         rows = np.full((n, self.ctx), PAD, dtype=np.int64)
-        for i, p in enumerate(prompts):
-            rows[i, : self.prompt_len] = p
-        done = np.zeros(n, dtype=bool)
-        out: list[list[int]] = [[] for _ in range(n)]
-        for k in range(self.max_len):
-            logits = self.logits_np(params, rows)
-            toks = np.argmax(logits, axis=1)
-            for i in range(n):
-                if not done[i]:
-                    out[i].append(int(toks[i]))
-                    rows[i, self.prompt_len + k] = toks[i]
-                    if toks[i] == EOS:
-                        done[i] = True
-            if done.all():
+        rows[:, : self.prompt_len] = prompts
+        tokens: list[list[int]] = [[] for _ in range(n)]
+        logps: list[list[float]] = [[] for _ in range(n)]
+        live = np.arange(n)
+        for k in range(max_len):
+            logits = self.logits_np(params, rows[live])
+            logp = _log_softmax_np(logits * (1.0 / temperature))
+            if rngs is None:
+                chosen = np.argmax(logits, axis=1)
+            else:
+                chosen = []
+                for i, lp in zip(live, logp):
+                    p = np.exp(lp)
+                    p /= p.sum()
+                    chosen.append(rngs[i].choice(self.vocab, p=p))
+            for j, (i, tok) in enumerate(zip(live, chosen)):
+                tokens[i].append(int(tok))
+                logps[i].append(float(logp[j, tok]))
+                rows[i, self.prompt_len + k] = tok
+            live = live[np.asarray(chosen) != EOS]
+            if not live.size:
                 break
-        return [tuple(t) for t in out]
+        return [ReasoningTrace(tuple(p), tuple(t), np.array(lp))
+                for p, t, lp in zip(prompts, tokens, logps)]
+
+    def greedy_trace(self, params: ParamSet, prompts, max_len: int | None = None):
+        """Deterministic lockstep decode of one trace per prompt (sample_trace
+        without generators, log-probs at T = 1)."""
+        return self.sample_trace(params, prompts, 1.0, max_len or self.max_len)
 
     # ---- GRPO surrogate ----
 
@@ -204,6 +174,10 @@ class TextPolicy:
             origin.extend((i, k) for k in range(len(tr)))
         rows = np.concatenate(rows_list, axis=0)
         targets = np.array(targets)
+        bad = np.flatnonzero((targets < 0) | (targets >= self.vocab))
+        if bad.size:
+            ti, pos = origin[bad[0]]
+            raise ValueError(f"token out of vocabulary at trace {ti}, position {pos}")
         old_lp = np.array(old_lp)
         adv_rows = np.array(adv_rows)
         w_rows = np.array(w_rows)
@@ -300,8 +274,8 @@ class TextPolicy:
             epoch_losses.append(total / count)
 
         prompts = list(all_prompts())
-        greedy = self.greedy_traces_batch(params, [p.tokens for p in prompts])
-        acc = float(np.mean([g == canonical_trace(p) for g, p in zip(greedy, prompts)]))
+        greedy = self.greedy_trace(params, [p.tokens for p in prompts])
+        acc = float(np.mean([g.tokens == canonical_trace(p) for g, p in zip(greedy, prompts)]))
         monotone = all(b <= a + 1e-9 for a, b in zip(epoch_losses, epoch_losses[1:]))
         report = {
             "epoch_losses": epoch_losses,

@@ -11,6 +11,8 @@ the guidance ablation are degenerate configurations of the same loop.
 from __future__ import annotations
 
 import json
+import os
+import platform
 import subprocess
 import time
 from dataclasses import dataclass
@@ -104,62 +106,46 @@ def make_runtime(cfg: TrainConfig) -> Runtime:
 # ---- rollout phase ----
 
 
-def _member_rollout(rt: Runtime, prompt: Prompt, text_old: ParamSet, flow_old: ParamSet,
-                    seed: int, update: int, slot: int, member: int):
-    cfg = rt.cfg
-    trace_rng = stream(seed, "trace", update, slot, member)
-    if cfg.train_text:
-        trace = rt.text_policy.sample_trace(
-            text_old, prompt.tokens, cfg.temperature, cfg.max_trace_len, trace_rng
-        )
-    else:
-        # frozen text expert: deterministic reasoning, group variance comes
-        # from the stochastic denoising window
-        tokens = rt.text_policy.greedy_trace(text_old, prompt.tokens, cfg.max_trace_len)
-        lp, _ = rt.text_policy.token_logprobs(text_old, prompt.tokens, tokens)
-        trace = ReasoningTrace(prompt.tokens, tokens, lp)
-    flow_rng = stream(seed, "flow", update, slot, member)
-    starts = cfg.window_starts
-    start = starts[int(flow_rng.integers(len(starts)))]
-    traj = rt.flow_policy.hybrid_rollout(
-        flow_old,
-        trace.tokens,
-        rt.times_train,
-        start,
-        cfg.sde_window_size,
-        cfg.sigma_level,
-        flow_rng,
-        cfg_scale=cfg.train_cfg_scale if cfg.train_cfg else 1.0,
-    )
-    return trace, traj, score(traj.x0, prompt, rt.geom)
-
-
-def _assemble_group(rt: Runtime, prompt: Prompt, results) -> GroupRollout:
-    traces = [r[0] for r in results]
-    trajs = [r[1] for r in results]
-    records = [r[2] for r in results]
-    rewards = np.array([rec.reward for rec in records])
-    return GroupRollout(
-        prompt=prompt,
-        traces=traces,
-        trajs=trajs,
-        records=records,
-        rewards=rewards,
-        advantages=group_advantages(rewards, rt.cfg.adv_eps),
-        nonfinite=sum(not rec.finite for rec in records),
-    )
-
-
 def collect_rollouts(rt: Runtime, prompts: list[Prompt], text_old: ParamSet,
                      flow_old: ParamSet, seed: int, update: int) -> list[GroupRollout]:
-    """One group of rollouts per prompt; prompt `slot` is its batch index."""
-    return [
-        _assemble_group(rt, prompt, [
-            _member_rollout(rt, prompt, text_old, flow_old, seed, update, slot, member)
-            for member in range(rt.cfg.group_size)
-        ])
-        for slot, prompt in enumerate(prompts)
-    ]
+    """One group of rollouts per prompt, every member advanced in lockstep:
+    one text decode and one flow rollout over all prompts x group-size rows.
+    Member m of the prompt at batch index `slot` draws from its own
+    (seed, tag, update, slot, m) streams, so batch composition changes none
+    of its draws."""
+    cfg = rt.cfg
+    G = cfg.group_size
+    members = [(slot, m) for slot in range(len(prompts)) for m in range(G)]
+    if cfg.train_text:
+        traces = rt.text_policy.sample_trace(
+            text_old, [prompts[slot].tokens for slot, _ in members], cfg.temperature,
+            cfg.max_trace_len, [stream(seed, "trace", update, slot, m) for slot, m in members],
+        )
+    else:
+        # frozen text expert: one deterministic trace per prompt, shared by its
+        # group; group variance comes from the stochastic denoising window
+        greedy = rt.text_policy.greedy_trace(
+            text_old, [p.tokens for p in prompts], cfg.max_trace_len
+        )
+        traces = [greedy[slot] for slot, _ in members]
+    flow_rngs = [stream(seed, "flow", update, slot, m) for slot, m in members]
+    starts = cfg.window_starts
+    window_starts = [starts[int(rng.integers(len(starts)))] for rng in flow_rngs]
+    trajs = rt.flow_policy.hybrid_rollout(
+        flow_old, [tr.tokens for tr in traces], rt.times_train, window_starts,
+        cfg.sde_window_size, cfg.sigma_level, flow_rngs,
+        cfg_scale=cfg.train_cfg_scale if cfg.train_cfg else 1.0,
+    ).trajs
+    groups = []
+    for slot, prompt in enumerate(prompts):
+        part = slice(slot * G, (slot + 1) * G)
+        records = [score(tj.x0, prompt, rt.geom) for tj in trajs[part]]
+        rewards = np.array([rec.reward for rec in records])
+        groups.append(GroupRollout(
+            prompt, traces[part], trajs[part], records, rewards,
+            group_advantages(rewards, cfg.adv_eps), sum(not rec.finite for rec in records),
+        ))
+    return groups
 
 
 # ---- update phase ----
@@ -256,29 +242,35 @@ def make_eval_set(rt: Runtime, seed: int):
 
 def evaluate(rt: Runtime, text_params: ParamSet, flow_params: ParamSet,
              flow_ref: ParamSet, eval_set) -> dict:
-    """Greedy reasoning + deterministic sampling at the evaluation schedule;
-    also measures how far the tuned velocity field drifted from the frozen
+    """Greedy reasoning + deterministic sampling at the evaluation schedule,
+    all prompts decoded and all their samples integrated in one batch; also
+    measures how far the tuned velocity field drifted from the frozen
     reference over the states the sampler actually visits."""
     cfg = rt.cfg
     prompts, noises = eval_set
-    rewards, accs, drifts = [], [], []
-    for prompt, x1 in zip(prompts, noises):
-        tokens = rt.text_policy.greedy_trace(text_params, prompt.tokens, cfg.max_trace_len)
-        accs.append(tokens == canonical_trace(prompt))
-        x0, states, _ = rt.flow_policy.ode_rollout_batch(
-            flow_params, tokens, rt.times_eval, x1, cfg_scale=cfg.eval_cfg_scale
-        )
-        rewards.extend(reward(x, prompt, rt.geom) for x in x0)
-        cond_cur = rt.flow_policy.cond_np(flow_params, [tokens])
-        cond_ref = rt.flow_policy.cond_np(flow_ref, [tokens])
-        for x, t in states:
-            v_cur = rt.flow_policy.velocity_np(flow_params, x, t, cond_cur)
-            v_ref = rt.flow_policy.velocity_np(flow_ref, x, t, cond_ref)
-            drifts.extend(np.sum((v_cur - v_ref) ** 2, axis=1))
+    traces = rt.text_policy.greedy_trace(text_params, [p.tokens for p in prompts],
+                                         cfg.max_trace_len)
+    owners = [i for i, x1 in enumerate(noises) for _ in range(len(x1))]
+    seqs = [traces[i].tokens for i in owners]
+    x0, states, _ = rt.flow_policy.ode_rollout_batch(
+        flow_params, seqs, rt.times_eval, np.concatenate(noises), cfg_scale=cfg.eval_cfg_scale
+    )
+    rewards = [reward(x, prompts[i], rt.geom) for x, i in zip(x0, owners)]
+    # drift over every visited state in one call per field, averaged in
+    # prompt, step, sample order
+    xs = np.concatenate([x for x, _ in states])
+    ts = np.repeat([t for _, t in states], len(seqs))
+    v_cur, v_ref = (
+        rt.flow_policy.velocity_np(p, xs, ts, np.tile(rt.flow_policy.cond_np(p, seqs),
+                                                      (len(states), 1)))
+        for p in (flow_params, flow_ref)
+    )
+    drift = np.sum((v_cur - v_ref) ** 2, axis=1).reshape(len(states), len(prompts), -1)
     return {
         "eval_reward": float(np.mean(rewards)),
-        "text_accuracy": float(np.mean(accs)),
-        "velocity_drift": float(np.mean(drifts)),
+        "text_accuracy": float(np.mean([tr.tokens == canonical_trace(p)
+                                        for tr, p in zip(traces, prompts)])),
+        "velocity_drift": float(np.mean(drift.transpose(1, 0, 2).ravel())),
     }
 
 
@@ -337,6 +329,18 @@ def _build_id() -> str:
         return "unknown"
 
 
+def _software() -> dict:
+    """Interpreter, numpy and BLAS versions and the BLAS thread environment."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas.get('name')} {blas.get('version')}"
+    except (TypeError, KeyError):
+        blas = "unknown"
+    threads = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    return {"python": platform.python_version(), "numpy": np.__version__, "blas": blas,
+            "thread_env": {v: os.environ.get(v) for v in threads}}
+
+
 def _check_architecture(loaded: ParamSet, expected: ParamSet, which: str) -> None:
     got = {n: loaded[n].shape for n in loaded.names()}
     want = {n: expected[n].shape for n in expected.names()}
@@ -390,6 +394,7 @@ def train(cfg: TrainConfig, out_dir, resume: bool = False, config_text: str | No
             "config_resolved": config_to_dict(cfg),
             "seed": seed,
             "build_id": _build_id(),
+            **_software(),
             "started_at": datetime.now(timezone.utc).isoformat(),
             "out_dir": str(out),
             "pretrain_dir": str(pre),
@@ -422,7 +427,9 @@ def train(cfg: TrainConfig, out_dir, resume: bool = False, config_text: str | No
     baseline = None
 
     if not resume:
+        tic = time.perf_counter()
         ev = evaluate(rt, text_params, flow_params, flow_ref, eval_set)
+        t_eval = time.perf_counter()
         baseline = ev["eval_reward"]
         writer.write_row(MetricsRow(
             update=0, mean_train_reward=0.0, eval_reward=ev["eval_reward"],
@@ -430,6 +437,8 @@ def train(cfg: TrainConfig, out_dir, resume: bool = False, config_text: str | No
             velocity_drift=ev["velocity_drift"], text_accuracy=ev["text_accuracy"],
             nonfinite_samples=0,
         ))
+        toc = time.perf_counter()
+        writer.write_timings(0, toc - tic, 0.0, 0.0, t_eval - tic, toc - t_eval)
 
     text_old, flow_old = text_params.copy(), flow_params.copy()
     last_eval: dict = {}
@@ -440,17 +449,20 @@ def train(cfg: TrainConfig, out_dir, resume: bool = False, config_text: str | No
             for slot in range(cfg.prompts_per_batch)
         ]
         groups = collect_rollouts(rt, prompts, text_old, flow_old, seed, update)
+        t_rollout = time.perf_counter()
         text_params, flow_params, ustats = unified_update(
             rt, groups, text_params, flow_params, text_ref, flow_ref,
             adam_text, adam_flow,
         )
         text_old, flow_old = text_params.copy(), flow_params.copy()
+        t_update = time.perf_counter()
 
         do_eval = (cfg.eval_every > 0 and update % cfg.eval_every == 0) \
             or update == cfg.total_updates
         ev = evaluate(rt, text_params, flow_params, flow_ref, eval_set) if do_eval else None
         if ev:
             last_eval = ev
+        t_eval = time.perf_counter()
 
         all_rewards = np.concatenate([g.rewards for g in groups])
         writer.write_row(MetricsRow(
@@ -464,7 +476,6 @@ def train(cfg: TrainConfig, out_dir, resume: bool = False, config_text: str | No
             velocity_drift=ev["velocity_drift"] if ev else None,
             text_accuracy=ev["text_accuracy"] if ev else None,
             nonfinite_samples=sum(g.nonfinite for g in groups),
-            wall_clock=time.perf_counter() - tic,
         ))
         for slot, g in enumerate(groups):
             writer.write_group_record({
@@ -484,6 +495,9 @@ def train(cfg: TrainConfig, out_dir, resume: bool = False, config_text: str | No
         if (cfg.checkpoint_every > 0 and update % cfg.checkpoint_every == 0) \
                 or update == cfg.total_updates:
             _save_state(out, update, text_params, flow_params, adam_text, adam_flow)
+        toc = time.perf_counter()
+        writer.write_timings(update, toc - tic, t_rollout - tic, t_update - t_rollout,
+                             t_eval - t_update, toc - t_eval)
 
     writer.close()
     rows = read_metrics(out / "metrics.csv")

@@ -103,10 +103,8 @@ def gradient_oracles(corrupt_gradient: bool = False) -> list[OracleResult]:
 
     # text surrogate
     tparams = text.init_params(stream(SEED, "t-init"))
-    traces = [
-        text.sample_trace(tparams, prompt.tokens, 1.0, text.max_len, stream(SEED, "t", i))
-        for i in range(3)
-    ]
+    traces = text.sample_trace(tparams, [prompt.tokens] * 3, 1.0, text.max_len,
+                               [stream(SEED, "t", i) for i in range(3)])
     adv = np.array([1.0, -0.4, 0.3])
     tref = text.init_params(stream(SEED + 1, "t-init"))
     tmoved = tparams.with_blocks({"W2": tparams["W2"] + 0.01})
@@ -137,11 +135,10 @@ def gradient_oracles(corrupt_gradient: bool = False) -> list[OracleResult]:
     fref = _nontrivial_flow_params(flow, SEED + 7)
     times, _ = timestep_schedule(10, 3.0)
     trace = canonical_trace(prompt)
-    trajs = [
-        flow.hybrid_rollout(fparams, trace, times, int(stream(SEED, "w", i).integers(0, 4)),
-                            3, 0.8, stream(SEED, "f", i))
-        for i in range(3)
-    ]
+    trajs = flow.hybrid_rollout(
+        fparams, [trace] * 3, times, [int(stream(SEED, "w", i).integers(0, 4)) for i in range(3)],
+        3, 0.8, [stream(SEED, "f", i) for i in range(3)],
+    ).trajs
     fmoved = fparams.with_blocks({"b2": fparams["b2"] + 0.01})
     for reg_mode, weight in (("none", 0.0), ("latent-kl", 0.02), ("velocity-mse", 0.5)):
         def flow_loss(p, reg_mode=reg_mode, weight=weight):
@@ -257,9 +254,9 @@ def sde_bitwise_oracle() -> OracleResult:
     trace = canonical_trace(make_prompt(3, "near", "wide"))
     times, _ = timestep_schedule(10, 3.0)
     n = len(times) - 1
-    traj = flow.hybrid_rollout(params, trace, times, 0, n, 0.0, stream(SEED, "bit"))
+    traj = flow.hybrid_rollout(params, [trace], times, [0], n, 0.0, [stream(SEED, "bit")]).trajs[0]
     x1 = stream(SEED, "bit").standard_normal(2)
-    x0, _, _ = flow.ode_rollout_batch(params, trace, times, x1[None, :])
+    x0, _, _ = flow.ode_rollout_batch(params, [trace], times, x1[None, :])
     same = bool(np.array_equal(traj.x0, x0[0]))
     return OracleResult("sde/zero-noise-bitwise", 0.0 if same else 1.0, 0.0, same)
 
@@ -314,9 +311,9 @@ def rollout_budget_oracle() -> OracleResult:
     params = _nontrivial_flow_params(flow, SEED + 4)
     trace = canonical_trace(make_prompt(1, "far", "tight"))
     times, _ = timestep_schedule(10, 3.0)
-    plain = flow.hybrid_rollout(params, trace, times, 1, 3, 0.8, stream(SEED, "cnt"))
+    plain = flow.hybrid_rollout(params, [trace], times, [1], 3, 0.8, [stream(SEED, "cnt")])
     guided = flow.hybrid_rollout(
-        params, trace, times, 1, 3, 0.8, stream(SEED, "cnt"), cfg_scale=2.0
+        params, [trace], times, [1], 3, 0.8, [stream(SEED, "cnt")], cfg_scale=2.0
     )
     ok = plain.velocity_evals == 10 and guided.velocity_evals == 20
     return OracleResult(

@@ -37,13 +37,15 @@ class TestMetricsFiles:
             j_text=0.1, j_flow=-0.2, clip_frac_text=0.0, clip_frac_flow=0.25,
             velocity_drift=0.01 if eval_reward is not None else None,
             text_accuracy=0.9 if eval_reward is not None else None,
-            nonfinite_samples=0, wall_clock=0.123,
+            nonfinite_samples=0,
         )
 
     def test_round_trip_with_blanks(self, tmp_path):
         w = MetricsWriter(tmp_path)
         w.write_row(self._row(0, eval_reward=0.75))
+        w.write_timings(0, 0.123, 0.0, 0.0, 0.1, 0.023)
         w.write_row(self._row(1))
+        w.write_timings(1, 0.5, 0.2, 0.1, 0.0, 0.2)
         w.write_group_record({"update": 1, "slot": 0, "rewards": [0.5]})
         w.close()
         rows = read_metrics(tmp_path / "metrics.csv")
@@ -52,7 +54,8 @@ class TestMetricsFiles:
         assert rows[1]["velocity_drift"] is None
         assert rows[0]["update"] == 0
         timings = (tmp_path / "timings.csv").read_text().splitlines()
-        assert timings[0] == "update,wall_clock"
+        assert timings[0] == "update,wall_clock,rollout_s,update_s,eval_s,io_s"
+        assert timings[1] == "0,0.123000,0.000000,0.000000,0.100000,0.023000"
         assert len(timings) == 3
 
     def test_wall_clock_not_in_metrics_csv(self, tmp_path):
@@ -73,6 +76,18 @@ class TestMetricsFiles:
         assert [r["update"] for r in rows] == [0, 1, 2]
         recs = [json.loads(l) for l in (tmp_path / "groups.jsonl").read_text().splitlines()]
         assert [r["update"] for r in recs] == [0, 1, 2]
+
+    def test_truncate_keeps_timings_rows_whole(self, tmp_path):
+        w = MetricsWriter(tmp_path)
+        for u in range(5):
+            w.write_row(self._row(u))
+            w.write_timings(u, 1.0 + u, 0.25, 0.5, 0.0, 0.125)
+        w.close()
+        truncate_metrics(tmp_path, keep_through_update=2)
+        timings = (tmp_path / "timings.csv").read_text().splitlines()
+        assert timings[0] == "update,wall_clock,rollout_s,update_s,eval_s,io_s"
+        assert timings[1:] == [f"{u},{1.0 + u:.6f},0.250000,0.500000,0.000000,0.125000"
+                               for u in range(3)]
 
 
 class TestAblate:

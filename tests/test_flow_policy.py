@@ -29,6 +29,13 @@ def _params(seed=0):
     return POLICY.init_params(stream(seed, "init-flow"))
 
 
+def _rollout(params, times, start, size, sigma, rng, cfg_scale=1.0):
+    """One trajectory through the batched sampler."""
+    return POLICY.hybrid_rollout(
+        params, [TRACE], times, [start], size, sigma, [rng], cfg_scale
+    ).trajs[0]
+
+
 class TestSchedule:
     def test_shift_one_is_uniform(self):
         times, dts = timestep_schedule(4, 1.0)
@@ -177,9 +184,9 @@ class TestVelocityNet:
     def test_guidance_combines_branches(self):
         params = _nontrivial_params(21)
         x = stream(21, "x").standard_normal((3, DIM))
-        cond = POLICY.cond_np(params, [TRACE])
+        cond = POLICY.cond_np(params, [TRACE] * 3)
         v_c = POLICY.velocity_np(params, x, 0.4, cond)
-        v_u = POLICY.velocity_np(params, x, 0.4, np.zeros(POLICY.cond_dim))
+        v_u = POLICY.velocity_np(params, x, 0.4, np.zeros((3, POLICY.cond_dim)))
         np.testing.assert_array_equal(
             POLICY.velocity_np(params, x, 0.4, cond, cfg_scale=2.0), cfg_velocity(v_c, v_u, 2.0)
         )
@@ -203,7 +210,7 @@ class TestSdeStep:
         params = params.with_blocks({"W2": _params(4)["W2"]})
         cond = POLICY.cond_np(params, [TRACE])
         n = len(self.TIMES) - 1
-        traj = POLICY.hybrid_rollout(params, TRACE, self.TIMES, 0, n, 0.0, stream(0, "sde"))
+        traj = _rollout(params, self.TIMES, 0, n, 0.0, stream(0, "sde"))
         for k in traj.window:
             step = traj.steps[k]
             v = POLICY.velocity_np(params, step.x, step.t, cond)[0]
@@ -221,7 +228,7 @@ class TestSdeStep:
     def test_stored_stats_reproduce_logp(self):
         params = _params(5)
         params = params.with_blocks({"W2": _params(6)["W2"]})
-        traj = POLICY.hybrid_rollout(params, TRACE, self.TIMES, 1, 3, 0.8, stream(1, "sde"))
+        traj = _rollout(params, self.TIMES, 1, 3, 0.8, stream(1, "sde"))
         for k in traj.window:
             step = traj.steps[k]
             mu, s, _ = sde_step_values(step.x, step.v, step.t, step.dt, step.sigma_t, np.zeros(DIM))
@@ -251,31 +258,36 @@ class TestHybridRollout:
 
     def test_window_size_zero_is_deterministic(self):
         params = _nontrivial_params()
-        a = POLICY.hybrid_rollout(params, TRACE, self.TIMES, 0, 0, 0.8, stream(2, "r"))
-        b = POLICY.hybrid_rollout(params, TRACE, self.TIMES, 0, 0, 0.8, stream(2, "r"))
+        a = _rollout(params, self.TIMES, 0, 0, 0.8, stream(2, "r"))
+        b = _rollout(params, self.TIMES, 0, 0, 0.8, stream(2, "r"))
         np.testing.assert_array_equal(a.x0, b.x0)
         assert all(not s.sde for s in a.steps)
 
     def test_sigma_zero_full_window_matches_ode_bitwise(self):
         params = _nontrivial_params(8)
         n = len(self.TIMES) - 1
-        traj = POLICY.hybrid_rollout(params, TRACE, self.TIMES, 0, n, 0.0, stream(3, "r"))
+        traj = _rollout(params, self.TIMES, 0, n, 0.0, stream(3, "r"))
         x1 = stream(3, "r").standard_normal(DIM)
-        x0, _, _ = POLICY.ode_rollout_batch(params, TRACE, self.TIMES, x1[None, :])
+        x0, _, _ = POLICY.ode_rollout_batch(params, [TRACE], self.TIMES, x1[None, :])
         np.testing.assert_array_equal(traj.x0, x0[0])
 
     def test_velocity_eval_counts(self):
         params = _nontrivial_params(9)
-        traj = POLICY.hybrid_rollout(params, TRACE, self.TIMES, 1, 3, 0.8, stream(4, "r"))
+        traj = _rollout(params, self.TIMES, 1, 3, 0.8, stream(4, "r"))
         assert traj.velocity_evals == 10
-        traj_cfg = POLICY.hybrid_rollout(
-            params, TRACE, self.TIMES, 1, 3, 0.8, stream(4, "r"), cfg_scale=2.0
-        )
+        traj_cfg = _rollout(params, self.TIMES, 1, 3, 0.8, stream(4, "r"), cfg_scale=2.0)
         assert traj_cfg.velocity_evals == 20
+        # the batch total sums its members, whatever their windows
+        batch = POLICY.hybrid_rollout(
+            params, [TRACE, (3, 3, 5), ()], self.TIMES, [0, 2, 7], 3, 0.8,
+            [stream(4, "r", i) for i in range(3)], cfg_scale=2.0,
+        )
+        assert [tr.velocity_evals for tr in batch.trajs] == [20, 20, 20]
+        assert batch.velocity_evals == 60
 
     def test_window_shape(self):
         params = _nontrivial_params(10)
-        traj = POLICY.hybrid_rollout(params, TRACE, self.TIMES, 2, 3, 0.8, stream(5, "r"))
+        traj = _rollout(params, self.TIMES, 2, 3, 0.8, stream(5, "r"))
         assert traj.window == (2, 3, 4)
         flags = [s.sde for s in traj.steps]
         assert flags == [k in (2, 3, 4) for k in range(10)]
@@ -290,14 +302,15 @@ class TestHybridRollout:
 
     def test_window_out_of_range_rejected(self):
         with pytest.raises(ConfigError):
-            POLICY.hybrid_rollout(_params(), TRACE, self.TIMES, 9, 3, 0.8, stream(0, "r"))
+            POLICY.hybrid_rollout(_params(), [TRACE, TRACE], self.TIMES, [0, 9], 3, 0.8,
+                                  [stream(0, "r"), stream(1, "r")])
 
     def test_ode_guidance_scale_controls_eval_count(self):
         params = _nontrivial_params(11)
         x1 = stream(6, "x1").standard_normal((5, 2))
-        _, _, n_plain = POLICY.ode_rollout_batch(params, TRACE, self.TIMES, x1)
+        _, _, n_plain = POLICY.ode_rollout_batch(params, [TRACE] * 5, self.TIMES, x1)
         _, _, n_guided = POLICY.ode_rollout_batch(
-            params, TRACE, self.TIMES, x1, cfg_scale=1.5
+            params, [TRACE] * 5, self.TIMES, x1, cfg_scale=1.5
         )
         assert n_plain == 5 * 10
         assert n_guided == 2 * 5 * 10
@@ -375,14 +388,11 @@ class TestPretraining:
 
 def _rollout_group(params, g=4, seed=0, sigma=0.8, cfg_scale=1.0):
     times, _ = timestep_schedule(10, 3.0)
-    trajs = []
-    for i in range(g):
-        rng = stream(seed, "roll", i)
-        start = int(rng.integers(0, 4))
-        trajs.append(POLICY.hybrid_rollout(
-            params, TRACE, times, start, 3, sigma, rng, cfg_scale=cfg_scale
-        ))
-    return trajs
+    rngs = [stream(seed, "roll", i) for i in range(g)]
+    starts = [int(rng.integers(0, 4)) for rng in rngs]
+    return POLICY.hybrid_rollout(
+        params, [TRACE] * g, times, starts, 3, sigma, rngs, cfg_scale=cfg_scale
+    ).trajs
 
 
 class TestFlowSurrogate:
@@ -466,8 +476,8 @@ class TestFlowSurrogate:
         params = _nontrivial_params(19)
         times_a, _ = timestep_schedule(10, 3.0)
         times_b, _ = timestep_schedule(10, 2.0)
-        a = POLICY.hybrid_rollout(params, TRACE, times_a, 0, 3, 0.8, stream(10, "r"))
-        b = POLICY.hybrid_rollout(params, TRACE, times_b, 0, 3, 0.8, stream(11, "r"))
+        a = _rollout(params, times_a, 0, 3, 0.8, stream(10, "r"))
+        b = _rollout(params, times_b, 0, 3, 0.8, stream(11, "r"))
         with pytest.raises(ConfigError, match="schedule"):
             POLICY.surrogate_loss(params, [a, b], np.zeros(2), 0.2, "none", 0.0, params)
 

@@ -1,4 +1,4 @@
-"""Text policy: log-probs, sampling, clipped surrogate, pretraining."""
+"""Text policy: log-probs, lockstep decoding, clipped surrogate, pretraining."""
 
 import numpy as np
 import pytest
@@ -17,6 +17,21 @@ def _params(seed=0):
     return POLICY.init_params(stream(seed, "init-text"))
 
 
+def _sample(params, temperature=1.0, seed=0, tag="s"):
+    return POLICY.sample_trace(
+        params, [PROMPT.tokens], temperature, POLICY.max_len, [stream(seed, tag)]
+    )[0]
+
+
+def _softmax_logprobs(params, trace_tokens):
+    """Per-position log pi(y_k | prompt, y_<k) from an explicit softmax of
+    logits_np, independent of the decoder."""
+    rows = POLICY.context_rows(PROMPT.tokens, list(trace_tokens))
+    z = POLICY.logits_np(params, rows)
+    probs = np.exp(z) / np.exp(z).sum(axis=1, keepdims=True)
+    return np.log(probs[np.arange(len(trace_tokens)), list(trace_tokens)])
+
+
 class TestTokenLogprobs:
     def test_zero_head_is_uniform(self):
         params = _params()
@@ -25,8 +40,8 @@ class TestTokenLogprobs:
         params = params.with_blocks({
             nw: np.zeros_like(params[nw]), nb: np.zeros_like(params[nb]),
         })
-        lp, _ = POLICY.token_logprobs(params, PROMPT.tokens, canonical_trace(PROMPT))
-        np.testing.assert_allclose(lp, -np.log(POLICY.vocab), atol=1e-12)
+        tr = _sample(params)
+        np.testing.assert_allclose(tr.logprobs, -np.log(POLICY.vocab), atol=1e-12)
 
     def test_probs_normalize(self):
         params = _params(1)
@@ -38,8 +53,8 @@ class TestTokenLogprobs:
     def test_matches_slow_recomputation(self):
         # independent route: explicit softmax over logits, no shared code
         params = _params(2)
-        trace = canonical_trace(PROMPT)
-        lp, _ = POLICY.token_logprobs(params, PROMPT.tokens, trace)
+        tr = _sample(params, seed=2)
+        trace, lp = tr.tokens, tr.logprobs
         for k, tok in enumerate(trace):
             rows = POLICY.context_rows(PROMPT.tokens, list(trace))[k : k + 1]
             z = POLICY.logits_np(params, rows)[0]
@@ -47,41 +62,42 @@ class TestTokenLogprobs:
             assert lp[k] == pytest.approx(np.log(probs[tok]), abs=1e-12)
 
     def test_out_of_vocab_rejected(self):
+        params = _params()
+        tr = ReasoningTrace(PROMPT.tokens, (999,), np.zeros(1))
         with pytest.raises(ValueError, match="vocabulary"):
-            POLICY.token_logprobs(_params(), PROMPT.tokens, (999,))
+            POLICY.surrogate_loss(params, [tr], np.ones(1), 0.2, 0.0, params)
 
 
 class TestSampling:
     def test_tiny_temperature_is_greedy(self):
         params = _params(3)
-        greedy = POLICY.greedy_trace(params, PROMPT.tokens)
-        tr = POLICY.sample_trace(params, PROMPT.tokens, 1e-6, POLICY.max_len, stream(0, "s"))
-        assert tr.tokens == greedy
+        greedy = POLICY.greedy_trace(params, [PROMPT.tokens])[0]
+        tr = _sample(params, 1e-6)
+        assert tr.tokens == greedy.tokens
 
     def test_stored_logprobs_self_consistent(self):
         params = _params(4)
-        tr = POLICY.sample_trace(params, PROMPT.tokens, 1.0, POLICY.max_len, stream(1, "s"))
-        lp, _ = POLICY.token_logprobs(params, PROMPT.tokens, tr.tokens)
+        tr = _sample(params, seed=1)
+        lp = _softmax_logprobs(params, tr.tokens)
         np.testing.assert_allclose(tr.logprobs, lp, atol=1e-12)
 
     def test_stops_at_eos_or_max_len(self):
         params = _params(5)
-        for i in range(20):
-            tr = POLICY.sample_trace(params, PROMPT.tokens, 1.0, POLICY.max_len, stream(i, "s2"))
+        traces = POLICY.sample_trace(params, [PROMPT.tokens] * 20, 1.0, POLICY.max_len,
+                                     [stream(i, "s2") for i in range(20)])
+        for tr in traces:
             assert len(tr) <= POLICY.max_len
             if EOS in tr.tokens:
                 assert tr.tokens.index(EOS) == len(tr) - 1
 
     def test_temperature_must_be_positive(self):
         with pytest.raises(ValueError):
-            POLICY.sample_trace(_params(), PROMPT.tokens, 0.0, 4, stream(0, "s"))
+            POLICY.sample_trace(_params(), [PROMPT.tokens], 0.0, 4, [stream(0, "s")])
 
 
 def _group(params, g=4, seed=0, temperature=1.0):
-    return [
-        POLICY.sample_trace(params, PROMPT.tokens, temperature, POLICY.max_len, stream(seed, "g", i))
-        for i in range(g)
-    ]
+    return POLICY.sample_trace(params, [PROMPT.tokens] * g, temperature, POLICY.max_len,
+                               [stream(seed, "g", i) for i in range(g)])
 
 
 class TestSurrogate:
@@ -99,14 +115,14 @@ class TestSurrogate:
     def test_single_token_clip_positive_advantage(self):
         # force r = 1.3 by shifting the stored old logprob
         params = _params(7)
-        lp, _ = POLICY.token_logprobs(params, PROMPT.tokens, (EOS,))
+        lp = _softmax_logprobs(params, (EOS,))
         tr = ReasoningTrace(PROMPT.tokens, (EOS,), np.array([lp[0] - np.log(1.3)]))
         j, _, _ = POLICY.surrogate_loss(params, [tr], np.array([2.0]), 0.2, 0.0, params)
         assert j == pytest.approx(min(1.3 * 2.0, 1.2 * 2.0), abs=1e-9)
 
     def test_single_token_clip_negative_advantage(self):
         params = _params(8)
-        lp, _ = POLICY.token_logprobs(params, PROMPT.tokens, (EOS,))
+        lp = _softmax_logprobs(params, (EOS,))
         tr = ReasoningTrace(PROMPT.tokens, (EOS,), np.array([lp[0] - np.log(0.7)]))
         j, _, _ = POLICY.surrogate_loss(params, [tr], np.array([-1.0]), 0.2, 0.0, params)
         assert j == pytest.approx(min(-0.7, -0.8), abs=1e-9)

@@ -1,7 +1,9 @@
 """Trainer machinery: advantages, rollouts, unified updates, persistence."""
 
+import json
 import shutil
 import subprocess
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +16,7 @@ from unigrpo.errors import CheckpointError, NumericError
 from unigrpo.metrics import read_metrics
 from unigrpo.nn import AdamState
 from unigrpo.rng import stream
-from unigrpo.task import make_prompt, sample_prompt
+from unigrpo.task import EOS, PAD, canonical_trace, make_prompt, reward, sample_prompt
 from unigrpo.trainer import (
     collect_rollouts,
     evaluate,
@@ -118,14 +120,18 @@ class TestRollouts:
         collect_rollouts(rt, [make_prompt(2, "far", "wide")], text, flow, 0, 1)
         assert len(calls) == rt.cfg.group_size
 
-    def test_identical_members_make_degenerate_group(self, tiny_pretrain):
+    def test_identical_members_make_degenerate_group(self, tiny_pretrain, monkeypatch):
         # two members with identical streams would yield equal rewards and
-        # all-zero advantages; emulate by duplicating one member's results
-        rt = _rt()
+        # all-zero advantages; emulate by handing every member member 0's streams
+        real = trainer_mod.stream
+
+        def member_zero(seed, tag, *idx):
+            return real(seed, tag, *(idx[:-1] + (0,) if tag in ("trace", "flow") else idx))
+
+        monkeypatch.setattr(trainer_mod, "stream", member_zero)
+        rt = make_runtime(replace(TINY, group_size=2))
         text, flow = _snap(rt, tiny_pretrain)
-        prompt = make_prompt(1, "near", "tight")
-        member = trainer_mod._member_rollout(rt, prompt, text, flow, 0, 1, 0, 0)
-        g = trainer_mod._assemble_group(rt, prompt, [member, member])
+        g = collect_rollouts(rt, [make_prompt(1, "near", "tight")], text, flow, 0, 1)[0]
         np.testing.assert_array_equal(g.rewards[0], g.rewards[1])
         np.testing.assert_array_equal(g.advantages, np.zeros(2))
         assert g.degenerate
@@ -150,13 +156,70 @@ class TestRollouts:
         for s, c in counts.items():
             assert abs(c / n - 1 / len(starts)) < 0.02, (s, c)
         # the rollout actually uses that draw
-        text, flow = _snap(rt, tiny_pretrain)
-        prompt = make_prompt(4, "far", "tight")
-        for m in range(30):
+        rt30 = make_runtime(replace(TINY, group_size=30))
+        text, flow = _snap(rt30, tiny_pretrain)
+        g = collect_rollouts(rt30, [make_prompt(4, "far", "tight")], text, flow, cfg.seed, 7)[0]
+        for m, traj in enumerate(g.trajs):
             rng = stream(cfg.seed, "flow", 7, 0, m)
             expected = starts[int(rng.integers(len(starts)))]
-            res = trainer_mod._member_rollout(rt, prompt, text, flow, cfg.seed, 7, 0, m)
-            assert res[1].window[0] == expected
+            assert traj.window[0] == expected
+
+    @pytest.mark.parametrize("overrides", [{}, {"train_text": False}, {"train_cfg": True}])
+    def test_batch_composition_changes_no_member(self, tiny_pretrain, overrides):
+        # member m of slot s draws only from its own streams, so its tokens,
+        # window, x0 and step statistics do not depend on the other rows
+        rt = make_runtime(replace(TINY, **overrides))
+        text, flow = _snap(rt, tiny_pretrain)
+        prompts = [sample_prompt(stream(5, "p", i)) for i in range(4)]
+        others = [sample_prompt(stream(6, "p", i)) for i in range(4)]
+        batched = collect_rollouts(rt, prompts, text, flow, 0, 2)
+        for slot in range(4):
+            # the slot keeps its prompt; slot 0 runs alone, the others beside
+            # different prompts
+            mixed = others[:slot] + [prompts[slot]] + (others[slot + 1:] if slot else [])
+            ref = collect_rollouts(rt, mixed, text, flow, 0, 2)[slot]
+            got = batched[slot]
+            assert [tr.tokens for tr in got.traces] == [tr.tokens for tr in ref.traces]
+            for a, b in zip(got.traces, ref.traces):
+                np.testing.assert_allclose(a.logprobs, b.logprobs, rtol=0, atol=1e-12)
+            for a, b in zip(got.trajs, ref.trajs):
+                assert a.window == b.window and a.velocity_evals == b.velocity_evals
+                np.testing.assert_allclose(a.x0, b.x0, rtol=0, atol=1e-12)
+                for sa, sb in zip(a.steps, b.steps):
+                    assert sa.sde == sb.sde and sa.s == sb.s and sa.sigma_t == sb.sigma_t
+                    for u, v in ((sa.x, sb.x), (sa.x_next, sb.x_next), (sa.v, sb.v),
+                                 (sa.mu, sb.mu)):
+                        np.testing.assert_allclose(u, v, rtol=0, atol=1e-12)
+                    assert (sa.logp is None) == (sb.logp is None)
+                    if sa.logp is not None:
+                        assert abs(sa.logp - sb.logp) <= 1e-12
+
+    def test_lockstep_sampler_calls(self, tiny_pretrain, monkeypatch):
+        # one velocity call per denoising step and one head call per decoded
+        # position, each for every row still going
+        from unigrpo.flow_policy import FlowPolicy
+        from unigrpo.text_policy import TextPolicy
+
+        rt = _rt()
+        text, flow = _snap(rt, tiny_pretrain)
+        rows = {"flow": [], "text": []}
+
+        def counting(cls, name, key):
+            real = getattr(cls, name)
+
+            def wrapper(self, params, x, *args, **kwargs):
+                rows[key].append(len(x))
+                return real(self, params, x, *args, **kwargs)
+
+            monkeypatch.setattr(cls, name, wrapper)
+
+        counting(FlowPolicy, "velocity_np", "flow")
+        counting(TextPolicy, "logits_np", "text")
+        prompts = [sample_prompt(stream(0, "p", i)) for i in range(3)]
+        collect_rollouts(rt, prompts, text, flow, 0, 1)
+        n_rows = 3 * rt.cfg.group_size
+        assert rows["flow"] == [n_rows] * rt.cfg.train_timesteps
+        assert 1 <= len(rows["text"]) <= rt.cfg.max_trace_len and rows["text"][0] == n_rows
 
 
 class TestUnifiedUpdate:
@@ -289,6 +352,38 @@ class TestUnifiedUpdate:
 
 
 class TestEvaluate:
+    @pytest.mark.parametrize("eval_cfg_scale", [1.0, 2.0])
+    def test_batched_matches_per_prompt_loop(self, tiny_pretrain, eval_cfg_scale):
+        rt = make_runtime(replace(TINY, eval_cfg_scale=eval_cfg_scale))
+        text, flow = _snap(rt, tiny_pretrain)
+        moved = flow.with_blocks({"b2": flow["b2"] + 0.01})
+        es = make_eval_set(rt, 0)
+        got = evaluate(rt, text, moved, flow, es)
+
+        # reference: one prompt at a time, one decoded token at a time
+        tp, fp, times = rt.text_policy, rt.flow_policy, rt.times_eval
+        rewards, accs, drifts = [], [], []
+        for prompt, x1 in zip(*es):
+            tokens = []
+            for _ in range(rt.cfg.max_trace_len):
+                row = tp.context_rows(prompt.tokens, tokens + [PAD])[-1:]
+                tokens.append(int(np.argmax(tp.logits_np(text, row)[0])))
+                if tokens[-1] == EOS:
+                    break
+            accs.append(tuple(tokens) == canonical_trace(prompt))
+            cond_cur = np.repeat(fp.cond_np(moved, [tokens]), len(x1), axis=0)
+            cond_ref = np.repeat(fp.cond_np(flow, [tokens]), len(x1), axis=0)
+            x = x1.copy()
+            for k in range(len(times) - 1):
+                t, dt = float(times[k]), float(times[k] - times[k + 1])
+                v_cur = fp.velocity_np(moved, x, t, cond_cur)
+                drifts.extend(np.sum((v_cur - fp.velocity_np(flow, x, t, cond_ref)) ** 2, axis=1))
+                x = x - fp.velocity_np(moved, x, t, cond_cur, eval_cfg_scale) * dt
+            rewards.extend(reward(xx, prompt, rt.geom) for xx in x)
+        assert got["text_accuracy"] == np.mean(accs)
+        assert got["eval_reward"] == pytest.approx(np.mean(rewards), rel=0, abs=1e-12)
+        assert got["velocity_drift"] == pytest.approx(np.mean(drifts), rel=1e-9)
+
     def test_deterministic(self, tiny_pretrain):
         rt = _rt()
         text, flow = _snap(rt, tiny_pretrain)
@@ -354,6 +449,29 @@ class TestTrainLoop:
         assert rows[0]["update"] == 0 and rows[0]["eval_reward"] is not None
         assert rows[-1]["update"] == cfg.total_updates
         assert rows[-1]["eval_reward"] is not None
+
+    def test_timings_sidecar_and_manifest(self, tiny_pretrain, tmp_path):
+        cfg = replace(TINY, pretrain_dir=str(tiny_pretrain))
+        train(replace(cfg, total_updates=3), tmp_path / "run")
+        train(cfg, tmp_path / "run", resume=True)
+        header = (tmp_path / "run/metrics.csv").read_text().splitlines()[0]
+        assert header == ("update,mean_train_reward,eval_reward,j_text,j_flow,clip_frac_text,"
+                          "clip_frac_flow,velocity_drift,text_accuracy,nonfinite_samples")
+        lines = (tmp_path / "run/timings.csv").read_text().splitlines()
+        assert lines[0] == "update,wall_clock,rollout_s,update_s,eval_s,io_s"
+        rows = [[float(v) for v in ln.split(",")] for ln in lines[1:]]
+        assert [int(r[0]) for r in rows] == list(range(cfg.total_updates + 1))
+        for update, wall, *phases in rows:
+            assert min(phases) >= 0.0 and sum(phases) <= wall + 1e-5
+            if update > 0:
+                assert phases[0] > 0.0 and phases[1] > 0.0
+        assert rows[0][4] > 0.0  # the baseline evaluation
+        manifest = json.loads((tmp_path / "run/run_manifest.json").read_text())
+        for key in ("python", "numpy", "blas"):
+            assert isinstance(manifest[key], str) and manifest[key]
+        assert set(manifest["thread_env"]) == {
+            "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+        }
 
     def test_checkpoints_reload_bit_exactly(self, tiny_pretrain, tmp_path):
         from dataclasses import replace
