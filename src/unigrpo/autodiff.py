@@ -161,10 +161,6 @@ class Tape:
         y = np.exp(x.value)
         return self._push(y, (x.idx,), lambda g: (g * y,))
 
-    def log(self, x: Var) -> Var:
-        xv = x.value
-        return self._push(np.log(xv), (x.idx,), lambda g: (g / xv,))
-
     def square(self, x: Var) -> Var:
         xv = x.value
         return self._push(xv * xv, (x.idx,), lambda g: (2.0 * xv * g,))

@@ -50,8 +50,6 @@ def cmd_train(args) -> int:
     from .trainer import train
 
     cfg, text = _load(args)
-    if args.train_cfg:
-        cfg = replace(cfg, train_cfg=True)
     summary = train(cfg, args.out, resume=args.resume, config_text=text)
     print(json.dumps(summary, indent=2))
     return 0
@@ -107,8 +105,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="run the unified training loop")
     _add_common(p, "run")
     p.add_argument("--resume", action="store_true", help="continue from the latest state")
-    p.add_argument("--train-cfg", action="store_true",
-                   help="enable guidance during training rollouts (ablation only)")
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("ablate", help="paired-configuration studies with verdicts")

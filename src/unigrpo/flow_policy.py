@@ -14,7 +14,7 @@ quality of the text policy causally matters for reward.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -60,10 +60,11 @@ def timestep_schedule(n_steps: int, shift: float) -> tuple[np.ndarray, np.ndarra
 
 
 def drift_coefficients(t: float, sigma_t: float) -> tuple[float, float]:
-    """Coefficients (c1, c2) of the noise-corrected drift c1*v + c2*x."""
-    if t <= 0.0:
+    """Coefficients (c1, c2) of the noise-corrected drift c1*v + c2*x, for
+    one step or elementwise over arrays of steps."""
+    if np.any(np.asarray(t) <= 0.0):
         raise NumericError("stochastic step requested at t=0 (singular drift)")
-    half = sigma_t**2 / (2.0 * t)
+    half = sigma_t * sigma_t / (2.0 * t)
     return 1.0 + half * (1.0 - t), half
 
 
@@ -105,12 +106,6 @@ def latent_kl(mu_theta: np.ndarray, mu_ref: np.ndarray, sigma_t: float, dt: floa
     return float(np.sum((np.asarray(mu_theta) - np.asarray(mu_ref)) ** 2) / (2.0 * var))
 
 
-def velocity_mse(v_theta: np.ndarray, v_ref: np.ndarray) -> float:
-    """Unweighted squared distance between velocity predictions; deliberately
-    carries no noise-level dependence."""
-    return float(np.sum((np.asarray(v_theta) - np.asarray(v_ref)) ** 2))
-
-
 def cfg_velocity(v_cond: np.ndarray, v_uncond: np.ndarray, w: float) -> np.ndarray:
     return np.asarray(v_uncond) + w * (np.asarray(v_cond) - np.asarray(v_uncond))
 
@@ -121,44 +116,48 @@ def evals_per_step(cfg_scale: float) -> int:
     return 1 if cfg_scale == 1.0 else 2
 
 
-# ---- trajectory records ----
-
-
-@dataclass
-class FlowStep:
-    t: float
-    dt: float
-    x: np.ndarray          # pre-step latent
-    x_next: np.ndarray
-    v: np.ndarray
-    mu: np.ndarray
-    s: float               # transition std; 0 for deterministic steps
-    sigma_t: float
-    logp: float | None     # sampling-time log-prob of x_next, None if s == 0
-    sde: bool
-
-
-@dataclass
-class FlowTrajectory:
-    cond_tokens: tuple[int, ...]
-    window: tuple[int, ...]
-    steps: list[FlowStep]
-    x0: np.ndarray
-    velocity_evals: int
-    cfg_scale: float = 1.0
-
-    @property
-    def times(self) -> tuple[float, ...]:
-        return tuple(s.t for s in self.steps)
+# ---- rollout record ----
 
 
 @dataclass
 class FlowBatch:
-    """One lockstep rollout: its trajectories in row order and their total
-    velocity-net evaluations."""
+    """One lockstep denoising pass over B rows.  `states[k]` holds every
+    row's latent before schedule step k and `states[-1]` the samples.  Row i
+    is stochastic for the W steps from `starts[i]`; `mu` and `logp` hold its
+    sampling-time transition mean and log-density at those steps (logp is
+    NaN when sigma_level is 0)."""
 
-    trajs: list[FlowTrajectory]
-    velocity_evals: int
+    cond_seqs: list
+    times: np.ndarray
+    states: np.ndarray     # (n+1, B, DIM), step-major
+    starts: np.ndarray     # (B,)
+    mu: np.ndarray         # (B, W, DIM)
+    logp: np.ndarray       # (B, W)
+    sigma_level: float
+    cfg_scale: float
+
+    @property
+    def evals_per_row(self) -> int:
+        return (len(self.times) - 1) * evals_per_step(self.cfg_scale)
+
+    @property
+    def velocity_evals(self) -> int:
+        return self.evals_per_row * len(self.starts)
+
+    def take(self, rows: slice) -> FlowBatch:
+        return replace(self, cond_seqs=self.cond_seqs[rows], states=self.states[:, rows],
+                       starts=self.starts[rows], mu=self.mu[rows], logp=self.logp[rows])
+
+    @staticmethod
+    def concat(batches) -> FlowBatch:
+        """Rows of batches drawn with one schedule, noise level and scale."""
+        return replace(
+            batches[0], cond_seqs=[seq for b in batches for seq in b.cond_seqs],
+            states=np.concatenate([b.states for b in batches], axis=1),
+            starts=np.concatenate([b.starts for b in batches]),
+            mu=np.concatenate([b.mu for b in batches]),
+            logp=np.concatenate([b.logp for b in batches]),
+        )
 
 
 @dataclass
@@ -234,72 +233,59 @@ class FlowPolicy:
 
     # ---- rollouts ----
 
-    def hybrid_rollout(self, params: ParamSet, cond_seqs, times: np.ndarray, window_starts,
-                       window_size: int, sigma_level: float, rngs,
-                       cfg_scale: float = 1.0) -> FlowBatch:
-        """Lockstep denoising of one trajectory per row from fresh noise, with
-        one velocity_np call per step for all rows.  Row i conditions on
-        cond_seqs[i] and draws its start point, then one noise vector per
-        windowed step, from rngs[i].  Steps inside its window [window_starts[i],
-        window_starts[i] + window_size) are stochastic and recorded with
-        transition statistics; all others are plain Euler steps."""
-        n = len(times) - 1
-        for start in window_starts:
-            if window_size < 0 or start < 0 or start + window_size > n:
-                raise ConfigError(
-                    f"SDE window [{start}, {start + window_size}) out of range for {n} steps"
-                )
+    def _denoise(self, params: ParamSet, cond_seqs, times: np.ndarray, x1: np.ndarray,
+                 window_starts, window_size: int, sigma_level: float, rngs,
+                 cfg_scale: float) -> FlowBatch:
+        """Lockstep denoising of every row of x1 with one velocity_np call per
+        step.  Row i conditions on cond_seqs[i]; for the window_size steps
+        from window_starts[i] it takes the noise-injected step with one eps
+        per step drawn from rngs[i], every other step is plain Euler."""
+        n, B = len(times) - 1, len(cond_seqs)
         starts = np.asarray(window_starts, dtype=np.int64)
+        bad = np.flatnonzero((starts < 0) | (starts + window_size > n) | (window_size < 0))
+        if bad.size:
+            start = int(starts[bad[0]])
+            raise ConfigError(
+                f"SDE window [{start}, {start + window_size}) out of range for {n} steps"
+            )
+        # (row, window slot) pairs of each step, built once
+        window = [[] for _ in range(n)]
+        for i, start in enumerate(starts.tolist()):
+            for j in range(window_size):
+                window[start + j].append((i, j))
         cond = self.cond_np(params, cond_seqs)
-        x = np.stack([rng.standard_normal(DIM) for rng in rngs])
-        steps: list[list[FlowStep]] = [[] for _ in rngs]
+        states = np.empty((n + 1, B, DIM))
+        states[0] = x1
+        mu = np.zeros((B, window_size, DIM))
+        logp = np.full((B, window_size), np.nan)
         for k in range(n):
             t = float(times[k])
             dt = float(times[k] - times[k + 1])
+            x = states[k]
             v = self.velocity_np(params, x, t, cond, cfg_scale)
-            x_next = x - v * dt
-            mu = x_next.copy()
-            sde = (starts <= k) & (k < starts + window_size)
-            rows = np.flatnonzero(sde)
-            s, sigma_t, logp = 0.0, 0.0, [None] * len(x)
-            if rows.size:
-                sigma_t = sigma_level * np.sqrt(t)
+            states[k + 1] = x - v * dt
+            if window[k]:
+                rows, slots = np.array(window[k]).T
                 eps = np.stack([rngs[i].standard_normal(DIM) for i in rows])
-                mu[rows], s, x_next[rows] = sde_step_values(x[rows], v[rows], t, dt, sigma_t, eps)
+                mu[rows, slots], s, states[k + 1, rows] = sde_step_values(
+                    x[rows], v[rows], t, dt, sigma_level * np.sqrt(t), eps
+                )
                 if s > 0.0:
-                    for i, lp in zip(rows, transition_logprob(mu[rows], s, x_next[rows])):
-                        logp[i] = float(lp)
-            for i, row_steps in enumerate(steps):
-                w = bool(sde[i])
-                stats = (float(s), sigma_t) if w else (0.0, 0.0)
-                row_steps.append(FlowStep(t, dt, x[i], x_next[i], v[i], mu[i], *stats, logp[i], w))
-            x = x_next
-        nev = n * evals_per_step(cfg_scale)
-        return FlowBatch([
-            FlowTrajectory(tuple(seq), tuple(range(start, start + window_size)), row_steps,
-                           x[i], nev, cfg_scale)
-            for i, (seq, start, row_steps) in enumerate(zip(cond_seqs, window_starts, steps))
-        ], nev * len(steps))
+                    logp[rows, slots] = transition_logprob(mu[rows, slots], s, states[k + 1, rows])
+        return FlowBatch(list(cond_seqs), times, states, starts, mu, logp, sigma_level, cfg_scale)
+
+    def hybrid_rollout(self, params: ParamSet, cond_seqs, times: np.ndarray, x1: np.ndarray,
+                       window_starts, window_size: int, sigma_level: float, rngs,
+                       cfg_scale: float = 1.0) -> FlowBatch:
+        """Training rollouts: each row stochastic inside its own window."""
+        return self._denoise(params, cond_seqs, times, x1, window_starts, window_size,
+                             sigma_level, rngs, cfg_scale)
 
     def ode_rollout_batch(self, params: ParamSet, cond_seqs, times: np.ndarray, x1: np.ndarray,
-                          cfg_scale: float = 1.0):
-        """Deterministic Euler sampling of every row of x1 at once; row i
-        conditions on cond_seqs[i].
-
-        Returns (x0 batch, visited states [(x, t), ...], velocity eval count).
-        A guidance scale of exactly 1 collapses to the conditional branch and
-        costs a single evaluation per step.
-        """
-        cond = self.cond_np(params, cond_seqs)
-        x = np.atleast_2d(np.asarray(x1, dtype=np.float64)).copy()
-        states: list[tuple[np.ndarray, float]] = []
-        for k in range(len(times) - 1):
-            t = float(times[k])
-            dt = float(times[k] - times[k + 1])
-            states.append((x.copy(), t))
-            x = x - self.velocity_np(params, x, t, cond, cfg_scale) * dt
-        nev = x.shape[0] * (len(times) - 1) * evals_per_step(cfg_scale)
-        return x, states, nev
+                          cfg_scale: float = 1.0) -> FlowBatch:
+        """Deterministic Euler sampling of every row of x1."""
+        return self._denoise(params, cond_seqs, times, x1, [0] * len(cond_seqs), 0, 0.0, [],
+                             cfg_scale)
 
     # ---- flow-matching pretraining ----
 
@@ -375,7 +361,7 @@ class FlowPolicy:
         for q, b, s in all_tuples():
             trace = canonical_trace(make_prompt(q, b, s))
             x1 = rng.standard_normal((n_per_cond, DIM))
-            x0, _, _ = self.ode_rollout_batch(params, [trace] * n_per_cond, times, x1)
+            x0 = self.ode_rollout_batch(params, [trace] * n_per_cond, times, x1).states[-1]
             d = _QUAD_DIR[q]
             ok = (np.sign(x0[:, 0]) == np.sign(d[0])) & (np.sign(x0[:, 1]) == np.sign(d[1]))
             per_cond[f"{q}-{b}-{s}"] = float(ok.mean())
@@ -391,62 +377,46 @@ class FlowPolicy:
     def surrogate_loss(
         self,
         params: ParamSet,
-        trajs: list[FlowTrajectory],
+        batch: FlowBatch,
         advantages: np.ndarray,
         clip_eps: float,
         reg_mode: str,
         reg_weight: float,
         ref_params: ParamSet,
     ) -> tuple[float, GradSet, FlowLossStats]:
-        """Clipped objective over each trajectory's stochastic window with
+        """Clipped objective over each row's stochastic window with
         standardized ratios, minus the configured drift regularizer evaluated
-        at the stored states against the frozen reference.  Each trajectory
-        weighs 1/len(trajs), so one call over several groups equals the mean
-        of per-group calls."""
-        G = len(trajs)
-        assert len(advantages) == G
-        base = trajs[0].times
-        cfg_scale = trajs[0].cfg_scale
-        for tr in trajs[1:]:
-            if tr.times != base:
-                raise ConfigError("trajectories in one batch must share a schedule")
-            if tr.cfg_scale != cfg_scale:
-                raise ConfigError("trajectories in one batch must share a guidance scale")
+        at the stored states against the frozen reference.  Each row weighs
+        1/B, so one call over several groups equals the mean of per-group
+        calls."""
+        B, W = batch.logp.shape
+        assert len(advantages) == B
         if reg_mode not in ("none", "latent-kl", "velocity-mse"):
             raise ConfigError(f"unknown regularizer mode '{reg_mode}'")
-
-        steps, adv_rows, w_rows, row_cond, origin = [], [], [], [], []
-        for i, tr in enumerate(trajs):
-            for k in tr.window:
-                st = tr.steps[k]
-                if st.s <= 0.0 or st.logp is None:
-                    raise ConfigError(
-                        f"windowed step {k} of trajectory {i} has no stochastic statistics"
-                    )
-                steps.append(st)
-                adv_rows.append(advantages[i])
-                w_rows.append(1.0 / (G * len(tr.window)))
-                row_cond.append(tr.cond_tokens)
-                origin.append((i, k))
-        if not steps:
+        if W == 0:
             raise ConfigError("no stochastic steps recorded in this batch")
+        if not batch.sigma_level > 0.0:
+            raise ConfigError("windowed steps have no stochastic statistics at sigma_level 0")
 
-        xs = np.stack([st.x for st in steps])
-        ts = np.array([st.t for st in steps])
-        dts = np.array([st.dt for st in steps])
-        sig = np.array([st.sigma_t for st in steps])
-        s_arr = np.array([st.s for st in steps])
-        xn = np.stack([st.x_next for st in steps])
-        mu_old = np.stack([st.mu for st in steps])
-        logp_old = np.array([st.logp for st in steps])
-        adv_rows = np.array(adv_rows)
-        w_rows = np.array(w_rows)
+        # one tape row per (row, window step), row-major
+        rows = np.repeat(np.arange(B), W)
+        ks = (batch.starts[:, None] + np.arange(W)).ravel()
+        xs = batch.states[ks, rows]
+        xn = batch.states[ks + 1, rows]
+        ts = batch.times[ks]
+        dts = ts - batch.times[ks + 1]
+        sig = batch.sigma_level * np.sqrt(ts)
+        s_arr = sig * np.sqrt(dts)
+        mu_old = batch.mu.reshape(-1, DIM)
+        logp_old = batch.logp.ravel()
+        adv_rows = np.repeat(advantages, W)
+        w_rows = np.full(B * W, 1.0 / (B * W))
+        row_cond = [batch.cond_seqs[i] for i in rows]
 
         tape = Tape()
         v = self.velocity_var(tape, params, xs, ts, self.cond_var(tape, params, row_cond),
-                              cfg_scale)
-        coef = np.array([drift_coefficients(t, s) for t, s in zip(ts, sig)])
-        c1, c2 = coef[:, :1], coef[:, 1:]
+                              batch.cfg_scale)
+        c1, c2 = (c[:, None] for c in drift_coefficients(ts, sig))
         f = tape.cmul(v, c1) + tape.leaf(c2 * xs)
         mu = tape.cadd(tape.cmul(f, -dts[:, None]), xs)
 
@@ -463,8 +433,9 @@ class FlowPolicy:
 
         bad = np.flatnonzero(~(np.isfinite(log_rt.value) & np.isfinite(rt.value)))
         if bad.size:
-            ti, k = origin[bad[0]]
-            raise NumericError(f"non-finite flow ratio at trajectory {ti}, step {k}")
+            raise NumericError(
+                f"non-finite flow ratio at trajectory {rows[bad[0]]}, step {ks[bad[0]]}"
+            )
 
         unclipped = rt * adv_rows
         clipped = tape.clip(rt, 1.0 - clip_eps, 1.0 + clip_eps) * adv_rows
@@ -475,7 +446,7 @@ class FlowPolicy:
         if reg_mode != "none":
             # frozen-reference velocities at the stored states, constant in theta
             v_ref = self.velocity_np(ref_params, xs, ts, self.cond_np(ref_params, row_cond),
-                                     cfg_scale)
+                                     batch.cfg_scale)
             if reg_mode == "velocity-mse":
                 reg_rows = tape.sum_rows(tape.square(tape.cadd(v, -v_ref)))
             else:

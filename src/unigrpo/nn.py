@@ -162,10 +162,9 @@ def adam_step(params: ParamSet, grads: GradSet, state: AdamState) -> ParamSet:
 def init_mlp_blocks(
     rng: np.random.Generator,
     arch: tuple[int, ...],
-    prefix: str = "",
     final_zero: bool = False,
 ) -> dict[str, np.ndarray]:
-    """Weight blocks {prefix}W{i}/{prefix}b{i} for a dense net with layer sizes `arch`."""
+    """Weight blocks W{i}/b{i} for a dense net with layer sizes `arch`."""
     blocks = {}
     for i in range(len(arch) - 1):
         fan_in, fan_out = arch[i], arch[i + 1]
@@ -174,8 +173,8 @@ def init_mlp_blocks(
             w = np.zeros((fan_in, fan_out))
         else:
             w = rng.normal(0.0, 1.0 / np.sqrt(fan_in), size=(fan_in, fan_out))
-        blocks[f"{prefix}W{i}"] = w
-        blocks[f"{prefix}b{i}"] = np.zeros(fan_out)
+        blocks[f"W{i}"] = w
+        blocks[f"b{i}"] = np.zeros(fan_out)
     return blocks
 
 
@@ -188,7 +187,6 @@ def mlp_var(
     x: Var,
     arch: tuple[int, ...],
     activation: str = "tanh",
-    prefix: str = "",
 ) -> Var:
     """Differentiable MLP forward on an existing tape; x is (n, arch[0])."""
     if activation not in _ACTIVATIONS:
@@ -199,7 +197,7 @@ def mlp_var(
         )
     h = x
     for i in range(len(arch) - 1):
-        wname, bname = f"{prefix}W{i}", f"{prefix}b{i}"
+        wname, bname = f"W{i}", f"b{i}"
         w = tape.param(params, wname)
         if w.value.shape != (arch[i], arch[i + 1]):
             raise ConfigError(
@@ -223,12 +221,11 @@ def mlp_forward_np(
     x: np.ndarray,
     arch: tuple[int, ...],
     activation: str = "tanh",
-    prefix: str = "",
 ) -> np.ndarray:
     """Plain-numpy MLP forward (no tape); used on rollout hot paths."""
     h = np.asarray(x, dtype=np.float64)
     for i in range(len(arch) - 1):
-        h = h @ params[f"{prefix}W{i}"] + params[f"{prefix}b{i}"]
+        h = h @ params[f"W{i}"] + params[f"b{i}"]
         if i < len(arch) - 2:
             if activation == "tanh":
                 h = np.tanh(h)

@@ -165,39 +165,18 @@ def canonical_trace(prompt: Prompt) -> tuple[int, ...]:
     )
 
 
-def decode_trace(tokens) -> tuple[int, str, str] | None:
-    """Invert a canonical trace; None if the sequence is not well formed."""
-    toks = list(tokens)
-    if len(toks) < 3:
-        return None
-    inv_q = {v: k for k, v in CANON_QUAD.items()}
-    inv_b = {v: k for k, v in CANON_BAND.items()}
-    inv_s = {v: k for k, v in CANON_SPREAD.items()}
-    if toks[0] not in inv_q or toks[1] not in inv_b or toks[2] not in inv_s:
-        return None
-    return inv_q[toks[0]], inv_b[toks[1]], inv_s[toks[2]]
-
-
 @dataclass(frozen=True)
 class RewardRecord:
-    """Terminal sample, its prompt, and the scalar score; reproducible by
-    construction since the reward is a pure function of the pair."""
+    """Scalar score of one terminal sample and whether the sample was finite;
+    reproducible by construction since the reward is a pure function of the
+    sample and its prompt."""
 
-    x0: tuple[float, float]
-    prompt_id: int
     reward: float
     finite: bool
 
 
 def score(x0: np.ndarray, prompt: Prompt, geom: TaskGeometry) -> RewardRecord:
-    x0 = np.asarray(x0, dtype=np.float64)
-    finite = bool(np.all(np.isfinite(x0)))
-    return RewardRecord(
-        x0=(float(x0[0]), float(x0[1])) if finite else (float("nan"), float("nan")),
-        prompt_id=prompt.prompt_id,
-        reward=reward(x0, prompt, geom),
-        finite=finite,
-    )
+    return RewardRecord(reward(x0, prompt, geom), bool(np.all(np.isfinite(x0))))
 
 
 def reward(x0: np.ndarray, prompt: Prompt, geom: TaskGeometry) -> float:
@@ -292,16 +271,3 @@ def dump_pretrain_data(path, text_pairs, flow_pairs) -> None:
                 "kind": "flow", "cond": list(p.cond_tokens), "x0": list(p.x0),
             }) + "\n")
 
-
-def load_pretrain_data(path) -> tuple[list[TextPair], list[FlowPair]]:
-    text_pairs, flow_pairs = [], []
-    with open(path) as fh:
-        for line in fh:
-            rec = json.loads(line)
-            if rec["kind"] == "text":
-                text_pairs.append(TextPair(
-                    tuple(rec["prompt"]), tuple(rec["trace"]), rec["corrupted"]
-                ))
-            else:
-                flow_pairs.append(FlowPair(tuple(rec["cond"]), np.array(rec["x0"])))
-    return text_pairs, flow_pairs

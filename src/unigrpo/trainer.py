@@ -24,7 +24,7 @@ import numpy as np
 from . import checkpoint
 from .config import TrainConfig, config_to_dict, dump_config
 from .errors import CheckpointError, ConfigError, NumericError
-from .flow_policy import FlowPolicy, FlowTrajectory, timestep_schedule
+from .flow_policy import DIM, FlowBatch, FlowPolicy, timestep_schedule
 from .metrics import MetricsRow, MetricsWriter, read_metrics, truncate_metrics
 from .nn import AdamState, ParamSet, adam_step
 from .rng import stream
@@ -32,7 +32,6 @@ from .task import (
     PROMPT_LEN,
     VOCAB_SIZE,
     Prompt,
-    RewardRecord,
     TaskGeometry,
     all_tuples,
     canonical_trace,
@@ -61,8 +60,7 @@ def group_advantages(rewards: np.ndarray, eps_std: float = 1e-8) -> np.ndarray:
 class GroupRollout:
     prompt: Prompt
     traces: list[ReasoningTrace]
-    trajs: list[FlowTrajectory]
-    records: list[RewardRecord]
+    flow: FlowBatch
     rewards: np.ndarray
     advantages: np.ndarray
     nonfinite: int
@@ -130,19 +128,22 @@ def collect_rollouts(rt: Runtime, prompts: list[Prompt], text_old: ParamSet,
         traces = [greedy[slot] for slot, _ in members]
     flow_rngs = [stream(seed, "flow", update, slot, m) for slot, m in members]
     starts = cfg.window_starts
-    window_starts = [starts[int(rng.integers(len(starts)))] for rng in flow_rngs]
-    trajs = rt.flow_policy.hybrid_rollout(
-        flow_old, [tr.tokens for tr in traces], rt.times_train, window_starts,
+    window_starts, x1 = [], []
+    for rng in flow_rngs:  # each stream: window start, x1, then the window's eps
+        window_starts.append(starts[int(rng.integers(len(starts)))])
+        x1.append(rng.standard_normal(DIM))
+    flow = rt.flow_policy.hybrid_rollout(
+        flow_old, [tr.tokens for tr in traces], rt.times_train, np.stack(x1), window_starts,
         cfg.sde_window_size, cfg.sigma_level, flow_rngs,
         cfg_scale=cfg.train_cfg_scale if cfg.train_cfg else 1.0,
-    ).trajs
+    )
     groups = []
     for slot, prompt in enumerate(prompts):
         part = slice(slot * G, (slot + 1) * G)
-        records = [score(tj.x0, prompt, rt.geom) for tj in trajs[part]]
+        records = [score(x, prompt, rt.geom) for x in flow.states[-1, part]]
         rewards = np.array([rec.reward for rec in records])
         groups.append(GroupRollout(
-            prompt, traces[part], trajs[part], records, rewards,
+            prompt, traces[part], flow.take(part), rewards,
             group_advantages(rewards, cfg.adv_eps), sum(not rec.finite for rec in records),
         ))
     return groups
@@ -185,7 +186,7 @@ def unified_update(
     if cfg.reg_mode == "none":
         reg_weight = 0.0
     traces = [tr for g in active for tr in g.traces]
-    trajs = [tj for g in active for tj in g.trajs]
+    flow = FlowBatch.concat([g.flow for g in active])
     advantages = np.concatenate([g.advantages for g in active])
 
     entry_text, entry_flow = text_params, flow_params
@@ -207,7 +208,7 @@ def unified_update(
                 new_text = adam_step(text_params, grads.scale_(-1.0), adam_text)  # ascend
             if cfg.train_flow:
                 j, grads, st = rt.flow_policy.surrogate_loss(
-                    flow_params, trajs, advantages, cfg.clip_eps,
+                    flow_params, flow, advantages, cfg.clip_eps,
                     cfg.reg_mode, reg_weight, flow_ref,
                 )
                 if not np.isfinite(j):
@@ -252,20 +253,20 @@ def evaluate(rt: Runtime, text_params: ParamSet, flow_params: ParamSet,
                                          cfg.max_trace_len)
     owners = [i for i, x1 in enumerate(noises) for _ in range(len(x1))]
     seqs = [traces[i].tokens for i in owners]
-    x0, states, _ = rt.flow_policy.ode_rollout_batch(
+    states = rt.flow_policy.ode_rollout_batch(
         flow_params, seqs, rt.times_eval, np.concatenate(noises), cfg_scale=cfg.eval_cfg_scale
-    )
-    rewards = [reward(x, prompts[i], rt.geom) for x, i in zip(x0, owners)]
+    ).states
+    rewards = [reward(x, prompts[i], rt.geom) for x, i in zip(states[-1], owners)]
     # drift over every visited state in one call per field, averaged in
     # prompt, step, sample order
-    xs = np.concatenate([x for x, _ in states])
-    ts = np.repeat([t for _, t in states], len(seqs))
+    n = len(states) - 1
+    xs = states[:-1].reshape(-1, DIM)
+    ts = np.repeat(rt.times_eval[:-1], len(seqs))
     v_cur, v_ref = (
-        rt.flow_policy.velocity_np(p, xs, ts, np.tile(rt.flow_policy.cond_np(p, seqs),
-                                                      (len(states), 1)))
+        rt.flow_policy.velocity_np(p, xs, ts, np.tile(rt.flow_policy.cond_np(p, seqs), (n, 1)))
         for p in (flow_params, flow_ref)
     )
-    drift = np.sum((v_cur - v_ref) ** 2, axis=1).reshape(len(states), len(prompts), -1)
+    drift = np.sum((v_cur - v_ref) ** 2, axis=1).reshape(n, len(prompts), -1)
     return {
         "eval_reward": float(np.mean(rewards)),
         "text_accuracy": float(np.mean([tr.tokens == canonical_trace(p)
@@ -485,9 +486,10 @@ def train(cfg: TrainConfig, out_dir, resume: bool = False, config_text: str | No
                 "rewards": [float(r) for r in g.rewards],
                 "advantages": [float(a) for a in g.advantages],
                 "traces": [list(map(int, tr.tokens)) for tr in g.traces],
-                "windows": [list(map(int, tj.window)) for tj in g.trajs],
-                "x0": [[float(v) for v in tj.x0] for tj in g.trajs],
-                "velocity_evals": [tj.velocity_evals for tj in g.trajs],
+                "windows": [list(range(s, s + cfg.sde_window_size))
+                            for s in g.flow.starts.tolist()],
+                "x0": g.flow.states[-1].tolist(),
+                "velocity_evals": [g.flow.evals_per_row] * len(g.flow.starts),
                 "degenerate": g.degenerate,
                 "skipped": ustats.skipped,
             })

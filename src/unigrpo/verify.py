@@ -135,14 +135,15 @@ def gradient_oracles(corrupt_gradient: bool = False) -> list[OracleResult]:
     fref = _nontrivial_flow_params(flow, SEED + 7)
     times, _ = timestep_schedule(10, 3.0)
     trace = canonical_trace(prompt)
-    trajs = flow.hybrid_rollout(
-        fparams, [trace] * 3, times, [int(stream(SEED, "w", i).integers(0, 4)) for i in range(3)],
-        3, 0.8, [stream(SEED, "f", i) for i in range(3)],
-    ).trajs
+    rngs = [stream(SEED, "f", i) for i in range(3)]
+    batch = flow.hybrid_rollout(
+        fparams, [trace] * 3, times, np.stack([rng.standard_normal(2) for rng in rngs]),
+        [int(stream(SEED, "w", i).integers(0, 4)) for i in range(3)], 3, 0.8, rngs,
+    )
     fmoved = fparams.with_blocks({"b2": fparams["b2"] + 0.01})
     for reg_mode, weight in (("none", 0.0), ("latent-kl", 0.02), ("velocity-mse", 0.5)):
         def flow_loss(p, reg_mode=reg_mode, weight=weight):
-            j, gs, _ = flow.surrogate_loss(p, trajs, adv, 0.2, reg_mode, weight, fref)
+            j, gs, _ = flow.surrogate_loss(p, batch, adv, 0.2, reg_mode, weight, fref)
             return j, gs
 
         rep = finite_diff_check(
@@ -254,10 +255,11 @@ def sde_bitwise_oracle() -> OracleResult:
     trace = canonical_trace(make_prompt(3, "near", "wide"))
     times, _ = timestep_schedule(10, 3.0)
     n = len(times) - 1
-    traj = flow.hybrid_rollout(params, [trace], times, [0], n, 0.0, [stream(SEED, "bit")]).trajs[0]
-    x1 = stream(SEED, "bit").standard_normal(2)
-    x0, _, _ = flow.ode_rollout_batch(params, [trace], times, x1[None, :])
-    same = bool(np.array_equal(traj.x0, x0[0]))
+    rng = stream(SEED, "bit")
+    x1 = rng.standard_normal((1, 2))
+    sde = flow.hybrid_rollout(params, [trace], times, x1, [0], n, 0.0, [rng])
+    ode = flow.ode_rollout_batch(params, [trace], times, x1)
+    same = bool(np.array_equal(sde.states[-1], ode.states[-1]))
     return OracleResult("sde/zero-noise-bitwise", 0.0 if same else 1.0, 0.0, same)
 
 
@@ -311,9 +313,10 @@ def rollout_budget_oracle() -> OracleResult:
     params = _nontrivial_flow_params(flow, SEED + 4)
     trace = canonical_trace(make_prompt(1, "far", "tight"))
     times, _ = timestep_schedule(10, 3.0)
-    plain = flow.hybrid_rollout(params, [trace], times, [1], 3, 0.8, [stream(SEED, "cnt")])
-    guided = flow.hybrid_rollout(
-        params, [trace], times, [1], 3, 0.8, [stream(SEED, "cnt")], cfg_scale=2.0
+    plain, guided = (
+        flow.hybrid_rollout(params, [trace], times, rng.standard_normal((1, 2)), [1], 3, 0.8,
+                            [rng], cfg_scale)
+        for rng, cfg_scale in ((stream(SEED, "cnt"), 1.0), (stream(SEED, "cnt"), 2.0))
     )
     ok = plain.velocity_evals == 10 and guided.velocity_evals == 20
     return OracleResult(

@@ -97,13 +97,11 @@ def test_criterion_6_cfg_free_rollout_contract(tmp_path):
     guided = collect_rollouts(rt_cfg, [prompt], text, flow, seed=0, update=1)[0]
 
     n = cfg.train_timesteps
-    ok = all(t.velocity_evals == n for t in plain.trajs) and all(
-        t.velocity_evals == 2 * n for t in guided.trajs
-    )
+    ok = plain.flow.evals_per_row == n and guided.flow.evals_per_row == 2 * n
     assert _report(
         6, ok,
-        f"training rollouts: {plain.trajs[0].velocity_evals}/{n} evals per trajectory; "
-        f"guided ablation: {guided.trajs[0].velocity_evals}/{2 * n}",
+        f"training rollouts: {plain.flow.evals_per_row}/{n} evals per trajectory; "
+        f"guided ablation: {guided.flow.evals_per_row}/{2 * n}",
     )
 
 

@@ -44,13 +44,11 @@ def _check_unary(build, x, tol=1e-7):
 
 @pytest.mark.parametrize(
     "name",
-    ["tanh", "silu", "exp", "log", "square", "softmax", "log_softmax", "sum_rows"],
+    ["tanh", "silu", "exp", "square", "softmax", "log_softmax", "sum_rows"],
 )
 def test_unary_op_gradients(name):
     rng = np.random.default_rng(3)
     x = rng.normal(size=(4, 5))
-    if name == "log":
-        x = np.abs(x) + 0.5
     _check_unary(lambda t, v: getattr(t, name)(v), x)
 
 

@@ -14,7 +14,6 @@ from unigrpo.flow_policy import (
     sde_step_values,
     timestep_schedule,
     transition_logprob,
-    velocity_mse,
 )
 from unigrpo.nn import finite_diff_check
 from unigrpo.rng import stream
@@ -30,10 +29,12 @@ def _params(seed=0):
 
 
 def _rollout(params, times, start, size, sigma, rng, cfg_scale=1.0):
-    """One trajectory through the batched sampler."""
+    """One row through the batched sampler; its start point is the stream's
+    first draw."""
     return POLICY.hybrid_rollout(
-        params, [TRACE], times, [start], size, sigma, [rng], cfg_scale
-    ).trajs[0]
+        params, [TRACE], times, rng.standard_normal((1, DIM)), [start], size, sigma, [rng],
+        cfg_scale,
+    )
 
 
 class TestSchedule:
@@ -129,14 +130,6 @@ class TestRegularizers:
         kl = latent_kl(mu_t, mu_r, sigma_t, dt)
         assert abs(log_ratio.mean() - kl) < 3 * se
 
-    def test_velocity_mse_values(self):
-        assert velocity_mse(np.ones(2), np.ones(2)) == 0.0
-        assert velocity_mse(np.array([0.3, -0.4]), np.zeros(2)) == pytest.approx(0.25)
-
-    def test_velocity_mse_ignores_noise_scale(self):
-        v1, v2 = np.array([0.5, 0.1]), np.array([0.2, 0.3])
-        assert velocity_mse(v1, v2) == velocity_mse(v1, v2)  # no sigma argument at all
-
     def test_regularizer_ordering_exact_ratio(self):
         # When the drift difference is the velocity difference times c1(t),
         # latent KL = c1^2 dt / (2 sigma_t^2) * velocity MSE, exactly.
@@ -148,7 +141,7 @@ class TestRegularizers:
         mu1 = x - (c1 * v1 + c2 * x) * dt
         mu2 = x - (c1 * v2 + c2 * x) * dt
         kl = latent_kl(mu1, mu2, sigma_t, dt)
-        mse = velocity_mse(v1, v2)
+        mse = float(np.sum((v1 - v2) ** 2))
         assert kl == pytest.approx(c1**2 * dt / (2 * sigma_t**2) * mse, rel=1e-12)
 
 
@@ -210,13 +203,14 @@ class TestSdeStep:
         params = params.with_blocks({"W2": _params(4)["W2"]})
         cond = POLICY.cond_np(params, [TRACE])
         n = len(self.TIMES) - 1
-        traj = _rollout(params, self.TIMES, 0, n, 0.0, stream(0, "sde"))
-        for k in traj.window:
-            step = traj.steps[k]
-            v = POLICY.velocity_np(params, step.x, step.t, cond)[0]
-            np.testing.assert_array_equal(step.x_next, step.x - v * step.dt)
-            np.testing.assert_array_equal(step.mu, step.x_next)
-            assert step.sde and step.s == 0.0 and step.logp is None
+        batch = _rollout(params, self.TIMES, 0, n, 0.0, stream(0, "sde"))
+        assert batch.starts[0] == 0 and batch.mu.shape[1] == n
+        for k in range(n):
+            t, dt = float(self.TIMES[k]), float(self.TIMES[k] - self.TIMES[k + 1])
+            v = POLICY.velocity_np(params, batch.states[k], t, cond)
+            np.testing.assert_array_equal(batch.states[k + 1], batch.states[k] - v * dt)
+            np.testing.assert_array_equal(batch.mu[:, k], batch.states[k + 1])
+        assert np.all(np.isnan(batch.logp))
 
     def test_zero_drift_pure_noise(self):
         mu, s, x_next = sde_step_values(
@@ -228,14 +222,17 @@ class TestSdeStep:
     def test_stored_stats_reproduce_logp(self):
         params = _params(5)
         params = params.with_blocks({"W2": _params(6)["W2"]})
-        traj = _rollout(params, self.TIMES, 1, 3, 0.8, stream(1, "sde"))
-        for k in traj.window:
-            step = traj.steps[k]
-            mu, s, _ = sde_step_values(step.x, step.v, step.t, step.dt, step.sigma_t, np.zeros(DIM))
-            np.testing.assert_array_equal(mu, step.mu)
-            assert s == step.s
-            assert step.logp == pytest.approx(
-                transition_logprob(step.mu, step.s, step.x_next), abs=1e-12
+        batch = _rollout(params, self.TIMES, 1, 3, 0.8, stream(1, "sde"))
+        cond = POLICY.cond_np(params, [TRACE])
+        for j in range(3):
+            k = 1 + j
+            t, dt = float(self.TIMES[k]), float(self.TIMES[k] - self.TIMES[k + 1])
+            x = batch.states[k]
+            v = POLICY.velocity_np(params, x, t, cond)
+            mu, s, _ = sde_step_values(x, v, t, dt, 0.8 * np.sqrt(t), np.zeros(DIM))
+            np.testing.assert_array_equal(mu, batch.mu[:, j])
+            assert batch.logp[0, j] == pytest.approx(
+                transition_logprob(batch.mu[0, j], s, batch.states[k + 1, 0]), abs=1e-12
             )
 
     def test_t_zero_rejected(self):
@@ -260,16 +257,16 @@ class TestHybridRollout:
         params = _nontrivial_params()
         a = _rollout(params, self.TIMES, 0, 0, 0.8, stream(2, "r"))
         b = _rollout(params, self.TIMES, 0, 0, 0.8, stream(2, "r"))
-        np.testing.assert_array_equal(a.x0, b.x0)
-        assert all(not s.sde for s in a.steps)
+        np.testing.assert_array_equal(a.states[-1], b.states[-1])
+        assert a.mu.shape == (1, 0, DIM) and a.logp.shape == (1, 0)
 
     def test_sigma_zero_full_window_matches_ode_bitwise(self):
         params = _nontrivial_params(8)
         n = len(self.TIMES) - 1
-        traj = _rollout(params, self.TIMES, 0, n, 0.0, stream(3, "r"))
-        x1 = stream(3, "r").standard_normal(DIM)
-        x0, _, _ = POLICY.ode_rollout_batch(params, [TRACE], self.TIMES, x1[None, :])
-        np.testing.assert_array_equal(traj.x0, x0[0])
+        sde = _rollout(params, self.TIMES, 0, n, 0.0, stream(3, "r"))
+        x1 = stream(3, "r").standard_normal((1, DIM))
+        ode = POLICY.ode_rollout_batch(params, [TRACE], self.TIMES, x1)
+        np.testing.assert_array_equal(sde.states[-1], ode.states[-1])
 
     def test_velocity_eval_counts(self):
         params = _nontrivial_params(9)
@@ -278,40 +275,71 @@ class TestHybridRollout:
         traj_cfg = _rollout(params, self.TIMES, 1, 3, 0.8, stream(4, "r"), cfg_scale=2.0)
         assert traj_cfg.velocity_evals == 20
         # the batch total sums its members, whatever their windows
+        rngs = [stream(4, "r", i) for i in range(3)]
         batch = POLICY.hybrid_rollout(
-            params, [TRACE, (3, 3, 5), ()], self.TIMES, [0, 2, 7], 3, 0.8,
-            [stream(4, "r", i) for i in range(3)], cfg_scale=2.0,
+            params, [TRACE, (3, 3, 5), ()], self.TIMES,
+            np.stack([rng.standard_normal(DIM) for rng in rngs]), [0, 2, 7], 3, 0.8, rngs,
+            cfg_scale=2.0,
         )
-        assert [tr.velocity_evals for tr in batch.trajs] == [20, 20, 20]
+        assert batch.evals_per_row == 20
         assert batch.velocity_evals == 60
 
     def test_window_shape(self):
         params = _nontrivial_params(10)
-        traj = _rollout(params, self.TIMES, 2, 3, 0.8, stream(5, "r"))
-        assert traj.window == (2, 3, 4)
-        flags = [s.sde for s in traj.steps]
-        assert flags == [k in (2, 3, 4) for k in range(10)]
-        for k in traj.window:
-            st = traj.steps[k]
-            assert st.s > 0 and st.logp is not None
-            assert st.logp == pytest.approx(
-                transition_logprob(st.mu, st.s, st.x_next), abs=1e-12
-            )
-        times = [s.t for s in traj.steps]
-        assert all(a > b for a, b in zip(times, times[1:]))
+        batch = _rollout(params, self.TIMES, 2, 3, 0.8, stream(5, "r"))
+        assert batch.starts.tolist() == [2] and batch.mu.shape == (1, 3, DIM)
+        cond = POLICY.cond_np(params, [TRACE])
+        euler = []
+        for k in range(10):
+            t, dt = float(self.TIMES[k]), float(self.TIMES[k] - self.TIMES[k + 1])
+            v = POLICY.velocity_np(params, batch.states[k], t, cond)
+            euler.append(np.array_equal(batch.states[k + 1], batch.states[k] - v * dt))
+            if k in (2, 3, 4):
+                s = 0.8 * np.sqrt(t) * np.sqrt(dt)
+                assert s > 0 and np.isfinite(batch.logp[0, k - 2])
+                assert batch.logp[0, k - 2] == pytest.approx(
+                    transition_logprob(batch.mu[0, k - 2], s, batch.states[k + 1, 0]), abs=1e-12
+                )
+        assert euler == [k not in (2, 3, 4) for k in range(10)]
+        assert all(a > b for a, b in zip(batch.times, batch.times[1:]))
+
+    def test_matches_per_row_reference_loop(self):
+        # three rows whose windows open at the first step, mid-way and at the
+        # last possible step, against one row at a time with the same streams
+        params = _nontrivial_params(12)
+        seqs, starts, size, sigma = [TRACE, (3, 3, 5), ()], [0, 2, 7], 3, 0.8
+        rngs = [stream(12, "ref", i) for i in range(3)]
+        x1 = np.stack([rng.standard_normal(DIM) for rng in rngs])
+        batch = POLICY.hybrid_rollout(params, seqs, self.TIMES, x1, starts, size, sigma, rngs)
+        for i, (seq, start) in enumerate(zip(seqs, starts)):
+            rng = stream(12, "ref", i)
+            x = rng.standard_normal(DIM)
+            cond = POLICY.cond_np(params, [seq])
+            np.testing.assert_allclose(batch.states[0, i], x, rtol=0, atol=1e-12)
+            for k in range(len(self.TIMES) - 1):
+                t, dt = float(self.TIMES[k]), float(self.TIMES[k] - self.TIMES[k + 1])
+                v = POLICY.velocity_np(params, x, t, cond)[0]
+                if start <= k < start + size:
+                    mu, s, x = sde_step_values(x, v, t, dt, sigma * np.sqrt(t),
+                                               rng.standard_normal(DIM))
+                    np.testing.assert_allclose(batch.mu[i, k - start], mu, rtol=0, atol=1e-12)
+                    assert abs(batch.logp[i, k - start] - transition_logprob(mu, s, x)) <= 1e-12
+                else:
+                    x = x - v * dt
+                np.testing.assert_allclose(batch.states[k + 1, i], x, rtol=0, atol=1e-12)
 
     def test_window_out_of_range_rejected(self):
         with pytest.raises(ConfigError):
-            POLICY.hybrid_rollout(_params(), [TRACE, TRACE], self.TIMES, [0, 9], 3, 0.8,
-                                  [stream(0, "r"), stream(1, "r")])
+            POLICY.hybrid_rollout(_params(), [TRACE, TRACE], self.TIMES, np.zeros((2, DIM)),
+                                  [0, 9], 3, 0.8, [stream(0, "r"), stream(1, "r")])
 
     def test_ode_guidance_scale_controls_eval_count(self):
         params = _nontrivial_params(11)
         x1 = stream(6, "x1").standard_normal((5, 2))
-        _, _, n_plain = POLICY.ode_rollout_batch(params, [TRACE] * 5, self.TIMES, x1)
-        _, _, n_guided = POLICY.ode_rollout_batch(
+        n_plain = POLICY.ode_rollout_batch(params, [TRACE] * 5, self.TIMES, x1).velocity_evals
+        n_guided = POLICY.ode_rollout_batch(
             params, [TRACE] * 5, self.TIMES, x1, cfg_scale=1.5
-        )
+        ).velocity_evals
         assert n_plain == 5 * 10
         assert n_guided == 2 * 5 * 10
 
@@ -390,18 +418,19 @@ def _rollout_group(params, g=4, seed=0, sigma=0.8, cfg_scale=1.0):
     times, _ = timestep_schedule(10, 3.0)
     rngs = [stream(seed, "roll", i) for i in range(g)]
     starts = [int(rng.integers(0, 4)) for rng in rngs]
+    x1 = np.stack([rng.standard_normal(DIM) for rng in rngs])
     return POLICY.hybrid_rollout(
-        params, [TRACE] * g, times, starts, 3, sigma, rngs, cfg_scale=cfg_scale
-    ).trajs
+        params, [TRACE] * g, times, x1, starts, 3, sigma, rngs, cfg_scale=cfg_scale
+    )
 
 
 class TestFlowSurrogate:
     def test_on_policy_identity(self):
         params = _nontrivial_params(13)
-        trajs = _rollout_group(params)
+        batch = _rollout_group(params)
         adv = np.array([1.0, -0.5, 0.25, -0.75])
         j, _, stats = POLICY.surrogate_loss(
-            params, trajs, adv, clip_eps=1e-4, reg_mode="none", reg_weight=0.0,
+            params, batch, adv, clip_eps=1e-4, reg_mode="none", reg_weight=0.0,
             ref_params=params,
         )
         assert j == pytest.approx(adv.mean(), abs=1e-12)
@@ -409,10 +438,10 @@ class TestFlowSurrogate:
 
     def test_velocity_mse_zero_at_reference(self):
         params = _nontrivial_params(14)
-        trajs = _rollout_group(params, seed=1)
+        batch = _rollout_group(params, seed=1)
         adv = np.zeros(4)
         j, _, stats = POLICY.surrogate_loss(
-            params, trajs, adv, 1e-4, "velocity-mse", 0.5, ref_params=params,
+            params, batch, adv, 1e-4, "velocity-mse", 0.5, ref_params=params,
         )
         assert stats.reg_value == pytest.approx(0.0, abs=1e-12)
         assert j == pytest.approx(0.0, abs=1e-12)
@@ -422,25 +451,29 @@ class TestFlowSurrogate:
         # the standalone scalar helpers
         params = _nontrivial_params(15)
         moved = params.with_blocks({"b2": params["b2"] + 0.02})
-        trajs = _rollout_group(params, seed=2)
+        batch = _rollout_group(params, seed=2)
         adv = np.array([0.8, -0.4, 0.1, -0.5])
         eps = 0.05
-        j, _, _ = POLICY.surrogate_loss(moved, trajs, adv, eps, "none", 0.0, params)
+        j, _, _ = POLICY.surrogate_loss(moved, batch, adv, eps, "none", 0.0, params)
 
+        B, W = batch.logp.shape
         total = 0.0
-        for i, tr in enumerate(trajs):
+        for i in range(B):
             acc = 0.0
-            for k in tr.window:
-                st = tr.steps[k]
-                cond = POLICY.cond_np(moved, [tr.cond_tokens])
-                v = POLICY.velocity_np(moved, st.x, st.t, cond)[0]
-                c1, c2 = drift_coefficients(st.t, st.sigma_t)
-                mu = st.x - (c1 * v + c2 * st.x) * st.dt
-                log_r = transition_logprob(mu, st.s, st.x_next) - st.logp
-                rt = ratio_norm(log_r, st.mu - mu, st.sigma_t, st.dt)
+            cond = POLICY.cond_np(moved, [batch.cond_seqs[i]])
+            for w in range(W):
+                k = batch.starts[i] + w
+                t, dt = float(batch.times[k]), float(batch.times[k] - batch.times[k + 1])
+                sigma_t = batch.sigma_level * np.sqrt(t)
+                x, x_next = batch.states[k, i], batch.states[k + 1, i]
+                v = POLICY.velocity_np(moved, x, t, cond)[0]
+                c1, c2 = drift_coefficients(t, sigma_t)
+                mu = x - (c1 * v + c2 * x) * dt
+                log_r = transition_logprob(mu, sigma_t * np.sqrt(dt), x_next) - batch.logp[i, w]
+                rt = ratio_norm(log_r, batch.mu[i, w] - mu, sigma_t, dt)
                 acc += min(rt * adv[i], np.clip(rt, 1 - eps, 1 + eps) * adv[i])
-            total += acc / len(tr.window)
-        assert j == pytest.approx(total / len(trajs), rel=1e-10)
+            total += acc / W
+        assert j == pytest.approx(total / B, rel=1e-10)
 
     @pytest.mark.parametrize("reg_mode,weight", [
         ("none", 0.0), ("latent-kl", 0.02), ("velocity-mse", 0.5),
@@ -448,12 +481,12 @@ class TestFlowSurrogate:
     def test_gradient_matches_finite_differences(self, reg_mode, weight):
         params = _nontrivial_params(16)
         ref = _nontrivial_params(17)
-        trajs = _rollout_group(params, g=3, seed=3)
+        batch = _rollout_group(params, g=3, seed=3)
         adv = np.array([1.0, -0.3, 0.6])
         moved = params.with_blocks({"b2": params["b2"] + 0.01})
 
         def loss(p):
-            j, gs, _ = POLICY.surrogate_loss(p, trajs, adv, 0.2, reg_mode, weight, ref)
+            j, gs, _ = POLICY.surrogate_loss(p, batch, adv, 0.2, reg_mode, weight, ref)
             return j, gs
 
         report = finite_diff_check(loss, moved, probes=100, tol=1e-4, rng=stream(8, "fd"))
@@ -461,29 +494,20 @@ class TestFlowSurrogate:
 
     def test_cfg_trained_group_gradient(self):
         params = _nontrivial_params(18)
-        trajs = _rollout_group(params, g=2, seed=4, cfg_scale=2.0)
+        batch = _rollout_group(params, g=2, seed=4, cfg_scale=2.0)
         adv = np.array([0.5, -0.5])
         moved = params.with_blocks({"b2": params["b2"] + 0.01})
 
         def loss(p):
-            j, gs, _ = POLICY.surrogate_loss(p, trajs, adv, 0.2, "velocity-mse", 0.1, params)
+            j, gs, _ = POLICY.surrogate_loss(p, batch, adv, 0.2, "velocity-mse", 0.1, params)
             return j, gs
 
         report = finite_diff_check(loss, moved, probes=60, tol=1e-4, rng=stream(9, "fd"))
         assert report.passed, (report.max_rel_err, report.failing_blocks)
 
-    def test_schedule_mismatch_rejected(self):
-        params = _nontrivial_params(19)
-        times_a, _ = timestep_schedule(10, 3.0)
-        times_b, _ = timestep_schedule(10, 2.0)
-        a = _rollout(params, times_a, 0, 3, 0.8, stream(10, "r"))
-        b = _rollout(params, times_b, 0, 3, 0.8, stream(11, "r"))
-        with pytest.raises(ConfigError, match="schedule"):
-            POLICY.surrogate_loss(params, [a, b], np.zeros(2), 0.2, "none", 0.0, params)
-
     def test_nonfinite_ratio_names_step(self):
         params = _nontrivial_params(20)
-        trajs = _rollout_group(params, g=2, seed=5)
-        trajs[1].steps[trajs[1].window[0]].logp = np.inf
-        with pytest.raises(NumericError, match="trajectory 1"):
-            POLICY.surrogate_loss(params, trajs, np.zeros(2), 0.2, "none", 0.0, params)
+        batch = _rollout_group(params, g=2, seed=5)
+        batch.logp[1, 0] = np.inf
+        with pytest.raises(NumericError, match=f"trajectory 1, step {batch.starts[1]}"):
+            POLICY.surrogate_loss(params, batch, np.zeros(2), 0.2, "none", 0.0, params)

@@ -13,6 +13,7 @@ import unigrpo.trainer as trainer_mod
 from unigrpo import checkpoint
 from unigrpo.config import TrainConfig
 from unigrpo.errors import CheckpointError, NumericError
+from unigrpo.flow_policy import FlowBatch
 from unigrpo.metrics import read_metrics
 from unigrpo.nn import AdamState
 from unigrpo.rng import stream
@@ -100,8 +101,7 @@ class TestRollouts:
         a = collect_rollouts(rt, [prompt], text, flow, seed=0, update=3)[0]
         b = collect_rollouts(rt, [prompt], text, flow, seed=0, update=3)[0]
         np.testing.assert_array_equal(a.rewards, b.rewards)
-        for ta, tb in zip(a.trajs, b.trajs):
-            np.testing.assert_array_equal(ta.x0, tb.x0)
+        np.testing.assert_array_equal(a.flow.states[-1], b.flow.states[-1])
 
     def test_exactly_g_reward_evaluations(self, tiny_pretrain, monkeypatch):
         # sparse terminal reward: scored once per trajectory, at t=0
@@ -140,8 +140,8 @@ class TestRollouts:
         rt = _rt()
         text, flow = _snap(rt, tiny_pretrain)
         g = collect_rollouts(rt, [make_prompt(3, "near", "wide")], text, flow, 0, 2)[0]
-        for traj in g.trajs:
-            assert traj.velocity_evals == rt.cfg.train_timesteps
+        assert len(g.flow.starts) == rt.cfg.group_size
+        assert g.flow.evals_per_row == rt.cfg.train_timesteps
 
     def test_window_start_distribution_and_binding(self, tiny_pretrain):
         rt = _rt()
@@ -159,15 +159,15 @@ class TestRollouts:
         rt30 = make_runtime(replace(TINY, group_size=30))
         text, flow = _snap(rt30, tiny_pretrain)
         g = collect_rollouts(rt30, [make_prompt(4, "far", "tight")], text, flow, cfg.seed, 7)[0]
-        for m, traj in enumerate(g.trajs):
+        for m, start in enumerate(g.flow.starts):
             rng = stream(cfg.seed, "flow", 7, 0, m)
             expected = starts[int(rng.integers(len(starts)))]
-            assert traj.window[0] == expected
+            assert start == expected
 
     @pytest.mark.parametrize("overrides", [{}, {"train_text": False}, {"train_cfg": True}])
     def test_batch_composition_changes_no_member(self, tiny_pretrain, overrides):
         # member m of slot s draws only from its own streams, so its tokens,
-        # window, x0 and step statistics do not depend on the other rows
+        # window, states and window statistics do not depend on the other rows
         rt = make_runtime(replace(TINY, **overrides))
         text, flow = _snap(rt, tiny_pretrain)
         prompts = [sample_prompt(stream(5, "p", i)) for i in range(4)]
@@ -182,17 +182,12 @@ class TestRollouts:
             assert [tr.tokens for tr in got.traces] == [tr.tokens for tr in ref.traces]
             for a, b in zip(got.traces, ref.traces):
                 np.testing.assert_allclose(a.logprobs, b.logprobs, rtol=0, atol=1e-12)
-            for a, b in zip(got.trajs, ref.trajs):
-                assert a.window == b.window and a.velocity_evals == b.velocity_evals
-                np.testing.assert_allclose(a.x0, b.x0, rtol=0, atol=1e-12)
-                for sa, sb in zip(a.steps, b.steps):
-                    assert sa.sde == sb.sde and sa.s == sb.s and sa.sigma_t == sb.sigma_t
-                    for u, v in ((sa.x, sb.x), (sa.x_next, sb.x_next), (sa.v, sb.v),
-                                 (sa.mu, sb.mu)):
-                        np.testing.assert_allclose(u, v, rtol=0, atol=1e-12)
-                    assert (sa.logp is None) == (sb.logp is None)
-                    if sa.logp is not None:
-                        assert abs(sa.logp - sb.logp) <= 1e-12
+            a, b = got.flow, ref.flow
+            np.testing.assert_array_equal(a.starts, b.starts)
+            assert a.evals_per_row == b.evals_per_row
+            for u, v in ((a.states, b.states), (a.mu, b.mu), (a.logp, b.logp)):
+                assert u.shape == v.shape
+                np.testing.assert_allclose(u, v, rtol=0, atol=1e-12)
 
     def test_lockstep_sampler_calls(self, tiny_pretrain, monkeypatch):
         # one velocity call per denoising step and one head call per decoded
@@ -281,7 +276,7 @@ class TestUnifiedUpdate:
         ])
         j_flow_sep = np.mean([
             rt.flow_policy.surrogate_loss(
-                flow, g.trajs, g.advantages, cfg.clip_eps,
+                flow, g.flow, g.advantages, cfg.clip_eps,
                 cfg.reg_mode, cfg.mse_weight, flow,
             )[0]
             for g in active
@@ -308,7 +303,7 @@ class TestUnifiedUpdate:
                 np.concatenate([g.advantages for g in gs]), 0.2, 0.05, text_ref, 0.7,
             ),
             "flow": lambda gs: rt.flow_policy.surrogate_loss(
-                flow_moved, [tj for g in gs for tj in g.trajs],
+                flow_moved, FlowBatch.concat([g.flow for g in gs]),
                 np.concatenate([g.advantages for g in gs]), 0.2, reg_mode, 0.02, flow,
             ),
         }
