@@ -280,10 +280,14 @@ class Tape:
         return grads
 
     def param_grads(self, seed=1.0, output: Var | None = None) -> dict[str, np.ndarray]:
-        """Gradients for the registered parameter leaves (zeros if untouched)."""
+        """Gradients for the registered parameter leaves (zeros if untouched).
+        Then drops the leaves, the output and the VJP closures, whose Vars point
+        back at the tape, so that reference counting frees it; len() still counts
+        its nodes."""
         grads = self.backward(seed, output)
         out = {}
         for name, var in self.params.items():
             g = grads[var.idx]
             out[name] = np.zeros_like(var.value) if g is None else g
+        self.params, self.output, self._vjps = {}, None, []
         return out

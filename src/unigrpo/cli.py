@@ -6,16 +6,21 @@ Commands: pretrain, train, ablate, verify, eval.  Exit codes: 0 success,
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
-from dataclasses import replace
-from pathlib import Path
+import os
+# one BLAS thread unless the caller chose otherwise; set before numpy loads
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
-from .ablate import MODES, ablate
-from .config import TrainConfig, dump_config, load_config
-from .errors import CheckpointError, ConfigError, NumericError
-from .verify import run_all
+import argparse  # noqa: E402
+import json  # noqa: E402
+import sys  # noqa: E402
+from dataclasses import replace  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+from .ablate import MODES, ablate  # noqa: E402
+from .config import TrainConfig, dump_config, load_config  # noqa: E402
+from .errors import CheckpointError, ConfigError, NumericError  # noqa: E402
+from .verify import run_all  # noqa: E402
 
 
 def _load(args) -> tuple[TrainConfig, str]:

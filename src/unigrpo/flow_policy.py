@@ -197,9 +197,9 @@ class FlowPolicy:
         """(len(token_seqs), cond_dim) mean-pooled token embeddings."""
         return self.pool_weights(token_seqs) @ params["cemb"]
 
-    def cond_var(self, tape: Tape, params: ParamSet, token_seqs) -> Var:
-        """cond_np on the tape, differentiable w.r.t. the embedding table."""
-        return tape.cmatmul(self.pool_weights(token_seqs), tape.param(params, "cemb"))
+    def cond_var(self, tape: Tape, params: ParamSet, pool: np.ndarray) -> Var:
+        """Conditions from pooling weights, differentiable w.r.t. the embedding table."""
+        return tape.cmatmul(pool, tape.param(params, "cemb"))
 
     # ---- velocity net ----
 
@@ -290,37 +290,23 @@ class FlowPolicy:
     # ---- flow-matching pretraining ----
 
     def fm_loss_frozen(
-        self, params: ParamSet, x0: np.ndarray, cond_seqs, t: np.ndarray,
+        self, params: ParamSet, x0: np.ndarray, pool: np.ndarray, t: np.ndarray,
         x1: np.ndarray, keep: np.ndarray,
     ) -> tuple[float, GradSet]:
         """Rectified-flow regression with all randomness supplied by the caller:
-        regress v(x_t, t, cond) onto x_1 - x_0 along the linear path.  `keep`
-        zeroes the condition for unconditional-dropout rows."""
+        regress v(x_t, t, cond) onto x_1 - x_0 along the linear path.  `pool`
+        holds each row's pooling weights; `keep` zeroes dropout rows' conditions."""
         xt = (1.0 - t)[:, None] * x0 + t[:, None] * x1
         target = x1 - x0
         tape = Tape()
-        cond = self.cond_var(tape, params, cond_seqs)
+        cond = self.cond_var(tape, params, pool)
         cond = tape.cmul(cond, keep[:, None])
         v = self.velocity_var(tape, params, xt, t, cond)
         diff = v - target
         loss = tape.sum(tape.sum_rows(tape.square(diff)) * (1.0 / len(x0)))
         tape.output = loss
-        gs = GradSet(params)
-        gs.add_(tape.param_grads(1.0))
+        gs = GradSet(params).add_(tape.param_grads(1.0))
         return float(loss.value), gs
-
-    def fm_pretrain_loss(
-        self, params: ParamSet, batch, rng: np.random.Generator, p_uncond: float = 0.0,
-    ) -> tuple[float, GradSet]:
-        """Draws (t, x_1, dropout) and evaluates the rectified-flow loss."""
-        if not batch:
-            raise ValueError("empty pretraining batch")
-        x0 = np.stack([p.x0 for p in batch])
-        cond_seqs = [p.cond_tokens for p in batch]
-        t = 1.0 - rng.random(len(batch))  # Uniform(0, 1]
-        x1 = rng.standard_normal((len(batch), DIM))
-        keep = (rng.random(len(batch)) >= p_uncond).astype(np.float64)
-        return self.fm_loss_frozen(params, x0, cond_seqs, t, x1, keep)
 
     def pretrain(
         self,
@@ -333,20 +319,25 @@ class FlowPolicy:
         rng: np.random.Generator,
     ):
         """Flow-matching pretraining plus a quadrant-accuracy report from
-        deterministic sampling."""
+        deterministic sampling.  x0 (n, DIM) and the (n, vocab) pooling weights
+        are built once; each batch slices both and draws its (t, x_1, dropout)."""
+        x0_all = np.stack([p.x0 for p in pairs])
+        pool_all = self.pool_weights([p.cond_tokens for p in pairs])
         state = AdamState.for_params(params, lr=lr)
         epoch_losses = []
         n = len(pairs)
         for _ in range(epochs):
             order = rng.permutation(n)
-            total, count = 0.0, 0
+            total = 0.0
             for lo in range(0, n, batch_size):
-                batch = [pairs[i] for i in order[lo : lo + batch_size]]
-                loss, gs = self.fm_pretrain_loss(params, batch, rng, p_uncond)
+                sel = order[lo : lo + batch_size]
+                t = 1.0 - rng.random(len(sel))  # Uniform(0, 1]
+                x1 = rng.standard_normal((len(sel), DIM))
+                keep = (rng.random(len(sel)) >= p_uncond).astype(np.float64)
+                loss, gs = self.fm_loss_frozen(params, x0_all[sel], pool_all[sel], t, x1, keep)
                 params = adam_step(params, gs, state)
-                total += loss * len(batch)
-                count += len(batch)
-            epoch_losses.append(total / count)
+                total += loss * len(sel)
+            epoch_losses.append(total / n)
         report = {"epoch_losses": epoch_losses}
         report.update(self.quadrant_accuracy(params, rng))
         return params, report
@@ -411,10 +402,10 @@ class FlowPolicy:
         logp_old = batch.logp.ravel()
         adv_rows = np.repeat(advantages, W)
         w_rows = np.full(B * W, 1.0 / (B * W))
-        row_cond = [batch.cond_seqs[i] for i in rows]
+        pool = self.pool_weights(batch.cond_seqs)[rows]
 
         tape = Tape()
-        v = self.velocity_var(tape, params, xs, ts, self.cond_var(tape, params, row_cond),
+        v = self.velocity_var(tape, params, xs, ts, self.cond_var(tape, params, pool),
                               batch.cfg_scale)
         c1, c2 = (c[:, None] for c in drift_coefficients(ts, sig))
         f = tape.cmul(v, c1) + tape.leaf(c2 * xs)
@@ -445,7 +436,7 @@ class FlowPolicy:
         reg_value = 0.0
         if reg_mode != "none":
             # frozen-reference velocities at the stored states, constant in theta
-            v_ref = self.velocity_np(ref_params, xs, ts, self.cond_np(ref_params, row_cond),
+            v_ref = self.velocity_np(ref_params, xs, ts, pool @ ref_params["cemb"],
                                      batch.cfg_scale)
             if reg_mode == "velocity-mse":
                 reg_rows = tape.sum_rows(tape.square(tape.cadd(v, -v_ref)))
@@ -459,8 +450,7 @@ class FlowPolicy:
             j = j - tape.sum(reg_rows * (reg_weight * w_rows))
         tape.output = j
 
-        gs = GradSet(params)
-        gs.add_(tape.param_grads(1.0))
+        gs = GradSet(params).add_(tape.param_grads(1.0))
         stats = FlowLossStats(
             surrogate=float(j.value),
             mean_ratio=float(rt.value.mean()),

@@ -7,7 +7,7 @@ gradient checks sharp.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,145 +15,170 @@ from .autodiff import Tape, Var
 from .errors import ConfigError, NumericError
 
 
-class ParamSet:
-    """Named, shaped float64 parameter blocks.
+class Layout:
+    """Block names, shapes and offsets of one flat float64 vector, in block
+    order.  Every ParamSet, GradSet and Adam moment vector derived from one
+    parameter set shares its layout object."""
 
-    Block names and shapes are fixed at construction; values are replaced
-    functionally by the optimizer so snapshots never alias live parameters.
-    """
+    __slots__ = ("spans", "size")
 
-    __slots__ = ("_blocks",)
+    def __init__(self, shapes: dict[str, tuple[int, ...]]):
+        self.spans: dict[str, tuple[int, int, tuple[int, ...]]] = {}  # name -> (lo, hi, shape)
+        self.size = 0
+        for name, shape in shapes.items():
+            end = self.size + int(np.prod(shape, dtype=np.int64))
+            self.spans[name] = (self.size, end, shape)
+            self.size = end
 
-    def __init__(self, blocks: dict[str, np.ndarray]):
-        self._blocks = {}
-        for name, arr in blocks.items():
-            arr = np.array(arr, dtype=np.float64)
-            if not np.all(np.isfinite(arr)):
-                raise NumericError(f"non-finite values in parameter block '{name}'")
-            self._blocks[name] = arr
+    def views(self, vec: np.ndarray) -> dict[str, np.ndarray]:
+        """Named, shaped views into `vec`; writing a view writes the vector."""
+        return {name: vec[lo:hi].reshape(shape) for name, (lo, hi, shape) in self.spans.items()}
+
+    def flatten(self, blocks: dict[str, np.ndarray]) -> np.ndarray:
+        """One new vector from a block per name, in layout order."""
+        unknown = [name for name in blocks if name not in self.spans]
+        if unknown:
+            raise ConfigError(f"unknown parameter block '{unknown[0]}'")
+        parts = [np.zeros(0)]
+        for name, (_, _, shape) in self.spans.items():
+            if np.shape(blocks[name]) != shape:
+                raise ConfigError(
+                    f"shape mismatch for block '{name}': {np.shape(blocks[name])} vs {shape}"
+                )
+            parts.append(np.asarray(blocks[name], dtype=np.float64).reshape(-1))
+        return np.concatenate(parts)
+
+    def first_nonfinite(self, vec: np.ndarray) -> str | None:
+        """Name of the block holding the first non-finite entry, if any."""
+        if np.isfinite(vec).all():
+            return None
+        bad = int(np.flatnonzero(~np.isfinite(vec))[0])
+        return next(name for name, (lo, hi, _) in self.spans.items() if lo <= bad < hi)
+
+
+class _Blocks:
+    """Named, shaped views into one flat vector of finite values with a Layout."""
+
+    __slots__ = ("layout", "vec", "_views")
+
+    def _bind(self, layout: Layout, vec: np.ndarray) -> None:
+        bad = layout.first_nonfinite(vec)
+        if bad is not None:
+            raise NumericError(f"non-finite values in parameter block '{bad}'")
+        self.layout, self.vec, self._views = layout, vec, layout.views(vec)
 
     def __getitem__(self, name: str) -> np.ndarray:
         try:
-            return self._blocks[name]
+            return self._views[name]
         except KeyError:
             raise ConfigError(f"missing parameter block '{name}'") from None
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._blocks
-
     def names(self) -> list[str]:
-        return list(self._blocks)
+        return list(self._views)
 
     def items(self):
-        return self._blocks.items()
+        return self._views.items()
+
+
+class ParamSet(_Blocks):
+    """Float64 parameter blocks stored as views into one contiguous vector.
+
+    Block names and shapes are fixed at construction; values are replaced
+    functionally (every update builds a new vector), so snapshots never
+    alias live parameters.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, blocks: dict[str, np.ndarray]):
+        layout = Layout({name: np.shape(arr) for name, arr in blocks.items()})
+        self._bind(layout, layout.flatten(blocks))
+
+    def with_vector(self, vec: np.ndarray) -> "ParamSet":
+        """New ParamSet over `vec` (taken, not copied) with this layout."""
+        new = ParamSet.__new__(ParamSet)
+        new._bind(self.layout, vec)
+        return new
 
     def copy(self) -> "ParamSet":
-        return ParamSet(self._blocks)
+        return self.with_vector(self.vec.copy())
 
     def with_blocks(self, updates: dict[str, np.ndarray]) -> "ParamSet":
         """New ParamSet with some blocks replaced; names/shapes must match."""
-        merged = dict(self._blocks)
-        for name, arr in updates.items():
-            if name not in merged:
-                raise ConfigError(f"unknown parameter block '{name}'")
-            if np.shape(arr) != merged[name].shape:
-                raise ConfigError(
-                    f"shape mismatch for block '{name}': "
-                    f"{np.shape(arr)} vs {merged[name].shape}"
-                )
-            merged[name] = arr
-        return ParamSet(merged)
+        return self.with_vector(self.layout.flatten({**self._views, **updates}))
 
 
-class GradSet:
-    """Gradient accumulator, shape-congruent with one ParamSet."""
+class GradSet(_Blocks):
+    """Gradient accumulator: one zero vector in the layout of a ParamSet."""
 
-    __slots__ = ("_blocks",)
+    __slots__ = ()
 
     def __init__(self, params: ParamSet):
-        self._blocks = {name: np.zeros_like(arr) for name, arr in params.items()}
-
-    def __getitem__(self, name: str) -> np.ndarray:
-        return self._blocks[name]
-
-    def items(self):
-        return self._blocks.items()
+        self._bind(params.layout, np.zeros(params.layout.size))
 
     def add_(self, grads: dict[str, np.ndarray] | "GradSet") -> "GradSet":
         for name, g in grads.items():
-            if name not in self._blocks:
-                raise ConfigError(f"gradient for unknown block '{name}'")
-            if g.shape != self._blocks[name].shape:
+            view = self[name]
+            if g.shape != view.shape:
                 raise ConfigError(
-                    f"gradient shape mismatch for block '{name}': "
-                    f"{g.shape} vs {self._blocks[name].shape}"
+                    f"gradient shape mismatch for block '{name}': {g.shape} vs {view.shape}"
                 )
-            self._blocks[name] += g
+            view += g
         return self
 
     def scale_(self, c: float) -> "GradSet":
-        for g in self._blocks.values():
-            g *= c
+        self.vec *= c
         return self
-
-    def first_nonfinite_block(self) -> str | None:
-        for name, g in self._blocks.items():
-            if not np.all(np.isfinite(g)):
-                return name
-        return None
 
 
 @dataclass
 class AdamState:
-    """Adam moments and step counter for one ParamSet."""
+    """Adam moments, flat in the layout of one ParamSet, and step counter."""
 
     lr: float
+    layout: Layout
+    m: np.ndarray
+    v: np.ndarray
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     step: int = 0
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
 
     @classmethod
-    def for_params(cls, params: ParamSet, lr: float, **kw) -> "AdamState":
-        st = cls(lr=lr, **kw)
-        st.m = {name: np.zeros_like(a) for name, a in params.items()}
-        st.v = {name: np.zeros_like(a) for name, a in params.items()}
-        return st
+    def for_params(cls, params: ParamSet, lr: float) -> "AdamState":
+        size = params.layout.size
+        return cls(lr, params.layout, np.zeros(size), np.zeros(size))
 
     def state_blocks(self, prefix: str) -> dict[str, np.ndarray]:
-        """Flatten moments + counter into named blocks for checkpointing."""
-        out = {f"{prefix}.m.{k}": v for k, v in self.m.items()}
-        out.update({f"{prefix}.v.{k}": v for k, v in self.v.items()})
+        """Moments per parameter block + counter, named for checkpointing."""
+        out = {f"{prefix}.m.{k}": a for k, a in self.layout.views(self.m).items()}
+        out.update({f"{prefix}.v.{k}": a for k, a in self.layout.views(self.v).items()})
         out[f"{prefix}.step"] = np.float64(self.step)
         return out
 
     def load_state_blocks(self, prefix: str, blocks: dict[str, np.ndarray]) -> None:
-        for k in self.m:
-            self.m[k] = np.array(blocks[f"{prefix}.m.{k}"])
-            self.v[k] = np.array(blocks[f"{prefix}.v.{k}"])
+        names = self.layout.spans
+        self.m = self.layout.flatten({k: blocks[f"{prefix}.m.{k}"] for k in names})
+        self.v = self.layout.flatten({k: blocks[f"{prefix}.v.{k}"] for k in names})
         self.step = int(blocks[f"{prefix}.step"])
 
 
 def adam_step(params: ParamSet, grads: GradSet, state: AdamState) -> ParamSet:
-    """Bias-corrected Adam update; rejects non-finite gradients untouched."""
-    bad = grads.first_nonfinite_block()
+    """Bias-corrected Adam update as whole-vector ops; rejects non-finite
+    gradients untouched.  Builds new moment and parameter vectors, so the
+    input ParamSet and earlier moment vectors are never written."""
+    bad = grads.layout.first_nonfinite(grads.vec)
     if bad is not None:
         raise NumericError(f"non-finite gradient in block '{bad}'; step rejected")
     state.step += 1
     t = state.step
     b1, b2 = state.beta1, state.beta2
-    new_blocks = {}
-    for name, p in params.items():
-        g = grads[name]
-        state.m[name] = b1 * state.m[name] + (1.0 - b1) * g
-        state.v[name] = b2 * state.v[name] + (1.0 - b2) * g * g
-        m_hat = state.m[name] / (1.0 - b1**t)
-        v_hat = state.v[name] / (1.0 - b2**t)
-        new_blocks[name] = p - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
-    updated = params.with_blocks(new_blocks)
-    return updated
+    g = grads.vec
+    state.m = b1 * state.m + (1.0 - b1) * g
+    state.v = b2 * state.v + (1.0 - b2) * g * g
+    m_hat = state.m / (1.0 - b1**t)
+    v_hat = state.v / (1.0 - b2**t)
+    return params.with_vector(params.vec - state.lr * m_hat / (np.sqrt(v_hat) + state.eps))
 
 
 # ---- MLP construction ----
@@ -271,10 +296,14 @@ def finite_diff_check(
     params: ParamSet,
     probes: int = 100,
     tol: float = 1e-4,
-    h: float = 1e-5,
+    h: float = 1e-3,
     rng: np.random.Generator | None = None,
 ) -> FdReport:
-    """Compare loss_fn's analytic gradient to central differences.
+    """Compare loss_fn's analytic gradient to the fourth-order central
+    difference [8(f(x+h) - f(x-h)) - (f(x+2h) - f(x-2h))] / 12h at random
+    flat indices, drawn block by size, then index within the block.  Its
+    truncation error is O(h^4), so h can be large enough that roundoff in f
+    stays far below the tolerance even for gradients near 1e-8.
 
     loss_fn maps ParamSet -> (scalar, GradSet) and must be deterministic;
     two evaluations at identical params are required to agree exactly or
@@ -297,17 +326,17 @@ def finite_diff_check(
     for _ in range(probes):
         block = names[rng.choice(len(names), p=weights)]
         flat = int(rng.integers(params[block].size))
-        base = params[block].reshape(-1)[flat]
+        index = params.layout.spans[block][0] + flat
+        base = params.vec[index]
 
-        def perturbed(delta):
-            arr = params[block].copy()
-            arr.reshape(-1)[flat] = base + delta
-            return params.with_blocks({block: arr})
+        def loss_at(delta):
+            vec = params.vec.copy()
+            vec[index] = base + delta
+            return loss_fn(params.with_vector(vec))[0]
 
-        up, _ = loss_fn(perturbed(+h))
-        dn, _ = loss_fn(perturbed(-h))
-        numeric = (up - dn) / (2.0 * h)
-        analytic = float(grads[block].reshape(-1)[flat])
+        near, far = loss_at(h) - loss_at(-h), loss_at(2 * h) - loss_at(-2 * h)
+        numeric = (8.0 * near - far) / (12.0 * h)
+        analytic = float(grads.vec[index])
         denom = max(abs(analytic), abs(numeric), 1e-8)
         results.append(
             FdProbe(block, flat, analytic, float(numeric), abs(analytic - numeric) / denom)

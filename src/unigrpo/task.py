@@ -10,7 +10,6 @@ thing the generator ever sees.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -257,17 +256,4 @@ def make_pretrain_data(
         x0 = spec.mu + spec.tau * rng.standard_normal(2)
         flow_pairs.append(FlowPair(canonical_trace(prompt), x0))
     return text_pairs, flow_pairs
-
-
-def dump_pretrain_data(path, text_pairs, flow_pairs) -> None:
-    with open(path, "w") as fh:
-        for p in text_pairs:
-            fh.write(json.dumps({
-                "kind": "text", "prompt": list(p.prompt_tokens),
-                "trace": list(p.trace_tokens), "corrupted": p.corrupted,
-            }) + "\n")
-        for p in flow_pairs:
-            fh.write(json.dumps({
-                "kind": "flow", "cond": list(p.cond_tokens), "x0": list(p.x0),
-            }) + "\n")
 

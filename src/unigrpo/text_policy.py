@@ -206,8 +206,7 @@ class TextPolicy:
             j = j - tape.sum(kl_rows * (beta_txt * w_rows))
         tape.output = j
 
-        gs = GradSet(params)
-        gs.add_(tape.param_grads(1.0))
+        gs = GradSet(params).add_(tape.param_grads(1.0))
         stats = TextLossStats(
             surrogate=float(j.value),
             mean_ratio=float(ratio.value.mean()),
@@ -227,8 +226,7 @@ class TextPolicy:
         logp = tape.select_cols(tape.log_softmax(logits), targets)
         loss = tape.sum(logp * (-1.0 / len(targets)))
         tape.output = loss
-        gs = GradSet(params)
-        gs.add_(tape.param_grads(1.0))
+        gs = GradSet(params).add_(tape.param_grads(1.0))
         return float(loss.value), gs
 
     def pretrain(
@@ -244,17 +242,13 @@ class TextPolicy:
         and greedy tuple accuracy over the full prompt grid."""
         from .task import all_prompts
 
-        rows_all, tgt_all, starts, lengths = [], [], [], []
-        offset = 0
-        for pair in pairs:
-            r = self.context_rows(pair.prompt_tokens, list(pair.trace_tokens))
-            starts.append(offset)
-            lengths.append(len(pair.trace_tokens))
-            offset += len(pair.trace_tokens)
-            rows_all.append(r)
-            tgt_all.extend(pair.trace_tokens)
-        rows_all = np.concatenate(rows_all, axis=0)
-        tgt_all = np.array(tgt_all)
+        rows_all = np.concatenate(
+            [self.context_rows(p.prompt_tokens, list(p.trace_tokens)) for p in pairs], axis=0
+        )
+        tgt_all = np.array([tok for p in pairs for tok in p.trace_tokens])
+        # pair i owns rows starts[i] .. starts[i] + lengths[i] - 1
+        lengths = np.array([len(p.trace_tokens) for p in pairs])
+        starts = np.cumsum(lengths) - lengths
 
         state = AdamState.for_params(params, lr=lr)
         epoch_losses: list[float] = []
@@ -264,9 +258,10 @@ class TextPolicy:
             total, count = 0.0, 0
             for lo in range(0, n_pairs, batch_size):
                 sel = order[lo : lo + batch_size]
-                idx = np.concatenate([
-                    np.arange(starts[i], starts[i] + lengths[i]) for i in sel
-                ])
+                # the selected pairs' rows, pair by pair
+                lens = lengths[sel]
+                shift = starts[sel] - (np.cumsum(lens) - lens)
+                idx = np.arange(lens.sum()) + np.repeat(shift, lens)
                 loss, gs = self.ce_loss(params, rows_all[idx], tgt_all[idx])
                 params = adam_step(params, gs, state)
                 total += loss * len(idx)

@@ -190,8 +190,8 @@ def unified_update(
     advantages = np.concatenate([g.advantages for g in active])
 
     entry_text, entry_flow = text_params, flow_params
-    # adam_step rebinds its moment arrays, so shallow dict copies suffice
-    saved = [(adam, dict(adam.m), dict(adam.v), adam.step) for adam in (adam_text, adam_flow)]
+    # adam_step builds new moment vectors, so holding the current ones suffices
+    saved = [(adam, adam.m, adam.v, adam.step) for adam in (adam_text, adam_flow)]
     try:
         for epoch in range(cfg.ppo_epochs):
             new_text, new_flow = text_params, flow_params
@@ -279,10 +279,9 @@ def evaluate(rt: Runtime, text_params: ParamSet, flow_params: ParamSet,
 
 
 def pretrain_all(cfg: TrainConfig, out_dir) -> dict:
-    """Supervised warm starts for both policies; writes checkpoints, the
-    dataset dump, and an accuracy report."""
-    from .task import dump_pretrain_data
-
+    """Supervised warm starts for both policies; writes the two checkpoints
+    and an accuracy report.  The data is drawn from the seed's
+    "pretrain-data" stream and not written out: the seed rebuilds it."""
     rt = make_runtime(cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -291,7 +290,6 @@ def pretrain_all(cfg: TrainConfig, out_dir) -> dict:
         stream(seed, "pretrain-data"), cfg.pretrain_text_n, cfg.pretrain_flow_n,
         rt.geom, cfg.p_noise,
     )
-    dump_pretrain_data(out / "pretrain_data.jsonl", text_pairs, flow_pairs)
 
     text_params = rt.text_policy.init_params(stream(seed, "init-text"))
     text_params, text_report = rt.text_policy.pretrain(
@@ -413,11 +411,9 @@ def train(cfg: TrainConfig, out_dir, resume: bool = False, config_text: str | No
             raise CheckpointError(f"cannot resume: {state_path} not found")
         blocks = checkpoint.load_blocks(state_path)
         start_update = int(blocks["meta.update"])
-        text_params = text_params.with_blocks(
-            {k: blocks[f"text.{k}"] for k in text_params.names()}
-        )
-        flow_params = flow_params.with_blocks(
-            {k: blocks[f"flow.{k}"] for k in flow_params.names()}
+        text_params, flow_params = (
+            p.with_blocks({k: blocks[f"{tag}.{k}"] for k in p.names()})
+            for p, tag in ((text_params, "text"), (flow_params, "flow"))
         )
         adam_text.load_state_blocks("adam_text", blocks)
         adam_flow.load_state_blocks("adam_flow", blocks)

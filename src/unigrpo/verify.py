@@ -70,12 +70,6 @@ def _timed(fn):
 # ---- gradient oracles ----
 
 
-def _policies():
-    text = TextPolicy()
-    flow = FlowPolicy()
-    return text, flow
-
-
 def _nontrivial_flow_params(flow: FlowPolicy, seed: int):
     p = flow.init_params(stream(seed, "vf-init"))
     rng = stream(seed, "vf-head")
@@ -97,7 +91,7 @@ def _corrupt(loss_fn, block: str):
 def gradient_oracles(corrupt_gradient: bool = False) -> list[OracleResult]:
     """Central finite differences vs analytic gradients for every trainable
     objective, with frozen rollout noise."""
-    text, flow = _policies()
+    text, flow = TextPolicy(), FlowPolicy()
     prompt = make_prompt(2, "far", "wide", (1, 0, 2))
     results = []
 
@@ -161,9 +155,10 @@ def gradient_oracles(corrupt_gradient: bool = False) -> list[OracleResult]:
     x1 = rng.standard_normal((6, 2))
     keep = np.ones(6)
     keep[0] = 0.0
+    pool = flow.pool_weights([trace] * 6)
 
     def fm_loss(p):
-        return flow.fm_loss_frozen(p, x0, [trace] * 6, t, x1, keep)
+        return flow.fm_loss_frozen(p, x0, pool, t, x1, keep)
 
     rep = finite_diff_check(fm_loss, fparams, probes=100, tol=1e-4, rng=stream(SEED, "fd-fm"))
     results.append(OracleResult("grad/flow-pretrain", rep.max_rel_err, 1e-4, rep.passed))

@@ -1,9 +1,13 @@
 """Op-level gradient checks for the tape engine."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from unigrpo.autodiff import Tape
+from unigrpo.nn import ParamSet
 
 
 def _fd_scalar(fn, x, h=1e-6):
@@ -186,3 +190,21 @@ def test_backward_seed_shape_mismatch_raises():
     t.output = t.square(v)
     with pytest.raises(ValueError):
         t.backward(np.ones(3))
+
+
+def test_differentiated_tape_is_freed_without_the_cycle_collector():
+    params = ParamSet({"w": np.ones((3, 2))})
+    gc.disable()
+    try:
+        t = Tape()
+        w = t.param(params, "w")
+        ls = t.log_softmax(t.matmul(t.leaf(np.ones((4, 3))), w))
+        t.output = t.sum(t.select_cols(ls, [0, 1, 0, 1]))
+        nodes = len(t)
+        grads = t.param_grads()
+        assert grads["w"].shape == (3, 2) and len(t) == nodes
+        ref = weakref.ref(t)
+        del t, w, ls
+        assert ref() is None
+    finally:
+        gc.enable()

@@ -1,12 +1,19 @@
 """Config parsing, validation, and the CLI surface with its exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import unigrpo
 from unigrpo.cli import main
 from unigrpo.config import TrainConfig, dump_config, load_config, parse_config_text
 from unigrpo.errors import ConfigError
+
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 class TestConfigParsing:
@@ -159,6 +166,21 @@ class TestCli:
         assert rc == 0
         rc = main(["train", "--config", str(cfg_path), "--out", str(ws / "resumable"), "--resume"])
         assert rc == 0
+
+    def test_cli_pins_unset_blas_threads_to_one(self, cli_workspace):
+        ws, cfg_path = cli_workspace
+        env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
+        env["MKL_NUM_THREADS"] = "3"
+        env["PYTHONPATH"] = str(Path(unigrpo.__file__).resolve().parents[1])
+        out = ws / "threads"
+        subprocess.run(
+            [sys.executable, "-m", "unigrpo.cli", "train", "--config", str(cfg_path),
+             "--out", str(out)], env=env, check=True, capture_output=True, timeout=300,
+        )
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert manifest["thread_env"] == {
+            "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "3",
+        }
 
     def test_verify_negative_control_exits_4(self, capsys):
         rc = main(["verify", "--self-test-corrupt"])

@@ -15,7 +15,7 @@ from unigrpo.flow_policy import (
     timestep_schedule,
     transition_logprob,
 )
-from unigrpo.nn import finite_diff_check
+from unigrpo.nn import AdamState, adam_step, finite_diff_check
 from unigrpo.rng import stream
 from unigrpo.task import TaskGeometry, canonical_trace, make_prompt, make_pretrain_data
 
@@ -351,7 +351,8 @@ class TestPretraining:
         params = _params(11)
         x0 = np.array([[0.3, -0.4]])
         t = np.array([0.5])
-        loss, _ = POLICY.fm_loss_frozen(params, x0, [TRACE], t, x0.copy(), np.ones(1))
+        pool = POLICY.pool_weights([TRACE])
+        loss, _ = POLICY.fm_loss_frozen(params, x0, pool, t, x0.copy(), np.ones(1))
         assert loss == pytest.approx(0.0, abs=1e-12)
 
     def test_gradient_matches_finite_differences(self):
@@ -367,12 +368,42 @@ class TestPretraining:
         x1 = rng.standard_normal((6, 2))
         keep = np.ones(6)
         keep[0] = 0.0
+        pool = POLICY.pool_weights([TRACE] * 6)
 
         def loss(p):
-            return POLICY.fm_loss_frozen(p, x0, [TRACE] * 6, t, x1, keep)
+            return POLICY.fm_loss_frozen(p, x0, pool, t, x1, keep)
 
         report = finite_diff_check(loss, params, probes=100, tol=1e-4, rng=stream(7, "fd"))
         assert report.passed, (report.max_rel_err, report.failing_blocks)
+
+    def test_columns_match_per_batch_pooling_bit_for_bit(self):
+        # reference: each batch's x0 stacked and pooling weights built from
+        # its own pairs, with the same draws in the same order
+        _, pairs = make_pretrain_data(stream(36, "pt"), 1, 300, GEOM)
+        params, report = POLICY.pretrain(
+            _params(37), pairs, epochs=2, lr=3e-3, batch_size=64, p_uncond=0.2,
+            rng=stream(38, "sh"),
+        )
+        ref, rng = _params(37), stream(38, "sh")
+        state = AdamState.for_params(ref, lr=3e-3)
+        losses = []
+        for _ in range(2):
+            order = rng.permutation(len(pairs))
+            total = 0.0
+            for lo in range(0, len(pairs), 64):
+                batch = [pairs[i] for i in order[lo : lo + 64]]
+                t = 1.0 - rng.random(len(batch))
+                x1 = rng.standard_normal((len(batch), DIM))
+                keep = (rng.random(len(batch)) >= 0.2).astype(np.float64)
+                loss, gs = POLICY.fm_loss_frozen(
+                    ref, np.stack([p.x0 for p in batch]),
+                    POLICY.pool_weights([p.cond_tokens for p in batch]), t, x1, keep,
+                )
+                ref = adam_step(ref, gs, state)
+                total += loss * len(batch)
+            losses.append(total / len(pairs))
+        assert params.vec.tobytes() == ref.vec.tobytes()
+        assert report["epoch_losses"] == losses
 
     def test_pretraining_learns_the_task(self):
         _, flow = make_pretrain_data(stream(30, "pt"), 1, 4096, GEOM)

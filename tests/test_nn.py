@@ -6,6 +6,7 @@ import pytest
 from unigrpo.autodiff import Tape
 from unigrpo.checkpoint import load_blocks, load_params, save_blocks, save_params
 from unigrpo.errors import CheckpointError, ConfigError, NumericError
+from unigrpo.flow_policy import FlowPolicy
 from unigrpo.nn import (
     AdamState,
     GradSet,
@@ -16,6 +17,8 @@ from unigrpo.nn import (
     mlp_forward_np,
     mlp_var,
 )
+from unigrpo.rng import stream
+from unigrpo.text_policy import TextPolicy
 
 
 def _mlp_params(seed=0, arch=(3, 8, 8, 2), **kw):
@@ -145,6 +148,46 @@ class TestAdam:
             vals.append(prev["w"][0])
         assert vals[0] > vals[1] > vals[2] > vals[3]
 
+    @pytest.mark.parametrize("policy", [TextPolicy(), FlowPolicy()], ids=["text", "flow"])
+    def test_matches_per_block_reference_bit_for_bit(self, policy):
+        params = policy.init_params(stream(40, "adam-init"))
+        st = AdamState.for_params(params, lr=3e-3)
+        ref = {name: arr.copy() for name, arr in params.items()}
+        m = {name: np.zeros_like(arr) for name, arr in ref.items()}
+        v = {name: np.zeros_like(arr) for name, arr in ref.items()}
+        rng = stream(41, "adam-grads")
+        for t in range(1, 5):
+            g = {name: rng.normal(size=arr.shape) * 10.0 ** rng.integers(-6, 2)
+                 for name, arr in ref.items()}
+            params = adam_step(params, GradSet(params).add_(g), st)
+            for name in ref:
+                m[name] = 0.9 * m[name] + (1.0 - 0.9) * g[name]
+                v[name] = 0.999 * v[name] + (1.0 - 0.999) * g[name] * g[name]
+                m_hat = m[name] / (1.0 - 0.9**t)
+                v_hat = v[name] / (1.0 - 0.999**t)
+                ref[name] = ref[name] - 3e-3 * m_hat / (np.sqrt(v_hat) + 1e-8)
+                assert params[name].tobytes() == ref[name].tobytes(), (t, name)
+            blocks = st.state_blocks("adam")
+            for name in ref:
+                assert blocks[f"adam.m.{name}"].tobytes() == m[name].tobytes(), (t, name)
+                assert blocks[f"adam.v.{name}"].tobytes() == v[name].tobytes(), (t, name)
+        assert list(blocks) == ([f"adam.m.{n}" for n in ref] + [f"adam.v.{n}" for n in ref]
+                                + ["adam.step"])
+
+    def test_step_leaves_its_inputs_untouched(self):
+        params, _ = _mlp_params(seed=5)
+        st = AdamState.for_params(params, lr=0.1)
+        gs = GradSet(params).add_({name: np.ones_like(arr) for name, arr in params.items()})
+        held = {name: arr.copy() for name, arr in params.items()}
+        m_held, v_held = st.m, st.v
+        new = adam_step(params, gs, st)
+        for name, arr in params.items():
+            assert arr.tobytes() == held[name].tobytes(), name
+            assert not np.shares_memory(new[name], arr)
+        assert not np.any(m_held) and not np.any(v_held)
+        new["W0"][0, 0] += 1.0
+        assert params["W0"][0, 0] == held["W0"][0, 0]
+
     def test_nonfinite_gradient_rejected_with_block_name(self):
         params = ParamSet({"w": np.array([0.0]), "u": np.array([0.0])})
         st = AdamState.for_params(params, lr=0.1)
@@ -156,6 +199,35 @@ class TestAdam:
 
 
 class TestFiniteDiff:
+    def test_tiny_gradient_on_unit_loss_is_resolved(self):
+        # gradients near 3e-8 on a loss near 1: a second-order stencil at a
+        # small h loses them to roundoff in the loss
+        params = ParamSet({"w": np.random.default_rng(11).normal(size=40)})
+
+        def loss(p):
+            gs = GradSet(p).add_({"w": 3e-8 * np.cos(p["w"])})
+            return 1.0 + 3e-8 * float(np.sum(np.sin(p["w"]))), gs
+
+        report = finite_diff_check(loss, params, probes=100, tol=1e-4)
+        assert report.passed, report.max_rel_err
+
+    def test_probe_perturbs_one_flat_entry(self):
+        params = ParamSet({"a": np.zeros((2, 3)), "b": np.zeros(4)})
+        seen = []
+
+        def loss(p):
+            moved = np.flatnonzero(p.vec)
+            seen.extend(moved.tolist())
+            gs = GradSet(p).add_({"a": np.ones((2, 3)), "b": 2.0 * np.ones(4)})
+            return float(np.sum(p["a"]) + 2.0 * np.sum(p["b"])), gs
+
+        report = finite_diff_check(loss, params, probes=20, tol=1e-8)
+        assert report.passed
+        assert len(seen) == 4 * 20  # four stencil points per probe, one entry each
+        for probe, index in zip(report.probes, seen[::4]):
+            lo = 0 if probe.block == "a" else 6
+            assert index == lo + probe.index
+
     def test_quadratic_is_nearly_exact(self):
         params = ParamSet({"w": np.arange(5, dtype=float)})
 

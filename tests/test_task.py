@@ -1,7 +1,5 @@
 """Task-family contracts: prompt sampling, rewards, reasoning dependence."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -191,18 +189,3 @@ class TestPretrainData:
             xs = np.array(xs)
             se = 3 * spec.tau / np.sqrt(len(xs))
             assert np.all(np.abs(xs.mean(axis=0) - spec.mu) < se + 1e-9)
-
-    def test_round_trip_serialization(self, tmp_path):
-        rng = stream(7, "pt")
-        text, flow = make_pretrain_data(rng, 50, 50, GEOM)
-        path = tmp_path / "data.jsonl"
-        task.dump_pretrain_data(path, text, flow)
-        recs = [json.loads(line) for line in path.read_text().splitlines()]
-        t2 = [task.TextPair(tuple(r["prompt"]), tuple(r["trace"]), r["corrupted"])
-              for r in recs if r["kind"] == "text"]
-        f2 = [r for r in recs if r["kind"] == "flow"]
-        assert t2 == text
-        assert len(f2) == len(flow)
-        for a, b in zip(flow, f2):
-            assert a.cond_tokens == tuple(b["cond"])
-            np.testing.assert_array_equal(a.x0, np.array(b["x0"]))

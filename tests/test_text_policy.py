@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from unigrpo.errors import NumericError
-from unigrpo.nn import finite_diff_check
+from unigrpo.nn import AdamState, adam_step, finite_diff_check
 from unigrpo.rng import stream
-from unigrpo.task import EOS, TaskGeometry, canonical_trace, make_prompt, make_pretrain_data
+from unigrpo.task import (
+    EOS, TaskGeometry, TextPair, canonical_trace, make_prompt, make_pretrain_data,
+)
 from unigrpo.text_policy import ReasoningTrace, TextPolicy, _log_softmax_np
 
 POLICY = TextPolicy()
@@ -192,6 +194,34 @@ class TestPretrain:
         )
         assert report["greedy_accuracy"] >= 0.95
         assert report["loss_monotone"]
+
+    def test_row_columns_match_per_batch_rows_bit_for_bit(self):
+        # reference: each batch's context rows and targets rebuilt from its
+        # own pairs; one short trace makes the rows per pair differ
+        text, _ = make_pretrain_data(stream(26, "pt"), 200, 1, self.GEOM)
+        text[3] = TextPair(text[3].prompt_tokens, text[3].trace_tokens[:2], False)
+        params, report = POLICY.pretrain(
+            _params(27), text, epochs=2, lr=3e-3, batch_size=32, rng=stream(28, "sh")
+        )
+        ref, rng = _params(27), stream(28, "sh")
+        state = AdamState.for_params(ref, lr=3e-3)
+        losses = []
+        for _ in range(2):
+            order = rng.permutation(len(text))
+            total, count = 0.0, 0
+            for lo in range(0, len(text), 32):
+                batch = [text[i] for i in order[lo : lo + 32]]
+                rows = np.concatenate([
+                    POLICY.context_rows(p.prompt_tokens, list(p.trace_tokens)) for p in batch
+                ])
+                targets = np.array([tok for p in batch for tok in p.trace_tokens])
+                loss, gs = POLICY.ce_loss(ref, rows, targets)
+                ref = adam_step(ref, gs, state)
+                total += loss * len(targets)
+                count += len(targets)
+            losses.append(total / count)
+        assert params.vec.tobytes() == ref.vec.tobytes()
+        assert report["epoch_losses"] == losses
 
     def test_noisy_data_leaves_headroom(self):
         # symmetric 25% label noise cannot flip a converged argmax, so the

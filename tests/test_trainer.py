@@ -320,9 +320,7 @@ class TestUnifiedUpdate:
         # a completed update first, so the optimizer state is non-trivial
         text, flow, _ = unified_update(rt, groups, text, flow, text, flow, at, af)
         entry = {
-            key: ({k: a.copy() for k, a in st.m.items()},
-                  {k: a.copy() for k, a in st.v.items()}, st.step)
-            for key, st in (("at", at), ("af", af))
+            key: (st.m.copy(), st.v.copy(), st.step) for key, st in (("at", at), ("af", af))
         }
         real = rt.flow_policy.surrogate_loss
         calls = []
@@ -341,9 +339,8 @@ class TestUnifiedUpdate:
                 assert new[name].tobytes() == arr.tobytes(), name
         for st, (m, v, step) in ((at, entry["at"]), (af, entry["af"])):
             assert st.step == step
-            for name in m:
-                assert st.m[name].tobytes() == m[name].tobytes(), name
-                assert st.v[name].tobytes() == v[name].tobytes(), name
+            assert st.m.tobytes() == m.tobytes()
+            assert st.v.tobytes() == v.tobytes()
 
 
 class TestEvaluate:
@@ -498,4 +495,3 @@ class TestPretrainAll:
         assert "flow_quadrant_accuracy_mean" in report
         assert (tiny_pretrain / "text.ckpt").exists()
         assert (tiny_pretrain / "flow.ckpt").exists()
-        assert (tiny_pretrain / "pretrain_data.jsonl").exists()
