@@ -99,6 +99,10 @@ class Tape:
             self.params[name] = self.leaf(param_set[name])
         return self.params[name]
 
+    def node(self, value: np.ndarray, inputs: Sequence[Var], vjp: Callable) -> Var:
+        """Record an op computed outside the tape; vjp(g) gives one gradient per input."""
+        return self._push(value, tuple(v.idx for v in inputs), vjp)
+
     # ---- elementwise arithmetic ----
 
     def add(self, a: Var, b: Var) -> Var:
@@ -128,10 +132,6 @@ class Tape:
 
     # ---- linear algebra ----
 
-    def matmul(self, a: Var, b: Var) -> Var:
-        av, bv = a.value, b.value
-        return self._push(av @ bv, (a.idx, b.idx), lambda g: (g @ bv.T, av.T @ g))
-
     def cmatmul(self, c, b: Var) -> Var:
         """Constant matrix times Var: used for fixed pooling/averaging maps."""
         c = _f64(c)
@@ -142,20 +142,7 @@ class Tape:
         assert x.value.ndim == 2 and b.value.shape == (x.value.shape[1],)
         return self._push(x.value + b.value, (x.idx, b.idx), lambda g: (g, g.sum(axis=0)))
 
-    def affine(self, x: Var, w: Var, b: Var) -> Var:
-        return self.bias_add(self.matmul(x, w), b)
-
     # ---- nonlinearities ----
-
-    def tanh(self, x: Var) -> Var:
-        y = np.tanh(x.value)
-        return self._push(y, (x.idx,), lambda g: (g * (1.0 - y * y),))
-
-    def silu(self, x: Var) -> Var:
-        s = 1.0 / (1.0 + np.exp(-x.value))
-        y = x.value * s
-        d = s * (1.0 + x.value * (1.0 - s))
-        return self._push(y, (x.idx,), lambda g: (g * d,))
 
     def exp(self, x: Var) -> Var:
         y = np.exp(x.value)

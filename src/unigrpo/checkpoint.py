@@ -1,7 +1,7 @@
 """Binary checkpoint container: named float64 blocks, bit-exact round trips.
 
 Layout: magic "UGRP", format version (u32 LE), then per block
-name-length / UTF-8 name / ndim / dims (u32 LE each) and the raw
+name-length / UTF-8 name / ndim / dims (u32 LE each) and the raw finite
 little-endian float64 payload, repeated until end of file.
 """
 
@@ -44,12 +44,12 @@ def load_blocks(path) -> dict[str, np.ndarray]:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
     if data[:4] != MAGIC:
         raise CheckpointError(f"{path}: bad magic bytes {data[:4]!r}")
-    (version,) = struct.unpack_from("<I", data, 4)
-    if version != VERSION:
-        raise CheckpointError(f"{path}: unsupported format version {version}")
-    pos = 8
     blocks: dict[str, np.ndarray] = {}
     try:
+        (version,) = struct.unpack_from("<I", data, 4)
+        if version != VERSION:
+            raise CheckpointError(f"{path}: unsupported format version {version}")
+        pos = 8
         while pos < len(data):
             (nlen,) = struct.unpack_from("<I", data, pos)
             pos += 4
@@ -61,6 +61,8 @@ def load_blocks(path) -> dict[str, np.ndarray]:
             pos += 4 * ndim
             count = int(np.prod(dims)) if ndim else 1
             arr = np.frombuffer(data, dtype="<f8", count=count, offset=pos).copy()
+            if not np.isfinite(arr).all():
+                raise CheckpointError(f"{path}: non-finite values in block '{name}'")
             pos += 8 * count
             blocks[name] = arr.reshape(dims) if ndim else arr.reshape(())
     except (struct.error, ValueError, UnicodeDecodeError) as exc:

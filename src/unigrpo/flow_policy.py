@@ -123,16 +123,14 @@ def evals_per_step(cfg_scale: float) -> int:
 class FlowBatch:
     """One lockstep denoising pass over B rows.  `states[k]` holds every
     row's latent before schedule step k and `states[-1]` the samples.  Row i
-    is stochastic for the W steps from `starts[i]`; `mu` and `logp` hold its
-    sampling-time transition mean and log-density at those steps (logp is
-    NaN when sigma_level is 0)."""
+    is stochastic for the W steps from `starts[i]`; `mu` holds its
+    sampling-time transition mean at those steps."""
 
     cond_seqs: list
     times: np.ndarray
     states: np.ndarray     # (n+1, B, DIM), step-major
     starts: np.ndarray     # (B,)
     mu: np.ndarray         # (B, W, DIM)
-    logp: np.ndarray       # (B, W)
     sigma_level: float
     cfg_scale: float
 
@@ -146,7 +144,7 @@ class FlowBatch:
 
     def take(self, rows: slice) -> FlowBatch:
         return replace(self, cond_seqs=self.cond_seqs[rows], states=self.states[:, rows],
-                       starts=self.starts[rows], mu=self.mu[rows], logp=self.logp[rows])
+                       starts=self.starts[rows], mu=self.mu[rows])
 
     @staticmethod
     def concat(batches) -> FlowBatch:
@@ -156,7 +154,6 @@ class FlowBatch:
             states=np.concatenate([b.states for b in batches], axis=1),
             starts=np.concatenate([b.starts for b in batches]),
             mu=np.concatenate([b.mu for b in batches]),
-            logp=np.concatenate([b.logp for b in batches]),
         )
 
 
@@ -257,7 +254,6 @@ class FlowPolicy:
         states = np.empty((n + 1, B, DIM))
         states[0] = x1
         mu = np.zeros((B, window_size, DIM))
-        logp = np.full((B, window_size), np.nan)
         for k in range(n):
             t = float(times[k])
             dt = float(times[k] - times[k + 1])
@@ -267,12 +263,10 @@ class FlowPolicy:
             if window[k]:
                 rows, slots = np.array(window[k]).T
                 eps = np.stack([rngs[i].standard_normal(DIM) for i in rows])
-                mu[rows, slots], s, states[k + 1, rows] = sde_step_values(
+                mu[rows, slots], _, states[k + 1, rows] = sde_step_values(
                     x[rows], v[rows], t, dt, sigma_level * np.sqrt(t), eps
                 )
-                if s > 0.0:
-                    logp[rows, slots] = transition_logprob(mu[rows, slots], s, states[k + 1, rows])
-        return FlowBatch(list(cond_seqs), times, states, starts, mu, logp, sigma_level, cfg_scale)
+        return FlowBatch(list(cond_seqs), times, states, starts, mu, sigma_level, cfg_scale)
 
     def hybrid_rollout(self, params: ParamSet, cond_seqs, times: np.ndarray, x1: np.ndarray,
                        window_starts, window_size: int, sigma_level: float, rngs,
@@ -379,8 +373,10 @@ class FlowPolicy:
         standardized ratios, minus the configured drift regularizer evaluated
         at the stored states against the frozen reference.  Each row weighs
         1/B, so one call over several groups equals the mean of per-group
-        calls."""
-        B, W = batch.logp.shape
+        calls.  With eps = (x' - mu_old) / s the sampled noise, ratio_norm's
+        log ratio is exactly eps . (mu - mu_old) (its Gaussian normalizers and
+        correction cancel), which is 0 at the sampling parameters."""
+        B, W = batch.mu.shape[:2]
         assert len(advantages) == B
         if reg_mode not in ("none", "latent-kl", "velocity-mse"):
             raise ConfigError(f"unknown regularizer mode '{reg_mode}'")
@@ -393,13 +389,11 @@ class FlowPolicy:
         rows = np.repeat(np.arange(B), W)
         ks = (batch.starts[:, None] + np.arange(W)).ravel()
         xs = batch.states[ks, rows]
-        xn = batch.states[ks + 1, rows]
         ts = batch.times[ks]
         dts = ts - batch.times[ks + 1]
         sig = batch.sigma_level * np.sqrt(ts)
-        s_arr = sig * np.sqrt(dts)
         mu_old = batch.mu.reshape(-1, DIM)
-        logp_old = batch.logp.ravel()
+        eps = (batch.states[ks + 1, rows] - mu_old) / (sig * np.sqrt(dts))[:, None]
         adv_rows = np.repeat(advantages, W)
         w_rows = np.full(B * W, 1.0 / (B * W))
         pool = self.pool_weights(batch.cond_seqs)[rows]
@@ -411,15 +405,7 @@ class FlowPolicy:
         f = tape.cmul(v, c1) + tape.leaf(c2 * xs)
         mu = tape.cadd(tape.cmul(f, -dts[:, None]), xs)
 
-        inv_2s2 = 1.0 / (2.0 * s_arr**2)
-        log_norm = -0.5 * DIM * np.log(2.0 * np.pi * s_arr**2)
-        delta = tape.cadd(tape.cmul(mu, -1.0), xn)
-        logp = tape.cadd(tape.cmul(tape.sum_rows(tape.square(delta)), -inv_2s2), log_norm)
-        log_r = tape.cadd(logp, -logp_old)
-
-        dmu = tape.cadd(tape.cmul(mu, -1.0), mu_old)
-        corr = tape.cmul(tape.sum_rows(tape.square(dmu)), 1.0 / (2.0 * sig**2 * dts))
-        log_rt = tape.cmul(log_r + corr, sig * np.sqrt(dts))
+        log_rt = tape.sum_rows(tape.cmul(tape.cadd(mu, -mu_old), eps))
         rt = tape.exp(log_rt)
 
         bad = np.flatnonzero(~(np.isfinite(log_rt.value) & np.isfinite(rt.value)))

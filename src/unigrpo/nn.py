@@ -213,32 +213,46 @@ def mlp_var(
     arch: tuple[int, ...],
     activation: str = "tanh",
 ) -> Var:
-    """Differentiable MLP forward on an existing tape; x is (n, arch[0])."""
+    """Differentiable MLP forward as one tape node; x is (n, arch[0]).  The
+    forward is mlp_forward_np; the backward runs the layers in reverse in
+    numpy and yields gradients for x and every W{i}/b{i}."""
     if activation not in _ACTIVATIONS:
         raise ConfigError(f"unknown activation '{activation}'")
     if x.value.ndim != 2 or x.value.shape[1] != arch[0]:
         raise ConfigError(
             f"input shape {x.value.shape} incompatible with arch[0]={arch[0]}"
         )
-    h = x
-    for i in range(len(arch) - 1):
-        wname, bname = f"W{i}", f"b{i}"
-        w = tape.param(params, wname)
-        if w.value.shape != (arch[i], arch[i + 1]):
-            raise ConfigError(
-                f"shape mismatch for block '{wname}': "
-                f"{w.value.shape} vs expected {(arch[i], arch[i + 1])}"
-            )
-        b = tape.param(params, bname)
-        if b.value.shape != (arch[i + 1],):
-            raise ConfigError(
-                f"shape mismatch for block '{bname}': "
-                f"{b.value.shape} vs expected {(arch[i + 1],)}"
-            )
-        h = tape.affine(h, w, b)
-        if i < len(arch) - 2:
-            h = tape.tanh(h) if activation == "tanh" else tape.silu(h)
-    return h
+    n_layers = len(arch) - 1
+    for i in range(n_layers):
+        for name, shape in ((f"W{i}", (arch[i], arch[i + 1])), (f"b{i}", (arch[i + 1],))):
+            if params[name].shape != shape:
+                raise ConfigError(
+                    f"shape mismatch for block '{name}': {params[name].shape} vs expected {shape}"
+                )
+    leaves = [tape.param(params, f"{kind}{i}") for i in range(n_layers) for kind in "Wb"]
+    saved = []
+    out = mlp_forward_np(params, x.value, arch, activation, saved)
+
+    def vjp(g):
+        if activation == "tanh":
+            acts, slopes = saved, [1.0 - y * y for y in saved]
+        else:
+            acts, slopes = [], []
+            for a in saved:
+                e = 1.0 + np.exp(-a)
+                s = 1.0 / e
+                acts.append(a / e)
+                slopes.append(s * (1.0 + a * (1.0 - s)))
+        grads = []
+        for i in range(n_layers - 1, -1, -1):
+            layer_in = acts[i - 1] if i else x.value
+            grads += [g.sum(axis=0), layer_in.T @ g]
+            g = g @ params[f"W{i}"].T
+            if i:
+                g = g * slopes[i - 1]
+        return (g, *grads[::-1])
+
+    return tape.node(out, [x, *leaves], vjp)
 
 
 def mlp_forward_np(
@@ -246,16 +260,28 @@ def mlp_forward_np(
     x: np.ndarray,
     arch: tuple[int, ...],
     activation: str = "tanh",
+    saved: list | None = None,
 ) -> np.ndarray:
-    """Plain-numpy MLP forward (no tape); used on rollout hot paths."""
+    """Plain-numpy MLP forward, each layer in place on its matmul result.
+    With `saved` it appends, per hidden layer, what mlp_var's backward needs:
+    the activation (tanh) or the pre-activation (SiLU)."""
     h = np.asarray(x, dtype=np.float64)
     for i in range(len(arch) - 1):
-        h = h @ params[f"W{i}"] + params[f"b{i}"]
-        if i < len(arch) - 2:
-            if activation == "tanh":
-                h = np.tanh(h)
-            else:
-                h = h / (1.0 + np.exp(-h))
+        h = h @ params[f"W{i}"]
+        h += params[f"b{i}"]
+        if i == len(arch) - 2:
+            break
+        if activation == "tanh":
+            np.tanh(h, out=h)
+            if saved is not None:
+                saved.append(h)
+        else:  # SiLU: h / (1 + exp(-h))
+            if saved is not None:
+                saved.append(h.copy())
+            e = np.negative(h)
+            np.exp(e, out=e)
+            e += 1.0
+            np.divide(h, e, out=h)
     return h
 
 

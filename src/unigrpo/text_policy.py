@@ -37,7 +37,6 @@ class TextLossStats:
     mean_ratio: float
     max_ratio: float
     clip_fraction: float
-    mean_kl: float
     token_count: int
 
 
@@ -198,10 +197,9 @@ class TextPolicy:
         per_tok = tape.minimum(unclipped, clipped)
         j = tape.sum(per_tok * w_rows)
 
-        # exact KL(pi_theta || pi_ref) over the vocabulary, token level
-        ref_ls = _log_softmax_np(self.logits_np(ref_params, rows) * inv_t)
-        kl_np = float(np.sum(np.exp(ls.value) * (ls.value - ref_ls), axis=1) @ w_rows)
         if beta_txt != 0.0:
+            # exact KL(pi_theta || pi_ref) over the vocabulary, token level
+            ref_ls = _log_softmax_np(self.logits_np(ref_params, rows) * inv_t)
             kl_rows = tape.sum_rows(tape.softmax(logits) * (ls - ref_ls))
             j = j - tape.sum(kl_rows * (beta_txt * w_rows))
         tape.output = j
@@ -212,7 +210,6 @@ class TextPolicy:
             mean_ratio=float(ratio.value.mean()),
             max_ratio=float(ratio.value.max()),
             clip_fraction=float(np.mean(np.abs(ratio.value - 1.0) > clip_eps)),
-            mean_kl=kl_np,
             token_count=len(targets),
         )
         return float(j.value), gs, stats

@@ -6,9 +6,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import unigrpo
+from unigrpo.checkpoint import load_blocks, save_blocks
 from unigrpo.cli import main
 from unigrpo.config import TrainConfig, dump_config, load_config, parse_config_text
 from unigrpo.errors import ConfigError
@@ -166,6 +168,21 @@ class TestCli:
         assert rc == 0
         rc = main(["train", "--config", str(cfg_path), "--out", str(ws / "resumable"), "--resume"])
         assert rc == 0
+
+    def test_resume_from_nonfinite_optimizer_state_exits_3(self, cli_workspace, capsys):
+        # a NaN Adam moment in state.ckpt must not resume into silently skipped updates
+        ws, cfg_path = cli_workspace
+        short = ws / "two_updates.cfg"
+        short.write_text(cfg_path.read_text().replace("total_updates = 4", "total_updates = 2"))
+        out = ws / "nan_moment"
+        assert main(["train", "--config", str(short), "--out", str(out)]) == 0
+        blocks = load_blocks(out / "state.ckpt")
+        blocks["adam_flow.m.W1"][0, 0] = np.nan
+        save_blocks(out / "state.ckpt", blocks)
+        capsys.readouterr()
+        rc = main(["train", "--config", str(cfg_path), "--out", str(out), "--resume"])
+        assert rc == 3
+        assert "adam_flow.m.W1" in capsys.readouterr().err
 
     def test_cli_pins_unset_blas_threads_to_one(self, cli_workspace):
         ws, cfg_path = cli_workspace

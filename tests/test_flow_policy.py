@@ -210,7 +210,9 @@ class TestSdeStep:
             v = POLICY.velocity_np(params, batch.states[k], t, cond)
             np.testing.assert_array_equal(batch.states[k + 1], batch.states[k] - v * dt)
             np.testing.assert_array_equal(batch.mu[:, k], batch.states[k + 1])
-        assert np.all(np.isnan(batch.logp))
+        # no transition density exists at zero noise
+        with pytest.raises(ConfigError, match="sigma_level 0"):
+            POLICY.surrogate_loss(params, batch, np.zeros(1), 0.2, "none", 0.0, params)
 
     def test_zero_drift_pure_noise(self):
         mu, s, x_next = sde_step_values(
@@ -231,8 +233,8 @@ class TestSdeStep:
             v = POLICY.velocity_np(params, x, t, cond)
             mu, s, _ = sde_step_values(x, v, t, dt, 0.8 * np.sqrt(t), np.zeros(DIM))
             np.testing.assert_array_equal(mu, batch.mu[:, j])
-            assert batch.logp[0, j] == pytest.approx(
-                transition_logprob(batch.mu[0, j], s, batch.states[k + 1, 0]), abs=1e-12
+            assert transition_logprob(batch.mu[0, j], s, batch.states[k + 1, 0]) == pytest.approx(
+                transition_logprob(mu[0], s, batch.states[k + 1, 0]), abs=1e-12
             )
 
     def test_t_zero_rejected(self):
@@ -258,7 +260,7 @@ class TestHybridRollout:
         a = _rollout(params, self.TIMES, 0, 0, 0.8, stream(2, "r"))
         b = _rollout(params, self.TIMES, 0, 0, 0.8, stream(2, "r"))
         np.testing.assert_array_equal(a.states[-1], b.states[-1])
-        assert a.mu.shape == (1, 0, DIM) and a.logp.shape == (1, 0)
+        assert a.mu.shape == (1, 0, DIM)
 
     def test_sigma_zero_full_window_matches_ode_bitwise(self):
         params = _nontrivial_params(8)
@@ -295,10 +297,12 @@ class TestHybridRollout:
             v = POLICY.velocity_np(params, batch.states[k], t, cond)
             euler.append(np.array_equal(batch.states[k + 1], batch.states[k] - v * dt))
             if k in (2, 3, 4):
-                s = 0.8 * np.sqrt(t) * np.sqrt(dt)
-                assert s > 0 and np.isfinite(batch.logp[0, k - 2])
-                assert batch.logp[0, k - 2] == pytest.approx(
-                    transition_logprob(batch.mu[0, k - 2], s, batch.states[k + 1, 0]), abs=1e-12
+                mu, s, _ = sde_step_values(batch.states[k, 0], v[0], t, dt, 0.8 * np.sqrt(t),
+                                           np.zeros(DIM))
+                logp = transition_logprob(batch.mu[0, k - 2], s, batch.states[k + 1, 0])
+                assert s > 0 and np.isfinite(logp)
+                assert logp == pytest.approx(
+                    transition_logprob(mu, s, batch.states[k + 1, 0]), abs=1e-12
                 )
         assert euler == [k not in (2, 3, 4) for k in range(10)]
         assert all(a > b for a, b in zip(batch.times, batch.times[1:]))
@@ -323,7 +327,8 @@ class TestHybridRollout:
                     mu, s, x = sde_step_values(x, v, t, dt, sigma * np.sqrt(t),
                                                rng.standard_normal(DIM))
                     np.testing.assert_allclose(batch.mu[i, k - start], mu, rtol=0, atol=1e-12)
-                    assert abs(batch.logp[i, k - start] - transition_logprob(mu, s, x)) <= 1e-12
+                    logp = transition_logprob(batch.mu[i, k - start], s, batch.states[k + 1, i])
+                    assert abs(logp - transition_logprob(mu, s, x)) <= 1e-12
                 else:
                     x = x - v * dt
                 np.testing.assert_allclose(batch.states[k + 1, i], x, rtol=0, atol=1e-12)
@@ -467,6 +472,21 @@ class TestFlowSurrogate:
         assert j == pytest.approx(adv.mean(), abs=1e-12)
         assert stats.clip_fraction == 0.0
 
+    @pytest.mark.parametrize("cfg_scale", [1.0, 2.0])
+    @pytest.mark.parametrize("reg_mode,weight", [
+        ("none", 0.0), ("latent-kl", 0.02), ("velocity-mse", 0.5),
+    ])
+    def test_first_epoch_ratios_are_one(self, cfg_scale, reg_mode, weight):
+        # scored at the sampling parameters, every window step's ratio is
+        # exactly 1; a clip range of 0 counts every one that is not
+        params = _nontrivial_params(21)
+        batch = _rollout_group(params, g=16, seed=6, cfg_scale=cfg_scale)
+        _, _, stats = POLICY.surrogate_loss(
+            params, batch, np.ones(16), 0.0, reg_mode, weight, _nontrivial_params(22),
+        )
+        assert stats.clip_fraction == 0.0
+        assert stats.max_ratio == 1.0
+
     def test_velocity_mse_zero_at_reference(self):
         params = _nontrivial_params(14)
         batch = _rollout_group(params, seed=1)
@@ -487,7 +507,7 @@ class TestFlowSurrogate:
         eps = 0.05
         j, _, _ = POLICY.surrogate_loss(moved, batch, adv, eps, "none", 0.0, params)
 
-        B, W = batch.logp.shape
+        B, W = batch.mu.shape[:2]
         total = 0.0
         for i in range(B):
             acc = 0.0
@@ -500,7 +520,9 @@ class TestFlowSurrogate:
                 v = POLICY.velocity_np(moved, x, t, cond)[0]
                 c1, c2 = drift_coefficients(t, sigma_t)
                 mu = x - (c1 * v + c2 * x) * dt
-                log_r = transition_logprob(mu, sigma_t * np.sqrt(dt), x_next) - batch.logp[i, w]
+                s = sigma_t * np.sqrt(dt)
+                log_r = (transition_logprob(mu, s, x_next)
+                         - transition_logprob(batch.mu[i, w], s, x_next))
                 rt = ratio_norm(log_r, batch.mu[i, w] - mu, sigma_t, dt)
                 acc += min(rt * adv[i], np.clip(rt, 1 - eps, 1 + eps) * adv[i])
             total += acc / W
@@ -539,6 +561,6 @@ class TestFlowSurrogate:
     def test_nonfinite_ratio_names_step(self):
         params = _nontrivial_params(20)
         batch = _rollout_group(params, g=2, seed=5)
-        batch.logp[1, 0] = np.inf
+        batch.mu[1, 0] = np.inf
         with pytest.raises(NumericError, match=f"trajectory 1, step {batch.starts[1]}"):
             POLICY.surrogate_loss(params, batch, np.zeros(2), 0.2, "none", 0.0, params)

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from unigrpo.autodiff import Tape
 from unigrpo.checkpoint import load_blocks, load_params, save_blocks, save_params
@@ -116,6 +119,79 @@ class TestBackward:
         tape.output = tape.leaf(np.array(5.0))
         gs = _grads(tape, 1.0)
         np.testing.assert_array_equal(gs["a"], np.zeros(2))
+
+
+def _unfused_mlp(tape, params, x, arch, activation):
+    """The same MLP as a chain of one tape node per matmul, bias add and
+    activation, each with its own VJP."""
+
+    def matmul(a, w):
+        return tape.node(a.value @ w.value, [a, w], lambda g: (g @ w.value.T, a.value.T @ g))
+
+    def act(h):
+        a = h.value
+        if activation == "tanh":
+            y = np.tanh(a)
+            return tape.node(y, [h], lambda g: (g * (1.0 - y * y),))
+        s = 1.0 / (1.0 + np.exp(-a))
+        slope = s * (1.0 + a * (1.0 - s))
+        return tape.node(a / (1.0 + np.exp(-a)), [h], lambda g: (g * slope,))
+
+    h = x
+    for i in range(len(arch) - 1):
+        h = tape.bias_add(matmul(h, tape.param(params, f"W{i}")), tape.param(params, f"b{i}"))
+        if i < len(arch) - 2:
+            h = act(h)
+    return h
+
+
+class TestFusedNode:
+    @pytest.mark.parametrize("activation", ["tanh", "silu"])
+    def test_matches_unfused_chain_bit_for_bit(self, activation):
+        params, arch = _mlp_params(seed=5, arch=(4, 7, 6, 3))
+        rng = np.random.default_rng(6)
+        x0, seed = rng.normal(size=(9, 4)), rng.normal(size=(9, 3))
+        results = []
+        for build in (mlp_var, _unfused_mlp):
+            tape = Tape()
+            x = tape.leaf(x0)
+            out = build(tape, params, x, arch, activation)
+            grads = tape.backward(seed, output=out)
+            blocks = {name: grads[var.idx] for name, var in tape.params.items()}
+            results.append((out.value, grads[x.idx], blocks, len(tape)))
+        (out, gx, blocks, nodes), (ref_out, ref_gx, ref_blocks, ref_nodes) = results
+        assert out.tobytes() == ref_out.tobytes()
+        assert out.tobytes() == mlp_forward_np(params, x0, arch, activation).tobytes()
+        assert gx.tobytes() == ref_gx.tobytes()
+        assert list(blocks) == list(ref_blocks) == params.names()
+        for name in blocks:
+            assert blocks[name].tobytes() == ref_blocks[name].tobytes(), name
+        assert nodes == 1 + len(blocks) + 1 < ref_nodes
+
+    @pytest.mark.parametrize("activation", ["tanh", "silu"])
+    def test_matches_finite_differences(self, activation):
+        params, arch = _mlp_params(seed=8)
+        rng = np.random.default_rng(9)
+        x0, w = rng.normal(size=(5, arch[0])), rng.normal(size=(5, arch[-1]))
+
+        def loss(p, x_in=x0):
+            tape = Tape()
+            x = tape.leaf(x_in)
+            tape.output = tape.sum(mlp_var(tape, p, x, arch, activation) * w)
+            gx = tape.backward(1.0)[x.idx]
+            return float(tape.output.value), _grads(tape, 1.0), gx
+
+        report = finite_diff_check(lambda p: loss(p)[:2], params, probes=120, tol=1e-5)
+        assert report.passed, (report.max_rel_err, report.failing_blocks)
+        h, numeric = 1e-3, np.zeros_like(x0)
+        for idx in np.ndindex(x0.shape):
+            def at(delta):
+                x = x0.copy()
+                x[idx] += delta
+                return loss(params, x)[0]
+
+            numeric[idx] = (8.0 * (at(h) - at(-h)) - (at(2 * h) - at(-2 * h))) / (12.0 * h)
+        np.testing.assert_allclose(loss(params)[2], numeric, rtol=1e-7, atol=1e-9)
 
 
 class TestAdam:
@@ -324,3 +400,77 @@ class TestCheckpoint:
         path.write_bytes(data[:-8])
         with pytest.raises(CheckpointError):
             load_blocks(path)
+
+    def test_nonfinite_payload_rejected_with_block_name(self, tmp_path):
+        path = tmp_path / "n.ckpt"
+        for bad in (np.nan, np.inf, -np.inf):
+            save_blocks(path, {"w": np.zeros(3), "adam.m.W0": np.array([0.0, bad])})
+            with pytest.raises(CheckpointError, match="non-finite values in block 'adam.m.W0'"):
+                load_blocks(path)
+
+
+_BLOCKS = st.dictionaries(
+    st.text(min_size=1, max_size=8),
+    array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4).flatmap(
+        lambda shape: arrays(np.float64, shape,
+                             elements=st.floats(allow_nan=False, allow_infinity=False))
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+def _file_settings(examples):
+    # every example rewrites one file under the test's tmp_path
+    return settings(max_examples=examples, deadline=None,
+                    suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+class TestCheckpointProperties:
+    @_file_settings(40)
+    @given(blocks=_BLOCKS)
+    def test_round_trip_is_bit_exact(self, tmp_path, blocks):
+        path = tmp_path / "r.ckpt"
+        save_blocks(path, blocks)
+        loaded = load_blocks(path)
+        assert list(loaded) == list(blocks)
+        for name, arr in blocks.items():
+            assert loaded[name].shape == arr.shape
+            assert loaded[name].tobytes() == arr.tobytes()
+
+    @_file_settings(15)
+    @given(blocks=_BLOCKS)
+    def test_every_cut_inside_a_block_is_a_checkpoint_error(self, tmp_path, blocks):
+        # the format has no block count, so a cut exactly at a block boundary
+        # is a valid checkpoint of the blocks before it
+        path = tmp_path / "t.ckpt"
+        bounds = {}
+        for n in range(len(blocks) + 1):
+            save_blocks(path, dict(list(blocks.items())[:n]))
+            bounds[path.stat().st_size] = n
+        data = path.read_bytes()
+        for cut in range(len(data)):
+            path.write_bytes(data[:cut])
+            if cut in bounds:
+                assert list(load_blocks(path)) == list(blocks)[: bounds[cut]]
+            else:
+                with pytest.raises(CheckpointError):
+                    load_blocks(path)
+
+    @_file_settings(10)
+    @given(blocks=_BLOCKS)
+    def test_every_bit_flip_loads_finite_blocks_or_is_a_checkpoint_error(self, tmp_path, blocks):
+        # without a checksum most flips load; none may load a non-finite value
+        # or fail with anything but CheckpointError
+        path = tmp_path / "f.ckpt"
+        save_blocks(path, blocks)
+        data = bytearray(path.read_bytes())
+        for bit in range(8 * len(data)):
+            data[bit // 8] ^= 1 << (bit % 8)
+            path.write_bytes(data)
+            data[bit // 8] ^= 1 << (bit % 8)
+            try:
+                loaded = load_blocks(path)
+            except CheckpointError:
+                continue
+            assert all(np.isfinite(arr).all() for arr in loaded.values())

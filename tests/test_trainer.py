@@ -13,7 +13,7 @@ import unigrpo.trainer as trainer_mod
 from unigrpo import checkpoint
 from unigrpo.config import TrainConfig
 from unigrpo.errors import CheckpointError, NumericError
-from unigrpo.flow_policy import FlowBatch
+from unigrpo.flow_policy import FlowBatch, transition_logprob
 from unigrpo.metrics import read_metrics
 from unigrpo.nn import AdamState
 from unigrpo.rng import stream
@@ -64,6 +64,18 @@ def _snap(rt, pre_dir):
     text = checkpoint.load_params(pre_dir / "text.ckpt")
     flow = checkpoint.load_params(pre_dir / "flow.ckpt")
     return text, flow
+
+
+def _window_logp(batch: FlowBatch) -> np.ndarray:
+    """(B, W) sampling-time log-densities of each row's window steps."""
+    B, W = batch.mu.shape[:2]
+    out = np.empty((B, W))
+    for i, w in np.ndindex(B, W):
+        k = batch.starts[i] + w
+        t, dt = batch.times[k], batch.times[k] - batch.times[k + 1]
+        s = batch.sigma_level * np.sqrt(t) * np.sqrt(dt)
+        out[i, w] = transition_logprob(batch.mu[i, w], s, batch.states[k + 1, i])
+    return out
 
 
 class TestGroupAdvantages:
@@ -185,7 +197,7 @@ class TestRollouts:
             a, b = got.flow, ref.flow
             np.testing.assert_array_equal(a.starts, b.starts)
             assert a.evals_per_row == b.evals_per_row
-            for u, v in ((a.states, b.states), (a.mu, b.mu), (a.logp, b.logp)):
+            for u, v in ((a.states, b.states), (a.mu, b.mu), (_window_logp(a), _window_logp(b))):
                 assert u.shape == v.shape
                 np.testing.assert_allclose(u, v, rtol=0, atol=1e-12)
 
