@@ -231,12 +231,13 @@ class FlowPolicy:
     # ---- rollouts ----
 
     def _denoise(self, params: ParamSet, cond_seqs, times: np.ndarray, x1: np.ndarray,
-                 window_starts, window_size: int, sigma_level: float, rngs,
+                 window_starts, window_size: int, sigma_level: float, eps: np.ndarray,
                  cfg_scale: float) -> FlowBatch:
         """Lockstep denoising of every row of x1 with one velocity_np call per
         step.  Row i conditions on cond_seqs[i]; for the window_size steps
-        from window_starts[i] it takes the noise-injected step with one eps
-        per step drawn from rngs[i], every other step is plain Euler."""
+        from window_starts[i] it takes the noise-injected step, its j-th with
+        noise eps[i, j] of the (B, window_size, DIM) eps, and every other step
+        is plain Euler."""
         n, B = len(times) - 1, len(cond_seqs)
         starts = np.asarray(window_starts, dtype=np.int64)
         bad = np.flatnonzero((starts < 0) | (starts + window_size > n) | (window_size < 0))
@@ -262,24 +263,24 @@ class FlowPolicy:
             states[k + 1] = x - v * dt
             if window[k]:
                 rows, slots = np.array(window[k]).T
-                eps = np.stack([rngs[i].standard_normal(DIM) for i in rows])
                 mu[rows, slots], _, states[k + 1, rows] = sde_step_values(
-                    x[rows], v[rows], t, dt, sigma_level * np.sqrt(t), eps
+                    x[rows], v[rows], t, dt, sigma_level * np.sqrt(t), eps[rows, slots]
                 )
         return FlowBatch(list(cond_seqs), times, states, starts, mu, sigma_level, cfg_scale)
 
     def hybrid_rollout(self, params: ParamSet, cond_seqs, times: np.ndarray, x1: np.ndarray,
-                       window_starts, window_size: int, sigma_level: float, rngs,
+                       window_starts, window_size: int, sigma_level: float, eps: np.ndarray,
                        cfg_scale: float = 1.0) -> FlowBatch:
-        """Training rollouts: each row stochastic inside its own window."""
+        """Training rollouts: each row stochastic inside its own window, with
+        the (B, window_size, DIM) window noise eps."""
         return self._denoise(params, cond_seqs, times, x1, window_starts, window_size,
-                             sigma_level, rngs, cfg_scale)
+                             sigma_level, eps, cfg_scale)
 
     def ode_rollout_batch(self, params: ParamSet, cond_seqs, times: np.ndarray, x1: np.ndarray,
                           cfg_scale: float = 1.0) -> FlowBatch:
         """Deterministic Euler sampling of every row of x1."""
-        return self._denoise(params, cond_seqs, times, x1, [0] * len(cond_seqs), 0, 0.0, [],
-                             cfg_scale)
+        return self._denoise(params, cond_seqs, times, x1, [0] * len(cond_seqs), 0, 0.0,
+                             np.zeros((len(cond_seqs), 0, DIM)), cfg_scale)
 
     # ---- flow-matching pretraining ----
 

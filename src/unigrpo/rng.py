@@ -1,28 +1,154 @@
-"""Counter-based random streams with named derivation.
+"""Counter-based random draws with named derivation.
 
-Every random draw in the package comes from a stream identified by
-(seed, purpose tag, integer indices).  Streams are independent Philox
-generators, so a fixed seed repeats every draw, and resuming a run can
-rebuild any stream from its coordinates alone.
+Every random draw in the package is addressed by (seed, purpose tag,
+integer indices), so a fixed seed repeats every draw and resuming a run
+can rebuild any draw from its coordinates alone.  There are two ways to
+draw, both built on Philox4x64-10 (Salmon et al., "Parallel random
+numbers: as easy as 1, 2, 3", SC'11; numpy's own Philox):
+
+- `stream(seed, tag, *indices)` is a sequential numpy Generator.
+  Pretraining, parameter init, prompts and the eval set draw from it.
+- `words(seed, tag, index, n)` is counter-addressed: row i gets n 64-bit
+  words at once, word j being lane j % 4 of the Philox block at counter
+  (j // 4, *index[i]) under the (seed, tag) key that `stream(seed, tag)`
+  also uses.  Rollouts draw every member's words for an update in one
+  call per tag; `uniforms`, `normals` and `below` turn words into
+  variates.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 
 import numpy as np
 
+_MASK32, _SHIFT32 = np.uint64(0xFFFFFFFF), np.uint64(32)
+# Philox4x64 multipliers of lanes 0 and 2 and its key bumps
+_MUL = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
+_BUMP = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_ROUNDS = 10
+# (mask, shift, multiplier, its low and high 32-bit limbs) per multiplied lane
+_CONSTS = np.stack([np.full_like(_MUL, _MASK32), np.full_like(_MUL, _SHIFT32), _MUL,
+                    _MUL & _MASK32, _MUL >> _SHIFT32])
+# block counter of `below`'s first redraw: far above any layout's blocks
+_REDRAW_BLOCK = 1 << 63
 
+
+@functools.lru_cache(maxsize=None)
 def _tag_words(tag: str) -> tuple[int, ...]:
     # Stable 128-bit digest of the purpose tag, as four uint32 words.
     digest = hashlib.sha256(tag.encode("utf-8")).digest()
     return tuple(int.from_bytes(digest[i : i + 4], "little") for i in range(0, 16, 4))
 
 
-def stream(seed: int, tag: str, *indices: int) -> np.random.Generator:
-    """Derive the generator for (seed, tag, *indices)."""
+def _check_indices(indices) -> None:
     for ix in indices:
         if ix < 0:
-            raise ValueError(f"stream indices must be non-negative, got {ix}")
+            raise ValueError(f"random-draw indices must be non-negative, got {ix}")
+
+
+def stream(seed: int, tag: str, *indices: int) -> np.random.Generator:
+    """Derive the generator for (seed, tag, *indices)."""
+    _check_indices(indices)
     ss = np.random.SeedSequence(entropy=seed, spawn_key=_tag_words(tag) + tuple(indices))
     return np.random.Generator(np.random.Philox(ss))
+
+
+@functools.lru_cache(maxsize=256)
+def tag_key(seed: int, tag: str) -> np.ndarray:
+    """(2,) uint64 Philox key of (seed, tag): the key `stream(seed, tag)`'s
+    Philox gets.  Read-only, since every caller shares it."""
+    key = np.random.SeedSequence(entropy=seed, spawn_key=_tag_words(tag)).generate_state(
+        2, np.uint64
+    )
+    key.flags.writeable = False
+    return key
+
+
+@functools.lru_cache(maxsize=256)
+def _round_keys(k0: int, k1: int) -> np.ndarray:
+    """(ROUNDS, 2, 1) uint64: the key (k0, k1) bumped once per round, mod 2**64."""
+    return np.array([[[(k0 + r * _BUMP[0]) % 2**64], [(k1 + r * _BUMP[1]) % 2**64]]
+                     for r in range(_ROUNDS)], dtype=np.uint64)
+
+
+def _mulhi(a: np.ndarray, b_lo: np.ndarray, b_hi: np.ndarray, mask: np.ndarray,
+           shift: np.ndarray) -> np.ndarray:
+    """High 64 bits of the 128-bit products a * b of uint64 arrays, with b
+    given as 32-bit limbs: every partial product and sum fits in uint64."""
+    a_lo, a_hi = a & mask, a >> shift
+    t = a_lo * b_hi + ((a_lo * b_lo) >> shift)
+    u = (t & mask) + a_hi * b_lo
+    return a_hi * b_hi + (t >> shift) + (u >> shift)
+
+
+def philox4x64(counter, key) -> np.ndarray:
+    """Philox4x64-10 bijection of (..., 4) uint64 counters (lane 0 least
+    significant) under a (2,) uint64 key, as (..., 4) uint64 words.  numpy's
+    Philox increments its counter before each block, so
+    `Philox(key=K, counter=C).random_raw(4)` is `philox4x64(C + 1, K)`."""
+    ctr = np.asarray(counter, dtype=np.uint64)
+    x = ctr.reshape(-1, 4).T
+    # constants and round keys at the lanes' shape: same-shape ufuncs run
+    # about twice as fast as broadcasting ones on these small arrays
+    shape = (2, x.shape[1])
+    mask, shift, mul, mul_lo, mul_hi = np.broadcast_to(_CONSTS, (5, *shape)).copy()
+    keys = np.broadcast_to(_round_keys(int(key[0]), int(key[1])), (_ROUNDS, *shape)).copy()
+    a, c = x[[0, 2]], x[[1, 3]]  # multiplied lanes, xored lanes
+    for k in keys:
+        # lanes (0, 1, 2, 3) <- (hi2 ^ x1 ^ k0, lo2, hi0 ^ x3 ^ k1, lo0)
+        a, c = (_mulhi(a, mul_lo, mul_hi, mask, shift)[::-1] ^ c ^ k,
+                (a * mul)[::-1])  # the low half wraps
+    return np.stack([a[0], c[0], a[1], c[1]], axis=-1).reshape(ctr.shape)
+
+
+def words(seed: int, tag: str, index, n: int, block: int = 0) -> np.ndarray:
+    """(rows, n) uint64 words: word j of row i is lane j % 4 of the Philox
+    block at counter (block + j // 4, *index[i]) under `tag_key(seed, tag)`.
+    `index` is (rows, 3) non-negative integers."""
+    index = np.asarray(index, dtype=np.int64).reshape(-1, 3)
+    _check_indices([index.min(initial=0)])
+    n_blocks = -(-n // 4)
+    ctr = np.empty((len(index), n_blocks, 4), dtype=np.uint64)
+    ctr[..., 0] = np.uint64(block) + np.arange(n_blocks, dtype=np.uint64)
+    ctr[..., 1:] = index[:, None, :]
+    return philox4x64(ctr, tag_key(seed, tag)).reshape(len(index), -1)[:, :n]
+
+
+def uniforms(w: np.ndarray) -> np.ndarray:
+    """Uniform [0, 1) doubles from the top 53 bits of each word (the
+    conversion numpy's Generator.random makes)."""
+    return (w >> 11).astype(np.float64) * 2.0**-53
+
+
+def normals(w: np.ndarray) -> np.ndarray:
+    """Standard normals by Box-Muller: words 2i and 2i + 1 of the last axis
+    (even length) give normals 2i and 2i + 1 as r cos(theta), r sin(theta)."""
+    u = uniforms(w)
+    r = np.sqrt(-2.0 * np.log1p(-u[..., 0::2]))
+    theta = 2.0 * np.pi * u[..., 1::2]
+    z = np.empty_like(u)
+    z[..., 0::2], z[..., 1::2] = r * np.cos(theta), r * np.sin(theta)
+    return z
+
+
+def below(seed: int, tag: str, index, w: np.ndarray, n: int) -> np.ndarray:
+    """Exactly uniform uint64 integers in [0, n) from one word per row by Lemire's
+    multiply-shift: the high half of w * n, rejected when the low half is
+    below 2**64 mod n.  A rejected row redraws from lane 0 of the block at
+    counter (2**63 + r, *index[row]) on its r-th redraw, an address no
+    layout reaches; a redraw happens with probability below n / 2**64."""
+    if not 1 <= n < 2**64:
+        raise ValueError(f"bound must be in [1, 2**64), got {n}")
+    index = np.asarray(index, dtype=np.int64).reshape(-1, 3)
+    w = np.array(w, dtype=np.uint64)
+    threshold = np.uint64((2**64 - n) % n)
+    n = np.uint64(n)
+    r = 0
+    while True:
+        rejected = np.flatnonzero(w * n < threshold)  # the low half wraps
+        if not rejected.size:
+            return _mulhi(w, n & _MASK32, n >> _SHIFT32, _MASK32, _SHIFT32)
+        w[rejected] = words(seed, tag, index[rejected], 1, _REDRAW_BLOCK + r)[:, 0]
+        r += 1

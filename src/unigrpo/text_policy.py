@@ -102,40 +102,44 @@ class TextPolicy:
     # ---- sampling ----
 
     def sample_trace(self, params: ParamSet, prompts, temperature: float, max_len: int,
-                     rngs=None) -> list[ReasoningTrace]:
+                     uniforms: np.ndarray | None = None) -> list[ReasoningTrace]:
         """Lockstep decode of one trace per prompt: each position scores every
         row that has not yet emitted EOS in one logits_np call.  Row i draws
-        each token from softmax(logits / T) with one choice from rngs[i];
-        without generators every row takes the argmax, ties to the lowest
-        token id.  Each trace stores the log-probs of its chosen tokens at T."""
+        token k from softmax(logits / T) by inverse CDF at uniforms[i, k]
+        (the rule Generator.choice applies to one uniform); without uniforms
+        every row takes the argmax, ties to the lowest token id.  Each trace
+        stores the log-probs of its chosen tokens at T."""
         if temperature <= 0:
             raise ValueError("temperature must be positive")
         n = len(prompts)
         rows = np.full((n, self.ctx), PAD, dtype=np.int64)
         rows[:, : self.prompt_len] = prompts
-        tokens: list[list[int]] = [[] for _ in range(n)]
-        logps: list[list[float]] = [[] for _ in range(n)]
+        logps = np.zeros((n, max_len))
+        lengths = np.zeros(n, dtype=np.int64)
         live = np.arange(n)
         for k in range(max_len):
             logits = self.logits_np(params, rows[live])
             logp = _log_softmax_np(logits * (1.0 / temperature))
-            if rngs is None:
+            if uniforms is None:
                 chosen = np.argmax(logits, axis=1)
             else:
-                chosen = []
-                for i, lp in zip(live, logp):
-                    p = np.exp(lp)
-                    p /= p.sum()
-                    chosen.append(rngs[i].choice(self.vocab, p=p))
-            for j, (i, tok) in enumerate(zip(live, chosen)):
-                tokens[i].append(int(tok))
-                logps[i].append(float(logp[j, tok]))
-                rows[i, self.prompt_len + k] = tok
-            live = live[np.asarray(chosen) != EOS]
+                p = np.exp(logp)
+                p /= p.sum(axis=1, keepdims=True)
+                cdf = p.cumsum(axis=1)
+                cdf /= cdf[:, -1:]
+                bad = np.flatnonzero(~np.isfinite(cdf[:, -1]))
+                if bad.size:
+                    raise NumericError(f"non-finite token probabilities in row {live[bad[0]]}")
+                chosen = (cdf <= uniforms[live, k, None]).sum(axis=1)
+            rows[live, self.prompt_len + k] = chosen
+            logps[live, k] = logp[np.arange(len(live)), chosen]
+            lengths[live] = k + 1
+            live = live[chosen != EOS]
             if not live.size:
                 break
-        return [ReasoningTrace(tuple(p), tuple(t), np.array(lp))
-                for p, t, lp in zip(prompts, tokens, logps)]
+        tokens = rows[:, self.prompt_len :].tolist()
+        return [ReasoningTrace(tuple(p), tuple(t[:m]), lp[:m])
+                for p, t, lp, m in zip(prompts, tokens, logps, lengths.tolist())]
 
     def greedy_trace(self, params: ParamSet, prompts, max_len: int | None = None):
         """Deterministic lockstep decode of one trace per prompt (sample_trace

@@ -27,7 +27,7 @@ from .errors import CheckpointError, ConfigError, NumericError
 from .flow_policy import DIM, FlowBatch, FlowPolicy, timestep_schedule
 from .metrics import MetricsRow, MetricsWriter, read_metrics, truncate_metrics
 from .nn import AdamState, ParamSet, adam_step
-from .rng import stream
+from .rng import below, normals, stream, uniforms, words
 from .task import (
     PROMPT_LEN,
     VOCAB_SIZE,
@@ -108,16 +108,20 @@ def collect_rollouts(rt: Runtime, prompts: list[Prompt], text_old: ParamSet,
                      flow_old: ParamSet, seed: int, update: int) -> list[GroupRollout]:
     """One group of rollouts per prompt, every member advanced in lockstep:
     one text decode and one flow rollout over all prompts x group-size rows.
-    Member m of the prompt at batch index `slot` draws from its own
-    (seed, tag, update, slot, m) streams, so batch composition changes none
-    of its draws."""
+    Member m of the prompt at batch index `slot` draws its words at counter
+    index (update, slot, m), one `words` call per tag for all members, so
+    batch composition changes none of its draws.  Word layout per row:
+    "trace" word k is the uniform of token k; "flow" word 0 picks the window
+    start and words 1 .. 2 + 2W are Box-Muller pairs giving x1, then the
+    window's eps step by step."""
     cfg = rt.cfg
-    G = cfg.group_size
-    members = [(slot, m) for slot in range(len(prompts)) for m in range(G)]
+    G, W = cfg.group_size, cfg.sde_window_size
+    slots = [slot for slot in range(len(prompts)) for _ in range(G)]
+    index = [(update, slot, m) for slot in range(len(prompts)) for m in range(G)]
     if cfg.train_text:
         traces = rt.text_policy.sample_trace(
-            text_old, [prompts[slot].tokens for slot, _ in members], cfg.temperature,
-            cfg.max_trace_len, [stream(seed, "trace", update, slot, m) for slot, m in members],
+            text_old, [prompts[slot].tokens for slot in slots], cfg.temperature,
+            cfg.max_trace_len, uniforms(words(seed, "trace", index, cfg.max_trace_len)),
         )
     else:
         # frozen text expert: one deterministic trace per prompt, shared by its
@@ -125,16 +129,14 @@ def collect_rollouts(rt: Runtime, prompts: list[Prompt], text_old: ParamSet,
         greedy = rt.text_policy.greedy_trace(
             text_old, [p.tokens for p in prompts], cfg.max_trace_len
         )
-        traces = [greedy[slot] for slot, _ in members]
-    flow_rngs = [stream(seed, "flow", update, slot, m) for slot, m in members]
-    starts = cfg.window_starts
-    window_starts, x1 = [], []
-    for rng in flow_rngs:  # each stream: window start, x1, then the window's eps
-        window_starts.append(starts[int(rng.integers(len(starts)))])
-        x1.append(rng.standard_normal(DIM))
+        traces = [greedy[slot] for slot in slots]
+    w = words(seed, "flow", index, 1 + DIM + W * DIM)
+    starts = np.asarray(cfg.window_starts)[below(seed, "flow", index, w[:, 0],
+                                                 len(cfg.window_starts))]
+    z = normals(w[:, 1:])
     flow = rt.flow_policy.hybrid_rollout(
-        flow_old, [tr.tokens for tr in traces], rt.times_train, np.stack(x1), window_starts,
-        cfg.sde_window_size, cfg.sigma_level, flow_rngs,
+        flow_old, [tr.tokens for tr in traces], rt.times_train, z[:, :DIM], starts, W,
+        cfg.sigma_level, z[:, DIM:].reshape(len(index), W, DIM),
         cfg_scale=cfg.train_cfg_scale if cfg.train_cfg else 1.0,
     )
     groups = []
@@ -353,13 +355,18 @@ def _check_architecture(loaded: ParamSet, expected: ParamSet, which: str) -> Non
 _STATE_FILE = "state.ckpt"
 
 
-def _save_state(out: Path, update: int, text_params, flow_params, adam_text, adam_flow):
+def _state_blocks(update: int, text_params, flow_params, adam_text, adam_flow) -> dict:
     blocks = {f"text.{k}": v for k, v in text_params.items()}
     blocks.update({f"flow.{k}": v for k, v in flow_params.items()})
     blocks.update(adam_text.state_blocks("adam_text"))
     blocks.update(adam_flow.state_blocks("adam_flow"))
     blocks["meta.update"] = np.float64(update)
-    checkpoint.save_blocks(out / _STATE_FILE, blocks)
+    return blocks
+
+
+def _save_state(out: Path, update: int, text_params, flow_params, adam_text, adam_flow):
+    checkpoint.save_blocks(out / _STATE_FILE,
+                           _state_blocks(update, text_params, flow_params, adam_text, adam_flow))
     checkpoint.save_params(out / "text.ckpt", text_params)
     checkpoint.save_params(out / "flow.ckpt", flow_params)
 
@@ -410,6 +417,14 @@ def train(cfg: TrainConfig, out_dir, resume: bool = False, config_text: str | No
         if not state_path.exists():
             raise CheckpointError(f"cannot resume: {state_path} not found")
         blocks = checkpoint.load_blocks(state_path)
+        # every block the run saves must be there, in the shape it saves
+        for name, like in _state_blocks(0, text_params, flow_params, adam_text,
+                                        adam_flow).items():
+            if name not in blocks:
+                raise CheckpointError(f"{state_path}: missing block '{name}'")
+            if blocks[name].shape != np.shape(like):
+                raise CheckpointError(f"{state_path}: block '{name}' has shape "
+                                      f"{blocks[name].shape}, expected {np.shape(like)}")
         start_update = int(blocks["meta.update"])
         text_params, flow_params = (
             p.with_blocks({k: blocks[f"{tag}.{k}"] for k in p.names()})

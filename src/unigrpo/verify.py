@@ -98,7 +98,8 @@ def gradient_oracles(corrupt_gradient: bool = False) -> list[OracleResult]:
     # text surrogate
     tparams = text.init_params(stream(SEED, "t-init"))
     traces = text.sample_trace(tparams, [prompt.tokens] * 3, 1.0, text.max_len,
-                               [stream(SEED, "t", i) for i in range(3)])
+                               np.stack([stream(SEED, "t", i).random(text.max_len)
+                                         for i in range(3)]))
     adv = np.array([1.0, -0.4, 0.3])
     tref = text.init_params(stream(SEED + 1, "t-init"))
     tmoved = tparams.with_blocks({"W2": tparams["W2"] + 0.01})
@@ -130,9 +131,11 @@ def gradient_oracles(corrupt_gradient: bool = False) -> list[OracleResult]:
     times, _ = timestep_schedule(10, 3.0)
     trace = canonical_trace(prompt)
     rngs = [stream(SEED, "f", i) for i in range(3)]
+    x1 = np.stack([rng.standard_normal(2) for rng in rngs])
     batch = flow.hybrid_rollout(
-        fparams, [trace] * 3, times, np.stack([rng.standard_normal(2) for rng in rngs]),
-        [int(stream(SEED, "w", i).integers(0, 4)) for i in range(3)], 3, 0.8, rngs,
+        fparams, [trace] * 3, times, x1,
+        [int(stream(SEED, "w", i).integers(0, 4)) for i in range(3)], 3, 0.8,
+        np.stack([rng.standard_normal((3, 2)) for rng in rngs]),
     )
     fmoved = fparams.with_blocks({"b2": fparams["b2"] + 0.01})
     for reg_mode, weight in (("none", 0.0), ("latent-kl", 0.02), ("velocity-mse", 0.5)):
@@ -252,7 +255,8 @@ def sde_bitwise_oracle() -> OracleResult:
     n = len(times) - 1
     rng = stream(SEED, "bit")
     x1 = rng.standard_normal((1, 2))
-    sde = flow.hybrid_rollout(params, [trace], times, x1, [0], n, 0.0, [rng])
+    sde = flow.hybrid_rollout(params, [trace], times, x1, [0], n, 0.0,
+                              rng.standard_normal((1, n, 2)))
     ode = flow.ode_rollout_batch(params, [trace], times, x1)
     same = bool(np.array_equal(sde.states[-1], ode.states[-1]))
     return OracleResult("sde/zero-noise-bitwise", 0.0 if same else 1.0, 0.0, same)
@@ -310,7 +314,7 @@ def rollout_budget_oracle() -> OracleResult:
     times, _ = timestep_schedule(10, 3.0)
     plain, guided = (
         flow.hybrid_rollout(params, [trace], times, rng.standard_normal((1, 2)), [1], 3, 0.8,
-                            [rng], cfg_scale)
+                            rng.standard_normal((1, 3, 2)), cfg_scale)
         for rng, cfg_scale in ((stream(SEED, "cnt"), 1.0), (stream(SEED, "cnt"), 2.0))
     )
     ok = plain.velocity_evals == 10 and guided.velocity_evals == 20

@@ -184,6 +184,27 @@ class TestCli:
         assert rc == 3
         assert "adam_flow.m.W1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("block, damage", [("meta.update", "drop"),
+                                               ("adam_flow.m.b0", "shorten")])
+    def test_resume_from_incomplete_state_exits_3(self, cli_workspace, capsys, block, damage):
+        # a state.ckpt that lacks a block, or holds one in the wrong shape, is a
+        # bad checkpoint, not a crash or a config error
+        ws, cfg_path = cli_workspace
+        short = ws / "two_updates.cfg"
+        short.write_text(cfg_path.read_text().replace("total_updates = 4", "total_updates = 2"))
+        out = ws / f"state_{damage}"
+        assert main(["train", "--config", str(short), "--out", str(out)]) == 0
+        blocks = load_blocks(out / "state.ckpt")
+        if damage == "drop":
+            del blocks[block]
+        else:
+            blocks[block] = blocks[block][:-1]
+        save_blocks(out / "state.ckpt", blocks)
+        capsys.readouterr()
+        rc = main(["train", "--config", str(cfg_path), "--out", str(out), "--resume"])
+        assert rc == 3
+        assert block in capsys.readouterr().err
+
     def test_cli_pins_unset_blas_threads_to_one(self, cli_workspace):
         ws, cfg_path = cli_workspace
         env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}

@@ -30,9 +30,10 @@ def _params(seed=0):
 
 def _rollout(params, times, start, size, sigma, rng, cfg_scale=1.0):
     """One row through the batched sampler; its start point is the stream's
-    first draw."""
+    first draw and its window noise the next."""
+    x1 = rng.standard_normal((1, DIM))
     return POLICY.hybrid_rollout(
-        params, [TRACE], times, rng.standard_normal((1, DIM)), [start], size, sigma, [rng],
+        params, [TRACE], times, x1, [start], size, sigma, rng.standard_normal((1, size, DIM)),
         cfg_scale,
     )
 
@@ -278,10 +279,10 @@ class TestHybridRollout:
         assert traj_cfg.velocity_evals == 20
         # the batch total sums its members, whatever their windows
         rngs = [stream(4, "r", i) for i in range(3)]
+        x1 = np.stack([rng.standard_normal(DIM) for rng in rngs])
         batch = POLICY.hybrid_rollout(
-            params, [TRACE, (3, 3, 5), ()], self.TIMES,
-            np.stack([rng.standard_normal(DIM) for rng in rngs]), [0, 2, 7], 3, 0.8, rngs,
-            cfg_scale=2.0,
+            params, [TRACE, (3, 3, 5), ()], self.TIMES, x1, [0, 2, 7], 3, 0.8,
+            np.stack([rng.standard_normal((3, DIM)) for rng in rngs]), cfg_scale=2.0,
         )
         assert batch.evals_per_row == 20
         assert batch.velocity_evals == 60
@@ -309,12 +310,15 @@ class TestHybridRollout:
 
     def test_matches_per_row_reference_loop(self):
         # three rows whose windows open at the first step, mid-way and at the
-        # last possible step, against one row at a time with the same streams
+        # last possible step, against one row at a time with the same streams:
+        # the batch takes each row's window noise as one (size, DIM) draw, the
+        # reference loop one DIM draw per step
         params = _nontrivial_params(12)
         seqs, starts, size, sigma = [TRACE, (3, 3, 5), ()], [0, 2, 7], 3, 0.8
         rngs = [stream(12, "ref", i) for i in range(3)]
         x1 = np.stack([rng.standard_normal(DIM) for rng in rngs])
-        batch = POLICY.hybrid_rollout(params, seqs, self.TIMES, x1, starts, size, sigma, rngs)
+        eps = np.stack([rng.standard_normal((size, DIM)) for rng in rngs])
+        batch = POLICY.hybrid_rollout(params, seqs, self.TIMES, x1, starts, size, sigma, eps)
         for i, (seq, start) in enumerate(zip(seqs, starts)):
             rng = stream(12, "ref", i)
             x = rng.standard_normal(DIM)
@@ -336,7 +340,7 @@ class TestHybridRollout:
     def test_window_out_of_range_rejected(self):
         with pytest.raises(ConfigError):
             POLICY.hybrid_rollout(_params(), [TRACE, TRACE], self.TIMES, np.zeros((2, DIM)),
-                                  [0, 9], 3, 0.8, [stream(0, "r"), stream(1, "r")])
+                                  [0, 9], 3, 0.8, np.zeros((2, 3, DIM)))
 
     def test_ode_guidance_scale_controls_eval_count(self):
         params = _nontrivial_params(11)
@@ -455,8 +459,9 @@ def _rollout_group(params, g=4, seed=0, sigma=0.8, cfg_scale=1.0):
     rngs = [stream(seed, "roll", i) for i in range(g)]
     starts = [int(rng.integers(0, 4)) for rng in rngs]
     x1 = np.stack([rng.standard_normal(DIM) for rng in rngs])
+    eps = np.stack([rng.standard_normal((3, DIM)) for rng in rngs])
     return POLICY.hybrid_rollout(
-        params, [TRACE] * g, times, x1, starts, 3, sigma, rngs, cfg_scale=cfg_scale
+        params, [TRACE] * g, times, x1, starts, 3, sigma, eps, cfg_scale=cfg_scale
     )
 
 

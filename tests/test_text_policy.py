@@ -7,7 +7,8 @@ from unigrpo.errors import NumericError
 from unigrpo.nn import AdamState, adam_step, finite_diff_check
 from unigrpo.rng import stream
 from unigrpo.task import (
-    EOS, TaskGeometry, TextPair, canonical_trace, make_prompt, make_pretrain_data,
+    EOS, PAD, TaskGeometry, TextPair, canonical_trace, make_prompt, make_pretrain_data,
+    sample_prompt,
 )
 from unigrpo.text_policy import ReasoningTrace, TextPolicy, _log_softmax_np
 
@@ -21,7 +22,8 @@ def _params(seed=0):
 
 def _sample(params, temperature=1.0, seed=0, tag="s"):
     return POLICY.sample_trace(
-        params, [PROMPT.tokens], temperature, POLICY.max_len, [stream(seed, tag)]
+        params, [PROMPT.tokens], temperature, POLICY.max_len,
+        stream(seed, tag).random((1, POLICY.max_len)),
     )[0]
 
 
@@ -85,8 +87,10 @@ class TestSampling:
 
     def test_stops_at_eos_or_max_len(self):
         params = _params(5)
-        traces = POLICY.sample_trace(params, [PROMPT.tokens] * 20, 1.0, POLICY.max_len,
-                                     [stream(i, "s2") for i in range(20)])
+        traces = POLICY.sample_trace(
+            params, [PROMPT.tokens] * 20, 1.0, POLICY.max_len,
+            np.stack([stream(i, "s2").random(POLICY.max_len) for i in range(20)]),
+        )
         for tr in traces:
             assert len(tr) <= POLICY.max_len
             if EOS in tr.tokens:
@@ -94,12 +98,70 @@ class TestSampling:
 
     def test_temperature_must_be_positive(self):
         with pytest.raises(ValueError):
-            POLICY.sample_trace(_params(), [PROMPT.tokens], 0.0, 4, [stream(0, "s")])
+            POLICY.sample_trace(_params(), [PROMPT.tokens], 0.0, 4,
+                                stream(0, "s").random((1, 4)))
+
+    def test_nonfinite_probabilities_rejected(self):
+        # 1 / T overflows at a positive but subnormal temperature
+        with pytest.raises(NumericError, match="row 0"), np.errstate(invalid="ignore"):
+            POLICY.sample_trace(_params(), [PROMPT.tokens], 1e-320, 4,
+                                stream(0, "s").random((1, 4)))
+
+    @pytest.mark.parametrize("temperature", [0.7, 1.0, 1.3])
+    def test_matches_per_row_choice_loop(self, temperature):
+        # the decoder before inverse-CDF sampling: lockstep logits, then one
+        # Generator.choice per live row per token from that row's stream
+        params = _params(8)
+        prompts = [sample_prompt(stream(8, "p", i)).tokens for i in range(48)]
+        rngs = [stream(8, "row", i) for i in range(48)]
+        tokens, logps = [[] for _ in prompts], [[] for _ in prompts]
+        rows = np.full((len(prompts), POLICY.ctx), PAD, dtype=np.int64)
+        rows[:, : POLICY.prompt_len] = prompts
+        live = np.arange(len(prompts))
+        for k in range(POLICY.max_len):
+            logp = _log_softmax_np(POLICY.logits_np(params, rows[live]) * (1.0 / temperature))
+            chosen = []
+            for i, lp in zip(live, logp):
+                p = np.exp(lp)
+                p /= p.sum()
+                chosen.append(rngs[i].choice(POLICY.vocab, p=p))
+            for j, (i, tok) in enumerate(zip(live, chosen)):
+                tokens[i].append(int(tok))
+                logps[i].append(float(logp[j, tok]))
+                rows[i, POLICY.prompt_len + k] = tok
+            live = live[np.asarray(chosen) != EOS]
+            if not live.size:
+                break
+
+        u = np.stack([stream(8, "row", i).random(POLICY.max_len) for i in range(48)])
+        traces = POLICY.sample_trace(params, prompts, temperature, POLICY.max_len, u)
+        assert [tr.tokens for tr in traces] == [tuple(t) for t in tokens]
+        for tr, lp in zip(traces, logps):
+            np.testing.assert_array_equal(tr.logprobs, np.array(lp))
+        assert len({tr.tokens for tr in traces}) > 10
+
+    def test_uniform_on_a_cdf_step_takes_the_next_token(self):
+        # Generator.choice is cdf.searchsorted(u, side="right"): a uniform equal
+        # to a cumulative probability picks the token after it
+        params = _params(9)
+        nw, nb = f"W{len(POLICY.arch) - 2}", f"b{len(POLICY.arch) - 2}"
+        params = params.with_blocks({nw: np.zeros_like(params[nw]),
+                                     nb: np.zeros_like(params[nb])})
+        p = np.exp(_log_softmax_np(np.zeros(POLICY.vocab)))
+        p /= p.sum()
+        cdf = p.cumsum()
+        cdf /= cdf[-1]
+        ks = [0, 5, POLICY.vocab - 2]
+        u = np.repeat(cdf[ks][:, None], POLICY.max_len, axis=1)
+        traces = POLICY.sample_trace(params, [PROMPT.tokens] * 3, 1.0, POLICY.max_len, u)
+        assert [tr.tokens[0] for tr in traces] == [k + 1 for k in ks]
 
 
 def _group(params, g=4, seed=0, temperature=1.0):
-    return POLICY.sample_trace(params, [PROMPT.tokens] * g, temperature, POLICY.max_len,
-                               [stream(seed, "g", i) for i in range(g)])
+    return POLICY.sample_trace(
+        params, [PROMPT.tokens] * g, temperature, POLICY.max_len,
+        np.stack([stream(seed, "g", i).random(POLICY.max_len) for i in range(g)]),
+    )
 
 
 class TestSurrogate:

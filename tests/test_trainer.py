@@ -16,7 +16,7 @@ from unigrpo.errors import CheckpointError, NumericError
 from unigrpo.flow_policy import FlowBatch, transition_logprob
 from unigrpo.metrics import read_metrics
 from unigrpo.nn import AdamState
-from unigrpo.rng import stream
+from unigrpo.rng import below, stream, words
 from unigrpo.task import EOS, PAD, canonical_trace, make_prompt, reward, sample_prompt
 from unigrpo.trainer import (
     collect_rollouts,
@@ -133,14 +133,14 @@ class TestRollouts:
         assert len(calls) == rt.cfg.group_size
 
     def test_identical_members_make_degenerate_group(self, tiny_pretrain, monkeypatch):
-        # two members with identical streams would yield equal rewards and
-        # all-zero advantages; emulate by handing every member member 0's streams
-        real = trainer_mod.stream
+        # two members with identical draws would yield equal rewards and
+        # all-zero advantages; emulate by handing every member member 0's words
+        real = trainer_mod.words
 
-        def member_zero(seed, tag, *idx):
-            return real(seed, tag, *(idx[:-1] + (0,) if tag in ("trace", "flow") else idx))
+        def member_zero(seed, tag, index, n, block=0):
+            return real(seed, tag, np.asarray(index) * [1, 1, 0], n, block)
 
-        monkeypatch.setattr(trainer_mod, "stream", member_zero)
+        monkeypatch.setattr(trainer_mod, "words", member_zero)
         rt = make_runtime(replace(TINY, group_size=2))
         text, flow = _snap(rt, tiny_pretrain)
         g = collect_rollouts(rt, [make_prompt(1, "near", "tight")], text, flow, 0, 1)[0]
@@ -159,26 +159,26 @@ class TestRollouts:
         rt = _rt()
         cfg = rt.cfg
         starts = cfg.window_starts
-        # distributional property of the derived streams the rollout consumes
-        counts = {s: 0 for s in starts}
+        # distributional property of the counter-addressed word the rollout
+        # consumes: word 0 of each member's "flow" row
+        def start_of(update, members):
+            index = [(update, 0, m) for m in members]
+            w = words(cfg.seed, "flow", index, 1)[:, 0]
+            return np.asarray(starts)[below(cfg.seed, "flow", index, w, len(starts))]
+
         n = 10_000
-        for m in range(n):
-            rng = stream(cfg.seed, "flow", 1, 0, m)
-            counts[starts[int(rng.integers(len(starts)))]] += 1
+        counts = {s: int(np.sum(start_of(1, range(n)) == s)) for s in starts}
         for s, c in counts.items():
             assert abs(c / n - 1 / len(starts)) < 0.02, (s, c)
         # the rollout actually uses that draw
         rt30 = make_runtime(replace(TINY, group_size=30))
         text, flow = _snap(rt30, tiny_pretrain)
         g = collect_rollouts(rt30, [make_prompt(4, "far", "tight")], text, flow, cfg.seed, 7)[0]
-        for m, start in enumerate(g.flow.starts):
-            rng = stream(cfg.seed, "flow", 7, 0, m)
-            expected = starts[int(rng.integers(len(starts)))]
-            assert start == expected
+        np.testing.assert_array_equal(g.flow.starts, start_of(7, range(30)))
 
     @pytest.mark.parametrize("overrides", [{}, {"train_text": False}, {"train_cfg": True}])
     def test_batch_composition_changes_no_member(self, tiny_pretrain, overrides):
-        # member m of slot s draws only from its own streams, so its tokens,
+        # member m of slot s draws only its own counter-addressed words, so its tokens,
         # window, states and window statistics do not depend on the other rows
         rt = make_runtime(replace(TINY, **overrides))
         text, flow = _snap(rt, tiny_pretrain)
@@ -261,6 +261,20 @@ class TestUnifiedUpdate:
         for name, arr in flow.items():
             np.testing.assert_array_equal(new_flow[name], arr)
         assert stats.j_text == 0.0 and stats.j_flow == 0.0
+
+    def test_zero_window_rollout_and_update(self, tiny_pretrain):
+        # W = 0 is a valid config: the flow rollout is the plain ODE, so the
+        # flow has no surrogate terms and only the text policy trains
+        rt, groups, text, flow, at, af = self._setup(
+            tiny_pretrain, sde_window_size=0, sigma_level=0.0, train_flow=False
+        )
+        for g in groups:
+            assert g.flow.mu.shape == (rt.cfg.group_size, 0, 2)
+            np.testing.assert_array_equal(g.flow.starts, rt.cfg.sde_window_lo)
+            assert np.isfinite(g.rewards).all()
+        new_text, _, stats = unified_update(rt, groups, text, flow, text, flow, at, af)
+        assert not stats.skipped and np.isfinite(stats.j_text)
+        assert any(not np.array_equal(new_text[name], arr) for name, arr in text.items())
 
     def test_freeze_flags(self, tiny_pretrain):
         rt, groups, text, flow, at, af = self._setup(tiny_pretrain, train_text=False)
