@@ -20,7 +20,8 @@ import numpy as np
 
 from .autodiff import Tape, Var
 from .errors import ConfigError, NumericError
-from .nn import GradSet, AdamState, ParamSet, adam_step, init_mlp_blocks, mlp_forward_np, mlp_var
+from .nn import (AdamState, GradSet, ParamSet, adam_step, clipped_objective, init_mlp_blocks,
+                 mlp_forward_np, mlp_var)
 from .task import VOCAB_SIZE
 
 DIM = 2  # sample space
@@ -167,6 +168,30 @@ class FlowLossStats:
     step_count: int
 
 
+@dataclass
+class FlowUpdateBatch:
+    """Everything a flow surrogate needs besides theta, built once per update:
+    one row per (trajectory, window step), row-major."""
+
+    rows: np.ndarray        # (n,) trajectory of each row
+    ks: np.ndarray          # (n,) schedule step of each row
+    xs: np.ndarray          # (n, DIM) state before the step
+    xt: np.ndarray          # (n, DIM + N_TIME_FEATS) state and time features
+    xt_null: np.ndarray | None  # xt plus a zero condition, under guidance only
+    pool: np.ndarray        # (n, vocab) pooling weights
+    c1: np.ndarray          # (n, 1) drift coefficients c1 * v + c2 * x
+    c2x: np.ndarray         # (n, DIM) c2 * x
+    neg_dt: np.ndarray      # (n, 1) -dt
+    mu_old: np.ndarray      # (n, DIM) sampling-time transition mean
+    eps: np.ndarray         # (n, DIM) sampled noise
+    adv: np.ndarray         # (n,)
+    weight: np.ndarray      # (n,) 1 / rows
+    cfg_scale: float
+    reg_mode: str
+    reg_target: np.ndarray | None  # reference velocity (velocity-mse) or mean (latent-kl)
+    kl_scale: np.ndarray | None    # (n,) 1 / (2 sigma_t^2 dt) under latent-kl
+
+
 class FlowPolicy:
     def __init__(self, vocab_size: int = VOCAB_SIZE, cond_dim: int = 8, hidden: int = 64):
         self.vocab = vocab_size
@@ -194,9 +219,24 @@ class FlowPolicy:
         """(len(token_seqs), cond_dim) mean-pooled token embeddings."""
         return self.pool_weights(token_seqs) @ params["cemb"]
 
-    def cond_var(self, tape: Tape, params: ParamSet, pool: np.ndarray) -> Var:
-        """Conditions from pooling weights, differentiable w.r.t. the embedding table."""
-        return tape.cmatmul(pool, tape.param(params, "cemb"))
+    def cond_var(self, tape: Tape, params: ParamSet, pool: np.ndarray, xt: np.ndarray,
+                 keep: np.ndarray | None = None) -> Var:
+        """Velocity-net input [xt | condition] as one tape node, the condition
+        pooled from `pool` (each row's pooling weights) and scaled by `keep`
+        when given; differentiable w.r.t. the embedding table."""
+        cemb = tape.param(params, "cemb")
+        cond = pool @ cemb.value
+        if keep is not None:
+            cond = cond * keep[:, None]
+        k = xt.shape[1]
+
+        def vjp(g):
+            g = g[:, k:].copy()
+            if keep is not None:
+                g = g * keep[:, None]
+            return (pool.T @ g,)
+
+        return tape.node(np.concatenate([xt, cond], axis=1), [cemb], vjp)
 
     # ---- velocity net ----
 
@@ -214,19 +254,6 @@ class FlowPolicy:
         null = np.zeros_like(cond)
         v_un = mlp_forward_np(params, np.concatenate([x, feats, null], axis=1), self.arch, "tanh")
         return cfg_velocity(v, v_un, cfg_scale)
-
-    def velocity_var(self, tape: Tape, params: ParamSet, x: np.ndarray, t, cond: Var,
-                     cfg_scale: float = 1.0) -> Var:
-        """velocity_np on the tape, differentiable w.r.t. the net and `cond`."""
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        feats = time_features(np.broadcast_to(np.asarray(t, dtype=np.float64), (x.shape[0],)))
-        xt = tape.leaf(np.concatenate([x, feats], axis=1))
-        v = mlp_var(tape, params, tape.concat([xt, cond], axis=1), self.arch, "tanh")
-        if cfg_scale == 1.0:
-            return v
-        null = tape.leaf(np.zeros(cond.shape))
-        v_un = mlp_var(tape, params, tape.concat([xt, null], axis=1), self.arch, "tanh")
-        return v_un + tape.cmul(v - v_un, cfg_scale)
 
     # ---- rollouts ----
 
@@ -292,16 +319,15 @@ class FlowPolicy:
         regress v(x_t, t, cond) onto x_1 - x_0 along the linear path.  `pool`
         holds each row's pooling weights; `keep` zeroes dropout rows' conditions."""
         xt = (1.0 - t)[:, None] * x0 + t[:, None] * x1
-        target = x1 - x0
         tape = Tape()
-        cond = self.cond_var(tape, params, pool)
-        cond = tape.cmul(cond, keep[:, None])
-        v = self.velocity_var(tape, params, xt, t, cond)
-        diff = v - target
-        loss = tape.sum(tape.sum_rows(tape.square(diff)) * (1.0 / len(x0)))
-        tape.output = loss
+        x = self.cond_var(tape, params, pool, np.concatenate([xt, time_features(t)], axis=1), keep)
+        v = mlp_var(tape, params, x, self.arch, "tanh")
+        diff = v.value - (x1 - x0)
+        scale = 1.0 / len(x0)
+        loss = np.sum((diff * diff).sum(axis=1) * scale)
+        tape.output = tape.node(loss, [v], lambda g: (2.0 * diff * (g * scale),))
         gs = GradSet(params).add_(tape.param_grads(1.0))
-        return float(loss.value), gs
+        return float(loss), gs
 
     def pretrain(
         self,
@@ -360,23 +386,12 @@ class FlowPolicy:
 
     # ---- GRPO surrogate ----
 
-    def surrogate_loss(
-        self,
-        params: ParamSet,
-        batch: FlowBatch,
-        advantages: np.ndarray,
-        clip_eps: float,
-        reg_mode: str,
-        reg_weight: float,
-        ref_params: ParamSet,
-    ) -> tuple[float, GradSet, FlowLossStats]:
-        """Clipped objective over each row's stochastic window with
-        standardized ratios, minus the configured drift regularizer evaluated
-        at the stored states against the frozen reference.  Each row weighs
-        1/B, so one call over several groups equals the mean of per-group
-        calls.  With eps = (x' - mu_old) / s the sampled noise, ratio_norm's
-        log ratio is exactly eps . (mu - mu_old) (its Gaussian normalizers and
-        correction cancel), which is 0 at the sampling parameters."""
+    def prepare_batch(self, batch: FlowBatch, advantages: np.ndarray, reg_mode: str,
+                      ref_params: ParamSet) -> FlowUpdateBatch:
+        """The per-update part of the surrogate: one row per (trajectory,
+        window step), row-major, with its state, time features, drift
+        coefficients, sampled noise eps = (x' - mu_old) / s, pooling weights,
+        and the frozen reference's velocity or transition mean there."""
         B, W = batch.mu.shape[:2]
         assert len(advantages) == B
         if reg_mode not in ("none", "latent-kl", "velocity-mse"):
@@ -386,7 +401,6 @@ class FlowPolicy:
         if not batch.sigma_level > 0.0:
             raise ConfigError("windowed steps have no stochastic statistics at sigma_level 0")
 
-        # one tape row per (row, window step), row-major
         rows = np.repeat(np.arange(B), W)
         ks = (batch.starts[:, None] + np.arange(W)).ravel()
         xs = batch.states[ks, rows]
@@ -395,55 +409,89 @@ class FlowPolicy:
         sig = batch.sigma_level * np.sqrt(ts)
         mu_old = batch.mu.reshape(-1, DIM)
         eps = (batch.states[ks + 1, rows] - mu_old) / (sig * np.sqrt(dts))[:, None]
-        adv_rows = np.repeat(advantages, W)
-        w_rows = np.full(B * W, 1.0 / (B * W))
         pool = self.pool_weights(batch.cond_seqs)[rows]
-
-        tape = Tape()
-        v = self.velocity_var(tape, params, xs, ts, self.cond_var(tape, params, pool),
-                              batch.cfg_scale)
         c1, c2 = (c[:, None] for c in drift_coefficients(ts, sig))
-        f = tape.cmul(v, c1) + tape.leaf(c2 * xs)
-        mu = tape.cadd(tape.cmul(f, -dts[:, None]), xs)
-
-        log_rt = tape.sum_rows(tape.cmul(tape.cadd(mu, -mu_old), eps))
-        rt = tape.exp(log_rt)
-
-        bad = np.flatnonzero(~(np.isfinite(log_rt.value) & np.isfinite(rt.value)))
-        if bad.size:
-            raise NumericError(
-                f"non-finite flow ratio at trajectory {rows[bad[0]]}, step {ks[bad[0]]}"
-            )
-
-        unclipped = rt * adv_rows
-        clipped = tape.clip(rt, 1.0 - clip_eps, 1.0 + clip_eps) * adv_rows
-        per_step = tape.minimum(unclipped, clipped)
-        j = tape.sum(per_step * w_rows)
-
-        reg_value = 0.0
+        xt = np.concatenate([xs, time_features(ts)], axis=1)
+        xt_null = None
+        if batch.cfg_scale != 1.0:
+            xt_null = np.concatenate([xt, np.zeros((len(xs), self.cond_dim))], axis=1)
+        reg_target = kl_scale = None
         if reg_mode != "none":
             # frozen-reference velocities at the stored states, constant in theta
-            v_ref = self.velocity_np(ref_params, xs, ts, pool @ ref_params["cemb"],
-                                     batch.cfg_scale)
-            if reg_mode == "velocity-mse":
-                reg_rows = tape.sum_rows(tape.square(tape.cadd(v, -v_ref)))
-            else:
-                mu_ref = xs - (c1 * v_ref + c2 * xs) * dts[:, None]
-                reg_rows = tape.cmul(
-                    tape.sum_rows(tape.square(tape.cadd(mu, -mu_ref))),
-                    1.0 / (2.0 * sig**2 * dts),
-                )
-            reg_value = float(reg_rows.value @ w_rows)
-            j = j - tape.sum(reg_rows * (reg_weight * w_rows))
-        tape.output = j
+            reg_target = self.velocity_np(ref_params, xs, ts, pool @ ref_params["cemb"],
+                                          batch.cfg_scale)
+            if reg_mode == "latent-kl":
+                reg_target = xs - (c1 * reg_target + c2 * xs) * dts[:, None]
+                kl_scale = 1.0 / (2.0 * sig**2 * dts)
+        return FlowUpdateBatch(
+            rows, ks, xs, xt, xt_null, pool, c1, c2 * xs, -dts[:, None], mu_old, eps,
+            np.repeat(advantages, W), np.full(B * W, 1.0 / (B * W)), batch.cfg_scale,
+            reg_mode, reg_target, kl_scale,
+        )
 
+    def surrogate_loss(
+        self, params: ParamSet, batch: FlowUpdateBatch, clip_eps: float, reg_weight: float,
+    ) -> tuple[float, GradSet, FlowLossStats]:
+        """Clipped objective over each row's stochastic window with
+        standardized ratios, minus the configured drift regularizer evaluated
+        at the stored states against the frozen reference.  Each row weighs
+        1/B, so one call over several groups equals the mean of per-group
+        calls.  With eps = (x' - mu_old) / s the sampled noise, ratio_norm's
+        log ratio is exactly eps . (mu - mu_old) (its Gaussian normalizers and
+        correction cancel), which is 0 at the sampling parameters.  Everything
+        after the velocity net is one fused head node."""
+        b = batch
+        tape = Tape()
+        x = self.cond_var(tape, params, b.pool, b.xt)
+        nets = [mlp_var(tape, params, x, self.arch, "tanh")]
+        v = nets[0].value
+        if b.xt_null is not None:
+            nets.append(mlp_var(tape, params, tape.leaf(b.xt_null), self.arch, "tanh"))
+            v = cfg_velocity(v, nets[1].value, b.cfg_scale)
+        mu = (v * b.c1 + b.c2x) * b.neg_dt + b.xs
+        log_rt = ((mu - b.mu_old) * b.eps).sum(axis=1)
+        rt = np.exp(log_rt)
+        bad = np.flatnonzero(~(np.isfinite(log_rt) & np.isfinite(rt)))
+        if bad.size:
+            raise NumericError(
+                f"non-finite flow ratio at trajectory {b.rows[bad[0]]}, step {b.ks[bad[0]]}"
+            )
+
+        j, clip_vjp = clipped_objective(rt, b.adv, b.weight, clip_eps)
+        reg_value = 0.0
+        if b.reg_mode != "none":
+            diff = (mu if b.reg_mode == "latent-kl" else v) - b.reg_target
+            reg_rows = (diff * diff).sum(axis=1)
+            if b.kl_scale is not None:
+                reg_rows = reg_rows * b.kl_scale
+            reg_value = float(reg_rows @ b.weight)
+            j = j - np.sum(reg_rows * (reg_weight * b.weight))
+
+        def vjp(g):
+            g_mu = (clip_vjp(g) * rt)[:, None] * b.eps
+            if b.reg_mode != "none":
+                g_rows = (-g) * (reg_weight * b.weight)
+                if b.kl_scale is not None:
+                    g_rows = g_rows * b.kl_scale
+                g_diff = 2.0 * diff * g_rows[:, None]
+            if b.reg_mode == "latent-kl":
+                g_mu = g_diff + g_mu
+            g_v = g_mu * b.neg_dt * b.c1
+            if b.reg_mode == "velocity-mse":
+                g_v = g_diff + g_v
+            if b.xt_null is None:
+                return (g_v,)
+            g_cond = g_v * b.cfg_scale
+            return g_cond, g_v - g_cond
+
+        tape.output = tape.node(j, nets, vjp)
         gs = GradSet(params).add_(tape.param_grads(1.0))
         stats = FlowLossStats(
-            surrogate=float(j.value),
-            mean_ratio=float(rt.value.mean()),
-            max_ratio=float(rt.value.max()),
-            clip_fraction=float(np.mean(np.abs(rt.value - 1.0) > clip_eps)),
+            surrogate=float(j),
+            mean_ratio=float(rt.mean()),
+            max_ratio=float(rt.max()),
+            clip_fraction=float(np.mean(np.abs(rt - 1.0) > clip_eps)),
             reg_value=reg_value,
-            step_count=len(xs),
+            step_count=len(b.xs),
         )
-        return float(j.value), gs, stats
+        return float(j), gs, stats

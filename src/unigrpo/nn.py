@@ -1,5 +1,5 @@
-"""Parameter containers, MLP construction (tape and plain numpy), Adam, and a
-finite-difference oracle.
+"""Parameter containers, MLP construction (tape and plain numpy), Adam, the
+clipped PPO term both surrogates share, and a finite-difference oracle.
 
 All training math is float64: at desk scale this is free and it keeps
 gradient checks sharp.
@@ -283,6 +283,26 @@ def mlp_forward_np(
             e += 1.0
             np.divide(h, e, out=h)
     return h
+
+
+# ---- clipped surrogate term ----
+
+
+def clipped_objective(ratio: np.ndarray, adv: np.ndarray, weight: np.ndarray, clip_eps: float):
+    """sum(weight * min(ratio * adv, clip(ratio, 1 - eps, 1 + eps) * adv)) and
+    its VJP, g -> gradient w.r.t. ratio.  Ties go to the unclipped term, and
+    the clipped term passes gradient only strictly inside the clip range."""
+    lo, hi = 1.0 - clip_eps, 1.0 + clip_eps
+    unclipped = ratio * adv
+    clipped = np.clip(ratio, lo, hi) * adv
+    take = unclipped <= clipped
+    inside = (ratio > lo) & (ratio < hi)
+
+    def vjp(g):
+        g = g * weight
+        return g * ~take * adv * inside + g * take * adv
+
+    return np.sum(np.where(take, unclipped, clipped) * weight), vjp
 
 
 # ---- finite-difference gradient oracle ----

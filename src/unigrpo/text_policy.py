@@ -15,7 +15,8 @@ import numpy as np
 
 from .autodiff import Tape, Var
 from .errors import NumericError
-from .nn import GradSet, AdamState, ParamSet, adam_step, init_mlp_blocks, mlp_forward_np, mlp_var
+from .nn import (AdamState, GradSet, ParamSet, adam_step, clipped_objective, init_mlp_blocks,
+                 mlp_forward_np, mlp_var)
 from .task import EOS, PAD, PROMPT_LEN, TRACE_LEN, VOCAB_SIZE, canonical_trace
 
 
@@ -40,9 +41,41 @@ class TextLossStats:
     token_count: int
 
 
-def _log_softmax_np(z: np.ndarray) -> np.ndarray:
+@dataclass
+class TextUpdateBatch:
+    """Everything a text surrogate needs besides theta, built once per update:
+    one row per (trace, position), trace by trace."""
+
+    rows: np.ndarray       # (n, ctx) context token ids
+    targets: np.ndarray    # (n,) token scored at each row
+    owner: np.ndarray      # (n,) trace of each row
+    position: np.ndarray   # (n,) position of each row in its trace
+    old_logp: np.ndarray   # (n,) sampling-time log-probs
+    adv: np.ndarray        # (n,) advantage of each row's trace
+    weight: np.ndarray     # (n,) 1 / (traces * trace length)
+    inv_t: float
+    kl_weight: np.ndarray | None  # beta_txt * weight, or None without a KL term
+    ref_logp: np.ndarray | None   # (n, vocab) reference log-softmax at T
+
+
+def softmax_np(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row log-softmax and softmax of a 2-D array, stable under large logits."""
     z = z - z.max(axis=-1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    e = np.exp(z)
+    total = e.sum(axis=-1, keepdims=True)
+    return z - np.log(total), e / total
+
+
+def _pick_vjp(logp: np.ndarray, targets: np.ndarray, g_pick: np.ndarray,
+              g_rows: np.ndarray | None = None) -> np.ndarray:
+    """Logits gradient through the log-softmax rows `logp` and their entries
+    at `targets`, given the picked entries' gradient and, when given, a
+    gradient on the whole rows (summed in that order)."""
+    g = np.zeros_like(logp)
+    g[np.arange(len(targets)), targets] = g_pick
+    if g_rows is not None:
+        g = g_rows + g
+    return g - np.exp(logp) * g.sum(axis=-1, keepdims=True)
 
 
 class TextPolicy:
@@ -73,14 +106,24 @@ class TextPolicy:
 
     # ---- context construction ----
 
-    def context_rows(self, prompt_tokens, trace_tokens) -> np.ndarray:
-        """(len(trace), ctx) token-id rows; row k sees prompt + trace[:k]."""
-        n = len(trace_tokens)
-        rows = np.full((n, self.ctx), PAD, dtype=np.int64)
-        rows[:, : self.prompt_len] = prompt_tokens
-        for k in range(n):
-            rows[k, self.prompt_len : self.prompt_len + k] = trace_tokens[:k]
-        return rows
+    def token_rows(self, prompt_seqs, trace_seqs):
+        """Context rows of every position of every trace, trace by trace: the
+        row of position k of trace i holds prompt i, then trace i[:k], then
+        PAD, and predicts trace i[k].  Returns (rows, targets, owner,
+        position), the last two giving each row's trace and position."""
+        lens = np.fromiter(map(len, trace_seqs), np.int64, len(trace_seqs))
+        owner = np.repeat(np.arange(len(lens)), lens)
+        position = np.arange(owner.size) - np.repeat(np.cumsum(lens) - lens, lens)
+        targets = np.fromiter((tok for seq in trace_seqs for tok in seq), np.int64, owner.size)
+        # a trace may be one token longer than the context holds: its last
+        # token is only ever a target
+        traces = np.full((len(lens), self.max_len + 1), PAD, dtype=np.int64)
+        traces[owner, position] = targets
+        rows = np.full((owner.size, self.ctx), PAD, dtype=np.int64)
+        rows[:, : self.prompt_len] = np.asarray(prompt_seqs, dtype=np.int64)[owner]
+        seen = np.arange(self.max_len) < position[:, None]
+        rows[:, self.prompt_len :] = np.where(seen, traces[owner, : self.max_len], PAD)
+        return rows, targets, owner, position
 
     def _embed_np(self, params: ParamSet, ctx_rows: np.ndarray) -> np.ndarray:
         n = ctx_rows.shape[0]
@@ -91,12 +134,17 @@ class TextPolicy:
         return mlp_forward_np(params, self._embed_np(params, ctx_rows), self.arch, "silu")
 
     def _logits_var(self, tape: Tape, params: ParamSet, ctx_rows: np.ndarray) -> Var:
-        n = ctx_rows.shape[0]
-        wte = tape.param(params, "wte")
-        gathered = tape.gather_rows(wte, ctx_rows.reshape(-1))
-        flat = tape.reshape(gathered, (n, self.ctx * self.embed))
-        wpe = tape.reshape(tape.param(params, "wpe"), (self.ctx * self.embed,))
-        x = tape.bias_add(flat, wpe)
+        """Logits on the tape: the token and position embeddings as one node,
+        whose table gradient scatters back by bincount (each cell summed in
+        row order, as np.add.at sums it), then the MLP node."""
+        wte, wpe = tape.param(params, "wte"), tape.param(params, "wpe")
+        cells = (ctx_rows.reshape(-1, 1) * self.embed + np.arange(self.embed)).reshape(-1)
+
+        def vjp(g):
+            g_wte = np.bincount(cells, g.reshape(-1), self.vocab * self.embed)
+            return g_wte.reshape(self.vocab, self.embed), g.sum(axis=0).reshape(self.ctx, -1)
+
+        x = tape.node(self._embed_np(params, ctx_rows), [wte, wpe], vjp)
         return mlp_var(tape, params, x, self.arch, "silu")
 
     # ---- sampling ----
@@ -119,7 +167,7 @@ class TextPolicy:
         live = np.arange(n)
         for k in range(max_len):
             logits = self.logits_np(params, rows[live])
-            logp = _log_softmax_np(logits * (1.0 / temperature))
+            logp = softmax_np(logits * (1.0 / temperature))[0]
             if uniforms is None:
                 chosen = np.argmax(logits, axis=1)
             else:
@@ -148,87 +196,93 @@ class TextPolicy:
 
     # ---- GRPO surrogate ----
 
+    def prepare_batch(self, traces: list[ReasoningTrace], advantages: np.ndarray,
+                      temperature: float, beta_txt: float,
+                      ref_params: ParamSet) -> TextUpdateBatch:
+        """The per-update part of the surrogate: context rows, targets, old
+        log-probs, per-row advantages and weights, and the reference head's
+        log-softmax at T when the KL term is on.  Each trace weighs
+        1/len(traces), so one batch over several groups equals the mean of
+        per-group batches."""
+        G = len(traces)
+        assert len(advantages) == G
+        rows, targets, owner, position = self.token_rows(
+            [tr.prompt_tokens for tr in traces], [tr.tokens for tr in traces]
+        )
+        bad = np.flatnonzero((targets < 0) | (targets >= self.vocab))
+        if bad.size:
+            raise ValueError(f"token out of vocabulary at trace {owner[bad[0]]}, "
+                             f"position {position[bad[0]]}")
+        weight = 1.0 / (G * np.bincount(owner, minlength=G)[owner])
+        inv_t = 1.0 / temperature
+        kl_weight = ref_logp = None
+        if beta_txt != 0.0:
+            kl_weight = beta_txt * weight
+            ref_logp = softmax_np(self.logits_np(ref_params, rows) * inv_t)[0]
+        old_logp = np.concatenate([tr.logprobs for tr in traces])
+        return TextUpdateBatch(rows, targets, owner, position, old_logp,
+                               np.asarray(advantages, dtype=np.float64)[owner], weight,
+                               inv_t, kl_weight, ref_logp)
+
     def surrogate_loss(
-        self,
-        params: ParamSet,
-        traces: list[ReasoningTrace],
-        advantages: np.ndarray,
-        clip_eps: float,
-        beta_txt: float,
-        ref_params: ParamSet,
-        temperature: float = 1.0,
+        self, params: ParamSet, batch: TextUpdateBatch, clip_eps: float,
     ) -> tuple[float, GradSet, TextLossStats]:
         """Clipped importance-weighted objective, averaged per token within a
         trace and across traces, minus the exact per-token KL to the reference
         head.  Both policies are scored at the sampling temperature, so the
         ratio is taken against the distribution the traces were drawn from.
-        Each trace weighs 1/len(traces), so one call over several groups
-        equals the mean of per-group calls.  Returns the ascent gradient."""
-        G = len(traces)
-        assert len(advantages) == G
-        inv_t = 1.0 / temperature
-        rows_list, targets, old_lp, adv_rows, w_rows, origin = [], [], [], [], [], []
-        for i, tr in enumerate(traces):
-            rows_list.append(self.context_rows(tr.prompt_tokens, list(tr.tokens)))
-            targets.extend(tr.tokens)
-            old_lp.extend(tr.logprobs)
-            adv_rows.extend([advantages[i]] * len(tr))
-            w_rows.extend([1.0 / (G * len(tr))] * len(tr))
-            origin.extend((i, k) for k in range(len(tr)))
-        rows = np.concatenate(rows_list, axis=0)
-        targets = np.array(targets)
-        bad = np.flatnonzero((targets < 0) | (targets >= self.vocab))
-        if bad.size:
-            ti, pos = origin[bad[0]]
-            raise ValueError(f"token out of vocabulary at trace {ti}, position {pos}")
-        old_lp = np.array(old_lp)
-        adv_rows = np.array(adv_rows)
-        w_rows = np.array(w_rows)
-
+        Everything after the MLP is one fused head node.  Returns the ascent
+        gradient."""
+        b = batch
         tape = Tape()
-        logits = tape.cmul(self._logits_var(tape, params, rows), inv_t)
-        ls = tape.log_softmax(logits)
-        logp = tape.select_cols(ls, targets)
-        ratio = tape.exp(logp - old_lp)
-
-        bad = np.flatnonzero(~np.isfinite(ratio.value))
+        out = self._logits_var(tape, params, b.rows)
+        logp, probs = softmax_np(out.value * b.inv_t)
+        ratio = np.exp(logp[np.arange(len(b.targets)), b.targets] - b.old_logp)
+        bad = np.flatnonzero(~np.isfinite(ratio))
         if bad.size:
-            ti, pos = origin[bad[0]]
-            raise NumericError(f"non-finite importance ratio at trace {ti}, position {pos}")
+            raise NumericError(f"non-finite importance ratio at trace {b.owner[bad[0]]}, "
+                               f"position {b.position[bad[0]]}")
 
-        unclipped = ratio * adv_rows
-        clipped = tape.clip(ratio, 1.0 - clip_eps, 1.0 + clip_eps) * adv_rows
-        per_tok = tape.minimum(unclipped, clipped)
-        j = tape.sum(per_tok * w_rows)
-
-        if beta_txt != 0.0:
+        j, clip_vjp = clipped_objective(ratio, b.adv, b.weight, clip_eps)
+        if b.kl_weight is not None:
             # exact KL(pi_theta || pi_ref) over the vocabulary, token level
-            ref_ls = _log_softmax_np(self.logits_np(ref_params, rows) * inv_t)
-            kl_rows = tape.sum_rows(tape.softmax(logits) * (ls - ref_ls))
-            j = j - tape.sum(kl_rows * (beta_txt * w_rows))
-        tape.output = j
+            diff = logp - b.ref_logp
+            j = j - np.sum((probs * diff).sum(axis=1) * b.kl_weight)
 
+        def vjp(g):
+            g_rows = g_logits = None
+            if b.kl_weight is not None:
+                g_kl = ((-g) * b.kl_weight)[:, None]
+                g_probs = g_kl * diff
+                g_rows = g_kl * probs
+                g_logits = probs * (g_probs - (g_probs * probs).sum(axis=-1, keepdims=True))
+            g_pick = _pick_vjp(logp, b.targets, clip_vjp(g) * ratio, g_rows)
+            g_logits = g_pick if g_logits is None else g_logits + g_pick
+            return (g_logits * b.inv_t,)
+
+        tape.output = tape.node(j, [out], vjp)
         gs = GradSet(params).add_(tape.param_grads(1.0))
         stats = TextLossStats(
-            surrogate=float(j.value),
-            mean_ratio=float(ratio.value.mean()),
-            max_ratio=float(ratio.value.max()),
-            clip_fraction=float(np.mean(np.abs(ratio.value - 1.0) > clip_eps)),
-            token_count=len(targets),
+            surrogate=float(j),
+            mean_ratio=float(ratio.mean()),
+            max_ratio=float(ratio.max()),
+            clip_fraction=float(np.mean(np.abs(ratio - 1.0) > clip_eps)),
+            token_count=len(b.targets),
         )
-        return float(j.value), gs, stats
+        return float(j), gs, stats
 
     # ---- supervised pretraining ----
 
     def ce_loss(self, params: ParamSet, rows: np.ndarray, targets: np.ndarray):
         """Mean cross-entropy over positions, with gradient."""
         tape = Tape()
-        logits = self._logits_var(tape, params, rows)
-        logp = tape.select_cols(tape.log_softmax(logits), targets)
-        loss = tape.sum(logp * (-1.0 / len(targets)))
-        tape.output = loss
+        out = self._logits_var(tape, params, rows)
+        logp = softmax_np(out.value)[0]
+        scale = -1.0 / len(targets)
+        loss = np.sum(logp[np.arange(len(targets)), targets] * scale)
+        tape.output = tape.node(loss, [out], lambda g: (_pick_vjp(logp, targets, g * scale),))
         gs = GradSet(params).add_(tape.param_grads(1.0))
-        return float(loss.value), gs
+        return float(loss), gs
 
     def pretrain(
         self,
@@ -243,12 +297,11 @@ class TextPolicy:
         and greedy tuple accuracy over the full prompt grid."""
         from .task import all_prompts
 
-        rows_all = np.concatenate(
-            [self.context_rows(p.prompt_tokens, list(p.trace_tokens)) for p in pairs], axis=0
+        rows_all, tgt_all, owner, _ = self.token_rows(
+            [p.prompt_tokens for p in pairs], [p.trace_tokens for p in pairs]
         )
-        tgt_all = np.array([tok for p in pairs for tok in p.trace_tokens])
         # pair i owns rows starts[i] .. starts[i] + lengths[i] - 1
-        lengths = np.array([len(p.trace_tokens) for p in pairs])
+        lengths = np.bincount(owner, minlength=len(pairs))
         starts = np.cumsum(lengths) - lengths
 
         state = AdamState.for_params(params, lr=lr)

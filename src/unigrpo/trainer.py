@@ -175,9 +175,10 @@ def unified_update(
 ) -> tuple[ParamSet, ParamSet, UpdateStats]:
     """PPO epochs of joint ascent on J_text + lambda * J_flow against the
     stored old-policy statistics; degenerate groups are excluded entirely.
-    Each epoch evaluates one surrogate per trained policy over all active
-    groups.  A non-finite objective or gradient skips the whole update:
-    parameters and both optimizer states are returned as they came in."""
+    Each trained policy's batch over all active groups is prepared once, and
+    each epoch evaluates its surrogate on that batch.  A non-finite objective
+    or gradient skips the whole update: parameters and both optimizer states
+    are returned as they came in."""
     cfg = rt.cfg
     active = [g for g in groups if not g.degenerate]
     stats = UpdateStats(0.0, 0.0, 0.0, 0.0)
@@ -195,13 +196,16 @@ def unified_update(
     # adam_step builds new moment vectors, so holding the current ones suffices
     saved = [(adam, adam.m, adam.v, adam.step) for adam in (adam_text, adam_flow)]
     try:
+        if cfg.train_text:
+            text_batch = rt.text_policy.prepare_batch(
+                traces, advantages, cfg.temperature, cfg.beta_txt, text_ref
+            )
+        if cfg.train_flow:
+            flow_batch = rt.flow_policy.prepare_batch(flow, advantages, cfg.reg_mode, flow_ref)
         for epoch in range(cfg.ppo_epochs):
             new_text, new_flow = text_params, flow_params
             if cfg.train_text:
-                j, grads, st = rt.text_policy.surrogate_loss(
-                    text_params, traces, advantages, cfg.clip_eps, cfg.beta_txt, text_ref,
-                    cfg.temperature,
-                )
+                j, grads, st = rt.text_policy.surrogate_loss(text_params, text_batch, cfg.clip_eps)
                 if not np.isfinite(j):
                     raise NumericError("non-finite text surrogate")
                 if epoch == 0:
@@ -210,8 +214,7 @@ def unified_update(
                 new_text = adam_step(text_params, grads.scale_(-1.0), adam_text)  # ascend
             if cfg.train_flow:
                 j, grads, st = rt.flow_policy.surrogate_loss(
-                    flow_params, flow, advantages, cfg.clip_eps,
-                    cfg.reg_mode, reg_weight, flow_ref,
+                    flow_params, flow_batch, cfg.clip_eps, reg_weight
                 )
                 if not np.isfinite(j):
                     raise NumericError("non-finite flow surrogate")

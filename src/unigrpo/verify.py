@@ -25,7 +25,7 @@ from .flow_policy import (
 from .nn import finite_diff_check
 from .rng import stream
 from .task import TaskGeometry, canonical_trace, make_prompt
-from .text_policy import TextPolicy
+from .text_policy import TextPolicy, softmax_np
 from .trainer import group_advantages
 
 SEED = 20_240_501
@@ -103,9 +103,10 @@ def gradient_oracles(corrupt_gradient: bool = False) -> list[OracleResult]:
     adv = np.array([1.0, -0.4, 0.3])
     tref = text.init_params(stream(SEED + 1, "t-init"))
     tmoved = tparams.with_blocks({"W2": tparams["W2"] + 0.01})
+    tbatch = text.prepare_batch(traces, adv, 1.0, 0.05, tref)
 
     def text_loss(p):
-        j, gs, _ = text.surrogate_loss(p, traces, adv, 0.2, 0.05, tref)
+        j, gs, _ = text.surrogate_loss(p, tbatch, 0.2)
         return j, gs
 
     fn = _corrupt(text_loss, "W0") if corrupt_gradient else text_loss
@@ -116,8 +117,7 @@ def gradient_oracles(corrupt_gradient: bool = False) -> list[OracleResult]:
     ))
 
     # text pretraining cross-entropy
-    rows = text.context_rows(prompt.tokens, list(canonical_trace(prompt)))
-    targets = np.array(canonical_trace(prompt))
+    rows, targets, _, _ = text.token_rows([prompt.tokens], [canonical_trace(prompt)])
 
     def ce_loss(p):
         return text.ce_loss(p, rows, targets)
@@ -139,8 +139,10 @@ def gradient_oracles(corrupt_gradient: bool = False) -> list[OracleResult]:
     )
     fmoved = fparams.with_blocks({"b2": fparams["b2"] + 0.01})
     for reg_mode, weight in (("none", 0.0), ("latent-kl", 0.02), ("velocity-mse", 0.5)):
-        def flow_loss(p, reg_mode=reg_mode, weight=weight):
-            j, gs, _ = flow.surrogate_loss(p, batch, adv, 0.2, reg_mode, weight, fref)
+        fbatch = flow.prepare_batch(batch, adv, reg_mode, fref)
+
+        def flow_loss(p, fbatch=fbatch, weight=weight):
+            j, gs, _ = flow.surrogate_loss(p, fbatch, 0.2, weight)
             return j, gs
 
         rep = finite_diff_check(
@@ -348,16 +350,11 @@ def spot_value_oracle() -> OracleResult:
     mu2 = x - (c1 * v2 + c2 * x) * dt
     expected = c1**2 * dt / (2 * st**2) * float(np.sum((v1 - v2) ** 2))
     checks.append(abs(latent_kl(mu1, mu2, st, dt) - expected))
-    # softmax normalization at extreme logits
-    from .autodiff import Tape
-
-    rng = stream(SEED, "sm")
-    tape = Tape()
-    logits = rng.uniform(-50, 50, size=(50, 34))
-    p = tape.softmax(tape.leaf(logits))
-    checks.append(float(np.max(np.abs(p.value.sum(axis=1) - 1.0))))
-    ls = tape.log_softmax(tape.leaf(logits))
-    checks.append(0.0 if np.all(np.isfinite(ls.value)) else 1.0)
+    # softmax normalization at extreme logits, through the text loss heads' function
+    logits = stream(SEED, "sm").uniform(-50, 50, size=(50, 34))
+    ls, p = softmax_np(logits)
+    checks.append(float(np.max(np.abs(p.sum(axis=1) - 1.0))))
+    checks.append(0.0 if np.all(np.isfinite(ls)) else 1.0)
     worst = max(checks)
     return OracleResult("analytic/spot-values", worst, 1e-10, worst < 1e-10)
 

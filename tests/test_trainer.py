@@ -295,16 +295,15 @@ class TestUnifiedUpdate:
         cfg = rt.cfg
         active = [g for g in groups if not g.degenerate]
         j_text_sep = np.mean([
-            rt.text_policy.surrogate_loss(
-                text, g.traces, g.advantages, cfg.clip_eps, cfg.beta_txt, text,
-            )[0]
+            rt.text_policy.surrogate_loss(text, rt.text_policy.prepare_batch(
+                g.traces, g.advantages, cfg.temperature, cfg.beta_txt, text,
+            ), cfg.clip_eps)[0]
             for g in active
         ])
         j_flow_sep = np.mean([
-            rt.flow_policy.surrogate_loss(
-                flow, g.flow, g.advantages, cfg.clip_eps,
-                cfg.reg_mode, cfg.mse_weight, flow,
-            )[0]
+            rt.flow_policy.surrogate_loss(flow, rt.flow_policy.prepare_batch(
+                g.flow, g.advantages, cfg.reg_mode, flow,
+            ), cfg.clip_eps, cfg.mse_weight)[0]
             for g in active
         ])
         _, _, stats = unified_update(rt, groups, text, flow, text, flow, at, af)
@@ -325,12 +324,16 @@ class TestUnifiedUpdate:
         text_ref = text.with_blocks({"b2": text["b2"] - 0.02})
         calls = {
             "text": lambda gs: rt.text_policy.surrogate_loss(
-                text_moved, [tr for g in gs for tr in g.traces],
-                np.concatenate([g.advantages for g in gs]), 0.2, 0.05, text_ref, 0.7,
+                text_moved, rt.text_policy.prepare_batch(
+                    [tr for g in gs for tr in g.traces],
+                    np.concatenate([g.advantages for g in gs]), 0.7, 0.05, text_ref,
+                ), 0.2,
             ),
             "flow": lambda gs: rt.flow_policy.surrogate_loss(
-                flow_moved, FlowBatch.concat([g.flow for g in gs]),
-                np.concatenate([g.advantages for g in gs]), 0.2, reg_mode, 0.02, flow,
+                flow_moved, rt.flow_policy.prepare_batch(
+                    FlowBatch.concat([g.flow for g in gs]),
+                    np.concatenate([g.advantages for g in gs]), reg_mode, flow,
+                ), 0.2, 0.02,
             ),
         }
         for name, call in calls.items():
@@ -384,7 +387,8 @@ class TestEvaluate:
         for prompt, x1 in zip(*es):
             tokens = []
             for _ in range(rt.cfg.max_trace_len):
-                row = tp.context_rows(prompt.tokens, tokens + [PAD])[-1:]
+                row = np.full((1, tp.ctx), PAD, dtype=np.int64)
+                row[0, : tp.prompt_len + len(tokens)] = prompt.tokens + tuple(tokens)
                 tokens.append(int(np.argmax(tp.logits_np(text, row)[0])))
                 if tokens[-1] == EOS:
                     break
