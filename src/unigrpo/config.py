@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -84,25 +85,30 @@ class TrainConfig:
     ablate_updates: int = 0  # 0 -> total_updates
 
     def validate(self) -> "TrainConfig":
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
         if self.group_size < 2:
             raise ConfigError("group_size must be >= 2")
-        for name in ("prompts_per_batch", "max_trace_len", "eval_samples", "pretrain_batch"):
+        for name in ("prompts_per_batch", "max_trace_len", "eval_samples", "pretrain_batch",
+                     "ppo_epochs"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
-        if self.ppo_epochs < 1:
-            raise ConfigError("ppo_epochs must be >= 1")
+        for name in ("temperature", "clip_eps", "lr_text", "lr_flow", "tau_r"):
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"{name} must be positive")
+        for name in ("p_uncond", "p_noise"):
+            if not 0 <= getattr(self, name) <= 1:
+                raise ConfigError(f"{name} must lie in [0, 1]")
         if self.lambda_flow < 0:
             raise ConfigError("lambda_flow must be >= 0")
-        if self.temperature <= 0:
-            raise ConfigError("temperature must be positive")
         if self.timestep_shift < 1:
             raise ConfigError("timestep_shift must be >= 1")
         if self.reg_mode not in ("none", "latent-kl", "velocity-mse"):
             raise ConfigError(f"unknown reg_mode '{self.reg_mode}'")
         if self.beta_img < 0 or self.mse_weight < 0 or self.beta_txt < 0:
             raise ConfigError("regularizer weights must be >= 0")
-        if self.clip_eps <= 0:
-            raise ConfigError("clip_eps must be positive")
         if self.reward_mode not in ("smooth", "binary"):
             raise ConfigError(f"unknown reward_mode '{self.reward_mode}'")
         if not (0 <= self.sde_window_lo <= self.sde_window_hi < self.train_timesteps):

@@ -123,13 +123,15 @@ def evals_per_step(cfg_scale: float) -> int:
 @dataclass
 class FlowBatch:
     """One lockstep denoising pass over B rows.  `states[k]` holds every
-    row's latent before schedule step k and `states[-1]` the samples.  Row i
-    is stochastic for the W steps from `starts[i]`; `mu` holds its
-    sampling-time transition mean at those steps."""
+    row's latent before schedule step k and `states[-1]` the samples, and
+    `velocities[k]` the conditional-branch velocity the sampler evaluated at
+    `states[k]`.  Row i is stochastic for the W steps from `starts[i]`; `mu`
+    holds its sampling-time transition mean at those steps."""
 
     cond_seqs: list
     times: np.ndarray
     states: np.ndarray     # (n+1, B, DIM), step-major
+    velocities: np.ndarray  # (n, B, DIM), step-major
     starts: np.ndarray     # (B,)
     mu: np.ndarray         # (B, W, DIM)
     sigma_level: float
@@ -145,7 +147,8 @@ class FlowBatch:
 
     def take(self, rows: slice) -> FlowBatch:
         return replace(self, cond_seqs=self.cond_seqs[rows], states=self.states[:, rows],
-                       starts=self.starts[rows], mu=self.mu[rows])
+                       velocities=self.velocities[:, rows], starts=self.starts[rows],
+                       mu=self.mu[rows])
 
     @staticmethod
     def concat(batches) -> FlowBatch:
@@ -153,6 +156,7 @@ class FlowBatch:
         return replace(
             batches[0], cond_seqs=[seq for b in batches for seq in b.cond_seqs],
             states=np.concatenate([b.states for b in batches], axis=1),
+            velocities=np.concatenate([b.velocities for b in batches], axis=1),
             starts=np.concatenate([b.starts for b in batches]),
             mu=np.concatenate([b.mu for b in batches]),
         )
@@ -241,14 +245,16 @@ class FlowPolicy:
     # ---- velocity net ----
 
     def velocity_np(self, params: ParamSet, x: np.ndarray, t, cond: np.ndarray,
-                    cfg_scale: float = 1.0) -> np.ndarray:
+                    cfg_scale: float = 1.0, cond_out: np.ndarray | None = None) -> np.ndarray:
         """Velocity at (x, t) given one pooled condition per row; a guidance
         scale other than 1 combines it with the unconditional (zero-condition)
-        branch."""
+        branch.  `cond_out`, when given, receives the conditional branch."""
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         cond = np.atleast_2d(cond)
         feats = time_features(np.broadcast_to(np.asarray(t, dtype=np.float64), (x.shape[0],)))
         v = mlp_forward_np(params, np.concatenate([x, feats, cond], axis=1), self.arch, "tanh")
+        if cond_out is not None:
+            cond_out[...] = v
         if cfg_scale == 1.0:
             return v
         null = np.zeros_like(cond)
@@ -261,10 +267,10 @@ class FlowPolicy:
                  window_starts, window_size: int, sigma_level: float, eps: np.ndarray,
                  cfg_scale: float) -> FlowBatch:
         """Lockstep denoising of every row of x1 with one velocity_np call per
-        step.  Row i conditions on cond_seqs[i]; for the window_size steps
-        from window_starts[i] it takes the noise-injected step, its j-th with
-        noise eps[i, j] of the (B, window_size, DIM) eps, and every other step
-        is plain Euler."""
+        step, whose conditional branch it keeps.  Row i conditions on
+        cond_seqs[i]; for the window_size steps from window_starts[i] it takes
+        the noise-injected step, its j-th with noise eps[i, j] of the
+        (B, window_size, DIM) eps, and every other step is plain Euler."""
         n, B = len(times) - 1, len(cond_seqs)
         starts = np.asarray(window_starts, dtype=np.int64)
         bad = np.flatnonzero((starts < 0) | (starts + window_size > n) | (window_size < 0))
@@ -281,19 +287,21 @@ class FlowPolicy:
         cond = self.cond_np(params, cond_seqs)
         states = np.empty((n + 1, B, DIM))
         states[0] = x1
+        velocities = np.empty((n, B, DIM))
         mu = np.zeros((B, window_size, DIM))
         for k in range(n):
             t = float(times[k])
             dt = float(times[k] - times[k + 1])
             x = states[k]
-            v = self.velocity_np(params, x, t, cond, cfg_scale)
+            v = self.velocity_np(params, x, t, cond, cfg_scale, velocities[k])
             states[k + 1] = x - v * dt
             if window[k]:
                 rows, slots = np.array(window[k]).T
                 mu[rows, slots], _, states[k + 1, rows] = sde_step_values(
                     x[rows], v[rows], t, dt, sigma_level * np.sqrt(t), eps[rows, slots]
                 )
-        return FlowBatch(list(cond_seqs), times, states, starts, mu, sigma_level, cfg_scale)
+        return FlowBatch(list(cond_seqs), times, states, velocities, starts, mu, sigma_level,
+                         cfg_scale)
 
     def hybrid_rollout(self, params: ParamSet, cond_seqs, times: np.ndarray, x1: np.ndarray,
                        window_starts, window_size: int, sigma_level: float, eps: np.ndarray,

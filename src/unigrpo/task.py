@@ -49,21 +49,12 @@ SURFACE_SPREAD: dict[str, tuple[int, ...]] = {}
 
 def _alloc_surface():
     next_id = len(TOKEN_NAMES)
-    for q in QUADRANTS:
-        ids = tuple(range(next_id, next_id + N_SYNONYMS))
-        SURFACE_QUAD[q] = ids
-        TOKEN_NAMES.extend(_SURFACE_WORDS[("quad", q)])
-        next_id += N_SYNONYMS
-    for b in BANDS:
-        ids = tuple(range(next_id, next_id + N_SYNONYMS))
-        SURFACE_BAND[b] = ids
-        TOKEN_NAMES.extend(_SURFACE_WORDS[("band", b)])
-        next_id += N_SYNONYMS
-    for s in SPREADS:
-        ids = tuple(range(next_id, next_id + N_SYNONYMS))
-        SURFACE_SPREAD[s] = ids
-        TOKEN_NAMES.extend(_SURFACE_WORDS[("spread", s)])
-        next_id += N_SYNONYMS
+    for table, kind, values in ((SURFACE_QUAD, "quad", QUADRANTS), (SURFACE_BAND, "band", BANDS),
+                                (SURFACE_SPREAD, "spread", SPREADS)):
+        for value in values:
+            table[value] = tuple(range(next_id, next_id + N_SYNONYMS))
+            TOKEN_NAMES.extend(_SURFACE_WORDS[(kind, value)])
+            next_id += N_SYNONYMS
 
 
 _alloc_surface()
@@ -164,34 +155,27 @@ def canonical_trace(prompt: Prompt) -> tuple[int, ...]:
     )
 
 
-@dataclass(frozen=True)
-class RewardRecord:
-    """Scalar score of one terminal sample and whether the sample was finite;
-    reproducible by construction since the reward is a pure function of the
-    sample and its prompt."""
-
-    reward: float
-    finite: bool
+_QUAD_DIRS = np.stack([_QUAD_DIR[q] for q in QUADRANTS])
 
 
-def score(x0: np.ndarray, prompt: Prompt, geom: TaskGeometry) -> RewardRecord:
-    return RewardRecord(reward(x0, prompt, geom), bool(np.all(np.isfinite(x0))))
-
-
-def reward(x0: np.ndarray, prompt: Prompt, geom: TaskGeometry) -> float:
-    """Sparse terminal reward in [0, 1]; non-finite samples score 0."""
+def score(x0: np.ndarray, prompts, geom: TaskGeometry) -> tuple[np.ndarray, np.ndarray]:
+    """Sparse terminal rewards in [0, 1] of the (n, 2) samples x0, row i
+    scored against prompts[i], and which rows are finite; a non-finite row
+    scores 0.  A pure function of the samples and their prompts."""
     x0 = np.asarray(x0, dtype=np.float64)
-    if not np.all(np.isfinite(x0)):
-        return 0.0
-    spec = target_spec(prompt.quadrant, prompt.band, prompt.spread, geom)
+    dirs = _QUAD_DIRS[[p.quadrant - 1 for p in prompts]]
+    near = np.array([p.band == "near" for p in prompts], dtype=bool)
+    finite = np.isfinite(x0).all(axis=1)
     if geom.reward_mode == "binary":
-        d = _QUAD_DIR[prompt.quadrant]
-        in_quad = np.sign(x0[0]) == np.sign(d[0]) and np.sign(x0[1]) == np.sign(d[1])
-        r = float(np.linalg.norm(x0))
-        in_band = (r < geom.band_split) == (prompt.band == "near")
-        return 1.0 if (in_quad and in_band) else 0.0
-    dist2 = float(np.sum((x0 - spec.mu) ** 2))
-    return float(np.exp(-dist2 / (2.0 * geom.tau_r**2)))
+        in_quad = (np.sign(x0) == np.sign(dirs)).all(axis=1)
+        # a row-by-row dot product, so the radius has np.linalg.norm's bits
+        r = np.sqrt((x0[:, None, :] @ x0[:, :, None]).ravel())
+        rewards = (in_quad & ((r < geom.band_split) == near)).astype(np.float64)
+    else:
+        mu = np.where(near, geom.radius_near, geom.radius_far)[:, None] * dirs
+        dist2 = ((x0 - mu) ** 2).sum(axis=1)
+        rewards = np.exp(-dist2 / (2.0 * geom.tau_r**2))
+    return np.where(finite, rewards, 0.0), finite
 
 
 # ---- pretraining data ----

@@ -37,7 +37,6 @@ from .task import (
     canonical_trace,
     make_prompt,
     make_pretrain_data,
-    reward,
     sample_prompt,
     score,
 )
@@ -139,14 +138,13 @@ def collect_rollouts(rt: Runtime, prompts: list[Prompt], text_old: ParamSet,
         cfg.sigma_level, z[:, DIM:].reshape(len(index), W, DIM),
         cfg_scale=cfg.train_cfg_scale if cfg.train_cfg else 1.0,
     )
+    rewards, finite = score(flow.states[-1], [prompts[slot] for slot in slots], rt.geom)
     groups = []
     for slot, prompt in enumerate(prompts):
         part = slice(slot * G, (slot + 1) * G)
-        records = [score(x, prompt, rt.geom) for x in flow.states[-1, part]]
-        rewards = np.array([rec.reward for rec in records])
         groups.append(GroupRollout(
-            prompt, traces[part], flow.take(part), rewards,
-            group_advantages(rewards, cfg.adv_eps), sum(not rec.finite for rec in records),
+            prompt, traces[part], flow.take(part), rewards[part],
+            group_advantages(rewards[part], cfg.adv_eps), int(np.count_nonzero(~finite[part])),
         ))
     return groups
 
@@ -251,27 +249,25 @@ def evaluate(rt: Runtime, text_params: ParamSet, flow_params: ParamSet,
     """Greedy reasoning + deterministic sampling at the evaluation schedule,
     all prompts decoded and all their samples integrated in one batch; also
     measures how far the tuned velocity field drifted from the frozen
-    reference over the states the sampler actually visits."""
+    reference over the states the sampler actually visits: the sampler keeps
+    the tuned field's conditional velocities there, so only the reference
+    field runs again, one step at a time."""
     cfg = rt.cfg
     prompts, noises = eval_set
     traces = rt.text_policy.greedy_trace(text_params, [p.tokens for p in prompts],
                                          cfg.max_trace_len)
     owners = [i for i, x1 in enumerate(noises) for _ in range(len(x1))]
     seqs = [traces[i].tokens for i in owners]
-    states = rt.flow_policy.ode_rollout_batch(
+    batch = rt.flow_policy.ode_rollout_batch(
         flow_params, seqs, rt.times_eval, np.concatenate(noises), cfg_scale=cfg.eval_cfg_scale
-    ).states
-    rewards = [reward(x, prompts[i], rt.geom) for x, i in zip(states[-1], owners)]
-    # drift over every visited state in one call per field, averaged in
-    # prompt, step, sample order
-    n = len(states) - 1
-    xs = states[:-1].reshape(-1, DIM)
-    ts = np.repeat(rt.times_eval[:-1], len(seqs))
-    v_cur, v_ref = (
-        rt.flow_policy.velocity_np(p, xs, ts, np.tile(rt.flow_policy.cond_np(p, seqs), (n, 1)))
-        for p in (flow_params, flow_ref)
     )
-    drift = np.sum((v_cur - v_ref) ** 2, axis=1).reshape(n, len(prompts), -1)
+    rewards, _ = score(batch.states[-1], [prompts[i] for i in owners], rt.geom)
+    # drift averaged in prompt, step, sample order
+    diff = batch.velocities
+    cond_ref = rt.flow_policy.cond_np(flow_ref, seqs)
+    for k, t in enumerate(rt.times_eval[:-1]):
+        diff[k] -= rt.flow_policy.velocity_np(flow_ref, batch.states[k], t, cond_ref)
+    drift = np.sum(diff * diff, axis=2).reshape(len(diff), len(prompts), -1)
     return {
         "eval_reward": float(np.mean(rewards)),
         "text_accuracy": float(np.mean([tr.tokens == canonical_trace(p)

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,8 @@ from unigrpo.config import TrainConfig, dump_config, load_config, parse_config_t
 from unigrpo.errors import ConfigError
 
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+FLOAT_KEYS = [f.name for f in fields(TrainConfig)
+              if isinstance(getattr(TrainConfig(), f.name), float)]
 
 
 class TestConfigParsing:
@@ -90,6 +93,36 @@ class TestValidation:
         with pytest.raises(ConfigError):
             TrainConfig(**kw).validate()
 
+    @pytest.mark.parametrize("key", FLOAT_KEYS)
+    def test_nonfinite_float_rejected(self, key):
+        for value in ("nan", "inf", "-inf"):
+            with pytest.raises(ConfigError, match=key):
+                parse_config_text(f"{key} = {value}")
+
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            {"tau_r": 0.0},
+            {"tau_r": -0.5},
+            {"lr_text": 0.0},
+            {"lr_text": -1e-3},
+            {"lr_flow": 0.0},
+            {"lr_flow": -3e-3},
+            {"p_uncond": -0.1},
+            {"p_uncond": 2.0},
+            {"p_noise": -0.1},
+            {"p_noise": 1.5},
+        ],
+    )
+    def test_out_of_range_values_rejected(self, kw):
+        with pytest.raises(ConfigError, match=next(iter(kw))):
+            TrainConfig(**kw).validate()
+
+    @pytest.mark.parametrize("kw", [{"p_uncond": 0.0}, {"p_uncond": 1.0}, {"p_noise": 0.0},
+                                    {"p_noise": 1.0}])
+    def test_probability_bounds_accepted(self, kw):
+        TrainConfig(**kw).validate()
+
     def test_default_window_starts(self):
         assert TrainConfig().window_starts == [0, 1, 2, 3]
 
@@ -162,6 +195,14 @@ class TestCli:
         rc = main(["train", "--config", str(bad), "--out", str(tmp_path / "r")])
         assert rc == 2
         assert "not_a_key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["tau_r = 0", "lr_flow = nan", "p_uncond = 2"])
+    def test_out_of_range_value_exits_2(self, tmp_path, capsys, line):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(TINY_CONFIG + line + "\n")
+        rc = main(["train", "--config", str(bad), "--out", str(tmp_path / "r")])
+        assert rc == 2
+        assert line.split()[0] in capsys.readouterr().err
 
     def test_missing_pretrain_exits_3(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"

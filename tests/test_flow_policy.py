@@ -6,6 +6,7 @@ import pytest
 from unigrpo.errors import ConfigError, NumericError
 from unigrpo.flow_policy import (
     DIM,
+    FlowBatch,
     FlowPolicy,
     cfg_velocity,
     drift_coefficients,
@@ -342,6 +343,28 @@ class TestHybridRollout:
                 else:
                     x = x - v * dt
                 np.testing.assert_allclose(batch.states[k + 1, i], x, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("cfg_scale", [1.0, 2.0])
+    def test_keeps_conditional_branch_velocities(self, cfg_scale):
+        # velocities[k] is the conditional branch at states[k], bit for bit,
+        # whatever the guidance scale the sampler steps with; take and concat
+        # keep each row's velocities with its states
+        params = _nontrivial_params(13)
+        seqs, starts = [TRACE, (3, 3, 5), ()], [0, 2, 7]
+        x1 = stream(13, "x1").standard_normal((3, DIM))
+        eps = stream(13, "eps").standard_normal((3, 3, DIM))
+        cond = POLICY.cond_np(params, seqs)
+        for batch in (
+            POLICY.hybrid_rollout(params, seqs, self.TIMES, x1, starts, 3, 0.8, eps, cfg_scale),
+            POLICY.ode_rollout_batch(params, seqs, self.TIMES, x1, cfg_scale),
+        ):
+            assert batch.velocities.shape == (10, 3, DIM)
+            for k in range(10):
+                v = POLICY.velocity_np(params, batch.states[k], self.TIMES[k], cond)
+                np.testing.assert_array_equal(batch.velocities[k], v)
+            parts = FlowBatch.concat([batch.take(slice(1, 3)), batch.take(slice(0, 1))])
+            np.testing.assert_array_equal(parts.velocities, batch.velocities[:, [1, 2, 0]])
+            np.testing.assert_array_equal(parts.states, batch.states[:, [1, 2, 0]])
 
     def test_window_out_of_range_rejected(self):
         with pytest.raises(ConfigError):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from reference_reward import reference_reward
 
 from unigrpo import task
 from unigrpo.rng import stream
@@ -13,14 +14,20 @@ from unigrpo.task import (
     canonical_trace,
     make_prompt,
     make_pretrain_data,
-    reward,
     sample_prompt,
+    score,
     target_spec,
 )
 
 GEOM = TaskGeometry()
 # canonical trace -> (quadrant, band, spread)
 DECODE = {canonical_trace(p): (p.quadrant, p.band, p.spread) for p in all_prompts()}
+
+
+def score_one(x0, prompt, geom) -> float:
+    """The array score of a single row."""
+    rewards, _ = score(np.asarray(x0)[None], [prompt], geom)
+    return rewards[0]
 
 
 def _closed_form_expected_reward(mu_true, mu_gen, tau_gen, tau_r):
@@ -81,35 +88,35 @@ class TestReward:
     def test_at_target_mean_is_one(self):
         p = make_prompt(2, "far", "tight")
         spec = target_spec(p.quadrant, p.band, p.spread, GEOM)
-        assert reward(spec.mu, p, GEOM) == pytest.approx(1.0)
+        assert score_one(spec.mu, p, GEOM) == pytest.approx(1.0)
 
     def test_one_tau_r_away(self):
         p = make_prompt(1, "near", "tight")
         spec = target_spec(p.quadrant, p.band, p.spread, GEOM)
         x = spec.mu + np.array([GEOM.tau_r, 0.0])
-        assert reward(x, p, GEOM) == pytest.approx(np.exp(-0.5), abs=1e-12)
+        assert score_one(x, p, GEOM) == pytest.approx(np.exp(-0.5), abs=1e-12)
 
     def test_binary_mode(self):
         geom = TaskGeometry(reward_mode="binary")
         p = make_prompt(1, "near", "tight")
         spec = target_spec(p.quadrant, p.band, p.spread, geom)
-        assert reward(spec.mu, p, geom) == 1.0
-        assert reward(-spec.mu, p, geom) == 0.0          # wrong quadrant
+        assert score_one(spec.mu, p, geom) == 1.0
+        assert score_one(-spec.mu, p, geom) == 0.0          # wrong quadrant
         far_mu = target_spec(1, "far", "tight", geom).mu
-        assert reward(far_mu, p, geom) == 0.0            # wrong band
+        assert score_one(far_mu, p, geom) == 0.0            # wrong band
 
     def test_nonfinite_sample_scores_zero(self):
         p = make_prompt(1, "near", "tight")
-        assert reward(np.array([np.nan, 0.0]), p, GEOM) == 0.0
+        assert score_one(np.array([np.nan, 0.0]), p, GEOM) == 0.0
 
     def test_bounded_and_pure(self):
         rng = stream(1, "rwd")
         p = make_prompt(3, "far", "wide")
         for _ in range(200):
             x = rng.normal(size=2) * 3
-            r = reward(x, p, GEOM)
+            r = score_one(x, p, GEOM)
             assert 0.0 <= r <= 1.0
-            assert r == reward(x, p, GEOM)
+            assert r == score_one(x, p, GEOM)
 
     def test_expected_reward_matches_gaussian_integral(self):
         # Monte Carlo vs closed form, correct conditioning
@@ -136,11 +143,11 @@ class TestReward:
             xs = gen_spec.mu + gen_spec.tau * rng.standard_normal((n, 2))
             return np.mean(np.exp(-np.sum((xs - true_spec.mu) ** 2, 1) / (2 * GEOM.tau_r**2)))
 
-        # the vectorized scoring above agrees with reward() itself
+        # the vectorized scoring above agrees with score() itself
         p0 = make_prompt(2, "far", "wide")
         spec0 = target_spec(2, "far", "wide", GEOM)
         x0 = spec0.mu + 0.3
-        assert reward(x0, p0, GEOM) == pytest.approx(
+        assert score_one(x0, p0, GEOM) == pytest.approx(
             np.exp(-np.sum((x0 - spec0.mu) ** 2) / (2 * GEOM.tau_r**2))
         )
 
@@ -155,6 +162,60 @@ class TestReward:
             ]
             worst_gap = min(worst_gap, correct - np.mean(wrong_vals))
         assert worst_gap > 0.2
+
+
+class TestScoreOracle:
+    """The array score against the scalar reference, row by row, bit for bit."""
+
+    N = 100_000
+
+    def _rows(self, geom, seed):
+        rng = np.random.default_rng(seed)
+        prompts = list(all_prompts())
+        idx = rng.integers(len(prompts), size=self.N)
+        rows = [prompts[i] for i in idx]
+        mu = np.array([target_spec(p.quadrant, p.band, p.spread, geom).mu for p in prompts])[idx]
+        x = mu + 0.3 * rng.standard_normal((self.N, 2))
+        part = rng.integers(6, size=self.N)
+        wide = part == 1
+        x[wide] = rng.uniform(-2.5, 2.5, size=(int(wide.sum()), 2))
+        # on the band_split circle, up to rounding
+        circ = part == 2
+        theta = rng.uniform(0.0, 2.0 * np.pi, size=int(circ.sum()))
+        x[circ] = geom.band_split * np.stack([np.cos(theta), np.sin(theta)], axis=1)
+        # one coordinate zero, of either sign
+        zero = np.flatnonzero(part == 3)
+        x[zero, rng.integers(2, size=len(zero))] = rng.choice([0.0, -0.0], size=len(zero))
+        # exactly on band_split: the tiny coordinate's square underflows
+        split = np.flatnonzero(part == 4)
+        axis = rng.integers(2, size=len(split))
+        x[split, axis] = geom.band_split * rng.choice([-1.0, 1.0], size=len(split))
+        x[split, 1 - axis] = rng.choice([-1e-200, 1e-200, 0.0], size=len(split))
+        # non-finite and overflowing coordinates
+        bad = np.flatnonzero(part == 5)
+        x[bad, rng.integers(2, size=len(bad))] = rng.choice(
+            [np.nan, np.inf, -np.inf, 1e200, -1e300], size=len(bad))
+        x[:4] = [[0.0, 0.0], [np.nan, np.nan], [np.inf, np.nan], [-0.0, -0.0]]
+        return x, rows
+
+    @pytest.mark.parametrize("geom", [TaskGeometry(), TaskGeometry(reward_mode="binary")],
+                             ids=["smooth", "binary"])
+    def test_matches_scalar_reference_bit_for_bit(self, geom):
+        x, rows = self._rows(geom, 11)
+        with np.errstate(over="ignore"):
+            rewards, finite = score(x, rows, geom)
+            ref = np.array([reference_reward(xx, p, geom) for xx, p in zip(x, rows)])
+        np.testing.assert_array_equal(finite, np.isfinite(x).all(axis=1))
+        assert rewards.dtype == np.float64 and rewards.shape == (self.N,)
+        mismatch = np.flatnonzero(rewards.view(np.int64) != ref.view(np.int64))
+        assert mismatch.size == 0, (mismatch[:5], x[mismatch[:5]], rewards[mismatch[:5]])
+        # the cases the rows were built to hit are there
+        on_split = np.hypot(x[:, 0], x[:, 1]) == geom.band_split
+        assert np.sum(on_split & (x != 0.0).all(axis=1)) > 1000
+        assert np.sum(~finite) > 1000 and np.sum((x == 0.0).any(axis=1)) > 1000
+        if geom.reward_mode == "binary":
+            assert np.sum(on_split & (ref == 1.0)) > 100
+            assert 0.2 < ref.mean() < 0.8
 
 
 class TestPretrainData:

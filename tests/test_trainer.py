@@ -8,7 +8,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from reference_reward import reference_reward
 
+import unigrpo.flow_policy as flow_policy_mod
 import unigrpo.trainer as trainer_mod
 from unigrpo import checkpoint
 from unigrpo.config import TrainConfig
@@ -17,7 +19,8 @@ from unigrpo.flow_policy import FlowBatch, transition_logprob
 from unigrpo.metrics import read_metrics
 from unigrpo.nn import AdamState
 from unigrpo.rng import below, stream, words
-from unigrpo.task import EOS, PAD, canonical_trace, make_prompt, reward, sample_prompt
+from unigrpo.flow_policy import FlowPolicy
+from unigrpo.task import EOS, PAD, canonical_trace, make_prompt, sample_prompt
 from unigrpo.trainer import (
     collect_rollouts,
     evaluate,
@@ -116,21 +119,20 @@ class TestRollouts:
         np.testing.assert_array_equal(a.flow.states[-1], b.flow.states[-1])
 
     def test_exactly_g_reward_evaluations(self, tiny_pretrain, monkeypatch):
-        # sparse terminal reward: scored once per trajectory, at t=0
-        import unigrpo.task as task_mod
-
+        # sparse terminal reward: scored once per trajectory, at t=0, all
+        # trajectories in one call
         rt = _rt()
         text, flow = _snap(rt, tiny_pretrain)
         calls = []
-        real = task_mod.reward
+        real = trainer_mod.score
 
-        def counting(x0, prompt, geom):
-            calls.append(1)
-            return real(x0, prompt, geom)
+        def counting(x0, prompts, geom):
+            calls.append(len(x0))
+            return real(x0, prompts, geom)
 
-        monkeypatch.setattr(task_mod, "reward", counting)
+        monkeypatch.setattr(trainer_mod, "score", counting)
         collect_rollouts(rt, [make_prompt(2, "far", "wide")], text, flow, 0, 1)
-        assert len(calls) == rt.cfg.group_size
+        assert calls == [rt.cfg.group_size]
 
     def test_identical_members_make_degenerate_group(self, tiny_pretrain, monkeypatch):
         # two members with identical draws would yield equal rewards and
@@ -401,10 +403,37 @@ class TestEvaluate:
                 v_cur = fp.velocity_np(moved, x, t, cond_cur)
                 drifts.extend(np.sum((v_cur - fp.velocity_np(flow, x, t, cond_ref)) ** 2, axis=1))
                 x = x - fp.velocity_np(moved, x, t, cond_cur, eval_cfg_scale) * dt
-            rewards.extend(reward(xx, prompt, rt.geom) for xx in x)
+            rewards.extend(reference_reward(xx, prompt, rt.geom) for xx in x)
         assert got["text_accuracy"] == np.mean(accs)
         assert got["eval_reward"] == pytest.approx(np.mean(rewards), rel=0, abs=1e-12)
         assert got["velocity_drift"] == pytest.approx(np.mean(drifts), rel=1e-9)
+
+    @pytest.mark.parametrize("eval_cfg_scale", [1.0, 2.0])
+    def test_one_velocity_pass_per_field(self, tiny_pretrain, eval_cfg_scale, monkeypatch):
+        # the drift reuses the sampler's conditional-branch velocities, so an
+        # eval pass runs the tuned field once (both branches under guidance)
+        # and the frozen reference once, one call per step each
+        rt = make_runtime(replace(TINY, eval_cfg_scale=eval_cfg_scale))
+        text, flow = _snap(rt, tiny_pretrain)
+        moved = flow.with_blocks({"b2": flow["b2"] + 0.01})
+        calls = {"velocity": [], "mlp": []}
+        real_velocity, real_mlp = FlowPolicy.velocity_np, flow_policy_mod.mlp_forward_np
+
+        def velocity(self, params, x, *args, **kwargs):
+            calls["velocity"].append((params is flow, len(x)))
+            return real_velocity(self, params, x, *args, **kwargs)
+
+        def mlp(params, x, *args, **kwargs):
+            calls["mlp"].append(len(x))
+            return real_mlp(params, x, *args, **kwargs)
+
+        monkeypatch.setattr(FlowPolicy, "velocity_np", velocity)
+        monkeypatch.setattr(flow_policy_mod, "mlp_forward_np", mlp)
+        evaluate(rt, text, moved, flow, make_eval_set(rt, 0))
+        steps, rows = rt.cfg.eval_timesteps, 16 * rt.cfg.eval_samples
+        assert calls["velocity"] == [(False, rows)] * steps + [(True, rows)] * steps
+        branches = 1 if eval_cfg_scale == 1.0 else 2
+        assert calls["mlp"] == [rows] * (branches * steps + steps)
 
     def test_deterministic(self, tiny_pretrain):
         rt = _rt()
