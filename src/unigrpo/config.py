@@ -92,17 +92,22 @@ class TrainConfig:
         if self.group_size < 2:
             raise ConfigError("group_size must be >= 2")
         for name in ("prompts_per_batch", "max_trace_len", "eval_samples", "pretrain_batch",
-                     "ppo_epochs"):
+                     "ppo_epochs", "pretrain_text_n", "pretrain_flow_n"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
-        for name in ("temperature", "clip_eps", "lr_text", "lr_flow", "tau_r"):
+        for name in ("temperature", "clip_eps", "lr_text", "lr_flow", "tau_r", "pretrain_text_lr",
+                     "pretrain_flow_lr"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
         for name in ("p_uncond", "p_noise"):
             if not 0 <= getattr(self, name) <= 1:
                 raise ConfigError(f"{name} must lie in [0, 1]")
-        if self.lambda_flow < 0:
-            raise ConfigError("lambda_flow must be >= 0")
+        for name in ("lambda_flow", "tau_tight", "tau_wide"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0")
+        if not 0 < self.radius_near < self.radius_far:
+            raise ConfigError(f"radius_near must lie in (0, radius_far), got radius_near = "
+                              f"{self.radius_near} and radius_far = {self.radius_far}")
         if self.timestep_shift < 1:
             raise ConfigError("timestep_shift must be >= 1")
         if self.reg_mode not in ("none", "latent-kl", "velocity-mse"):

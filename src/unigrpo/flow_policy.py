@@ -244,22 +244,33 @@ class FlowPolicy:
 
     # ---- velocity net ----
 
-    def velocity_np(self, params: ParamSet, x: np.ndarray, t, cond: np.ndarray,
-                    cfg_scale: float = 1.0, cond_out: np.ndarray | None = None) -> np.ndarray:
-        """Velocity at (x, t) given one pooled condition per row; a guidance
-        scale other than 1 combines it with the unconditional (zero-condition)
-        branch.  `cond_out`, when given, receives the conditional branch."""
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        cond = np.atleast_2d(cond)
-        feats = time_features(np.broadcast_to(np.asarray(t, dtype=np.float64), (x.shape[0],)))
-        v = mlp_forward_np(params, np.concatenate([x, feats, cond], axis=1), self.arch, "tanh")
+    def velocity_np(self, params: ParamSet, rows: np.ndarray, cfg_scale: float = 1.0,
+                    cond_out: np.ndarray | None = None) -> np.ndarray:
+        """Velocity at the net's (n, arch[0]) input rows [x | time features |
+        condition]; a guidance scale other than 1 combines it with the
+        unconditional branch, which runs on a copy of the rows with the
+        condition columns zeroed.  `cond_out`, when given, receives the
+        conditional branch."""
+        v = mlp_forward_np(params, rows, self.arch, "tanh")
         if cond_out is not None:
             cond_out[...] = v
         if cfg_scale == 1.0:
             return v
-        null = np.zeros_like(cond)
-        v_un = mlp_forward_np(params, np.concatenate([x, feats, null], axis=1), self.arch, "tanh")
-        return cfg_velocity(v, v_un, cfg_scale)
+        null = rows.copy()
+        null[:, DIM + N_TIME_FEATS:] = 0.0
+        return cfg_velocity(v, mlp_forward_np(params, null, self.arch, "tanh"), cfg_scale)
+
+    def step_rows(self, cond: np.ndarray, times: np.ndarray):
+        """Velocity-net inputs for each step of a schedule: one (B, arch[0])
+        buffer with the condition columns written once; step k writes its
+        time-feature row before yielding, and the caller writes the states
+        into [:, :DIM].  Every step yields the same buffer."""
+        feats = time_features(times[:-1])
+        rows = np.empty((len(cond), self.arch[0]))
+        rows[:, DIM + N_TIME_FEATS:] = cond
+        for f in feats:
+            rows[:, DIM:DIM + N_TIME_FEATS] = f
+            yield rows
 
     # ---- rollouts ----
 
@@ -267,7 +278,8 @@ class FlowPolicy:
                  window_starts, window_size: int, sigma_level: float, eps: np.ndarray,
                  cfg_scale: float) -> FlowBatch:
         """Lockstep denoising of every row of x1 with one velocity_np call per
-        step, whose conditional branch it keeps.  Row i conditions on
+        step over the inputs step_rows builds once per pass, keeping the
+        conditional branch.  Row i conditions on
         cond_seqs[i]; for the window_size steps from window_starts[i] it takes
         the noise-injected step, its j-th with noise eps[i, j] of the
         (B, window_size, DIM) eps, and every other step is plain Euler."""
@@ -284,16 +296,16 @@ class FlowPolicy:
         for i, start in enumerate(starts.tolist()):
             for j in range(window_size):
                 window[start + j].append((i, j))
-        cond = self.cond_np(params, cond_seqs)
         states = np.empty((n + 1, B, DIM))
         states[0] = x1
         velocities = np.empty((n, B, DIM))
         mu = np.zeros((B, window_size, DIM))
-        for k in range(n):
+        for k, inputs in enumerate(self.step_rows(self.cond_np(params, cond_seqs), times)):
             t = float(times[k])
             dt = float(times[k] - times[k + 1])
             x = states[k]
-            v = self.velocity_np(params, x, t, cond, cfg_scale, velocities[k])
+            inputs[:, :DIM] = x
+            v = self.velocity_np(params, inputs, cfg_scale, velocities[k])
             states[k + 1] = x - v * dt
             if window[k]:
                 rows, slots = np.array(window[k]).T
@@ -426,8 +438,9 @@ class FlowPolicy:
         reg_target = kl_scale = None
         if reg_mode != "none":
             # frozen-reference velocities at the stored states, constant in theta
-            reg_target = self.velocity_np(ref_params, xs, ts, pool @ ref_params["cemb"],
-                                          batch.cfg_scale)
+            reg_target = self.velocity_np(
+                ref_params, np.concatenate([xt, pool @ ref_params["cemb"]], axis=1),
+                batch.cfg_scale)
             if reg_mode == "latent-kl":
                 reg_target = xs - (c1 * reg_target + c2 * xs) * dts[:, None]
                 kl_scale = 1.0 / (2.0 * sig**2 * dts)

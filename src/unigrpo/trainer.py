@@ -264,9 +264,10 @@ def evaluate(rt: Runtime, text_params: ParamSet, flow_params: ParamSet,
     rewards, _ = score(batch.states[-1], [prompts[i] for i in owners], rt.geom)
     # drift averaged in prompt, step, sample order
     diff = batch.velocities
-    cond_ref = rt.flow_policy.cond_np(flow_ref, seqs)
-    for k, t in enumerate(rt.times_eval[:-1]):
-        diff[k] -= rt.flow_policy.velocity_np(flow_ref, batch.states[k], t, cond_ref)
+    fp = rt.flow_policy
+    for k, rows in enumerate(fp.step_rows(fp.cond_np(flow_ref, seqs), rt.times_eval)):
+        rows[:, :DIM] = batch.states[k]
+        diff[k] -= fp.velocity_np(flow_ref, rows)
     drift = np.sum(diff * diff, axis=2).reshape(len(diff), len(prompts), -1)
     return {
         "eval_reward": float(np.mean(rewards)),

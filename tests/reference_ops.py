@@ -5,7 +5,9 @@
 losses used to chain: elementwise arithmetic, log-softmax, clipping,
 row sums and the like.  The fused-head oracles rebuild each loss from
 these ops and require the same value and gradients; test_autodiff.py
-checks every op against finite differences.
+checks every op against finite differences.  `reference_velocity` is the
+velocity net as the samplers called it before they built its input rows
+once per pass, the oracle for those rows.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ from typing import Sequence
 import numpy as np
 
 from unigrpo.autodiff import Tape, Var
+from unigrpo.flow_policy import cfg_velocity, time_features
+from unigrpo.nn import mlp_forward_np
 
 
 def _f64(x) -> np.ndarray:
@@ -147,3 +151,23 @@ class OpTape(Tape):
         """Clamp; gradient passes only strictly inside (lo, hi)."""
         inside = (x.value > lo) & (x.value < hi)
         return self.node(np.clip(x.value, lo, hi), [x], lambda g: (g * inside,))
+
+
+# ---- the velocity net at one time per call ----
+
+
+def reference_velocity(policy, params, x, t, cond, cfg_scale=1.0) -> np.ndarray:
+    """Velocity at (x, t) given one pooled condition per row, as it was
+    computed before the samplers built their inputs once per pass: the time
+    features of t broadcast to every row, concatenated with x and the
+    condition on every call; under guidance the unconditional branch sees a
+    zero condition."""
+    x = np.atleast_2d(_f64(x))
+    cond = np.atleast_2d(cond)
+    feats = time_features(np.broadcast_to(_f64(t), (x.shape[0],)))
+    v = mlp_forward_np(params, np.concatenate([x, feats, cond], axis=1), policy.arch, "tanh")
+    if cfg_scale == 1.0:
+        return v
+    null = np.zeros_like(cond)
+    v_un = mlp_forward_np(params, np.concatenate([x, feats, null], axis=1), policy.arch, "tanh")
+    return cfg_velocity(v, v_un, cfg_scale)

@@ -19,6 +19,13 @@ from unigrpo.errors import ConfigError
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 FLOAT_KEYS = [f.name for f in fields(TrainConfig)
               if isinstance(getattr(TrainConfig(), f.name), float)]
+GEOMETRY_AND_PRETRAIN_LINES = [
+    "pretrain_text_lr = 0", "pretrain_text_lr = -3e-3", "pretrain_flow_lr = 0",
+    "pretrain_flow_lr = -3e-3", "pretrain_text_n = 0", "pretrain_flow_n = 0",
+    "pretrain_flow_n = -5", "tau_tight = -0.1", "tau_wide = -1e-9", "radius_near = 0",
+    "radius_near = -0.5", "radius_near = 1.5", "radius_near = 2.0", "radius_far = 0.5",
+    "radius_far = 0.1",
+]
 
 
 class TestConfigParsing:
@@ -123,6 +130,19 @@ class TestValidation:
     def test_probability_bounds_accepted(self, kw):
         TrainConfig(**kw).validate()
 
+    @pytest.mark.parametrize("line", GEOMETRY_AND_PRETRAIN_LINES)
+    def test_geometry_and_pretrain_values_rejected(self, line):
+        # a negative learning rate would ascend the pretraining losses, an
+        # empty dataset has nothing to fit, and a non-positive or inverted
+        # radius pair would mirror or swap the targets
+        with pytest.raises(ConfigError, match=line.split()[0]):
+            parse_config_text(line)
+
+    @pytest.mark.parametrize("line", ["tau_tight = 0", "tau_wide = 0", "radius_near = 1e-9",
+                                      "radius_near = 1.4999", "radius_far = 0.5001"])
+    def test_geometry_bounds_accepted(self, line):
+        parse_config_text(line)
+
     def test_default_window_starts(self):
         assert TrainConfig().window_starts == [0, 1, 2, 3]
 
@@ -196,7 +216,8 @@ class TestCli:
         assert rc == 2
         assert "not_a_key" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("line", ["tau_r = 0", "lr_flow = nan", "p_uncond = 2"])
+    @pytest.mark.parametrize("line", ["tau_r = 0", "lr_flow = nan", "p_uncond = 2"]
+                             + GEOMETRY_AND_PRETRAIN_LINES)
     def test_out_of_range_value_exits_2(self, tmp_path, capsys, line):
         bad = tmp_path / "bad.cfg"
         bad.write_text(TINY_CONFIG + line + "\n")

@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from reference_ops import reference_velocity
 
+import unigrpo.flow_policy as flow_policy_mod
 from unigrpo.errors import ConfigError, NumericError
 from unigrpo.flow_policy import (
     DIM,
+    N_TIME_FEATS,
     FlowBatch,
     FlowPolicy,
     cfg_velocity,
@@ -13,6 +16,7 @@ from unigrpo.flow_policy import (
     latent_kl,
     ratio_norm,
     sde_step_values,
+    time_features,
     timestep_schedule,
     transition_logprob,
 )
@@ -171,25 +175,27 @@ class TestCfgVelocity:
 class TestVelocityNet:
     def test_zero_final_layer_gives_zero_velocity(self):
         params = _params()
-        v = POLICY.velocity_np(params, np.array([0.7, -0.3]), 0.5, np.ones(POLICY.cond_dim))
+        v = reference_velocity(POLICY, params, np.array([0.7, -0.3]), 0.5,
+                               np.ones(POLICY.cond_dim))
         np.testing.assert_array_equal(v, np.zeros((1, DIM)))
 
     def test_deterministic(self):
         params = _params(1)
         params = params.with_blocks({"W2": _params(2)["W2"]})
         x, cond = np.array([0.1, 0.2]), np.ones(POLICY.cond_dim)
-        v1 = POLICY.velocity_np(params, x, 0.3, cond)
-        v2 = POLICY.velocity_np(params, x, 0.3, cond)
+        v1 = reference_velocity(POLICY, params, x, 0.3, cond)
+        v2 = reference_velocity(POLICY, params, x, 0.3, cond)
         np.testing.assert_array_equal(v1, v2)
 
     def test_guidance_combines_branches(self):
         params = _nontrivial_params(21)
         x = stream(21, "x").standard_normal((3, DIM))
         cond = POLICY.cond_np(params, [TRACE] * 3)
-        v_c = POLICY.velocity_np(params, x, 0.4, cond)
-        v_u = POLICY.velocity_np(params, x, 0.4, np.zeros((3, POLICY.cond_dim)))
+        v_c = reference_velocity(POLICY, params, x, 0.4, cond)
+        v_u = reference_velocity(POLICY, params, x, 0.4, np.zeros((3, POLICY.cond_dim)))
         np.testing.assert_array_equal(
-            POLICY.velocity_np(params, x, 0.4, cond, cfg_scale=2.0), cfg_velocity(v_c, v_u, 2.0)
+            reference_velocity(POLICY, params, x, 0.4, cond, cfg_scale=2.0),
+            cfg_velocity(v_c, v_u, 2.0),
         )
 
 
@@ -215,7 +221,7 @@ class TestSdeStep:
         assert batch.starts[0] == 0 and batch.mu.shape[1] == n
         for k in range(n):
             t, dt = float(self.TIMES[k]), float(self.TIMES[k] - self.TIMES[k + 1])
-            v = POLICY.velocity_np(params, batch.states[k], t, cond)
+            v = reference_velocity(POLICY, params, batch.states[k], t, cond)
             np.testing.assert_array_equal(batch.states[k + 1], batch.states[k] - v * dt)
             np.testing.assert_array_equal(batch.mu[:, k], batch.states[k + 1])
         # no transition density exists at zero noise
@@ -238,7 +244,7 @@ class TestSdeStep:
             k = 1 + j
             t, dt = float(self.TIMES[k]), float(self.TIMES[k] - self.TIMES[k + 1])
             x = batch.states[k]
-            v = POLICY.velocity_np(params, x, t, cond)
+            v = reference_velocity(POLICY, params, x, t, cond)
             mu, s, _ = sde_step_values(x, v, t, dt, 0.8 * np.sqrt(t), np.zeros(DIM))
             np.testing.assert_array_equal(mu, batch.mu[:, j])
             assert transition_logprob(batch.mu[0, j], s, batch.states[k + 1, 0]) == pytest.approx(
@@ -302,7 +308,7 @@ class TestHybridRollout:
         euler = []
         for k in range(10):
             t, dt = float(self.TIMES[k]), float(self.TIMES[k] - self.TIMES[k + 1])
-            v = POLICY.velocity_np(params, batch.states[k], t, cond)
+            v = reference_velocity(POLICY, params, batch.states[k], t, cond)
             euler.append(np.array_equal(batch.states[k + 1], batch.states[k] - v * dt))
             if k in (2, 3, 4):
                 mu, s, _ = sde_step_values(batch.states[k, 0], v[0], t, dt, 0.8 * np.sqrt(t),
@@ -333,7 +339,7 @@ class TestHybridRollout:
             np.testing.assert_allclose(batch.states[0, i], x, rtol=0, atol=1e-12)
             for k in range(len(self.TIMES) - 1):
                 t, dt = float(self.TIMES[k]), float(self.TIMES[k] - self.TIMES[k + 1])
-                v = POLICY.velocity_np(params, x, t, cond)[0]
+                v = reference_velocity(POLICY, params, x, t, cond)[0]
                 if start <= k < start + size:
                     mu, s, x = sde_step_values(x, v, t, dt, sigma * np.sqrt(t),
                                                rng.standard_normal(DIM))
@@ -360,7 +366,7 @@ class TestHybridRollout:
         ):
             assert batch.velocities.shape == (10, 3, DIM)
             for k in range(10):
-                v = POLICY.velocity_np(params, batch.states[k], self.TIMES[k], cond)
+                v = reference_velocity(POLICY, params, batch.states[k], self.TIMES[k], cond)
                 np.testing.assert_array_equal(batch.velocities[k], v)
             parts = FlowBatch.concat([batch.take(slice(1, 3)), batch.take(slice(0, 1))])
             np.testing.assert_array_equal(parts.velocities, batch.velocities[:, [1, 2, 0]])
@@ -380,6 +386,125 @@ class TestHybridRollout:
         ).velocity_evals
         assert n_plain == 5 * 10
         assert n_guided == 2 * 5 * 10
+
+
+
+def _step_loop_reference(params, seqs, times, x1, starts, size, sigma, eps, cfg_scale):
+    """The lockstep sampler as it ran before it built the velocity-net inputs
+    once per pass: one reference_velocity call per step over every row, then
+    the noise-injected step row by row inside each window."""
+    n, B = len(times) - 1, len(seqs)
+    cond = POLICY.cond_np(params, seqs)
+    states, velocities = [np.asarray(x1, dtype=np.float64)], []
+    mu = np.zeros((B, size, DIM))
+    for k in range(n):
+        t, dt = float(times[k]), float(times[k] - times[k + 1])
+        x = states[-1]
+        velocities.append(reference_velocity(POLICY, params, x, t, cond))
+        v = reference_velocity(POLICY, params, x, t, cond, cfg_scale)
+        nxt = x - v * dt
+        for i in range(B):
+            j = k - starts[i]
+            if 0 <= j < size:
+                mu[i, j], _, nxt[i] = sde_step_values(x[i], v[i], t, dt, sigma * np.sqrt(t),
+                                                      eps[i, j])
+        states.append(nxt)
+    return np.stack(states), np.stack(velocities), mu
+
+
+class TestVelocityInputs:
+    """The samplers build the velocity net's input rows once per pass: the
+    time features of the whole schedule in one call, the condition columns
+    once, and each step writes only its states and its feature row."""
+
+    TIMES, _ = timestep_schedule(10, 3.0)
+
+    @pytest.mark.parametrize("windowed", [False, True])
+    @pytest.mark.parametrize("cfg_scale", [1.0, 2.0, 3.0])
+    @pytest.mark.parametrize("B", [1, 32, 128])
+    def test_rollouts_match_per_step_reference_bit_for_bit(self, B, cfg_scale, windowed):
+        params = _nontrivial_params(40)
+        rng = stream(40, "inputs", B)
+        seqs = [TRACE, (3, 3, 5), (), (7,)] * (B // 4) if B > 1 else [TRACE]
+        x1 = rng.standard_normal((B, DIM))
+        if windowed:
+            starts, size, sigma = rng.integers(0, 8, size=B), 3, 0.8
+            eps = rng.standard_normal((B, size, DIM))
+            batch = POLICY.hybrid_rollout(params, seqs, self.TIMES, x1, starts, size, sigma, eps,
+                                          cfg_scale)
+        else:
+            starts, size, sigma, eps = np.zeros(B, dtype=np.int64), 0, 0.0, np.zeros((B, 0, DIM))
+            batch = POLICY.ode_rollout_batch(params, seqs, self.TIMES, x1, cfg_scale)
+        states, velocities, mu = _step_loop_reference(params, seqs, self.TIMES, x1, starts, size,
+                                                      sigma, eps, cfg_scale)
+        np.testing.assert_array_equal(batch.states, states)
+        np.testing.assert_array_equal(batch.velocities, velocities)
+        np.testing.assert_array_equal(batch.mu, mu)
+
+    def test_feature_table_matches_per_step_features(self):
+        # every schedule the parser accepts up to 100 steps: n_steps >= 1 and
+        # any finite shift >= 1, here a grid plus random shifts; the per-step
+        # features are taken as the samplers took them, over t broadcast to
+        # every row
+        shifts = [1.0, 1.5, 3.0, 7.0, 1.0 + stream(41, "shift").exponential(3.0)]
+        for n in range(1, 101):
+            for shift in shifts:
+                times, _ = timestep_schedule(n, shift)
+                table = time_features(times[:-1])
+                assert table.shape == (n, N_TIME_FEATS)
+                for rows in (1, 32, 128):
+                    per_step = np.stack([time_features(np.broadcast_to(t, (rows,)))
+                                         for t in times[:-1]])
+                    same = np.array_equal(per_step, np.broadcast_to(table[:, None], per_step.shape))
+                    assert same, (n, shift, rows)
+
+    def test_velocity_rows_match_reference(self):
+        # velocity_np takes the rows as they are and leaves them unchanged;
+        # cond_out receives the conditional branch under guidance too
+        params = _nontrivial_params(42)
+        x = stream(42, "x").standard_normal((5, DIM))
+        cond = POLICY.cond_np(params, [TRACE, (3, 3, 5), (), (7,), TRACE])
+        rows = np.concatenate([x, time_features(np.full(5, 0.3)), cond], axis=1)
+        before = rows.copy()
+        for cfg_scale in (1.0, 2.0, 3.0):
+            cond_out = np.empty((5, DIM))
+            v = POLICY.velocity_np(params, rows, cfg_scale, cond_out)
+            np.testing.assert_array_equal(
+                v, reference_velocity(POLICY, params, x, 0.3, cond, cfg_scale))
+            np.testing.assert_array_equal(cond_out, reference_velocity(POLICY, params, x, 0.3, cond))
+            np.testing.assert_array_equal(rows, before)
+
+    @pytest.mark.parametrize("cfg_scale", [1.0, 2.0])
+    def test_one_feature_table_per_pass(self, cfg_scale, monkeypatch):
+        # one time_features call per denoising pass and per prepared batch;
+        # one velocity_np call per step, over all B rows
+        params = _nontrivial_params(43)
+        feature_calls, velocity_rows = [], []
+        real_features, real_velocity = flow_policy_mod.time_features, FlowPolicy.velocity_np
+
+        def features(t):
+            feature_calls.append(np.size(t))
+            return real_features(t)
+
+        def velocity(self, params, rows, *args, **kwargs):
+            velocity_rows.append(len(rows))
+            return real_velocity(self, params, rows, *args, **kwargs)
+
+        monkeypatch.setattr(flow_policy_mod, "time_features", features)
+        monkeypatch.setattr(FlowPolicy, "velocity_np", velocity)
+        B, n = 6, len(self.TIMES) - 1
+        x1 = stream(43, "x1").standard_normal((B, DIM))
+        eps = stream(43, "eps").standard_normal((B, 3, DIM))
+        batch = POLICY.hybrid_rollout(params, [TRACE] * B, self.TIMES, x1, [0, 1, 2, 3, 4, 7], 3,
+                                      0.8, eps, cfg_scale)
+        assert feature_calls == [n] and velocity_rows == [B] * n
+        del feature_calls[:], velocity_rows[:]
+        POLICY.ode_rollout_batch(params, [TRACE] * B, self.TIMES, x1, cfg_scale)
+        assert feature_calls == [n] and velocity_rows == [B] * n
+        for reg_mode, n_ref in (("none", 0), ("latent-kl", 1), ("velocity-mse", 1)):
+            del feature_calls[:], velocity_rows[:]
+            POLICY.prepare_batch(batch, np.ones(B), reg_mode, params)
+            assert feature_calls == [B * 3] and velocity_rows == [B * 3] * n_ref
 
 
 class TestPretraining:
@@ -478,7 +603,7 @@ class TestPretraining:
             t = float(1.0 - rng.random())
             rho = np.sqrt((1 - t) ** 2 * tau**2 + t**2)
             x = (1 - t) * mu0 + rho * rng.standard_normal(2)
-            v = POLICY.velocity_np(params, x, t, cond)[0]
+            v = reference_velocity(POLICY, params, x, t, cond)[0]
             errs.append(np.sum((v - v_star(x, t)) ** 2))
         assert np.mean(errs) < 0.05
 
@@ -551,7 +676,7 @@ class TestFlowSurrogate:
                 t, dt = float(batch.times[k]), float(batch.times[k] - batch.times[k + 1])
                 sigma_t = batch.sigma_level * np.sqrt(t)
                 x, x_next = batch.states[k, i], batch.states[k + 1, i]
-                v = POLICY.velocity_np(moved, x, t, cond)[0]
+                v = reference_velocity(POLICY, moved, x, t, cond)[0]
                 c1, c2 = drift_coefficients(t, sigma_t)
                 mu = x - (c1 * v + c2 * x) * dt
                 s = sigma_t * np.sqrt(dt)

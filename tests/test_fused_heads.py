@@ -12,7 +12,7 @@ beta_txt 0, cfg 1, velocity-mse).
 
 import numpy as np
 import pytest
-from reference_ops import OpTape
+from reference_ops import OpTape, reference_velocity
 
 from unigrpo.autodiff import Tape
 from unigrpo.flow_policy import (DIM, FlowPolicy, drift_coefficients, time_features,
@@ -194,7 +194,8 @@ def _old_flow_surrogate(params, batch, advantages, clip_eps, reg_mode, reg_weigh
     j = tape.sum(tape.cmul(tape.minimum(unclipped, clipped), w_rows))
     reg_value = 0.0
     if reg_mode != "none":
-        v_ref = FLOW.velocity_np(ref_params, xs, ts, pool @ ref_params["cemb"], batch.cfg_scale)
+        v_ref = reference_velocity(FLOW, ref_params, xs, ts, pool @ ref_params["cemb"],
+                                   batch.cfg_scale)
         if reg_mode == "velocity-mse":
             reg_rows = tape.sum_rows(tape.square(tape.cadd(v, -v_ref)))
         else:

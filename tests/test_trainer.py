@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from reference_ops import reference_velocity
 from reference_reward import reference_reward
 
 import unigrpo.flow_policy as flow_policy_mod
@@ -400,9 +401,10 @@ class TestEvaluate:
             x = x1.copy()
             for k in range(len(times) - 1):
                 t, dt = float(times[k]), float(times[k] - times[k + 1])
-                v_cur = fp.velocity_np(moved, x, t, cond_cur)
-                drifts.extend(np.sum((v_cur - fp.velocity_np(flow, x, t, cond_ref)) ** 2, axis=1))
-                x = x - fp.velocity_np(moved, x, t, cond_cur, eval_cfg_scale) * dt
+                v_cur = reference_velocity(fp, moved, x, t, cond_cur)
+                v_ref = reference_velocity(fp, flow, x, t, cond_ref)
+                drifts.extend(np.sum((v_cur - v_ref) ** 2, axis=1))
+                x = x - reference_velocity(fp, moved, x, t, cond_cur, eval_cfg_scale) * dt
             rewards.extend(reference_reward(xx, prompt, rt.geom) for xx in x)
         assert got["text_accuracy"] == np.mean(accs)
         assert got["eval_reward"] == pytest.approx(np.mean(rewards), rel=0, abs=1e-12)

@@ -1,0 +1,101 @@
+"""Byte-identity check: run the fixed-seed recipe and compare its output hashes.
+
+    python3 tools/recipe_hashes.py           # exit 0 iff all 17 hashes match
+    python3 tools/recipe_hashes.py --write   # record the current hashes instead
+
+The recipe runs `unigrpo pretrain --seed 101` at desk defaults, then
+`unigrpo train --seed 101` three times from that pretraining, all in a
+temporary directory:
+
+    desk     desk defaults
+    guided   frozen text, train_cfg = true at scale 2, latent-kl, group 16
+    t07      reg_mode none, temperature 0.7
+
+and takes the sha256 of the 17 outputs that a fixed seed determines: the
+pretraining text.ckpt and flow.ckpt, and each run's metrics.csv,
+groups.jsonl, state.ckpt, text.ckpt and flow.ckpt.  It compares them with
+tools/recipe_hashes.json.  A change that is not meant to move any number
+must keep every hash.  The commands run from this checkout's `src`.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+HASHES = Path(__file__).with_name("recipe_hashes.json")
+SEED = "101"
+RUNS = {
+    "desk": {},
+    "guided": {"train_text": "false", "train_cfg": "true", "train_cfg_scale": "2.0",
+               "reg_mode": "latent-kl", "group_size": "16"},
+    "t07": {"reg_mode": "none", "temperature": "0.7"},
+}
+PRETRAIN_FILES = ("text.ckpt", "flow.ckpt")
+RUN_FILES = ("metrics.csv", "groups.jsonl", "state.ckpt", "text.ckpt", "flow.ckpt")
+
+
+def config_text(overrides: dict) -> str:
+    """configs/desk.cfg with each overridden key's line replaced."""
+    lines = []
+    for line in (ROOT / "configs" / "desk.cfg").read_text().splitlines():
+        key = line.split("=", 1)[0].strip()
+        if "=" in line and not line.lstrip().startswith("#") and key in overrides:
+            line = f"{key} = {overrides[key]}"
+        lines.append(line)
+    return "\n".join(lines) + "\n"
+
+
+def run_cli(*args: str) -> None:
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    subprocess.run([sys.executable, "-m", "unigrpo.cli", *args], env=env, check=True,
+                   stdout=subprocess.DEVNULL)
+
+
+def sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def recipe_hashes(work: Path) -> dict:
+    pre = work / "pretrain"
+    run_cli("pretrain", "--seed", SEED, "--out", str(pre))
+    hashes = {f"pretrain/{name}": sha256(pre / name) for name in PRETRAIN_FILES}
+    for run, overrides in RUNS.items():
+        cfg = work / f"{run}.cfg"
+        cfg.write_text(config_text({**overrides, "pretrain_dir": str(pre)}))
+        run_cli("train", "--config", str(cfg), "--seed", SEED, "--out", str(work / run))
+        hashes.update({f"{run}/{name}": sha256(work / run / name) for name in RUN_FILES})
+    return hashes
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--write", action="store_true",
+                        help=f"record the hashes in {HASHES.name} instead of comparing")
+    args = parser.parse_args()
+    with tempfile.TemporaryDirectory(prefix="recipe-") as tmp:
+        got = recipe_hashes(Path(tmp))
+    if args.write:
+        HASHES.write_text(json.dumps(got, indent=2) + "\n")
+        print(f"wrote {len(got)} hashes to {HASHES}")
+        return 0
+    want = json.loads(HASHES.read_text())
+    bad = 0
+    for name in sorted(want.keys() | got.keys()):
+        ok = want.get(name) == got.get(name)
+        bad += not ok
+        print(f"ok       {name}" if ok else
+              f"MISMATCH {name}: got {got.get(name)}, want {want.get(name)}")
+    print(f"{len(want) - bad}/{len(want)} hashes match")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
