@@ -7,6 +7,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .errors import ConfigError
+from .task import TRACE_LEN
 
 
 @dataclass
@@ -91,12 +92,20 @@ class TrainConfig:
                 raise ConfigError(f"{f.name} must be finite, got {value}")
         if self.group_size < 2:
             raise ConfigError("group_size must be >= 2")
-        for name in ("prompts_per_batch", "max_trace_len", "eval_samples", "pretrain_batch",
-                     "ppo_epochs", "pretrain_text_n", "pretrain_flow_n"):
+        for name in ("prompts_per_batch", "eval_samples", "pretrain_batch", "ppo_epochs",
+                     "pretrain_text_n", "pretrain_flow_n", "train_timesteps", "eval_timesteps",
+                     "ablate_seeds"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
+        for name in ("total_updates", "eval_every", "checkpoint_every", "ablate_updates"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0")
+        # a canonical trace may be one token longer than the context holds
+        if self.max_trace_len < TRACE_LEN - 1:
+            raise ConfigError(f"max_trace_len must be >= {TRACE_LEN - 1}: a canonical trace "
+                              f"has {TRACE_LEN} tokens")
         for name in ("temperature", "clip_eps", "lr_text", "lr_flow", "tau_r", "pretrain_text_lr",
-                     "pretrain_flow_lr"):
+                     "pretrain_flow_lr", "adv_eps"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
         for name in ("p_uncond", "p_noise"):

@@ -122,13 +122,14 @@ def evals_per_step(cfg_scale: float) -> int:
 
 @dataclass
 class FlowBatch:
-    """One lockstep denoising pass over B rows.  `states[k]` holds every
-    row's latent before schedule step k and `states[-1]` the samples, and
-    `velocities[k]` the conditional-branch velocity the sampler evaluated at
-    `states[k]`.  Row i is stochastic for the W steps from `starts[i]`; `mu`
-    holds its sampling-time transition mean at those steps."""
+    """One lockstep denoising pass over B rows.  `pool[i]` holds row i's
+    token pooling weights, `states[k]` every row's latent before schedule
+    step k and `states[-1]` the samples, and `velocities[k]` the
+    conditional-branch velocity the sampler evaluated at `states[k]`.  Row i
+    is stochastic for the W steps from `starts[i]`; `mu` holds its
+    sampling-time transition mean at those steps."""
 
-    cond_seqs: list
+    pool: np.ndarray       # (B, vocab)
     times: np.ndarray
     states: np.ndarray     # (n+1, B, DIM), step-major
     velocities: np.ndarray  # (n, B, DIM), step-major
@@ -146,7 +147,7 @@ class FlowBatch:
         return self.evals_per_row * len(self.starts)
 
     def take(self, rows: slice) -> FlowBatch:
-        return replace(self, cond_seqs=self.cond_seqs[rows], states=self.states[:, rows],
+        return replace(self, pool=self.pool[rows], states=self.states[:, rows],
                        velocities=self.velocities[:, rows], starts=self.starts[rows],
                        mu=self.mu[rows])
 
@@ -154,7 +155,7 @@ class FlowBatch:
     def concat(batches) -> FlowBatch:
         """Rows of batches drawn with one schedule, noise level and scale."""
         return replace(
-            batches[0], cond_seqs=[seq for b in batches for seq in b.cond_seqs],
+            batches[0], pool=np.concatenate([b.pool for b in batches]),
             states=np.concatenate([b.states for b in batches], axis=1),
             velocities=np.concatenate([b.velocities for b in batches], axis=1),
             starts=np.concatenate([b.starts for b in batches]),
@@ -218,10 +219,6 @@ class FlowPolicy:
         cells = np.repeat(np.arange(n) * self.vocab, lens) + tokens
         shares = np.repeat(1.0 / np.maximum(lens, 1), lens)
         return np.bincount(cells, weights=shares, minlength=n * self.vocab).reshape(n, self.vocab)
-
-    def cond_np(self, params: ParamSet, token_seqs) -> np.ndarray:
-        """(len(token_seqs), cond_dim) mean-pooled token embeddings."""
-        return self.pool_weights(token_seqs) @ params["cemb"]
 
     def cond_var(self, tape: Tape, params: ParamSet, pool: np.ndarray, xt: np.ndarray,
                  keep: np.ndarray | None = None) -> Var:
@@ -300,7 +297,8 @@ class FlowPolicy:
         states[0] = x1
         velocities = np.empty((n, B, DIM))
         mu = np.zeros((B, window_size, DIM))
-        for k, inputs in enumerate(self.step_rows(self.cond_np(params, cond_seqs), times)):
+        pool = self.pool_weights(cond_seqs)
+        for k, inputs in enumerate(self.step_rows(pool @ params["cemb"], times)):
             t = float(times[k])
             dt = float(times[k] - times[k + 1])
             x = states[k]
@@ -312,8 +310,7 @@ class FlowPolicy:
                 mu[rows, slots], _, states[k + 1, rows] = sde_step_values(
                     x[rows], v[rows], t, dt, sigma_level * np.sqrt(t), eps[rows, slots]
                 )
-        return FlowBatch(list(cond_seqs), times, states, velocities, starts, mu, sigma_level,
-                         cfg_scale)
+        return FlowBatch(pool, times, states, velocities, starts, mu, sigma_level, cfg_scale)
 
     def hybrid_rollout(self, params: ParamSet, cond_seqs, times: np.ndarray, x1: np.ndarray,
                        window_starts, window_size: int, sigma_level: float, eps: np.ndarray,
@@ -346,7 +343,7 @@ class FlowPolicy:
         scale = 1.0 / len(x0)
         loss = np.sum((diff * diff).sum(axis=1) * scale)
         tape.output = tape.node(loss, [v], lambda g: (2.0 * diff * (g * scale),))
-        gs = GradSet(params).add_(tape.param_grads(1.0))
+        gs = GradSet(params, tape.param_grads(1.0))
         return float(loss), gs
 
     def pretrain(
@@ -429,7 +426,7 @@ class FlowPolicy:
         sig = batch.sigma_level * np.sqrt(ts)
         mu_old = batch.mu.reshape(-1, DIM)
         eps = (batch.states[ks + 1, rows] - mu_old) / (sig * np.sqrt(dts))[:, None]
-        pool = self.pool_weights(batch.cond_seqs)[rows]
+        pool = batch.pool[rows]
         c1, c2 = (c[:, None] for c in drift_coefficients(ts, sig))
         xt = np.concatenate([xs, time_features(ts)], axis=1)
         xt_null = None
@@ -506,7 +503,7 @@ class FlowPolicy:
             return g_cond, g_v - g_cond
 
         tape.output = tape.node(j, nets, vjp)
-        gs = GradSet(params).add_(tape.param_grads(1.0))
+        gs = GradSet(params, tape.param_grads(1.0))
         stats = FlowLossStats(
             surrogate=float(j),
             mean_ratio=float(rt.mean()),

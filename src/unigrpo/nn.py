@@ -41,6 +41,8 @@ class Layout:
             raise ConfigError(f"unknown parameter block '{unknown[0]}'")
         parts = [np.zeros(0)]
         for name, (_, _, shape) in self.spans.items():
+            if name not in blocks:
+                raise ConfigError(f"missing parameter block '{name}'")
             if np.shape(blocks[name]) != shape:
                 raise ConfigError(
                     f"shape mismatch for block '{name}': {np.shape(blocks[name])} vs {shape}"
@@ -109,12 +111,14 @@ class ParamSet(_Blocks):
 
 
 class GradSet(_Blocks):
-    """Gradient accumulator: one zero vector in the layout of a ParamSet."""
+    """Gradients in the layout of a ParamSet: one vector built from a block
+    per name (names and shapes checked), or zeros to accumulate into."""
 
     __slots__ = ()
 
-    def __init__(self, params: ParamSet):
-        self._bind(params.layout, np.zeros(params.layout.size))
+    def __init__(self, params: ParamSet, blocks: dict[str, np.ndarray] | None = None):
+        layout = params.layout
+        self._bind(layout, np.zeros(layout.size) if blocks is None else layout.flatten(blocks))
 
     def add_(self, grads: dict[str, np.ndarray] | "GradSet") -> "GradSet":
         for name, g in grads.items():
@@ -166,7 +170,11 @@ class AdamState:
 def adam_step(params: ParamSet, grads: GradSet, state: AdamState) -> ParamSet:
     """Bias-corrected Adam update as whole-vector ops; rejects non-finite
     gradients untouched.  Builds new moment and parameter vectors, so the
-    input ParamSet and earlier moment vectors are never written."""
+    input ParamSet and earlier moment vectors are never written.  The
+    operations and their order are those of
+        m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g
+        p - lr (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps),
+    evaluated in place on two scratch vectors."""
     bad = grads.layout.first_nonfinite(grads.vec)
     if bad is not None:
         raise NumericError(f"non-finite gradient in block '{bad}'; step rejected")
@@ -174,11 +182,21 @@ def adam_step(params: ParamSet, grads: GradSet, state: AdamState) -> ParamSet:
     t = state.step
     b1, b2 = state.beta1, state.beta2
     g = grads.vec
-    state.m = b1 * state.m + (1.0 - b1) * g
-    state.v = b2 * state.v + (1.0 - b2) * g * g
-    m_hat = state.m / (1.0 - b1**t)
-    v_hat = state.v / (1.0 - b2**t)
-    return params.with_vector(params.vec - state.lr * m_hat / (np.sqrt(v_hat) + state.eps))
+    tmp = np.multiply(g, 1.0 - b1)
+    m = np.multiply(state.m, b1)
+    m += tmp
+    np.multiply(g, 1.0 - b2, out=tmp)
+    tmp *= g
+    v = np.multiply(state.v, b2)
+    v += tmp
+    state.m, state.v = m, v
+    step = np.divide(m, 1.0 - b1**t)
+    step *= state.lr
+    np.divide(v, 1.0 - b2**t, out=tmp)
+    np.sqrt(tmp, out=tmp)
+    tmp += state.eps
+    step /= tmp
+    return params.with_vector(np.subtract(params.vec, step, out=step))
 
 
 # ---- MLP construction ----
@@ -238,10 +256,9 @@ def mlp_var(
             acts, slopes = saved, [1.0 - y * y for y in saved]
         else:
             acts, slopes = [], []
-            for a in saved:
-                e = 1.0 + np.exp(-a)
+            for a, e, y in saved:
                 s = 1.0 / e
-                acts.append(a / e)
+                acts.append(y)
                 slopes.append(s * (1.0 + a * (1.0 - s)))
         grads = []
         for i in range(n_layers - 1, -1, -1):
@@ -264,7 +281,8 @@ def mlp_forward_np(
 ) -> np.ndarray:
     """Plain-numpy MLP forward, each layer in place on its matmul result.
     With `saved` it appends, per hidden layer, what mlp_var's backward needs:
-    the activation (tanh) or the pre-activation (SiLU)."""
+    the activation (tanh), or for SiLU the pre-activation h, its
+    e = 1 + exp(-h) and the activation h / e."""
     h = np.asarray(x, dtype=np.float64)
     for i in range(len(arch) - 1):
         h = h @ params[f"W{i}"]
@@ -276,12 +294,14 @@ def mlp_forward_np(
             if saved is not None:
                 saved.append(h)
         else:  # SiLU: h / (1 + exp(-h))
-            if saved is not None:
-                saved.append(h.copy())
             e = np.negative(h)
             np.exp(e, out=e)
             e += 1.0
-            np.divide(h, e, out=h)
+            if saved is None:
+                np.divide(h, e, out=h)
+            else:
+                saved.append((h, e, h / e))
+                h = saved[-1][2]
     return h
 
 

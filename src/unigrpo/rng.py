@@ -11,8 +11,9 @@ numbers: as easy as 1, 2, 3", SC'11; numpy's own Philox):
 - `words(seed, tag, index, n)` is counter-addressed: row i gets n 64-bit
   words at once, word j being lane j % 4 of the Philox block at counter
   (j // 4, *index[i]) under the (seed, tag) key that `stream(seed, tag)`
-  also uses.  Rollouts draw every member's words for an update in one
-  call per tag; `uniforms`, `normals` and `below` turn words into
+  also uses.  `words_by_tag` draws several tags' words in one bijection
+  call with a key per counter; training draws the rollout words of a block
+  of updates that way.  `uniforms`, `normals` and `below` turn words into
   variates.
 """
 
@@ -28,6 +29,8 @@ _MASK32, _SHIFT32 = np.uint64(0xFFFFFFFF), np.uint64(32)
 _MUL = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
 _BUMP = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _ROUNDS = 10
+# (ROUNDS, 2, 1): round r adds r times the bumps to the key, mod 2**64
+_BUMPS = np.array([[[r * b % 2**64] for b in _BUMP] for r in range(_ROUNDS)], dtype=np.uint64)
 # (mask, shift, multiplier, its low and high 32-bit limbs) per multiplied lane
 _CONSTS = np.stack([np.full_like(_MUL, _MASK32), np.full_like(_MUL, _SHIFT32), _MUL,
                     _MUL & _MASK32, _MUL >> _SHIFT32])
@@ -66,13 +69,6 @@ def tag_key(seed: int, tag: str) -> np.ndarray:
     return key
 
 
-@functools.lru_cache(maxsize=256)
-def _round_keys(k0: int, k1: int) -> np.ndarray:
-    """(ROUNDS, 2, 1) uint64: the key (k0, k1) bumped once per round, mod 2**64."""
-    return np.array([[[(k0 + r * _BUMP[0]) % 2**64], [(k1 + r * _BUMP[1]) % 2**64]]
-                     for r in range(_ROUNDS)], dtype=np.uint64)
-
-
 def _mulhi(a: np.ndarray, b_lo: np.ndarray, b_hi: np.ndarray, mask: np.ndarray,
            shift: np.ndarray) -> np.ndarray:
     """High 64 bits of the 128-bit products a * b of uint64 arrays, with b
@@ -85,16 +81,17 @@ def _mulhi(a: np.ndarray, b_lo: np.ndarray, b_hi: np.ndarray, mask: np.ndarray,
 
 def philox4x64(counter, key) -> np.ndarray:
     """Philox4x64-10 bijection of (..., 4) uint64 counters (lane 0 least
-    significant) under a (2,) uint64 key, as (..., 4) uint64 words.  numpy's
-    Philox increments its counter before each block, so
-    `Philox(key=K, counter=C).random_raw(4)` is `philox4x64(C + 1, K)`."""
+    significant) under a (2,) uint64 key, or a (..., 2) key per counter, as
+    (..., 4) uint64 words.  numpy's Philox increments its counter before
+    each block, so `Philox(key=K, counter=C).random_raw(4)` is
+    `philox4x64(C + 1, K)`."""
     ctr = np.asarray(counter, dtype=np.uint64)
     x = ctr.reshape(-1, 4).T
-    # constants and round keys at the lanes' shape: same-shape ufuncs run
-    # about twice as fast as broadcasting ones on these small arrays
-    shape = (2, x.shape[1])
-    mask, shift, mul, mul_lo, mul_hi = np.broadcast_to(_CONSTS, (5, *shape)).copy()
-    keys = np.broadcast_to(_round_keys(int(key[0]), int(key[1])), (_ROUNDS, *shape)).copy()
+    key = np.broadcast_to(np.asarray(key, dtype=np.uint64), (*ctr.shape[:-1], 2))
+    keys = key.reshape(-1, 2).T + _BUMPS  # (ROUNDS, 2, counters), mod 2**64
+    # constants at the lanes' shape: same-shape ufuncs run about twice as
+    # fast as broadcasting ones on these small arrays
+    mask, shift, mul, mul_lo, mul_hi = np.broadcast_to(_CONSTS, (5, 2, x.shape[1])).copy()
     a, c = x[[0, 2]], x[[1, 3]]  # multiplied lanes, xored lanes
     for k in keys:
         # lanes (0, 1, 2, 3) <- (hi2 ^ x1 ^ k0, lo2, hi0 ^ x3 ^ k1, lo0)
@@ -103,17 +100,34 @@ def philox4x64(counter, key) -> np.ndarray:
     return np.stack([a[0], c[0], a[1], c[1]], axis=-1).reshape(ctr.shape)
 
 
+def words_by_tag(seed: int, index, counts: dict[str, int],
+                 block: int = 0) -> dict[str, np.ndarray]:
+    """`words(seed, tag, index, n, block)` for every (tag, n) of `counts`, all
+    tags' Philox blocks in one bijection call, each counter under its tag's
+    key."""
+    index = np.asarray(index, dtype=np.int64).reshape(-1, 3)
+    _check_indices([index.min(initial=0)])
+    ctrs, keys = [], []
+    for tag, n in counts.items():
+        n_blocks = -(-n // 4)
+        ctr = np.empty((len(index), n_blocks, 4), dtype=np.uint64)
+        ctr[..., 0] = np.uint64(block) + np.arange(n_blocks, dtype=np.uint64)
+        ctr[..., 1:] = index[:, None, :]
+        ctrs.append(ctr.reshape(-1, 4))
+        keys.append(np.broadcast_to(tag_key(seed, tag), (len(ctrs[-1]), 2)))
+    out = philox4x64(np.concatenate(ctrs), np.concatenate(keys))
+    result, lo = {}, 0
+    for (tag, n), ctr in zip(counts.items(), ctrs):
+        result[tag] = out[lo:lo + len(ctr)].reshape(len(index), -1)[:, :n]
+        lo += len(ctr)
+    return result
+
+
 def words(seed: int, tag: str, index, n: int, block: int = 0) -> np.ndarray:
     """(rows, n) uint64 words: word j of row i is lane j % 4 of the Philox
     block at counter (block + j // 4, *index[i]) under `tag_key(seed, tag)`.
     `index` is (rows, 3) non-negative integers."""
-    index = np.asarray(index, dtype=np.int64).reshape(-1, 3)
-    _check_indices([index.min(initial=0)])
-    n_blocks = -(-n // 4)
-    ctr = np.empty((len(index), n_blocks, 4), dtype=np.uint64)
-    ctr[..., 0] = np.uint64(block) + np.arange(n_blocks, dtype=np.uint64)
-    ctr[..., 1:] = index[:, None, :]
-    return philox4x64(ctr, tag_key(seed, tag)).reshape(len(index), -1)[:, :n]
+    return words_by_tag(seed, index, {tag: n}, block)[tag]
 
 
 def uniforms(w: np.ndarray) -> np.ndarray:

@@ -47,6 +47,7 @@ class TextUpdateBatch:
     one row per (trace, position), trace by trace."""
 
     rows: np.ndarray       # (n, ctx) context token ids
+    cells: np.ndarray      # (n * ctx * embed,) embedding-table cell of each input entry
     targets: np.ndarray    # (n,) token scored at each row
     owner: np.ndarray      # (n,) trace of each row
     position: np.ndarray   # (n,) position of each row in its trace
@@ -64,6 +65,12 @@ def softmax_np(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     e = np.exp(z)
     total = e.sum(axis=-1, keepdims=True)
     return z - np.log(total), e / total
+
+
+def log_softmax_np(z: np.ndarray) -> np.ndarray:
+    """The log-softmax half of softmax_np, with the same bits."""
+    z = z - z.max(axis=-1, keepdims=True)
+    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
 
 def _pick_vjp(logp: np.ndarray, targets: np.ndarray, g_pick: np.ndarray,
@@ -133,12 +140,16 @@ class TextPolicy:
     def logits_np(self, params: ParamSet, ctx_rows: np.ndarray) -> np.ndarray:
         return mlp_forward_np(params, self._embed_np(params, ctx_rows), self.arch, "silu")
 
-    def _logits_var(self, tape: Tape, params: ParamSet, ctx_rows: np.ndarray) -> Var:
+    def _cells(self, ctx_rows: np.ndarray) -> np.ndarray:
+        """Flat embedding-table cell of every entry of the embedded rows."""
+        return (ctx_rows.reshape(-1, 1) * self.embed + np.arange(self.embed)).reshape(-1)
+
+    def _logits_var(self, tape: Tape, params: ParamSet, ctx_rows: np.ndarray,
+                    cells: np.ndarray) -> Var:
         """Logits on the tape: the token and position embeddings as one node,
-        whose table gradient scatters back by bincount (each cell summed in
-        row order, as np.add.at sums it), then the MLP node."""
+        whose table gradient scatters back by bincount over `cells` (each
+        cell summed in row order, as np.add.at sums it), then the MLP node."""
         wte, wpe = tape.param(params, "wte"), tape.param(params, "wpe")
-        cells = (ctx_rows.reshape(-1, 1) * self.embed + np.arange(self.embed)).reshape(-1)
 
         def vjp(g):
             g_wte = np.bincount(cells, g.reshape(-1), self.vocab * self.embed)
@@ -167,7 +178,7 @@ class TextPolicy:
         live = np.arange(n)
         for k in range(max_len):
             logits = self.logits_np(params, rows[live])
-            logp = softmax_np(logits * (1.0 / temperature))[0]
+            logp = log_softmax_np(logits * (1.0 / temperature))
             if uniforms is None:
                 chosen = np.argmax(logits, axis=1)
             else:
@@ -218,9 +229,9 @@ class TextPolicy:
         kl_weight = ref_logp = None
         if beta_txt != 0.0:
             kl_weight = beta_txt * weight
-            ref_logp = softmax_np(self.logits_np(ref_params, rows) * inv_t)[0]
+            ref_logp = log_softmax_np(self.logits_np(ref_params, rows) * inv_t)
         old_logp = np.concatenate([tr.logprobs for tr in traces])
-        return TextUpdateBatch(rows, targets, owner, position, old_logp,
+        return TextUpdateBatch(rows, self._cells(rows), targets, owner, position, old_logp,
                                np.asarray(advantages, dtype=np.float64)[owner], weight,
                                inv_t, kl_weight, ref_logp)
 
@@ -235,7 +246,7 @@ class TextPolicy:
         gradient."""
         b = batch
         tape = Tape()
-        out = self._logits_var(tape, params, b.rows)
+        out = self._logits_var(tape, params, b.rows, b.cells)
         logp, probs = softmax_np(out.value * b.inv_t)
         ratio = np.exp(logp[np.arange(len(b.targets)), b.targets] - b.old_logp)
         bad = np.flatnonzero(~np.isfinite(ratio))
@@ -261,7 +272,7 @@ class TextPolicy:
             return (g_logits * b.inv_t,)
 
         tape.output = tape.node(j, [out], vjp)
-        gs = GradSet(params).add_(tape.param_grads(1.0))
+        gs = GradSet(params, tape.param_grads(1.0))
         stats = TextLossStats(
             surrogate=float(j),
             mean_ratio=float(ratio.mean()),
@@ -276,12 +287,12 @@ class TextPolicy:
     def ce_loss(self, params: ParamSet, rows: np.ndarray, targets: np.ndarray):
         """Mean cross-entropy over positions, with gradient."""
         tape = Tape()
-        out = self._logits_var(tape, params, rows)
-        logp = softmax_np(out.value)[0]
+        out = self._logits_var(tape, params, rows, self._cells(rows))
+        logp = log_softmax_np(out.value)
         scale = -1.0 / len(targets)
         loss = np.sum(logp[np.arange(len(targets)), targets] * scale)
         tape.output = tape.node(loss, [out], lambda g: (_pick_vjp(logp, targets, g * scale),))
-        gs = GradSet(params).add_(tape.param_grads(1.0))
+        gs = GradSet(params, tape.param_grads(1.0))
         return float(loss), gs
 
     def pretrain(

@@ -27,7 +27,7 @@ from .errors import CheckpointError, ConfigError, NumericError
 from .flow_policy import DIM, FlowBatch, FlowPolicy, timestep_schedule
 from .metrics import MetricsRow, MetricsWriter, read_metrics, truncate_metrics
 from .nn import AdamState, ParamSet, adam_step
-from .rng import below, normals, stream, uniforms, words
+from .rng import below, normals, stream, uniforms, words_by_tag
 from .task import (
     PROMPT_LEN,
     VOCAB_SIZE,
@@ -102,25 +102,57 @@ def make_runtime(cfg: TrainConfig) -> Runtime:
 
 # ---- rollout phase ----
 
+# updates whose rollout words `train` draws in one Philox pass
+ROLLOUT_BLOCK = 32
+
+
+@dataclass
+class RolloutWords:
+    """One update's rollout words.  Row r belongs to member r % G of the
+    prompt at batch index r // G and sits at counter index (update, slot,
+    member).  Layout per row: "trace" word k is the uniform of token k;
+    "flow" word 0 picks the window start and words 1 .. 2 + 2W are
+    Box-Muller pairs giving x1, then the window's eps step by step."""
+
+    seed: int
+    index: np.ndarray         # (rows, 3) counter indices
+    trace: np.ndarray | None  # (rows, max_trace_len), only when the text policy trains
+    flow: np.ndarray          # (rows, 1 + DIM + W * DIM)
+
+
+def rollout_words(cfg: TrainConfig, seed: int, updates: range,
+                  slots: int) -> list[RolloutWords]:
+    """The rollout words of each update in `updates` for `slots` prompts, both
+    tags of every row drawn in one Philox pass.  Each word has a fixed
+    counter address, so an update's words do not depend on the block it is
+    drawn with."""
+    G, W = cfg.group_size, cfg.sde_window_size
+    index = np.stack(np.meshgrid(np.asarray(updates), np.arange(slots),
+                                 np.arange(G), indexing="ij"), axis=-1).reshape(-1, 3)
+    counts = {"trace": cfg.max_trace_len} if cfg.train_text else {}
+    counts["flow"] = 1 + DIM + W * DIM
+    w = words_by_tag(seed, index, counts)
+    rows = slots * G
+    return [RolloutWords(seed, index[lo:lo + rows],
+                         w["trace"][lo:lo + rows] if cfg.train_text else None,
+                         w["flow"][lo:lo + rows])
+            for lo in range(0, len(index), rows)]
+
 
 def collect_rollouts(rt: Runtime, prompts: list[Prompt], text_old: ParamSet,
-                     flow_old: ParamSet, seed: int, update: int) -> list[GroupRollout]:
+                     flow_old: ParamSet, draws: RolloutWords) -> list[GroupRollout]:
     """One group of rollouts per prompt, every member advanced in lockstep:
-    one text decode and one flow rollout over all prompts x group-size rows.
-    Member m of the prompt at batch index `slot` draws its words at counter
-    index (update, slot, m), one `words` call per tag for all members, so
-    batch composition changes none of its draws.  Word layout per row:
-    "trace" word k is the uniform of token k; "flow" word 0 picks the window
-    start and words 1 .. 2 + 2W are Box-Muller pairs giving x1, then the
-    window's eps step by step."""
+    one text decode and one flow rollout over all prompts x group-size rows,
+    their randomness taken from the update's `draws`.  Member m of the
+    prompt at batch index `slot` has its own counter-addressed words, so
+    batch composition changes none of its draws."""
     cfg = rt.cfg
     G, W = cfg.group_size, cfg.sde_window_size
     slots = [slot for slot in range(len(prompts)) for _ in range(G)]
-    index = [(update, slot, m) for slot in range(len(prompts)) for m in range(G)]
     if cfg.train_text:
         traces = rt.text_policy.sample_trace(
             text_old, [prompts[slot].tokens for slot in slots], cfg.temperature,
-            cfg.max_trace_len, uniforms(words(seed, "trace", index, cfg.max_trace_len)),
+            cfg.max_trace_len, uniforms(draws.trace),
         )
     else:
         # frozen text expert: one deterministic trace per prompt, shared by its
@@ -129,13 +161,13 @@ def collect_rollouts(rt: Runtime, prompts: list[Prompt], text_old: ParamSet,
             text_old, [p.tokens for p in prompts], cfg.max_trace_len
         )
         traces = [greedy[slot] for slot in slots]
-    w = words(seed, "flow", index, 1 + DIM + W * DIM)
-    starts = np.asarray(cfg.window_starts)[below(seed, "flow", index, w[:, 0],
+    w = draws.flow
+    starts = np.asarray(cfg.window_starts)[below(draws.seed, "flow", draws.index, w[:, 0],
                                                  len(cfg.window_starts))]
     z = normals(w[:, 1:])
     flow = rt.flow_policy.hybrid_rollout(
         flow_old, [tr.tokens for tr in traces], rt.times_train, z[:, :DIM], starts, W,
-        cfg.sigma_level, z[:, DIM:].reshape(len(index), W, DIM),
+        cfg.sigma_level, z[:, DIM:].reshape(len(slots), W, DIM),
         cfg_scale=cfg.train_cfg_scale if cfg.train_cfg else 1.0,
     )
     rewards, finite = score(flow.states[-1], [prompts[slot] for slot in slots], rt.geom)
@@ -265,7 +297,7 @@ def evaluate(rt: Runtime, text_params: ParamSet, flow_params: ParamSet,
     # drift averaged in prompt, step, sample order
     diff = batch.velocities
     fp = rt.flow_policy
-    for k, rows in enumerate(fp.step_rows(fp.cond_np(flow_ref, seqs), rt.times_eval)):
+    for k, rows in enumerate(fp.step_rows(batch.pool @ flow_ref["cemb"], rt.times_eval)):
         rows[:, :DIM] = batch.states[k]
         diff[k] -= fp.velocity_np(flow_ref, rows)
     drift = np.sum(diff * diff, axis=2).reshape(len(diff), len(prompts), -1)
@@ -452,21 +484,24 @@ def train(cfg: TrainConfig, out_dir, resume: bool = False, config_text: str | No
         toc = time.perf_counter()
         writer.write_timings(0, toc - tic, 0.0, 0.0, t_eval - tic, toc - t_eval)
 
-    text_old, flow_old = text_params.copy(), flow_params.copy()
     last_eval: dict = {}
+    pending: list[RolloutWords] = []
     for update in range(start_update + 1, cfg.total_updates + 1):
         tic = time.perf_counter()
+        if not pending:
+            block = range(update, min(update + ROLLOUT_BLOCK, cfg.total_updates + 1))
+            pending = rollout_words(cfg, seed, block, cfg.prompts_per_batch)[::-1]
         prompts = [
             sample_prompt(stream(seed, "prompt", update, slot))
             for slot in range(cfg.prompts_per_batch)
         ]
-        groups = collect_rollouts(rt, prompts, text_old, flow_old, seed, update)
+        # no step writes a ParamSet in place: the current policy is the old one
+        groups = collect_rollouts(rt, prompts, text_params, flow_params, pending.pop())
         t_rollout = time.perf_counter()
         text_params, flow_params, ustats = unified_update(
             rt, groups, text_params, flow_params, text_ref, flow_ref,
             adam_text, adam_flow,
         )
-        text_old, flow_old = text_params.copy(), flow_params.copy()
         t_update = time.perf_counter()
 
         do_eval = (cfg.eval_every > 0 and update % cfg.eval_every == 0) \

@@ -7,7 +7,8 @@ row sums and the like.  The fused-head oracles rebuild each loss from
 these ops and require the same value and gradients; test_autodiff.py
 checks every op against finite differences.  `reference_velocity` is the
 velocity net as the samplers called it before they built its input rows
-once per pass, the oracle for those rows.
+once per pass, the oracle for those rows.  `reference_adam_step` is Adam
+as one expression per moment, the oracle for the in-place `adam_step`.
 """
 
 from __future__ import annotations
@@ -171,3 +172,16 @@ def reference_velocity(policy, params, x, t, cond, cfg_scale=1.0) -> np.ndarray:
     null = np.zeros_like(cond)
     v_un = mlp_forward_np(params, np.concatenate([x, feats, null], axis=1), policy.arch, "tanh")
     return cfg_velocity(v, v_un, cfg_scale)
+
+
+# ---- Adam as one expression per moment ----
+
+
+def reference_adam_step(vec, g, m, v, t, lr, b1=0.9, b2=0.999, eps=1e-8):
+    """Step t of bias-corrected Adam as `adam_step` computed it before it
+    reused its temporaries: returns the new (vec, m, v)."""
+    m = b1 * m + (1.0 - b1) * g
+    v = b2 * v + (1.0 - b2) * g * g
+    m_hat = m / (1.0 - b1**t)
+    v_hat = v / (1.0 - b2**t)
+    return vec - lr * m_hat / (np.sqrt(v_hat) + eps), m, v

@@ -20,6 +20,7 @@ from unigrpo.trainer import (
     group_advantages,
     make_runtime,
     pretrain_all,
+    rollout_words,
     train,
 )
 
@@ -92,9 +93,10 @@ def test_criterion_6_cfg_free_rollout_contract(tmp_path):
     flow = checkpoint.load_params(pre / "flow.ckpt")
     prompt = make_prompt(1, "near", "tight")
 
-    plain = collect_rollouts(rt, [prompt], text, flow, seed=0, update=1)[0]
+    draws = rollout_words(cfg, 0, range(1, 2), 1)[0]
+    plain = collect_rollouts(rt, [prompt], text, flow, draws)[0]
     rt_cfg = make_runtime(replace(cfg, train_cfg=True))
-    guided = collect_rollouts(rt_cfg, [prompt], text, flow, seed=0, update=1)[0]
+    guided = collect_rollouts(rt_cfg, [prompt], text, flow, draws)[0]
 
     n = cfg.train_timesteps
     ok = plain.flow.evals_per_row == n and guided.flow.evals_per_row == 2 * n

@@ -26,6 +26,13 @@ GEOMETRY_AND_PRETRAIN_LINES = [
     "radius_near = -0.5", "radius_near = 1.5", "radius_near = 2.0", "radius_far = 0.5",
     "radius_far = 0.1",
 ]
+# run-control and sampling keys whose out-of-range values once ran silently or
+# crashed later with a message that did not name the key
+RUN_CONTROL_LINES = [
+    "max_trace_len = 2", "max_trace_len = 0", "eval_timesteps = 0", "train_timesteps = 0",
+    "total_updates = -2", "eval_every = -1", "checkpoint_every = -5", "ablate_updates = -1",
+    "ablate_seeds = 0", "adv_eps = -1e-8", "adv_eps = 0",
+]
 
 
 class TestConfigParsing:
@@ -143,6 +150,18 @@ class TestValidation:
     def test_geometry_bounds_accepted(self, line):
         parse_config_text(line)
 
+    @pytest.mark.parametrize("line", RUN_CONTROL_LINES)
+    def test_run_control_values_rejected(self, line):
+        with pytest.raises(ConfigError, match=line.split()[0]):
+            parse_config_text(line)
+
+    @pytest.mark.parametrize("line", ["max_trace_len = 3", "eval_timesteps = 1",
+                                      "total_updates = 0", "eval_every = 0",
+                                      "checkpoint_every = 0", "ablate_updates = 0",
+                                      "ablate_seeds = 1", "adv_eps = 1e-300"])
+    def test_run_control_bounds_accepted(self, line):
+        parse_config_text(line)
+
     def test_default_window_starts(self):
         assert TrainConfig().window_starts == [0, 1, 2, 3]
 
@@ -224,6 +243,27 @@ class TestCli:
         rc = main(["train", "--config", str(bad), "--out", str(tmp_path / "r")])
         assert rc == 2
         assert line.split()[0] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", RUN_CONTROL_LINES)
+    def test_run_control_value_exits_2(self, tmp_path, capsys, line):
+        key = line.split()[0]
+        text = "".join(row + "\n" for row in TINY_CONFIG.splitlines()
+                       if row.split(" = ")[0] != key)
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(text + line + "\n")
+        rc = main(["train", "--config", str(bad), "--out", str(tmp_path / "r")])
+        assert rc == 2
+        assert f"config error: {key}" in capsys.readouterr().err
+
+    def test_shortest_trace_context_runs(self, tmp_path, capsys):
+        # max_trace_len = 3 holds a canonical trace's context: pretraining and
+        # an update run end to end
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(TINY_CONFIG.replace("total_updates = 4", "total_updates = 1")
+                       + f"max_trace_len = 3\npretrain_dir = {tmp_path / 'pre'}\n")
+        assert main(["pretrain", "--config", str(cfg), "--out", str(tmp_path / "pre")]) == 0
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
+        capsys.readouterr()
 
     def test_missing_pretrain_exits_3(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"

@@ -35,6 +35,11 @@ def _surrogate(params, batch, adv, clip_eps, reg_mode, reg_weight, ref_params):
     return POLICY.surrogate_loss(params, prepared, clip_eps, reg_weight)
 
 
+def _cond(params, seqs):
+    """(len(seqs), cond_dim) mean-pooled token embeddings, as the samplers pool them."""
+    return POLICY.pool_weights(seqs) @ params["cemb"]
+
+
 def _params(seed=0):
     return POLICY.init_params(stream(seed, "init-flow"))
 
@@ -190,7 +195,7 @@ class TestVelocityNet:
     def test_guidance_combines_branches(self):
         params = _nontrivial_params(21)
         x = stream(21, "x").standard_normal((3, DIM))
-        cond = POLICY.cond_np(params, [TRACE] * 3)
+        cond = _cond(params, [TRACE] * 3)
         v_c = reference_velocity(POLICY, params, x, 0.4, cond)
         v_u = reference_velocity(POLICY, params, x, 0.4, np.zeros((3, POLICY.cond_dim)))
         np.testing.assert_array_equal(
@@ -203,7 +208,7 @@ class TestPooling:
     def test_mean_of_embedding_rows(self):
         params = _params(22)
         seqs = [TRACE, (3, 3, 5), ()]
-        cond = POLICY.cond_np(params, seqs)
+        cond = _cond(params, seqs)
         for row, seq in zip(cond, seqs):
             expected = params["cemb"][list(seq)].mean(axis=0) if seq else np.zeros(POLICY.cond_dim)
             np.testing.assert_allclose(row, expected, rtol=0, atol=1e-15)
@@ -215,7 +220,7 @@ class TestSdeStep:
     def test_zero_noise_is_euler(self):
         params = _params(3)
         params = params.with_blocks({"W2": _params(4)["W2"]})
-        cond = POLICY.cond_np(params, [TRACE])
+        cond = _cond(params, [TRACE])
         n = len(self.TIMES) - 1
         batch = _rollout(params, self.TIMES, 0, n, 0.0, stream(0, "sde"))
         assert batch.starts[0] == 0 and batch.mu.shape[1] == n
@@ -239,7 +244,7 @@ class TestSdeStep:
         params = _params(5)
         params = params.with_blocks({"W2": _params(6)["W2"]})
         batch = _rollout(params, self.TIMES, 1, 3, 0.8, stream(1, "sde"))
-        cond = POLICY.cond_np(params, [TRACE])
+        cond = _cond(params, [TRACE])
         for j in range(3):
             k = 1 + j
             t, dt = float(self.TIMES[k]), float(self.TIMES[k] - self.TIMES[k + 1])
@@ -304,7 +309,7 @@ class TestHybridRollout:
         params = _nontrivial_params(10)
         batch = _rollout(params, self.TIMES, 2, 3, 0.8, stream(5, "r"))
         assert batch.starts.tolist() == [2] and batch.mu.shape == (1, 3, DIM)
-        cond = POLICY.cond_np(params, [TRACE])
+        cond = _cond(params, [TRACE])
         euler = []
         for k in range(10):
             t, dt = float(self.TIMES[k]), float(self.TIMES[k] - self.TIMES[k + 1])
@@ -335,7 +340,7 @@ class TestHybridRollout:
         for i, (seq, start) in enumerate(zip(seqs, starts)):
             rng = stream(12, "ref", i)
             x = rng.standard_normal(DIM)
-            cond = POLICY.cond_np(params, [seq])
+            cond = _cond(params, [seq])
             np.testing.assert_allclose(batch.states[0, i], x, rtol=0, atol=1e-12)
             for k in range(len(self.TIMES) - 1):
                 t, dt = float(self.TIMES[k]), float(self.TIMES[k] - self.TIMES[k + 1])
@@ -359,7 +364,7 @@ class TestHybridRollout:
         seqs, starts = [TRACE, (3, 3, 5), ()], [0, 2, 7]
         x1 = stream(13, "x1").standard_normal((3, DIM))
         eps = stream(13, "eps").standard_normal((3, 3, DIM))
-        cond = POLICY.cond_np(params, seqs)
+        cond = _cond(params, seqs)
         for batch in (
             POLICY.hybrid_rollout(params, seqs, self.TIMES, x1, starts, 3, 0.8, eps, cfg_scale),
             POLICY.ode_rollout_batch(params, seqs, self.TIMES, x1, cfg_scale),
@@ -371,6 +376,22 @@ class TestHybridRollout:
             parts = FlowBatch.concat([batch.take(slice(1, 3)), batch.take(slice(0, 1))])
             np.testing.assert_array_equal(parts.velocities, batch.velocities[:, [1, 2, 0]])
             np.testing.assert_array_equal(parts.states, batch.states[:, [1, 2, 0]])
+
+    def test_keeps_pooling_weights_of_the_traces(self):
+        # pool[i] is row i's pooling weights, bit for bit, and take and
+        # concat keep them with their rows
+        params = _nontrivial_params(16)
+        seqs = [TRACE, (3, 3, 5), (), (7,), TRACE]
+        x1 = stream(16, "x1").standard_normal((5, DIM))
+        eps = stream(16, "eps").standard_normal((5, 2, DIM))
+        for batch in (
+            POLICY.hybrid_rollout(params, seqs, self.TIMES, x1, [0, 1, 2, 3, 8], 2, 0.8, eps),
+            POLICY.ode_rollout_batch(params, seqs, self.TIMES, x1, 2.0),
+        ):
+            assert batch.pool.tobytes() == POLICY.pool_weights(seqs).tobytes()
+            parts = FlowBatch.concat([batch.take(slice(3, 5)), batch.take(slice(0, 3))])
+            assert parts.pool.tobytes() == POLICY.pool_weights(seqs[3:] + seqs[:3]).tobytes()
+            np.testing.assert_array_equal(parts.states, batch.states[:, [3, 4, 0, 1, 2]])
 
     def test_window_out_of_range_rejected(self):
         with pytest.raises(ConfigError):
@@ -394,7 +415,7 @@ def _step_loop_reference(params, seqs, times, x1, starts, size, sigma, eps, cfg_
     once per pass: one reference_velocity call per step over every row, then
     the noise-injected step row by row inside each window."""
     n, B = len(times) - 1, len(seqs)
-    cond = POLICY.cond_np(params, seqs)
+    cond = _cond(params, seqs)
     states, velocities = [np.asarray(x1, dtype=np.float64)], []
     mu = np.zeros((B, size, DIM))
     for k in range(n):
@@ -463,7 +484,7 @@ class TestVelocityInputs:
         # cond_out receives the conditional branch under guidance too
         params = _nontrivial_params(42)
         x = stream(42, "x").standard_normal((5, DIM))
-        cond = POLICY.cond_np(params, [TRACE, (3, 3, 5), (), (7,), TRACE])
+        cond = _cond(params, [TRACE, (3, 3, 5), (), (7,), TRACE])
         rows = np.concatenate([x, time_features(np.full(5, 0.3)), cond], axis=1)
         before = rows.copy()
         for cfg_scale in (1.0, 2.0, 3.0):
@@ -597,7 +618,7 @@ class TestPretraining:
             alpha = (t - (1 - t) * tau**2) / rho2
             return alpha * (x - (1 - t) * mu0) - mu0
 
-        cond = POLICY.cond_np(params, [TRACE])
+        cond = _cond(params, [TRACE])
         errs = []
         for _ in range(500):
             t = float(1.0 - rng.random())
@@ -670,7 +691,7 @@ class TestFlowSurrogate:
         total = 0.0
         for i in range(B):
             acc = 0.0
-            cond = POLICY.cond_np(moved, [batch.cond_seqs[i]])
+            cond = batch.pool[i:i + 1] @ moved["cemb"]
             for w in range(W):
                 k = batch.starts[i] + w
                 t, dt = float(batch.times[k]), float(batch.times[k] - batch.times[k + 1])

@@ -180,7 +180,7 @@ def _old_flow_surrogate(params, batch, advantages, clip_eps, reg_mode, reg_weigh
     eps = (batch.states[ks + 1, rows] - mu_old) / (sig * np.sqrt(dts))[:, None]
     adv_rows = np.repeat(advantages, W)
     w_rows = np.full(B * W, 1.0 / (B * W))
-    pool = FLOW.pool_weights(batch.cond_seqs)[rows]
+    pool = batch.pool[rows]
 
     tape = OpTape()
     cond = tape.cmatmul(pool, tape.param(params, "cemb"))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
-from reference_ops import OpTape
+from reference_ops import OpTape, reference_adam_step
 
 from unigrpo.autodiff import Tape
 from unigrpo.checkpoint import load_blocks, load_params, save_blocks, save_params
@@ -169,6 +169,31 @@ class TestFusedNode:
             assert blocks[name].tobytes() == ref_blocks[name].tobytes(), name
         assert nodes == 1 + len(blocks) + 1 < ref_nodes
 
+    @pytest.mark.parametrize("scale", [1.0, 400.0, 4000.0])
+    def test_silu_saved_terms_match_recompute_bit_for_bit(self, scale):
+        # the backward reads 1 + exp(-h) and h / (1 + exp(-h)) from the
+        # forward; the unfused chain recomputes both from h, down to
+        # pre-activations where exp(-h) overflows or vanishes
+        params, arch = _mlp_params(seed=12, arch=(4, 7, 6, 3))
+        rng = np.random.default_rng(13)
+        x0, seed = rng.normal(size=(9, 4)) * scale, rng.normal(size=(9, 3))
+        x0[0] = 0.0
+        saved, results = [], []
+        with np.errstate(over="ignore"):
+            mlp_forward_np(params, x0, arch, "silu", saved)
+            for a, e, y in saved:
+                assert e.tobytes() == (1.0 + np.exp(-a)).tobytes()
+                assert y.tobytes() == (a / (1.0 + np.exp(-a))).tobytes()
+            for build in (mlp_var, _unfused_mlp):
+                tape = OpTape()
+                x = tape.leaf(x0)
+                grads = tape.backward(seed, output=build(tape, params, x, arch, "silu"))
+                results.append([grads[x.idx]] + [grads[var.idx] for var in tape.params.values()])
+        if scale > 1.0:
+            assert max(np.abs(a).max() for a, _, _ in saved) > 710.0  # exp(-h) overflows
+        for got, ref in zip(*results):
+            assert got.tobytes() == ref.tobytes()
+
     @pytest.mark.parametrize("activation", ["tanh", "silu"])
     def test_matches_finite_differences(self, activation):
         params, arch = _mlp_params(seed=8)
@@ -250,6 +275,23 @@ class TestAdam:
                 assert blocks[f"adam.v.{name}"].tobytes() == v[name].tobytes(), (t, name)
         assert list(blocks) == ([f"adam.m.{n}" for n in ref] + [f"adam.v.{n}" for n in ref]
                                 + ["adam.step"])
+
+    def test_matches_one_expression_formula_over_1000_steps(self):
+        # zero, subnormal, tiny, ordinary and 1e150 gradients, with each
+        # entry's scale redrawn every step
+        params = ParamSet({"a": np.zeros((3, 4)), "b": np.ones(5)})
+        st = AdamState.for_params(params, lr=3e-3)
+        vec, m, v = params.vec.copy(), np.zeros(17), np.zeros(17)
+        rng = np.random.default_rng(17)
+        scales = np.array([0.0, 5e-324, 1e-310, 1e-300, 1e-8, 1.0, 1e3, 1e150])
+        for t in range(1, 1001):
+            g = rng.normal(size=17) * scales[rng.integers(len(scales), size=17)]
+            params = adam_step(params, GradSet(params, {"a": g[:12].reshape(3, 4), "b": g[12:]}),
+                               st)
+            vec, m, v = reference_adam_step(vec, g, m, v, t, 3e-3)
+            assert params.vec.tobytes() == vec.tobytes(), t
+            assert st.m.tobytes() == m.tobytes() and st.v.tobytes() == v.tobytes(), t
+        assert st.step == 1000
 
     def test_step_leaves_its_inputs_untouched(self):
         params, _ = _mlp_params(seed=5)
@@ -357,6 +399,17 @@ class TestParamSet:
             p.with_blocks({"w": np.zeros(4)})
         with pytest.raises(ConfigError):
             p.with_blocks({"nope": np.zeros(1)})
+
+    def test_gradset_from_blocks_checks_names_and_shapes(self):
+        p = ParamSet({"a": np.zeros((2, 2)), "b": np.zeros(3)})
+        gs = GradSet(p, {"b": np.ones(3), "a": np.full((2, 2), 2.0)})
+        np.testing.assert_array_equal(gs.vec, [2.0, 2.0, 2.0, 2.0, 1.0, 1.0, 1.0])
+        assert gs.layout is p.layout
+        for blocks, name in (({"a": np.zeros((2, 2))}, "b"),
+                             ({"a": np.zeros((2, 2)), "b": np.zeros(3), "c": np.zeros(1)}, "c"),
+                             ({"a": np.zeros(4), "b": np.zeros(3)}, "a")):
+            with pytest.raises(ConfigError, match=f"'{name}'"):
+                GradSet(p, blocks)
 
     def test_copy_is_independent(self):
         p = ParamSet({"w": np.zeros(2)})

@@ -23,12 +23,14 @@ from unigrpo.rng import below, stream, words
 from unigrpo.flow_policy import FlowPolicy
 from unigrpo.task import EOS, PAD, canonical_trace, make_prompt, sample_prompt
 from unigrpo.trainer import (
+    ROLLOUT_BLOCK,
     collect_rollouts,
     evaluate,
     group_advantages,
     make_eval_set,
     make_runtime,
     pretrain_all,
+    rollout_words,
     train,
     unified_update,
 )
@@ -62,6 +64,12 @@ def tiny_pretrain(tmp_path_factory):
 
 def _rt():
     return make_runtime(TINY)
+
+
+def _collect(rt, prompts, text, flow, seed, update):
+    """collect_rollouts on the update's words, drawn as a block of one update."""
+    draws = rollout_words(rt.cfg, seed, range(update, update + 1), len(prompts))[0]
+    return collect_rollouts(rt, prompts, text, flow, draws)
 
 
 def _snap(rt, pre_dir):
@@ -109,13 +117,62 @@ class TestGroupAdvantages:
                 assert np.argmax(a) == np.argmax(r)
 
 
+class TestRolloutWords:
+    @pytest.mark.parametrize("train_text", [True, False])
+    def test_block_words_equal_per_update_words(self, train_text):
+        # blocks as `train` draws them from update 1 and from a resume at
+        # update 7, each crossing a block boundary: every update's words are
+        # the ones one `words` call per tag gives for that update alone
+        cfg = replace(TINY, train_text=train_text, sde_window_size=2)
+        slots, n_flow = 3, 1 + 2 + 2 * 2
+        for first in (1, 7):
+            got = []
+            for lo in range(first, first + 2 * ROLLOUT_BLOCK, ROLLOUT_BLOCK):
+                got += rollout_words(cfg, 5, range(lo, lo + ROLLOUT_BLOCK), slots)
+            assert len(got) == 2 * ROLLOUT_BLOCK
+            for update, draws in enumerate(got, start=first):
+                index = [(update, s, m) for s in range(slots) for m in range(cfg.group_size)]
+                assert draws.seed == 5
+                np.testing.assert_array_equal(draws.index, index)
+                assert draws.flow.tobytes() == words(5, "flow", index, n_flow).tobytes()
+                if train_text:
+                    assert draws.trace.tobytes() == \
+                        words(5, "trace", index, cfg.max_trace_len).tobytes()
+                else:
+                    assert draws.trace is None
+
+    def test_redraw_rows_follow_the_update_index(self):
+        # `below` redraws a rejected row at its own counter index; word 0 is
+        # rejected at bound 3
+        block = rollout_words(TINY, 5, range(30, 35), 2)
+        for update, draws in zip(range(30, 35), block):
+            index = [(update, s, m) for s in range(2) for m in range(TINY.group_size)]
+            zero = np.zeros(len(index), dtype=np.uint64)
+            got = below(5, "flow", draws.index, zero, 3)
+            assert got.tolist() == below(5, "flow", index, zero, 3).tolist()
+            assert len(set(got.tolist())) > 1
+
+    def test_block_length_and_resume_point_change_no_output(self, tiny_pretrain, tmp_path,
+                                                           monkeypatch):
+        cfg = replace(TINY, pretrain_dir=str(tiny_pretrain))
+        train(cfg, tmp_path / "whole")
+        monkeypatch.setattr(trainer_mod, "ROLLOUT_BLOCK", 4)
+        train(cfg, tmp_path / "blocks")  # updates 1-4, 5-6
+        train(replace(cfg, total_updates=3), tmp_path / "resumed")
+        train(cfg, tmp_path / "resumed", resume=True)  # 1-3, then 4-6
+        for run in ("blocks", "resumed"):
+            for name in ("metrics.csv", "groups.jsonl", "state.ckpt"):
+                assert (tmp_path / run / name).read_bytes() == \
+                    (tmp_path / "whole" / name).read_bytes(), (run, name)
+
+
 class TestRollouts:
     def test_deterministic_given_streams(self, tiny_pretrain):
         rt = _rt()
         text, flow = _snap(rt, tiny_pretrain)
         prompt = make_prompt(1, "near", "tight")
-        a = collect_rollouts(rt, [prompt], text, flow, seed=0, update=3)[0]
-        b = collect_rollouts(rt, [prompt], text, flow, seed=0, update=3)[0]
+        a = _collect(rt, [prompt], text, flow, 0, 3)[0]
+        b = _collect(rt, [prompt], text, flow, 0, 3)[0]
         np.testing.assert_array_equal(a.rewards, b.rewards)
         np.testing.assert_array_equal(a.flow.states[-1], b.flow.states[-1])
 
@@ -132,21 +189,17 @@ class TestRollouts:
             return real(x0, prompts, geom)
 
         monkeypatch.setattr(trainer_mod, "score", counting)
-        collect_rollouts(rt, [make_prompt(2, "far", "wide")], text, flow, 0, 1)
+        _collect(rt, [make_prompt(2, "far", "wide")], text, flow, 0, 1)
         assert calls == [rt.cfg.group_size]
 
-    def test_identical_members_make_degenerate_group(self, tiny_pretrain, monkeypatch):
+    def test_identical_members_make_degenerate_group(self, tiny_pretrain):
         # two members with identical draws would yield equal rewards and
         # all-zero advantages; emulate by handing every member member 0's words
-        real = trainer_mod.words
-
-        def member_zero(seed, tag, index, n, block=0):
-            return real(seed, tag, np.asarray(index) * [1, 1, 0], n, block)
-
-        monkeypatch.setattr(trainer_mod, "words", member_zero)
         rt = make_runtime(replace(TINY, group_size=2))
         text, flow = _snap(rt, tiny_pretrain)
-        g = collect_rollouts(rt, [make_prompt(1, "near", "tight")], text, flow, 0, 1)[0]
+        draws = rollout_words(rt.cfg, 0, range(1, 2), 1)[0]
+        draws.trace[1], draws.flow[1] = draws.trace[0], draws.flow[0]
+        g = collect_rollouts(rt, [make_prompt(1, "near", "tight")], text, flow, draws)[0]
         np.testing.assert_array_equal(g.rewards[0], g.rewards[1])
         np.testing.assert_array_equal(g.advantages, np.zeros(2))
         assert g.degenerate
@@ -154,7 +207,7 @@ class TestRollouts:
     def test_velocity_eval_budget_per_trajectory(self, tiny_pretrain):
         rt = _rt()
         text, flow = _snap(rt, tiny_pretrain)
-        g = collect_rollouts(rt, [make_prompt(3, "near", "wide")], text, flow, 0, 2)[0]
+        g = _collect(rt, [make_prompt(3, "near", "wide")], text, flow, 0, 2)[0]
         assert len(g.flow.starts) == rt.cfg.group_size
         assert g.flow.evals_per_row == rt.cfg.train_timesteps
 
@@ -176,7 +229,7 @@ class TestRollouts:
         # the rollout actually uses that draw
         rt30 = make_runtime(replace(TINY, group_size=30))
         text, flow = _snap(rt30, tiny_pretrain)
-        g = collect_rollouts(rt30, [make_prompt(4, "far", "tight")], text, flow, cfg.seed, 7)[0]
+        g = _collect(rt30, [make_prompt(4, "far", "tight")], text, flow, cfg.seed, 7)[0]
         np.testing.assert_array_equal(g.flow.starts, start_of(7, range(30)))
 
     @pytest.mark.parametrize("overrides", [{}, {"train_text": False}, {"train_cfg": True}])
@@ -187,12 +240,12 @@ class TestRollouts:
         text, flow = _snap(rt, tiny_pretrain)
         prompts = [sample_prompt(stream(5, "p", i)) for i in range(4)]
         others = [sample_prompt(stream(6, "p", i)) for i in range(4)]
-        batched = collect_rollouts(rt, prompts, text, flow, 0, 2)
+        batched = _collect(rt, prompts, text, flow, 0, 2)
         for slot in range(4):
             # the slot keeps its prompt; slot 0 runs alone, the others beside
             # different prompts
             mixed = others[:slot] + [prompts[slot]] + (others[slot + 1:] if slot else [])
-            ref = collect_rollouts(rt, mixed, text, flow, 0, 2)[slot]
+            ref = _collect(rt, mixed, text, flow, 0, 2)[slot]
             got = batched[slot]
             assert [tr.tokens for tr in got.traces] == [tr.tokens for tr in ref.traces]
             for a, b in zip(got.traces, ref.traces):
@@ -226,7 +279,7 @@ class TestRollouts:
         counting(FlowPolicy, "velocity_np", "flow")
         counting(TextPolicy, "logits_np", "text")
         prompts = [sample_prompt(stream(0, "p", i)) for i in range(3)]
-        collect_rollouts(rt, prompts, text, flow, 0, 1)
+        _collect(rt, prompts, text, flow, 0, 1)
         n_rows = 3 * rt.cfg.group_size
         assert rows["flow"] == [n_rows] * rt.cfg.train_timesteps
         assert 1 <= len(rows["text"]) <= rt.cfg.max_trace_len and rows["text"][0] == n_rows
@@ -240,7 +293,7 @@ class TestUnifiedUpdate:
         rt = make_runtime(cfg)
         text, flow = _snap(rt, tiny_pretrain)
         prompts = [sample_prompt(stream(0, "p", i)) for i in range(cfg.prompts_per_batch)]
-        groups = collect_rollouts(rt, prompts, text, flow, 0, 1)
+        groups = _collect(rt, prompts, text, flow, 0, 1)
         at = AdamState.for_params(text, lr=cfg.lr_text)
         af = AdamState.for_params(flow, lr=cfg.lr_flow)
         return rt, groups, text, flow, at, af
@@ -396,8 +449,8 @@ class TestEvaluate:
                 if tokens[-1] == EOS:
                     break
             accs.append(tuple(tokens) == canonical_trace(prompt))
-            cond_cur = np.repeat(fp.cond_np(moved, [tokens]), len(x1), axis=0)
-            cond_ref = np.repeat(fp.cond_np(flow, [tokens]), len(x1), axis=0)
+            cond_cur = np.repeat(fp.pool_weights([tokens]) @ moved["cemb"], len(x1), axis=0)
+            cond_ref = np.repeat(fp.pool_weights([tokens]) @ flow["cemb"], len(x1), axis=0)
             x = x1.copy()
             for k in range(len(times) - 1):
                 t, dt = float(times[k]), float(times[k] - times[k + 1])

@@ -1,0 +1,138 @@
+"""Alternating parent/change benchmark pairs from two checkouts.
+
+    python3 tools/bench_pairs.py --parent ../parent --change . \
+        --workload train-desk --workload train-guided --seeds 3101-3110 \
+        --seconds 30 --claim update_ms.p50 --out BENCH_new.json
+
+For each workload and each seed it runs `perfbench/run.py --workload W
+--seed S --seconds T --trace 0` once in each checkout, one after the other
+(the parent first on even pairs, the change first on odd ones), and reads
+the final JSON line of each run.  It prints every run as it finishes, then
+per workload and end-to-end metric of BENCHMARK.json: the parent's and the
+change's medians, the parent's interquartile range, the relative change,
+and how many pairs the change won.  A claimed metric is flagged as shown
+when the change won at least 9 of every 10 pairs and the medians differ,
+in the metric's better direction, by more than the parent's IQR; any
+other metric is flagged when its median got worse by more than its bound.
+With --out it writes, per workload, the change's last result line in the
+BENCH_<pr>.json shape, plus the medians and win counts.
+
+Run nothing else on the machine meanwhile: the pairs share its CPUs.
+Exit status: 0 when every claim is shown and no bound is crossed, else 1.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+
+def seed_list(text: str) -> list[int]:
+    """'3101-3110' or '3101,3105' (or a mix) as a list of seeds."""
+    seeds = []
+    for part in text.split(","):
+        lo, _, hi = part.partition("-")
+        seeds += list(range(int(lo), int(hi or lo) + 1))
+    return seeds
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode or not lines:
+        raise SystemExit(f"{' '.join(cmd)} in {checkout} exited {proc.returncode}:\n"
+                         f"{proc.stderr[-2000:]}")
+    return json.loads(lines[-1])
+
+
+def iqr(values: list[float]) -> float:
+    if len(values) < 2:
+        return 0.0
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return q3 - q1
+
+
+def summarize(spec: dict, runs: list[tuple[dict, dict]], claims: set[str]) -> tuple[dict, bool]:
+    """Per end-to-end metric: medians, parent IQR, wins; and whether every
+    claim is shown and no bound crossed."""
+    summary, ok = {}, True
+    for metric in spec["end_to_end"]:
+        name, lower = metric["name"], metric["better"] == "lower"
+        parent = [p["metrics"][name]["value"] for p, _ in runs]
+        change = [c["metrics"][name]["value"] for _, c in runs]
+        wins = sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
+        p_med, c_med, spread = statistics.median(parent), statistics.median(change), iqr(parent)
+        gain = (p_med - c_med) if lower else (c_med - p_med)
+        rel = (c_med - p_med) / abs(p_med) if p_med else 0.0
+        worse = rel if lower else -rel
+        entry = {"parent_median": p_med, "change_median": c_med, "parent_iqr": spread,
+                 "relative_change": rel, "wins": wins, "pairs": len(runs)}
+        if name in claims:
+            entry["claim_shown"] = wins >= 0.9 * len(runs) and gain > spread
+            ok &= entry["claim_shown"]
+        else:
+            entry["within_bound"] = worse <= metric["bound"]
+            ok &= entry["within_bound"]
+        summary[name] = entry
+    return summary, ok
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
+    ap.add_argument("--change", type=Path, required=True, help="checkout of the change")
+    ap.add_argument("--workload", action="append", required=True)
+    ap.add_argument("--seeds", type=seed_list, required=True, help="e.g. 3101-3110")
+    ap.add_argument("--seconds", type=float, default=30.0)
+    ap.add_argument("--claim", action="append", default=[],
+                    help="end-to-end metric the change claims to improve")
+    ap.add_argument("--out", type=Path, help="write the BENCH_<pr>.json record here")
+    args = ap.parse_args(argv)
+    spec = json.loads((args.change / "BENCHMARK.json").read_text())
+    known = {m["name"] for m in spec["end_to_end"]}
+    unknown = sorted(set(args.claim) - known)
+    if unknown:
+        ap.error(f"not an end-to-end metric: {', '.join(unknown)}")
+
+    record = {
+        "command": f"python3 perfbench/run.py --workload <workload> --seed <seed> "
+                   f"--seconds {args.seconds:g} --trace 0",
+        "note": f"last change-side run of {len(args.seeds)} alternating parent/change pairs "
+                f"per workload, seeds {args.seeds[0]}-{args.seeds[-1]}",
+    }
+    all_ok = True
+    for workload in args.workload:
+        runs = []
+        for i, seed in enumerate(args.seeds):
+            sides = [("parent", args.parent), ("change", args.change)]
+            result = {}
+            for side, checkout in (sides if i % 2 == 0 else sides[::-1]):
+                result[side] = run_once(checkout, workload, seed, args.seconds)
+                values = " ".join(f"{k}={v['value']:.6g}"
+                                  for k, v in result[side]["metrics"].items())
+                print(f"run {workload} seed={seed} {side} correct={result[side]['correct']} "
+                      f"failed={result[side]['failed']} {values}", flush=True)
+            runs.append((result["parent"], result["change"]))
+        summary, ok = summarize(spec, runs, set(args.claim))
+        all_ok &= ok and all(p["correct"] and c["correct"] for p, c in runs)
+        print(f"== {workload}: {len(runs)} pairs")
+        for name, e in summary.items():
+            verdict = ("claim shown" if e["claim_shown"] else "claim NOT shown") \
+                if "claim_shown" in e else ("ok" if e["within_bound"] else "BOUND CROSSED")
+            print(f"{name:16s} parent {e['parent_median']:.6g} (IQR {e['parent_iqr']:.3g})  "
+                  f"change {e['change_median']:.6g}  {e['relative_change']:+.1%}  "
+                  f"wins {e['wins']}/{e['pairs']}  {verdict}")
+        record[workload] = {"seed": args.seeds[-1], "result": runs[-1][1], "pairs": summary}
+    if args.out:
+        args.out.write_text(json.dumps(record, indent=2) + "\n")
+    return 0 if all_ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
