@@ -91,11 +91,17 @@ class Tape:
                     grads[pidx] = grads[pidx] + pg
         return grads
 
-    def param_grads(self, seed=1.0, output: Var | None = None) -> dict[str, np.ndarray]:
-        """Gradients for the registered parameter leaves (zeros if untouched)."""
+    def param_grads(self, seed=1.0, output: Var | None = None) -> np.ndarray:
+        """Gradients for the registered parameter leaves as one new vector in
+        the layout of their ParamSet; blocks the output does not reach stay zero."""
         grads = self.backward(seed, output)
-        out = {}
+        vec = np.zeros(self.param_source.layout.size)
+        views = self.param_source.layout.views(vec)
         for name, var in self.params.items():
             g = grads[var.idx]
-            out[name] = np.zeros_like(var.value) if g is None else g
-        return out
+            if g is not None:
+                if g.shape != var.value.shape:
+                    raise ValueError(f"gradient shape {g.shape} for block '{name}', "
+                                     f"expected {var.value.shape}")
+                views[name][...] = g
+        return vec

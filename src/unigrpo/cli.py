@@ -82,7 +82,7 @@ def cmd_verify(args) -> int:
 
 def cmd_eval(args) -> int:
     from . import checkpoint
-    from .trainer import evaluate, make_eval_set, make_runtime
+    from .trainer import check_architecture, evaluate, make_eval_set, make_runtime
 
     cfg, _ = _load(args)
     rt = make_runtime(cfg)
@@ -91,6 +91,9 @@ def cmd_eval(args) -> int:
     flow_params = checkpoint.load_params(run / "flow.ckpt")
     ref_path = run / "ref_flow.ckpt"
     flow_ref = checkpoint.load_params(ref_path) if ref_path.exists() else flow_params
+    check_architecture(text_params, rt.text_policy, "text")
+    check_architecture(flow_params, rt.flow_policy, "flow")
+    check_architecture(flow_ref, rt.flow_policy, "ref_flow")
     ev = evaluate(rt, text_params, flow_params, flow_ref, make_eval_set(rt, cfg.seed))
     print(json.dumps(ev, indent=2))
     return 0

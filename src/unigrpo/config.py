@@ -94,7 +94,8 @@ class TrainConfig:
             raise ConfigError("group_size must be >= 2")
         for name in ("prompts_per_batch", "eval_samples", "pretrain_batch", "ppo_epochs",
                      "pretrain_text_n", "pretrain_flow_n", "train_timesteps", "eval_timesteps",
-                     "ablate_seeds"):
+                     "ablate_seeds", "text_embed_dim", "text_hidden", "flow_cond_dim",
+                     "flow_hidden", "pretrain_text_epochs", "pretrain_flow_epochs"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
         for name in ("total_updates", "eval_every", "checkpoint_every", "ablate_updates"):

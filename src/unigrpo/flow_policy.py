@@ -20,7 +20,7 @@ import numpy as np
 
 from .autodiff import Tape, Var
 from .errors import ConfigError, NumericError
-from .nn import (AdamState, GradSet, ParamSet, adam_step, clipped_objective, init_mlp_blocks,
+from .nn import (AdamState, ParamSet, adam_step, clipped_objective, init_mlp_blocks,
                  mlp_forward_np, mlp_var)
 from .task import VOCAB_SIZE
 
@@ -288,11 +288,9 @@ class FlowPolicy:
             raise ConfigError(
                 f"SDE window [{start}, {start + window_size}) out of range for {n} steps"
             )
-        # (row, window slot) pairs of each step, built once
-        window = [[] for _ in range(n)]
-        for i, start in enumerate(starts.tolist()):
-            for j in range(window_size):
-                window[start + j].append((i, j))
+        # which rows are inside their window at each step, built once
+        steps = np.arange(n)[:, None]
+        inside = (starts <= steps) & (steps < starts + window_size)
         states = np.empty((n + 1, B, DIM))
         states[0] = x1
         velocities = np.empty((n, B, DIM))
@@ -305,8 +303,9 @@ class FlowPolicy:
             inputs[:, :DIM] = x
             v = self.velocity_np(params, inputs, cfg_scale, velocities[k])
             states[k + 1] = x - v * dt
-            if window[k]:
-                rows, slots = np.array(window[k]).T
+            rows = np.flatnonzero(inside[k])
+            if rows.size:
+                slots = k - starts[rows]
                 mu[rows, slots], _, states[k + 1, rows] = sde_step_values(
                     x[rows], v[rows], t, dt, sigma_level * np.sqrt(t), eps[rows, slots]
                 )
@@ -331,7 +330,7 @@ class FlowPolicy:
     def fm_loss_frozen(
         self, params: ParamSet, x0: np.ndarray, pool: np.ndarray, t: np.ndarray,
         x1: np.ndarray, keep: np.ndarray,
-    ) -> tuple[float, GradSet]:
+    ) -> tuple[float, np.ndarray]:
         """Rectified-flow regression with all randomness supplied by the caller:
         regress v(x_t, t, cond) onto x_1 - x_0 along the linear path.  `pool`
         holds each row's pooling weights; `keep` zeroes dropout rows' conditions."""
@@ -343,8 +342,7 @@ class FlowPolicy:
         scale = 1.0 / len(x0)
         loss = np.sum((diff * diff).sum(axis=1) * scale)
         tape.output = tape.node(loss, [v], lambda g: (2.0 * diff * (g * scale),))
-        gs = GradSet(params, tape.param_grads(1.0))
-        return float(loss), gs
+        return float(loss), tape.param_grads(1.0)
 
     def pretrain(
         self,
@@ -372,8 +370,8 @@ class FlowPolicy:
                 t = 1.0 - rng.random(len(sel))  # Uniform(0, 1]
                 x1 = rng.standard_normal((len(sel), DIM))
                 keep = (rng.random(len(sel)) >= p_uncond).astype(np.float64)
-                loss, gs = self.fm_loss_frozen(params, x0_all[sel], pool_all[sel], t, x1, keep)
-                params = adam_step(params, gs, state)
+                loss, grads = self.fm_loss_frozen(params, x0_all[sel], pool_all[sel], t, x1, keep)
+                params = adam_step(params, grads, state)
                 total += loss * len(sel)
             epoch_losses.append(total / n)
         report = {"epoch_losses": epoch_losses}
@@ -449,7 +447,7 @@ class FlowPolicy:
 
     def surrogate_loss(
         self, params: ParamSet, batch: FlowUpdateBatch, clip_eps: float, reg_weight: float,
-    ) -> tuple[float, GradSet, FlowLossStats]:
+    ) -> tuple[float, np.ndarray, FlowLossStats]:
         """Clipped objective over each row's stochastic window with
         standardized ratios, minus the configured drift regularizer evaluated
         at the stored states against the frozen reference.  Each row weighs
@@ -503,7 +501,7 @@ class FlowPolicy:
             return g_cond, g_v - g_cond
 
         tape.output = tape.node(j, nets, vjp)
-        gs = GradSet(params, tape.param_grads(1.0))
+        grads = tape.param_grads(1.0)
         stats = FlowLossStats(
             surrogate=float(j),
             mean_ratio=float(rt.mean()),
@@ -512,4 +510,4 @@ class FlowPolicy:
             reg_value=reg_value,
             step_count=len(b.xs),
         )
-        return float(j), gs, stats
+        return float(j), grads, stats

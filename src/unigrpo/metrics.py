@@ -9,21 +9,8 @@ deterministic for identical doubles.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
-
-METRICS_HEADER = [
-    "update",
-    "mean_train_reward",
-    "eval_reward",
-    "j_text",
-    "j_flow",
-    "clip_frac_text",
-    "clip_frac_flow",
-    "velocity_drift",
-    "text_accuracy",
-    "nonfinite_samples",
-]
 
 TIMINGS_HEADER = ["update", "wall_clock", "rollout_s", "update_s", "eval_s", "io_s"]
 
@@ -37,9 +24,12 @@ class MetricsRow:
     j_flow: float
     clip_frac_text: float
     clip_frac_flow: float
-    velocity_drift: float
-    text_accuracy: float
+    velocity_drift: float | None
+    text_accuracy: float | None
     nonfinite_samples: int
+
+
+METRICS_HEADER = [f.name for f in fields(MetricsRow)]
 
 
 def _fmt(value) -> str:
@@ -68,8 +58,7 @@ class MetricsWriter:
             self._timings.write(",".join(TIMINGS_HEADER) + "\n")
 
     def write_row(self, row: MetricsRow) -> None:
-        rec = asdict(row)
-        self._csv.write(",".join(_fmt(rec[name]) for name in METRICS_HEADER) + "\n")
+        self._csv.write(",".join(_fmt(getattr(row, name)) for name in METRICS_HEADER) + "\n")
         self._csv.flush()
 
     def write_timings(self, update: int, wall_clock: float, rollout_s: float,

@@ -17,7 +17,7 @@ from .errors import ConfigError, NumericError
 
 class Layout:
     """Block names, shapes and offsets of one flat float64 vector, in block
-    order.  Every ParamSet, GradSet and Adam moment vector derived from one
+    order.  Every ParamSet, gradient and Adam moment vector derived from one
     parameter set shares its layout object."""
 
     __slots__ = ("spans", "size")
@@ -58,10 +58,19 @@ class Layout:
         return next(name for name, (lo, hi, _) in self.spans.items() if lo <= bad < hi)
 
 
-class _Blocks:
-    """Named, shaped views into one flat vector of finite values with a Layout."""
+class ParamSet:
+    """Float64 parameter blocks stored as views into one contiguous vector.
+
+    Block names and shapes are fixed at construction; values are replaced
+    functionally (every update builds a new vector), so snapshots never
+    alias live parameters.
+    """
 
     __slots__ = ("layout", "vec", "_views")
+
+    def __init__(self, blocks: dict[str, np.ndarray]):
+        layout = Layout({name: np.shape(arr) for name, arr in blocks.items()})
+        self._bind(layout, layout.flatten(blocks))
 
     def _bind(self, layout: Layout, vec: np.ndarray) -> None:
         bad = layout.first_nonfinite(vec)
@@ -81,21 +90,6 @@ class _Blocks:
     def items(self):
         return self._views.items()
 
-
-class ParamSet(_Blocks):
-    """Float64 parameter blocks stored as views into one contiguous vector.
-
-    Block names and shapes are fixed at construction; values are replaced
-    functionally (every update builds a new vector), so snapshots never
-    alias live parameters.
-    """
-
-    __slots__ = ()
-
-    def __init__(self, blocks: dict[str, np.ndarray]):
-        layout = Layout({name: np.shape(arr) for name, arr in blocks.items()})
-        self._bind(layout, layout.flatten(blocks))
-
     def with_vector(self, vec: np.ndarray) -> "ParamSet":
         """New ParamSet over `vec` (taken, not copied) with this layout."""
         new = ParamSet.__new__(ParamSet)
@@ -108,31 +102,6 @@ class ParamSet(_Blocks):
     def with_blocks(self, updates: dict[str, np.ndarray]) -> "ParamSet":
         """New ParamSet with some blocks replaced; names/shapes must match."""
         return self.with_vector(self.layout.flatten({**self._views, **updates}))
-
-
-class GradSet(_Blocks):
-    """Gradients in the layout of a ParamSet: one vector built from a block
-    per name (names and shapes checked), or zeros to accumulate into."""
-
-    __slots__ = ()
-
-    def __init__(self, params: ParamSet, blocks: dict[str, np.ndarray] | None = None):
-        layout = params.layout
-        self._bind(layout, np.zeros(layout.size) if blocks is None else layout.flatten(blocks))
-
-    def add_(self, grads: dict[str, np.ndarray] | "GradSet") -> "GradSet":
-        for name, g in grads.items():
-            view = self[name]
-            if g.shape != view.shape:
-                raise ConfigError(
-                    f"gradient shape mismatch for block '{name}': {g.shape} vs {view.shape}"
-                )
-            view += g
-        return self
-
-    def scale_(self, c: float) -> "GradSet":
-        self.vec *= c
-        return self
 
 
 @dataclass
@@ -167,26 +136,27 @@ class AdamState:
         self.step = int(blocks[f"{prefix}.step"])
 
 
-def adam_step(params: ParamSet, grads: GradSet, state: AdamState) -> ParamSet:
-    """Bias-corrected Adam update as whole-vector ops; rejects non-finite
-    gradients untouched.  Builds new moment and parameter vectors, so the
-    input ParamSet and earlier moment vectors are never written.  The
-    operations and their order are those of
+def adam_step(params: ParamSet, grads: np.ndarray, state: AdamState) -> ParamSet:
+    """Bias-corrected Adam update as whole-vector ops on the gradient vector
+    g = `grads` in the layout of `params`.  The one non-finite gradient check
+    of training: it rejects the step, naming the block, before touching
+    anything.  Builds new moment and parameter vectors, so the input
+    ParamSet and earlier moment vectors are never written.  The operations
+    and their order are those of
         m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g
         p - lr (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps),
     evaluated in place on two scratch vectors."""
-    bad = grads.layout.first_nonfinite(grads.vec)
+    bad = params.layout.first_nonfinite(grads)
     if bad is not None:
         raise NumericError(f"non-finite gradient in block '{bad}'; step rejected")
     state.step += 1
     t = state.step
     b1, b2 = state.beta1, state.beta2
-    g = grads.vec
-    tmp = np.multiply(g, 1.0 - b1)
+    tmp = np.multiply(grads, 1.0 - b1)
     m = np.multiply(state.m, b1)
     m += tmp
-    np.multiply(g, 1.0 - b2, out=tmp)
-    tmp *= g
+    np.multiply(grads, 1.0 - b2, out=tmp)
+    tmp *= grads
     v = np.multiply(state.v, b2)
     v += tmp
     state.m, state.v = m, v
@@ -371,9 +341,9 @@ def finite_diff_check(
     truncation error is O(h^4), so h can be large enough that roundoff in f
     stays far below the tolerance even for gradients near 1e-8.
 
-    loss_fn maps ParamSet -> (scalar, GradSet) and must be deterministic;
-    two evaluations at identical params are required to agree exactly or
-    the check aborts.
+    loss_fn maps ParamSet -> (scalar, gradient vector in its layout) and
+    must be deterministic; two evaluations at identical params are
+    required to agree exactly or the check aborts.
     """
     if rng is None:
         rng = np.random.default_rng(0)
@@ -402,7 +372,7 @@ def finite_diff_check(
 
         near, far = loss_at(h) - loss_at(-h), loss_at(2 * h) - loss_at(-2 * h)
         numeric = (8.0 * near - far) / (12.0 * h)
-        analytic = float(grads.vec[index])
+        analytic = float(grads[index])
         denom = max(abs(analytic), abs(numeric), 1e-8)
         results.append(
             FdProbe(block, flat, analytic, float(numeric), abs(analytic - numeric) / denom)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .autodiff import Tape, Var
 from .errors import NumericError
-from .nn import (AdamState, GradSet, ParamSet, adam_step, clipped_objective, init_mlp_blocks,
+from .nn import (AdamState, ParamSet, adam_step, clipped_objective, init_mlp_blocks,
                  mlp_forward_np, mlp_var)
 from .task import EOS, PAD, PROMPT_LEN, TRACE_LEN, VOCAB_SIZE, canonical_trace
 
@@ -237,7 +237,7 @@ class TextPolicy:
 
     def surrogate_loss(
         self, params: ParamSet, batch: TextUpdateBatch, clip_eps: float,
-    ) -> tuple[float, GradSet, TextLossStats]:
+    ) -> tuple[float, np.ndarray, TextLossStats]:
         """Clipped importance-weighted objective, averaged per token within a
         trace and across traces, minus the exact per-token KL to the reference
         head.  Both policies are scored at the sampling temperature, so the
@@ -272,7 +272,7 @@ class TextPolicy:
             return (g_logits * b.inv_t,)
 
         tape.output = tape.node(j, [out], vjp)
-        gs = GradSet(params, tape.param_grads(1.0))
+        grads = tape.param_grads(1.0)
         stats = TextLossStats(
             surrogate=float(j),
             mean_ratio=float(ratio.mean()),
@@ -280,7 +280,7 @@ class TextPolicy:
             clip_fraction=float(np.mean(np.abs(ratio - 1.0) > clip_eps)),
             token_count=len(b.targets),
         )
-        return float(j), gs, stats
+        return float(j), grads, stats
 
     # ---- supervised pretraining ----
 
@@ -292,8 +292,7 @@ class TextPolicy:
         scale = -1.0 / len(targets)
         loss = np.sum(logp[np.arange(len(targets)), targets] * scale)
         tape.output = tape.node(loss, [out], lambda g: (_pick_vjp(logp, targets, g * scale),))
-        gs = GradSet(params, tape.param_grads(1.0))
-        return float(loss), gs
+        return float(loss), tape.param_grads(1.0)
 
     def pretrain(
         self,
@@ -327,8 +326,8 @@ class TextPolicy:
                 lens = lengths[sel]
                 shift = starts[sel] - (np.cumsum(lens) - lens)
                 idx = np.arange(lens.sum()) + np.repeat(shift, lens)
-                loss, gs = self.ce_loss(params, rows_all[idx], tgt_all[idx])
-                params = adam_step(params, gs, state)
+                loss, grads = self.ce_loss(params, rows_all[idx], tgt_all[idx])
+                params = adam_step(params, grads, state)
                 total += loss * len(idx)
                 count += len(idx)
             epoch_losses.append(total / count)

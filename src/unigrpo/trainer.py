@@ -241,7 +241,8 @@ def unified_update(
                 if epoch == 0:
                     stats.j_text = j
                 stats.clip_frac_text = st.clip_fraction
-                new_text = adam_step(text_params, grads.scale_(-1.0), adam_text)  # ascend
+                grads *= -1.0  # ascend
+                new_text = adam_step(text_params, grads, adam_text)
             if cfg.train_flow:
                 j, grads, st = rt.flow_policy.surrogate_loss(
                     flow_params, flow_batch, cfg.clip_eps, reg_weight
@@ -251,8 +252,8 @@ def unified_update(
                 if epoch == 0:
                     stats.j_flow = j
                 stats.clip_frac_flow = st.clip_fraction
-                # ascend lambda * J_flow
-                new_flow = adam_step(flow_params, grads.scale_(-cfg.lambda_flow), adam_flow)
+                grads *= -cfg.lambda_flow  # ascend lambda * J_flow
+                new_flow = adam_step(flow_params, grads, adam_flow)
             text_params, flow_params = new_text, new_flow
     except NumericError:
         for adam, m, v, step in saved:
@@ -374,7 +375,9 @@ def _software() -> dict:
             "thread_env": {v: os.environ.get(v) for v in threads}}
 
 
-def _check_architecture(loaded: ParamSet, expected: ParamSet, which: str) -> None:
+def check_architecture(loaded: ParamSet, policy: TextPolicy | FlowPolicy, which: str) -> None:
+    """CheckpointError unless `loaded` has the blocks and shapes `policy` builds."""
+    expected = policy.init_params(stream(0, "chk"))
     got = {n: loaded[n].shape for n in loaded.names()}
     want = {n: expected[n].shape for n in expected.names()}
     if got != want:
@@ -420,8 +423,8 @@ def train(cfg: TrainConfig, out_dir, resume: bool = False, config_text: str | No
             )
     text_ref = checkpoint.load_params(pre / "text.ckpt")
     flow_ref = checkpoint.load_params(pre / "flow.ckpt")
-    _check_architecture(text_ref, rt.text_policy.init_params(stream(0, "chk")), "text")
-    _check_architecture(flow_ref, rt.flow_policy.init_params(stream(0, "chk")), "flow")
+    check_architecture(text_ref, rt.text_policy, "text")
+    check_architecture(flow_ref, rt.flow_policy, "flow")
     checkpoint.save_params(out / "ref_text.ckpt", text_ref)
     checkpoint.save_params(out / "ref_flow.ckpt", flow_ref)
 
@@ -468,13 +471,11 @@ def train(cfg: TrainConfig, out_dir, resume: bool = False, config_text: str | No
 
     writer = MetricsWriter(out, append=resume)
     eval_set = make_eval_set(rt, seed)
-    baseline = None
 
     if not resume:
         tic = time.perf_counter()
         ev = evaluate(rt, text_params, flow_params, flow_ref, eval_set)
         t_eval = time.perf_counter()
-        baseline = ev["eval_reward"]
         writer.write_row(MetricsRow(
             update=0, mean_train_reward=0.0, eval_reward=ev["eval_reward"],
             j_text=0.0, j_flow=0.0, clip_frac_text=0.0, clip_frac_flow=0.0,
@@ -484,7 +485,6 @@ def train(cfg: TrainConfig, out_dir, resume: bool = False, config_text: str | No
         toc = time.perf_counter()
         writer.write_timings(0, toc - tic, 0.0, 0.0, t_eval - tic, toc - t_eval)
 
-    last_eval: dict = {}
     pending: list[RolloutWords] = []
     for update in range(start_update + 1, cfg.total_updates + 1):
         tic = time.perf_counter()
@@ -507,8 +507,6 @@ def train(cfg: TrainConfig, out_dir, resume: bool = False, config_text: str | No
         do_eval = (cfg.eval_every > 0 and update % cfg.eval_every == 0) \
             or update == cfg.total_updates
         ev = evaluate(rt, text_params, flow_params, flow_ref, eval_set) if do_eval else None
-        if ev:
-            last_eval = ev
         t_eval = time.perf_counter()
 
         all_rewards = np.concatenate([g.rewards for g in groups])
@@ -548,16 +546,15 @@ def train(cfg: TrainConfig, out_dir, resume: bool = False, config_text: str | No
                              t_eval - t_update, toc - t_eval)
 
     writer.close()
+    # row 0 is the baseline evaluation and the final update always evaluates
     rows = read_metrics(out / "metrics.csv")
-    if baseline is None:
-        baseline = rows[0]["eval_reward"]
     summary = {
         "out_dir": str(out),
         "updates": cfg.total_updates,
-        "baseline_eval": baseline,
-        "final_eval": last_eval.get("eval_reward", rows[-1]["eval_reward"]),
-        "final_text_accuracy": last_eval.get("text_accuracy"),
-        "final_velocity_drift": last_eval.get("velocity_drift"),
+        "baseline_eval": rows[0]["eval_reward"],
+        "final_eval": rows[-1]["eval_reward"],
+        "final_text_accuracy": rows[-1]["text_accuracy"],
+        "final_velocity_drift": rows[-1]["velocity_drift"],
     }
     (out / "summary.json").write_text(json.dumps(summary, indent=2))
     return summary

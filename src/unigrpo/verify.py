@@ -81,9 +81,10 @@ def _nontrivial_flow_params(flow: FlowPolicy, seed: int):
 
 def _corrupt(loss_fn, block: str):
     def wrapped(p):
-        v, gs = loss_fn(p)
-        gs.add_({block: np.full_like(gs[block], 0.3)})
-        return v, gs
+        v, grads = loss_fn(p)
+        lo, hi, _ = p.layout.spans[block]
+        grads[lo:hi] += 0.3
+        return v, grads
 
     return wrapped
 
@@ -106,8 +107,8 @@ def gradient_oracles(corrupt_gradient: bool = False) -> list[OracleResult]:
     tbatch = text.prepare_batch(traces, adv, 1.0, 0.05, tref)
 
     def text_loss(p):
-        j, gs, _ = text.surrogate_loss(p, tbatch, 0.2)
-        return j, gs
+        j, grads, _ = text.surrogate_loss(p, tbatch, 0.2)
+        return j, grads
 
     fn = _corrupt(text_loss, "W0") if corrupt_gradient else text_loss
     rep = finite_diff_check(fn, tmoved, probes=100, tol=1e-4, rng=stream(SEED, "fd-t"))
@@ -142,8 +143,8 @@ def gradient_oracles(corrupt_gradient: bool = False) -> list[OracleResult]:
         fbatch = flow.prepare_batch(batch, adv, reg_mode, fref)
 
         def flow_loss(p, fbatch=fbatch, weight=weight):
-            j, gs, _ = flow.surrogate_loss(p, fbatch, 0.2, weight)
-            return j, gs
+            j, grads, _ = flow.surrogate_loss(p, fbatch, 0.2, weight)
+            return j, grads
 
         rep = finite_diff_check(
             flow_loss, fmoved, probes=100, tol=1e-4, rng=stream(SEED, f"fd-f-{reg_mode}")

@@ -194,6 +194,21 @@ def test_backward_seed_shape_mismatch_raises():
         t.backward(np.ones(3))
 
 
+def test_param_grads_fill_the_layout_and_check_block_shapes():
+    # one vector in the ParamSet's layout: blocks never registered or never
+    # reached stay zero, and a VJP returning a block in the wrong shape
+    # names the block instead of broadcasting into it
+    params = ParamSet({"a": np.ones(2), "w": np.ones((2, 2)), "c": np.ones(3)})
+    t = Tape()
+    w = t.param(params, "w")
+    t.param(params, "c")
+    t.output = t.node(w.value.sum(), [w], lambda g: (np.full((2, 2), g),))
+    np.testing.assert_array_equal(t.param_grads(), [0, 0, 1, 1, 1, 1, 0, 0, 0])
+    t.output = t.node(w.value.sum(), [w], lambda g: (np.full(2, g),))
+    with pytest.raises(ValueError, match="'w'"):
+        t.param_grads()
+
+
 def test_differentiated_tape_is_freed_without_the_cycle_collector():
     params = ParamSet({"w": np.ones((3, 2))})
     gc.disable()
@@ -205,7 +220,7 @@ def test_differentiated_tape_is_freed_without_the_cycle_collector():
         t.output = t.node(out.value.sum(), [out], lambda g: (np.broadcast_to(g, (4, 2)),))
         nodes = len(t)
         grads = t.param_grads()
-        np.testing.assert_array_equal(grads["w"], np.full((3, 2), 4.0))
+        np.testing.assert_array_equal(grads, np.full(6, 4.0))
         assert len(t) == nodes
         ref = weakref.ref(t)
         del t, w, out

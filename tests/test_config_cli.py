@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from dataclasses import fields
@@ -11,10 +12,11 @@ import numpy as np
 import pytest
 
 import unigrpo
-from unigrpo.checkpoint import load_blocks, save_blocks
+from unigrpo.checkpoint import load_blocks, save_blocks, save_params
 from unigrpo.cli import main
 from unigrpo.config import TrainConfig, dump_config, load_config, parse_config_text
 from unigrpo.errors import ConfigError
+from unigrpo.flow_policy import FlowPolicy
 
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 FLOAT_KEYS = [f.name for f in fields(TrainConfig)
@@ -25,6 +27,13 @@ GEOMETRY_AND_PRETRAIN_LINES = [
     "pretrain_flow_n = -5", "tau_tight = -0.1", "tau_wide = -1e-9", "radius_near = 0",
     "radius_near = -0.5", "radius_near = 1.5", "radius_near = 2.0", "radius_far = 0.5",
     "radius_far = 0.1",
+]
+# model sizes and pretraining epochs: a negative size crashed pretraining with
+# a numpy error, and a zero one (flow_cond_dim = 0 hides the reasoning from the
+# generator) or negative epoch count ran silently
+MODEL_SIZE_LINES = [
+    "text_hidden = -1", "flow_hidden = -2", "text_embed_dim = 0", "flow_cond_dim = 0",
+    "pretrain_text_epochs = -1", "pretrain_flow_epochs = 0",
 ]
 # run-control and sampling keys whose out-of-range values once ran silently or
 # crashed later with a message that did not name the key
@@ -137,7 +146,7 @@ class TestValidation:
     def test_probability_bounds_accepted(self, kw):
         TrainConfig(**kw).validate()
 
-    @pytest.mark.parametrize("line", GEOMETRY_AND_PRETRAIN_LINES)
+    @pytest.mark.parametrize("line", GEOMETRY_AND_PRETRAIN_LINES + MODEL_SIZE_LINES)
     def test_geometry_and_pretrain_values_rejected(self, line):
         # a negative learning rate would ascend the pretraining losses, an
         # empty dataset has nothing to fit, and a non-positive or inverted
@@ -197,6 +206,11 @@ pretrain_flow_epochs = 6
 """
 
 
+def _without(text: str, key: str) -> str:
+    """Config text with any line setting `key` removed."""
+    return "".join(row + "\n" for row in text.splitlines() if row.split(" = ")[0] != key)
+
+
 @pytest.fixture(scope="module")
 def cli_workspace(tmp_path_factory):
     ws = tmp_path_factory.mktemp("cli")
@@ -205,6 +219,13 @@ def cli_workspace(tmp_path_factory):
     rc = main(["pretrain", "--config", str(cfg_path), "--out", str(ws / "pre")])
     assert rc == 0
     return ws, cfg_path
+
+
+def _trained_run(ws, cfg_path, capsys) -> None:
+    """Train the workspace's run directory once, for the commands that read it."""
+    if not (ws / "run/text.ckpt").exists():
+        assert main(["train", "--config", str(cfg_path), "--out", str(ws / "run")]) == 0
+        capsys.readouterr()
 
 
 class TestCli:
@@ -220,13 +241,38 @@ class TestCli:
 
     def test_eval_command(self, cli_workspace, capsys):
         ws, cfg_path = cli_workspace
-        if not (ws / "run/text.ckpt").exists():
-            assert main(["train", "--config", str(cfg_path), "--out", str(ws / "run")]) == 0
-            capsys.readouterr()
+        _trained_run(ws, cfg_path, capsys)
         rc = main(["eval", "--config", str(cfg_path), "--run", str(ws / "run")])
         assert rc == 0
         out = capsys.readouterr().out
         assert "eval_reward" in out
+
+    @pytest.mark.parametrize("line, which", [("max_trace_len = 5", "text"),
+                                             ("text_hidden = 40", "text"),
+                                             ("flow_hidden = 16", "flow")])
+    def test_eval_of_another_architecture_exits_3(self, cli_workspace, tmp_path, capsys,
+                                                  line, which):
+        # a config whose sizes differ from the run's checkpoints is a bad
+        # checkpoint, not a numpy error or an evaluation of the wrong net
+        ws, cfg_path = cli_workspace
+        _trained_run(ws, cfg_path, capsys)
+        other = tmp_path / "other.cfg"
+        other.write_text(_without(cfg_path.read_text(), line.split()[0]) + line + "\n")
+        rc = main(["eval", "--config", str(other), "--run", str(ws / "run")])
+        assert rc == 3
+        assert f"{which} checkpoint does not match" in capsys.readouterr().err
+
+    def test_eval_of_another_reference_architecture_exits_3(self, cli_workspace, tmp_path,
+                                                            capsys):
+        ws, cfg_path = cli_workspace
+        _trained_run(ws, cfg_path, capsys)
+        run = tmp_path / "run"
+        shutil.copytree(ws / "run", run)
+        save_params(run / "ref_flow.ckpt",
+                    FlowPolicy(hidden=16).init_params(np.random.default_rng(0)))
+        rc = main(["eval", "--config", str(cfg_path), "--run", str(run)])
+        assert rc == 3
+        assert "ref_flow checkpoint does not match" in capsys.readouterr().err
 
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
@@ -236,10 +282,11 @@ class TestCli:
         assert "not_a_key" in capsys.readouterr().err
 
     @pytest.mark.parametrize("line", ["tau_r = 0", "lr_flow = nan", "p_uncond = 2"]
-                             + GEOMETRY_AND_PRETRAIN_LINES)
+                             + GEOMETRY_AND_PRETRAIN_LINES + MODEL_SIZE_LINES)
     def test_out_of_range_value_exits_2(self, tmp_path, capsys, line):
+        # the key's own TINY_CONFIG line goes, so no duplicate-key error stands in
         bad = tmp_path / "bad.cfg"
-        bad.write_text(TINY_CONFIG + line + "\n")
+        bad.write_text(_without(TINY_CONFIG, line.split()[0]) + line + "\n")
         rc = main(["train", "--config", str(bad), "--out", str(tmp_path / "r")])
         assert rc == 2
         assert line.split()[0] in capsys.readouterr().err
@@ -247,10 +294,8 @@ class TestCli:
     @pytest.mark.parametrize("line", RUN_CONTROL_LINES)
     def test_run_control_value_exits_2(self, tmp_path, capsys, line):
         key = line.split()[0]
-        text = "".join(row + "\n" for row in TINY_CONFIG.splitlines()
-                       if row.split(" = ")[0] != key)
         bad = tmp_path / "bad.cfg"
-        bad.write_text(text + line + "\n")
+        bad.write_text(_without(TINY_CONFIG, key) + line + "\n")
         rc = main(["train", "--config", str(bad), "--out", str(tmp_path / "r")])
         assert rc == 2
         assert f"config error: {key}" in capsys.readouterr().err

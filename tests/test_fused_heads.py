@@ -32,12 +32,6 @@ def _assert_same(new, old):
     assert new.shape == old.shape and new.tobytes() == old.tobytes()
 
 
-def _assert_grads(new_gs, old_grads):
-    assert sorted(old_grads) == sorted(new_gs.names())
-    for name, g in old_grads.items():
-        _assert_same(new_gs[name], g)
-
-
 # ---- the text chain ----
 
 
@@ -114,7 +108,7 @@ class TestTextHeads:
                     theta, traces, adv, clip_eps, beta_txt, ref, temperature
                 )
                 _assert_same(j, old_j)
-                _assert_grads(gs, old_grads)
+                _assert_same(gs, old_grads)
                 assert stats.mean_ratio == float(old_ratio.mean())
                 assert stats.max_ratio == float(old_ratio.max())
                 assert stats.token_count == len(old_ratio)
@@ -129,10 +123,10 @@ class TestTextHeads:
         params = _text_params(4)
         traces = _traces(params, 1.0, g=6, seed=4)
         batch = TEXT.prepare_batch(traces, np.linspace(-1.0, 1.0, 6), 1.0, 0.0, params)
-        _, gs, _ = TEXT.surrogate_loss(params, batch, 0.0)
-        _, gs_wide, _ = TEXT.surrogate_loss(params, batch, 0.5)
-        assert np.any(gs.vec != 0.0)
-        assert gs.vec.tobytes() == gs_wide.vec.tobytes()
+        _, grads, _ = TEXT.surrogate_loss(params, batch, 0.0)
+        _, grads_wide, _ = TEXT.surrogate_loss(params, batch, 0.5)
+        assert np.any(grads != 0.0)
+        assert grads.tobytes() == grads_wide.tobytes()
 
     def test_ce_matches_op_chain(self):
         pairs, _ = make_pretrain_data(stream(5, "pt"), 96, 1, TaskGeometry())
@@ -145,7 +139,7 @@ class TestTextHeads:
         logp = tape.select_cols(tape.log_softmax(_old_logits_var(tape, params, rows)), targets)
         old = tape.sum(tape.cmul(logp, -1.0 / len(targets)))
         _assert_same(loss, float(old.value))
-        _assert_grads(gs, tape.param_grads(1.0, output=old))
+        _assert_same(gs, tape.param_grads(1.0, output=old))
 
 
 # ---- the flow chain ----
@@ -237,7 +231,7 @@ class TestFlowHeads:
                     theta, batch, adv, clip_eps, reg_mode, weight, ref
                 )
                 _assert_same(j, old_j)
-                _assert_grads(gs, old_grads)
+                _assert_same(gs, old_grads)
                 assert stats.mean_ratio == float(old_rt.mean())
                 assert stats.max_ratio == float(old_rt.max())
                 assert stats.reg_value == old_reg
@@ -262,7 +256,7 @@ class TestFlowHeads:
         sq = tape.sum_rows(tape.square(tape.cadd(v, -(x1 - x0))))
         old = tape.sum(tape.cmul(sq, 1.0 / n))
         _assert_same(loss, float(old.value))
-        _assert_grads(gs, tape.param_grads(1.0, output=old))
+        _assert_same(gs, tape.param_grads(1.0, output=old))
 
 
 def test_every_loss_tape_is_at_most_twelve_nodes(monkeypatch):

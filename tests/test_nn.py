@@ -1,4 +1,4 @@
-"""ParamSet/GradSet/Adam/MLP/finite-diff contracts and the checkpoint format."""
+"""ParamSet/gradient vector/Adam/MLP/finite-diff contracts and the checkpoint format."""
 
 import numpy as np
 import pytest
@@ -13,7 +13,6 @@ from unigrpo.errors import CheckpointError, ConfigError, NumericError
 from unigrpo.flow_policy import FlowPolicy
 from unigrpo.nn import (
     AdamState,
-    GradSet,
     ParamSet,
     adam_step,
     finite_diff_check,
@@ -36,11 +35,6 @@ def _tape_mlp(params, x, arch, activation="tanh"):
     out = mlp_var(tape, params, tape.leaf(np.atleast_2d(x)), arch, activation)
     tape.output = out
     return out.value, tape
-
-
-def _grads(tape, seed):
-    """Parameter gradients of the tape output as a GradSet over its whole ParamSet."""
-    return GradSet(tape.param_source).add_(tape.param_grads(seed))
 
 
 class TestForwardMlp:
@@ -91,8 +85,7 @@ class TestBackward:
         tape = OpTape()
         w = tape.param(params, "w")
         tape.output = tape.square(w)
-        gs = _grads(tape, np.array([1.0]))
-        np.testing.assert_allclose(gs["w"], [6.0])
+        np.testing.assert_allclose(tape.param_grads(np.array([1.0])), [6.0])
 
     def test_tanh_net_matches_finite_difference(self):
         params, arch = _mlp_params(seed=3)
@@ -100,7 +93,7 @@ class TestBackward:
 
         def loss(p):
             out, tape = _tape_mlp(p, x, arch, activation="tanh")
-            return float(out.sum()), _grads(tape, np.ones_like(out))
+            return float(out.sum()), tape.param_grads(np.ones_like(out))
 
         report = finite_diff_check(loss, params, probes=120, tol=1e-5)
         assert report.passed, report.failing_blocks
@@ -110,16 +103,16 @@ class TestBackward:
         tape = OpTape()
         a = tape.param(params, "a")
         tape.output = tape.sum(tape.square(a))
-        gs = _grads(tape, 1.0)
-        np.testing.assert_array_equal(gs["b"], np.zeros(3))
+        grads = tape.param_grads(1.0)
+        np.testing.assert_array_equal(params.layout.views(grads)["b"], np.zeros(3))
+        np.testing.assert_array_equal(grads, [2.0, 2.0, 0.0, 0.0, 0.0])
 
-    def test_constant_function_zero_gradset(self):
+    def test_constant_function_zero_gradient(self):
         params = ParamSet({"a": np.ones(2)})
         tape = Tape()
         tape.param(params, "a")
         tape.output = tape.leaf(np.array(5.0))
-        gs = _grads(tape, 1.0)
-        np.testing.assert_array_equal(gs["a"], np.zeros(2))
+        np.testing.assert_array_equal(tape.param_grads(1.0), np.zeros(2))
 
 
 def _unfused_mlp(tape, params, x, arch, activation):
@@ -205,7 +198,7 @@ class TestFusedNode:
             x = tape.leaf(x_in)
             tape.output = tape.sum(tape.cmul(mlp_var(tape, p, x, arch, activation), w))
             gx = tape.backward(1.0)[x.idx]
-            return float(tape.output.value), _grads(tape, 1.0), gx
+            return float(tape.output.value), tape.param_grads(1.0), gx
 
         report = finite_diff_check(lambda p: loss(p)[:2], params, probes=120, tol=1e-5)
         assert report.passed, (report.max_rel_err, report.failing_blocks)
@@ -224,8 +217,7 @@ class TestAdam:
     def test_zero_gradient_keeps_params(self):
         params, _ = _mlp_params()
         st = AdamState.for_params(params, lr=0.1)
-        gs = GradSet(params)
-        new = adam_step(params, gs, st)
+        new = adam_step(params, np.zeros(params.layout.size), st)
         for name, arr in params.items():
             np.testing.assert_array_equal(new[name], arr)
         assert st.step == 1
@@ -233,9 +225,7 @@ class TestAdam:
     def test_first_step_moves_by_lr(self):
         params = ParamSet({"w": np.array([0.0])})
         st = AdamState.for_params(params, lr=0.1)
-        gs = GradSet(params)
-        gs.add_({"w": np.array([1.0])})
-        new = adam_step(params, gs, st)
+        new = adam_step(params, np.array([1.0]), st)
         assert abs(new["w"][0] + 0.1) < 1e-8
 
     def test_identical_gradients_move_monotonically(self):
@@ -244,9 +234,7 @@ class TestAdam:
         prev = params
         vals = [0.5]
         for _ in range(3):
-            gs = GradSet(prev)
-            gs.add_({"w": np.array([2.0])})
-            prev = adam_step(prev, gs, st)
+            prev = adam_step(prev, np.array([2.0]), st)
             vals.append(prev["w"][0])
         assert vals[0] > vals[1] > vals[2] > vals[3]
 
@@ -261,7 +249,7 @@ class TestAdam:
         for t in range(1, 5):
             g = {name: rng.normal(size=arr.shape) * 10.0 ** rng.integers(-6, 2)
                  for name, arr in ref.items()}
-            params = adam_step(params, GradSet(params).add_(g), st)
+            params = adam_step(params, params.layout.flatten(g), st)
             for name in ref:
                 m[name] = 0.9 * m[name] + (1.0 - 0.9) * g[name]
                 v[name] = 0.999 * v[name] + (1.0 - 0.999) * g[name] * g[name]
@@ -286,8 +274,7 @@ class TestAdam:
         scales = np.array([0.0, 5e-324, 1e-310, 1e-300, 1e-8, 1.0, 1e3, 1e150])
         for t in range(1, 1001):
             g = rng.normal(size=17) * scales[rng.integers(len(scales), size=17)]
-            params = adam_step(params, GradSet(params, {"a": g[:12].reshape(3, 4), "b": g[12:]}),
-                               st)
+            params = adam_step(params, g, st)
             vec, m, v = reference_adam_step(vec, g, m, v, t, 3e-3)
             assert params.vec.tobytes() == vec.tobytes(), t
             assert st.m.tobytes() == m.tobytes() and st.v.tobytes() == v.tobytes(), t
@@ -296,10 +283,11 @@ class TestAdam:
     def test_step_leaves_its_inputs_untouched(self):
         params, _ = _mlp_params(seed=5)
         st = AdamState.for_params(params, lr=0.1)
-        gs = GradSet(params).add_({name: np.ones_like(arr) for name, arr in params.items()})
+        grads = np.ones(params.layout.size)
         held = {name: arr.copy() for name, arr in params.items()}
         m_held, v_held = st.m, st.v
-        new = adam_step(params, gs, st)
+        new = adam_step(params, grads, st)
+        assert np.all(grads == 1.0)
         for name, arr in params.items():
             assert arr.tobytes() == held[name].tobytes(), name
             assert not np.shares_memory(new[name], arr)
@@ -310,10 +298,8 @@ class TestAdam:
     def test_nonfinite_gradient_rejected_with_block_name(self):
         params = ParamSet({"w": np.array([0.0]), "u": np.array([0.0])})
         st = AdamState.for_params(params, lr=0.1)
-        gs = GradSet(params)
-        gs.add_({"u": np.array([np.nan])})
-        with pytest.raises(NumericError, match="u"):
-            adam_step(params, gs, st)
+        with pytest.raises(NumericError, match="'u'"):
+            adam_step(params, np.array([0.0, np.nan]), st)
         assert st.step == 0
 
 
@@ -324,8 +310,7 @@ class TestFiniteDiff:
         params = ParamSet({"w": np.random.default_rng(11).normal(size=40)})
 
         def loss(p):
-            gs = GradSet(p).add_({"w": 3e-8 * np.cos(p["w"])})
-            return 1.0 + 3e-8 * float(np.sum(np.sin(p["w"]))), gs
+            return 1.0 + 3e-8 * float(np.sum(np.sin(p["w"]))), 3e-8 * np.cos(p["w"])
 
         report = finite_diff_check(loss, params, probes=100, tol=1e-4)
         assert report.passed, report.max_rel_err
@@ -337,8 +322,8 @@ class TestFiniteDiff:
         def loss(p):
             moved = np.flatnonzero(p.vec)
             seen.extend(moved.tolist())
-            gs = GradSet(p).add_({"a": np.ones((2, 3)), "b": 2.0 * np.ones(4)})
-            return float(np.sum(p["a"]) + 2.0 * np.sum(p["b"])), gs
+            grads = np.concatenate([np.ones(6), np.full(4, 2.0)])
+            return float(np.sum(p["a"]) + 2.0 * np.sum(p["b"])), grads
 
         report = finite_diff_check(loss, params, probes=20, tol=1e-8)
         assert report.passed
@@ -354,7 +339,7 @@ class TestFiniteDiff:
             tape = OpTape()
             w = tape.param(p, "w")
             tape.output = tape.sum(tape.square(w))
-            return float(tape.output.value), _grads(tape, 1.0)
+            return float(tape.output.value), tape.param_grads(1.0)
 
         report = finite_diff_check(loss, params, probes=50, tol=1e-8)
         assert report.passed
@@ -366,8 +351,7 @@ class TestFiniteDiff:
 
         def loss(p):
             counter[0] += 1
-            gs = GradSet(p)
-            return float(counter[0]), gs
+            return float(counter[0]), np.zeros(2)
 
         report = finite_diff_check(loss, params, probes=5)
         assert report.aborted
@@ -379,9 +363,10 @@ class TestFiniteDiff:
 
         def loss(p):
             out, tape = _tape_mlp(p, x, arch)
-            gs = _grads(tape, np.ones_like(out))
-            gs.add_({"W0": np.full_like(gs["W0"], 0.5)})  # deliberate corruption
-            return float(out.sum()), gs
+            grads = tape.param_grads(np.ones_like(out))
+            lo, hi, _ = p.layout.spans["W0"]
+            grads[lo:hi] += 0.5  # deliberate corruption
+            return float(out.sum()), grads
 
         report = finite_diff_check(loss, params, probes=200, tol=1e-4)
         assert not report.passed
@@ -400,16 +385,16 @@ class TestParamSet:
         with pytest.raises(ConfigError):
             p.with_blocks({"nope": np.zeros(1)})
 
-    def test_gradset_from_blocks_checks_names_and_shapes(self):
+    def test_flatten_checks_names_and_shapes(self):
         p = ParamSet({"a": np.zeros((2, 2)), "b": np.zeros(3)})
-        gs = GradSet(p, {"b": np.ones(3), "a": np.full((2, 2), 2.0)})
-        np.testing.assert_array_equal(gs.vec, [2.0, 2.0, 2.0, 2.0, 1.0, 1.0, 1.0])
-        assert gs.layout is p.layout
+        vec = p.layout.flatten({"b": np.ones(3), "a": np.full((2, 2), 2.0)})
+        np.testing.assert_array_equal(vec, [2.0, 2.0, 2.0, 2.0, 1.0, 1.0, 1.0])
+        assert p.with_vector(vec).layout is p.layout
         for blocks, name in (({"a": np.zeros((2, 2))}, "b"),
                              ({"a": np.zeros((2, 2)), "b": np.zeros(3), "c": np.zeros(1)}, "c"),
                              ({"a": np.zeros(4), "b": np.zeros(3)}, "a")):
             with pytest.raises(ConfigError, match=f"'{name}'"):
-                GradSet(p, blocks)
+                p.layout.flatten(blocks)
 
     def test_copy_is_independent(self):
         p = ParamSet({"w": np.zeros(2)})

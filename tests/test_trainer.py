@@ -396,9 +396,8 @@ class TestUnifiedUpdate:
             j_batch, g_batch, _ = call(groups)
             per_group = [call([g]) for g in groups]
             assert j_batch == pytest.approx(np.mean([r[0] for r in per_group]), abs=1e-12), name
-            for block, arr in g_batch.items():
-                mean = np.mean([r[1][block] for r in per_group], axis=0)
-                np.testing.assert_allclose(arr, mean, rtol=0, atol=1e-12, err_msg=f"{name} {block}")
+            mean = np.mean([r[1] for r in per_group], axis=0)
+            np.testing.assert_allclose(g_batch, mean, rtol=0, atol=1e-12, err_msg=name)
 
     def test_failed_epoch_leaves_no_trace(self, tiny_pretrain, monkeypatch):
         rt, groups, text, flow, at, af = self._setup(tiny_pretrain)
@@ -540,6 +539,22 @@ class TestTrainLoop:
         for name in ("text.ckpt", "flow.ckpt", "state.ckpt"):
             assert (tmp_path / "full" / name).read_bytes() == \
                 (tmp_path / "resumed" / name).read_bytes()
+
+    def test_summary_reports_the_final_evaluation(self, tiny_pretrain, tmp_path):
+        # the summary comes from metrics.csv: resuming a finished run, or a run
+        # of no updates, reports the last evaluation instead of nulls
+        cfg = replace(TINY, pretrain_dir=str(tiny_pretrain), total_updates=2)
+        first = train(cfg, tmp_path / "run")
+        rows = read_metrics(tmp_path / "run/metrics.csv")
+        assert first["baseline_eval"] == rows[0]["eval_reward"]
+        assert [first[f"final_{key}"] for key in ("eval", "text_accuracy", "velocity_drift")] \
+            == [rows[-1][key] for key in ("eval_reward", "text_accuracy", "velocity_drift")]
+        assert None not in first.values()
+        assert train(cfg, tmp_path / "run", resume=True) == first
+        assert json.loads((tmp_path / "run/summary.json").read_text()) == first
+        zero = train(replace(cfg, total_updates=0), tmp_path / "zero")
+        assert None not in zero.values()
+        assert zero["final_eval"] == zero["baseline_eval"] == first["baseline_eval"]
 
     def test_run_directory_is_self_describing(self, tiny_pretrain, tmp_path):
         from dataclasses import replace

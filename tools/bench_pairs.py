@@ -15,7 +15,8 @@ when the change won at least 9 of every 10 pairs and the medians differ,
 in the metric's better direction, by more than the parent's IQR; any
 other metric is flagged when its median got worse by more than its bound.
 With --out it writes, per workload, the change's last result line in the
-BENCH_<pr>.json shape, plus the medians and win counts.
+BENCH_<pr>.json shape, plus the medians and win counts, and `src_lines`,
+the line count of src/unigrpo/*.py in each checkout, next to them.
 
 Run nothing else on the machine meanwhile: the pairs share its CPUs.
 Exit status: 0 when every claim is shown and no bound is crossed, else 1.
@@ -49,6 +50,12 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
         raise SystemExit(f"{' '.join(cmd)} in {checkout} exited {proc.returncode}:\n"
                          f"{proc.stderr[-2000:]}")
     return json.loads(lines[-1])
+
+
+def src_lines(checkout: Path) -> int:
+    """Line count of the package source, src/unigrpo/*.py."""
+    return sum(len(p.read_text().splitlines())
+               for p in sorted((checkout / "src/unigrpo").glob("*.py")))
 
 
 def iqr(values: list[float]) -> float:
@@ -105,7 +112,10 @@ def main(argv=None) -> int:
                    f"--seconds {args.seconds:g} --trace 0",
         "note": f"last change-side run of {len(args.seeds)} alternating parent/change pairs "
                 f"per workload, seeds {args.seeds[0]}-{args.seeds[-1]}",
+        "src_lines": {"parent": src_lines(args.parent), "change": src_lines(args.change)},
     }
+    print(f"src/unigrpo lines: parent {record['src_lines']['parent']}  "
+          f"change {record['src_lines']['change']}")
     all_ok = True
     for workload in args.workload:
         runs = []
