@@ -50,20 +50,12 @@ def _arms(mode: str, cfg: TrainConfig) -> list[tuple[str, TrainConfig]]:
     raise ConfigError(f"unknown ablation mode '{mode}' (choose from {', '.join(MODES)})")
 
 
-def _eval_curve(run_dir) -> list[tuple[int, float]]:
-    return [
-        (r["update"], r["eval_reward"])
-        for r in read_metrics(Path(run_dir) / "metrics.csv")
-        if r["eval_reward"] is not None
-    ]
-
-
-def _drift_curve(run_dir) -> list[tuple[int, float]]:
-    return [
-        (r["update"], r["velocity_drift"])
-        for r in read_metrics(Path(run_dir) / "metrics.csv")
-        if r["velocity_drift"] is not None
-    ]
+def _curves(run_dir) -> tuple[list[tuple[int, float]], list[tuple[int, float]]]:
+    """The eval-reward and drift curves of one run, (update, value) at each
+    update that evaluated, from one read of its metrics.csv."""
+    rows = read_metrics(Path(run_dir) / "metrics.csv")
+    return tuple([(r["update"], r[key]) for r in rows if r[key] is not None]
+                 for key in ("eval_reward", "velocity_drift"))
 
 
 def _rollout_evals_per_step(run_dir, n_steps: int) -> float:
@@ -97,8 +89,7 @@ def ablate(cfg: TrainConfig, mode: str, out_dir) -> dict:
                 run_dir,
             )
             summary["run_dir"] = str(run_dir)
-            summary["eval_curve"] = _eval_curve(run_dir)
-            summary["drift_curve"] = _drift_curve(run_dir)
+            summary["eval_curve"], summary["drift_curve"] = _curves(run_dir)
             summary["rollout_evals_per_step"] = _rollout_evals_per_step(
                 run_dir, cfg.train_timesteps
             )

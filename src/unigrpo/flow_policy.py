@@ -20,8 +20,8 @@ import numpy as np
 
 from .autodiff import Tape, Var
 from .errors import ConfigError, NumericError
-from .nn import (AdamState, ParamSet, adam_step, clipped_objective, init_mlp_blocks,
-                 mlp_forward_np, mlp_var)
+from .nn import (LossStats, ParamSet, clipped_objective, fit, init_mlp_blocks, mlp_forward_np,
+                 mlp_var)
 from .task import VOCAB_SIZE
 
 DIM = 2  # sample space
@@ -164,16 +164,6 @@ class FlowBatch:
 
 
 @dataclass
-class FlowLossStats:
-    surrogate: float
-    mean_ratio: float
-    max_ratio: float
-    clip_fraction: float
-    reg_value: float
-    step_count: int
-
-
-@dataclass
 class FlowUpdateBatch:
     """Everything a flow surrogate needs besides theta, built once per update:
     one row per (trajectory, window step), row-major."""
@@ -288,9 +278,10 @@ class FlowPolicy:
             raise ConfigError(
                 f"SDE window [{start}, {start + window_size}) out of range for {n} steps"
             )
-        # which rows are inside their window at each step, built once
-        steps = np.arange(n)[:, None]
-        inside = (starts <= steps) & (steps < starts + window_size)
+        if window_size:
+            # which rows are inside their window at each step, built once
+            steps = np.arange(n)[:, None]
+            inside = (starts <= steps) & (steps < starts + window_size)
         states = np.empty((n + 1, B, DIM))
         states[0] = x1
         velocities = np.empty((n, B, DIM))
@@ -303,8 +294,7 @@ class FlowPolicy:
             inputs[:, :DIM] = x
             v = self.velocity_np(params, inputs, cfg_scale, velocities[k])
             states[k + 1] = x - v * dt
-            rows = np.flatnonzero(inside[k])
-            if rows.size:
+            if window_size and (rows := np.flatnonzero(inside[k])).size:
                 slots = k - starts[rows]
                 mu[rows, slots], _, states[k + 1, rows] = sde_step_values(
                     x[rows], v[rows], t, dt, sigma_level * np.sqrt(t), eps[rows, slots]
@@ -347,33 +337,28 @@ class FlowPolicy:
     def pretrain(
         self,
         params: ParamSet,
-        pairs,
+        conds,
+        x0: np.ndarray,
         epochs: int,
         lr: float,
         batch_size: int,
         p_uncond: float,
         rng: np.random.Generator,
     ):
-        """Flow-matching pretraining plus a quadrant-accuracy report from
-        deterministic sampling.  x0 (n, DIM) and the (n, vocab) pooling weights
-        are built once; each batch slices both and draws its (t, x_1, dropout)."""
-        x0_all = np.stack([p.x0 for p in pairs])
-        pool_all = self.pool_weights([p.cond_tokens for p in pairs])
-        state = AdamState.for_params(params, lr=lr)
-        epoch_losses = []
-        n = len(pairs)
-        for _ in range(epochs):
-            order = rng.permutation(n)
-            total = 0.0
-            for lo in range(0, n, batch_size):
-                sel = order[lo : lo + batch_size]
-                t = 1.0 - rng.random(len(sel))  # Uniform(0, 1]
-                x1 = rng.standard_normal((len(sel), DIM))
-                keep = (rng.random(len(sel)) >= p_uncond).astype(np.float64)
-                loss, grads = self.fm_loss_frozen(params, x0_all[sel], pool_all[sel], t, x1, keep)
-                params = adam_step(params, grads, state)
-                total += loss * len(sel)
-            epoch_losses.append(total / n)
+        """Flow-matching pretraining on the condition token column `conds` and
+        the (n, DIM) targets `x0`, plus a quadrant-accuracy report from
+        deterministic sampling.  The (n, vocab) pooling weights are built
+        once; each batch slices them and x0 and draws its (t, x_1, dropout)
+        from `rng`.  An epoch's loss weighs each batch by its rows."""
+        pool_all = self.pool_weights(conds)
+
+        def batch_loss(params, sel):
+            t = 1.0 - rng.random(len(sel))  # Uniform(0, 1]
+            x1 = rng.standard_normal((len(sel), DIM))
+            keep = (rng.random(len(sel)) >= p_uncond).astype(np.float64)
+            return (*self.fm_loss_frozen(params, x0[sel], pool_all[sel], t, x1, keep), len(sel))
+
+        params, epoch_losses = fit(params, len(x0), epochs, batch_size, lr, rng, batch_loss)
         report = {"epoch_losses": epoch_losses}
         report.update(self.quadrant_accuracy(params, rng))
         return params, report
@@ -447,7 +432,7 @@ class FlowPolicy:
 
     def surrogate_loss(
         self, params: ParamSet, batch: FlowUpdateBatch, clip_eps: float, reg_weight: float,
-    ) -> tuple[float, np.ndarray, FlowLossStats]:
+    ) -> tuple[float, np.ndarray, LossStats]:
         """Clipped objective over each row's stochastic window with
         standardized ratios, minus the configured drift regularizer evaluated
         at the stored states against the frozen reference.  Each row weighs
@@ -473,14 +458,13 @@ class FlowPolicy:
                 f"non-finite flow ratio at trajectory {b.rows[bad[0]]}, step {b.ks[bad[0]]}"
             )
 
-        j, clip_vjp = clipped_objective(rt, b.adv, b.weight, clip_eps)
-        reg_value = 0.0
+        j, clip_vjp, stats = clipped_objective(rt, b.adv, b.weight, clip_eps)
         if b.reg_mode != "none":
             diff = (mu if b.reg_mode == "latent-kl" else v) - b.reg_target
             reg_rows = (diff * diff).sum(axis=1)
             if b.kl_scale is not None:
                 reg_rows = reg_rows * b.kl_scale
-            reg_value = float(reg_rows @ b.weight)
+            stats.reg_value = float(reg_rows @ b.weight)
             j = j - np.sum(reg_rows * (reg_weight * b.weight))
 
         def vjp(g):
@@ -501,13 +485,4 @@ class FlowPolicy:
             return g_cond, g_v - g_cond
 
         tape.output = tape.node(j, nets, vjp)
-        grads = tape.param_grads(1.0)
-        stats = FlowLossStats(
-            surrogate=float(j),
-            mean_ratio=float(rt.mean()),
-            max_ratio=float(rt.max()),
-            clip_fraction=float(np.mean(np.abs(rt - 1.0) > clip_eps)),
-            reg_value=reg_value,
-            step_count=len(b.xs),
-        )
-        return float(j), grads, stats
+        return float(j), tape.param_grads(1.0), stats

@@ -1,5 +1,6 @@
-"""Parameter containers, MLP construction (tape and plain numpy), Adam, the
-clipped PPO term both surrogates share, and a finite-difference oracle.
+"""Parameter containers, MLP construction (tape and plain numpy), Adam and
+the minibatch loop both pretrainings share, the clipped PPO term both
+surrogates share, and a finite-difference oracle.
 
 All training math is float64: at desk scale this is free and it keeps
 gradient checks sharp.
@@ -169,6 +170,27 @@ def adam_step(params: ParamSet, grads: np.ndarray, state: AdamState) -> ParamSet
     return params.with_vector(np.subtract(params.vec, step, out=step))
 
 
+def fit(params: ParamSet, n: int, epochs: int, batch_size: int, lr: float,
+        rng: np.random.Generator, batch_loss) -> tuple[ParamSet, list[float]]:
+    """Minibatch Adam over n examples from a fresh optimizer state: each epoch
+    walks `rng.permutation(n)` in slices of `batch_size`, and for each slice
+    `sel` takes one adam_step on the gradient of batch_loss(params, sel) ->
+    (loss, gradient vector, weight).  Returns the parameters and each epoch's
+    loss, sum(loss * weight) / sum(weight) over its batches."""
+    state = AdamState.for_params(params, lr=lr)
+    epoch_losses = []
+    for _ in range(epochs):
+        order = rng.permutation(n)
+        total, count = 0.0, 0
+        for lo in range(0, n, batch_size):
+            loss, grads, weight = batch_loss(params, order[lo : lo + batch_size])
+            params = adam_step(params, grads, state)
+            total += loss * weight
+            count += weight
+        epoch_losses.append(total / count)
+    return params, epoch_losses
+
+
 # ---- MLP construction ----
 
 
@@ -278,10 +300,23 @@ def mlp_forward_np(
 # ---- clipped surrogate term ----
 
 
+@dataclass
+class LossStats:
+    """Importance-ratio statistics of one surrogate evaluation over its rows,
+    plus the regularizer value where the surrogate has one."""
+
+    mean_ratio: float
+    max_ratio: float
+    clip_fraction: float  # share of rows with |ratio - 1| > clip_eps
+    rows: int
+    reg_value: float = 0.0
+
+
 def clipped_objective(ratio: np.ndarray, adv: np.ndarray, weight: np.ndarray, clip_eps: float):
-    """sum(weight * min(ratio * adv, clip(ratio, 1 - eps, 1 + eps) * adv)) and
-    its VJP, g -> gradient w.r.t. ratio.  Ties go to the unclipped term, and
-    the clipped term passes gradient only strictly inside the clip range."""
+    """sum(weight * min(ratio * adv, clip(ratio, 1 - eps, 1 + eps) * adv)), its
+    VJP g -> gradient w.r.t. ratio, and the ratios' LossStats.  Ties go to
+    the unclipped term, and the clipped term passes gradient only strictly
+    inside the clip range."""
     lo, hi = 1.0 - clip_eps, 1.0 + clip_eps
     unclipped = ratio * adv
     clipped = np.clip(ratio, lo, hi) * adv
@@ -292,7 +327,9 @@ def clipped_objective(ratio: np.ndarray, adv: np.ndarray, weight: np.ndarray, cl
         g = g * weight
         return g * ~take * adv * inside + g * take * adv
 
-    return np.sum(np.where(take, unclipped, clipped) * weight), vjp
+    stats = LossStats(float(ratio.mean()), float(ratio.max()),
+                      float(np.mean(np.abs(ratio - 1.0) > clip_eps)), len(ratio))
+    return np.sum(np.where(take, unclipped, clipped) * weight), vjp, stats
 
 
 # ---- finite-difference gradient oracle ----

@@ -181,19 +181,6 @@ def score(x0: np.ndarray, prompts, geom: TaskGeometry) -> tuple[np.ndarray, np.n
 # ---- pretraining data ----
 
 
-@dataclass(frozen=True)
-class TextPair:
-    prompt_tokens: tuple[int, ...]
-    trace_tokens: tuple[int, ...]
-    corrupted: bool
-
-
-@dataclass(frozen=True)
-class FlowPair:
-    cond_tokens: tuple[int, ...]
-    x0: np.ndarray
-
-
 _ATTR_ALTERNATIVES = {
     0: list(CANON_QUAD.values()),
     1: list(CANON_BAND.values()),
@@ -216,28 +203,32 @@ def make_pretrain_data(
     n_flow: int,
     geom: TaskGeometry,
     p_noise: float = 0.25,
-) -> tuple[list[TextPair], list[FlowPair]]:
-    """Noisy supervised text pairs plus exact generator targets.
+) -> tuple[tuple[list, list], tuple[list, np.ndarray]]:
+    """Noisy supervised text columns plus exact generator targets:
+    ((prompts, traces), (conds, x0)), token columns as lists of tuples and
+    x0 an (n_flow, 2) array.
 
-    Text traces carry token corruption with probability p_noise so the
-    pretrained policy is imperfect and RL has headroom; flow samples are
-    exact draws from the prompt's target distribution.
+    Each trace is its prompt's canonical TRACE_LEN tokens, with one attribute
+    token swapped for a wrong value with probability p_noise so the
+    pretrained policy is imperfect and RL has headroom; x0[i] is an exact
+    draw from the target distribution of the prompt whose canonical trace is
+    conds[i].
     """
     if n_text <= 0 or n_flow <= 0:
         raise ValueError("n_text and n_flow must be positive")
-    text_pairs = []
+    prompts, traces = [], []
     for _ in range(n_text):
         prompt = sample_prompt(rng)
         trace = canonical_trace(prompt)
-        corrupted = bool(rng.random() < p_noise)
-        if corrupted:
+        if rng.random() < p_noise:
             trace = _corrupt(trace, rng)
-        text_pairs.append(TextPair(prompt.tokens, trace, corrupted))
-    flow_pairs = []
+        prompts.append(prompt.tokens)
+        traces.append(trace)
+    conds, x0 = [], []
     for _ in range(n_flow):
         prompt = sample_prompt(rng)
         spec = target_spec(prompt.quadrant, prompt.band, prompt.spread, geom)
-        x0 = spec.mu + spec.tau * rng.standard_normal(2)
-        flow_pairs.append(FlowPair(canonical_trace(prompt), x0))
-    return text_pairs, flow_pairs
+        x0.append(spec.mu + spec.tau * rng.standard_normal(2))
+        conds.append(canonical_trace(prompt))
+    return (prompts, traces), (conds, np.array(x0))
 

@@ -15,8 +15,8 @@ import numpy as np
 
 from .autodiff import Tape, Var
 from .errors import NumericError
-from .nn import (AdamState, ParamSet, adam_step, clipped_objective, init_mlp_blocks,
-                 mlp_forward_np, mlp_var)
+from .nn import (LossStats, ParamSet, clipped_objective, fit, init_mlp_blocks, mlp_forward_np,
+                 mlp_var)
 from .task import EOS, PAD, PROMPT_LEN, TRACE_LEN, VOCAB_SIZE, canonical_trace
 
 
@@ -30,15 +30,6 @@ class ReasoningTrace:
 
     def __len__(self) -> int:
         return len(self.tokens)
-
-
-@dataclass
-class TextLossStats:
-    surrogate: float
-    mean_ratio: float
-    max_ratio: float
-    clip_fraction: float
-    token_count: int
 
 
 @dataclass
@@ -237,7 +228,7 @@ class TextPolicy:
 
     def surrogate_loss(
         self, params: ParamSet, batch: TextUpdateBatch, clip_eps: float,
-    ) -> tuple[float, np.ndarray, TextLossStats]:
+    ) -> tuple[float, np.ndarray, LossStats]:
         """Clipped importance-weighted objective, averaged per token within a
         trace and across traces, minus the exact per-token KL to the reference
         head.  Both policies are scored at the sampling temperature, so the
@@ -254,7 +245,7 @@ class TextPolicy:
             raise NumericError(f"non-finite importance ratio at trace {b.owner[bad[0]]}, "
                                f"position {b.position[bad[0]]}")
 
-        j, clip_vjp = clipped_objective(ratio, b.adv, b.weight, clip_eps)
+        j, clip_vjp, stats = clipped_objective(ratio, b.adv, b.weight, clip_eps)
         if b.kl_weight is not None:
             # exact KL(pi_theta || pi_ref) over the vocabulary, token level
             diff = logp - b.ref_logp
@@ -272,15 +263,7 @@ class TextPolicy:
             return (g_logits * b.inv_t,)
 
         tape.output = tape.node(j, [out], vjp)
-        grads = tape.param_grads(1.0)
-        stats = TextLossStats(
-            surrogate=float(j),
-            mean_ratio=float(ratio.mean()),
-            max_ratio=float(ratio.max()),
-            clip_fraction=float(np.mean(np.abs(ratio - 1.0) > clip_eps)),
-            token_count=len(b.targets),
-        )
-        return float(j), grads, stats
+        return float(j), tape.param_grads(1.0), stats
 
     # ---- supervised pretraining ----
 
@@ -297,40 +280,29 @@ class TextPolicy:
     def pretrain(
         self,
         params: ParamSet,
-        pairs,
+        prompts,
+        traces,
         epochs: int,
         lr: float,
         batch_size: int,
         rng: np.random.Generator,
     ):
-        """Cross-entropy training on (prompt, trace) pairs; reports epoch losses
+        """Cross-entropy training on the token columns `prompts` and `traces`,
+        every trace of one length L, so trace i owns rows i * L .. i * L + L - 1;
+        an epoch's loss weighs each batch by its rows.  Reports epoch losses
         and greedy tuple accuracy over the full prompt grid."""
         from .task import all_prompts
 
-        rows_all, tgt_all, owner, _ = self.token_rows(
-            [p.prompt_tokens for p in pairs], [p.trace_tokens for p in pairs]
-        )
-        # pair i owns rows starts[i] .. starts[i] + lengths[i] - 1
-        lengths = np.bincount(owner, minlength=len(pairs))
-        starts = np.cumsum(lengths) - lengths
+        L = len(traces[0])
+        if any(len(trace) != L for trace in traces):
+            raise ValueError("pretraining traces must all have one length")
+        rows_all, tgt_all, _, _ = self.token_rows(prompts, traces)
 
-        state = AdamState.for_params(params, lr=lr)
-        epoch_losses: list[float] = []
-        n_pairs = len(pairs)
-        for _ in range(epochs):
-            order = rng.permutation(n_pairs)
-            total, count = 0.0, 0
-            for lo in range(0, n_pairs, batch_size):
-                sel = order[lo : lo + batch_size]
-                # the selected pairs' rows, pair by pair
-                lens = lengths[sel]
-                shift = starts[sel] - (np.cumsum(lens) - lens)
-                idx = np.arange(lens.sum()) + np.repeat(shift, lens)
-                loss, grads = self.ce_loss(params, rows_all[idx], tgt_all[idx])
-                params = adam_step(params, grads, state)
-                total += loss * len(idx)
-                count += len(idx)
-            epoch_losses.append(total / count)
+        def batch_loss(params, sel):
+            idx = (sel[:, None] * L + np.arange(L)).ravel()
+            return (*self.ce_loss(params, rows_all[idx], tgt_all[idx]), len(idx))
+
+        params, epoch_losses = fit(params, len(traces), epochs, batch_size, lr, rng, batch_loss)
 
         prompts = list(all_prompts())
         greedy = self.greedy_trace(params, [p.tokens for p in prompts])

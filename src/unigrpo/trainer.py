@@ -44,15 +44,17 @@ from .text_policy import ReasoningTrace, TextPolicy
 
 
 def group_advantages(rewards: np.ndarray, eps_std: float = 1e-8) -> np.ndarray:
-    """Within-group standardization (population std); a degenerate group with
-    ~equal rewards gets all-zero advantages and is skipped by the losses."""
+    """Within-group standardization (population std) along the last axis, so
+    each row of a (prompts, group) array is one group; a degenerate group
+    with ~equal rewards gets all-zero advantages and is skipped by the
+    losses."""
     rewards = np.asarray(rewards, dtype=np.float64)
-    if rewards.size < 2:
+    if rewards.ndim == 0 or rewards.shape[-1] < 2:
         raise ConfigError("group size must be >= 2")
-    std = float(rewards.std())
-    if std < eps_std:
-        return np.zeros_like(rewards)
-    return (rewards - rewards.mean()) / std
+    std = rewards.std(axis=-1, keepdims=True)
+    centered = rewards - rewards.mean(axis=-1, keepdims=True)
+    # not `std >= eps_std`: a NaN std divides, as it always has
+    return np.divide(centered, std, out=np.zeros_like(centered), where=~(std < eps_std))
 
 
 @dataclass
@@ -171,12 +173,13 @@ def collect_rollouts(rt: Runtime, prompts: list[Prompt], text_old: ParamSet,
         cfg_scale=cfg.train_cfg_scale if cfg.train_cfg else 1.0,
     )
     rewards, finite = score(flow.states[-1], [prompts[slot] for slot in slots], rt.geom)
+    advantages = group_advantages(rewards.reshape(len(prompts), G), cfg.adv_eps)
     groups = []
     for slot, prompt in enumerate(prompts):
         part = slice(slot * G, (slot + 1) * G)
         groups.append(GroupRollout(
-            prompt, traces[part], flow.take(part), rewards[part],
-            group_advantages(rewards[part], cfg.adv_eps), int(np.count_nonzero(~finite[part])),
+            prompt, traces[part], flow.take(part), rewards[part], advantages[slot],
+            int(np.count_nonzero(~finite[part])),
         ))
     return groups
 
@@ -321,19 +324,19 @@ def pretrain_all(cfg: TrainConfig, out_dir) -> dict:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     seed = cfg.seed
-    text_pairs, flow_pairs = make_pretrain_data(
+    (prompts, traces), (conds, x0) = make_pretrain_data(
         stream(seed, "pretrain-data"), cfg.pretrain_text_n, cfg.pretrain_flow_n,
         rt.geom, cfg.p_noise,
     )
 
     text_params = rt.text_policy.init_params(stream(seed, "init-text"))
     text_params, text_report = rt.text_policy.pretrain(
-        text_params, text_pairs, cfg.pretrain_text_epochs, cfg.pretrain_text_lr,
+        text_params, prompts, traces, cfg.pretrain_text_epochs, cfg.pretrain_text_lr,
         cfg.pretrain_batch, stream(seed, "pretrain-text"),
     )
     flow_params = rt.flow_policy.init_params(stream(seed, "init-flow"))
     flow_params, flow_report = rt.flow_policy.pretrain(
-        flow_params, flow_pairs, cfg.pretrain_flow_epochs, cfg.pretrain_flow_lr,
+        flow_params, conds, x0, cfg.pretrain_flow_epochs, cfg.pretrain_flow_lr,
         max(cfg.pretrain_batch, 256), cfg.p_uncond, stream(seed, "pretrain-flow"),
     )
     checkpoint.save_params(out / "text.ckpt", text_params)

@@ -540,11 +540,9 @@ class TestPretraining:
         assert loss == pytest.approx(0.0, abs=1e-12)
 
     def test_gradient_matches_finite_differences(self):
-        from unigrpo.task import FlowPair
-
         params = _nontrivial_params(12)
         rng = stream(6, "fm")
-        pairs, x0s = [], []
+        x0s = []
         for _ in range(6):
             x0s.append(rng.normal(size=2))
         x0 = np.stack(x0s)
@@ -562,37 +560,37 @@ class TestPretraining:
 
     def test_columns_match_per_batch_pooling_bit_for_bit(self):
         # reference: each batch's x0 stacked and pooling weights built from
-        # its own pairs, with the same draws in the same order
-        _, pairs = make_pretrain_data(stream(36, "pt"), 1, 300, GEOM)
+        # its own rows, with the same draws in the same order
+        _, (conds, x0) = make_pretrain_data(stream(36, "pt"), 1, 300, GEOM)
         params, report = POLICY.pretrain(
-            _params(37), pairs, epochs=2, lr=3e-3, batch_size=64, p_uncond=0.2,
+            _params(37), conds, x0, epochs=2, lr=3e-3, batch_size=64, p_uncond=0.2,
             rng=stream(38, "sh"),
         )
         ref, rng = _params(37), stream(38, "sh")
         state = AdamState.for_params(ref, lr=3e-3)
         losses = []
         for _ in range(2):
-            order = rng.permutation(len(pairs))
+            order = rng.permutation(len(conds))
             total = 0.0
-            for lo in range(0, len(pairs), 64):
-                batch = [pairs[i] for i in order[lo : lo + 64]]
+            for lo in range(0, len(conds), 64):
+                batch = order[lo : lo + 64]
                 t = 1.0 - rng.random(len(batch))
                 x1 = rng.standard_normal((len(batch), DIM))
                 keep = (rng.random(len(batch)) >= 0.2).astype(np.float64)
                 loss, gs = POLICY.fm_loss_frozen(
-                    ref, np.stack([p.x0 for p in batch]),
-                    POLICY.pool_weights([p.cond_tokens for p in batch]), t, x1, keep,
+                    ref, np.stack([x0[i] for i in batch]),
+                    POLICY.pool_weights([conds[i] for i in batch]), t, x1, keep,
                 )
                 ref = adam_step(ref, gs, state)
                 total += loss * len(batch)
-            losses.append(total / len(pairs))
+            losses.append(total / len(conds))
         assert params.vec.tobytes() == ref.vec.tobytes()
         assert report["epoch_losses"] == losses
 
     def test_pretraining_learns_the_task(self):
-        _, flow = make_pretrain_data(stream(30, "pt"), 1, 4096, GEOM)
+        _, (conds, x0) = make_pretrain_data(stream(30, "pt"), 1, 4096, GEOM)
         params, report = POLICY.pretrain(
-            _params(31), flow, epochs=40, lr=3e-3, batch_size=256,
+            _params(31), conds, x0, epochs=40, lr=3e-3, batch_size=256,
             p_uncond=0.1, rng=stream(32, "sh"),
         )
         losses = report["epoch_losses"]
@@ -602,14 +600,12 @@ class TestPretraining:
     def test_learns_analytic_velocity_on_single_gaussian(self):
         # single Gaussian target: the optimal velocity field is affine and
         # known in closed form under the linear path
-        from unigrpo.task import FlowPair
-
         mu0 = np.array([0.5, -0.3])
         tau = 0.4
         rng = stream(33, "gauss")
-        pairs = [FlowPair(TRACE, mu0 + tau * rng.standard_normal(2)) for _ in range(4096)]
+        x0 = np.array([mu0 + tau * rng.standard_normal(2) for _ in range(4096)])
         params, _ = POLICY.pretrain(
-            _params(34), pairs, epochs=40, lr=3e-3, batch_size=256,
+            _params(34), [TRACE] * len(x0), x0, epochs=40, lr=3e-3, batch_size=256,
             p_uncond=0.0, rng=stream(35, "sh"),
         )
 

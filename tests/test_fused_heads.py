@@ -111,7 +111,7 @@ class TestTextHeads:
                 _assert_same(gs, old_grads)
                 assert stats.mean_ratio == float(old_ratio.mean())
                 assert stats.max_ratio == float(old_ratio.max())
-                assert stats.token_count == len(old_ratio)
+                assert stats.rows == len(old_ratio)
         # first epoch: scored at the sampling parameters every ratio is exactly 1
         _, _, stats = TEXT.surrogate_loss(params, batch, 0.0)
         assert stats.max_ratio == 1.0 and stats.mean_ratio == 1.0 and stats.clip_fraction == 0.0
@@ -129,10 +129,9 @@ class TestTextHeads:
         assert grads.tobytes() == grads_wide.tobytes()
 
     def test_ce_matches_op_chain(self):
-        pairs, _ = make_pretrain_data(stream(5, "pt"), 96, 1, TaskGeometry())
+        (prompts, traces), _ = make_pretrain_data(stream(5, "pt"), 96, 1, TaskGeometry())
         params = _text_params(6)
-        rows, targets, _, _ = TEXT.token_rows([p.prompt_tokens for p in pairs],
-                                              [p.trace_tokens for p in pairs])
+        rows, targets, _, _ = TEXT.token_rows(prompts, traces)
         loss, gs = TEXT.ce_loss(params, rows, targets)
 
         tape = OpTape()
@@ -235,6 +234,7 @@ class TestFlowHeads:
                 assert stats.mean_ratio == float(old_rt.mean())
                 assert stats.max_ratio == float(old_rt.max())
                 assert stats.reg_value == old_reg
+                assert stats.rows == len(old_rt)
         _, _, stats = FLOW.surrogate_loss(params, prepared, 0.0, weight)
         assert stats.max_ratio == 1.0 and stats.mean_ratio == 1.0 and stats.clip_fraction == 0.0
 

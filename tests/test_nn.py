@@ -16,6 +16,7 @@ from unigrpo.nn import (
     ParamSet,
     adam_step,
     finite_diff_check,
+    fit,
     init_mlp_blocks,
     mlp_forward_np,
     mlp_var,
@@ -301,6 +302,36 @@ class TestAdam:
         with pytest.raises(NumericError, match="'u'"):
             adam_step(params, np.array([0.0, np.nan]), st)
         assert st.step == 0
+
+
+class TestFit:
+    def test_matches_a_minibatch_adam_loop_bit_for_bit(self):
+        # 10 examples in batches of 4 (the last one short), each batch weighed
+        # by twice its size; the loss also draws from the shuffling generator
+        target = stream(42, "fit").normal(size=(10, 2))
+        params = ParamSet({"w": np.zeros(2)})
+
+        def batch_loss(p, sel, rng):
+            d = p["w"] - target[sel] * rng.random()
+            return float(np.sum(d * d)), 2.0 * d.sum(axis=0), 2 * len(sel)
+
+        rng = stream(43, "fit")
+        fitted, losses = fit(params, 10, 3, 4, 0.1, rng, lambda p, sel: batch_loss(p, sel, rng))
+        ref, rng = params, stream(43, "fit")
+        st = AdamState.for_params(ref, lr=0.1)
+        want = []
+        for _ in range(3):
+            order = rng.permutation(10)
+            total, count = 0.0, 0
+            for lo in range(0, 10, 4):
+                loss, g, w = batch_loss(ref, order[lo : lo + 4], rng)
+                ref = adam_step(ref, g, st)
+                total += loss * w
+                count += w
+            want.append(total / count)
+        assert fitted.vec.tobytes() == ref.vec.tobytes()
+        assert losses == want and st.step == 9
+        assert params["w"].tolist() == [0.0, 0.0]
 
 
 class TestFiniteDiff:

@@ -22,6 +22,8 @@ from unigrpo.task import (
 GEOM = TaskGeometry()
 # canonical trace -> (quadrant, band, spread)
 DECODE = {canonical_trace(p): (p.quadrant, p.band, p.spread) for p in all_prompts()}
+# prompt tokens -> prompt
+PROMPTS = {p.tokens: p for p in all_prompts()}
 
 
 def score_one(x0, prompt, geom) -> float:
@@ -221,28 +223,34 @@ class TestScoreOracle:
 class TestPretrainData:
     def test_zero_noise_gives_canonical_traces(self):
         rng = stream(4, "pt")
-        text, _ = make_pretrain_data(rng, 500, 1, GEOM, p_noise=0.0)
-        for pair in text:
-            q, b, s = DECODE[pair.trace_tokens]
-            assert not pair.corrupted
-            prompt = [pp for pp in all_prompts() if pp.tokens == pair.prompt_tokens][0]
+        (prompts, traces), _ = make_pretrain_data(rng, 500, 1, GEOM, p_noise=0.0)
+        for tokens, trace in zip(prompts, traces):
+            q, b, s = DECODE[trace]
+            prompt = PROMPTS[tokens]
+            assert trace == canonical_trace(prompt)
             assert (q, b, s) == (prompt.quadrant, prompt.band, prompt.spread)
 
     def test_corruption_rate(self):
         rng = stream(5, "pt")
-        text, _ = make_pretrain_data(rng, 10_000, 1, GEOM, p_noise=0.25)
-        frac = np.mean([p.corrupted for p in text])
+        (prompts, traces), _ = make_pretrain_data(rng, 10_000, 1, GEOM, p_noise=0.25)
+        # a corrupted trace differs from its prompt's canonical trace in one token
+        wrong = [sum(a != b for a, b in zip(trace, canonical_trace(PROMPTS[tokens])))
+                 for tokens, trace in zip(prompts, traces)]
+        assert set(wrong) == {0, 1}
+        frac = np.mean(wrong)
         assert abs(frac - 0.25) < 0.02
-        for p in text:
-            if p.corrupted:
-                assert sum(a != b for a, b in zip(p.trace_tokens, (0, 0, 0, 0))) >= 1
+        for trace, w in zip(traces, wrong):
+            assert len(trace) == 4
+            if w:
+                assert sum(a != b for a, b in zip(trace, (0, 0, 0, 0))) >= 1
 
     def test_flow_pair_sample_means(self):
         rng = stream(6, "pt")
-        _, flow = make_pretrain_data(rng, 1, 16_000, GEOM, p_noise=0.25)
+        _, (conds, x0) = make_pretrain_data(rng, 1, 16_000, GEOM, p_noise=0.25)
+        assert x0.shape == (16_000, 2)
         by_cond = {}
-        for pair in flow:
-            by_cond.setdefault(pair.cond_tokens, []).append(pair.x0)
+        for cond, x in zip(conds, x0):
+            by_cond.setdefault(cond, []).append(x)
         assert len(by_cond) == 16
         for cond, xs in by_cond.items():
             q, b, s = DECODE[cond]

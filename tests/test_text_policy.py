@@ -7,8 +7,7 @@ from unigrpo.errors import NumericError
 from unigrpo.nn import AdamState, adam_step, finite_diff_check
 from unigrpo.rng import stream
 from unigrpo.task import (
-    EOS, PAD, TaskGeometry, TextPair, canonical_trace, make_prompt, make_pretrain_data,
-    sample_prompt,
+    EOS, PAD, TaskGeometry, canonical_trace, make_prompt, make_pretrain_data, sample_prompt,
 )
 from unigrpo.text_policy import ReasoningTrace, TextPolicy, softmax_np
 
@@ -291,33 +290,31 @@ class TestPretrain:
     GEOM = TaskGeometry()
 
     def test_clean_data_high_accuracy_and_monotone(self):
-        text, _ = make_pretrain_data(stream(20, "pt"), 1024, 1, self.GEOM, p_noise=0.0)
+        (prompts, traces), _ = make_pretrain_data(stream(20, "pt"), 1024, 1, self.GEOM,
+                                                  p_noise=0.0)
         params, report = POLICY.pretrain(
-            _params(21), text, epochs=14, lr=3e-3, batch_size=128, rng=stream(22, "sh")
+            _params(21), prompts, traces, epochs=14, lr=3e-3, batch_size=128, rng=stream(22, "sh")
         )
         assert report["greedy_accuracy"] >= 0.95
         assert report["loss_monotone"]
 
     def test_row_columns_match_per_batch_rows_bit_for_bit(self):
         # reference: each batch's context rows and targets rebuilt from its
-        # own pairs; one short trace makes the rows per pair differ
-        text, _ = make_pretrain_data(stream(26, "pt"), 200, 1, self.GEOM)
-        text[3] = TextPair(text[3].prompt_tokens, text[3].trace_tokens[:2], False)
+        # own traces
+        (prompts, traces), _ = make_pretrain_data(stream(26, "pt"), 200, 1, self.GEOM)
         params, report = POLICY.pretrain(
-            _params(27), text, epochs=2, lr=3e-3, batch_size=32, rng=stream(28, "sh")
+            _params(27), prompts, traces, epochs=2, lr=3e-3, batch_size=32, rng=stream(28, "sh")
         )
         ref, rng = _params(27), stream(28, "sh")
         state = AdamState.for_params(ref, lr=3e-3)
         losses = []
         for _ in range(2):
-            order = rng.permutation(len(text))
+            order = rng.permutation(len(traces))
             total, count = 0.0, 0
-            for lo in range(0, len(text), 32):
-                batch = [text[i] for i in order[lo : lo + 32]]
-                rows = np.concatenate([
-                    _context_rows(p.prompt_tokens, list(p.trace_tokens)) for p in batch
-                ])
-                targets = np.array([tok for p in batch for tok in p.trace_tokens])
+            for lo in range(0, len(traces), 32):
+                batch = order[lo : lo + 32]
+                rows = np.concatenate([_context_rows(prompts[i], list(traces[i])) for i in batch])
+                targets = np.array([tok for i in batch for tok in traces[i]])
                 loss, gs = POLICY.ce_loss(ref, rows, targets)
                 ref = adam_step(ref, gs, state)
                 total += loss * len(targets)
@@ -325,12 +322,18 @@ class TestPretrain:
             losses.append(total / count)
         assert params.vec.tobytes() == ref.vec.tobytes()
         assert report["epoch_losses"] == losses
+        # one short trace: the rows per trace would differ, which is refused
+        traces[3] = traces[3][:2]
+        with pytest.raises(ValueError, match="one length"):
+            POLICY.pretrain(_params(27), prompts, traces, epochs=2, lr=3e-3, batch_size=32,
+                            rng=stream(28, "sh"))
 
     def test_noisy_data_leaves_headroom(self):
         # symmetric 25% label noise cannot flip a converged argmax, so the
         # headroom comes from the fixed desk-scale epoch budget
-        text, _ = make_pretrain_data(stream(23, "pt"), 1024, 1, self.GEOM, p_noise=0.25)
+        (prompts, traces), _ = make_pretrain_data(stream(23, "pt"), 1024, 1, self.GEOM,
+                                                  p_noise=0.25)
         params, report = POLICY.pretrain(
-            _params(24), text, epochs=8, lr=3e-3, batch_size=128, rng=stream(25, "sh")
+            _params(24), prompts, traces, epochs=8, lr=3e-3, batch_size=128, rng=stream(25, "sh")
         )
         assert 0.5 <= report["greedy_accuracy"] <= 0.98

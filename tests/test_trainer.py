@@ -15,7 +15,7 @@ import unigrpo.flow_policy as flow_policy_mod
 import unigrpo.trainer as trainer_mod
 from unigrpo import checkpoint
 from unigrpo.config import TrainConfig
-from unigrpo.errors import CheckpointError, NumericError
+from unigrpo.errors import CheckpointError, ConfigError, NumericError
 from unigrpo.flow_policy import FlowBatch, transition_logprob
 from unigrpo.metrics import read_metrics
 from unigrpo.nn import AdamState
@@ -115,6 +115,39 @@ class TestGroupAdvantages:
                 assert abs(a.mean()) < 1e-10
                 assert abs(a.std() - 1.0) < 1e-10
                 assert np.argmax(a) == np.argmax(r)
+
+    def test_one_call_over_groups_equals_per_group_calls_bit_for_bit(self):
+        eps = 1e-6
+        rng = stream(2, "rows")
+        G = 9
+        z = rng.normal(size=G)
+        z = (z - z.mean()) / z.std()
+        rows = [
+            rng.normal(size=G),
+            np.full(G, 0.3),                       # tied: degenerate
+            np.repeat([0.1, 0.4, 0.4], 3),         # partly tied
+            0.5 + eps * (1.0 - 1e-3) * z,          # std just below eps
+            0.5 + eps * (1.0 + 1e-3) * z,          # std just above eps
+            rng.uniform(size=G),
+        ]
+        stds = [r.std() for r in rows]
+        assert stds[1] == 0.0 and stds[3] < eps < stds[4]
+        r = np.stack(rows)
+        a = group_advantages(r, eps)
+        assert a.shape == r.shape
+        for i, row in enumerate(rows):
+            one = group_advantages(row, eps)
+            assert a[i].tobytes() == one.tobytes(), i
+            # the scalar formula, row by row
+            std = float(row.std())
+            old = np.zeros_like(row) if std < eps else (row - row.mean()) / std
+            assert one.tobytes() == old.tobytes(), i
+        assert not np.any(a[[1, 3]]) and np.all(a[[0, 2, 4, 5]].std(axis=1) > 0.99)
+
+    def test_group_of_one_rejected(self):
+        for bad in (np.array(1.0), np.ones(1), np.ones((3, 1))):
+            with pytest.raises(ConfigError, match="group size"):
+                group_advantages(bad)
 
 
 class TestRolloutWords:

@@ -1,6 +1,6 @@
 """Byte-identity check: run the fixed-seed recipe and compare its output hashes.
 
-    python3 tools/recipe_hashes.py           # exit 0 iff all 17 hashes match
+    python3 tools/recipe_hashes.py           # exit 0 iff all 19 hashes match
     python3 tools/recipe_hashes.py --write   # record the current hashes instead
 
 The recipe runs `unigrpo pretrain --seed 101` at desk defaults, then
@@ -11,11 +11,13 @@ temporary directory:
     guided   frozen text, train_cfg = true at scale 2, latent-kl, group 16
     t07      reg_mode none, temperature 0.7
 
-and takes the sha256 of the 17 outputs that a fixed seed determines: the
-pretraining text.ckpt and flow.ckpt, and each run's metrics.csv,
-groups.jsonl, state.ckpt, text.ckpt and flow.ckpt.  It compares them with
-tools/recipe_hashes.json.  A change that is not meant to move any number
-must keep every hash.  The commands run from this checkout's `src`.
+and takes the sha256 of the 19 outputs that a fixed seed determines: the
+pretraining text.ckpt, flow.ckpt and pretrain_report.json, each run's
+metrics.csv, groups.jsonl, state.ckpt, text.ckpt and flow.ckpt, and the
+output of `unigrpo verify` with each oracle's ` (x.xxs)` timing removed.
+It compares them with tools/recipe_hashes.json.  A change that is not
+meant to move any number must keep every hash.  The commands run from this
+checkout's `src`.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import argparse
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -38,7 +41,7 @@ RUNS = {
                "reg_mode": "latent-kl", "group_size": "16"},
     "t07": {"reg_mode": "none", "temperature": "0.7"},
 }
-PRETRAIN_FILES = ("text.ckpt", "flow.ckpt")
+PRETRAIN_FILES = ("text.ckpt", "flow.ckpt", "pretrain_report.json")
 RUN_FILES = ("metrics.csv", "groups.jsonl", "state.ckpt", "text.ckpt", "flow.ckpt")
 
 
@@ -53,25 +56,29 @@ def config_text(overrides: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def run_cli(*args: str) -> None:
+def run_cli(*args: str) -> str:
+    """The command's stdout."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    subprocess.run([sys.executable, "-m", "unigrpo.cli", *args], env=env, check=True,
-                   stdout=subprocess.DEVNULL)
+    return subprocess.run([sys.executable, "-m", "unigrpo.cli", *args], env=env, check=True,
+                          stdout=subprocess.PIPE, text=True).stdout
 
 
-def sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
 
 
 def recipe_hashes(work: Path) -> dict:
     pre = work / "pretrain"
     run_cli("pretrain", "--seed", SEED, "--out", str(pre))
-    hashes = {f"pretrain/{name}": sha256(pre / name) for name in PRETRAIN_FILES}
+    hashes = {f"pretrain/{name}": sha256((pre / name).read_bytes()) for name in PRETRAIN_FILES}
     for run, overrides in RUNS.items():
         cfg = work / f"{run}.cfg"
         cfg.write_text(config_text({**overrides, "pretrain_dir": str(pre)}))
         run_cli("train", "--config", str(cfg), "--seed", SEED, "--out", str(work / run))
-        hashes.update({f"{run}/{name}": sha256(work / run / name) for name in RUN_FILES})
+        hashes.update({f"{run}/{name}": sha256((work / run / name).read_bytes())
+                       for name in RUN_FILES})
+    oracles = re.sub(r" \(\d+\.\d+s\)", "", run_cli("verify"))
+    hashes["verify/oracles"] = sha256(oracles.encode())
     return hashes
 
 
@@ -87,13 +94,14 @@ def main() -> int:
         print(f"wrote {len(got)} hashes to {HASHES}")
         return 0
     want = json.loads(HASHES.read_text())
+    names = sorted(want.keys() | got.keys())
     bad = 0
-    for name in sorted(want.keys() | got.keys()):
+    for name in names:
         ok = want.get(name) == got.get(name)
         bad += not ok
         print(f"ok       {name}" if ok else
               f"MISMATCH {name}: got {got.get(name)}, want {want.get(name)}")
-    print(f"{len(want) - bad}/{len(want)} hashes match")
+    print(f"{len(names) - bad}/{len(names)} hashes match")
     return 1 if bad else 0
 
 
