@@ -374,8 +374,7 @@ class FlowPolicy:
             trace = canonical_trace(make_prompt(q, b, s))
             x1 = rng.standard_normal((n_per_cond, DIM))
             x0 = self.ode_rollout_batch(params, [trace] * n_per_cond, times, x1).states[-1]
-            d = _QUAD_DIR[q]
-            ok = (np.sign(x0[:, 0]) == np.sign(d[0])) & (np.sign(x0[:, 1]) == np.sign(d[1]))
+            ok = (np.sign(x0) == np.sign(_QUAD_DIR[q])).all(axis=1)
             per_cond[f"{q}-{b}-{s}"] = float(ok.mean())
         vals = list(per_cond.values())
         return {

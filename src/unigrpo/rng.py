@@ -7,14 +7,14 @@ draw, both built on Philox4x64-10 (Salmon et al., "Parallel random
 numbers: as easy as 1, 2, 3", SC'11; numpy's own Philox):
 
 - `stream(seed, tag, *indices)` is a sequential numpy Generator.
-  Pretraining, parameter init, prompts and the eval set draw from it.
+  Parameter init, the pretraining shuffles and the eval set draw from it.
 - `words(seed, tag, index, n)` is counter-addressed: row i gets n 64-bit
   words at once, word j being lane j % 4 of the Philox block at counter
   (j // 4, *index[i]) under the (seed, tag) key that `stream(seed, tag)`
   also uses.  `words_by_tag` draws several tags' words in one bijection
-  call with a key per counter; training draws the rollout words of a block
-  of updates that way.  `uniforms`, `normals` and `below` turn words into
-  variates.
+  call with a key per counter; training draws the prompt and rollout words
+  of a block of updates that way, and pretraining data are words too.
+  `uniforms`, `normals` and `below` turn words into variates.
 """
 
 from __future__ import annotations
@@ -100,25 +100,25 @@ def philox4x64(counter, key) -> np.ndarray:
     return np.stack([a[0], c[0], a[1], c[1]], axis=-1).reshape(ctr.shape)
 
 
-def words_by_tag(seed: int, index, counts: dict[str, int],
-                 block: int = 0) -> dict[str, np.ndarray]:
-    """`words(seed, tag, index, n, block)` for every (tag, n) of `counts`, all
-    tags' Philox blocks in one bijection call, each counter under its tag's
-    key."""
-    index = np.asarray(index, dtype=np.int64).reshape(-1, 3)
-    _check_indices([index.min(initial=0)])
-    ctrs, keys = [], []
-    for tag, n in counts.items():
+def words_by_tag(seed: int, draws: dict[str, tuple], block: int = 0) -> dict[str, np.ndarray]:
+    """`words(seed, tag, index, n, block)` for every tag: (index, n) of
+    `draws`, all tags' Philox blocks in one bijection call, each counter
+    under its tag's key."""
+    ctrs, keys, shapes = [], [], []
+    for tag, (index, n) in draws.items():
+        index = np.asarray(index, dtype=np.int64).reshape(-1, 3)
+        _check_indices([index.min(initial=0)])
         n_blocks = -(-n // 4)
         ctr = np.empty((len(index), n_blocks, 4), dtype=np.uint64)
         ctr[..., 0] = np.uint64(block) + np.arange(n_blocks, dtype=np.uint64)
         ctr[..., 1:] = index[:, None, :]
         ctrs.append(ctr.reshape(-1, 4))
         keys.append(np.broadcast_to(tag_key(seed, tag), (len(ctrs[-1]), 2)))
+        shapes.append((len(index), n))
     out = philox4x64(np.concatenate(ctrs), np.concatenate(keys))
     result, lo = {}, 0
-    for (tag, n), ctr in zip(counts.items(), ctrs):
-        result[tag] = out[lo:lo + len(ctr)].reshape(len(index), -1)[:, :n]
+    for tag, ctr, (rows, n) in zip(draws, ctrs, shapes):
+        result[tag] = out[lo:lo + len(ctr)].reshape(rows, -1)[:, :n]
         lo += len(ctr)
     return result
 
@@ -127,7 +127,7 @@ def words(seed: int, tag: str, index, n: int, block: int = 0) -> np.ndarray:
     """(rows, n) uint64 words: word j of row i is lane j % 4 of the Philox
     block at counter (block + j // 4, *index[i]) under `tag_key(seed, tag)`.
     `index` is (rows, 3) non-negative integers."""
-    return words_by_tag(seed, index, {tag: n}, block)[tag]
+    return words_by_tag(seed, {tag: (index, n)}, block)[tag]
 
 
 def uniforms(w: np.ndarray) -> np.ndarray:
@@ -147,22 +147,29 @@ def normals(w: np.ndarray) -> np.ndarray:
     return z
 
 
-def below(seed: int, tag: str, index, w: np.ndarray, n: int) -> np.ndarray:
-    """Exactly uniform uint64 integers in [0, n) from one word per row by Lemire's
-    multiply-shift: the high half of w * n, rejected when the low half is
-    below 2**64 mod n.  A rejected row redraws from lane 0 of the block at
-    counter (2**63 + r, *index[row]) on its r-th redraw, an address no
-    layout reaches; a redraw happens with probability below n / 2**64."""
-    if not 1 <= n < 2**64:
-        raise ValueError(f"bound must be in [1, 2**64), got {n}")
+def below(seed: int, tag: str, index, w: np.ndarray, n) -> np.ndarray:
+    """Exactly uniform uint64 integers in [0, n) by Lemire's multiply-shift:
+    the high half of w * n, rejected when the low half is below 2**64 mod n.
+    `w` is one word per row, or (rows, k) words with `n` one bound or k
+    bounds, one per column.  A rejected word in column c redraws on its r-th
+    redraw from word c of `words(seed, tag, index, k, 2**63 + r * ceil(k / 4))`,
+    an address no layout reaches; a redraw happens with probability below
+    n / 2**64."""
+    bounds = np.atleast_1d(np.asarray(n, dtype=object))
+    if not all(1 <= b < 2**64 for b in bounds):
+        raise ValueError(f"bounds must be in [1, 2**64), got {n}")
     index = np.asarray(index, dtype=np.int64).reshape(-1, 3)
     w = np.array(w, dtype=np.uint64)
-    threshold = np.uint64((2**64 - n) % n)
-    n = np.uint64(n)
+    cols = w if w.ndim == 2 else w[:, None]  # a view of w, one row per counter row
+    k = cols.shape[1]
+    threshold = np.array([(2**64 - b) % b for b in bounds], dtype=np.uint64)
+    n = bounds.astype(np.uint64)
     r = 0
     while True:
-        rejected = np.flatnonzero(w * n < threshold)  # the low half wraps
-        if not rejected.size:
+        rejected = cols * n < threshold  # the low half wraps
+        if not rejected.any():
             return _mulhi(w, n & _MASK32, n >> _SHIFT32, _MASK32, _SHIFT32)
-        w[rejected] = words(seed, tag, index[rejected], 1, _REDRAW_BLOCK + r)[:, 0]
+        rows = np.flatnonzero(rejected.any(axis=1))
+        redraw = words(seed, tag, index[rows], k, _REDRAW_BLOCK + r * -(-k // 4))
+        cols[rows] = np.where(rejected[rows], redraw, cols[rows])
         r += 1

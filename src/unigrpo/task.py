@@ -11,8 +11,11 @@ thing the generator ever sees.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
+
+from .rng import below, normals, uniforms, words
 
 # ---- vocabulary ----
 
@@ -63,12 +66,8 @@ VOCAB_SIZE = len(TOKEN_NAMES)   # 34
 PROMPT_LEN = 3
 TRACE_LEN = 4                   # three attribute tokens + EOS
 
-_QUAD_DIR = {
-    1: np.array([1.0, 1.0]) / np.sqrt(2.0),
-    2: np.array([-1.0, 1.0]) / np.sqrt(2.0),
-    3: np.array([-1.0, -1.0]) / np.sqrt(2.0),
-    4: np.array([1.0, -1.0]) / np.sqrt(2.0),
-}
+_QUAD_DIRS = np.array([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+_QUAD_DIR = dict(zip(QUADRANTS, _QUAD_DIRS))
 
 
 @dataclass(frozen=True)
@@ -114,48 +113,35 @@ def _prompt_id(quadrant, band, spread, syn) -> int:
 
 
 def make_prompt(quadrant: int, band: str, spread: str, syn=(0, 0, 0)) -> Prompt:
-    tokens = (
-        SURFACE_QUAD[quadrant][syn[0]],
-        SURFACE_BAND[band][syn[1]],
-        SURFACE_SPREAD[spread][syn[2]],
-    )
+    tokens = (SURFACE_QUAD[quadrant][syn[0]], SURFACE_BAND[band][syn[1]],
+              SURFACE_SPREAD[spread][syn[2]])
     return Prompt(_prompt_id(quadrant, band, spread, syn), tokens, quadrant, band, spread)
 
 
-def sample_prompt(rng: np.random.Generator) -> Prompt:
-    """Uniform over the 16 attribute tuples, then uniform over synonyms."""
-    q = QUADRANTS[rng.integers(4)]
-    b = BANDS[rng.integers(2)]
-    s = SPREADS[rng.integers(2)]
-    syn = tuple(int(rng.integers(N_SYNONYMS)) for _ in range(3))
-    return make_prompt(q, b, s, syn)
+# bounds of a prompt's six draws: quadrant, band and spread, then the three synonyms
+PROMPT_BOUNDS = (len(QUADRANTS), len(BANDS), len(SPREADS)) + (N_SYNONYMS,) * 3
+
+
+def draw_prompts(seed: int, tag: str, index, w: np.ndarray) -> list[Prompt]:
+    """One prompt per row of the (rows, 6) words `w` at counter rows `index`:
+    uniform over the 16 attribute tuples, then uniform over synonyms."""
+    draws = below(seed, tag, index, w, PROMPT_BOUNDS).tolist()
+    return [make_prompt(QUADRANTS[q], BANDS[b], SPREADS[s], syn)
+            for q, b, s, *syn in draws]
 
 
 def all_tuples():
-    for q in QUADRANTS:
-        for b in BANDS:
-            for s in SPREADS:
-                yield q, b, s
+    return product(QUADRANTS, BANDS, SPREADS)
 
 
 def all_prompts():
-    for q, b, s in all_tuples():
-        for i in range(N_SYNONYMS):
-            for j in range(N_SYNONYMS):
-                for k in range(N_SYNONYMS):
-                    yield make_prompt(q, b, s, (i, j, k))
+    return (make_prompt(q, b, s, syn) for q, b, s in all_tuples()
+            for syn in product(range(N_SYNONYMS), repeat=3))
 
 
 def canonical_trace(prompt: Prompt) -> tuple[int, ...]:
-    return (
-        CANON_QUAD[prompt.quadrant],
-        CANON_BAND[prompt.band],
-        CANON_SPREAD[prompt.spread],
-        EOS,
-    )
-
-
-_QUAD_DIRS = np.stack([_QUAD_DIR[q] for q in QUADRANTS])
+    return (CANON_QUAD[prompt.quadrant], CANON_BAND[prompt.band],
+            CANON_SPREAD[prompt.spread], EOS)
 
 
 def score(x0: np.ndarray, prompts, geom: TaskGeometry) -> tuple[np.ndarray, np.ndarray]:
@@ -181,29 +167,25 @@ def score(x0: np.ndarray, prompts, geom: TaskGeometry) -> tuple[np.ndarray, np.n
 # ---- pretraining data ----
 
 
-_ATTR_ALTERNATIVES = {
-    0: list(CANON_QUAD.values()),
-    1: list(CANON_BAND.values()),
-    2: list(CANON_SPREAD.values()),
-}
+# per attribute: its number of values and its first canonical and surface
+# tokens; an attribute's tokens are consecutive in value (then synonym) order
+_N_VALUES = np.array(PROMPT_BOUNDS[:3])
+_CANON_FIRST = np.array([CANON_QUAD[1], CANON_BAND["near"], CANON_SPREAD["tight"]])
+_SURFACE_FIRST = np.array([SURFACE_QUAD[1][0], SURFACE_BAND["near"][0],
+                           SURFACE_SPREAD["tight"][0]])
 
 
-def _corrupt(trace: tuple[int, ...], rng: np.random.Generator) -> tuple[int, ...]:
-    """Replace one attribute token with a wrong value of the same attribute."""
-    pos = int(rng.integers(3))
-    wrong = [t for t in _ATTR_ALTERNATIVES[pos] if t != trace[pos]]
-    out = list(trace)
-    out[pos] = wrong[int(rng.integers(len(wrong)))]
-    return tuple(out)
+def _examples(kind: int, n: int) -> np.ndarray:
+    """Counter rows (kind, i, 0) of examples i < n."""
+    return np.column_stack([np.full(n, kind), np.arange(n), np.zeros(n, dtype=np.int64)])
 
 
-def make_pretrain_data(
-    rng: np.random.Generator,
-    n_text: int,
-    n_flow: int,
-    geom: TaskGeometry,
-    p_noise: float = 0.25,
-) -> tuple[tuple[list, list], tuple[list, np.ndarray]]:
+def _tuples(*columns) -> list[tuple[int, ...]]:
+    return list(map(tuple, np.column_stack(columns).tolist()))
+
+
+def make_pretrain_data(seed: int, n_text: int, n_flow: int, geom: TaskGeometry,
+                       p_noise: float = 0.25) -> tuple[tuple[list, list], tuple[list, np.ndarray]]:
     """Noisy supervised text columns plus exact generator targets:
     ((prompts, traces), (conds, x0)), token columns as lists of tuples and
     x0 an (n_flow, 2) array.
@@ -212,23 +194,33 @@ def make_pretrain_data(
     token swapped for a wrong value with probability p_noise so the
     pretrained policy is imperfect and RL has headroom; x0[i] is an exact
     draw from the target distribution of the prompt whose canonical trace is
-    conds[i].
+    conds[i].  Text example i takes the "pretrain-data" words of counter row
+    (0, i, 0): six prompt words, the swapped position and value, then the
+    noise coin; flow example i those of row (1, i, 0): three attribute
+    words, then a Box-Muller pair.
     """
     if n_text <= 0 or n_flow <= 0:
         raise ValueError("n_text and n_flow must be positive")
-    prompts, traces = [], []
-    for _ in range(n_text):
-        prompt = sample_prompt(rng)
-        trace = canonical_trace(prompt)
-        if rng.random() < p_noise:
-            trace = _corrupt(trace, rng)
-        prompts.append(prompt.tokens)
-        traces.append(trace)
-    conds, x0 = [], []
-    for _ in range(n_flow):
-        prompt = sample_prompt(rng)
-        spec = target_spec(prompt.quadrant, prompt.band, prompt.spread, geom)
-        x0.append(spec.mu + spec.tau * rng.standard_normal(2))
-        conds.append(canonical_trace(prompt))
-    return (prompts, traces), (conds, np.array(x0))
+    tag = "pretrain-data"
+    index = _examples(0, n_text)
+    w = words(seed, tag, index, 9)
+    a = below(seed, tag, index, w[:, :8], PROMPT_BOUNDS + (3, len(QUADRANTS) - 1))
+    a = a.astype(np.int64)
+    values = a[:, :3].copy()
+    rows = np.flatnonzero(uniforms(w[:, 8]) < p_noise)
+    pos = a[rows, 6]
+    n = _N_VALUES[pos]
+    # one of the attribute's n - 1 other values, uniformly
+    values[rows, pos] = (values[rows, pos] + 1 + a[rows, 7] % (n - 1)) % n
+    text = (_tuples(_SURFACE_FIRST + a[:, :3] * N_SYNONYMS + a[:, 3:6]),
+            _tuples(_CANON_FIRST + values, np.full(n_text, EOS)))
 
+    index = _examples(1, n_flow)
+    w = words(seed, tag, index, 5)
+    values = below(seed, tag, index, w[:, :3], PROMPT_BOUNDS[:3]).astype(np.int64)
+    specs = [target_spec(q, b, s, geom) for q, b, s in all_tuples()]
+    tup = (values[:, 0] * len(BANDS) + values[:, 1]) * len(SPREADS) + values[:, 2]
+    mu = np.array([spec.mu for spec in specs])[tup]
+    tau = np.array([spec.tau for spec in specs])[tup]
+    x0 = mu + tau[:, None] * normals(w[:, 3:5])
+    return text, (_tuples(_CANON_FIRST + values, np.full(n_flow, EOS)), x0)

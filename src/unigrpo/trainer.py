@@ -29,15 +29,16 @@ from .metrics import MetricsRow, MetricsWriter, read_metrics, truncate_metrics
 from .nn import AdamState, ParamSet, adam_step
 from .rng import below, normals, stream, uniforms, words_by_tag
 from .task import (
+    PROMPT_BOUNDS,
     PROMPT_LEN,
     VOCAB_SIZE,
     Prompt,
     TaskGeometry,
     all_tuples,
     canonical_trace,
-    make_prompt,
+    draw_prompts,
     make_pretrain_data,
-    sample_prompt,
+    make_prompt,
     score,
 )
 from .text_policy import ReasoningTrace, TextPolicy
@@ -110,32 +111,37 @@ ROLLOUT_BLOCK = 32
 
 @dataclass
 class RolloutWords:
-    """One update's rollout words.  Row r belongs to member r % G of the
-    prompt at batch index r // G and sits at counter index (update, slot,
-    member).  Layout per row: "trace" word k is the uniform of token k;
-    "flow" word 0 picks the window start and words 1 .. 2 + 2W are
-    Box-Muller pairs giving x1, then the window's eps step by step."""
+    """One update's prompts and rollout words.  The prompt at batch index
+    `slot` comes from the six "prompt" words at counter index (update, slot,
+    0).  Row r belongs to member r % G of the prompt at batch index r // G
+    and sits at counter index (update, slot, member).  Layout per row:
+    "trace" word k is the uniform of token k; "flow" word 0 picks the window
+    start and words 1 .. 2 + 2W are Box-Muller pairs giving x1, then the
+    window's eps step by step."""
 
     seed: int
     index: np.ndarray         # (rows, 3) counter indices
+    prompts: list[Prompt]
     trace: np.ndarray | None  # (rows, max_trace_len), only when the text policy trains
     flow: np.ndarray          # (rows, 1 + DIM + W * DIM)
 
 
 def rollout_words(cfg: TrainConfig, seed: int, updates: range,
                   slots: int) -> list[RolloutWords]:
-    """The rollout words of each update in `updates` for `slots` prompts, both
-    tags of every row drawn in one Philox pass.  Each word has a fixed
-    counter address, so an update's words do not depend on the block it is
-    drawn with."""
+    """The prompts and rollout words of each update in `updates` for `slots`
+    prompts, every tag's words drawn in one Philox pass.  Each word has a
+    fixed counter address, so an update's draws do not depend on the block
+    it is drawn with."""
     G, W = cfg.group_size, cfg.sde_window_size
     index = np.stack(np.meshgrid(np.asarray(updates), np.arange(slots),
                                  np.arange(G), indexing="ij"), axis=-1).reshape(-1, 3)
-    counts = {"trace": cfg.max_trace_len} if cfg.train_text else {}
-    counts["flow"] = 1 + DIM + W * DIM
-    w = words_by_tag(seed, index, counts)
+    draws = {"prompt": (index[::G], len(PROMPT_BOUNDS)), "flow": (index, 1 + DIM + W * DIM)}
+    if cfg.train_text:
+        draws["trace"] = (index, cfg.max_trace_len)
+    w = words_by_tag(seed, draws)
+    prompts = draw_prompts(seed, "prompt", index[::G], w["prompt"])
     rows = slots * G
-    return [RolloutWords(seed, index[lo:lo + rows],
+    return [RolloutWords(seed, index[lo:lo + rows], prompts[lo // G:lo // G + slots],
                          w["trace"][lo:lo + rows] if cfg.train_text else None,
                          w["flow"][lo:lo + rows])
             for lo in range(0, len(index), rows)]
@@ -319,14 +325,13 @@ def evaluate(rt: Runtime, text_params: ParamSet, flow_params: ParamSet,
 def pretrain_all(cfg: TrainConfig, out_dir) -> dict:
     """Supervised warm starts for both policies; writes the two checkpoints
     and an accuracy report.  The data is drawn from the seed's
-    "pretrain-data" stream and not written out: the seed rebuilds it."""
+    "pretrain-data" words and not written out: the seed rebuilds it."""
     rt = make_runtime(cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     seed = cfg.seed
     (prompts, traces), (conds, x0) = make_pretrain_data(
-        stream(seed, "pretrain-data"), cfg.pretrain_text_n, cfg.pretrain_flow_n,
-        rt.geom, cfg.p_noise,
+        seed, cfg.pretrain_text_n, cfg.pretrain_flow_n, rt.geom, cfg.p_noise
     )
 
     text_params = rt.text_policy.init_params(stream(seed, "init-text"))
@@ -494,12 +499,9 @@ def train(cfg: TrainConfig, out_dir, resume: bool = False, config_text: str | No
         if not pending:
             block = range(update, min(update + ROLLOUT_BLOCK, cfg.total_updates + 1))
             pending = rollout_words(cfg, seed, block, cfg.prompts_per_batch)[::-1]
-        prompts = [
-            sample_prompt(stream(seed, "prompt", update, slot))
-            for slot in range(cfg.prompts_per_batch)
-        ]
+        draws = pending.pop()
         # no step writes a ParamSet in place: the current policy is the old one
-        groups = collect_rollouts(rt, prompts, text_params, flow_params, pending.pop())
+        groups = collect_rollouts(rt, draws.prompts, text_params, flow_params, draws)
         t_rollout = time.perf_counter()
         text_params, flow_params, ustats = unified_update(
             rt, groups, text_params, flow_params, text_ref, flow_ref,

@@ -561,7 +561,7 @@ class TestPretraining:
     def test_columns_match_per_batch_pooling_bit_for_bit(self):
         # reference: each batch's x0 stacked and pooling weights built from
         # its own rows, with the same draws in the same order
-        _, (conds, x0) = make_pretrain_data(stream(36, "pt"), 1, 300, GEOM)
+        _, (conds, x0) = make_pretrain_data(36, 1, 300, GEOM)
         params, report = POLICY.pretrain(
             _params(37), conds, x0, epochs=2, lr=3e-3, batch_size=64, p_uncond=0.2,
             rng=stream(38, "sh"),
@@ -588,7 +588,7 @@ class TestPretraining:
         assert report["epoch_losses"] == losses
 
     def test_pretraining_learns_the_task(self):
-        _, (conds, x0) = make_pretrain_data(stream(30, "pt"), 1, 4096, GEOM)
+        _, (conds, x0) = make_pretrain_data(30, 1, 4096, GEOM)
         params, report = POLICY.pretrain(
             _params(31), conds, x0, epochs=40, lr=3e-3, batch_size=256,
             p_uncond=0.1, rng=stream(32, "sh"),

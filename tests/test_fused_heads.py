@@ -12,6 +12,7 @@ beta_txt 0, cfg 1, velocity-mse).
 
 import numpy as np
 import pytest
+from prompt_draws import random_prompts
 from reference_ops import OpTape, reference_velocity
 
 from unigrpo.autodiff import Tape
@@ -19,7 +20,7 @@ from unigrpo.flow_policy import (DIM, FlowPolicy, drift_coefficients, time_featu
                                  timestep_schedule)
 from unigrpo.nn import mlp_var
 from unigrpo.rng import stream
-from unigrpo.task import PAD, TaskGeometry, make_pretrain_data, sample_prompt
+from unigrpo.task import PAD, TaskGeometry, make_pretrain_data
 from unigrpo.text_policy import TextPolicy
 
 TEXT = TextPolicy()
@@ -87,7 +88,7 @@ def _text_params(seed):
 
 
 def _traces(params, temperature, g=16, seed=0):
-    prompts = [sample_prompt(stream(seed, "p", i)).tokens for i in range(g)]
+    prompts = [p.tokens for p in random_prompts(seed, "p", g)]
     u = np.stack([stream(seed, "u", i).random(TEXT.max_len) for i in range(g)])
     return TEXT.sample_trace(params, prompts, temperature, TEXT.max_len, u)
 
@@ -129,7 +130,7 @@ class TestTextHeads:
         assert grads.tobytes() == grads_wide.tobytes()
 
     def test_ce_matches_op_chain(self):
-        (prompts, traces), _ = make_pretrain_data(stream(5, "pt"), 96, 1, TaskGeometry())
+        (prompts, traces), _ = make_pretrain_data(5, 96, 1, TaskGeometry())
         params = _text_params(6)
         rows, targets, _, _ = TEXT.token_rows(prompts, traces)
         loss, gs = TEXT.ce_loss(params, rows, targets)
@@ -206,7 +207,7 @@ def _flow_rollout(params, cfg_scale, g=8, seed=0):
     rng = stream(seed, "roll")
     starts = rng.integers(0, 4, size=g)
     return FLOW.hybrid_rollout(
-        params, [sample_prompt(stream(seed, "c", i)).tokens[:3] for i in range(g)], times,
+        params, [p.tokens for p in random_prompts(seed, "c", g)], times,
         rng.standard_normal((g, DIM)), starts, 3, 0.8, rng.standard_normal((g, 3, DIM)),
         cfg_scale,
     )
@@ -246,7 +247,7 @@ class TestFlowHeads:
         t = 1.0 - rng.random(n)
         x1 = rng.standard_normal((n, DIM))
         keep = (rng.random(n) >= 0.2).astype(np.float64)
-        pool = FLOW.pool_weights([sample_prompt(stream(11, "c", i)).tokens for i in range(n)])
+        pool = FLOW.pool_weights([p.tokens for p in random_prompts(11, "c", n)])
         loss, gs = FLOW.fm_loss_frozen(params, x0, pool, t, x1, keep)
 
         tape = OpTape()

@@ -127,7 +127,41 @@ class TestTransforms:
         if n == 2**63 + 1:
             assert max(redraws) >= 2
 
+    def test_below_columns_redraw_at_their_own_addresses(self):
+        # (rows, k) words with a bound per column: the r-th redraw of column c
+        # is lane c % 4 of the block at counter (2**63 + r * ceil(k / 4) + c // 4,
+        # *index).  At n = 2**63 + 1 about half of all words reject, and the word
+        # 0 always does, so row 0's columns 0, 1 and 4 all reject at first.
+        n, k = 2**63 + 1, 6
+        bounds = (n, n, 3, 5, n, 2**32 + 1)
+        index = [(3, i, 7) for i in range(30)]
+        w = np.random.default_rng(5).integers(0, U64, (30, k), np.uint64)
+        w[0, [0, 1, 4]] = 0
+        key = tag_key(4, "cols")
+        expected = np.zeros((30, k), dtype=object)
+        first_redraw = {}
+        for i, (a, b, c) in enumerate(index):
+            for col, bound in enumerate(bounds):
+                word, r = int(w[i, col]), 0
+                while (word * bound) % U64 < (U64 - bound) % bound:
+                    block = (1 << 63) + r * 2 + col // 4
+                    ctr = np.array([block, a, b, c], dtype=np.uint64)
+                    word = int(philox4x64(ctr, key)[col % 4])
+                    first_redraw.setdefault((i, col), word)
+                    r += 1
+                expected[i, col] = (word * bound) >> 64
+        got = below(4, "cols", index, w, bounds)
+        assert got.shape == (30, k) and got.tolist() == expected.tolist()
+        assert sum(col in (0, 1, 4) for _, col in first_redraw) > 20
+        # two rejecting columns of one row redraw different words
+        redraws = [first_redraw[(0, col)] for col in (0, 1, 4)]
+        assert len(set(redraws)) == 3
+        # columns that reject nothing give the one-column result at their bound,
+        # whatever the other columns redraw
+        for col in (2, 3, 5):
+            assert got[:, col].tolist() == below(4, "cols", index, w[:, col], bounds[col]).tolist()
+
     def test_below_rejects_bad_bounds(self):
-        for n in (0, U64):
+        for n in (0, U64, (3, 0), (2, U64)):
             with pytest.raises(ValueError):
-                below(0, "bnd", [(0, 0, 0)], np.zeros(1, dtype=np.uint64), n)
+                below(0, "bnd", [(0, 0, 0)], np.zeros((1, np.size(n)), dtype=np.uint64), n)

@@ -2,19 +2,20 @@
 
 import numpy as np
 import pytest
+from prompt_draws import random_prompts
 from reference_reward import reference_reward
 
 from unigrpo import task
-from unigrpo.rng import stream
+from unigrpo.rng import stream, words
 from unigrpo.task import (
     EOS,
     TaskGeometry,
     all_prompts,
     all_tuples,
     canonical_trace,
+    draw_prompts,
     make_prompt,
     make_pretrain_data,
-    sample_prompt,
     score,
     target_spec,
 )
@@ -42,21 +43,34 @@ def _closed_form_expected_reward(mu_true, mu_gen, tau_gen, tau_r):
 
 class TestPrompts:
     def test_fixed_seed_repeats(self):
-        a = sample_prompt(stream(7, "p"))
-        b = sample_prompt(stream(7, "p"))
-        assert a == b
+        a = random_prompts(7, "p", 20)
+        assert a == random_prompts(7, "p", 20)
+        assert a != random_prompts(8, "p", 20)
+
+    def test_each_row_is_its_words(self):
+        # counter-addressed: a row's prompt depends on its own words only
+        a = random_prompts(7, "p", 20)
+        index = [(0, i, 0) for i in range(20)]
+        w = words(7, "p", index, 6)
+        assert draw_prompts(7, "p", index[5:9], w[5:9]) == a[5:9]
 
     def test_tuple_frequencies_uniform(self):
-        rng = stream(0, "freq")
-        counts = {}
         n = 10_000
-        for _ in range(n):
-            p = sample_prompt(rng)
+        prompts = random_prompts(0, "freq", n)
+        counts = {}
+        for p in prompts:
             key = (p.quadrant, p.band, p.spread)
             counts[key] = counts.get(key, 0) + 1
         assert len(counts) == 16
         for key, c in counts.items():
             assert abs(c / n - 1 / 16) < 0.01, key
+        # every prompt token is one of its attribute's three synonyms
+        for pos, table in enumerate((task.SURFACE_QUAD, task.SURFACE_BAND,
+                                     task.SURFACE_SPREAD)):
+            syn = [table[(p.quadrant, p.band, p.spread)[pos]].index(p.tokens[pos])
+                   for p in prompts]
+            freq = np.bincount(syn, minlength=3) / n
+            assert np.all(np.abs(freq - 1 / 3) < 0.02), (pos, freq)
 
     def test_every_prompt_decodes_to_valid_target(self):
         for p in all_prompts():
@@ -222,8 +236,7 @@ class TestScoreOracle:
 
 class TestPretrainData:
     def test_zero_noise_gives_canonical_traces(self):
-        rng = stream(4, "pt")
-        (prompts, traces), _ = make_pretrain_data(rng, 500, 1, GEOM, p_noise=0.0)
+        (prompts, traces), _ = make_pretrain_data(4, 500, 1, GEOM, p_noise=0.0)
         for tokens, trace in zip(prompts, traces):
             q, b, s = DECODE[trace]
             prompt = PROMPTS[tokens]
@@ -231,22 +244,40 @@ class TestPretrainData:
             assert (q, b, s) == (prompt.quadrant, prompt.band, prompt.spread)
 
     def test_corruption_rate(self):
-        rng = stream(5, "pt")
-        (prompts, traces), _ = make_pretrain_data(rng, 10_000, 1, GEOM, p_noise=0.25)
+        (prompts, traces), _ = make_pretrain_data(5, 10_000, 1, GEOM, p_noise=0.25)
         # a corrupted trace differs from its prompt's canonical trace in one token
         wrong = [sum(a != b for a, b in zip(trace, canonical_trace(PROMPTS[tokens])))
                  for tokens, trace in zip(prompts, traces)]
         assert set(wrong) == {0, 1}
         frac = np.mean(wrong)
         assert abs(frac - 0.25) < 0.02
-        for trace, w in zip(traces, wrong):
-            assert len(trace) == 4
-            if w:
-                assert sum(a != b for a, b in zip(trace, (0, 0, 0, 0))) >= 1
+        canon = (task.CANON_QUAD, task.CANON_BAND, task.CANON_SPREAD)
+        positions = []
+        for tokens, trace, w in zip(prompts, traces, wrong):
+            assert len(trace) == 4 and trace[3] == EOS
+            if not w:
+                continue
+            right = canonical_trace(PROMPTS[tokens])
+            pos = next(i for i in range(3) if trace[i] != right[i])
+            # the swapped token is another canonical value of the same attribute
+            assert trace[pos] in canon[pos].values() and trace[pos] != right[pos]
+            positions.append(pos)
+        share = np.bincount(positions, minlength=3) / len(positions)
+        assert np.all(np.abs(share - 1 / 3) < 0.03), share
+        # a swapped quadrant is any of the three wrong ones
+        shift = np.bincount([(trace[0] - canonical_trace(PROMPTS[tokens])[0]) % 4
+                             for tokens, trace in zip(prompts, traces)], minlength=4)[1:]
+        assert np.all(np.abs(shift / shift.sum() - 1 / 3) < 0.05), shift
+
+    def test_examples_are_counter_addressed(self):
+        # example i's draws do not depend on how many examples are drawn
+        (p, t), (c, x0) = make_pretrain_data(9, 50, 30, GEOM)
+        (p2, t2), (c2, x2) = make_pretrain_data(9, 400, 300, GEOM)
+        assert (p, t, c) == (p2[:50], t2[:50], c2[:30])
+        assert x0.tobytes() == x2[:30].tobytes()
 
     def test_flow_pair_sample_means(self):
-        rng = stream(6, "pt")
-        _, (conds, x0) = make_pretrain_data(rng, 1, 16_000, GEOM, p_noise=0.25)
+        _, (conds, x0) = make_pretrain_data(6, 1, 16_000, GEOM, p_noise=0.25)
         assert x0.shape == (16_000, 2)
         by_cond = {}
         for cond, x in zip(conds, x0):

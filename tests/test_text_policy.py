@@ -2,12 +2,13 @@
 
 import numpy as np
 import pytest
+from prompt_draws import random_prompts
 
 from unigrpo.errors import NumericError
 from unigrpo.nn import AdamState, adam_step, finite_diff_check
 from unigrpo.rng import stream
 from unigrpo.task import (
-    EOS, PAD, TaskGeometry, canonical_trace, make_prompt, make_pretrain_data, sample_prompt,
+    EOS, PAD, TaskGeometry, canonical_trace, make_prompt, make_pretrain_data,
 )
 from unigrpo.text_policy import ReasoningTrace, TextPolicy, softmax_np
 
@@ -98,7 +99,7 @@ class TestTokenRows:
         # longest is only a target), in mixed order; canonical traces have 4
         policy = TextPolicy(max_trace_len=max_len)
         rng = stream(30, "rows")
-        prompts = [sample_prompt(stream(30, "p", i)).tokens for i in range(12)]
+        prompts = [p.tokens for p in random_prompts(30, "p", 12)]
         lengths = [3, 0, 4, 1, 2, max_len + 1, 0, 3, 1, 2, max_len, 4]
         traces = [tuple(int(t) for t in rng.integers(0, POLICY.vocab, size=n)) for n in lengths]
         rows, targets, owner, position = policy.token_rows(prompts, traces)
@@ -149,7 +150,7 @@ class TestSampling:
         # the decoder before inverse-CDF sampling: lockstep logits, then one
         # Generator.choice per live row per token from that row's stream
         params = _params(8)
-        prompts = [sample_prompt(stream(8, "p", i)).tokens for i in range(48)]
+        prompts = [p.tokens for p in random_prompts(8, "p", 48)]
         rngs = [stream(8, "row", i) for i in range(48)]
         tokens, logps = [[] for _ in prompts], [[] for _ in prompts]
         rows = np.full((len(prompts), POLICY.ctx), PAD, dtype=np.int64)
@@ -290,7 +291,7 @@ class TestPretrain:
     GEOM = TaskGeometry()
 
     def test_clean_data_high_accuracy_and_monotone(self):
-        (prompts, traces), _ = make_pretrain_data(stream(20, "pt"), 1024, 1, self.GEOM,
+        (prompts, traces), _ = make_pretrain_data(20, 1024, 1, self.GEOM,
                                                   p_noise=0.0)
         params, report = POLICY.pretrain(
             _params(21), prompts, traces, epochs=14, lr=3e-3, batch_size=128, rng=stream(22, "sh")
@@ -301,7 +302,7 @@ class TestPretrain:
     def test_row_columns_match_per_batch_rows_bit_for_bit(self):
         # reference: each batch's context rows and targets rebuilt from its
         # own traces
-        (prompts, traces), _ = make_pretrain_data(stream(26, "pt"), 200, 1, self.GEOM)
+        (prompts, traces), _ = make_pretrain_data(26, 200, 1, self.GEOM)
         params, report = POLICY.pretrain(
             _params(27), prompts, traces, epochs=2, lr=3e-3, batch_size=32, rng=stream(28, "sh")
         )
@@ -331,7 +332,7 @@ class TestPretrain:
     def test_noisy_data_leaves_headroom(self):
         # symmetric 25% label noise cannot flip a converged argmax, so the
         # headroom comes from the fixed desk-scale epoch budget
-        (prompts, traces), _ = make_pretrain_data(stream(23, "pt"), 1024, 1, self.GEOM,
+        (prompts, traces), _ = make_pretrain_data(23, 1024, 1, self.GEOM,
                                                   p_noise=0.25)
         params, report = POLICY.pretrain(
             _params(24), prompts, traces, epochs=8, lr=3e-3, batch_size=128, rng=stream(25, "sh")

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from prompt_draws import random_prompts
 from reference_ops import reference_velocity
 from reference_reward import reference_reward
 
@@ -21,7 +22,7 @@ from unigrpo.metrics import read_metrics
 from unigrpo.nn import AdamState
 from unigrpo.rng import below, stream, words
 from unigrpo.flow_policy import FlowPolicy
-from unigrpo.task import EOS, PAD, canonical_trace, make_prompt, sample_prompt
+from unigrpo.task import EOS, PAD, canonical_trace, draw_prompts, make_prompt
 from unigrpo.trainer import (
     ROLLOUT_BLOCK,
     collect_rollouts,
@@ -154,8 +155,9 @@ class TestRolloutWords:
     @pytest.mark.parametrize("train_text", [True, False])
     def test_block_words_equal_per_update_words(self, train_text):
         # blocks as `train` draws them from update 1 and from a resume at
-        # update 7, each crossing a block boundary: every update's words are
-        # the ones one `words` call per tag gives for that update alone
+        # update 7, each crossing a block boundary: every update's prompts
+        # and words are the ones one `words` call per tag gives for that
+        # update alone
         cfg = replace(TINY, train_text=train_text, sde_window_size=2)
         slots, n_flow = 3, 1 + 2 + 2 * 2
         for first in (1, 7):
@@ -168,6 +170,8 @@ class TestRolloutWords:
                 assert draws.seed == 5
                 np.testing.assert_array_equal(draws.index, index)
                 assert draws.flow.tobytes() == words(5, "flow", index, n_flow).tobytes()
+                at = [(update, s, 0) for s in range(slots)]
+                assert draws.prompts == draw_prompts(5, "prompt", at, words(5, "prompt", at, 6))
                 if train_text:
                     assert draws.trace.tobytes() == \
                         words(5, "trace", index, cfg.max_trace_len).tobytes()
@@ -271,8 +275,7 @@ class TestRollouts:
         # window, states and window statistics do not depend on the other rows
         rt = make_runtime(replace(TINY, **overrides))
         text, flow = _snap(rt, tiny_pretrain)
-        prompts = [sample_prompt(stream(5, "p", i)) for i in range(4)]
-        others = [sample_prompt(stream(6, "p", i)) for i in range(4)]
+        prompts, others = random_prompts(5, "p", 4), random_prompts(6, "p", 4)
         batched = _collect(rt, prompts, text, flow, 0, 2)
         for slot in range(4):
             # the slot keeps its prompt; slot 0 runs alone, the others beside
@@ -311,7 +314,7 @@ class TestRollouts:
 
         counting(FlowPolicy, "velocity_np", "flow")
         counting(TextPolicy, "logits_np", "text")
-        prompts = [sample_prompt(stream(0, "p", i)) for i in range(3)]
+        prompts = random_prompts(0, "p", 3)
         _collect(rt, prompts, text, flow, 0, 1)
         n_rows = 3 * rt.cfg.group_size
         assert rows["flow"] == [n_rows] * rt.cfg.train_timesteps
@@ -325,7 +328,7 @@ class TestUnifiedUpdate:
         cfg = replace(TINY, **cfg_kw)
         rt = make_runtime(cfg)
         text, flow = _snap(rt, tiny_pretrain)
-        prompts = [sample_prompt(stream(0, "p", i)) for i in range(cfg.prompts_per_batch)]
+        prompts = random_prompts(0, "p", cfg.prompts_per_batch)
         groups = _collect(rt, prompts, text, flow, 0, 1)
         at = AdamState.for_params(text, lr=cfg.lr_text)
         af = AdamState.for_params(flow, lr=cfg.lr_flow)

@@ -14,12 +14,16 @@ and how many pairs the change won.  A claimed metric is flagged as shown
 when the change won at least 9 of every 10 pairs and the medians differ,
 in the metric's better direction, by more than the parent's IQR; any
 other metric is flagged when its median got worse by more than its bound.
-With --out it writes, per workload, the change's last result line in the
-BENCH_<pr>.json shape, plus the medians and win counts, and `src_lines`,
-the line count of src/unigrpo/*.py in each checkout, next to them.
+It also prints each side's failed-operation share, failed / attempted
+summed over the workload's runs.  With --out it writes, per workload, the
+change's last result line in the BENCH_<pr>.json shape, plus the medians,
+win counts and failed shares, and `src_lines`, the line count of
+src/unigrpo/*.py in each checkout, next to them.
 
 Run nothing else on the machine meanwhile: the pairs share its CPUs.
-Exit status: 0 when every claim is shown and no bound is crossed, else 1.
+Exit status: 0 when every claim is shown, no bound is crossed, every run is
+correct and the change's failed share is no larger than the parent's;
+else 1.
 """
 
 from __future__ import annotations
@@ -63,6 +67,14 @@ def iqr(values: list[float]) -> float:
         return 0.0
     q1, _, q3 = statistics.quantiles(values, n=4)
     return q3 - q1
+
+
+def failed_share(results: list[dict]) -> dict:
+    """Failed and attempted operations summed over runs, and their ratio."""
+    failed = sum(r["failed"] for r in results)
+    attempted = sum(r["attempted"] for r in results)
+    return {"failed": failed, "attempted": attempted,
+            "share": failed / attempted if attempted else 0.0}
 
 
 def summarize(spec: dict, runs: list[tuple[dict, dict]], claims: set[str]) -> tuple[dict, bool]:
@@ -130,15 +142,22 @@ def main(argv=None) -> int:
                       f"failed={result[side]['failed']} {values}", flush=True)
             runs.append((result["parent"], result["change"]))
         summary, ok = summarize(spec, runs, set(args.claim))
-        all_ok &= ok and all(p["correct"] and c["correct"] for p, c in runs)
+        shares = {side: failed_share([pair[i] for pair in runs])
+                  for i, side in enumerate(("parent", "change"))}
+        fewer = shares["change"]["share"] <= shares["parent"]["share"]
+        all_ok &= ok and fewer and all(p["correct"] and c["correct"] for p, c in runs)
         print(f"== {workload}: {len(runs)} pairs")
+        print("failed share     " + "  ".join(
+            f"{side} {e['failed']}/{e['attempted']} ({e['share']:.4f})"
+            for side, e in shares.items()) + ("" if fewer else "  MORE FAILED"))
         for name, e in summary.items():
             verdict = ("claim shown" if e["claim_shown"] else "claim NOT shown") \
                 if "claim_shown" in e else ("ok" if e["within_bound"] else "BOUND CROSSED")
             print(f"{name:16s} parent {e['parent_median']:.6g} (IQR {e['parent_iqr']:.3g})  "
                   f"change {e['change_median']:.6g}  {e['relative_change']:+.1%}  "
                   f"wins {e['wins']}/{e['pairs']}  {verdict}")
-        record[workload] = {"seed": args.seeds[-1], "result": runs[-1][1], "pairs": summary}
+        record[workload] = {"seed": args.seeds[-1], "result": runs[-1][1], "pairs": summary,
+                            "failed_share": shares}
     if args.out:
         args.out.write_text(json.dumps(record, indent=2) + "\n")
     return 0 if all_ok else 1
