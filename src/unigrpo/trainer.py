@@ -10,6 +10,7 @@ the guidance ablation are degenerate configurations of the same loop.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import platform
@@ -34,6 +35,7 @@ from .task import (
     VOCAB_SIZE,
     Prompt,
     TaskGeometry,
+    all_prompts,
     all_tuples,
     canonical_trace,
     draw_prompts,
@@ -147,13 +149,27 @@ def rollout_words(cfg: TrainConfig, seed: int, updates: range,
             for lo in range(0, len(index), rows)]
 
 
+GreedyTable = dict[tuple[int, ...], ReasoningTrace]
+
+
+def greedy_table(rt: Runtime, text_params: ParamSet) -> GreedyTable:
+    """The greedy trace of every prompt of the task under `text_params`,
+    keyed by prompt tokens, all decoded in one batch.  A run with frozen
+    text builds it once and reads its traces from it."""
+    tokens = [p.tokens for p in all_prompts()]
+    return dict(zip(tokens, rt.text_policy.greedy_trace(text_params, tokens,
+                                                         rt.cfg.max_trace_len)))
+
+
 def collect_rollouts(rt: Runtime, prompts: list[Prompt], text_old: ParamSet,
-                     flow_old: ParamSet, draws: RolloutWords) -> list[GroupRollout]:
+                     flow_old: ParamSet, draws: RolloutWords,
+                     greedy: GreedyTable | None = None) -> list[GroupRollout]:
     """One group of rollouts per prompt, every member advanced in lockstep:
     one text decode and one flow rollout over all prompts x group-size rows,
     their randomness taken from the update's `draws`.  Member m of the
     prompt at batch index `slot` has its own counter-addressed words, so
-    batch composition changes none of its draws."""
+    batch composition changes none of its draws.  With frozen text each
+    trace comes from `greedy`, the `greedy_table` of `text_old`."""
     cfg = rt.cfg
     G, W = cfg.group_size, cfg.sde_window_size
     slots = [slot for slot in range(len(prompts)) for _ in range(G)]
@@ -165,10 +181,7 @@ def collect_rollouts(rt: Runtime, prompts: list[Prompt], text_old: ParamSet,
     else:
         # frozen text expert: one deterministic trace per prompt, shared by its
         # group; group variance comes from the stochastic denoising window
-        greedy = rt.text_policy.greedy_trace(
-            text_old, [p.tokens for p in prompts], cfg.max_trace_len
-        )
-        traces = [greedy[slot] for slot in slots]
+        traces = [greedy[prompts[slot].tokens] for slot in slots]
     w = draws.flow
     starts = np.asarray(cfg.window_starts)[below(draws.seed, "flow", draws.index, w[:, 0],
                                                  len(cfg.window_starts))]
@@ -287,17 +300,21 @@ def make_eval_set(rt: Runtime, seed: int):
 
 
 def evaluate(rt: Runtime, text_params: ParamSet, flow_params: ParamSet,
-             flow_ref: ParamSet, eval_set) -> dict:
+             flow_ref: ParamSet, eval_set, greedy: GreedyTable | None = None) -> dict:
     """Greedy reasoning + deterministic sampling at the evaluation schedule,
-    all prompts decoded and all their samples integrated in one batch; also
+    all prompts decoded (or read from `greedy`, the `greedy_table` of
+    `text_params`) and all their samples integrated in one batch; also
     measures how far the tuned velocity field drifted from the frozen
     reference over the states the sampler actually visits: the sampler keeps
     the tuned field's conditional velocities there, so only the reference
     field runs again, one step at a time."""
     cfg = rt.cfg
     prompts, noises = eval_set
-    traces = rt.text_policy.greedy_trace(text_params, [p.tokens for p in prompts],
-                                         cfg.max_trace_len)
+    if greedy is None:
+        traces = rt.text_policy.greedy_trace(text_params, [p.tokens for p in prompts],
+                                             cfg.max_trace_len)
+    else:
+        traces = [greedy[p.tokens] for p in prompts]
     owners = [i for i, x1 in enumerate(noises) for _ in range(len(x1))]
     seqs = [traces[i].tokens for i in owners]
     batch = rt.flow_policy.ode_rollout_batch(
@@ -361,7 +378,10 @@ def pretrain_all(cfg: TrainConfig, out_dir) -> dict:
 # ---- training entry ----
 
 
+@functools.cache
 def _build_id() -> str:
+    """`git describe` of the package's checkout, once per process: the code a
+    process imported cannot change under it."""
     try:
         return subprocess.run(
             ["git", "describe", "--always", "--dirty"],
@@ -383,9 +403,18 @@ def _software() -> dict:
             "thread_env": {v: os.environ.get(v) for v in threads}}
 
 
+class _Zeros:
+    """Stands in for the Generator `init_params` draws from: each draw is
+    zeros of the asked size, so the policy lays out its blocks undrawn."""
+
+    @staticmethod
+    def normal(loc=0.0, scale=1.0, size=None) -> np.ndarray:
+        return np.zeros(size)
+
+
 def check_architecture(loaded: ParamSet, policy: TextPolicy | FlowPolicy, which: str) -> None:
     """CheckpointError unless `loaded` has the blocks and shapes `policy` builds."""
-    expected = policy.init_params(stream(0, "chk"))
+    expected = policy.init_params(_Zeros())
     got = {n: loaded[n].shape for n in loaded.names()}
     want = {n: expected[n].shape for n in expected.names()}
     if got != want:
@@ -479,10 +508,12 @@ def train(cfg: TrainConfig, out_dir, resume: bool = False, config_text: str | No
 
     writer = MetricsWriter(out, append=resume)
     eval_set = make_eval_set(rt, seed)
+    # frozen text decodes every prompt once, from the parameters resumed from
+    greedy = None if cfg.train_text else greedy_table(rt, text_params)
 
     if not resume:
         tic = time.perf_counter()
-        ev = evaluate(rt, text_params, flow_params, flow_ref, eval_set)
+        ev = evaluate(rt, text_params, flow_params, flow_ref, eval_set, greedy)
         t_eval = time.perf_counter()
         writer.write_row(MetricsRow(
             update=0, mean_train_reward=0.0, eval_reward=ev["eval_reward"],
@@ -501,7 +532,7 @@ def train(cfg: TrainConfig, out_dir, resume: bool = False, config_text: str | No
             pending = rollout_words(cfg, seed, block, cfg.prompts_per_batch)[::-1]
         draws = pending.pop()
         # no step writes a ParamSet in place: the current policy is the old one
-        groups = collect_rollouts(rt, draws.prompts, text_params, flow_params, draws)
+        groups = collect_rollouts(rt, draws.prompts, text_params, flow_params, draws, greedy)
         t_rollout = time.perf_counter()
         text_params, flow_params, ustats = unified_update(
             rt, groups, text_params, flow_params, text_ref, flow_ref,
@@ -511,7 +542,8 @@ def train(cfg: TrainConfig, out_dir, resume: bool = False, config_text: str | No
 
         do_eval = (cfg.eval_every > 0 and update % cfg.eval_every == 0) \
             or update == cfg.total_updates
-        ev = evaluate(rt, text_params, flow_params, flow_ref, eval_set) if do_eval else None
+        ev = evaluate(rt, text_params, flow_params, flow_ref, eval_set, greedy) \
+            if do_eval else None
         t_eval = time.perf_counter()
 
         all_rewards = np.concatenate([g.rewards for g in groups])

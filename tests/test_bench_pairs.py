@@ -1,0 +1,114 @@
+"""tools/bench_pairs.py: the benchmark-code check and per-workload claims,
+with perfbench runs replaced by canned result lines."""
+
+import importlib.util
+import json
+import shutil
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+_spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools/bench_pairs.py")
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
+
+
+def _checkout(path: Path) -> Path:
+    (path / "perfbench").mkdir(parents=True)
+    shutil.copy(ROOT / "BENCHMARK.json", path / "BENCHMARK.json")
+    (path / "perfbench/run.py").write_text("print('run')\n")
+    (path / "perfbench/README.md").write_text("bench\n")
+    return path
+
+
+@pytest.fixture
+def pair(tmp_path):
+    return _checkout(tmp_path / "parent"), _checkout(tmp_path / "change")
+
+
+def _result(scale: float) -> dict:
+    """A result line whose every end-to-end metric is `scale` times 1.0,
+    so scale < 1 improves lower-is-better metrics and worsens the rest."""
+    return {"metrics": {m["name"]: {"value": scale if m["better"] == "lower" else 2.0 - scale}
+                        for m in SPEC["end_to_end"]},
+            "correct": True, "failed": 0, "attempted": 10}
+
+
+def _main(pair, *extra):
+    parent, change = pair
+    return bench_pairs.main(["--parent", str(parent), "--change", str(change),
+                             "--seeds", "1-3", *extra])
+
+
+class TestBenchmarkCode:
+    def test_equal_trees_ignore_pycache(self, pair):
+        parent, change = pair
+        (change / "perfbench/__pycache__").mkdir()
+        (change / "perfbench/__pycache__/run.cpython-311.pyc").write_bytes(b"\0")
+        a, b = bench_pairs.benchmark_files(parent), bench_pairs.benchmark_files(change)
+        assert sorted(a) == ["BENCHMARK.json", "perfbench/README.md", "perfbench/run.py"]
+        assert bench_pairs.first_difference(a, b) is None
+
+    @pytest.mark.parametrize("edit,name", [
+        (lambda c: (c / "perfbench/run.py").write_text("print('fast')\n"), "perfbench/run.py"),
+        (lambda c: (c / "perfbench/new.py").write_text(""), "perfbench/new.py"),
+        (lambda c: (c / "perfbench/README.md").unlink(), "perfbench/README.md"),
+        (lambda c: (c / "BENCHMARK.json").write_text("{}"), "BENCHMARK.json"),
+    ])
+    def test_refuses_differing_benchmark_code(self, pair, monkeypatch, capsys, edit, name):
+        edit(pair[1])
+        monkeypatch.setattr(bench_pairs, "run_once", lambda *a: pytest.fail("ran a pair"))
+        with pytest.raises(SystemExit) as exc:
+            _main(pair, "--workload", "train-desk")
+        assert exc.value.code == 2
+        assert f"benchmark code differs between --parent and --change: {name}" \
+            in capsys.readouterr().err
+
+    def test_names_the_first_difference_in_path_order(self):
+        a = {"BENCHMARK.json": b"1", "perfbench/a.py": b"x", "perfbench/b.py": b"y"}
+        b = {"BENCHMARK.json": b"1", "perfbench/b.py": b"z", "perfbench/c.py": b""}
+        assert bench_pairs.first_difference(a, b) == "perfbench/a.py"
+
+
+class TestClaims:
+    @pytest.mark.parametrize("claim,message", [
+        ("update_ms.p50", "expected WORKLOAD:METRIC"),
+        ("train-desk:", "expected WORKLOAD:METRIC"),
+        ("train-guided:update_ms.p50", "claim on a workload not run"),
+        ("train-desk:update_ms", "not an end-to-end metric"),
+    ])
+    def test_bad_claims_exit_2(self, pair, monkeypatch, capsys, claim, message):
+        monkeypatch.setattr(bench_pairs, "run_once", lambda *a: pytest.fail("ran a pair"))
+        with pytest.raises(SystemExit) as exc:
+            _main(pair, "--workload", "train-desk", "--claim", claim)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
+    def test_claim_applies_to_its_workload_only(self, pair, monkeypatch, tmp_path):
+        # the change is 10% faster on train-guided and 10% slower on
+        # train-desk: the claim holds where it is made, and train-desk's
+        # update_ms.p50 is held to its bound instead
+        def run_once(checkout, workload, seed, seconds):
+            if checkout == pair[0]:
+                return _result(1.0 + 0.001 * seed)
+            return _result(0.9 if workload == "train-guided" else 1.1)
+
+        monkeypatch.setattr(bench_pairs, "run_once", run_once)
+        out = tmp_path / "bench.json"
+        status = _main(pair, "--workload", "train-desk", "--workload", "train-guided",
+                       "--claim", "train-guided:update_ms.p50", "--out", str(out))
+        record = json.loads(out.read_text())
+        guided = record["train-guided"]["pairs"]["update_ms.p50"]
+        desk = record["train-desk"]["pairs"]["update_ms.p50"]
+        assert guided["claim_shown"] and guided["wins"] == 3 and "within_bound" not in guided
+        assert desk["within_bound"] and desk["wins"] == 0 and "claim_shown" not in desk
+        assert status == 0
+
+    def test_unshown_claim_fails(self, pair, monkeypatch):
+        monkeypatch.setattr(bench_pairs, "run_once",
+                            lambda checkout, workload, seed, seconds: _result(1.0))
+        assert _main(pair, "--workload", "train-guided",
+                     "--claim", "train-guided:update_ms.p50") == 1

@@ -19,14 +19,17 @@ from unigrpo.config import TrainConfig
 from unigrpo.errors import CheckpointError, ConfigError, NumericError
 from unigrpo.flow_policy import FlowBatch, transition_logprob
 from unigrpo.metrics import read_metrics
-from unigrpo.nn import AdamState
+from unigrpo.nn import AdamState, ParamSet
 from unigrpo.rng import below, stream, words
 from unigrpo.flow_policy import FlowPolicy
-from unigrpo.task import EOS, PAD, canonical_trace, draw_prompts, make_prompt
+from unigrpo.task import EOS, PAD, all_prompts, canonical_trace, draw_prompts, make_prompt
+from unigrpo.text_policy import TextPolicy
 from unigrpo.trainer import (
     ROLLOUT_BLOCK,
+    check_architecture,
     collect_rollouts,
     evaluate,
+    greedy_table,
     group_advantages,
     make_eval_set,
     make_runtime,
@@ -68,9 +71,11 @@ def _rt():
 
 
 def _collect(rt, prompts, text, flow, seed, update):
-    """collect_rollouts on the update's words, drawn as a block of one update."""
+    """collect_rollouts on the update's words, drawn as a block of one update;
+    frozen text reads its traces from the table `train` builds."""
     draws = rollout_words(rt.cfg, seed, range(update, update + 1), len(prompts))[0]
-    return collect_rollouts(rt, prompts, text, flow, draws)
+    greedy = None if rt.cfg.train_text else greedy_table(rt, text)
+    return collect_rollouts(rt, prompts, text, flow, draws, greedy)
 
 
 def _snap(rt, pre_dir):
@@ -536,6 +541,78 @@ class TestEvaluate:
         assert a["velocity_drift"] == 0.0  # flow params equal the reference
 
 
+class TestGreedyTable:
+    def test_entries_equal_one_prompt_decodes(self, tiny_pretrain):
+        # the same tokens; the log-probs to rounding only, because BLAS
+        # multiplies one row (gemv) and many rows (gemm) in different orders
+        rt = _rt()
+        text, _ = _snap(rt, tiny_pretrain)
+        table = greedy_table(rt, text)
+        prompts = list(all_prompts())
+        assert len(prompts) == 432 and list(table) == [p.tokens for p in prompts]
+        for p in prompts:
+            one = rt.text_policy.greedy_trace(text, [p.tokens], rt.cfg.max_trace_len)[0]
+            got = table[p.tokens]
+            assert got.prompt_tokens == p.tokens
+            assert got.tokens == one.tokens, p
+            np.testing.assert_allclose(got.logprobs, one.logprobs, rtol=0, atol=1e-12,
+                                       err_msg=str(p))
+
+    @pytest.mark.parametrize("total_updates,eval_every", [(6, 3), (5, 1), (0, 3)])
+    def test_frozen_text_train_decodes_once(self, tiny_pretrain, tmp_path, monkeypatch,
+                                            total_updates, eval_every):
+        cfg = replace(TINY, pretrain_dir=str(tiny_pretrain), train_text=False,
+                      total_updates=total_updates, eval_every=eval_every)
+        rows = []
+        real = TextPolicy.greedy_trace
+
+        def counting(self, params, prompts, *args, **kwargs):
+            rows.append(len(prompts))
+            return real(self, params, prompts, *args, **kwargs)
+
+        monkeypatch.setattr(TextPolicy, "greedy_trace", counting)
+        train(cfg, tmp_path / "run")
+        assert rows == [432]
+        if total_updates:
+            rows.clear()
+            train(replace(cfg, total_updates=total_updates + 2), tmp_path / "run", resume=True)
+            assert rows == [432]
+
+    def test_resumed_table_comes_from_the_resumed_text(self, tiny_pretrain, tmp_path,
+                                                       monkeypatch):
+        # frozen text resumes as the reference; move the saved text so the
+        # two differ, and the table must come from the saved one
+        cfg = replace(TINY, pretrain_dir=str(tiny_pretrain), train_text=False)
+        train(replace(cfg, total_updates=3), tmp_path / "run")
+        state = checkpoint.load_blocks(tmp_path / "run/state.ckpt")
+        state["text.b2"] = state["text.b2"] + 0.5
+        checkpoint.save_blocks(tmp_path / "run/state.ckpt", state)
+        seen = []
+        real = trainer_mod.greedy_table
+
+        def recording(rt, text_params):
+            seen.append(text_params)
+            return real(rt, text_params)
+
+        monkeypatch.setattr(trainer_mod, "greedy_table", recording)
+        train(cfg, tmp_path / "run", resume=True)
+        assert len(seen) == 1
+        for name, arr in seen[0].items():
+            assert arr.tobytes() == state[f"text.{name}"].tobytes(), name
+        ref = checkpoint.load_params(tiny_pretrain / "text.ckpt")
+        assert seen[0]["b2"].tobytes() != ref["b2"].tobytes()
+
+    @pytest.mark.parametrize("eval_cfg_scale", [1.0, 2.0])
+    def test_evaluate_with_table_equals_evaluate_without(self, tiny_pretrain, eval_cfg_scale):
+        rt = make_runtime(replace(TINY, eval_cfg_scale=eval_cfg_scale))
+        text, flow = _snap(rt, tiny_pretrain)
+        moved = flow.with_blocks({"b2": flow["b2"] + 0.01})
+        es = make_eval_set(rt, 0)
+        got = evaluate(rt, text, moved, flow, es, greedy_table(rt, text))
+        assert got == evaluate(rt, text, moved, flow, es)
+        assert got == evaluate(rt, text, moved, flow, eval_set=es, greedy=None)
+
+
 class TestTrainLoop:
     def test_missing_pretrain_is_checkpoint_error(self, tmp_path):
         from dataclasses import replace
@@ -649,6 +726,42 @@ class TestTrainLoop:
         ).stdout.strip() or "unknown"
         monkeypatch.chdir(tmp_path)
         assert trainer_mod._build_id() == expected
+
+    def test_build_id_runs_git_once_per_process(self, tiny_pretrain, tmp_path, monkeypatch):
+        trainer_mod._build_id.cache_clear()
+        git = []
+        real = subprocess.run
+
+        def counting(cmd, *args, **kwargs):
+            if cmd[0] == "git":
+                git.append(cmd)
+            return real(cmd, *args, **kwargs)
+
+        monkeypatch.setattr(subprocess, "run", counting)
+        cfg = replace(TINY, pretrain_dir=str(tiny_pretrain), total_updates=1)
+        train(cfg, tmp_path / "a")
+        train(cfg, tmp_path / "b")
+        assert len(git) == 1
+        ids = [json.loads((tmp_path / run / "run_manifest.json").read_text())["build_id"]
+               for run in ("a", "b")]
+        assert ids[0] == ids[1] == trainer_mod._build_id() and ids[0]
+
+    def test_architecture_check_draws_nothing(self, monkeypatch):
+        # the expected shapes come from the policy's own init_params, undrawn
+        rt = _rt()
+        monkeypatch.setattr(trainer_mod, "stream", None)
+        for policy, which in ((rt.text_policy, "text"), (rt.flow_policy, "flow")):
+            params = policy.init_params(stream(3, "arch"))
+            check_architecture(params, policy, which)
+            name = params.names()[-1]
+            wrong = {n: params[n] for n in params.names()}
+            wrong[name] = np.zeros(params[name].shape + (1,))
+            with pytest.raises(CheckpointError,
+                               match=f"^{which} checkpoint does not match the configured"):
+                check_architecture(ParamSet(wrong), policy, which)
+            fewer = {n: params[n] for n in params.names()[1:]}
+            with pytest.raises(CheckpointError, match="architecture"):
+                check_architecture(ParamSet(fewer), policy, which)
 
 
 class TestPretrainAll:

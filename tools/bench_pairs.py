@@ -2,7 +2,7 @@
 
     python3 tools/bench_pairs.py --parent ../parent --change . \
         --workload train-desk --workload train-guided --seeds 3101-3110 \
-        --seconds 30 --claim update_ms.p50 --out BENCH_new.json
+        --seconds 30 --claim train-guided:update_ms.p50 --out BENCH_new.json
 
 For each workload and each seed it runs `perfbench/run.py --workload W
 --seed S --seconds T --trace 0` once in each checkout, one after the other
@@ -10,15 +10,21 @@ For each workload and each seed it runs `perfbench/run.py --workload W
 the final JSON line of each run.  It prints every run as it finishes, then
 per workload and end-to-end metric of BENCHMARK.json: the parent's and the
 change's medians, the parent's interquartile range, the relative change,
-and how many pairs the change won.  A claimed metric is flagged as shown
-when the change won at least 9 of every 10 pairs and the medians differ,
+and how many pairs the change won.  A claim names one workload and one
+metric, `--claim WORKLOAD:METRIC`; it is flagged as shown when the change
+won at least 9 of every 10 pairs of that workload and the medians differ,
 in the metric's better direction, by more than the parent's IQR; any
-other metric is flagged when its median got worse by more than its bound.
+other metric of any workload is flagged when its median got worse by more
+than its bound.
 It also prints each side's failed-operation share, failed / attempted
 summed over the workload's runs.  With --out it writes, per workload, the
 change's last result line in the BENCH_<pr>.json shape, plus the medians,
 win counts and failed shares, and `src_lines`, the line count of
 src/unigrpo/*.py in each checkout, next to them.
+
+It refuses to run (exit 2) when perfbench/ (its __pycache__ aside) or
+BENCHMARK.json differ between the two checkouts, naming the first file that
+differs: both sides must be measured by the same benchmark code.
 
 Run nothing else on the machine meanwhile: the pairs share its CPUs.
 Exit status: 0 when every claim is shown, no bound is crossed, every run is
@@ -69,6 +75,31 @@ def iqr(values: list[float]) -> float:
     return q3 - q1
 
 
+def benchmark_files(checkout: Path) -> dict[str, bytes]:
+    """BENCHMARK.json and every file under perfbench/ except __pycache__,
+    by path relative to the checkout."""
+    files = {"BENCHMARK.json": (checkout / "BENCHMARK.json").read_bytes()}
+    for path in (checkout / "perfbench").rglob("*"):
+        if path.is_file() and "__pycache__" not in path.parts:
+            files[path.relative_to(checkout).as_posix()] = path.read_bytes()
+    return files
+
+
+def first_difference(a: dict[str, bytes], b: dict[str, bytes]) -> str | None:
+    """The first path, in sorted order, present on one side only or with
+    different bytes; None when the two file sets are equal."""
+    return next((name for name in sorted(a.keys() | b.keys()) if a.get(name) != b.get(name)),
+                None)
+
+
+def claim(text: str) -> tuple[str, str]:
+    """'WORKLOAD:METRIC' as a (workload, metric) pair."""
+    workload, sep, metric = text.partition(":")
+    if not (sep and workload and metric):
+        raise argparse.ArgumentTypeError(f"expected WORKLOAD:METRIC, got {text!r}")
+    return workload, metric
+
+
 def failed_share(results: list[dict]) -> dict:
     """Failed and attempted operations summed over runs, and their ratio."""
     failed = sum(r["failed"] for r in results)
@@ -109,15 +140,21 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", action="append", required=True)
     ap.add_argument("--seeds", type=seed_list, required=True, help="e.g. 3101-3110")
     ap.add_argument("--seconds", type=float, default=30.0)
-    ap.add_argument("--claim", action="append", default=[],
-                    help="end-to-end metric the change claims to improve")
+    ap.add_argument("--claim", action="append", default=[], type=claim,
+                    metavar="WORKLOAD:METRIC",
+                    help="end-to-end metric the change claims to improve on that workload")
     ap.add_argument("--out", type=Path, help="write the BENCH_<pr>.json record here")
     args = ap.parse_args(argv)
+    differs = first_difference(benchmark_files(args.parent), benchmark_files(args.change))
+    if differs is not None:
+        ap.error(f"benchmark code differs between --parent and --change: {differs}")
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     known = {m["name"] for m in spec["end_to_end"]}
-    unknown = sorted(set(args.claim) - known)
-    if unknown:
-        ap.error(f"not an end-to-end metric: {', '.join(unknown)}")
+    for workload, metric in args.claim:
+        if workload not in args.workload:
+            ap.error(f"claim on a workload not run: {workload}:{metric}")
+        if metric not in known:
+            ap.error(f"not an end-to-end metric: {workload}:{metric}")
 
     record = {
         "command": f"python3 perfbench/run.py --workload <workload> --seed <seed> "
@@ -141,7 +178,7 @@ def main(argv=None) -> int:
                 print(f"run {workload} seed={seed} {side} correct={result[side]['correct']} "
                       f"failed={result[side]['failed']} {values}", flush=True)
             runs.append((result["parent"], result["change"]))
-        summary, ok = summarize(spec, runs, set(args.claim))
+        summary, ok = summarize(spec, runs, {m for w, m in args.claim if w == workload})
         shares = {side: failed_share([pair[i] for pair in runs])
                   for i, side in enumerate(("parent", "change"))}
         fewer = shares["change"]["share"] <= shares["parent"]["share"]
