@@ -22,7 +22,7 @@ from .autodiff import Tape, Var
 from .errors import ConfigError, NumericError
 from .nn import (LossStats, ParamSet, clipped_objective, fit, init_mlp_blocks, mlp_forward_np,
                  mlp_var)
-from .task import VOCAB_SIZE
+from .task import _QUAD_DIR, VOCAB_SIZE, all_tuples, canonical_trace, make_prompt
 
 DIM = 2  # sample space
 
@@ -366,8 +366,6 @@ class FlowPolicy:
     def quadrant_accuracy(self, params: ParamSet, rng, n_per_cond: int = 200,
                           n_steps: int = 20, shift: float = 3.0) -> dict:
         """Fraction of deterministic samples landing in the conditioned quadrant."""
-        from .task import all_tuples, canonical_trace, make_prompt, _QUAD_DIR
-
         times, _ = timestep_schedule(n_steps, shift)
         per_cond = {}
         for q, b, s in all_tuples():

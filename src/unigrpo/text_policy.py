@@ -17,7 +17,7 @@ from .autodiff import Tape, Var
 from .errors import NumericError
 from .nn import (LossStats, ParamSet, clipped_objective, fit, init_mlp_blocks, mlp_forward_np,
                  mlp_var)
-from .task import EOS, PAD, PROMPT_LEN, TRACE_LEN, VOCAB_SIZE, canonical_trace
+from .task import EOS, PAD, PROMPT_LEN, TRACE_LEN, VOCAB_SIZE, all_prompts, canonical_trace
 
 
 @dataclass(frozen=True)
@@ -291,8 +291,6 @@ class TextPolicy:
         every trace of one length L, so trace i owns rows i * L .. i * L + L - 1;
         an epoch's loss weighs each batch by its rows.  Reports epoch losses
         and greedy tuple accuracy over the full prompt grid."""
-        from .task import all_prompts
-
         L = len(traces[0])
         if any(len(trace) != L for trace in traces):
             raise ValueError("pretraining traces must all have one length")

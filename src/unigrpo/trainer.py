@@ -10,10 +10,12 @@ the guidance ablation are degenerate configurations of the same loop.
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import json
 import os
 import platform
+import resource
 import subprocess
 import time
 from dataclasses import dataclass
@@ -339,30 +341,69 @@ def evaluate(rt: Runtime, text_params: ParamSet, flow_params: ParamSet,
 # ---- pretraining entry ----
 
 
+# glibc's mallopt parameter numbers (malloc.h) and the thresholds
+# `keep_freed_heap` fixes.  32 MiB is the largest mmap threshold glibc
+# accepts; both sit well above a desk-size text step's 3.4 MB of
+# temporaries (the largest array 344 KB).
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD = 32 << 20
+_TRIM_THRESHOLD = 64 << 20
+
+
+def keep_freed_heap() -> bool:
+    """Allocator policy for pretraining's minibatch steps: on glibc, fix the
+    mmap and trim thresholds so that the memory one step frees stays in the
+    heap and the next step reuses it, where glibc's defaults hand each
+    step's heap top back to the kernel and the next step faults it in again
+    (about 900 minor faults per desk-size text step).  Both are fixed
+    because fixing either one turns off glibc's dynamic mmap threshold,
+    after which every array above 128 KiB would get a fresh mmap.  The
+    policy holds for the rest of the process.  Returns whether it applied;
+    without a `mallopt` it does nothing."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError):
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    return all([mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD) == 1,
+                mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD) == 1])
+
+
 def pretrain_all(cfg: TrainConfig, out_dir) -> dict:
-    """Supervised warm starts for both policies; writes the two checkpoints
-    and an accuracy report.  The data is drawn from the seed's
-    "pretrain-data" words and not written out: the seed rebuilds it."""
+    """Supervised warm starts for both policies; writes the two checkpoints,
+    an accuracy report and a timings sidecar (`pretrain_timings.json`: wall
+    seconds of the data draw, each policy's pretraining and the checkpoint
+    writes, the call's minor page faults, and whether `keep_freed_heap`
+    applied).  The data is drawn from the seed's "pretrain-data" words and
+    not written out: the seed rebuilds it."""
+    faults_at_entry = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    heap_kept = keep_freed_heap()
     rt = make_runtime(cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     seed = cfg.seed
+    laps = [time.perf_counter()]
     (prompts, traces), (conds, x0) = make_pretrain_data(
         seed, cfg.pretrain_text_n, cfg.pretrain_flow_n, rt.geom, cfg.p_noise
     )
+    laps.append(time.perf_counter())
 
     text_params = rt.text_policy.init_params(stream(seed, "init-text"))
     text_params, text_report = rt.text_policy.pretrain(
         text_params, prompts, traces, cfg.pretrain_text_epochs, cfg.pretrain_text_lr,
         cfg.pretrain_batch, stream(seed, "pretrain-text"),
     )
+    laps.append(time.perf_counter())
     flow_params = rt.flow_policy.init_params(stream(seed, "init-flow"))
     flow_params, flow_report = rt.flow_policy.pretrain(
         flow_params, conds, x0, cfg.pretrain_flow_epochs, cfg.pretrain_flow_lr,
         max(cfg.pretrain_batch, 256), cfg.p_uncond, stream(seed, "pretrain-flow"),
     )
+    laps.append(time.perf_counter())
     checkpoint.save_params(out / "text.ckpt", text_params)
     checkpoint.save_params(out / "flow.ckpt", flow_params)
+    laps.append(time.perf_counter())
     report = {
         "text_greedy_accuracy": text_report["greedy_accuracy"],
         "text_epoch_losses": text_report["epoch_losses"],
@@ -372,6 +413,11 @@ def pretrain_all(cfg: TrainConfig, out_dir) -> dict:
         "flow_epoch_losses": flow_report["epoch_losses"],
     }
     (out / "pretrain_report.json").write_text(json.dumps(report, indent=2))
+    phases = ("data_s", "text_s", "flow_s", "checkpoint_s")
+    timings = {name: b - a for name, a, b in zip(phases, laps, laps[1:])}
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults_at_entry
+    timings.update(minor_faults=faults, allocator_policy=heap_kept)
+    (out / "pretrain_timings.json").write_text(json.dumps(timings, indent=2))
     return report
 
 

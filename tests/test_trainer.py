@@ -1,8 +1,12 @@
 """Trainer machinery: advantages, rollouts, unified updates, persistence."""
 
+import hashlib
 import json
+import os
+import platform
 import shutil
 import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -764,7 +768,79 @@ class TestTrainLoop:
                 check_architecture(ParamSet(fewer), policy, which)
 
 
+# Desk-size text pretraining steps (128 traces x 4 positions = 512 rows) in
+# a fresh interpreter: `keep_freed_heap` is applied or not per argv[1], two
+# steps warm up, then it prints whether the policy applied and the minor
+# page faults per step over six more.
+_FAULT_PROBE = """
+import resource, sys
+from unigrpo.config import TrainConfig
+from unigrpo.rng import stream
+from unigrpo.task import make_pretrain_data
+from unigrpo.trainer import keep_freed_heap, make_runtime
+applied = keep_freed_heap() if sys.argv[1] == "on" else False
+cfg = TrainConfig()
+rt = make_runtime(cfg)
+(prompts, traces), _ = make_pretrain_data(0, 128, 1, rt.geom, cfg.p_noise)
+policy = rt.text_policy
+params = policy.init_params(stream(0, "init-text"))
+rows, targets, _, _ = policy.token_rows(prompts, traces)
+assert len(rows) == 512
+for _ in range(2):
+    policy.ce_loss(params, rows, targets)
+start = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(6):
+    policy.ce_loss(params, rows, targets)
+print(applied, (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - start) / 6)
+"""
+
+_GLIBC = sys.platform == "linux" and platform.libc_ver()[0] == "glibc"
+
+
+def _text_step_faults(policy: str) -> tuple[bool, float]:
+    src = str(Path(trainer_mod.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", _FAULT_PROBE, policy], capture_output=True,
+                          text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+    applied, faults = proc.stdout.split()
+    return applied == "True", float(faults)
+
+
 class TestPretrainAll:
+    @pytest.mark.skipif(not _GLIBC, reason="the allocator policy is glibc's mallopt")
+    def test_text_steps_reuse_freed_memory(self):
+        applied, faults = _text_step_faults("on")
+        assert applied
+        assert faults <= 40, f"{faults} minor faults per text step"
+
+    @pytest.mark.skipif(not _GLIBC, reason="the allocator policy is glibc's mallopt")
+    def test_text_steps_fault_without_the_policy(self):
+        # negative control for the budget above: glibc's default thresholds
+        # hand each step's heap top back, and the next step faults it in
+        applied, faults = _text_step_faults("off")
+        assert not applied
+        assert faults >= 200, f"{faults} minor faults per text step"
+
+    def test_missing_mallopt_applies_nothing(self, monkeypatch):
+        monkeypatch.setattr(trainer_mod.ctypes, "CDLL", lambda name: object())
+        assert trainer_mod.keep_freed_heap() is False
+
+    def test_timings_sidecar_leaves_recipe_outputs(self, tmp_path):
+        # seed 101 at desk defaults is the recipe's pretraining: its
+        # checkpoints and report hash as tools/recipe_hashes.json records
+        report = pretrain_all(replace(TrainConfig(), seed=101), tmp_path)
+        timings = json.loads((tmp_path / "pretrain_timings.json").read_text())
+        assert set(timings) == {"data_s", "text_s", "flow_s", "checkpoint_s",
+                                "minor_faults", "allocator_policy"}
+        assert all(timings[k] >= 0.0 for k in ("data_s", "text_s", "flow_s", "checkpoint_s"))
+        assert isinstance(timings["minor_faults"], int) and timings["minor_faults"] >= 0
+        assert timings["allocator_policy"] is _GLIBC
+        hashes = Path(__file__).resolve().parents[1] / "tools" / "recipe_hashes.json"
+        want = json.loads(hashes.read_text())
+        for name in ("text.ckpt", "flow.ckpt", "pretrain_report.json"):
+            got = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            assert got == want[f"pretrain/{name}"], name
+        assert (tmp_path / "pretrain_report.json").read_text() == json.dumps(report, indent=2)
+
     def test_reports_and_checkpoints(self, tiny_pretrain):
         import json
 
