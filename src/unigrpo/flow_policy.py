@@ -22,7 +22,7 @@ from .autodiff import Tape, Var
 from .errors import ConfigError, NumericError
 from .nn import (LossStats, ParamSet, clipped_objective, fit, init_mlp_blocks, mlp_forward_np,
                  mlp_var)
-from .task import _QUAD_DIR, VOCAB_SIZE, all_tuples, canonical_trace, make_prompt
+from .task import _QUAD_DIR, VOCAB_SIZE, all_tuples, canonical_trace, make_prompt, trace_lengths
 
 DIM = 2  # sample space
 
@@ -146,21 +146,10 @@ class FlowBatch:
     def velocity_evals(self) -> int:
         return self.evals_per_row * len(self.starts)
 
-    def take(self, rows: slice) -> FlowBatch:
+    def take(self, rows) -> FlowBatch:
         return replace(self, pool=self.pool[rows], states=self.states[:, rows],
                        velocities=self.velocities[:, rows], starts=self.starts[rows],
                        mu=self.mu[rows])
-
-    @staticmethod
-    def concat(batches) -> FlowBatch:
-        """Rows of batches drawn with one schedule, noise level and scale."""
-        return replace(
-            batches[0], pool=np.concatenate([b.pool for b in batches]),
-            states=np.concatenate([b.states for b in batches], axis=1),
-            velocities=np.concatenate([b.velocities for b in batches], axis=1),
-            starts=np.concatenate([b.starts for b in batches]),
-            mu=np.concatenate([b.mu for b in batches]),
-        )
 
 
 @dataclass
@@ -200,14 +189,14 @@ class FlowPolicy:
 
     # ---- conditioning ----
 
-    def pool_weights(self, token_seqs) -> np.ndarray:
-        """(len(token_seqs), vocab) mean-pooling weights: row i holds each
-        token's share of sequence i; an empty sequence gets a zero row."""
-        n = len(token_seqs)
-        lens = np.array([len(seq) for seq in token_seqs], dtype=np.int64)
-        tokens = np.fromiter((tok for seq in token_seqs for tok in seq), np.int64, int(lens.sum()))
-        cells = np.repeat(np.arange(n) * self.vocab, lens) + tokens
-        shares = np.repeat(1.0 / np.maximum(lens, 1), lens)
+    def pool_weights(self, traces: np.ndarray) -> np.ndarray:
+        """(len(traces), vocab) mean-pooling weights of the trace rows
+        `traces`: row i holds each token's share of trace i."""
+        n = len(traces)
+        lens = trace_lengths(traces)
+        owner, col = np.nonzero(np.arange(traces.shape[1]) < lens[:, None])
+        cells = owner * self.vocab + traces[owner, col]
+        shares = (1.0 / lens)[owner]
         return np.bincount(cells, weights=shares, minlength=n * self.vocab).reshape(n, self.vocab)
 
     def cond_var(self, tape: Tape, params: ParamSet, pool: np.ndarray, xt: np.ndarray,
@@ -261,16 +250,16 @@ class FlowPolicy:
 
     # ---- rollouts ----
 
-    def _denoise(self, params: ParamSet, cond_seqs, times: np.ndarray, x1: np.ndarray,
-                 window_starts, window_size: int, sigma_level: float, eps: np.ndarray,
-                 cfg_scale: float) -> FlowBatch:
+    def _denoise(self, params: ParamSet, traces: np.ndarray, times: np.ndarray,
+                 x1: np.ndarray, window_starts, window_size: int, sigma_level: float,
+                 eps: np.ndarray, cfg_scale: float) -> FlowBatch:
         """Lockstep denoising of every row of x1 with one velocity_np call per
         step over the inputs step_rows builds once per pass, keeping the
-        conditional branch.  Row i conditions on
-        cond_seqs[i]; for the window_size steps from window_starts[i] it takes
-        the noise-injected step, its j-th with noise eps[i, j] of the
+        conditional branch.  Row i conditions on the trace row traces[i];
+        for the window_size steps from window_starts[i] it takes the
+        noise-injected step, its j-th with noise eps[i, j] of the
         (B, window_size, DIM) eps, and every other step is plain Euler."""
-        n, B = len(times) - 1, len(cond_seqs)
+        n, B = len(times) - 1, len(traces)
         starts = np.asarray(window_starts, dtype=np.int64)
         bad = np.flatnonzero((starts < 0) | (starts + window_size > n) | (window_size < 0))
         if bad.size:
@@ -286,7 +275,7 @@ class FlowPolicy:
         states[0] = x1
         velocities = np.empty((n, B, DIM))
         mu = np.zeros((B, window_size, DIM))
-        pool = self.pool_weights(cond_seqs)
+        pool = self.pool_weights(traces)
         for k, inputs in enumerate(self.step_rows(pool @ params["cemb"], times)):
             t = float(times[k])
             dt = float(times[k] - times[k + 1])
@@ -301,19 +290,19 @@ class FlowPolicy:
                 )
         return FlowBatch(pool, times, states, velocities, starts, mu, sigma_level, cfg_scale)
 
-    def hybrid_rollout(self, params: ParamSet, cond_seqs, times: np.ndarray, x1: np.ndarray,
-                       window_starts, window_size: int, sigma_level: float, eps: np.ndarray,
-                       cfg_scale: float = 1.0) -> FlowBatch:
+    def hybrid_rollout(self, params: ParamSet, traces: np.ndarray, times: np.ndarray,
+                       x1: np.ndarray, window_starts, window_size: int, sigma_level: float,
+                       eps: np.ndarray, cfg_scale: float = 1.0) -> FlowBatch:
         """Training rollouts: each row stochastic inside its own window, with
         the (B, window_size, DIM) window noise eps."""
-        return self._denoise(params, cond_seqs, times, x1, window_starts, window_size,
+        return self._denoise(params, traces, times, x1, window_starts, window_size,
                              sigma_level, eps, cfg_scale)
 
-    def ode_rollout_batch(self, params: ParamSet, cond_seqs, times: np.ndarray, x1: np.ndarray,
-                          cfg_scale: float = 1.0) -> FlowBatch:
+    def ode_rollout_batch(self, params: ParamSet, traces: np.ndarray, times: np.ndarray,
+                          x1: np.ndarray, cfg_scale: float = 1.0) -> FlowBatch:
         """Deterministic Euler sampling of every row of x1."""
-        return self._denoise(params, cond_seqs, times, x1, [0] * len(cond_seqs), 0, 0.0,
-                             np.zeros((len(cond_seqs), 0, DIM)), cfg_scale)
+        return self._denoise(params, traces, times, x1, [0] * len(traces), 0, 0.0,
+                             np.zeros((len(traces), 0, DIM)), cfg_scale)
 
     # ---- flow-matching pretraining ----
 
@@ -345,7 +334,7 @@ class FlowPolicy:
         p_uncond: float,
         rng: np.random.Generator,
     ):
-        """Flow-matching pretraining on the condition token column `conds` and
+        """Flow-matching pretraining on the condition trace rows `conds` and
         the (n, DIM) targets `x0`, plus a quadrant-accuracy report from
         deterministic sampling.  The (n, vocab) pooling weights are built
         once; each batch slices them and x0 and draws its (t, x_1, dropout)
@@ -369,9 +358,9 @@ class FlowPolicy:
         times, _ = timestep_schedule(n_steps, shift)
         per_cond = {}
         for q, b, s in all_tuples():
-            trace = canonical_trace(make_prompt(q, b, s))
+            traces = np.tile(canonical_trace(make_prompt(q, b, s)), (n_per_cond, 1))
             x1 = rng.standard_normal((n_per_cond, DIM))
-            x0 = self.ode_rollout_batch(params, [trace] * n_per_cond, times, x1).states[-1]
+            x0 = self.ode_rollout_batch(params, traces, times, x1).states[-1]
             ok = (np.sign(x0) == np.sign(_QUAD_DIR[q])).all(axis=1)
             per_cond[f"{q}-{b}-{s}"] = float(ok.mean())
         vals = list(per_cond.values())

@@ -12,6 +12,8 @@ import json
 from dataclasses import dataclass, fields
 from pathlib import Path
 
+from .errors import CheckpointError
+
 TIMINGS_HEADER = ["update", "wall_clock", "rollout_s", "update_s", "eval_s", "io_s"]
 
 
@@ -94,6 +96,21 @@ def read_metrics(path) -> list[dict]:
                 rec[name] = float(raw)
         rows.append(rec)
     return rows
+
+
+def check_resumable(out_dir, update: int) -> None:
+    """CheckpointError unless the run's metrics.csv has the writer's header
+    and, of its rows, keeps exactly updates 0..update for a resume from
+    `update` (a row whose update does not parse is kept)."""
+    path = Path(out_dir) / "metrics.csv"
+    if not path.exists():
+        raise CheckpointError(f"cannot resume: {path} not found")
+    lines = path.read_text(errors="replace").splitlines()
+    updates = [ln.split(",")[0] for ln in lines[1:] if ln]
+    kept = [u for u in updates if not u.isdigit() or int(u) <= update]
+    if lines[:1] != [",".join(METRICS_HEADER)] or kept != [str(u) for u in range(update + 1)]:
+        raise CheckpointError(f"cannot resume: {path} lacks the metrics header or does not "
+                              f"hold exactly updates 0..{update}")
 
 
 def truncate_metrics(out_dir, keep_through_update: int) -> None:

@@ -144,6 +144,28 @@ def canonical_trace(prompt: Prompt) -> tuple[int, ...]:
             CANON_SPREAD[prompt.spread], EOS)
 
 
+# every prompt's tokens and canonical trace, row i that of prompt id i
+PROMPT_TOKENS = np.array([p.tokens for p in all_prompts()])
+CANONICAL_TRACES = np.array([canonical_trace(p) for p in all_prompts()])
+
+
+def trace_lengths(traces: np.ndarray) -> np.ndarray:
+    """Length of the trace each row of `traces` holds: a token sequence is an
+    int array row, and a trace row runs through its first EOS, or to the
+    row's end without one, with PAD after it (a sampled PAD before the EOS
+    is one of its tokens).  A text row is [prompt | trace]."""
+    eos = traces == EOS
+    return np.where(eos.any(axis=1), eos.argmax(axis=1) + 1, traces.shape[1])
+
+
+def canonical_accuracy(traces: np.ndarray, prompt_ids) -> float:
+    """Fraction of the trace rows that are their prompt's canonical trace,
+    whose only EOS ends it, so its TRACE_LEN tokens decide."""
+    if traces.shape[1] < TRACE_LEN:
+        return 0.0
+    return float(np.mean((traces[:, :TRACE_LEN] == CANONICAL_TRACES[prompt_ids]).all(axis=1)))
+
+
 def score(x0: np.ndarray, prompts, geom: TaskGeometry) -> tuple[np.ndarray, np.ndarray]:
     """Sparse terminal rewards in [0, 1] of the (n, 2) samples x0, row i
     scored against prompts[i], and which rows are finite; a non-finite row
@@ -180,15 +202,12 @@ def _examples(kind: int, n: int) -> np.ndarray:
     return np.column_stack([np.full(n, kind), np.arange(n), np.zeros(n, dtype=np.int64)])
 
 
-def _tuples(*columns) -> list[tuple[int, ...]]:
-    return list(map(tuple, np.column_stack(columns).tolist()))
-
-
 def make_pretrain_data(seed: int, n_text: int, n_flow: int, geom: TaskGeometry,
-                       p_noise: float = 0.25) -> tuple[tuple[list, list], tuple[list, np.ndarray]]:
-    """Noisy supervised text columns plus exact generator targets:
-    ((prompts, traces), (conds, x0)), token columns as lists of tuples and
-    x0 an (n_flow, 2) array.
+                       p_noise: float = 0.25) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """Noisy supervised text rows plus exact generator targets:
+    (seqs, (conds, x0)), seqs the (n_text, PROMPT_LEN + TRACE_LEN) text rows
+    [prompt | trace], conds the (n_flow, TRACE_LEN) trace rows and x0 an
+    (n_flow, 2) array.
 
     Each trace is its prompt's canonical TRACE_LEN tokens, with one attribute
     token swapped for a wrong value with probability p_noise so the
@@ -212,8 +231,8 @@ def make_pretrain_data(seed: int, n_text: int, n_flow: int, geom: TaskGeometry,
     n = _N_VALUES[pos]
     # one of the attribute's n - 1 other values, uniformly
     values[rows, pos] = (values[rows, pos] + 1 + a[rows, 7] % (n - 1)) % n
-    text = (_tuples(_SURFACE_FIRST + a[:, :3] * N_SYNONYMS + a[:, 3:6]),
-            _tuples(_CANON_FIRST + values, np.full(n_text, EOS)))
+    seqs = np.column_stack([_SURFACE_FIRST + a[:, :3] * N_SYNONYMS + a[:, 3:6],
+                            _CANON_FIRST + values, np.full(n_text, EOS)])
 
     index = _examples(1, n_flow)
     w = words(seed, tag, index, 5)
@@ -223,4 +242,4 @@ def make_pretrain_data(seed: int, n_text: int, n_flow: int, geom: TaskGeometry,
     mu = np.array([spec.mu for spec in specs])[tup]
     tau = np.array([spec.tau for spec in specs])[tup]
     x0 = mu + tau[:, None] * normals(w[:, 3:5])
-    return text, (_tuples(_CANON_FIRST + values, np.full(n_flow, EOS)), x0)
+    return seqs, (np.column_stack([_CANON_FIRST + values, np.full(n_flow, EOS)]), x0)

@@ -17,19 +17,8 @@ from .autodiff import Tape, Var
 from .errors import NumericError
 from .nn import (LossStats, ParamSet, clipped_objective, fit, init_mlp_blocks, mlp_forward_np,
                  mlp_var)
-from .task import EOS, PAD, PROMPT_LEN, TRACE_LEN, VOCAB_SIZE, all_prompts, canonical_trace
-
-
-@dataclass(frozen=True)
-class ReasoningTrace:
-    """Token sequence decoded from a prompt, with its sampling-time log-probs."""
-
-    prompt_tokens: tuple[int, ...]
-    tokens: tuple[int, ...]
-    logprobs: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.tokens)
+from .task import (EOS, PAD, PROMPT_LEN, PROMPT_TOKENS, TRACE_LEN, VOCAB_SIZE, canonical_accuracy,
+                   trace_lengths)
 
 
 @dataclass
@@ -42,7 +31,7 @@ class TextUpdateBatch:
     targets: np.ndarray    # (n,) token scored at each row
     owner: np.ndarray      # (n,) trace of each row
     position: np.ndarray   # (n,) position of each row in its trace
-    old_logp: np.ndarray   # (n,) sampling-time log-probs
+    old_logp: np.ndarray   # (n,) log-probs at the sampling parameters
     adv: np.ndarray        # (n,) advantage of each row's trace
     weight: np.ndarray     # (n,) 1 / (traces * trace length)
     inv_t: float
@@ -104,23 +93,22 @@ class TextPolicy:
 
     # ---- context construction ----
 
-    def token_rows(self, prompt_seqs, trace_seqs):
-        """Context rows of every position of every trace, trace by trace: the
-        row of position k of trace i holds prompt i, then trace i[:k], then
-        PAD, and predicts trace i[k].  Returns (rows, targets, owner,
-        position), the last two giving each row's trace and position."""
-        lens = np.fromiter(map(len, trace_seqs), np.int64, len(trace_seqs))
+    def token_rows(self, seqs: np.ndarray):
+        """Context rows of every position of every trace of the text rows
+        `seqs` (traces up to max_len + 1 wide), trace by trace: the row of
+        position k of trace i holds prompt i, then trace i[:k], then PAD, and
+        predicts trace i[k].  Returns (rows, targets, owner, position)."""
+        P = self.prompt_len
+        lens = trace_lengths(seqs[:, P:])
         owner = np.repeat(np.arange(len(lens)), lens)
         position = np.arange(owner.size) - np.repeat(np.cumsum(lens) - lens, lens)
-        targets = np.fromiter((tok for seq in trace_seqs for tok in seq), np.int64, owner.size)
+        targets = seqs[owner, P + position]
         # a trace may be one token longer than the context holds: its last
         # token is only ever a target
-        traces = np.full((len(lens), self.max_len + 1), PAD, dtype=np.int64)
-        traces[owner, position] = targets
+        w = min(seqs.shape[1], self.ctx)
         rows = np.full((owner.size, self.ctx), PAD, dtype=np.int64)
-        rows[:, : self.prompt_len] = np.asarray(prompt_seqs, dtype=np.int64)[owner]
-        seen = np.arange(self.max_len) < position[:, None]
-        rows[:, self.prompt_len :] = np.where(seen, traces[owner, : self.max_len], PAD)
+        rows[:, :w] = seqs[owner, :w]
+        rows[:, P:][np.arange(self.max_len) >= position[:, None]] = PAD
         return rows, targets, owner, position
 
     def _embed_np(self, params: ParamSet, ctx_rows: np.ndarray) -> np.ndarray:
@@ -151,29 +139,27 @@ class TextPolicy:
 
     # ---- sampling ----
 
-    def sample_trace(self, params: ParamSet, prompts, temperature: float, max_len: int,
-                     uniforms: np.ndarray | None = None) -> list[ReasoningTrace]:
-        """Lockstep decode of one trace per prompt: each position scores every
-        row that has not yet emitted EOS in one logits_np call.  Row i draws
-        token k from softmax(logits / T) by inverse CDF at uniforms[i, k]
-        (the rule Generator.choice applies to one uniform); without uniforms
-        every row takes the argmax, ties to the lowest token id.  Each trace
-        stores the log-probs of its chosen tokens at T."""
+    def sample_trace(self, params: ParamSet, prompts: np.ndarray, temperature: float,
+                     uniforms: np.ndarray | None = None) -> np.ndarray:
+        """Lockstep decode of one trace per row of the (n, prompt_len) prompt
+        tokens: each position scores every row that has not yet emitted EOS
+        in one logits_np call.  Row i draws token k from
+        softmax(logits / T) by inverse CDF at uniforms[i, k] (the rule
+        Generator.choice applies to one uniform); without uniforms every row
+        takes the argmax, ties to the lowest token id.  Returns the
+        (n, ctx) text rows [prompt | trace]."""
         if temperature <= 0:
             raise ValueError("temperature must be positive")
         n = len(prompts)
         rows = np.full((n, self.ctx), PAD, dtype=np.int64)
         rows[:, : self.prompt_len] = prompts
-        logps = np.zeros((n, max_len))
-        lengths = np.zeros(n, dtype=np.int64)
         live = np.arange(n)
-        for k in range(max_len):
+        for k in range(self.max_len):
             logits = self.logits_np(params, rows[live])
-            logp = log_softmax_np(logits * (1.0 / temperature))
             if uniforms is None:
                 chosen = np.argmax(logits, axis=1)
             else:
-                p = np.exp(logp)
+                p = np.exp(log_softmax_np(logits * (1.0 / temperature)))
                 p /= p.sum(axis=1, keepdims=True)
                 cdf = p.cumsum(axis=1)
                 cdf /= cdf[:, -1:]
@@ -182,46 +168,42 @@ class TextPolicy:
                     raise NumericError(f"non-finite token probabilities in row {live[bad[0]]}")
                 chosen = (cdf <= uniforms[live, k, None]).sum(axis=1)
             rows[live, self.prompt_len + k] = chosen
-            logps[live, k] = logp[np.arange(len(live)), chosen]
-            lengths[live] = k + 1
             live = live[chosen != EOS]
             if not live.size:
                 break
-        tokens = rows[:, self.prompt_len :].tolist()
-        return [ReasoningTrace(tuple(p), tuple(t[:m]), lp[:m])
-                for p, t, lp, m in zip(prompts, tokens, logps, lengths.tolist())]
+        return rows
 
-    def greedy_trace(self, params: ParamSet, prompts, max_len: int | None = None):
-        """Deterministic lockstep decode of one trace per prompt (sample_trace
-        without generators, log-probs at T = 1)."""
-        return self.sample_trace(params, prompts, 1.0, max_len or self.max_len)
+    def greedy_trace(self, params: ParamSet, prompts: np.ndarray) -> np.ndarray:
+        """Deterministic lockstep decode of one trace per prompt row
+        (sample_trace without uniforms)."""
+        return self.sample_trace(params, prompts, 1.0)
 
     # ---- GRPO surrogate ----
 
-    def prepare_batch(self, traces: list[ReasoningTrace], advantages: np.ndarray,
-                      temperature: float, beta_txt: float,
-                      ref_params: ParamSet) -> TextUpdateBatch:
-        """The per-update part of the surrogate: context rows, targets, old
-        log-probs, per-row advantages and weights, and the reference head's
-        log-softmax at T when the KL term is on.  Each trace weighs
-        1/len(traces), so one batch over several groups equals the mean of
-        per-group batches."""
-        G = len(traces)
+    def prepare_batch(self, seqs: np.ndarray, advantages: np.ndarray, temperature: float,
+                      beta_txt: float, ref_params: ParamSet,
+                      old_params: ParamSet) -> TextUpdateBatch:
+        """The per-update part of the surrogate for the text rows `seqs`:
+        context rows, targets, per-row advantages and weights, the old
+        log-probs at T from a forward of `old_params` (the sampling
+        parameters) on these same rows, and the reference head's log-softmax
+        at T when the KL term is on.  Each trace weighs 1/len(seqs), so one
+        batch over several groups equals the mean of per-group batches."""
+        G = len(seqs)
         assert len(advantages) == G
-        rows, targets, owner, position = self.token_rows(
-            [tr.prompt_tokens for tr in traces], [tr.tokens for tr in traces]
-        )
+        rows, targets, owner, position = self.token_rows(seqs)
         bad = np.flatnonzero((targets < 0) | (targets >= self.vocab))
         if bad.size:
             raise ValueError(f"token out of vocabulary at trace {owner[bad[0]]}, "
                              f"position {position[bad[0]]}")
         weight = 1.0 / (G * np.bincount(owner, minlength=G)[owner])
         inv_t = 1.0 / temperature
+        old_logp = log_softmax_np(self.logits_np(old_params, rows) * inv_t)
+        old_logp = old_logp[np.arange(len(targets)), targets]
         kl_weight = ref_logp = None
         if beta_txt != 0.0:
             kl_weight = beta_txt * weight
             ref_logp = log_softmax_np(self.logits_np(ref_params, rows) * inv_t)
-        old_logp = np.concatenate([tr.logprobs for tr in traces])
         return TextUpdateBatch(rows, self._cells(rows), targets, owner, position, old_logp,
                                np.asarray(advantages, dtype=np.float64)[owner], weight,
                                inv_t, kl_weight, ref_logp)
@@ -280,35 +262,32 @@ class TextPolicy:
     def pretrain(
         self,
         params: ParamSet,
-        prompts,
-        traces,
+        seqs: np.ndarray,
         epochs: int,
         lr: float,
         batch_size: int,
         rng: np.random.Generator,
     ):
-        """Cross-entropy training on the token columns `prompts` and `traces`,
-        every trace of one length L, so trace i owns rows i * L .. i * L + L - 1;
-        an epoch's loss weighs each batch by its rows.  Reports epoch losses
-        and greedy tuple accuracy over the full prompt grid."""
-        L = len(traces[0])
-        if any(len(trace) != L for trace in traces):
-            raise ValueError("pretraining traces must all have one length")
-        rows_all, tgt_all, _, _ = self.token_rows(prompts, traces)
+        """Cross-entropy training on the text rows `seqs`, a batch taking its
+        traces' rows in batch order; an epoch's loss weighs each batch by
+        its rows.  Reports epoch losses and greedy tuple accuracy over the
+        full prompt grid."""
+        rows_all, tgt_all, _, position = self.token_rows(seqs)
+        first = np.flatnonzero(position == 0)
+        lens = np.diff(first, append=len(position))
 
         def batch_loss(params, sel):
-            idx = (sel[:, None] * L + np.arange(L)).ravel()
+            n = lens[sel]
+            idx = np.repeat(first[sel] - np.cumsum(n) + n, n) + np.arange(n.sum())
             return (*self.ce_loss(params, rows_all[idx], tgt_all[idx]), len(idx))
 
-        params, epoch_losses = fit(params, len(traces), epochs, batch_size, lr, rng, batch_loss)
+        params, epoch_losses = fit(params, len(seqs), epochs, batch_size, lr, rng, batch_loss)
 
-        prompts = list(all_prompts())
-        greedy = self.greedy_trace(params, [p.tokens for p in prompts])
-        acc = float(np.mean([g.tokens == canonical_trace(p) for g, p in zip(greedy, prompts)]))
+        greedy = self.greedy_trace(params, PROMPT_TOKENS)[:, self.prompt_len:]
         monotone = all(b <= a + 1e-9 for a, b in zip(epoch_losses, epoch_losses[1:]))
         report = {
             "epoch_losses": epoch_losses,
-            "greedy_accuracy": acc,
+            "greedy_accuracy": canonical_accuracy(greedy, np.arange(len(PROMPT_TOKENS))),
             "loss_monotone": monotone,
         }
         return params, report

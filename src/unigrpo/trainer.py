@@ -28,24 +28,25 @@ from . import checkpoint
 from .config import TrainConfig, config_to_dict, dump_config
 from .errors import CheckpointError, ConfigError, NumericError
 from .flow_policy import DIM, FlowBatch, FlowPolicy, timestep_schedule
-from .metrics import MetricsRow, MetricsWriter, read_metrics, truncate_metrics
+from .metrics import MetricsRow, MetricsWriter, check_resumable, read_metrics, truncate_metrics
 from .nn import AdamState, ParamSet, adam_step
 from .rng import below, normals, stream, uniforms, words_by_tag
 from .task import (
     PROMPT_BOUNDS,
     PROMPT_LEN,
+    PROMPT_TOKENS,
     VOCAB_SIZE,
     Prompt,
     TaskGeometry,
-    all_prompts,
     all_tuples,
-    canonical_trace,
+    canonical_accuracy,
     draw_prompts,
     make_pretrain_data,
     make_prompt,
     score,
+    trace_lengths,
 )
-from .text_policy import ReasoningTrace, TextPolicy
+from .text_policy import TextPolicy
 
 
 def group_advantages(rewards: np.ndarray, eps_std: float = 1e-8) -> np.ndarray:
@@ -63,17 +64,27 @@ def group_advantages(rewards: np.ndarray, eps_std: float = 1e-8) -> np.ndarray:
 
 
 @dataclass
-class GroupRollout:
-    prompt: Prompt
-    traces: list[ReasoningTrace]
+class Rollouts:
+    """One update's rollouts as row-aligned arrays: row r is member r % G of
+    the prompt at batch index r // G."""
+
+    seqs: np.ndarray        # (rows, ctx) text rows [prompt | trace]
     flow: FlowBatch
-    rewards: np.ndarray
-    advantages: np.ndarray
-    nonfinite: int
+    rewards: np.ndarray     # (rows,)
+    advantages: np.ndarray  # (rows,) standardized within each group
+    nonfinite: int          # samples scored 0 for being non-finite
+
+
+@dataclass
+class GroupRollout:
+    """One prompt's group: the row range `rows` of its update's `batch`."""
+
+    batch: Rollouts
+    rows: slice
 
     @property
     def degenerate(self) -> bool:
-        return not np.any(self.advantages)
+        return not np.any(self.batch.advantages[self.rows])
 
 
 @dataclass
@@ -151,58 +162,39 @@ def rollout_words(cfg: TrainConfig, seed: int, updates: range,
             for lo in range(0, len(index), rows)]
 
 
-GreedyTable = dict[tuple[int, ...], ReasoningTrace]
-
-
-def greedy_table(rt: Runtime, text_params: ParamSet) -> GreedyTable:
-    """The greedy trace of every prompt of the task under `text_params`,
-    keyed by prompt tokens, all decoded in one batch.  A run with frozen
-    text builds it once and reads its traces from it."""
-    tokens = [p.tokens for p in all_prompts()]
-    return dict(zip(tokens, rt.text_policy.greedy_trace(text_params, tokens,
-                                                         rt.cfg.max_trace_len)))
-
-
 def collect_rollouts(rt: Runtime, prompts: list[Prompt], text_old: ParamSet,
                      flow_old: ParamSet, draws: RolloutWords,
-                     greedy: GreedyTable | None = None) -> list[GroupRollout]:
+                     greedy: np.ndarray | None = None) -> list[GroupRollout]:
     """One group of rollouts per prompt, every member advanced in lockstep:
     one text decode and one flow rollout over all prompts x group-size rows,
     their randomness taken from the update's `draws`.  Member m of the
     prompt at batch index `slot` has its own counter-addressed words, so
     batch composition changes none of its draws.  With frozen text each
-    trace comes from `greedy`, the `greedy_table` of `text_old`."""
+    row comes from `greedy`, the greedy text rows of `text_old` for every
+    prompt id.  The groups are row ranges of one shared `Rollouts`."""
     cfg = rt.cfg
     G, W = cfg.group_size, cfg.sde_window_size
-    slots = [slot for slot in range(len(prompts)) for _ in range(G)]
+    ids = np.repeat([p.prompt_id for p in prompts], G)
     if cfg.train_text:
-        traces = rt.text_policy.sample_trace(
-            text_old, [prompts[slot].tokens for slot in slots], cfg.temperature,
-            cfg.max_trace_len, uniforms(draws.trace),
-        )
+        seqs = rt.text_policy.sample_trace(text_old, PROMPT_TOKENS[ids], cfg.temperature,
+                                           uniforms(draws.trace))
     else:
         # frozen text expert: one deterministic trace per prompt, shared by its
         # group; group variance comes from the stochastic denoising window
-        traces = [greedy[prompts[slot].tokens] for slot in slots]
+        seqs = greedy[ids]
     w = draws.flow
     starts = np.asarray(cfg.window_starts)[below(draws.seed, "flow", draws.index, w[:, 0],
                                                  len(cfg.window_starts))]
     z = normals(w[:, 1:])
     flow = rt.flow_policy.hybrid_rollout(
-        flow_old, [tr.tokens for tr in traces], rt.times_train, z[:, :DIM], starts, W,
-        cfg.sigma_level, z[:, DIM:].reshape(len(slots), W, DIM),
+        flow_old, seqs[:, PROMPT_LEN:], rt.times_train, z[:, :DIM], starts, W,
+        cfg.sigma_level, z[:, DIM:].reshape(len(ids), W, DIM),
         cfg_scale=cfg.train_cfg_scale if cfg.train_cfg else 1.0,
     )
-    rewards, finite = score(flow.states[-1], [prompts[slot] for slot in slots], rt.geom)
-    advantages = group_advantages(rewards.reshape(len(prompts), G), cfg.adv_eps)
-    groups = []
-    for slot, prompt in enumerate(prompts):
-        part = slice(slot * G, (slot + 1) * G)
-        groups.append(GroupRollout(
-            prompt, traces[part], flow.take(part), rewards[part], advantages[slot],
-            int(np.count_nonzero(~finite[part])),
-        ))
-    return groups
+    rewards, finite = score(flow.states[-1], [p for p in prompts for _ in range(G)], rt.geom)
+    advantages = group_advantages(rewards.reshape(len(prompts), G), cfg.adv_eps).ravel()
+    batch = Rollouts(seqs, flow, rewards, advantages, int(np.count_nonzero(~finite)))
+    return [GroupRollout(batch, slice(lo, lo + G)) for lo in range(0, len(ids), G)]
 
 
 # ---- update phase ----
@@ -227,12 +219,13 @@ def unified_update(
     adam_text: AdamState,
     adam_flow: AdamState,
 ) -> tuple[ParamSet, ParamSet, UpdateStats]:
-    """PPO epochs of joint ascent on J_text + lambda * J_flow against the
-    stored old-policy statistics; degenerate groups are excluded entirely.
-    Each trained policy's batch over all active groups is prepared once, and
-    each epoch evaluates its surrogate on that batch.  A non-finite objective
-    or gradient skips the whole update: parameters and both optimizer states
-    are returned as they came in."""
+    """PPO epochs of joint ascent on J_text + lambda * J_flow against the old
+    policies, the entry parameters the groups were sampled with; degenerate
+    groups are excluded entirely.  Each trained policy's batch over the rows
+    of all active groups is prepared once, and each epoch evaluates its
+    surrogate on that batch.  A non-finite objective or gradient skips the
+    whole update: parameters and both optimizer states are returned as they
+    came in."""
     cfg = rt.cfg
     active = [g for g in groups if not g.degenerate]
     stats = UpdateStats(0.0, 0.0, 0.0, 0.0)
@@ -242,9 +235,9 @@ def unified_update(
     reg_weight = cfg.beta_img if cfg.reg_mode == "latent-kl" else cfg.mse_weight
     if cfg.reg_mode == "none":
         reg_weight = 0.0
-    traces = [tr for g in active for tr in g.traces]
-    flow = FlowBatch.concat([g.flow for g in active])
-    advantages = np.concatenate([g.advantages for g in active])
+    batch = active[0].batch
+    rows = np.r_[tuple(g.rows for g in active)]
+    advantages = batch.advantages[rows]
 
     entry_text, entry_flow = text_params, flow_params
     # adam_step builds new moment vectors, so holding the current ones suffices
@@ -252,10 +245,11 @@ def unified_update(
     try:
         if cfg.train_text:
             text_batch = rt.text_policy.prepare_batch(
-                traces, advantages, cfg.temperature, cfg.beta_txt, text_ref
+                batch.seqs[rows], advantages, cfg.temperature, cfg.beta_txt, text_ref, text_params
             )
         if cfg.train_flow:
-            flow_batch = rt.flow_policy.prepare_batch(flow, advantages, cfg.reg_mode, flow_ref)
+            flow_batch = rt.flow_policy.prepare_batch(batch.flow.take(rows), advantages,
+                                                      cfg.reg_mode, flow_ref)
         for epoch in range(cfg.ppo_epochs):
             new_text, new_flow = text_params, flow_params
             if cfg.train_text:
@@ -302,26 +296,24 @@ def make_eval_set(rt: Runtime, seed: int):
 
 
 def evaluate(rt: Runtime, text_params: ParamSet, flow_params: ParamSet,
-             flow_ref: ParamSet, eval_set, greedy: GreedyTable | None = None) -> dict:
+             flow_ref: ParamSet, eval_set, greedy: np.ndarray | None = None) -> dict:
     """Greedy reasoning + deterministic sampling at the evaluation schedule,
-    all prompts decoded (or read from `greedy`, the `greedy_table` of
-    `text_params`) and all their samples integrated in one batch; also
-    measures how far the tuned velocity field drifted from the frozen
-    reference over the states the sampler actually visits: the sampler keeps
-    the tuned field's conditional velocities there, so only the reference
-    field runs again, one step at a time."""
+    all prompts decoded (or read from `greedy`, the greedy text rows of
+    `text_params` for every prompt id) and all their samples integrated in
+    one batch; also measures how far the tuned velocity field drifted from
+    the frozen reference over the states the sampler actually visits: the
+    sampler keeps the tuned field's conditional velocities there, so only
+    the reference field runs again, one step at a time."""
     cfg = rt.cfg
     prompts, noises = eval_set
+    ids = [p.prompt_id for p in prompts]
     if greedy is None:
-        traces = rt.text_policy.greedy_trace(text_params, [p.tokens for p in prompts],
-                                             cfg.max_trace_len)
+        traces = rt.text_policy.greedy_trace(text_params, PROMPT_TOKENS[ids])[:, PROMPT_LEN:]
     else:
-        traces = [greedy[p.tokens] for p in prompts]
-    owners = [i for i, x1 in enumerate(noises) for _ in range(len(x1))]
-    seqs = [traces[i].tokens for i in owners]
-    batch = rt.flow_policy.ode_rollout_batch(
-        flow_params, seqs, rt.times_eval, np.concatenate(noises), cfg_scale=cfg.eval_cfg_scale
-    )
+        traces = greedy[ids, PROMPT_LEN:]
+    owners = np.repeat(np.arange(len(prompts)), [len(x1) for x1 in noises])
+    batch = rt.flow_policy.ode_rollout_batch(flow_params, traces[owners], rt.times_eval,
+                                             np.concatenate(noises), cfg.eval_cfg_scale)
     rewards, _ = score(batch.states[-1], [prompts[i] for i in owners], rt.geom)
     # drift averaged in prompt, step, sample order
     diff = batch.velocities
@@ -332,8 +324,7 @@ def evaluate(rt: Runtime, text_params: ParamSet, flow_params: ParamSet,
     drift = np.sum(diff * diff, axis=2).reshape(len(diff), len(prompts), -1)
     return {
         "eval_reward": float(np.mean(rewards)),
-        "text_accuracy": float(np.mean([tr.tokens == canonical_trace(p)
-                                        for tr, p in zip(traces, prompts)])),
+        "text_accuracy": canonical_accuracy(traces, ids),
         "velocity_drift": float(np.mean(drift.transpose(1, 0, 2).ravel())),
     }
 
@@ -384,14 +375,14 @@ def pretrain_all(cfg: TrainConfig, out_dir) -> dict:
     out.mkdir(parents=True, exist_ok=True)
     seed = cfg.seed
     laps = [time.perf_counter()]
-    (prompts, traces), (conds, x0) = make_pretrain_data(
+    seqs, (conds, x0) = make_pretrain_data(
         seed, cfg.pretrain_text_n, cfg.pretrain_flow_n, rt.geom, cfg.p_noise
     )
     laps.append(time.perf_counter())
 
     text_params = rt.text_policy.init_params(stream(seed, "init-text"))
     text_params, text_report = rt.text_policy.pretrain(
-        text_params, prompts, traces, cfg.pretrain_text_epochs, cfg.pretrain_text_lr,
+        text_params, seqs, cfg.pretrain_text_epochs, cfg.pretrain_text_lr,
         cfg.pretrain_batch, stream(seed, "pretrain-text"),
     )
     laps.append(time.perf_counter())
@@ -550,12 +541,13 @@ def train(cfg: TrainConfig, out_dir, resume: bool = False, config_text: str | No
         )
         adam_text.load_state_blocks("adam_text", blocks)
         adam_flow.load_state_blocks("adam_flow", blocks)
+        check_resumable(out, start_update)
         truncate_metrics(out, start_update)
 
     writer = MetricsWriter(out, append=resume)
     eval_set = make_eval_set(rt, seed)
     # frozen text decodes every prompt once, from the parameters resumed from
-    greedy = None if cfg.train_text else greedy_table(rt, text_params)
+    greedy = None if cfg.train_text else rt.text_policy.greedy_trace(text_params, PROMPT_TOKENS)
 
     if not resume:
         tic = time.perf_counter()
@@ -592,10 +584,10 @@ def train(cfg: TrainConfig, out_dir, resume: bool = False, config_text: str | No
             if do_eval else None
         t_eval = time.perf_counter()
 
-        all_rewards = np.concatenate([g.rewards for g in groups])
+        batch = groups[0].batch
         writer.write_row(MetricsRow(
             update=update,
-            mean_train_reward=float(all_rewards.mean()),
+            mean_train_reward=float(batch.rewards.mean()),
             eval_reward=ev["eval_reward"] if ev else None,
             j_text=ustats.j_text,
             j_flow=ustats.j_flow,
@@ -603,20 +595,22 @@ def train(cfg: TrainConfig, out_dir, resume: bool = False, config_text: str | No
             clip_frac_flow=ustats.clip_frac_flow,
             velocity_drift=ev["velocity_drift"] if ev else None,
             text_accuracy=ev["text_accuracy"] if ev else None,
-            nonfinite_samples=sum(g.nonfinite for g in groups),
+            nonfinite_samples=batch.nonfinite,
         ))
+        traces = batch.seqs[:, PROMPT_LEN:].tolist()
+        lengths = trace_lengths(batch.seqs[:, PROMPT_LEN:]).tolist()
         for slot, g in enumerate(groups):
             writer.write_group_record({
                 "update": update,
                 "slot": slot,
-                "prompt_id": g.prompt.prompt_id,
-                "rewards": [float(r) for r in g.rewards],
-                "advantages": [float(a) for a in g.advantages],
-                "traces": [list(map(int, tr.tokens)) for tr in g.traces],
+                "prompt_id": draws.prompts[slot].prompt_id,
+                "rewards": batch.rewards[g.rows].tolist(),
+                "advantages": batch.advantages[g.rows].tolist(),
+                "traces": [tr[:m] for tr, m in zip(traces[g.rows], lengths[g.rows])],
                 "windows": [list(range(s, s + cfg.sde_window_size))
-                            for s in g.flow.starts.tolist()],
-                "x0": g.flow.states[-1].tolist(),
-                "velocity_evals": [g.flow.evals_per_row] * len(g.flow.starts),
+                            for s in batch.flow.starts[g.rows].tolist()],
+                "x0": batch.flow.states[-1, g.rows].tolist(),
+                "velocity_evals": [batch.flow.evals_per_row] * cfg.group_size,
                 "degenerate": g.degenerate,
                 "skipped": ustats.skipped,
             })

@@ -98,13 +98,13 @@ def gradient_oracles(corrupt_gradient: bool = False) -> list[OracleResult]:
 
     # text surrogate
     tparams = text.init_params(stream(SEED, "t-init"))
-    traces = text.sample_trace(tparams, [prompt.tokens] * 3, 1.0, text.max_len,
-                               np.stack([stream(SEED, "t", i).random(text.max_len)
-                                         for i in range(3)]))
+    seqs = text.sample_trace(tparams, np.tile(prompt.tokens, (3, 1)), 1.0,
+                             np.stack([stream(SEED, "t", i).random(text.max_len)
+                                       for i in range(3)]))
     adv = np.array([1.0, -0.4, 0.3])
     tref = text.init_params(stream(SEED + 1, "t-init"))
     tmoved = tparams.with_blocks({"W2": tparams["W2"] + 0.01})
-    tbatch = text.prepare_batch(traces, adv, 1.0, 0.05, tref)
+    tbatch = text.prepare_batch(seqs, adv, 1.0, 0.05, tref, tparams)
 
     def text_loss(p):
         j, grads, _ = text.surrogate_loss(p, tbatch, 0.2)
@@ -118,7 +118,7 @@ def gradient_oracles(corrupt_gradient: bool = False) -> list[OracleResult]:
     ))
 
     # text pretraining cross-entropy
-    rows, targets, _, _ = text.token_rows([prompt.tokens], [canonical_trace(prompt)])
+    rows, targets, _, _ = text.token_rows(np.array([prompt.tokens + canonical_trace(prompt)]))
 
     def ce_loss(p):
         return text.ce_loss(p, rows, targets)
@@ -134,7 +134,7 @@ def gradient_oracles(corrupt_gradient: bool = False) -> list[OracleResult]:
     rngs = [stream(SEED, "f", i) for i in range(3)]
     x1 = np.stack([rng.standard_normal(2) for rng in rngs])
     batch = flow.hybrid_rollout(
-        fparams, [trace] * 3, times, x1,
+        fparams, np.tile(trace, (3, 1)), times, x1,
         [int(stream(SEED, "w", i).integers(0, 4)) for i in range(3)], 3, 0.8,
         np.stack([rng.standard_normal((3, 2)) for rng in rngs]),
     )
@@ -161,7 +161,7 @@ def gradient_oracles(corrupt_gradient: bool = False) -> list[OracleResult]:
     x1 = rng.standard_normal((6, 2))
     keep = np.ones(6)
     keep[0] = 0.0
-    pool = flow.pool_weights([trace] * 6)
+    pool = flow.pool_weights(np.tile(trace, (6, 1)))
 
     def fm_loss(p):
         return flow.fm_loss_frozen(p, x0, pool, t, x1, keep)
@@ -253,14 +253,14 @@ def sde_bitwise_oracle() -> OracleResult:
     """Zero noise level must reproduce the deterministic sampler bit for bit."""
     flow = FlowPolicy()
     params = _nontrivial_flow_params(flow, SEED + 3)
-    trace = canonical_trace(make_prompt(3, "near", "wide"))
+    trace = np.array([canonical_trace(make_prompt(3, "near", "wide"))])
     times, _ = timestep_schedule(10, 3.0)
     n = len(times) - 1
     rng = stream(SEED, "bit")
     x1 = rng.standard_normal((1, 2))
-    sde = flow.hybrid_rollout(params, [trace], times, x1, [0], n, 0.0,
+    sde = flow.hybrid_rollout(params, trace, times, x1, [0], n, 0.0,
                               rng.standard_normal((1, n, 2)))
-    ode = flow.ode_rollout_batch(params, [trace], times, x1)
+    ode = flow.ode_rollout_batch(params, trace, times, x1)
     same = bool(np.array_equal(sde.states[-1], ode.states[-1]))
     return OracleResult("sde/zero-noise-bitwise", 0.0 if same else 1.0, 0.0, same)
 
@@ -313,10 +313,10 @@ def sde_marginal_oracle(n_traj: int = 10_000, n_steps: int = 100) -> OracleResul
 def rollout_budget_oracle() -> OracleResult:
     flow = FlowPolicy()
     params = _nontrivial_flow_params(flow, SEED + 4)
-    trace = canonical_trace(make_prompt(1, "far", "tight"))
+    trace = np.array([canonical_trace(make_prompt(1, "far", "tight"))])
     times, _ = timestep_schedule(10, 3.0)
     plain, guided = (
-        flow.hybrid_rollout(params, [trace], times, rng.standard_normal((1, 2)), [1], 3, 0.8,
+        flow.hybrid_rollout(params, trace, times, rng.standard_normal((1, 2)), [1], 3, 0.8,
                             rng.standard_normal((1, 3, 2)), cfg_scale)
         for rng, cfg_scale in ((stream(SEED, "cnt"), 1.0), (stream(SEED, "cnt"), 2.0))
     )

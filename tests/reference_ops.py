@@ -9,6 +9,8 @@ checks every op against finite differences.  `reference_velocity` is the
 velocity net as the samplers called it before they built its input rows
 once per pass, the oracle for those rows.  `reference_adam_step` is Adam
 as one expression per moment, the oracle for the in-place `adam_step`.
+`trace_tokens` reads a trace row one token at a time, the oracle for the
+array readers of the token format (`task.trace_lengths` and its callers).
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import numpy as np
 from unigrpo.autodiff import Tape, Var
 from unigrpo.flow_policy import cfg_velocity, time_features
 from unigrpo.nn import mlp_forward_np
+from unigrpo.task import EOS
 
 
 def _f64(x) -> np.ndarray:
@@ -185,3 +188,14 @@ def reference_adam_step(vec, g, m, v, t, lr, b1=0.9, b2=0.999, eps=1e-8):
     m_hat = m / (1.0 - b1**t)
     v_hat = v / (1.0 - b2**t)
     return vec - lr * m_hat / (np.sqrt(v_hat) + eps), m, v
+
+
+def trace_tokens(row) -> list[int]:
+    """The trace a trace row holds: its tokens through the first EOS, or
+    all of them when it has none."""
+    out = []
+    for tok in row:
+        out.append(int(tok))
+        if tok == EOS:
+            break
+    return out

@@ -99,11 +99,11 @@ def test_criterion_6_cfg_free_rollout_contract(tmp_path):
     guided = collect_rollouts(rt_cfg, [prompt], text, flow, draws)[0]
 
     n = cfg.train_timesteps
-    ok = plain.flow.evals_per_row == n and guided.flow.evals_per_row == 2 * n
+    ok = plain.batch.flow.evals_per_row == n and guided.batch.flow.evals_per_row == 2 * n
     assert _report(
         6, ok,
-        f"training rollouts: {plain.flow.evals_per_row}/{n} evals per trajectory; "
-        f"guided ablation: {guided.flow.evals_per_row}/{2 * n}",
+        f"training rollouts: {plain.batch.flow.evals_per_row}/{n} evals per trajectory; "
+        f"guided ablation: {guided.batch.flow.evals_per_row}/{2 * n}",
     )
 
 

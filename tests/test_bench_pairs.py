@@ -112,3 +112,19 @@ class TestClaims:
                             lambda checkout, workload, seed, seconds: _result(1.0))
         assert _main(pair, "--workload", "train-guided",
                      "--claim", "train-guided:update_ms.p50") == 1
+
+
+def test_counts_pairs_with_identical_eval_reward(pair, monkeypatch, capsys, tmp_path):
+    # seeds 1 and 3 read the same eval_reward on both sides, seed 2 does not;
+    # the count is reported and recorded, and does not change the verdict
+    def run_once(checkout, workload, seed, seconds):
+        result = _result(1.0)
+        if checkout == pair[1] and seed == 2:
+            result["metrics"]["eval_reward"]["value"] += 1e-12
+        return result
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    out = tmp_path / "bench.json"
+    assert _main(pair, "--workload", "train-desk", "--out", str(out)) == 0
+    assert "eval_reward      identical in 2/3 pairs" in capsys.readouterr().out
+    assert json.loads(out.read_text())["train-desk"]["eval_reward_identical"] == 2

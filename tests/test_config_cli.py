@@ -359,6 +359,37 @@ class TestCli:
         assert rc == 3
         assert block in capsys.readouterr().err
 
+    @pytest.mark.parametrize("updates", [2, 4])
+    @pytest.mark.parametrize("damage", ["missing", "header", "row dropped", "row garbled"])
+    def test_resume_with_damaged_metrics_exits_3(self, cli_workspace, capsys, damage, updates):
+        # a metrics.csv the resumed run cannot continue is a bad run
+        # directory, refused before any file of it is touched, whether the
+        # resume has updates left to run or not
+        ws, cfg_path = cli_workspace
+        short = ws / "two_updates.cfg"
+        short.write_text(cfg_path.read_text().replace("total_updates = 4", "total_updates = 2"))
+        more = ws / f"{updates}_updates.cfg"
+        more.write_text(cfg_path.read_text().replace("total_updates = 4",
+                                                     f"total_updates = {updates}"))
+        out = ws / f"metrics_{damage.replace(' ', '_')}_{updates}"
+        assert main(["train", "--config", str(short), "--out", str(out)]) == 0
+        metrics = out / "metrics.csv"
+        lines = metrics.read_text().splitlines(keepends=True)
+        if damage == "missing":
+            metrics.unlink()
+        elif damage == "header":
+            metrics.write_text("".join(["update,eval\n"] + lines[1:]))
+        elif damage == "row dropped":
+            metrics.write_text("".join(lines[:2] + lines[3:]))
+        else:
+            metrics.write_text("".join(lines[:2] + ["x" + lines[2]] + lines[3:]))
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        capsys.readouterr()
+        rc = main(["train", "--config", str(more), "--out", str(out), "--resume"])
+        assert rc == 3
+        assert "metrics.csv" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
     def test_cli_pins_unset_blas_threads_to_one(self, cli_workspace):
         ws, cfg_path = cli_workspace
         env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}

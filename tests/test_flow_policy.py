@@ -2,14 +2,13 @@
 
 import numpy as np
 import pytest
-from reference_ops import reference_velocity
+from reference_ops import reference_velocity, trace_tokens
 
 import unigrpo.flow_policy as flow_policy_mod
 from unigrpo.errors import ConfigError, NumericError
 from unigrpo.flow_policy import (
     DIM,
     N_TIME_FEATS,
-    FlowBatch,
     FlowPolicy,
     cfg_velocity,
     drift_coefficients,
@@ -22,11 +21,19 @@ from unigrpo.flow_policy import (
 )
 from unigrpo.nn import AdamState, adam_step, finite_diff_check
 from unigrpo.rng import stream
-from unigrpo.task import TaskGeometry, canonical_trace, make_prompt, make_pretrain_data
+from unigrpo.task import (EOS, PAD, TaskGeometry, canonical_trace, make_prompt,
+                          make_pretrain_data)
 
 POLICY = FlowPolicy()
 GEOM = TaskGeometry()
 TRACE = canonical_trace(make_prompt(1, "near", "tight"))
+# trace rows: a canonical trace, one filled without EOS, EOS alone, two tokens
+ROWS = np.array([TRACE, (3, 3, 5, 7), (EOS, PAD, PAD, PAD), (7, EOS, PAD, PAD)])
+
+
+def _tile(n):
+    """n rows of the canonical trace TRACE."""
+    return np.tile(TRACE, (n, 1))
 
 
 def _surrogate(params, batch, adv, clip_eps, reg_mode, reg_weight, ref_params):
@@ -35,9 +42,9 @@ def _surrogate(params, batch, adv, clip_eps, reg_mode, reg_weight, ref_params):
     return POLICY.surrogate_loss(params, prepared, clip_eps, reg_weight)
 
 
-def _cond(params, seqs):
-    """(len(seqs), cond_dim) mean-pooled token embeddings, as the samplers pool them."""
-    return POLICY.pool_weights(seqs) @ params["cemb"]
+def _cond(params, traces):
+    """(len(traces), cond_dim) mean-pooled token embeddings, as the samplers pool them."""
+    return POLICY.pool_weights(traces) @ params["cemb"]
 
 
 def _params(seed=0):
@@ -49,7 +56,7 @@ def _rollout(params, times, start, size, sigma, rng, cfg_scale=1.0):
     first draw and its window noise the next."""
     x1 = rng.standard_normal((1, DIM))
     return POLICY.hybrid_rollout(
-        params, [TRACE], times, x1, [start], size, sigma, rng.standard_normal((1, size, DIM)),
+        params, _tile(1), times, x1, [start], size, sigma, rng.standard_normal((1, size, DIM)),
         cfg_scale,
     )
 
@@ -195,7 +202,7 @@ class TestVelocityNet:
     def test_guidance_combines_branches(self):
         params = _nontrivial_params(21)
         x = stream(21, "x").standard_normal((3, DIM))
-        cond = _cond(params, [TRACE] * 3)
+        cond = _cond(params, _tile(3))
         v_c = reference_velocity(POLICY, params, x, 0.4, cond)
         v_u = reference_velocity(POLICY, params, x, 0.4, np.zeros((3, POLICY.cond_dim)))
         np.testing.assert_array_equal(
@@ -205,13 +212,24 @@ class TestVelocityNet:
 
 
 class TestPooling:
-    def test_mean_of_embedding_rows(self):
+    # the fixed rows, then random ones of widths 1 to 7 with PAD and EOS
+    # drawn often: PADs sampled before an EOS, rows filled without one
+    CASES = [ROWS] + [stream(22, "rows").integers(0, 5, size=(40, w)) for w in range(1, 8)]
+
+    @pytest.mark.parametrize("traces", CASES)
+    def test_mean_of_embedding_rows(self, traces):
+        # and the pooling weights, bit for bit: each row's shares summed in
+        # token order, one row at a time
         params = _params(22)
-        seqs = [TRACE, (3, 3, 5), ()]
-        cond = _cond(params, seqs)
-        for row, seq in zip(cond, seqs):
-            expected = params["cemb"][list(seq)].mean(axis=0) if seq else np.zeros(POLICY.cond_dim)
+        cond = _cond(params, traces)
+        weights = np.zeros((len(traces), POLICY.vocab))
+        for i, (row, trace) in enumerate(zip(cond, traces)):
+            tokens = trace_tokens(trace)
+            expected = params["cemb"][tokens].mean(axis=0)
             np.testing.assert_allclose(row, expected, rtol=0, atol=1e-15)
+            for tok in tokens:
+                weights[i, tok] += 1.0 / len(tokens)
+        assert POLICY.pool_weights(traces).tobytes() == weights.tobytes()
 
 
 class TestSdeStep:
@@ -220,7 +238,7 @@ class TestSdeStep:
     def test_zero_noise_is_euler(self):
         params = _params(3)
         params = params.with_blocks({"W2": _params(4)["W2"]})
-        cond = _cond(params, [TRACE])
+        cond = _cond(params, _tile(1))
         n = len(self.TIMES) - 1
         batch = _rollout(params, self.TIMES, 0, n, 0.0, stream(0, "sde"))
         assert batch.starts[0] == 0 and batch.mu.shape[1] == n
@@ -244,7 +262,7 @@ class TestSdeStep:
         params = _params(5)
         params = params.with_blocks({"W2": _params(6)["W2"]})
         batch = _rollout(params, self.TIMES, 1, 3, 0.8, stream(1, "sde"))
-        cond = _cond(params, [TRACE])
+        cond = _cond(params, _tile(1))
         for j in range(3):
             k = 1 + j
             t, dt = float(self.TIMES[k]), float(self.TIMES[k] - self.TIMES[k + 1])
@@ -286,7 +304,7 @@ class TestHybridRollout:
         n = len(self.TIMES) - 1
         sde = _rollout(params, self.TIMES, 0, n, 0.0, stream(3, "r"))
         x1 = stream(3, "r").standard_normal((1, DIM))
-        ode = POLICY.ode_rollout_batch(params, [TRACE], self.TIMES, x1)
+        ode = POLICY.ode_rollout_batch(params, _tile(1), self.TIMES, x1)
         np.testing.assert_array_equal(sde.states[-1], ode.states[-1])
 
     def test_velocity_eval_counts(self):
@@ -299,7 +317,7 @@ class TestHybridRollout:
         rngs = [stream(4, "r", i) for i in range(3)]
         x1 = np.stack([rng.standard_normal(DIM) for rng in rngs])
         batch = POLICY.hybrid_rollout(
-            params, [TRACE, (3, 3, 5), ()], self.TIMES, x1, [0, 2, 7], 3, 0.8,
+            params, ROWS[:3], self.TIMES, x1, [0, 2, 7], 3, 0.8,
             np.stack([rng.standard_normal((3, DIM)) for rng in rngs]), cfg_scale=2.0,
         )
         assert batch.evals_per_row == 20
@@ -309,7 +327,7 @@ class TestHybridRollout:
         params = _nontrivial_params(10)
         batch = _rollout(params, self.TIMES, 2, 3, 0.8, stream(5, "r"))
         assert batch.starts.tolist() == [2] and batch.mu.shape == (1, 3, DIM)
-        cond = _cond(params, [TRACE])
+        cond = _cond(params, _tile(1))
         euler = []
         for k in range(10):
             t, dt = float(self.TIMES[k]), float(self.TIMES[k] - self.TIMES[k + 1])
@@ -332,7 +350,7 @@ class TestHybridRollout:
         # the batch takes each row's window noise as one (size, DIM) draw, the
         # reference loop one DIM draw per step
         params = _nontrivial_params(12)
-        seqs, starts, size, sigma = [TRACE, (3, 3, 5), ()], [0, 2, 7], 3, 0.8
+        seqs, starts, size, sigma = ROWS[:3], [0, 2, 7], 3, 0.8
         rngs = [stream(12, "ref", i) for i in range(3)]
         x1 = np.stack([rng.standard_normal(DIM) for rng in rngs])
         eps = np.stack([rng.standard_normal((size, DIM)) for rng in rngs])
@@ -340,7 +358,7 @@ class TestHybridRollout:
         for i, (seq, start) in enumerate(zip(seqs, starts)):
             rng = stream(12, "ref", i)
             x = rng.standard_normal(DIM)
-            cond = _cond(params, [seq])
+            cond = _cond(params, seq[None])
             np.testing.assert_allclose(batch.states[0, i], x, rtol=0, atol=1e-12)
             for k in range(len(self.TIMES) - 1):
                 t, dt = float(self.TIMES[k]), float(self.TIMES[k] - self.TIMES[k + 1])
@@ -358,10 +376,10 @@ class TestHybridRollout:
     @pytest.mark.parametrize("cfg_scale", [1.0, 2.0])
     def test_keeps_conditional_branch_velocities(self, cfg_scale):
         # velocities[k] is the conditional branch at states[k], bit for bit,
-        # whatever the guidance scale the sampler steps with; take and concat
-        # keep each row's velocities with its states
+        # whatever the guidance scale the sampler steps with; take keeps each
+        # row's velocities with its states
         params = _nontrivial_params(13)
-        seqs, starts = [TRACE, (3, 3, 5), ()], [0, 2, 7]
+        seqs, starts = ROWS[:3], [0, 2, 7]
         x1 = stream(13, "x1").standard_normal((3, DIM))
         eps = stream(13, "eps").standard_normal((3, 3, DIM))
         cond = _cond(params, seqs)
@@ -373,15 +391,15 @@ class TestHybridRollout:
             for k in range(10):
                 v = reference_velocity(POLICY, params, batch.states[k], self.TIMES[k], cond)
                 np.testing.assert_array_equal(batch.velocities[k], v)
-            parts = FlowBatch.concat([batch.take(slice(1, 3)), batch.take(slice(0, 1))])
+            parts = batch.take(np.array([1, 2, 0]))
             np.testing.assert_array_equal(parts.velocities, batch.velocities[:, [1, 2, 0]])
             np.testing.assert_array_equal(parts.states, batch.states[:, [1, 2, 0]])
 
     def test_keeps_pooling_weights_of_the_traces(self):
-        # pool[i] is row i's pooling weights, bit for bit, and take and
-        # concat keep them with their rows
+        # pool[i] is row i's pooling weights, bit for bit, and take keeps
+        # them with their rows
         params = _nontrivial_params(16)
-        seqs = [TRACE, (3, 3, 5), (), (7,), TRACE]
+        seqs = ROWS[[0, 1, 2, 3, 0]]
         x1 = stream(16, "x1").standard_normal((5, DIM))
         eps = stream(16, "eps").standard_normal((5, 2, DIM))
         for batch in (
@@ -389,21 +407,21 @@ class TestHybridRollout:
             POLICY.ode_rollout_batch(params, seqs, self.TIMES, x1, 2.0),
         ):
             assert batch.pool.tobytes() == POLICY.pool_weights(seqs).tobytes()
-            parts = FlowBatch.concat([batch.take(slice(3, 5)), batch.take(slice(0, 3))])
-            assert parts.pool.tobytes() == POLICY.pool_weights(seqs[3:] + seqs[:3]).tobytes()
+            parts = batch.take(np.array([3, 4, 0, 1, 2]))
+            assert parts.pool.tobytes() == POLICY.pool_weights(seqs[[3, 4, 0, 1, 2]]).tobytes()
             np.testing.assert_array_equal(parts.states, batch.states[:, [3, 4, 0, 1, 2]])
 
     def test_window_out_of_range_rejected(self):
         with pytest.raises(ConfigError):
-            POLICY.hybrid_rollout(_params(), [TRACE, TRACE], self.TIMES, np.zeros((2, DIM)),
+            POLICY.hybrid_rollout(_params(), _tile(2), self.TIMES, np.zeros((2, DIM)),
                                   [0, 9], 3, 0.8, np.zeros((2, 3, DIM)))
 
     def test_ode_guidance_scale_controls_eval_count(self):
         params = _nontrivial_params(11)
         x1 = stream(6, "x1").standard_normal((5, 2))
-        n_plain = POLICY.ode_rollout_batch(params, [TRACE] * 5, self.TIMES, x1).velocity_evals
+        n_plain = POLICY.ode_rollout_batch(params, _tile(5), self.TIMES, x1).velocity_evals
         n_guided = POLICY.ode_rollout_batch(
-            params, [TRACE] * 5, self.TIMES, x1, cfg_scale=1.5
+            params, _tile(5), self.TIMES, x1, cfg_scale=1.5
         ).velocity_evals
         assert n_plain == 5 * 10
         assert n_guided == 2 * 5 * 10
@@ -446,7 +464,7 @@ class TestVelocityInputs:
     def test_rollouts_match_per_step_reference_bit_for_bit(self, B, cfg_scale, windowed):
         params = _nontrivial_params(40)
         rng = stream(40, "inputs", B)
-        seqs = [TRACE, (3, 3, 5), (), (7,)] * (B // 4) if B > 1 else [TRACE]
+        seqs = np.tile(ROWS, (B // 4, 1)) if B > 1 else _tile(1)
         x1 = rng.standard_normal((B, DIM))
         if windowed:
             starts, size, sigma = rng.integers(0, 8, size=B), 3, 0.8
@@ -484,7 +502,7 @@ class TestVelocityInputs:
         # cond_out receives the conditional branch under guidance too
         params = _nontrivial_params(42)
         x = stream(42, "x").standard_normal((5, DIM))
-        cond = _cond(params, [TRACE, (3, 3, 5), (), (7,), TRACE])
+        cond = _cond(params, ROWS[[0, 1, 2, 3, 0]])
         rows = np.concatenate([x, time_features(np.full(5, 0.3)), cond], axis=1)
         before = rows.copy()
         for cfg_scale in (1.0, 2.0, 3.0):
@@ -516,11 +534,11 @@ class TestVelocityInputs:
         B, n = 6, len(self.TIMES) - 1
         x1 = stream(43, "x1").standard_normal((B, DIM))
         eps = stream(43, "eps").standard_normal((B, 3, DIM))
-        batch = POLICY.hybrid_rollout(params, [TRACE] * B, self.TIMES, x1, [0, 1, 2, 3, 4, 7], 3,
+        batch = POLICY.hybrid_rollout(params, _tile(B), self.TIMES, x1, [0, 1, 2, 3, 4, 7], 3,
                                       0.8, eps, cfg_scale)
         assert feature_calls == [n] and velocity_rows == [B] * n
         del feature_calls[:], velocity_rows[:]
-        POLICY.ode_rollout_batch(params, [TRACE] * B, self.TIMES, x1, cfg_scale)
+        POLICY.ode_rollout_batch(params, _tile(B), self.TIMES, x1, cfg_scale)
         assert feature_calls == [n] and velocity_rows == [B] * n
         for reg_mode, n_ref in (("none", 0), ("latent-kl", 1), ("velocity-mse", 1)):
             del feature_calls[:], velocity_rows[:]
@@ -535,7 +553,7 @@ class TestPretraining:
         params = _params(11)
         x0 = np.array([[0.3, -0.4]])
         t = np.array([0.5])
-        pool = POLICY.pool_weights([TRACE])
+        pool = POLICY.pool_weights(_tile(1))
         loss, _ = POLICY.fm_loss_frozen(params, x0, pool, t, x0.copy(), np.ones(1))
         assert loss == pytest.approx(0.0, abs=1e-12)
 
@@ -550,7 +568,7 @@ class TestPretraining:
         x1 = rng.standard_normal((6, 2))
         keep = np.ones(6)
         keep[0] = 0.0
-        pool = POLICY.pool_weights([TRACE] * 6)
+        pool = POLICY.pool_weights(_tile(6))
 
         def loss(p):
             return POLICY.fm_loss_frozen(p, x0, pool, t, x1, keep)
@@ -579,7 +597,7 @@ class TestPretraining:
                 keep = (rng.random(len(batch)) >= 0.2).astype(np.float64)
                 loss, gs = POLICY.fm_loss_frozen(
                     ref, np.stack([x0[i] for i in batch]),
-                    POLICY.pool_weights([conds[i] for i in batch]), t, x1, keep,
+                    POLICY.pool_weights(np.stack([conds[i] for i in batch])), t, x1, keep,
                 )
                 ref = adam_step(ref, gs, state)
                 total += loss * len(batch)
@@ -605,7 +623,7 @@ class TestPretraining:
         rng = stream(33, "gauss")
         x0 = np.array([mu0 + tau * rng.standard_normal(2) for _ in range(4096)])
         params, _ = POLICY.pretrain(
-            _params(34), [TRACE] * len(x0), x0, epochs=40, lr=3e-3, batch_size=256,
+            _params(34), _tile(len(x0)), x0, epochs=40, lr=3e-3, batch_size=256,
             p_uncond=0.0, rng=stream(35, "sh"),
         )
 
@@ -614,7 +632,7 @@ class TestPretraining:
             alpha = (t - (1 - t) * tau**2) / rho2
             return alpha * (x - (1 - t) * mu0) - mu0
 
-        cond = _cond(params, [TRACE])
+        cond = _cond(params, _tile(1))
         errs = []
         for _ in range(500):
             t = float(1.0 - rng.random())
@@ -632,7 +650,7 @@ def _rollout_group(params, g=4, seed=0, sigma=0.8, cfg_scale=1.0):
     x1 = np.stack([rng.standard_normal(DIM) for rng in rngs])
     eps = np.stack([rng.standard_normal((3, DIM)) for rng in rngs])
     return POLICY.hybrid_rollout(
-        params, [TRACE] * g, times, x1, starts, 3, sigma, eps, cfg_scale=cfg_scale
+        params, _tile(g), times, x1, starts, 3, sigma, eps, cfg_scale=cfg_scale
     )
 
 

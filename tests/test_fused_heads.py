@@ -13,14 +13,14 @@ beta_txt 0, cfg 1, velocity-mse).
 import numpy as np
 import pytest
 from prompt_draws import random_prompts
-from reference_ops import OpTape, reference_velocity
+from reference_ops import OpTape, reference_velocity, trace_tokens
 
 from unigrpo.autodiff import Tape
 from unigrpo.flow_policy import (DIM, FlowPolicy, drift_coefficients, time_features,
                                  timestep_schedule)
 from unigrpo.nn import mlp_var
 from unigrpo.rng import stream
-from unigrpo.task import PAD, TaskGeometry, make_pretrain_data
+from unigrpo.task import EOS, PAD, TaskGeometry, make_pretrain_data
 from unigrpo.text_policy import TextPolicy
 
 TEXT = TextPolicy()
@@ -57,16 +57,16 @@ def _old_logits_var(tape, params, rows):
     return mlp_var(tape, params, tape.bias_add(flat, wpe), TEXT.arch, "silu")
 
 
-def _old_text_surrogate(params, traces, advantages, clip_eps, beta_txt, ref_params,
+def _old_text_surrogate(params, seqs, old_lp, advantages, clip_eps, beta_txt, ref_params,
                         temperature):
-    G = len(traces)
+    G = len(seqs)
     inv_t = 1.0 / temperature
-    rows = np.concatenate([_old_context_rows(tr.prompt_tokens, list(tr.tokens))
-                           for tr in traces])
-    targets = np.array([tok for tr in traces for tok in tr.tokens])
-    old_lp = np.concatenate([tr.logprobs for tr in traces])
-    adv_rows = np.array([advantages[i] for i, tr in enumerate(traces) for _ in tr.tokens])
-    w_rows = np.array([1.0 / (G * len(tr)) for tr in traces for _ in tr.tokens])
+    traces = [trace_tokens(seq[TEXT.prompt_len:]) for seq in seqs]
+    rows = np.concatenate([_old_context_rows(seq[: TEXT.prompt_len], tr)
+                           for seq, tr in zip(seqs, traces)])
+    targets = np.array([tok for tr in traces for tok in tr])
+    adv_rows = np.array([advantages[i] for i, tr in enumerate(traces) for _ in tr])
+    w_rows = np.array([1.0 / (G * len(tr)) for tr in traces for _ in tr])
 
     tape = OpTape()
     logits = tape.cmul(_old_logits_var(tape, params, rows), inv_t)
@@ -88,9 +88,9 @@ def _text_params(seed):
 
 
 def _traces(params, temperature, g=16, seed=0):
-    prompts = [p.tokens for p in random_prompts(seed, "p", g)]
+    prompts = np.array([p.tokens for p in random_prompts(seed, "p", g)])
     u = np.stack([stream(seed, "u", i).random(TEXT.max_len) for i in range(g)])
-    return TEXT.sample_trace(params, prompts, temperature, TEXT.max_len, u)
+    return TEXT.sample_trace(params, prompts, temperature, u)
 
 
 class TestTextHeads:
@@ -100,13 +100,13 @@ class TestTextHeads:
         params, ref = _text_params(1), _text_params(2)
         traces = _traces(params, temperature)
         adv = stream(3, "adv").normal(size=len(traces))
-        batch = TEXT.prepare_batch(traces, adv, temperature, beta_txt, ref)
+        batch = TEXT.prepare_batch(traces, adv, temperature, beta_txt, ref, params)
         moved = params.with_blocks({"W2": params["W2"] + 0.01, "wte": params["wte"] - 0.02})
         for theta in (params, moved):
             for clip_eps in (0.2, 1e-4, 0.0):
                 j, gs, stats = TEXT.surrogate_loss(theta, batch, clip_eps)
                 old_j, old_grads, old_ratio = _old_text_surrogate(
-                    theta, traces, adv, clip_eps, beta_txt, ref, temperature
+                    theta, traces, batch.old_logp, adv, clip_eps, beta_txt, ref, temperature
                 )
                 _assert_same(j, old_j)
                 _assert_same(gs, old_grads)
@@ -123,16 +123,16 @@ class TestTextHeads:
         # (unclipped term first) leaves a gradient
         params = _text_params(4)
         traces = _traces(params, 1.0, g=6, seed=4)
-        batch = TEXT.prepare_batch(traces, np.linspace(-1.0, 1.0, 6), 1.0, 0.0, params)
+        batch = TEXT.prepare_batch(traces, np.linspace(-1.0, 1.0, 6), 1.0, 0.0, params, params)
         _, grads, _ = TEXT.surrogate_loss(params, batch, 0.0)
         _, grads_wide, _ = TEXT.surrogate_loss(params, batch, 0.5)
         assert np.any(grads != 0.0)
         assert grads.tobytes() == grads_wide.tobytes()
 
     def test_ce_matches_op_chain(self):
-        (prompts, traces), _ = make_pretrain_data(5, 96, 1, TaskGeometry())
+        seqs, _ = make_pretrain_data(5, 96, 1, TaskGeometry())
         params = _text_params(6)
-        rows, targets, _, _ = TEXT.token_rows(prompts, traces)
+        rows, targets, _, _ = TEXT.token_rows(seqs)
         loss, gs = TEXT.ce_loss(params, rows, targets)
 
         tape = OpTape()
@@ -207,7 +207,7 @@ def _flow_rollout(params, cfg_scale, g=8, seed=0):
     rng = stream(seed, "roll")
     starts = rng.integers(0, 4, size=g)
     return FLOW.hybrid_rollout(
-        params, [p.tokens for p in random_prompts(seed, "c", g)], times,
+        params, np.array([p.tokens for p in random_prompts(seed, "c", g)]), times,
         rng.standard_normal((g, DIM)), starts, 3, 0.8, rng.standard_normal((g, 3, DIM)),
         cfg_scale,
     )
@@ -247,7 +247,7 @@ class TestFlowHeads:
         t = 1.0 - rng.random(n)
         x1 = rng.standard_normal((n, DIM))
         keep = (rng.random(n) >= 0.2).astype(np.float64)
-        pool = FLOW.pool_weights([p.tokens for p in random_prompts(11, "c", n)])
+        pool = FLOW.pool_weights(np.array([p.tokens for p in random_prompts(11, "c", n)]))
         loss, gs = FLOW.fm_loss_frozen(params, x0, pool, t, x1, keep)
 
         tape = OpTape()
@@ -272,14 +272,15 @@ def test_every_loss_tape_is_at_most_twelve_nodes(monkeypatch):
     monkeypatch.setattr(Tape, "param_grads", counting)
     tparams, fparams = _text_params(12), _flow_params(13)
     traces = _traces(tparams, 1.0, g=4)
-    TEXT.surrogate_loss(tparams, TEXT.prepare_batch(traces, np.ones(4), 1.0, 0.05, tparams), 0.2)
-    rows, targets, _, _ = TEXT.token_rows([tr.prompt_tokens for tr in traces],
-                                          [tr.tokens for tr in traces])
+    TEXT.surrogate_loss(tparams, TEXT.prepare_batch(traces, np.ones(4), 1.0, 0.05, tparams,
+                                                    tparams), 0.2)
+    rows, targets, _, _ = TEXT.token_rows(traces)
     TEXT.ce_loss(tparams, rows, targets)
     for cfg_scale in (1.0, 2.0):
         prepared = FLOW.prepare_batch(_flow_rollout(fparams, cfg_scale, g=4), np.ones(4),
                                       "velocity-mse", fparams)
         FLOW.surrogate_loss(fparams, prepared, 0.2, 0.1)
-    FLOW.fm_loss_frozen(fparams, np.zeros((2, DIM)), FLOW.pool_weights([(3,), (4, 5)]),
+    pool = FLOW.pool_weights(np.array([(3, EOS), (4, 5)]))
+    FLOW.fm_loss_frozen(fparams, np.zeros((2, DIM)), pool,
                         np.array([0.3, 0.9]), np.ones((2, DIM)), np.ones(2))
     assert lengths == [11, 11, 10, 12, 10]

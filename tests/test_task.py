@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 from prompt_draws import random_prompts
+from reference_ops import trace_tokens
 from reference_reward import reference_reward
 
 from unigrpo import task
 from unigrpo.rng import stream, words
 from unigrpo.task import (
     EOS,
+    PAD,
     TaskGeometry,
     all_prompts,
     all_tuples,
@@ -18,6 +20,7 @@ from unigrpo.task import (
     make_pretrain_data,
     score,
     target_spec,
+    trace_lengths,
 )
 
 GEOM = TaskGeometry()
@@ -25,6 +28,12 @@ GEOM = TaskGeometry()
 DECODE = {canonical_trace(p): (p.quadrant, p.band, p.spread) for p in all_prompts()}
 # prompt tokens -> prompt
 PROMPTS = {p.tokens: p for p in all_prompts()}
+
+
+def _text_columns(seqs):
+    """The prompt and trace tuples of the text rows `seqs`."""
+    rows = seqs.tolist()
+    return [tuple(r[:3]) for r in rows], [tuple(r[3:]) for r in rows]
 
 
 def score_one(x0, prompt, geom) -> float:
@@ -98,6 +107,28 @@ class TestCanonicalTrace:
             tr = canonical_trace(p)
             assert len(tr) == 4
             assert tr[-1] == EOS
+
+
+class TestTraceLengths:
+    @pytest.mark.parametrize("rows,lengths", [
+        ([[2, 6, 8, EOS]], [4]),              # a canonical trace
+        ([[EOS, PAD, PAD, PAD]], [1]),        # EOS only
+        ([[2, EOS, PAD, PAD]], [2]),          # PAD after the EOS
+        ([[PAD, 3, EOS, PAD]], [3]),          # a sampled PAD before the EOS
+        ([[2, PAD, 7, PAD]], [4]),            # filled without EOS: every token counts
+        ([[EOS, EOS, 5, EOS]], [1]),          # the first EOS ends it
+        ([[EOS], [5]], [1, 1]),               # one column
+        ([[3, 4, 5, 6, 7, EOS, PAD]], [6]),   # wider than a canonical trace
+    ])
+    def test_edge_rows(self, rows, lengths):
+        assert trace_lengths(np.array(rows)).tolist() == lengths
+
+    def test_no_rows(self):
+        assert trace_lengths(np.zeros((0, 4), dtype=np.int64)).shape == (0,)
+
+    def test_matches_per_row_rule(self):
+        rows = stream(3, "lengths").integers(0, 4, size=(500, 6))  # PAD and EOS often
+        assert trace_lengths(rows).tolist() == [len(trace_tokens(row)) for row in rows]
 
 
 class TestReward:
@@ -236,15 +267,16 @@ class TestScoreOracle:
 
 class TestPretrainData:
     def test_zero_noise_gives_canonical_traces(self):
-        (prompts, traces), _ = make_pretrain_data(4, 500, 1, GEOM, p_noise=0.0)
-        for tokens, trace in zip(prompts, traces):
+        seqs, _ = make_pretrain_data(4, 500, 1, GEOM, p_noise=0.0)
+        assert seqs.shape == (500, 7) and seqs.dtype == np.int64
+        for tokens, trace in zip(*_text_columns(seqs)):
             q, b, s = DECODE[trace]
             prompt = PROMPTS[tokens]
             assert trace == canonical_trace(prompt)
             assert (q, b, s) == (prompt.quadrant, prompt.band, prompt.spread)
 
     def test_corruption_rate(self):
-        (prompts, traces), _ = make_pretrain_data(5, 10_000, 1, GEOM, p_noise=0.25)
+        prompts, traces = _text_columns(make_pretrain_data(5, 10_000, 1, GEOM, p_noise=0.25)[0])
         # a corrupted trace differs from its prompt's canonical trace in one token
         wrong = [sum(a != b for a, b in zip(trace, canonical_trace(PROMPTS[tokens])))
                  for tokens, trace in zip(prompts, traces)]
@@ -271,16 +303,16 @@ class TestPretrainData:
 
     def test_examples_are_counter_addressed(self):
         # example i's draws do not depend on how many examples are drawn
-        (p, t), (c, x0) = make_pretrain_data(9, 50, 30, GEOM)
-        (p2, t2), (c2, x2) = make_pretrain_data(9, 400, 300, GEOM)
-        assert (p, t, c) == (p2[:50], t2[:50], c2[:30])
+        s, (c, x0) = make_pretrain_data(9, 50, 30, GEOM)
+        s2, (c2, x2) = make_pretrain_data(9, 400, 300, GEOM)
+        assert s.tobytes() == s2[:50].tobytes() and c.tobytes() == c2[:30].tobytes()
         assert x0.tobytes() == x2[:30].tobytes()
 
     def test_flow_pair_sample_means(self):
         _, (conds, x0) = make_pretrain_data(6, 1, 16_000, GEOM, p_noise=0.25)
-        assert x0.shape == (16_000, 2)
+        assert x0.shape == (16_000, 2) and conds.shape == (16_000, 4)
         by_cond = {}
-        for cond, x in zip(conds, x0):
+        for cond, x in zip(map(tuple, conds.tolist()), x0):
             by_cond.setdefault(cond, []).append(x)
         assert len(by_cond) == 16
         for cond, xs in by_cond.items():

@@ -1,8 +1,11 @@
 """Text policy: log-probs, lockstep decoding, clipped surrogate, pretraining."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from prompt_draws import random_prompts
+from reference_ops import trace_tokens
 
 from unigrpo.errors import NumericError
 from unigrpo.nn import AdamState, adam_step, finite_diff_check
@@ -10,10 +13,23 @@ from unigrpo.rng import stream
 from unigrpo.task import (
     EOS, PAD, TaskGeometry, canonical_trace, make_prompt, make_pretrain_data,
 )
-from unigrpo.text_policy import ReasoningTrace, TextPolicy, softmax_np
+from unigrpo.text_policy import TextPolicy, softmax_np
 
 POLICY = TextPolicy()
 PROMPT = make_prompt(1, "near", "tight")
+
+
+def _trace_tokens(seq, policy=POLICY):
+    """The trace tokens of one text row."""
+    return trace_tokens(seq[policy.prompt_len:])
+
+
+def _text_row(trace_tokens, prompt_tokens=PROMPT.tokens, policy=POLICY):
+    """(1, ctx) text row [prompt | trace | PAD]."""
+    row = np.full((1, policy.ctx), PAD, dtype=np.int64)
+    row[0, : policy.prompt_len] = prompt_tokens
+    row[0, policy.prompt_len : policy.prompt_len + len(trace_tokens)] = trace_tokens
+    return row
 
 
 def _log_softmax(z):
@@ -30,9 +46,17 @@ def _context_rows(prompt_tokens, trace_tokens, policy=POLICY):
     return rows
 
 
-def _surrogate(params, traces, adv, clip_eps, beta_txt, ref_params, temperature=1.0):
-    """One surrogate evaluation through a freshly prepared batch."""
-    batch = POLICY.prepare_batch(traces, adv, temperature, beta_txt, ref_params)
+def _batch(seqs, adv, temperature, beta_txt, ref_params, old_params, old_logp=None):
+    """A prepared batch, its old log-probs replaced by `old_logp` when given."""
+    batch = POLICY.prepare_batch(seqs, adv, temperature, beta_txt, ref_params, old_params)
+    return batch if old_logp is None else replace(batch, old_logp=old_logp)
+
+
+def _surrogate(params, seqs, adv, clip_eps, beta_txt, ref_params, temperature=1.0,
+               old_logp=None):
+    """One surrogate evaluation through a freshly prepared batch whose old
+    policy is `params`, unless `old_logp` gives the old log-probs."""
+    batch = _batch(seqs, adv, temperature, beta_txt, ref_params, params, old_logp)
     return POLICY.surrogate_loss(params, batch, clip_eps)
 
 
@@ -41,10 +65,16 @@ def _params(seed=0):
 
 
 def _sample(params, temperature=1.0, seed=0, tag="s"):
+    """(1, ctx) text row of one sampled trace of PROMPT."""
     return POLICY.sample_trace(
-        params, [PROMPT.tokens], temperature, POLICY.max_len,
+        params, np.array([PROMPT.tokens]), temperature,
         stream(seed, tag).random((1, POLICY.max_len)),
-    )[0]
+    )
+
+
+def _old_logp(params, seqs, temperature=1.0):
+    """The old log-probs prepare_batch takes at `params`."""
+    return _batch(seqs, np.ones(len(seqs)), temperature, 0.0, params, params).old_logp
 
 
 def _softmax_logprobs(params, trace_tokens):
@@ -64,8 +94,8 @@ class TestTokenLogprobs:
         params = params.with_blocks({
             nw: np.zeros_like(params[nw]), nb: np.zeros_like(params[nb]),
         })
-        tr = _sample(params)
-        np.testing.assert_allclose(tr.logprobs, -np.log(POLICY.vocab), atol=1e-12)
+        np.testing.assert_allclose(_old_logp(params, _sample(params)), -np.log(POLICY.vocab),
+                                   atol=1e-12)
 
     def test_probs_normalize(self):
         params = _params(1)
@@ -77,8 +107,8 @@ class TestTokenLogprobs:
     def test_matches_slow_recomputation(self):
         # independent route: explicit softmax over logits, no shared code
         params = _params(2)
-        tr = _sample(params, seed=2)
-        trace, lp = tr.tokens, tr.logprobs
+        seqs = _sample(params, seed=2)
+        trace, lp = _trace_tokens(seqs[0]), _old_logp(params, seqs)
         for k, tok in enumerate(trace):
             rows = _context_rows(PROMPT.tokens, list(trace))[k : k + 1]
             z = POLICY.logits_np(params, rows)[0]
@@ -87,62 +117,81 @@ class TestTokenLogprobs:
 
     def test_out_of_vocab_rejected(self):
         params = _params()
-        tr = ReasoningTrace(PROMPT.tokens, (999,), np.zeros(1))
         with pytest.raises(ValueError, match="vocabulary"):
-            _surrogate(params, [tr], np.ones(1), 0.2, 0.0, params)
+            _surrogate(params, _text_row([999]), np.ones(1), 0.2, 0.0, params)
 
 
 class TestTokenRows:
-    @pytest.mark.parametrize("max_len", [3, 4])
-    def test_matches_per_row_loop(self, max_len):
-        # traces of every length from 0 to max_len + 1 (the last token of the
-        # longest is only a target), in mixed order; canonical traces have 4
+    @pytest.mark.parametrize("max_len,width", [
+        (3, 3), (3, 4), (4, 4), (4, 5), (6, 4), (6, 6), (6, 7),
+    ])
+    def test_matches_per_row_loop(self, max_len, width):
+        # text rows with traces `width` wide, at most max_len + 1 (the last
+        # token of a full-width trace is then only a target): EOS at every
+        # position, PADs sampled before an EOS, rows filled without EOS, one
+        # ending in a sampled PAD; canonical pretraining traces are 4 wide
         policy = TextPolicy(max_trace_len=max_len)
-        rng = stream(30, "rows")
-        prompts = [p.tokens for p in random_prompts(30, "p", 12)]
-        lengths = [3, 0, 4, 1, 2, max_len + 1, 0, 3, 1, 2, max_len, 4]
-        traces = [tuple(int(t) for t in rng.integers(0, POLICY.vocab, size=n)) for n in lengths]
-        rows, targets, owner, position = policy.token_rows(prompts, traces)
-        ref = np.concatenate([_context_rows(p, list(t), policy) for p, t in zip(prompts, traces)])
+        rng = stream(30, "rows", width)
+        seqs = np.full((12, policy.prompt_len + width), PAD, dtype=np.int64)
+        seqs[:, : policy.prompt_len] = [p.tokens for p in random_prompts(30, "p", 12)]
+        traces = seqs[:, policy.prompt_len:]
+        traces[:] = rng.integers(2, POLICY.vocab, size=traces.shape)
+        ends = iter(range(12))
+        for i in range(12):
+            if i % 4 == 1:
+                traces[i, 0] = PAD
+            if i % 3 != 2:
+                n = 1 + next(ends) % width
+                traces[i, n - 1], traces[i, n:] = EOS, PAD
+        traces[2, -1] = PAD
+        rows, targets, owner, position = policy.token_rows(seqs)
+        tokens = [_trace_tokens(seq, policy) for seq in seqs]
+        assert {len(t) for t in tokens} == set(range(1, width + 1))
+        assert any(t[0] == PAD and t[-1] == EOS for t in tokens)
+        ref = np.concatenate([_context_rows(seq[: policy.prompt_len], t, policy)
+                              for seq, t in zip(seqs, tokens)])
         assert rows.dtype == np.int64 and rows.tobytes() == ref.tobytes()
-        assert targets.tolist() == [tok for t in traces for tok in t]
-        assert owner.tolist() == [i for i, t in enumerate(traces) for _ in t]
-        assert position.tolist() == [k for t in traces for k in range(len(t))]
+        assert targets.tolist() == [tok for t in tokens for tok in t]
+        assert owner.tolist() == [i for i, t in enumerate(tokens) for _ in t]
+        assert position.tolist() == [k for t in tokens for k in range(len(t))]
 
 
 class TestSampling:
     def test_tiny_temperature_is_greedy(self):
         params = _params(3)
-        greedy = POLICY.greedy_trace(params, [PROMPT.tokens])[0]
-        tr = _sample(params, 1e-6)
-        assert tr.tokens == greedy.tokens
+        greedy = POLICY.greedy_trace(params, np.array([PROMPT.tokens]))
+        assert _sample(params, 1e-6).tobytes() == greedy.tobytes()
 
     def test_stored_logprobs_self_consistent(self):
         params = _params(4)
-        tr = _sample(params, seed=1)
-        lp = _softmax_logprobs(params, tr.tokens)
-        np.testing.assert_allclose(tr.logprobs, lp, atol=1e-12)
+        seqs = _sample(params, seed=1)
+        lp = _softmax_logprobs(params, _trace_tokens(seqs[0]))
+        np.testing.assert_allclose(_old_logp(params, seqs), lp, atol=1e-12)
 
     def test_stops_at_eos_or_max_len(self):
         params = _params(5)
-        traces = POLICY.sample_trace(
-            params, [PROMPT.tokens] * 20, 1.0, POLICY.max_len,
+        seqs = POLICY.sample_trace(
+            params, np.tile(PROMPT.tokens, (20, 1)), 1.0,
             np.stack([stream(i, "s2").random(POLICY.max_len) for i in range(20)]),
         )
-        for tr in traces:
+        assert seqs.shape == (20, POLICY.ctx) and seqs.dtype == np.int64
+        for seq in seqs:
+            tr = _trace_tokens(seq)
             assert len(tr) <= POLICY.max_len
-            if EOS in tr.tokens:
-                assert tr.tokens.index(EOS) == len(tr) - 1
+            if EOS in tr:
+                assert tr.index(EOS) == len(tr) - 1
+            # PAD fills the row after the trace
+            assert not seq[POLICY.prompt_len + len(tr):].any()
 
     def test_temperature_must_be_positive(self):
         with pytest.raises(ValueError):
-            POLICY.sample_trace(_params(), [PROMPT.tokens], 0.0, 4,
+            POLICY.sample_trace(_params(), np.array([PROMPT.tokens]), 0.0,
                                 stream(0, "s").random((1, 4)))
 
     def test_nonfinite_probabilities_rejected(self):
         # 1 / T overflows at a positive but subnormal temperature
         with pytest.raises(NumericError, match="row 0"), np.errstate(invalid="ignore"):
-            POLICY.sample_trace(_params(), [PROMPT.tokens], 1e-320, 4,
+            POLICY.sample_trace(_params(), np.array([PROMPT.tokens]), 1e-320,
                                 stream(0, "s").random((1, 4)))
 
     @pytest.mark.parametrize("temperature", [0.7, 1.0, 1.3])
@@ -172,11 +221,13 @@ class TestSampling:
                 break
 
         u = np.stack([stream(8, "row", i).random(POLICY.max_len) for i in range(48)])
-        traces = POLICY.sample_trace(params, prompts, temperature, POLICY.max_len, u)
-        assert [tr.tokens for tr in traces] == [tuple(t) for t in tokens]
-        for tr, lp in zip(traces, logps):
-            np.testing.assert_array_equal(tr.logprobs, np.array(lp))
-        assert len({tr.tokens for tr in traces}) > 10
+        seqs = POLICY.sample_trace(params, np.array(prompts), temperature, u)
+        assert seqs.tobytes() == rows.tobytes()
+        assert [_trace_tokens(seq) for seq in seqs] == tokens
+        # the old log-probs are those of the distributions the tokens were drawn from
+        np.testing.assert_array_equal(_old_logp(params, seqs, temperature),
+                                      np.concatenate(logps))
+        assert len({tuple(t) for t in tokens}) > 10
 
     def test_uniform_on_a_cdf_step_takes_the_next_token(self):
         # Generator.choice is cdf.searchsorted(u, side="right"): a uniform equal
@@ -191,13 +242,13 @@ class TestSampling:
         cdf /= cdf[-1]
         ks = [0, 5, POLICY.vocab - 2]
         u = np.repeat(cdf[ks][:, None], POLICY.max_len, axis=1)
-        traces = POLICY.sample_trace(params, [PROMPT.tokens] * 3, 1.0, POLICY.max_len, u)
-        assert [tr.tokens[0] for tr in traces] == [k + 1 for k in ks]
+        seqs = POLICY.sample_trace(params, np.tile(PROMPT.tokens, (3, 1)), 1.0, u)
+        assert seqs[:, POLICY.prompt_len].tolist() == [k + 1 for k in ks]
 
 
 def _group(params, g=4, seed=0, temperature=1.0):
     return POLICY.sample_trace(
-        params, [PROMPT.tokens] * g, temperature, POLICY.max_len,
+        params, np.tile(PROMPT.tokens, (g, 1)), temperature,
         np.stack([stream(seed, "g", i).random(POLICY.max_len) for i in range(g)]),
     )
 
@@ -218,24 +269,24 @@ class TestSurrogate:
         # force r = 1.3 by shifting the stored old logprob
         params = _params(7)
         lp = _softmax_logprobs(params, (EOS,))
-        tr = ReasoningTrace(PROMPT.tokens, (EOS,), np.array([lp[0] - np.log(1.3)]))
-        j, _, _ = _surrogate(params, [tr], np.array([2.0]), 0.2, 0.0, params)
+        j, _, _ = _surrogate(params, _text_row([EOS]), np.array([2.0]), 0.2, 0.0, params,
+                             old_logp=np.array([lp[0] - np.log(1.3)]))
         assert j == pytest.approx(min(1.3 * 2.0, 1.2 * 2.0), abs=1e-9)
 
     def test_single_token_clip_negative_advantage(self):
         params = _params(8)
         lp = _softmax_logprobs(params, (EOS,))
-        tr = ReasoningTrace(PROMPT.tokens, (EOS,), np.array([lp[0] - np.log(0.7)]))
-        j, _, _ = _surrogate(params, [tr], np.array([-1.0]), 0.2, 0.0, params)
+        j, _, _ = _surrogate(params, _text_row([EOS]), np.array([-1.0]), 0.2, 0.0, params,
+                             old_logp=np.array([lp[0] - np.log(0.7)]))
         assert j == pytest.approx(min(-0.7, -0.8), abs=1e-9)
 
     def test_clipping_bound(self):
         params = _params(9)
-        traces = _group(params, g=6, seed=3)
+        seqs = _group(params, g=6, seed=3)
         adv = np.array([2.0, -2.0, 1.0, -1.0, 0.5, -0.5])
         eps = 0.2
-        old = [ReasoningTrace(t.prompt_tokens, t.tokens, t.logprobs + 0.5) for t in traces]  # big ratios
-        j, _, stats = _surrogate(params, old, adv, eps, 0.0, params)
+        old = _old_logp(params, seqs) + 0.5  # big ratios
+        j, _, stats = _surrogate(params, seqs, adv, eps, 0.0, params, old_logp=old)
         assert abs(j) <= (1 + eps) * np.max(np.abs(adv)) + 1e-12
         assert 0.0 <= stats.clip_fraction <= 1.0
 
@@ -252,9 +303,9 @@ class TestSurrogate:
 
     def test_nan_ratio_aborts_with_position(self):
         params = _params(12)
-        tr = ReasoningTrace(PROMPT.tokens, (EOS,), np.array([-np.inf]))
         with pytest.raises(NumericError, match="trace 0, position 0"):
-            _surrogate(params, [tr], np.array([1.0]), 0.2, 0.0, params)
+            _surrogate(params, _text_row([EOS]), np.array([1.0]), 0.2, 0.0, params,
+                       old_logp=np.array([-np.inf]))
 
     @pytest.mark.parametrize("temperature", [0.7, 1.0, 1.3])
     def test_first_epoch_ratios_are_one_at_any_temperature(self, temperature):
@@ -269,6 +320,22 @@ class TestSurrogate:
         assert stats.clip_fraction == 0.0
         assert stats.max_ratio == 1.0
 
+    def test_first_epoch_ratios_are_exactly_one_on_tiny_batches(self):
+        # a lockstep decode of 2-4 rows makes head calls of 1-3 live rows,
+        # which BLAS may round differently from the same rows inside a larger
+        # call; the old log-probs come from the surrogate's own rows instead
+        policy, bad = TextPolicy(max_trace_len=6), []
+        for seed in range(40):
+            n = 2 + seed % 3
+            params = policy.init_params(stream(seed, "init-text"))
+            prompts = np.array([p.tokens for p in random_prompts(seed, "p", n)])
+            seqs = policy.sample_trace(params, prompts, 1.3, stream(seed, "u").random((n, 6)))
+            batch = policy.prepare_batch(seqs, np.ones(n), 1.3, 0.0, params, params)
+            _, _, stats = policy.surrogate_loss(params, batch, 0.2)
+            if not stats.max_ratio == stats.mean_ratio == 1.0:
+                bad.append(seed)
+        assert bad == []
+
     def test_gradient_matches_finite_differences(self):
         params = _params(13)
         ref = _params(14)
@@ -277,7 +344,7 @@ class TestSurrogate:
         adv = np.array([1.0, -0.5, 0.25])
         for temperature in (1.0, 0.7):
             traces = _group(params, g=3, seed=5, temperature=temperature)
-            batch = POLICY.prepare_batch(traces, adv, temperature, 0.05, ref)
+            batch = POLICY.prepare_batch(traces, adv, temperature, 0.05, ref, params)
 
             def loss(p):
                 j, gs, _ = POLICY.surrogate_loss(p, batch, 0.2)
@@ -291,20 +358,24 @@ class TestPretrain:
     GEOM = TaskGeometry()
 
     def test_clean_data_high_accuracy_and_monotone(self):
-        (prompts, traces), _ = make_pretrain_data(20, 1024, 1, self.GEOM,
-                                                  p_noise=0.0)
+        seqs, _ = make_pretrain_data(20, 1024, 1, self.GEOM, p_noise=0.0)
         params, report = POLICY.pretrain(
-            _params(21), prompts, traces, epochs=14, lr=3e-3, batch_size=128, rng=stream(22, "sh")
+            _params(21), seqs, epochs=14, lr=3e-3, batch_size=128, rng=stream(22, "sh")
         )
         assert report["greedy_accuracy"] >= 0.95
         assert report["loss_monotone"]
 
-    def test_row_columns_match_per_batch_rows_bit_for_bit(self):
+    @pytest.mark.parametrize("short", [False, True])
+    def test_row_columns_match_per_batch_rows_bit_for_bit(self, short):
         # reference: each batch's context rows and targets rebuilt from its
-        # own traces
-        (prompts, traces), _ = make_pretrain_data(26, 200, 1, self.GEOM)
+        # own traces; with `short`, one trace ends early, so the traces own
+        # different numbers of rows
+        seqs, _ = make_pretrain_data(26, 200, 1, self.GEOM)
+        if short:
+            seqs[3, POLICY.prompt_len + 2 :] = (EOS, PAD)
+        traces = [_trace_tokens(seq) for seq in seqs]
         params, report = POLICY.pretrain(
-            _params(27), prompts, traces, epochs=2, lr=3e-3, batch_size=32, rng=stream(28, "sh")
+            _params(27), seqs, epochs=2, lr=3e-3, batch_size=32, rng=stream(28, "sh")
         )
         ref, rng = _params(27), stream(28, "sh")
         state = AdamState.for_params(ref, lr=3e-3)
@@ -314,7 +385,8 @@ class TestPretrain:
             total, count = 0.0, 0
             for lo in range(0, len(traces), 32):
                 batch = order[lo : lo + 32]
-                rows = np.concatenate([_context_rows(prompts[i], list(traces[i])) for i in batch])
+                rows = np.concatenate([_context_rows(seqs[i, : POLICY.prompt_len], traces[i])
+                                       for i in batch])
                 targets = np.array([tok for i in batch for tok in traces[i]])
                 loss, gs = POLICY.ce_loss(ref, rows, targets)
                 ref = adam_step(ref, gs, state)
@@ -323,18 +395,13 @@ class TestPretrain:
             losses.append(total / count)
         assert params.vec.tobytes() == ref.vec.tobytes()
         assert report["epoch_losses"] == losses
-        # one short trace: the rows per trace would differ, which is refused
-        traces[3] = traces[3][:2]
-        with pytest.raises(ValueError, match="one length"):
-            POLICY.pretrain(_params(27), prompts, traces, epochs=2, lr=3e-3, batch_size=32,
-                            rng=stream(28, "sh"))
+        assert [len(t) for t in traces].count(3) == short
 
     def test_noisy_data_leaves_headroom(self):
         # symmetric 25% label noise cannot flip a converged argmax, so the
         # headroom comes from the fixed desk-scale epoch budget
-        (prompts, traces), _ = make_pretrain_data(23, 1024, 1, self.GEOM,
-                                                  p_noise=0.25)
+        seqs, _ = make_pretrain_data(23, 1024, 1, self.GEOM, p_noise=0.25)
         params, report = POLICY.pretrain(
-            _params(24), prompts, traces, epochs=8, lr=3e-3, batch_size=128, rng=stream(25, "sh")
+            _params(24), seqs, epochs=8, lr=3e-3, batch_size=128, rng=stream(25, "sh")
         )
         assert 0.5 <= report["greedy_accuracy"] <= 0.98

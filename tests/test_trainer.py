@@ -9,6 +9,7 @@ import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -26,14 +27,14 @@ from unigrpo.metrics import read_metrics
 from unigrpo.nn import AdamState, ParamSet
 from unigrpo.rng import below, stream, words
 from unigrpo.flow_policy import FlowPolicy
-from unigrpo.task import EOS, PAD, all_prompts, canonical_trace, draw_prompts, make_prompt
+from unigrpo.task import (EOS, PAD, PROMPT_TOKENS, all_prompts, canonical_trace, draw_prompts,
+                          make_prompt)
 from unigrpo.text_policy import TextPolicy
 from unigrpo.trainer import (
     ROLLOUT_BLOCK,
     check_architecture,
     collect_rollouts,
     evaluate,
-    greedy_table,
     group_advantages,
     make_eval_set,
     make_runtime,
@@ -78,8 +79,23 @@ def _collect(rt, prompts, text, flow, seed, update):
     """collect_rollouts on the update's words, drawn as a block of one update;
     frozen text reads its traces from the table `train` builds."""
     draws = rollout_words(rt.cfg, seed, range(update, update + 1), len(prompts))[0]
-    greedy = None if rt.cfg.train_text else greedy_table(rt, text)
+    greedy = None if rt.cfg.train_text else rt.text_policy.greedy_trace(text, PROMPT_TOKENS)
     return collect_rollouts(rt, prompts, text, flow, draws, greedy)
+
+
+def _rows(groups):
+    """The rewards, advantages, text rows and FlowBatch of the rows of
+    `groups` (one group or a list), in group order."""
+    groups = groups if isinstance(groups, list) else [groups]
+    b, rows = groups[0].batch, np.r_[tuple(g.rows for g in groups)]
+    return SimpleNamespace(rewards=b.rewards[rows], advantages=b.advantages[rows],
+                           seqs=b.seqs[rows], flow=b.flow.take(rows))
+
+
+def _old_logp(rt, text, seqs):
+    """The old log-probs the text update takes for the rows `seqs`."""
+    return rt.text_policy.prepare_batch(seqs, np.ones(len(seqs)), rt.cfg.temperature, 0.0,
+                                        text, text).old_logp
 
 
 def _snap(rt, pre_dir):
@@ -217,8 +233,8 @@ class TestRollouts:
         rt = _rt()
         text, flow = _snap(rt, tiny_pretrain)
         prompt = make_prompt(1, "near", "tight")
-        a = _collect(rt, [prompt], text, flow, 0, 3)[0]
-        b = _collect(rt, [prompt], text, flow, 0, 3)[0]
+        a = _rows(_collect(rt, [prompt], text, flow, 0, 3)[0])
+        b = _rows(_collect(rt, [prompt], text, flow, 0, 3)[0])
         np.testing.assert_array_equal(a.rewards, b.rewards)
         np.testing.assert_array_equal(a.flow.states[-1], b.flow.states[-1])
 
@@ -245,15 +261,16 @@ class TestRollouts:
         text, flow = _snap(rt, tiny_pretrain)
         draws = rollout_words(rt.cfg, 0, range(1, 2), 1)[0]
         draws.trace[1], draws.flow[1] = draws.trace[0], draws.flow[0]
-        g = collect_rollouts(rt, [make_prompt(1, "near", "tight")], text, flow, draws)[0]
+        group = collect_rollouts(rt, [make_prompt(1, "near", "tight")], text, flow, draws)[0]
+        g = _rows(group)
         np.testing.assert_array_equal(g.rewards[0], g.rewards[1])
         np.testing.assert_array_equal(g.advantages, np.zeros(2))
-        assert g.degenerate
+        assert group.degenerate
 
     def test_velocity_eval_budget_per_trajectory(self, tiny_pretrain):
         rt = _rt()
         text, flow = _snap(rt, tiny_pretrain)
-        g = _collect(rt, [make_prompt(3, "near", "wide")], text, flow, 0, 2)[0]
+        g = _rows(_collect(rt, [make_prompt(3, "near", "wide")], text, flow, 0, 2)[0])
         assert len(g.flow.starts) == rt.cfg.group_size
         assert g.flow.evals_per_row == rt.cfg.train_timesteps
 
@@ -275,7 +292,7 @@ class TestRollouts:
         # the rollout actually uses that draw
         rt30 = make_runtime(replace(TINY, group_size=30))
         text, flow = _snap(rt30, tiny_pretrain)
-        g = _collect(rt30, [make_prompt(4, "far", "tight")], text, flow, cfg.seed, 7)[0]
+        g = _rows(_collect(rt30, [make_prompt(4, "far", "tight")], text, flow, cfg.seed, 7)[0])
         np.testing.assert_array_equal(g.flow.starts, start_of(7, range(30)))
 
     @pytest.mark.parametrize("overrides", [{}, {"train_text": False}, {"train_cfg": True}])
@@ -290,11 +307,11 @@ class TestRollouts:
             # the slot keeps its prompt; slot 0 runs alone, the others beside
             # different prompts
             mixed = others[:slot] + [prompts[slot]] + (others[slot + 1:] if slot else [])
-            ref = _collect(rt, mixed, text, flow, 0, 2)[slot]
-            got = batched[slot]
-            assert [tr.tokens for tr in got.traces] == [tr.tokens for tr in ref.traces]
-            for a, b in zip(got.traces, ref.traces):
-                np.testing.assert_allclose(a.logprobs, b.logprobs, rtol=0, atol=1e-12)
+            ref = _rows(_collect(rt, mixed, text, flow, 0, 2)[slot])
+            got = _rows(batched[slot])
+            assert got.seqs.tobytes() == ref.seqs.tobytes()
+            np.testing.assert_allclose(_old_logp(rt, text, got.seqs), _old_logp(rt, text, ref.seqs),
+                                       rtol=0, atol=1e-12)
             a, b = got.flow, ref.flow
             np.testing.assert_array_equal(a.starts, b.starts)
             assert a.evals_per_row == b.evals_per_row
@@ -355,7 +372,7 @@ class TestUnifiedUpdate:
     def test_degenerate_groups_leave_params_untouched(self, tiny_pretrain):
         rt, groups, text, flow, at, af = self._setup(tiny_pretrain, reg_mode="none")
         for g in groups:
-            g.advantages[:] = 0.0
+            g.batch.advantages[g.rows] = 0.0
         new_text, new_flow, stats = unified_update(rt, groups, text, flow, text, flow, at, af)
         for name, arr in text.items():
             np.testing.assert_array_equal(new_text[name], arr)
@@ -369,7 +386,7 @@ class TestUnifiedUpdate:
         rt, groups, text, flow, at, af = self._setup(
             tiny_pretrain, sde_window_size=0, sigma_level=0.0, train_flow=False
         )
-        for g in groups:
+        for g in map(_rows, groups):
             assert g.flow.mu.shape == (rt.cfg.group_size, 0, 2)
             np.testing.assert_array_equal(g.flow.starts, rt.cfg.sde_window_lo)
             assert np.isfinite(g.rewards).all()
@@ -394,10 +411,10 @@ class TestUnifiedUpdate:
         # separately evaluated objectives
         rt, groups, text, flow, at, af = self._setup(tiny_pretrain)
         cfg = rt.cfg
-        active = [g for g in groups if not g.degenerate]
+        active = [_rows(g) for g in groups if not g.degenerate]
         j_text_sep = np.mean([
             rt.text_policy.surrogate_loss(text, rt.text_policy.prepare_batch(
-                g.traces, g.advantages, cfg.temperature, cfg.beta_txt, text,
+                g.seqs, g.advantages, cfg.temperature, cfg.beta_txt, text, text,
             ), cfg.clip_eps)[0]
             for g in active
         ])
@@ -426,14 +443,12 @@ class TestUnifiedUpdate:
         calls = {
             "text": lambda gs: rt.text_policy.surrogate_loss(
                 text_moved, rt.text_policy.prepare_batch(
-                    [tr for g in gs for tr in g.traces],
-                    np.concatenate([g.advantages for g in gs]), 0.7, 0.05, text_ref,
+                    _rows(gs).seqs, _rows(gs).advantages, 0.7, 0.05, text_ref, text,
                 ), 0.2,
             ),
             "flow": lambda gs: rt.flow_policy.surrogate_loss(
                 flow_moved, rt.flow_policy.prepare_batch(
-                    FlowBatch.concat([g.flow for g in gs]),
-                    np.concatenate([g.advantages for g in gs]), reg_mode, flow,
+                    _rows(gs).flow, _rows(gs).advantages, reg_mode, flow,
                 ), 0.2, 0.02,
             ),
         }
@@ -493,8 +508,9 @@ class TestEvaluate:
                 if tokens[-1] == EOS:
                     break
             accs.append(tuple(tokens) == canonical_trace(prompt))
-            cond_cur = np.repeat(fp.pool_weights([tokens]) @ moved["cemb"], len(x1), axis=0)
-            cond_ref = np.repeat(fp.pool_weights([tokens]) @ flow["cemb"], len(x1), axis=0)
+            pool = fp.pool_weights(np.array([tokens]))
+            cond_cur = np.repeat(pool @ moved["cemb"], len(x1), axis=0)
+            cond_ref = np.repeat(pool @ flow["cemb"], len(x1), axis=0)
             x = x1.copy()
             for k in range(len(times) - 1):
                 t, dt = float(times[k]), float(times[k] - times[k + 1])
@@ -547,20 +563,19 @@ class TestEvaluate:
 
 class TestGreedyTable:
     def test_entries_equal_one_prompt_decodes(self, tiny_pretrain):
-        # the same tokens; the log-probs to rounding only, because BLAS
-        # multiplies one row (gemv) and many rows (gemm) in different orders
+        # the frozen-text table: every prompt's greedy text row in prompt-id
+        # order, decoded in one batch, with the tokens of one-prompt decodes
         rt = _rt()
         text, _ = _snap(rt, tiny_pretrain)
-        table = greedy_table(rt, text)
+        table = rt.text_policy.greedy_trace(text, PROMPT_TOKENS)
         prompts = list(all_prompts())
-        assert len(prompts) == 432 and list(table) == [p.tokens for p in prompts]
+        assert len(prompts) == 432 and [p.prompt_id for p in prompts] == list(range(432))
+        assert table.shape == (432, rt.text_policy.ctx)
         for p in prompts:
-            one = rt.text_policy.greedy_trace(text, [p.tokens], rt.cfg.max_trace_len)[0]
-            got = table[p.tokens]
-            assert got.prompt_tokens == p.tokens
-            assert got.tokens == one.tokens, p
-            np.testing.assert_allclose(got.logprobs, one.logprobs, rtol=0, atol=1e-12,
-                                       err_msg=str(p))
+            one = rt.text_policy.greedy_trace(text, np.array([p.tokens]))[0]
+            got = table[p.prompt_id]
+            assert tuple(got[: rt.text_policy.prompt_len]) == p.tokens
+            assert got.tobytes() == one.tobytes(), p
 
     @pytest.mark.parametrize("total_updates,eval_every", [(6, 3), (5, 1), (0, 3)])
     def test_frozen_text_train_decodes_once(self, tiny_pretrain, tmp_path, monkeypatch,
@@ -592,13 +607,13 @@ class TestGreedyTable:
         state["text.b2"] = state["text.b2"] + 0.5
         checkpoint.save_blocks(tmp_path / "run/state.ckpt", state)
         seen = []
-        real = trainer_mod.greedy_table
+        real = TextPolicy.greedy_trace
 
-        def recording(rt, text_params):
+        def recording(self, text_params, prompts):
             seen.append(text_params)
-            return real(rt, text_params)
+            return real(self, text_params, prompts)
 
-        monkeypatch.setattr(trainer_mod, "greedy_table", recording)
+        monkeypatch.setattr(TextPolicy, "greedy_trace", recording)
         train(cfg, tmp_path / "run", resume=True)
         assert len(seen) == 1
         for name, arr in seen[0].items():
@@ -612,7 +627,7 @@ class TestGreedyTable:
         text, flow = _snap(rt, tiny_pretrain)
         moved = flow.with_blocks({"b2": flow["b2"] + 0.01})
         es = make_eval_set(rt, 0)
-        got = evaluate(rt, text, moved, flow, es, greedy_table(rt, text))
+        got = evaluate(rt, text, moved, flow, es, rt.text_policy.greedy_trace(text, PROMPT_TOKENS))
         assert got == evaluate(rt, text, moved, flow, es)
         assert got == evaluate(rt, text, moved, flow, eval_set=es, greedy=None)
 
@@ -781,10 +796,10 @@ from unigrpo.trainer import keep_freed_heap, make_runtime
 applied = keep_freed_heap() if sys.argv[1] == "on" else False
 cfg = TrainConfig()
 rt = make_runtime(cfg)
-(prompts, traces), _ = make_pretrain_data(0, 128, 1, rt.geom, cfg.p_noise)
+seqs, _ = make_pretrain_data(0, 128, 1, rt.geom, cfg.p_noise)
 policy = rt.text_policy
 params = policy.init_params(stream(0, "init-text"))
-rows, targets, _, _ = policy.token_rows(prompts, traces)
+rows, targets, _, _ = policy.token_rows(seqs)
 assert len(rows) == 512
 for _ in range(2):
     policy.ce_loss(params, rows, targets)

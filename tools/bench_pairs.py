@@ -17,9 +17,12 @@ in the metric's better direction, by more than the parent's IQR; any
 other metric of any workload is flagged when its median got worse by more
 than its bound.
 It also prints each side's failed-operation share, failed / attempted
-summed over the workload's runs.  With --out it writes, per workload, the
-change's last result line in the BENCH_<pr>.json shape, plus the medians,
-win counts and failed shares, and `src_lines`, the line count of
+summed over the workload's runs, and in how many pairs the two sides
+read the same eval_reward (a change meant to move no number keeps every
+pair identical; the exit status does not depend on it).  With --out it
+writes, per workload, the change's last result line in the
+BENCH_<pr>.json shape, plus the medians, win counts, failed shares and
+identical-eval_reward pair count, and `src_lines`, the line count of
 src/unigrpo/*.py in each checkout, next to them.
 
 It refuses to run (exit 2) when perfbench/ (its __pycache__ aside) or
@@ -183,7 +186,10 @@ def main(argv=None) -> int:
                   for i, side in enumerate(("parent", "change"))}
         fewer = shares["change"]["share"] <= shares["parent"]["share"]
         all_ok &= ok and fewer and all(p["correct"] and c["correct"] for p, c in runs)
+        same = sum(p["metrics"]["eval_reward"]["value"] == c["metrics"]["eval_reward"]["value"]
+                   for p, c in runs)
         print(f"== {workload}: {len(runs)} pairs")
+        print(f"eval_reward      identical in {same}/{len(runs)} pairs")
         print("failed share     " + "  ".join(
             f"{side} {e['failed']}/{e['attempted']} ({e['share']:.4f})"
             for side, e in shares.items()) + ("" if fewer else "  MORE FAILED"))
@@ -194,7 +200,7 @@ def main(argv=None) -> int:
                   f"change {e['change_median']:.6g}  {e['relative_change']:+.1%}  "
                   f"wins {e['wins']}/{e['pairs']}  {verdict}")
         record[workload] = {"seed": args.seeds[-1], "result": runs[-1][1], "pairs": summary,
-                            "failed_share": shares}
+                            "failed_share": shares, "eval_reward_identical": same}
     if args.out:
         args.out.write_text(json.dumps(record, indent=2) + "\n")
     return 0 if all_ok else 1
