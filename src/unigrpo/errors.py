@@ -12,7 +12,7 @@ class ConfigError(Exception):
 
 
 class CheckpointError(Exception):
-    """Unreadable, truncated, or incompatible checkpoint file."""
+    """Unreadable, truncated, or incompatible checkpoint file or run directory."""
 
     exit_code = 3
 

@@ -79,57 +79,62 @@ class MetricsWriter:
         self._timings.close()
 
 
+def _parse_row(header: list[str], line: str) -> dict:
+    """One CSV row as python values (None for a blank field).  ValueError
+    unless it has one field per column and its update reads as the writers
+    print it."""
+    parts = line.split(",")
+    if len(parts) != len(header):
+        raise ValueError(f"{len(parts)} fields for {len(header)} columns")
+    row = {name: None if raw == "" else int(raw) if name in ("update", "nonfinite_samples")
+           else float(raw)
+           for name, raw in zip(header, parts)}
+    if parts[0] != str(row["update"]):
+        raise ValueError(f"update {parts[0]!r}")
+    return row
+
+
 def read_metrics(path) -> list[dict]:
     """Parse a metrics.csv back into python values (None for blank evals)."""
     lines = Path(path).read_text().splitlines()
     header = lines[0].split(",")
-    rows = []
-    for line in lines[1:]:
-        parts = line.split(",")
-        rec = {}
-        for name, raw in zip(header, parts):
-            if raw == "":
-                rec[name] = None
-            elif name in ("update", "nonfinite_samples"):
-                rec[name] = int(raw)
-            else:
-                rec[name] = float(raw)
-        rows.append(rec)
-    return rows
+    return [_parse_row(header, line) for line in lines[1:]]
 
 
-def check_resumable(out_dir, update: int) -> None:
-    """CheckpointError unless the run's metrics.csv has the writer's header
-    and, of its rows, keeps exactly updates 0..update for a resume from
-    `update` (a row whose update does not parse is kept)."""
-    path = Path(out_dir) / "metrics.csv"
-    if not path.exists():
-        raise CheckpointError(f"cannot resume: {path} not found")
-    lines = path.read_text(errors="replace").splitlines()
-    updates = [ln.split(",")[0] for ln in lines[1:] if ln]
-    kept = [u for u in updates if not u.isdigit() or int(u) <= update]
-    if lines[:1] != [",".join(METRICS_HEADER)] or kept != [str(u) for u in range(update + 1)]:
-        raise CheckpointError(f"cannot resume: {path} lacks the metrics header or does not "
-                              f"hold exactly updates 0..{update}")
-
-
-def truncate_metrics(out_dir, keep_through_update: int) -> None:
-    """Drop rows after a checkpoint boundary so a resume reproduces the file."""
+def rewind_run(out_dir, update: int) -> None:
+    """Rewind a run directory to its checkpoint at `update`: read and parse
+    every line of its three run files, CheckpointError naming a file that is
+    missing, lacks its header or has a line that does not parse, or unless
+    the metrics rows up to `update` are exactly 0..update; only then drop
+    every row past `update`.  timings.csv may lack rows: `train` writes an
+    update's timings after its checkpoint."""
     out = Path(out_dir)
-    for name in ("metrics.csv", "timings.csv"):
+    files = (("metrics.csv", METRICS_HEADER), ("timings.csv", TIMINGS_HEADER),
+             ("groups.jsonl", None))
+    kept = {}
+    for name, header in files:
         path = out / name
-        if not path.exists():
-            continue
-        lines = path.read_text().splitlines()
-        kept = [lines[0]]
-        kept += [
-            ln for ln in lines[1:] if ln and int(ln.split(",")[0]) <= keep_through_update
-        ]
-        path.write_text("\n".join(kept) + "\n")
-    jsonl = out / "groups.jsonl"
-    if jsonl.exists():
-        kept = [
-            ln for ln in jsonl.read_text().splitlines()
-            if ln and json.loads(ln)["update"] <= keep_through_update
-        ]
-        jsonl.write_text("".join(k + "\n" for k in kept))
+        try:
+            lines = path.read_text().splitlines()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise CheckpointError(f"cannot resume: cannot read {path}: {exc}") from exc
+        head = [",".join(header)] if header else []
+        if lines[:len(head)] != head:
+            raise CheckpointError(f"cannot resume: {path} lacks its header")
+        rows = []
+        for n, line in enumerate(lines[len(head):], len(head) + 1):
+            try:
+                u = _parse_row(header, line)["update"] if header else json.loads(line)["update"]
+                if type(u) is not int:
+                    raise ValueError(f"update {u!r}")
+            except (ValueError, TypeError, KeyError) as exc:
+                raise CheckpointError(f"cannot resume: {path} line {n} does not parse: "
+                                      f"{exc!r}") from exc
+            if u <= update:
+                rows.append((u, line))
+        kept[path] = head, rows
+    path = out / "metrics.csv"
+    if [u for u, _ in kept[path][1]] != list(range(update + 1)):
+        raise CheckpointError(f"cannot resume: {path} does not hold exactly updates 0..{update}")
+    for path, (head, rows) in kept.items():
+        path.write_text("".join(line + "\n" for line in head + [line for _, line in rows]))

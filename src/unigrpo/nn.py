@@ -35,20 +35,15 @@ class Layout:
         """Named, shaped views into `vec`; writing a view writes the vector."""
         return {name: vec[lo:hi].reshape(shape) for name, (lo, hi, shape) in self.spans.items()}
 
-    def flatten(self, blocks: dict[str, np.ndarray]) -> np.ndarray:
-        """One new vector from a block per name, in layout order."""
+    def flatten(self, blocks: dict[str, np.ndarray], prefix: str = "") -> np.ndarray:
+        """One new vector from the block named `prefix` + name for each name,
+        in layout order.  Without a prefix `blocks` may hold no other block."""
         unknown = [name for name in blocks if name not in self.spans]
-        if unknown:
+        if unknown and not prefix:
             raise ConfigError(f"unknown parameter block '{unknown[0]}'")
         parts = [np.zeros(0)]
         for name, (_, _, shape) in self.spans.items():
-            if name not in blocks:
-                raise ConfigError(f"missing parameter block '{name}'")
-            if np.shape(blocks[name]) != shape:
-                raise ConfigError(
-                    f"shape mismatch for block '{name}': {np.shape(blocks[name])} vs {shape}"
-                )
-            parts.append(np.asarray(blocks[name], dtype=np.float64).reshape(-1))
+            parts.append(checked_block(blocks, prefix + name, shape).reshape(-1))
         return np.concatenate(parts)
 
     def first_nonfinite(self, vec: np.ndarray) -> str | None:
@@ -57,6 +52,16 @@ class Layout:
             return None
         bad = int(np.flatnonzero(~np.isfinite(vec))[0])
         return next(name for name, (lo, hi, _) in self.spans.items() if lo <= bad < hi)
+
+
+def checked_block(blocks: dict[str, np.ndarray], name: str, shape: tuple = ()) -> np.ndarray:
+    """blocks[name] as float64 (a 0-d array by default); ConfigError naming
+    the block unless it is there in `shape`."""
+    if name not in blocks:
+        raise ConfigError(f"missing parameter block '{name}'")
+    if np.shape(blocks[name]) != shape:
+        raise ConfigError(f"shape mismatch for block '{name}': {np.shape(blocks[name])} vs {shape}")
+    return np.asarray(blocks[name], dtype=np.float64)
 
 
 class ParamSet:
@@ -131,10 +136,10 @@ class AdamState:
         return out
 
     def load_state_blocks(self, prefix: str, blocks: dict[str, np.ndarray]) -> None:
-        names = self.layout.spans
-        self.m = self.layout.flatten({k: blocks[f"{prefix}.m.{k}"] for k in names})
-        self.v = self.layout.flatten({k: blocks[f"{prefix}.v.{k}"] for k in names})
-        self.step = int(blocks[f"{prefix}.step"])
+        """Inverse of state_blocks; ConfigError naming a missing or misshapen block."""
+        self.m = self.layout.flatten(blocks, f"{prefix}.m.")
+        self.v = self.layout.flatten(blocks, f"{prefix}.v.")
+        self.step = int(checked_block(blocks, f"{prefix}.step"))
 
 
 def adam_step(params: ParamSet, grads: np.ndarray, state: AdamState) -> ParamSet:

@@ -31,7 +31,7 @@ class TextUpdateBatch:
     targets: np.ndarray    # (n,) token scored at each row
     owner: np.ndarray      # (n,) trace of each row
     position: np.ndarray   # (n,) position of each row in its trace
-    old_logp: np.ndarray   # (n,) log-probs at the sampling parameters
+    old_logp: np.ndarray | None  # (n,) log-probs at the sampling parameters, once known
     adv: np.ndarray        # (n,) advantage of each row's trace
     weight: np.ndarray     # (n,) 1 / (traces * trace length)
     inv_t: float
@@ -181,14 +181,13 @@ class TextPolicy:
     # ---- GRPO surrogate ----
 
     def prepare_batch(self, seqs: np.ndarray, advantages: np.ndarray, temperature: float,
-                      beta_txt: float, ref_params: ParamSet,
-                      old_params: ParamSet) -> TextUpdateBatch:
+                      beta_txt: float, ref_params: ParamSet) -> TextUpdateBatch:
         """The per-update part of the surrogate for the text rows `seqs`:
-        context rows, targets, per-row advantages and weights, the old
-        log-probs at T from a forward of `old_params` (the sampling
-        parameters) on these same rows, and the reference head's log-softmax
-        at T when the KL term is on.  Each trace weighs 1/len(seqs), so one
-        batch over several groups equals the mean of per-group batches."""
+        context rows, targets, per-row advantages and weights, and the
+        reference head's log-softmax at T when the KL term is on.  The old
+        log-probs are left to the first surrogate_loss call.  Each trace
+        weighs 1/len(seqs), so one batch over several groups equals the mean
+        of per-group batches."""
         G = len(seqs)
         assert len(advantages) == G
         rows, targets, owner, position = self.token_rows(seqs)
@@ -198,13 +197,11 @@ class TextPolicy:
                              f"position {position[bad[0]]}")
         weight = 1.0 / (G * np.bincount(owner, minlength=G)[owner])
         inv_t = 1.0 / temperature
-        old_logp = log_softmax_np(self.logits_np(old_params, rows) * inv_t)
-        old_logp = old_logp[np.arange(len(targets)), targets]
         kl_weight = ref_logp = None
         if beta_txt != 0.0:
             kl_weight = beta_txt * weight
             ref_logp = log_softmax_np(self.logits_np(ref_params, rows) * inv_t)
-        return TextUpdateBatch(rows, self._cells(rows), targets, owner, position, old_logp,
+        return TextUpdateBatch(rows, self._cells(rows), targets, owner, position, None,
                                np.asarray(advantages, dtype=np.float64)[owner], weight,
                                inv_t, kl_weight, ref_logp)
 
@@ -215,13 +212,18 @@ class TextPolicy:
         trace and across traces, minus the exact per-token KL to the reference
         head.  Both policies are scored at the sampling temperature, so the
         ratio is taken against the distribution the traces were drawn from.
-        Everything after the MLP is one fused head node.  Returns the ascent
-        gradient."""
+        Everything after the MLP is one fused head node.  The first call on
+        a batch must be at the sampling parameters: its picked log-probs
+        become the batch's old log-probs, so every ratio of that call is
+        exactly 1.  Returns the ascent gradient."""
         b = batch
         tape = Tape()
         out = self._logits_var(tape, params, b.rows, b.cells)
         logp, probs = softmax_np(out.value * b.inv_t)
-        ratio = np.exp(logp[np.arange(len(b.targets)), b.targets] - b.old_logp)
+        pick = logp[np.arange(len(b.targets)), b.targets]
+        if b.old_logp is None:
+            b.old_logp = pick
+        ratio = np.exp(pick - b.old_logp)
         bad = np.flatnonzero(~np.isfinite(ratio))
         if bad.size:
             raise NumericError(f"non-finite importance ratio at trace {b.owner[bad[0]]}, "

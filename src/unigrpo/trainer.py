@@ -28,8 +28,8 @@ from . import checkpoint
 from .config import TrainConfig, config_to_dict, dump_config
 from .errors import CheckpointError, ConfigError, NumericError
 from .flow_policy import DIM, FlowBatch, FlowPolicy, timestep_schedule
-from .metrics import MetricsRow, MetricsWriter, check_resumable, read_metrics, truncate_metrics
-from .nn import AdamState, ParamSet, adam_step
+from .metrics import MetricsRow, MetricsWriter, read_metrics, rewind_run
+from .nn import AdamState, ParamSet, adam_step, checked_block
 from .rng import below, normals, stream, uniforms, words_by_tag
 from .task import (
     PROMPT_BOUNDS,
@@ -245,7 +245,7 @@ def unified_update(
     try:
         if cfg.train_text:
             text_batch = rt.text_policy.prepare_batch(
-                batch.seqs[rows], advantages, cfg.temperature, cfg.beta_txt, text_ref, text_params
+                batch.seqs[rows], advantages, cfg.temperature, cfg.beta_txt, text_ref
             )
         if cfg.train_flow:
             flow_batch = rt.flow_policy.prepare_batch(batch.flow.take(rows), advantages,
@@ -464,18 +464,13 @@ def check_architecture(loaded: ParamSet, policy: TextPolicy | FlowPolicy, which:
 _STATE_FILE = "state.ckpt"
 
 
-def _state_blocks(update: int, text_params, flow_params, adam_text, adam_flow) -> dict:
+def _save_state(out: Path, update: int, text_params, flow_params, adam_text, adam_flow):
     blocks = {f"text.{k}": v for k, v in text_params.items()}
     blocks.update({f"flow.{k}": v for k, v in flow_params.items()})
     blocks.update(adam_text.state_blocks("adam_text"))
     blocks.update(adam_flow.state_blocks("adam_flow"))
     blocks["meta.update"] = np.float64(update)
-    return blocks
-
-
-def _save_state(out: Path, update: int, text_params, flow_params, adam_text, adam_flow):
-    checkpoint.save_blocks(out / _STATE_FILE,
-                           _state_blocks(update, text_params, flow_params, adam_text, adam_flow))
+    checkpoint.save_blocks(out / _STATE_FILE, blocks)
     checkpoint.save_params(out / "text.ckpt", text_params)
     checkpoint.save_params(out / "flow.ckpt", flow_params)
 
@@ -486,7 +481,6 @@ def train(cfg: TrainConfig, out_dir, resume: bool = False, config_text: str | No
     resumed run continues them exactly."""
     rt = make_runtime(cfg)
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     seed = cfg.seed
 
     pre = Path(cfg.pretrain_dir)
@@ -499,9 +493,28 @@ def train(cfg: TrainConfig, out_dir, resume: bool = False, config_text: str | No
     flow_ref = checkpoint.load_params(pre / "flow.ckpt")
     check_architecture(text_ref, rt.text_policy, "text")
     check_architecture(flow_ref, rt.flow_policy, "flow")
+
+    text_params, flow_params = text_ref.copy(), flow_ref.copy()
+    adam_text = AdamState.for_params(text_params, lr=cfg.lr_text)
+    adam_flow = AdamState.for_params(flow_params, lr=cfg.lr_flow)
+    start_update = 0
+
+    if resume:
+        # the whole run directory is checked before any file of it is written
+        state_path = out / _STATE_FILE
+        blocks = checkpoint.load_blocks(state_path)
+        try:
+            start_update = int(checked_block(blocks, "meta.update"))
+            text_params = text_params.with_vector(text_params.layout.flatten(blocks, "text."))
+            flow_params = flow_params.with_vector(flow_params.layout.flatten(blocks, "flow."))
+            adam_text.load_state_blocks("adam_text", blocks)
+            adam_flow.load_state_blocks("adam_flow", blocks)
+        except ConfigError as exc:
+            raise CheckpointError(f"{state_path}: {exc}") from exc
+        rewind_run(out, start_update)
+
     checkpoint.save_params(out / "ref_text.ckpt", text_ref)
     checkpoint.save_params(out / "ref_flow.ckpt", flow_ref)
-
     manifest_path = out / "run_manifest.json"
     if not manifest_path.exists():
         manifest = {
@@ -515,34 +528,6 @@ def train(cfg: TrainConfig, out_dir, resume: bool = False, config_text: str | No
             "pretrain_dir": str(pre),
         }
         manifest_path.write_text(json.dumps(manifest, indent=2))
-
-    text_params, flow_params = text_ref.copy(), flow_ref.copy()
-    adam_text = AdamState.for_params(text_params, lr=cfg.lr_text)
-    adam_flow = AdamState.for_params(flow_params, lr=cfg.lr_flow)
-    start_update = 0
-
-    if resume:
-        state_path = out / _STATE_FILE
-        if not state_path.exists():
-            raise CheckpointError(f"cannot resume: {state_path} not found")
-        blocks = checkpoint.load_blocks(state_path)
-        # every block the run saves must be there, in the shape it saves
-        for name, like in _state_blocks(0, text_params, flow_params, adam_text,
-                                        adam_flow).items():
-            if name not in blocks:
-                raise CheckpointError(f"{state_path}: missing block '{name}'")
-            if blocks[name].shape != np.shape(like):
-                raise CheckpointError(f"{state_path}: block '{name}' has shape "
-                                      f"{blocks[name].shape}, expected {np.shape(like)}")
-        start_update = int(blocks["meta.update"])
-        text_params, flow_params = (
-            p.with_blocks({k: blocks[f"{tag}.{k}"] for k in p.names()})
-            for p, tag in ((text_params, "text"), (flow_params, "flow"))
-        )
-        adam_text.load_state_blocks("adam_text", blocks)
-        adam_flow.load_state_blocks("adam_flow", blocks)
-        check_resumable(out, start_update)
-        truncate_metrics(out, start_update)
 
     writer = MetricsWriter(out, append=resume)
     eval_set = make_eval_set(rt, seed)

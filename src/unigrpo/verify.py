@@ -104,7 +104,8 @@ def gradient_oracles(corrupt_gradient: bool = False) -> list[OracleResult]:
     adv = np.array([1.0, -0.4, 0.3])
     tref = text.init_params(stream(SEED + 1, "t-init"))
     tmoved = tparams.with_blocks({"W2": tparams["W2"] + 0.01})
-    tbatch = text.prepare_batch(seqs, adv, 1.0, 0.05, tref, tparams)
+    tbatch = text.prepare_batch(seqs, adv, 1.0, 0.05, tref)
+    text.surrogate_loss(tparams, tbatch, 0.2)  # the old log-probs are those at tparams
 
     def text_loss(p):
         j, grads, _ = text.surrogate_loss(p, tbatch, 0.2)

@@ -7,7 +7,7 @@ import pytest
 from unigrpo.ablate import ablate
 from unigrpo.config import TrainConfig
 from unigrpo.errors import ConfigError
-from unigrpo.metrics import MetricsRow, MetricsWriter, read_metrics, truncate_metrics
+from unigrpo.metrics import MetricsRow, MetricsWriter, read_metrics, rewind_run
 
 TINY = TrainConfig(
     seed=0,
@@ -71,7 +71,7 @@ class TestMetricsFiles:
             w.write_row(self._row(u, eval_reward=0.1 * u))
             w.write_group_record({"update": u, "slot": 0})
         w.close()
-        truncate_metrics(tmp_path, keep_through_update=2)
+        rewind_run(tmp_path, 2)
         rows = read_metrics(tmp_path / "metrics.csv")
         assert [r["update"] for r in rows] == [0, 1, 2]
         recs = [json.loads(l) for l in (tmp_path / "groups.jsonl").read_text().splitlines()]
@@ -83,7 +83,7 @@ class TestMetricsFiles:
             w.write_row(self._row(u))
             w.write_timings(u, 1.0 + u, 0.25, 0.5, 0.0, 0.125)
         w.close()
-        truncate_metrics(tmp_path, keep_through_update=2)
+        rewind_run(tmp_path, 2)
         timings = (tmp_path / "timings.csv").read_text().splitlines()
         assert timings[0] == "update,wall_clock,rollout_s,update_s,eval_s,io_s"
         assert timings[1:] == [f"{u},{1.0 + u:.6f},0.250000,0.500000,0.000000,0.125000"

@@ -128,3 +128,26 @@ def test_counts_pairs_with_identical_eval_reward(pair, monkeypatch, capsys, tmp_
     assert _main(pair, "--workload", "train-desk", "--out", str(out)) == 0
     assert "eval_reward      identical in 2/3 pairs" in capsys.readouterr().out
     assert json.loads(out.read_text())["train-desk"]["eval_reward_identical"] == 2
+
+
+
+@pytest.mark.parametrize("failing, status", [("both", 0), ("change", 1)])
+def test_failures_compare_seed_by_seed(pair, monkeypatch, tmp_path, failing, status):
+    # seed 2 fails its 3 set-ups on both sides, where the change attempts
+    # fewer operations (the same failures, a larger share of its run), or on
+    # the change side only
+    def run_once(checkout, workload, seed, seconds):
+        result = _result(1.0)
+        if seed == 2 and (failing == "both" or checkout == pair[1]):
+            result.update(correct=False, failed=3)
+        if seed == 2 and checkout == pair[1]:
+            result["attempted"] = 7
+        return result
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    out = tmp_path / "bench.json"
+    assert _main(pair, "--workload", "train-desk", "--out", str(out)) == status
+    failed = json.loads(out.read_text())["train-desk"]["failed_per_seed"]
+    assert failed["change"] == {"2": 3}
+    assert failed["parent"] == ({"2": 3} if failing == "both" else {})
+    assert failed["more_failed"] == ([] if failing == "both" else [2])

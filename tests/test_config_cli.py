@@ -339,7 +339,8 @@ class TestCli:
         assert "adam_flow.m.W1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("block, damage", [("meta.update", "drop"),
-                                               ("adam_flow.m.b0", "shorten")])
+                                               ("adam_flow.m.b0", "shorten"),
+                                               ("adam_text.step", "widen")])
     def test_resume_from_incomplete_state_exits_3(self, cli_workspace, capsys, block, damage):
         # a state.ckpt that lacks a block, or holds one in the wrong shape, is a
         # bad checkpoint, not a crash or a config error
@@ -351,6 +352,8 @@ class TestCli:
         blocks = load_blocks(out / "state.ckpt")
         if damage == "drop":
             del blocks[block]
+        elif damage == "widen":
+            blocks[block] = np.stack([blocks[block]] * 2)
         else:
             blocks[block] = blocks[block][:-1]
         save_blocks(out / "state.ckpt", blocks)
@@ -360,9 +363,10 @@ class TestCli:
         assert block in capsys.readouterr().err
 
     @pytest.mark.parametrize("updates", [2, 4])
-    @pytest.mark.parametrize("damage", ["missing", "header", "row dropped", "row garbled"])
+    @pytest.mark.parametrize("damage", ["missing", "header", "row dropped", "row garbled",
+                                        "groups.jsonl row garbled", "timings.csv row garbled"])
     def test_resume_with_damaged_metrics_exits_3(self, cli_workspace, capsys, damage, updates):
-        # a metrics.csv the resumed run cannot continue is a bad run
+        # a run file the resumed run cannot continue makes a bad run
         # directory, refused before any file of it is touched, whether the
         # resume has updates left to run or not
         ws, cfg_path = cli_workspace
@@ -373,21 +377,23 @@ class TestCli:
                                                      f"total_updates = {updates}"))
         out = ws / f"metrics_{damage.replace(' ', '_')}_{updates}"
         assert main(["train", "--config", str(short), "--out", str(out)]) == 0
-        metrics = out / "metrics.csv"
-        lines = metrics.read_text().splitlines(keepends=True)
+        name = {"groups.jsonl row garbled": "groups.jsonl",
+                "timings.csv row garbled": "timings.csv"}.get(damage, "metrics.csv")
+        damaged = out / name
+        lines = damaged.read_text().splitlines(keepends=True)
         if damage == "missing":
-            metrics.unlink()
+            damaged.unlink()
         elif damage == "header":
-            metrics.write_text("".join(["update,eval\n"] + lines[1:]))
+            damaged.write_text("".join(["update,eval\n"] + lines[1:]))
         elif damage == "row dropped":
-            metrics.write_text("".join(lines[:2] + lines[3:]))
+            damaged.write_text("".join(lines[:2] + lines[3:]))
         else:
-            metrics.write_text("".join(lines[:2] + ["x" + lines[2]] + lines[3:]))
+            damaged.write_text("".join(lines[:2] + ["x" + lines[2]] + lines[3:]))
         before = {p.name: p.read_bytes() for p in out.iterdir()}
         capsys.readouterr()
         rc = main(["train", "--config", str(more), "--out", str(out), "--resume"])
         assert rc == 3
-        assert "metrics.csv" in capsys.readouterr().err
+        assert name in capsys.readouterr().err
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
     def test_cli_pins_unset_blas_threads_to_one(self, cli_workspace):

@@ -100,7 +100,7 @@ class TestTextHeads:
         params, ref = _text_params(1), _text_params(2)
         traces = _traces(params, temperature)
         adv = stream(3, "adv").normal(size=len(traces))
-        batch = TEXT.prepare_batch(traces, adv, temperature, beta_txt, ref, params)
+        batch = TEXT.prepare_batch(traces, adv, temperature, beta_txt, ref)
         moved = params.with_blocks({"W2": params["W2"] + 0.01, "wte": params["wte"] - 0.02})
         for theta in (params, moved):
             for clip_eps in (0.2, 1e-4, 0.0):
@@ -123,7 +123,7 @@ class TestTextHeads:
         # (unclipped term first) leaves a gradient
         params = _text_params(4)
         traces = _traces(params, 1.0, g=6, seed=4)
-        batch = TEXT.prepare_batch(traces, np.linspace(-1.0, 1.0, 6), 1.0, 0.0, params, params)
+        batch = TEXT.prepare_batch(traces, np.linspace(-1.0, 1.0, 6), 1.0, 0.0, params)
         _, grads, _ = TEXT.surrogate_loss(params, batch, 0.0)
         _, grads_wide, _ = TEXT.surrogate_loss(params, batch, 0.5)
         assert np.any(grads != 0.0)
@@ -272,8 +272,7 @@ def test_every_loss_tape_is_at_most_twelve_nodes(monkeypatch):
     monkeypatch.setattr(Tape, "param_grads", counting)
     tparams, fparams = _text_params(12), _flow_params(13)
     traces = _traces(tparams, 1.0, g=4)
-    TEXT.surrogate_loss(tparams, TEXT.prepare_batch(traces, np.ones(4), 1.0, 0.05, tparams,
-                                                    tparams), 0.2)
+    TEXT.surrogate_loss(tparams, TEXT.prepare_batch(traces, np.ones(4), 1.0, 0.05, tparams), 0.2)
     rows, targets, _, _ = TEXT.token_rows(traces)
     TEXT.ce_loss(tparams, rows, targets)
     for cfg_scale in (1.0, 2.0):

@@ -47,9 +47,13 @@ def _context_rows(prompt_tokens, trace_tokens, policy=POLICY):
 
 
 def _batch(seqs, adv, temperature, beta_txt, ref_params, old_params, old_logp=None):
-    """A prepared batch, its old log-probs replaced by `old_logp` when given."""
-    batch = POLICY.prepare_batch(seqs, adv, temperature, beta_txt, ref_params, old_params)
-    return batch if old_logp is None else replace(batch, old_logp=old_logp)
+    """A prepared batch whose old log-probs are `old_logp` when given, else
+    those a first surrogate call at `old_params` takes."""
+    batch = POLICY.prepare_batch(seqs, adv, temperature, beta_txt, ref_params)
+    if old_logp is not None:
+        return replace(batch, old_logp=old_logp)
+    POLICY.surrogate_loss(old_params, batch, 0.0)
+    return batch
 
 
 def _surrogate(params, seqs, adv, clip_eps, beta_txt, ref_params, temperature=1.0,
@@ -73,7 +77,7 @@ def _sample(params, temperature=1.0, seed=0, tag="s"):
 
 
 def _old_logp(params, seqs, temperature=1.0):
-    """The old log-probs prepare_batch takes at `params`."""
+    """The old log-probs the first surrogate call takes at `params`."""
     return _batch(seqs, np.ones(len(seqs)), temperature, 0.0, params, params).old_logp
 
 
@@ -330,7 +334,7 @@ class TestSurrogate:
             params = policy.init_params(stream(seed, "init-text"))
             prompts = np.array([p.tokens for p in random_prompts(seed, "p", n)])
             seqs = policy.sample_trace(params, prompts, 1.3, stream(seed, "u").random((n, 6)))
-            batch = policy.prepare_batch(seqs, np.ones(n), 1.3, 0.0, params, params)
+            batch = policy.prepare_batch(seqs, np.ones(n), 1.3, 0.0, params)
             _, _, stats = policy.surrogate_loss(params, batch, 0.2)
             if not stats.max_ratio == stats.mean_ratio == 1.0:
                 bad.append(seed)
@@ -344,7 +348,7 @@ class TestSurrogate:
         adv = np.array([1.0, -0.5, 0.25])
         for temperature in (1.0, 0.7):
             traces = _group(params, g=3, seed=5, temperature=temperature)
-            batch = POLICY.prepare_batch(traces, adv, temperature, 0.05, ref, params)
+            batch = _batch(traces, adv, temperature, 0.05, ref, params)
 
             def loss(p):
                 j, gs, _ = POLICY.surrogate_loss(p, batch, 0.2)

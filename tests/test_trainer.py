@@ -92,10 +92,17 @@ def _rows(groups):
                            seqs=b.seqs[rows], flow=b.flow.take(rows))
 
 
+def _text_batch(rt, seqs, advantages, temperature, beta_txt, ref, old):
+    """A text batch whose old log-probs a first surrogate call at `old` took."""
+    batch = rt.text_policy.prepare_batch(seqs, advantages, temperature, beta_txt, ref)
+    rt.text_policy.surrogate_loss(old, batch, 0.0)
+    return batch
+
+
 def _old_logp(rt, text, seqs):
     """The old log-probs the text update takes for the rows `seqs`."""
-    return rt.text_policy.prepare_batch(seqs, np.ones(len(seqs)), rt.cfg.temperature, 0.0,
-                                        text, text).old_logp
+    return _text_batch(rt, seqs, np.ones(len(seqs)), rt.cfg.temperature, 0.0, text,
+                       text).old_logp
 
 
 def _snap(rt, pre_dir):
@@ -414,7 +421,7 @@ class TestUnifiedUpdate:
         active = [_rows(g) for g in groups if not g.degenerate]
         j_text_sep = np.mean([
             rt.text_policy.surrogate_loss(text, rt.text_policy.prepare_batch(
-                g.seqs, g.advantages, cfg.temperature, cfg.beta_txt, text, text,
+                g.seqs, g.advantages, cfg.temperature, cfg.beta_txt, text,
             ), cfg.clip_eps)[0]
             for g in active
         ])
@@ -442,8 +449,8 @@ class TestUnifiedUpdate:
         text_ref = text.with_blocks({"b2": text["b2"] - 0.02})
         calls = {
             "text": lambda gs: rt.text_policy.surrogate_loss(
-                text_moved, rt.text_policy.prepare_batch(
-                    _rows(gs).seqs, _rows(gs).advantages, 0.7, 0.05, text_ref, text,
+                text_moved, _text_batch(
+                    rt, _rows(gs).seqs, _rows(gs).advantages, 0.7, 0.05, text_ref, text,
                 ), 0.2,
             ),
             "flow": lambda gs: rt.flow_policy.surrogate_loss(
@@ -663,14 +670,20 @@ class TestTrainLoop:
         train(cfg, tmp_path / "full")
 
         short = replace(cfg, total_updates=3)
-        train(short, tmp_path / "resumed")
-        train(cfg, tmp_path / "resumed", resume=True)
+        # "cut" lacks the last timings row, as a run stopped between the
+        # update's checkpoint and its timings row does
+        for run in ("resumed", "cut"):
+            train(short, tmp_path / run)
+            if run == "cut":
+                timings = tmp_path / run / "timings.csv"
+                timings.write_text("".join(timings.read_text().splitlines(True)[:-1]))
+            train(cfg, tmp_path / run, resume=True)
 
-        assert (tmp_path / "full/metrics.csv").read_bytes() == \
-            (tmp_path / "resumed/metrics.csv").read_bytes()
-        for name in ("text.ckpt", "flow.ckpt", "state.ckpt"):
-            assert (tmp_path / "full" / name).read_bytes() == \
-                (tmp_path / "resumed" / name).read_bytes()
+            assert (tmp_path / "full/metrics.csv").read_bytes() == \
+                (tmp_path / run / "metrics.csv").read_bytes()
+            for name in ("text.ckpt", "flow.ckpt", "state.ckpt"):
+                assert (tmp_path / "full" / name).read_bytes() == \
+                    (tmp_path / run / name).read_bytes()
 
     def test_summary_reports_the_final_evaluation(self, tiny_pretrain, tmp_path):
         # the summary comes from metrics.csv: resuming a finished run, or a run

@@ -16,12 +16,14 @@ won at least 9 of every 10 pairs of that workload and the medians differ,
 in the metric's better direction, by more than the parent's IQR; any
 other metric of any workload is flagged when its median got worse by more
 than its bound.
-It also prints each side's failed-operation share, failed / attempted
-summed over the workload's runs, and in how many pairs the two sides
-read the same eval_reward (a change meant to move no number keeps every
-pair identical; the exit status does not depend on it).  With --out it
+It also prints each side's failed operations per seed, and in how many
+pairs the two sides read the same eval_reward (a change meant to move no
+number keeps every pair identical; the exit status does not depend on
+it).  Failures are compared seed by seed, not as shares of the attempted
+operations: a seed's set-up failures are a fixed count, while the number
+of operations a run attempts depends on how fast it ran.  With --out it
 writes, per workload, the change's last result line in the
-BENCH_<pr>.json shape, plus the medians, win counts, failed shares and
+BENCH_<pr>.json shape, plus the medians, win counts, failures per seed and
 identical-eval_reward pair count, and `src_lines`, the line count of
 src/unigrpo/*.py in each checkout, next to them.
 
@@ -30,9 +32,10 @@ BENCHMARK.json differ between the two checkouts, naming the first file that
 differs: both sides must be measured by the same benchmark code.
 
 Run nothing else on the machine meanwhile: the pairs share its CPUs.
-Exit status: 0 when every claim is shown, no bound is crossed, every run is
-correct and the change's failed share is no larger than the parent's;
-else 1.
+Exit status: 0 when every claim is shown, no bound is crossed, and on no
+seed did the change's run fail more operations than the parent's, or fail
+a check where the parent's passed every check; else 1.  So a seed that
+fails the same way on both sides does not fail the comparison.
 """
 
 from __future__ import annotations
@@ -103,12 +106,16 @@ def claim(text: str) -> tuple[str, str]:
     return workload, metric
 
 
-def failed_share(results: list[dict]) -> dict:
-    """Failed and attempted operations summed over runs, and their ratio."""
-    failed = sum(r["failed"] for r in results)
-    attempted = sum(r["attempted"] for r in results)
-    return {"failed": failed, "attempted": attempted,
-            "share": failed / attempted if attempted else 0.0}
+def failed_per_seed(seeds: list[int], runs: list[tuple[dict, dict]]) -> dict:
+    """Each side's failed operations by seed (seeds without failures left
+    out), and the seeds on which the change failed more operations than the
+    parent, or was incorrect where the parent was correct."""
+    failed = {side: {str(seed): pair[i]["failed"] for seed, pair in zip(seeds, runs)
+                     if pair[i]["failed"]}
+              for i, side in enumerate(("parent", "change"))}
+    failed["more_failed"] = [seed for seed, (p, c) in zip(seeds, runs)
+                             if c["failed"] > p["failed"] or (p["correct"] and not c["correct"])]
+    return failed
 
 
 def summarize(spec: dict, runs: list[tuple[dict, dict]], claims: set[str]) -> tuple[dict, bool]:
@@ -182,17 +189,15 @@ def main(argv=None) -> int:
                       f"failed={result[side]['failed']} {values}", flush=True)
             runs.append((result["parent"], result["change"]))
         summary, ok = summarize(spec, runs, {m for w, m in args.claim if w == workload})
-        shares = {side: failed_share([pair[i] for pair in runs])
-                  for i, side in enumerate(("parent", "change"))}
-        fewer = shares["change"]["share"] <= shares["parent"]["share"]
-        all_ok &= ok and fewer and all(p["correct"] and c["correct"] for p, c in runs)
+        failed = failed_per_seed(args.seeds, runs)
+        all_ok &= ok and not failed["more_failed"]
         same = sum(p["metrics"]["eval_reward"]["value"] == c["metrics"]["eval_reward"]["value"]
                    for p, c in runs)
         print(f"== {workload}: {len(runs)} pairs")
         print(f"eval_reward      identical in {same}/{len(runs)} pairs")
-        print("failed share     " + "  ".join(
-            f"{side} {e['failed']}/{e['attempted']} ({e['share']:.4f})"
-            for side, e in shares.items()) + ("" if fewer else "  MORE FAILED"))
+        print("failed per seed  " + "  ".join(
+            f"{side} {failed[side] or 'none'}" for side in ("parent", "change"))
+            + (f"  MORE FAILED on seeds {failed['more_failed']}" if failed["more_failed"] else ""))
         for name, e in summary.items():
             verdict = ("claim shown" if e["claim_shown"] else "claim NOT shown") \
                 if "claim_shown" in e else ("ok" if e["within_bound"] else "BOUND CROSSED")
@@ -200,7 +205,7 @@ def main(argv=None) -> int:
                   f"change {e['change_median']:.6g}  {e['relative_change']:+.1%}  "
                   f"wins {e['wins']}/{e['pairs']}  {verdict}")
         record[workload] = {"seed": args.seeds[-1], "result": runs[-1][1], "pairs": summary,
-                            "failed_share": shares, "eval_reward_identical": same}
+                            "failed_per_seed": failed, "eval_reward_identical": same}
     if args.out:
         args.out.write_text(json.dumps(record, indent=2) + "\n")
     return 0 if all_ok else 1
