@@ -64,6 +64,15 @@ def checked_block(blocks: dict[str, np.ndarray], name: str, shape: tuple = ()) -
     return np.asarray(blocks[name], dtype=np.float64)
 
 
+def checked_count(blocks: dict[str, np.ndarray], name: str) -> int:
+    """The 0-d block `name` as an int; ConfigError naming the block unless
+    it holds a non-negative integer."""
+    value = float(checked_block(blocks, name))
+    if not (value >= 0.0 and value.is_integer()):
+        raise ConfigError(f"block '{name}' holds {value!r}, not a non-negative integer count")
+    return int(value)
+
+
 class ParamSet:
     """Float64 parameter blocks stored as views into one contiguous vector.
 
@@ -136,10 +145,11 @@ class AdamState:
         return out
 
     def load_state_blocks(self, prefix: str, blocks: dict[str, np.ndarray]) -> None:
-        """Inverse of state_blocks; ConfigError naming a missing or misshapen block."""
+        """Inverse of state_blocks; ConfigError naming a missing or misshapen
+        block, or a step that is not a count."""
         self.m = self.layout.flatten(blocks, f"{prefix}.m.")
         self.v = self.layout.flatten(blocks, f"{prefix}.v.")
-        self.step = int(checked_block(blocks, f"{prefix}.step"))
+        self.step = checked_count(blocks, f"{prefix}.step")
 
 
 def adam_step(params: ParamSet, grads: np.ndarray, state: AdamState) -> ParamSet:

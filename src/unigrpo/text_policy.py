@@ -24,10 +24,13 @@ from .task import (EOS, PAD, PROMPT_LEN, PROMPT_TOKENS, TRACE_LEN, VOCAB_SIZE, c
 @dataclass
 class TextUpdateBatch:
     """Everything a text surrogate needs besides theta, built once per update:
-    one row per (trace, position), trace by trace."""
+    n scored rows, one per (trace, position), trace by trace, over the u
+    distinct contexts they read (group members share their prompt row and
+    often a prefix), each context scored once."""
 
-    rows: np.ndarray       # (n, ctx) context token ids
-    cells: np.ndarray      # (n * ctx * embed,) embedding-table cell of each input entry
+    rows: np.ndarray       # (u, ctx) distinct context token ids, in sorted order
+    cells: np.ndarray      # (u * ctx * embed,) embedding-table cell of each input entry
+    inverse: np.ndarray    # (n,) distinct context of each scored row
     targets: np.ndarray    # (n,) token scored at each row
     owner: np.ndarray      # (n,) trace of each row
     position: np.ndarray   # (n,) position of each row in its trace
@@ -35,8 +38,8 @@ class TextUpdateBatch:
     adv: np.ndarray        # (n,) advantage of each row's trace
     weight: np.ndarray     # (n,) 1 / (traces * trace length)
     inv_t: float
-    kl_weight: np.ndarray | None  # beta_txt * weight, or None without a KL term
-    ref_logp: np.ndarray | None   # (n, vocab) reference log-softmax at T
+    kl_weight: np.ndarray | None  # (u,) beta_txt * weight summed per context, or None
+    ref_logp: np.ndarray | None   # (u, vocab) reference log-softmax at T
 
 
 def softmax_np(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -53,13 +56,14 @@ def log_softmax_np(z: np.ndarray) -> np.ndarray:
     return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
 
-def _pick_vjp(logp: np.ndarray, targets: np.ndarray, g_pick: np.ndarray,
+def _pick_vjp(logp: np.ndarray, rows: np.ndarray, targets: np.ndarray, g_pick: np.ndarray,
               g_rows: np.ndarray | None = None) -> np.ndarray:
     """Logits gradient through the log-softmax rows `logp` and their entries
-    at `targets`, given the picked entries' gradient and, when given, a
-    gradient on the whole rows (summed in that order)."""
-    g = np.zeros_like(logp)
-    g[np.arange(len(targets)), targets] = g_pick
+    picked at (`rows`, `targets`), given the picks' gradient (one per pick or
+    one for all, summed per entry in pick order) and, when given, a gradient
+    on the whole rows (summed in that order)."""
+    g_pick = np.broadcast_to(g_pick, targets.shape)
+    g = np.bincount(rows * logp.shape[1] + targets, g_pick, logp.size).reshape(logp.shape)
     if g_rows is not None:
         g = g_rows + g
     return g - np.exp(logp) * g.sum(axis=-1, keepdims=True)
@@ -183,11 +187,12 @@ class TextPolicy:
     def prepare_batch(self, seqs: np.ndarray, advantages: np.ndarray, temperature: float,
                       beta_txt: float, ref_params: ParamSet) -> TextUpdateBatch:
         """The per-update part of the surrogate for the text rows `seqs`:
-        context rows, targets, per-row advantages and weights, and the
-        reference head's log-softmax at T when the KL term is on.  The old
-        log-probs are left to the first surrogate_loss call.  Each trace
-        weighs 1/len(seqs), so one batch over several groups equals the mean
-        of per-group batches."""
+        the distinct context rows (sorted, so their order is fixed by the
+        rows alone) and each scored row's index into them, targets, per-row
+        advantages and weights, and the reference head's log-softmax at T
+        when the KL term is on.  The old log-probs are left to the first
+        surrogate_loss call.  Each trace weighs 1/len(seqs), so one batch
+        over several groups equals the mean of per-group batches."""
         G = len(seqs)
         assert len(advantages) == G
         rows, targets, owner, position = self.token_rows(seqs)
@@ -196,12 +201,16 @@ class TextPolicy:
             raise ValueError(f"token out of vocabulary at trace {owner[bad[0]]}, "
                              f"position {position[bad[0]]}")
         weight = 1.0 / (G * np.bincount(owner, minlength=G)[owner])
+        # one byte string per row: np.unique sorts and merges them whole
+        keys = rows.view(np.dtype((np.void, rows.itemsize * self.ctx))).ravel()
+        distinct, inverse = np.unique(keys, return_inverse=True)
+        rows = distinct.view(np.int64).reshape(-1, self.ctx)
         inv_t = 1.0 / temperature
         kl_weight = ref_logp = None
         if beta_txt != 0.0:
-            kl_weight = beta_txt * weight
+            kl_weight = np.bincount(inverse, beta_txt * weight, len(rows))
             ref_logp = log_softmax_np(self.logits_np(ref_params, rows) * inv_t)
-        return TextUpdateBatch(rows, self._cells(rows), targets, owner, position, None,
+        return TextUpdateBatch(rows, self._cells(rows), inverse, targets, owner, position, None,
                                np.asarray(advantages, dtype=np.float64)[owner], weight,
                                inv_t, kl_weight, ref_logp)
 
@@ -215,12 +224,14 @@ class TextPolicy:
         Everything after the MLP is one fused head node.  The first call on
         a batch must be at the sampling parameters: its picked log-probs
         become the batch's old log-probs, so every ratio of that call is
-        exactly 1.  Returns the ascent gradient."""
+        exactly 1.  The net and the softmax run once per distinct context;
+        each scored row picks from its context's log-softmax.  Returns the
+        ascent gradient."""
         b = batch
         tape = Tape()
         out = self._logits_var(tape, params, b.rows, b.cells)
         logp, probs = softmax_np(out.value * b.inv_t)
-        pick = logp[np.arange(len(b.targets)), b.targets]
+        pick = logp[b.inverse, b.targets]
         if b.old_logp is None:
             b.old_logp = pick
         ratio = np.exp(pick - b.old_logp)
@@ -242,7 +253,7 @@ class TextPolicy:
                 g_probs = g_kl * diff
                 g_rows = g_kl * probs
                 g_logits = probs * (g_probs - (g_probs * probs).sum(axis=-1, keepdims=True))
-            g_pick = _pick_vjp(logp, b.targets, clip_vjp(g) * ratio, g_rows)
+            g_pick = _pick_vjp(logp, b.inverse, b.targets, clip_vjp(g) * ratio, g_rows)
             g_logits = g_pick if g_logits is None else g_logits + g_pick
             return (g_logits * b.inv_t,)
 
@@ -257,8 +268,9 @@ class TextPolicy:
         out = self._logits_var(tape, params, rows, self._cells(rows))
         logp = log_softmax_np(out.value)
         scale = -1.0 / len(targets)
-        loss = np.sum(logp[np.arange(len(targets)), targets] * scale)
-        tape.output = tape.node(loss, [out], lambda g: (_pick_vjp(logp, targets, g * scale),))
+        each = np.arange(len(targets))
+        loss = np.sum(logp[each, targets] * scale)
+        tape.output = tape.node(loss, [out], lambda g: (_pick_vjp(logp, each, targets, g * scale),))
         return float(loss), tape.param_grads(1.0)
 
     def pretrain(

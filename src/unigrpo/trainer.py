@@ -29,7 +29,7 @@ from .config import TrainConfig, config_to_dict, dump_config
 from .errors import CheckpointError, ConfigError, NumericError
 from .flow_policy import DIM, FlowBatch, FlowPolicy, timestep_schedule
 from .metrics import MetricsRow, MetricsWriter, read_metrics, rewind_run
-from .nn import AdamState, ParamSet, adam_step, checked_block
+from .nn import AdamState, ParamSet, adam_step, checked_count
 from .rng import below, normals, stream, uniforms, words_by_tag
 from .task import (
     PROMPT_BOUNDS,
@@ -504,7 +504,7 @@ def train(cfg: TrainConfig, out_dir, resume: bool = False, config_text: str | No
         state_path = out / _STATE_FILE
         blocks = checkpoint.load_blocks(state_path)
         try:
-            start_update = int(checked_block(blocks, "meta.update"))
+            start_update = checked_count(blocks, "meta.update")
             text_params = text_params.with_vector(text_params.layout.flatten(blocks, "text."))
             flow_params = flow_params.with_vector(flow_params.layout.flatten(blocks, "flow."))
             adam_text.load_state_blocks("adam_text", blocks)

@@ -338,29 +338,37 @@ class TestCli:
         assert rc == 3
         assert "adam_flow.m.W1" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("block, damage", [("meta.update", "drop"),
-                                               ("adam_flow.m.b0", "shorten"),
-                                               ("adam_text.step", "widen")])
+    @pytest.mark.parametrize("block, damage", [
+        ("meta.update", "drop"), ("adam_flow.m.b0", "shorten"), ("adam_text.step", "widen"),
+        *[(block, value) for block in ("meta.update", "adam_text.step")
+          for value in ("-1", "2.5", "nan")],
+    ])
     def test_resume_from_incomplete_state_exits_3(self, cli_workspace, capsys, block, damage):
-        # a state.ckpt that lacks a block, or holds one in the wrong shape, is a
-        # bad checkpoint, not a crash or a config error
+        # a state.ckpt that lacks a block, holds one in the wrong shape, or
+        # holds a counter that is not a non-negative integer is a bad
+        # checkpoint, not a crash, a config error or a rewind to another update
         ws, cfg_path = cli_workspace
         short = ws / "two_updates.cfg"
         short.write_text(cfg_path.read_text().replace("total_updates = 4", "total_updates = 2"))
-        out = ws / f"state_{damage}"
+        out = ws / f"state_{block}_{damage}"
         assert main(["train", "--config", str(short), "--out", str(out)]) == 0
         blocks = load_blocks(out / "state.ckpt")
         if damage == "drop":
             del blocks[block]
         elif damage == "widen":
             blocks[block] = np.stack([blocks[block]] * 2)
-        else:
+        elif damage == "shorten":
             blocks[block] = blocks[block][:-1]
+        else:
+            blocks[block] = np.float64(damage)
         save_blocks(out / "state.ckpt", blocks)
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
         capsys.readouterr()
         rc = main(["train", "--config", str(cfg_path), "--out", str(out), "--resume"])
         assert rc == 3
-        assert block in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert block in err and "state.ckpt" in err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
     @pytest.mark.parametrize("updates", [2, 4])
     @pytest.mark.parametrize("damage", ["missing", "header", "row dropped", "row garbled",

@@ -3,7 +3,10 @@
 Each loss records an input node, the MLP node(s) and one fused head node.
 The references below rebuild every loss as it was chained before, one
 reference_ops primitive per array operation, from inputs built the old
-way (a context row per position, the flow rows step by step).  The fused
+way (a context row per position, the flow rows step by step).  The text
+surrogate's chain runs the net on the distinct context rows (np.unique
+over whole rows) and gathers each position's log-softmax row from them,
+as the surrogate scores each distinct context once.  The fused
 losses must give the same value, ratios and gradient blocks, bit for bit:
 the heads repeat the chains' floating-point operations in the same order,
 so every case agrees exactly, not only those at the desk defaults (T 1,
@@ -68,27 +71,36 @@ def _old_text_surrogate(params, seqs, old_lp, advantages, clip_eps, beta_txt, re
     adv_rows = np.array([advantages[i] for i, tr in enumerate(traces) for _ in tr])
     w_rows = np.array([1.0 / (G * len(tr)) for tr in traces for _ in tr])
 
+    # each distinct context once, in sorted order; every scored row gathers
+    # its context's log-softmax row, and the KL term weighs a context by the
+    # summed weight of the rows that read it
+    distinct, inverse = np.unique(rows, axis=0, return_inverse=True)
+    inverse = inverse.reshape(-1)
+    w_distinct = np.zeros(len(distinct))
+    np.add.at(w_distinct, inverse, beta_txt * w_rows)
+
     tape = OpTape()
-    logits = tape.cmul(_old_logits_var(tape, params, rows), inv_t)
+    logits = tape.cmul(_old_logits_var(tape, params, distinct), inv_t)
     ls = tape.log_softmax(logits)
-    ratio = tape.exp(tape.cadd(tape.select_cols(ls, targets), -old_lp))
+    ratio = tape.exp(tape.cadd(tape.select_cols(tape.gather_rows(ls, inverse), targets), -old_lp))
     unclipped = tape.cmul(ratio, adv_rows)
     clipped = tape.cmul(tape.clip(ratio, 1.0 - clip_eps, 1.0 + clip_eps), adv_rows)
     j = tape.sum(tape.cmul(tape.minimum(unclipped, clipped), w_rows))
     if beta_txt != 0.0:
-        ref_ls = _old_log_softmax_np(TEXT.logits_np(ref_params, rows) * inv_t)
+        ref_ls = _old_log_softmax_np(TEXT.logits_np(ref_params, distinct) * inv_t)
         kl_rows = tape.sum_rows(tape.mul(tape.softmax(logits), tape.cadd(ls, -ref_ls)))
-        j = tape.sub(j, tape.sum(tape.cmul(kl_rows, beta_txt * w_rows)))
+        j = tape.sub(j, tape.sum(tape.cmul(kl_rows, w_distinct)))
     grads = tape.param_grads(1.0, output=j)
-    return float(j.value), grads, ratio.value
+    return float(j.value), grads, ratio.value, distinct, inverse
 
 
 def _text_params(seed):
     return TEXT.init_params(stream(seed, "init-text"))
 
 
-def _traces(params, temperature, g=16, seed=0):
-    prompts = np.array([p.tokens for p in random_prompts(seed, "p", g)])
+def _traces(params, temperature, g=16, seed=0, group=1):
+    """g sampled text rows, each prompt drawn for `group` consecutive rows."""
+    prompts = np.repeat([p.tokens for p in random_prompts(seed, "p", g // group)], group, axis=0)
     u = np.stack([stream(seed, "u", i).random(TEXT.max_len) for i in range(g)])
     return TEXT.sample_trace(params, prompts, temperature, u)
 
@@ -98,16 +110,19 @@ class TestTextHeads:
     @pytest.mark.parametrize("temperature", [0.7, 1.0, 1.3])
     def test_surrogate_matches_op_chain(self, temperature, beta_txt):
         params, ref = _text_params(1), _text_params(2)
-        traces = _traces(params, temperature)
+        traces = _traces(params, temperature, group=4)
         adv = stream(3, "adv").normal(size=len(traces))
         batch = TEXT.prepare_batch(traces, adv, temperature, beta_txt, ref)
+        assert len(batch.rows) < len(batch.targets)  # the groups share contexts
         moved = params.with_blocks({"W2": params["W2"] + 0.01, "wte": params["wte"] - 0.02})
         for theta in (params, moved):
             for clip_eps in (0.2, 1e-4, 0.0):
                 j, gs, stats = TEXT.surrogate_loss(theta, batch, clip_eps)
-                old_j, old_grads, old_ratio = _old_text_surrogate(
+                old_j, old_grads, old_ratio, distinct, inverse = _old_text_surrogate(
                     theta, traces, batch.old_logp, adv, clip_eps, beta_txt, ref, temperature
                 )
+                _assert_same(batch.rows, distinct)
+                _assert_same(batch.inverse, inverse)
                 _assert_same(j, old_j)
                 _assert_same(gs, old_grads)
                 assert stats.mean_ratio == float(old_ratio.mean())

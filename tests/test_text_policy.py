@@ -5,13 +5,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from prompt_draws import random_prompts
-from reference_ops import trace_tokens
+from reference_ops import OpTape, trace_tokens
 
 from unigrpo.errors import NumericError
-from unigrpo.nn import AdamState, adam_step, finite_diff_check
+from unigrpo.nn import AdamState, adam_step, finite_diff_check, mlp_var
 from unigrpo.rng import stream
 from unigrpo.task import (
-    EOS, PAD, TaskGeometry, canonical_trace, make_prompt, make_pretrain_data,
+    CANONICAL_TRACES, EOS, PAD, PROMPT_TOKENS, TaskGeometry, canonical_trace, make_prompt, make_pretrain_data,
 )
 from unigrpo.text_policy import TextPolicy, softmax_np
 
@@ -354,8 +354,86 @@ class TestSurrogate:
                 j, gs, _ = POLICY.surrogate_loss(p, batch, 0.2)
                 return j, gs
 
+            # the group shares its prompt row, so the check covers the scatter
+            # of the picks back onto shared contexts
+            assert len(batch.rows) < len(batch.targets)
             report = finite_diff_check(loss, moved, probes=100, tol=1e-4, rng=stream(0, "fd"))
             assert report.passed, (temperature, report.max_rel_err, report.failing_blocks)
+
+
+def _per_row_surrogate(policy, params, seqs, old_logp, adv, clip_eps, beta_txt, ref_params,
+                       temperature):
+    """The surrogate as one op chain over every (trace, position) row, each
+    context scored as often as it is read: the formula without deduplication."""
+    rows, targets, owner, _ = policy.token_rows(seqs)
+    n = len(targets)
+    w_rows = 1.0 / (len(seqs) * np.bincount(owner)[owner])
+    adv_rows = adv[owner]
+    inv_t = 1.0 / temperature
+
+    tape = OpTape()
+    emb = tape.gather_rows(tape.param(params, "wte"), rows.reshape(-1))
+    flat = tape.reshape(emb, (n, policy.ctx * policy.embed))
+    wpe = tape.reshape(tape.param(params, "wpe"), (policy.ctx * policy.embed,))
+    x = tape.bias_add(flat, wpe)
+    logits = tape.cmul(mlp_var(tape, params, x, policy.arch, "silu"), inv_t)
+    ls = tape.log_softmax(logits)
+    ratio = tape.exp(tape.cadd(tape.select_cols(ls, targets), -old_logp))
+    unclipped = tape.cmul(ratio, adv_rows)
+    clipped = tape.cmul(tape.clip(ratio, 1.0 - clip_eps, 1.0 + clip_eps), adv_rows)
+    j = tape.sum(tape.cmul(tape.minimum(unclipped, clipped), w_rows))
+    if beta_txt != 0.0:
+        ref_ls = _log_softmax(policy.logits_np(ref_params, rows) * inv_t)
+        kl_rows = tape.sum_rows(tape.mul(tape.softmax(logits), tape.cadd(ls, -ref_ls)))
+        j = tape.sub(j, tape.sum(tape.cmul(kl_rows, beta_txt * w_rows)))
+    return float(j.value), tape.param_grads(1.0, output=j)
+
+
+def _dedup_seqs(policy, params, kind, temperature):
+    """Twelve text rows: one sampled trace repeated ("identical"), the
+    canonical traces of twelve prompts, which hold no PAD and so share no
+    context ("distinct"), or sampled traces of three groups of four."""
+    n = 12
+    if kind == "distinct":
+        seqs = np.full((n, policy.ctx), PAD, dtype=np.int64)
+        seqs[:, : policy.prompt_len] = PROMPT_TOKENS[: 7 * n : 7]
+        seqs[:, policy.prompt_len : policy.prompt_len + 4] = CANONICAL_TRACES[: 7 * n : 7]
+        return seqs
+    u = stream(40, kind).random((n, policy.max_len))
+    if kind == "identical":
+        return policy.sample_trace(params, np.tile(PROMPT_TOKENS[:1], (n, 1)), temperature,
+                                   np.tile(u[:1], (n, 1)))
+    return policy.sample_trace(params, np.repeat(PROMPT_TOKENS[:3], 4, axis=0), temperature, u)
+
+
+class TestDeduplicatedSurrogate:
+    @pytest.mark.parametrize("max_len", [4, 10])
+    @pytest.mark.parametrize("kind", ["identical", "distinct", "groups"])
+    @pytest.mark.parametrize("beta_txt", [0.0, 0.05])
+    @pytest.mark.parametrize("temperature", [0.7, 1.0, 1.3])
+    def test_matches_per_row_formula(self, temperature, beta_txt, kind, max_len):
+        # the net runs once per distinct context; the per-row chain scores
+        # every row, so the two agree to rounding (sums run in another order)
+        policy = TextPolicy(max_trace_len=max_len)
+        params = policy.init_params(stream(41, "init-text", max_len))
+        ref = policy.init_params(stream(42, "init-text", max_len))
+        seqs = _dedup_seqs(policy, params, kind, temperature)
+        adv = stream(43, "adv").normal(size=len(seqs))
+        batch = policy.prepare_batch(seqs, adv, temperature, beta_txt, ref)
+        n = len(batch.targets)
+        distinct = {"identical": n // len(seqs), "distinct": n}
+        assert len(batch.rows) == distinct.get(kind, len(batch.rows))
+        assert len(batch.rows) < n or kind == "distinct"
+        # first epoch: every ratio is exactly 1
+        _, _, stats = policy.surrogate_loss(params, batch, 0.0)
+        assert stats.max_ratio == stats.mean_ratio == 1.0 and stats.clip_fraction == 0.0
+        moved = params.with_blocks({"W2": params["W2"] + 0.01, "wte": params["wte"] - 0.02})
+        for theta in (params, moved):
+            j, grads, _ = policy.surrogate_loss(theta, batch, 0.2)
+            ref_j, ref_grads = _per_row_surrogate(policy, theta, seqs, batch.old_logp, adv, 0.2,
+                                                  beta_txt, ref, temperature)
+            assert abs(j - ref_j) <= 1e-12 * abs(ref_j)
+            assert np.abs(grads - ref_grads).max() <= 1e-12 * np.abs(ref_grads).max()
 
 
 class TestPretrain:
