@@ -171,9 +171,8 @@ class FlowUpdateBatch:
     adv: np.ndarray         # (n,)
     weight: np.ndarray      # (n,) 1 / rows
     cfg_scale: float
-    reg_mode: str
-    reg_target: np.ndarray | None  # reference velocity (velocity-mse) or mean (latent-kl)
-    kl_scale: np.ndarray | None    # (n,) 1 / (2 sigma_t^2 dt) under latent-kl
+    v_ref: np.ndarray | None  # (n, DIM) reference velocity, None without a regularizer
+    reg_scale: np.ndarray     # (n,) regularizer weight: weight, times kappa under latent-kl
 
 
 class FlowPolicy:
@@ -377,7 +376,10 @@ class FlowPolicy:
         """The per-update part of the surrogate: one row per (trajectory,
         window step), row-major, with its state, time features, drift
         coefficients, sampled noise eps = (x' - mu_old) / s, pooling weights,
-        and the frozen reference's velocity or transition mean there."""
+        and the frozen reference's velocity there.  Both regularizers are one
+        velocity penalty: with equal transition variances mu - mu_ref =
+        -c1 dt (v - v_ref), so the latent KL is the velocity MSE weighted per
+        step by kappa = c1^2 dt / (2 sigma_t^2)."""
         B, W = batch.mu.shape[:2]
         assert len(advantages) == B
         if reg_mode not in ("none", "latent-kl", "velocity-mse"):
@@ -401,19 +403,18 @@ class FlowPolicy:
         xt_null = None
         if batch.cfg_scale != 1.0:
             xt_null = np.concatenate([xt, np.zeros((len(xs), self.cond_dim))], axis=1)
-        reg_target = kl_scale = None
+        weight = np.full(B * W, 1.0 / (B * W))
+        v_ref, reg_scale = None, weight
         if reg_mode != "none":
             # frozen-reference velocities at the stored states, constant in theta
-            reg_target = self.velocity_np(
+            v_ref = self.velocity_np(
                 ref_params, np.concatenate([xt, pool @ ref_params["cemb"]], axis=1),
                 batch.cfg_scale)
-            if reg_mode == "latent-kl":
-                reg_target = xs - (c1 * reg_target + c2 * xs) * dts[:, None]
-                kl_scale = 1.0 / (2.0 * sig**2 * dts)
+        if reg_mode == "latent-kl":
+            reg_scale = weight * (c1[:, 0]**2 * dts / (2.0 * sig**2))
         return FlowUpdateBatch(
             rows, ks, xs, xt, xt_null, pool, c1, c2 * xs, -dts[:, None], mu_old, eps,
-            np.repeat(advantages, W), np.full(B * W, 1.0 / (B * W)), batch.cfg_scale,
-            reg_mode, reg_target, kl_scale,
+            np.repeat(advantages, W), weight, batch.cfg_scale, v_ref, reg_scale,
         )
 
     def surrogate_loss(
@@ -445,26 +446,16 @@ class FlowPolicy:
             )
 
         j, clip_vjp, stats = clipped_objective(rt, b.adv, b.weight, clip_eps)
-        if b.reg_mode != "none":
-            diff = (mu if b.reg_mode == "latent-kl" else v) - b.reg_target
+        if b.v_ref is not None:
+            diff = v - b.v_ref
             reg_rows = (diff * diff).sum(axis=1)
-            if b.kl_scale is not None:
-                reg_rows = reg_rows * b.kl_scale
-            stats.reg_value = float(reg_rows @ b.weight)
-            j = j - np.sum(reg_rows * (reg_weight * b.weight))
+            stats.reg_value = float(reg_rows @ b.reg_scale)
+            j = j - np.sum(reg_rows * (reg_weight * b.reg_scale))
 
         def vjp(g):
-            g_mu = (clip_vjp(g) * rt)[:, None] * b.eps
-            if b.reg_mode != "none":
-                g_rows = (-g) * (reg_weight * b.weight)
-                if b.kl_scale is not None:
-                    g_rows = g_rows * b.kl_scale
-                g_diff = 2.0 * diff * g_rows[:, None]
-            if b.reg_mode == "latent-kl":
-                g_mu = g_diff + g_mu
-            g_v = g_mu * b.neg_dt * b.c1
-            if b.reg_mode == "velocity-mse":
-                g_v = g_diff + g_v
+            g_v = (clip_vjp(g) * rt)[:, None] * b.eps * b.neg_dt * b.c1
+            if b.v_ref is not None:
+                g_v = 2.0 * diff * ((-g) * (reg_weight * b.reg_scale))[:, None] + g_v
             if b.xt_null is None:
                 return (g_v,)
             g_cond = g_v * b.cfg_scale

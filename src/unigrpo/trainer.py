@@ -511,12 +511,16 @@ def train(cfg: TrainConfig, out_dir, resume: bool = False, config_text: str | No
             adam_flow.load_state_blocks("adam_flow", blocks)
         except ConfigError as exc:
             raise CheckpointError(f"{state_path}: {exc}") from exc
+        if start_update > cfg.total_updates:
+            raise ConfigError(f"total_updates = {cfg.total_updates} is below update "
+                              f"{start_update}, which {state_path} was saved at")
         rewind_run(out, start_update)
 
     checkpoint.save_params(out / "ref_text.ckpt", text_ref)
     checkpoint.save_params(out / "ref_flow.ckpt", flow_ref)
     manifest_path = out / "run_manifest.json"
-    if not manifest_path.exists():
+    # a resumed run keeps its manifest; a fresh one replaces another run's
+    if not (resume and manifest_path.exists()):
         manifest = {
             "config_text": config_text if config_text is not None else dump_config(cfg),
             "config_resolved": config_to_dict(cfg),

@@ -404,6 +404,29 @@ class TestCli:
         assert name in capsys.readouterr().err
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
+    def test_resume_below_the_saved_update_exits_2(self, cli_workspace, capsys):
+        # fewer total updates than the run has done would train nothing and
+        # misreport the run: refused before any file is written, while a
+        # resume at or past the saved update runs
+        ws, cfg_path = cli_workspace
+        out = ws / "resume_below"
+        configs = {}
+        for updates in (1, 2):
+            configs[updates] = ws / f"resume_below_{updates}.cfg"
+            configs[updates].write_text(cfg_path.read_text().replace(
+                "total_updates = 4", f"total_updates = {updates}"))
+        assert main(["train", "--config", str(configs[2]), "--out", str(out)]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        capsys.readouterr()
+        rc = main(["train", "--config", str(configs[1]), "--out", str(out), "--resume"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "total_updates = 1" in err and "update 2" in err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        for cfg in (configs[2], cfg_path):
+            assert main(["train", "--config", str(cfg), "--out", str(out), "--resume"]) == 0
+        assert json.loads((out / "summary.json").read_text())["updates"] == 4
+
     def test_cli_pins_unset_blas_threads_to_one(self, cli_workspace):
         ws, cfg_path = cli_workspace
         env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}

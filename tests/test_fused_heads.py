@@ -13,6 +13,8 @@ so every case agrees exactly, not only those at the desk defaults (T 1,
 beta_txt 0, cfg 1, velocity-mse).
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from prompt_draws import random_prompts
@@ -177,7 +179,13 @@ def _old_velocity_var(tape, params, xs, ts, cond, cfg_scale):
     return tape.add(v_un, tape.cmul(tape.sub(v, v_un), cfg_scale))
 
 
-def _old_flow_surrogate(params, batch, advantages, clip_eps, reg_mode, reg_weight, ref_params):
+def _old_flow_surrogate(params, batch, advantages, clip_eps, reg_mode, reg_weight, ref_params,
+                        mean_space=False):
+    """The flow surrogate as an op chain.  The latent KL is the velocity MSE
+    weighted per step by kappa = c1^2 dt / (2 sigma_t^2), as the fused head
+    scores it; with `mean_space` it is instead the squared distance of the
+    transition means over 2 sigma_t^2 dt, the textbook KL of two
+    equal-variance Gaussians."""
     B, W = batch.mu.shape[:2]
     rows = np.repeat(np.arange(B), W)
     ks = (batch.starts[:, None] + np.arange(W)).ravel()
@@ -205,14 +213,17 @@ def _old_flow_surrogate(params, batch, advantages, clip_eps, reg_mode, reg_weigh
     if reg_mode != "none":
         v_ref = reference_velocity(FLOW, ref_params, xs, ts, pool @ ref_params["cemb"],
                                    batch.cfg_scale)
-        if reg_mode == "velocity-mse":
-            reg_rows = tape.sum_rows(tape.square(tape.cadd(v, -v_ref)))
-        else:
+        w_reg = w_rows
+        if mean_space and reg_mode == "latent-kl":
             mu_ref = xs - (c1 * v_ref + c2 * xs) * dts[:, None]
             reg_rows = tape.cmul(tape.sum_rows(tape.square(tape.cadd(mu, -mu_ref))),
                                  1.0 / (2.0 * sig**2 * dts))
-        reg_value = float(reg_rows.value @ w_rows)
-        j = tape.sub(j, tape.sum(tape.cmul(reg_rows, reg_weight * w_rows)))
+        else:
+            reg_rows = tape.sum_rows(tape.square(tape.cadd(v, -v_ref)))
+            if reg_mode == "latent-kl":
+                w_reg = w_rows * (c1[:, 0]**2 * dts / (2.0 * sig**2))
+        reg_value = float(reg_rows.value @ w_reg)
+        j = tape.sub(j, tape.sum(tape.cmul(reg_rows, reg_weight * w_reg)))
     grads = tape.param_grads(1.0, output=j)
     return float(j.value), grads, rt.value, reg_value
 
@@ -226,6 +237,26 @@ def _flow_rollout(params, cfg_scale, g=8, seed=0):
         rng.standard_normal((g, DIM)), starts, 3, 0.8, rng.standard_normal((g, 3, DIM)),
         cfg_scale,
     )
+
+
+def _rel_err(new, old) -> float:
+    new, old = np.asarray(new), np.asarray(old)
+    return float(np.max(np.abs(new - old)) / np.max(np.abs(old)))
+
+
+def _mean_space_rel_err(params, batch, adv, prepared, ref, weight=0.02) -> float:
+    """Largest relative error of the fused latent-KL surrogate's value,
+    gradient and regularizer against the mean-space op chain, on params and
+    on a moved copy."""
+    moved = params.with_blocks({"b2": params["b2"] + 0.01, "cemb": params["cemb"] - 0.02})
+    errs = []
+    for theta in (params, moved):
+        j, gs, stats = FLOW.surrogate_loss(theta, prepared, 0.2, weight)
+        old_j, old_grads, _, old_reg = _old_flow_surrogate(
+            theta, batch, adv, 0.2, "latent-kl", weight, ref, mean_space=True
+        )
+        errs += [_rel_err(j, old_j), _rel_err(gs, old_grads), _rel_err(stats.reg_value, old_reg)]
+    return max(errs)
 
 
 class TestFlowHeads:
@@ -253,6 +284,27 @@ class TestFlowHeads:
                 assert stats.rows == len(old_rt)
         _, _, stats = FLOW.surrogate_loss(params, prepared, 0.0, weight)
         assert stats.max_ratio == 1.0 and stats.mean_ratio == 1.0 and stats.clip_fraction == 0.0
+
+    @pytest.mark.parametrize("cfg_scale", [1.0, 2.0])
+    def test_latent_kl_matches_mean_space_chain(self, cfg_scale):
+        # an independent reference for the latent-KL formula: the KL of the
+        # transition means agrees with the kappa-weighted velocity penalty
+        # to roundoff
+        params, ref = _flow_params(7), _flow_params(8)
+        batch = _flow_rollout(params, cfg_scale)
+        adv = stream(9, "adv").normal(size=8)
+        prepared = FLOW.prepare_batch(batch, adv, "latent-kl", ref)
+        assert _mean_space_rel_err(params, batch, adv, prepared, ref) <= 1e-12
+
+    def test_mean_space_chain_sees_a_dropped_kappa(self):
+        # negative control: the penalty weighted like the velocity MSE
+        # (kappa dropped) is not the latent KL
+        params, ref = _flow_params(7), _flow_params(8)
+        batch = _flow_rollout(params, 2.0)
+        adv = stream(9, "adv").normal(size=8)
+        prepared = FLOW.prepare_batch(batch, adv, "latent-kl", ref)
+        dropped = replace(prepared, reg_scale=prepared.weight)
+        assert _mean_space_rel_err(params, batch, adv, dropped, ref) > 1e-3
 
     def test_fm_matches_op_chain(self):
         params = _flow_params(10)

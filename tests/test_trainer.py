@@ -20,7 +20,7 @@ from reference_reward import reference_reward
 import unigrpo.flow_policy as flow_policy_mod
 import unigrpo.trainer as trainer_mod
 from unigrpo import checkpoint
-from unigrpo.config import TrainConfig
+from unigrpo.config import TrainConfig, config_to_dict
 from unigrpo.errors import CheckpointError, ConfigError, NumericError
 from unigrpo.flow_policy import FlowBatch, transition_logprob
 from unigrpo.metrics import read_metrics
@@ -715,6 +715,21 @@ class TestTrainLoop:
         assert rows[0]["update"] == 0 and rows[0]["eval_reward"] is not None
         assert rows[-1]["update"] == cfg.total_updates
         assert rows[-1]["eval_reward"] is not None
+
+    def test_fresh_run_replaces_another_runs_manifest(self, tiny_pretrain, tmp_path):
+        # a fresh run into a used directory describes itself, not the run
+        # that was there; only a resumed run keeps the manifest it finds
+        cfg = replace(TINY, pretrain_dir=str(tiny_pretrain), total_updates=2)
+        train(cfg, tmp_path / "run")
+        other = replace(cfg, seed=5, group_size=2, total_updates=1)
+        train(other, tmp_path / "run")
+        path = tmp_path / "run/run_manifest.json"
+        manifest = json.loads(path.read_text())
+        assert manifest["seed"] == 5
+        assert manifest["config_resolved"] == config_to_dict(other)
+        before = path.read_bytes()
+        train(replace(other, total_updates=2), tmp_path / "run", resume=True)
+        assert path.read_bytes() == before
 
     def test_timings_sidecar_and_manifest(self, tiny_pretrain, tmp_path):
         cfg = replace(TINY, pretrain_dir=str(tiny_pretrain))

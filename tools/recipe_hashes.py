@@ -1,7 +1,7 @@
 """Byte-identity check: run the fixed-seed recipe and compare its output hashes.
 
     python3 tools/recipe_hashes.py           # exit 0 iff all 19 hashes match
-    python3 tools/recipe_hashes.py --write   # record the current hashes instead
+    python3 tools/recipe_hashes.py --write   # compare, then record the current hashes
 
 The recipe runs `unigrpo pretrain --seed 101` at desk defaults, then
 `unigrpo train --seed 101` three times from that pretraining, all in a
@@ -89,10 +89,6 @@ def main() -> int:
     args = parser.parse_args()
     with tempfile.TemporaryDirectory(prefix="recipe-") as tmp:
         got = recipe_hashes(Path(tmp))
-    if args.write:
-        HASHES.write_text(json.dumps(got, indent=2) + "\n")
-        print(f"wrote {len(got)} hashes to {HASHES}")
-        return 0
     want = json.loads(HASHES.read_text())
     names = sorted(want.keys() | got.keys())
     bad = 0
@@ -102,6 +98,10 @@ def main() -> int:
         print(f"ok       {name}" if ok else
               f"MISMATCH {name}: got {got.get(name)}, want {want.get(name)}")
     print(f"{len(names) - bad}/{len(names)} hashes match")
+    if args.write:
+        HASHES.write_text(json.dumps(got, indent=2) + "\n")
+        print(f"wrote {len(got)} hashes to {HASHES}")
+        return 0
     return 1 if bad else 0
 
 
