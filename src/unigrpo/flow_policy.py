@@ -22,7 +22,8 @@ from .autodiff import Tape, Var
 from .errors import ConfigError, NumericError
 from .nn import (LossStats, ParamSet, clipped_objective, fit, init_mlp_blocks, mlp_forward_np,
                  mlp_var)
-from .task import _QUAD_DIR, VOCAB_SIZE, all_tuples, canonical_trace, make_prompt, trace_lengths
+from .task import (BANDS, CANONICAL_TRACES, N_SYNONYMS, PROMPT_DRAWS, QUADRANTS, SPREADS,
+                   VOCAB_SIZE, TaskGeometry, trace_lengths)
 
 DIM = 2  # sample space
 
@@ -355,13 +356,16 @@ class FlowPolicy:
                           n_steps: int = 20, shift: float = 3.0) -> dict:
         """Fraction of deterministic samples landing in the conditioned quadrant."""
         times, _ = timestep_schedule(n_steps, shift)
+        ids = np.arange(0, len(PROMPT_DRAWS), N_SYNONYMS**3)  # each tuple's first prompt
+        attrs = PROMPT_DRAWS[ids, :3]
+        mu, _ = TaskGeometry().targets(attrs)
         per_cond = {}
-        for q, b, s in all_tuples():
-            traces = np.tile(canonical_trace(make_prompt(q, b, s)), (n_per_cond, 1))
+        for (q, b, s), trace, target in zip(attrs, CANONICAL_TRACES[ids], mu):
+            traces = np.tile(trace, (n_per_cond, 1))
             x1 = rng.standard_normal((n_per_cond, DIM))
             x0 = self.ode_rollout_batch(params, traces, times, x1).states[-1]
-            ok = (np.sign(x0) == np.sign(_QUAD_DIR[q])).all(axis=1)
-            per_cond[f"{q}-{b}-{s}"] = float(ok.mean())
+            ok = (np.sign(x0) == np.sign(target)).all(axis=1)
+            per_cond[f"{QUADRANTS[q]}-{BANDS[b]}-{SPREADS[s]}"] = float(ok.mean())
         vals = list(per_cond.values())
         return {
             "quadrant_accuracy_mean": float(np.mean(vals)),

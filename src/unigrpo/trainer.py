@@ -32,17 +32,17 @@ from .metrics import MetricsRow, MetricsWriter, read_metrics, rewind_run
 from .nn import AdamState, ParamSet, adam_step, checked_count
 from .rng import below, normals, stream, uniforms, words_by_tag
 from .task import (
+    N_SYNONYMS,
     PROMPT_BOUNDS,
+    PROMPT_DRAWS,
     PROMPT_LEN,
     PROMPT_TOKENS,
     VOCAB_SIZE,
-    Prompt,
     TaskGeometry,
-    all_tuples,
     canonical_accuracy,
     draw_prompts,
     make_pretrain_data,
-    make_prompt,
+    prompt_ids,
     score,
     trace_lengths,
 )
@@ -136,7 +136,7 @@ class RolloutWords:
 
     seed: int
     index: np.ndarray         # (rows, 3) counter indices
-    prompts: list[Prompt]
+    prompts: np.ndarray       # (slots,) prompt ids
     trace: np.ndarray | None  # (rows, max_trace_len), only when the text policy trains
     flow: np.ndarray          # (rows, 1 + DIM + W * DIM)
 
@@ -162,10 +162,10 @@ def rollout_words(cfg: TrainConfig, seed: int, updates: range,
             for lo in range(0, len(index), rows)]
 
 
-def collect_rollouts(rt: Runtime, prompts: list[Prompt], text_old: ParamSet,
+def collect_rollouts(rt: Runtime, prompts: np.ndarray, text_old: ParamSet,
                      flow_old: ParamSet, draws: RolloutWords,
                      greedy: np.ndarray | None = None) -> list[GroupRollout]:
-    """One group of rollouts per prompt, every member advanced in lockstep:
+    """One group of rollouts per prompt id, every member advanced in lockstep:
     one text decode and one flow rollout over all prompts x group-size rows,
     their randomness taken from the update's `draws`.  Member m of the
     prompt at batch index `slot` has its own counter-addressed words, so
@@ -174,7 +174,7 @@ def collect_rollouts(rt: Runtime, prompts: list[Prompt], text_old: ParamSet,
     prompt id.  The groups are row ranges of one shared `Rollouts`."""
     cfg = rt.cfg
     G, W = cfg.group_size, cfg.sde_window_size
-    ids = np.repeat([p.prompt_id for p in prompts], G)
+    ids = np.repeat(prompts, G)
     if cfg.train_text:
         seqs = rt.text_policy.sample_trace(text_old, PROMPT_TOKENS[ids], cfg.temperature,
                                            uniforms(draws.trace))
@@ -191,7 +191,7 @@ def collect_rollouts(rt: Runtime, prompts: list[Prompt], text_old: ParamSet,
         cfg.sigma_level, z[:, DIM:].reshape(len(ids), W, DIM),
         cfg_scale=cfg.train_cfg_scale if cfg.train_cfg else 1.0,
     )
-    rewards, finite = score(flow.states[-1], [p for p in prompts for _ in range(G)], rt.geom)
+    rewards, finite = score(flow.states[-1], ids, rt.geom)
     advantages = group_advantages(rewards.reshape(len(prompts), G), cfg.adv_eps).ravel()
     batch = Rollouts(seqs, flow, rewards, advantages, int(np.count_nonzero(~finite)))
     return [GroupRollout(batch, slice(lo, lo + G)) for lo in range(0, len(ids), G)]
@@ -284,15 +284,15 @@ def unified_update(
 # ---- evaluation ----
 
 
-def make_eval_set(rt: Runtime, seed: int):
-    """Fixed evaluation prompts (one synonym draw per tuple) and frozen noise."""
-    prompts, noises = [], []
-    for i, (q, b, s) in enumerate(all_tuples()):
+def make_eval_set(rt: Runtime, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Fixed evaluation prompts, one synonym draw per attribute tuple, and frozen
+    noise: (ids (16,) in tuple order, x1 (16 * eval_samples, 2) prompt by prompt)."""
+    draws, noises = PROMPT_DRAWS[::N_SYNONYMS**3].copy(), []  # each tuple's first prompt
+    for i, row in enumerate(draws):
         prng = stream(seed, "eval-prompt", i)
-        syn = tuple(int(prng.integers(3)) for _ in range(3))
-        prompts.append(make_prompt(q, b, s, syn))
+        row[3:] = [prng.integers(3) for _ in range(3)]
         noises.append(stream(seed, "eval-noise", i).standard_normal((rt.cfg.eval_samples, 2)))
-    return prompts, noises
+    return prompt_ids(draws), np.concatenate(noises)
 
 
 def evaluate(rt: Runtime, text_params: ParamSet, flow_params: ParamSet,
@@ -305,23 +305,22 @@ def evaluate(rt: Runtime, text_params: ParamSet, flow_params: ParamSet,
     sampler keeps the tuned field's conditional velocities there, so only
     the reference field runs again, one step at a time."""
     cfg = rt.cfg
-    prompts, noises = eval_set
-    ids = [p.prompt_id for p in prompts]
+    ids, x1 = eval_set
     if greedy is None:
         traces = rt.text_policy.greedy_trace(text_params, PROMPT_TOKENS[ids])[:, PROMPT_LEN:]
     else:
         traces = greedy[ids, PROMPT_LEN:]
-    owners = np.repeat(np.arange(len(prompts)), [len(x1) for x1 in noises])
-    batch = rt.flow_policy.ode_rollout_batch(flow_params, traces[owners], rt.times_eval,
-                                             np.concatenate(noises), cfg.eval_cfg_scale)
-    rewards, _ = score(batch.states[-1], [prompts[i] for i in owners], rt.geom)
+    owners = np.repeat(np.arange(len(ids)), cfg.eval_samples)
+    batch = rt.flow_policy.ode_rollout_batch(flow_params, traces[owners], rt.times_eval, x1,
+                                             cfg.eval_cfg_scale)
+    rewards, _ = score(batch.states[-1], ids[owners], rt.geom)
     # drift averaged in prompt, step, sample order
     diff = batch.velocities
     fp = rt.flow_policy
     for k, rows in enumerate(fp.step_rows(batch.pool @ flow_ref["cemb"], rt.times_eval)):
         rows[:, :DIM] = batch.states[k]
         diff[k] -= fp.velocity_np(flow_ref, rows)
-    drift = np.sum(diff * diff, axis=2).reshape(len(diff), len(prompts), -1)
+    drift = np.sum(diff * diff, axis=2).reshape(len(diff), len(ids), -1)
     return {
         "eval_reward": float(np.mean(rewards)),
         "text_accuracy": canonical_accuracy(traces, ids),
@@ -462,6 +461,9 @@ def check_architecture(loaded: ParamSet, policy: TextPolicy | FlowPolicy, which:
 
 
 _STATE_FILE = "state.ckpt"
+# config keys a resume may change: what a run logs and saves, or what `train` does not read
+_RESUME_FREE_KEYS = ("total_updates", "eval_every", "checkpoint_every", "ablate_seeds",
+                     "ablate_updates")
 
 
 def _save_state(out: Path, update: int, text_params, flow_params, adam_text, adam_flow):
@@ -499,8 +501,18 @@ def train(cfg: TrainConfig, out_dir, resume: bool = False, config_text: str | No
     adam_flow = AdamState.for_params(flow_params, lr=cfg.lr_flow)
     start_update = 0
 
+    manifest_path = out / "run_manifest.json"
     if resume:
         # the whole run directory is checked before any file of it is written
+        try:
+            saved = json.loads(manifest_path.read_text())["config_resolved"]
+            for key, value in config_to_dict(cfg).items():
+                if key not in _RESUME_FREE_KEYS and saved.get(key) != value:
+                    raise ConfigError(f"{key} = {value} differs from the run's {key} = "
+                                      f"{saved.get(key)} ({manifest_path}); a resume may "
+                                      f"change only {', '.join(_RESUME_FREE_KEYS)}")
+        except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise CheckpointError(f"cannot resume: {manifest_path}: {exc!r}") from exc
         state_path = out / _STATE_FILE
         blocks = checkpoint.load_blocks(state_path)
         try:
@@ -518,9 +530,8 @@ def train(cfg: TrainConfig, out_dir, resume: bool = False, config_text: str | No
 
     checkpoint.save_params(out / "ref_text.ckpt", text_ref)
     checkpoint.save_params(out / "ref_flow.ckpt", flow_ref)
-    manifest_path = out / "run_manifest.json"
     # a resumed run keeps its manifest; a fresh one replaces another run's
-    if not (resume and manifest_path.exists()):
+    if not resume:
         manifest = {
             "config_text": config_text if config_text is not None else dump_config(cfg),
             "config_resolved": config_to_dict(cfg),
@@ -592,7 +603,7 @@ def train(cfg: TrainConfig, out_dir, resume: bool = False, config_text: str | No
             writer.write_group_record({
                 "update": update,
                 "slot": slot,
-                "prompt_id": draws.prompts[slot].prompt_id,
+                "prompt_id": int(draws.prompts[slot]),
                 "rewards": batch.rewards[g.rows].tolist(),
                 "advantages": batch.advantages[g.rows].tolist(),
                 "traces": [tr[:m] for tr, m in zip(traces[g.rows], lengths[g.rows])],

@@ -24,7 +24,7 @@ from .flow_policy import (
 )
 from .nn import finite_diff_check
 from .rng import stream
-from .task import TaskGeometry, canonical_trace, make_prompt
+from .task import CANONICAL_TRACES, PROMPT_TOKENS, TaskGeometry
 from .text_policy import TextPolicy, softmax_np
 from .trainer import group_advantages
 
@@ -93,12 +93,12 @@ def gradient_oracles(corrupt_gradient: bool = False) -> list[OracleResult]:
     """Central finite differences vs analytic gradients for every trainable
     objective, with frozen rollout noise."""
     text, flow = TextPolicy(), FlowPolicy()
-    prompt = make_prompt(2, "far", "wide", (1, 0, 2))
+    prompt = 200  # quadrant 2, far, wide; synonyms (1, 0, 2)
     results = []
 
     # text surrogate
     tparams = text.init_params(stream(SEED, "t-init"))
-    seqs = text.sample_trace(tparams, np.tile(prompt.tokens, (3, 1)), 1.0,
+    seqs = text.sample_trace(tparams, np.tile(PROMPT_TOKENS[prompt], (3, 1)), 1.0,
                              np.stack([stream(SEED, "t", i).random(text.max_len)
                                        for i in range(3)]))
     adv = np.array([1.0, -0.4, 0.3])
@@ -119,7 +119,8 @@ def gradient_oracles(corrupt_gradient: bool = False) -> list[OracleResult]:
     ))
 
     # text pretraining cross-entropy
-    rows, targets, _, _ = text.token_rows(np.array([prompt.tokens + canonical_trace(prompt)]))
+    rows, targets, _, _ = text.token_rows(np.hstack([PROMPT_TOKENS[[prompt]],
+                                                    CANONICAL_TRACES[[prompt]]]))
 
     def ce_loss(p):
         return text.ce_loss(p, rows, targets)
@@ -131,7 +132,7 @@ def gradient_oracles(corrupt_gradient: bool = False) -> list[OracleResult]:
     fparams = _nontrivial_flow_params(flow, SEED)
     fref = _nontrivial_flow_params(flow, SEED + 7)
     times, _ = timestep_schedule(10, 3.0)
-    trace = canonical_trace(prompt)
+    trace = CANONICAL_TRACES[prompt]
     rngs = [stream(SEED, "f", i) for i in range(3)]
     x1 = np.stack([rng.standard_normal(2) for rng in rngs])
     batch = flow.hybrid_rollout(
@@ -254,7 +255,7 @@ def sde_bitwise_oracle() -> OracleResult:
     """Zero noise level must reproduce the deterministic sampler bit for bit."""
     flow = FlowPolicy()
     params = _nontrivial_flow_params(flow, SEED + 3)
-    trace = np.array([canonical_trace(make_prompt(3, "near", "wide"))])
+    trace = CANONICAL_TRACES[[243]]  # quadrant 3, near, wide
     times, _ = timestep_schedule(10, 3.0)
     n = len(times) - 1
     rng = stream(SEED, "bit")
@@ -314,7 +315,7 @@ def sde_marginal_oracle(n_traj: int = 10_000, n_steps: int = 100) -> OracleResul
 def rollout_budget_oracle() -> OracleResult:
     flow = FlowPolicy()
     params = _nontrivial_flow_params(flow, SEED + 4)
-    trace = np.array([canonical_trace(make_prompt(1, "far", "tight"))])
+    trace = CANONICAL_TRACES[[54]]  # quadrant 1, far, tight
     times, _ = timestep_schedule(10, 3.0)
     plain, guided = (
         flow.hybrid_rollout(params, trace, times, rng.standard_normal((1, 2)), [1], 3, 0.8,

@@ -10,11 +10,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from prompt_draws import prompt_id
 
 from unigrpo import checkpoint, verify
 from unigrpo.ablate import ablate
 from unigrpo.config import TrainConfig
-from unigrpo.task import make_prompt
 from unigrpo.trainer import (
     collect_rollouts,
     group_advantages,
@@ -91,7 +91,7 @@ def test_criterion_6_cfg_free_rollout_contract(tmp_path):
     rt = make_runtime(cfg)
     text = checkpoint.load_params(pre / "text.ckpt")
     flow = checkpoint.load_params(pre / "flow.ckpt")
-    prompt = make_prompt(1, "near", "tight")
+    prompt = prompt_id(1, "near", "tight")
 
     draws = rollout_words(cfg, 0, range(1, 2), 1)[0]
     plain = collect_rollouts(rt, [prompt], text, flow, draws)[0]

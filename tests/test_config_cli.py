@@ -427,6 +427,77 @@ class TestCli:
             assert main(["train", "--config", str(cfg), "--out", str(out), "--resume"]) == 0
         assert json.loads((out / "summary.json").read_text())["updates"] == 4
 
+    @pytest.mark.parametrize("changes, key, values", [
+        ({"group_size": "8", "total_updates": "4", "--seed": "5"}, "seed", ("5", "0")),
+        ({"group_size": "8"}, "group_size", ("8", "4")),
+        ({"reward_mode": "binary", "tau_r": "0.25"}, "tau_r", ("0.25", "0.5")),
+        ({"pretrain_dir": "pre_copy"}, "pretrain_dir", ("pre_copy", "pre")),
+    ], ids=["seed-group-updates", "group_size", "tau_r", "pretrain_dir"])
+    def test_resume_with_another_config_exits_2(self, cli_workspace, capsys, changes, key,
+                                                values):
+        # a resume continues the run it finds: a config that would train
+        # another trajectory is refused, naming the first key that differs,
+        # before any file of the run is written
+        ws, cfg_path = cli_workspace
+        if not (ws / "pre_copy").exists():
+            shutil.copytree(ws / "pre", ws / "pre_copy")
+        short = ws / "two_updates.cfg"
+        short.write_text(cfg_path.read_text().replace("total_updates = 4", "total_updates = 2"))
+        out = ws / f"other_config_{key}"
+        assert main(["train", "--config", str(short), "--out", str(out)]) == 0
+        text = short.read_text()
+        for name, value in changes.items():
+            if not name.startswith("--"):
+                value = str(ws / value) if name == "pretrain_dir" else value
+                text = _without(text, name) + f"{name} = {value}\n"
+        other = ws / f"other_{key}.cfg"
+        other.write_text(text)
+        seed = ["--seed", changes["--seed"]] if "--seed" in changes else []
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        capsys.readouterr()
+        rc = main(["train", "--config", str(other), "--out", str(out), "--resume", *seed])
+        assert rc == 2
+        err = capsys.readouterr().err
+        new, old = (str(ws / v) if key == "pretrain_dir" else v for v in values)
+        assert f"config error: {key} = {new} differs from the run's {key} = {old}" in err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_resume_may_change_what_is_logged_and_saved(self, cli_workspace, capsys):
+        ws, cfg_path = cli_workspace
+        short = ws / "two_updates.cfg"
+        short.write_text(cfg_path.read_text().replace("total_updates = 4", "total_updates = 2"))
+        out = ws / "free_keys"
+        assert main(["train", "--config", str(short), "--out", str(out)]) == 0
+        text = cfg_path.read_text()
+        for name, value in (("eval_every", "1"), ("checkpoint_every", "3"),
+                            ("ablate_seeds", "2"), ("ablate_updates", "7")):
+            text = _without(text, name) + f"{name} = {value}\n"
+        free = ws / "free_keys.cfg"
+        free.write_text(text)
+        assert main(["train", "--config", str(free), "--out", str(out), "--resume"]) == 0
+        assert json.loads((out / "summary.json").read_text())["updates"] == 4
+
+    @pytest.mark.parametrize("damage", ["missing", "garbled", "no config"])
+    def test_resume_without_a_readable_manifest_exits_3(self, cli_workspace, capsys, damage):
+        ws, cfg_path = cli_workspace
+        short = ws / "two_updates.cfg"
+        short.write_text(cfg_path.read_text().replace("total_updates = 4", "total_updates = 2"))
+        out = ws / f"manifest_{damage.replace(' ', '_')}"
+        assert main(["train", "--config", str(short), "--out", str(out)]) == 0
+        manifest = out / "run_manifest.json"
+        if damage == "missing":
+            manifest.unlink()
+        elif damage == "garbled":
+            manifest.write_text(manifest.read_text()[:40])
+        else:
+            manifest.write_text(json.dumps({"seed": 0}))
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        capsys.readouterr()
+        rc = main(["train", "--config", str(cfg_path), "--out", str(out), "--resume"])
+        assert rc == 3
+        assert "run_manifest.json" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
     def test_cli_pins_unset_blas_threads_to_one(self, cli_workspace):
         ws, cfg_path = cli_workspace
         env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}

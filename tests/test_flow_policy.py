@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from prompt_draws import prompt_id
 from reference_ops import reference_velocity, trace_tokens
 
 import unigrpo.flow_policy as flow_policy_mod
@@ -21,12 +22,11 @@ from unigrpo.flow_policy import (
 )
 from unigrpo.nn import AdamState, adam_step, finite_diff_check
 from unigrpo.rng import stream
-from unigrpo.task import (EOS, PAD, TaskGeometry, canonical_trace, make_prompt,
-                          make_pretrain_data)
+from unigrpo.task import CANONICAL_TRACES, EOS, PAD, TaskGeometry, make_pretrain_data
 
 POLICY = FlowPolicy()
 GEOM = TaskGeometry()
-TRACE = canonical_trace(make_prompt(1, "near", "tight"))
+TRACE = tuple(CANONICAL_TRACES[prompt_id(1, "near", "tight")])
 # trace rows: a canonical trace, one filled without EOS, EOS alone, two tokens
 ROWS = np.array([TRACE, (3, 3, 5, 7), (EOS, PAD, PAD, PAD), (7, EOS, PAD, PAD)])
 

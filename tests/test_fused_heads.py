@@ -25,7 +25,7 @@ from unigrpo.flow_policy import (DIM, FlowPolicy, drift_coefficients, time_featu
                                  timestep_schedule)
 from unigrpo.nn import mlp_var
 from unigrpo.rng import stream
-from unigrpo.task import EOS, PAD, TaskGeometry, make_pretrain_data
+from unigrpo.task import EOS, PAD, PROMPT_TOKENS, TaskGeometry, make_pretrain_data
 from unigrpo.text_policy import TextPolicy
 
 TEXT = TextPolicy()
@@ -102,7 +102,7 @@ def _text_params(seed):
 
 def _traces(params, temperature, g=16, seed=0, group=1):
     """g sampled text rows, each prompt drawn for `group` consecutive rows."""
-    prompts = np.repeat([p.tokens for p in random_prompts(seed, "p", g // group)], group, axis=0)
+    prompts = np.repeat(PROMPT_TOKENS[random_prompts(seed, "p", g // group)], group, axis=0)
     u = np.stack([stream(seed, "u", i).random(TEXT.max_len) for i in range(g)])
     return TEXT.sample_trace(params, prompts, temperature, u)
 
@@ -233,7 +233,7 @@ def _flow_rollout(params, cfg_scale, g=8, seed=0):
     rng = stream(seed, "roll")
     starts = rng.integers(0, 4, size=g)
     return FLOW.hybrid_rollout(
-        params, np.array([p.tokens for p in random_prompts(seed, "c", g)]), times,
+        params, PROMPT_TOKENS[random_prompts(seed, "c", g)], times,
         rng.standard_normal((g, DIM)), starts, 3, 0.8, rng.standard_normal((g, 3, DIM)),
         cfg_scale,
     )
@@ -314,7 +314,7 @@ class TestFlowHeads:
         t = 1.0 - rng.random(n)
         x1 = rng.standard_normal((n, DIM))
         keep = (rng.random(n) >= 0.2).astype(np.float64)
-        pool = FLOW.pool_weights(np.array([p.tokens for p in random_prompts(11, "c", n)]))
+        pool = FLOW.pool_weights(PROMPT_TOKENS[random_prompts(11, "c", n)])
         loss, gs = FLOW.fm_loss_frozen(params, x0, pool, t, x1, keep)
 
         tape = OpTape()

@@ -2,32 +2,35 @@
 
 import numpy as np
 import pytest
-from prompt_draws import random_prompts
+from prompt_draws import (BANDS, ORACLE_PROMPTS, QUADRANTS, SPREADS, SURFACE_WORDS, all_tuples,
+                          prompt_id, random_prompts)
 from reference_ops import trace_tokens
-from reference_reward import reference_reward
+from reference_reward import QUAD_DIRS, reference_reward, reference_target
 
-from unigrpo import task
-from unigrpo.rng import stream, words
+from unigrpo.rng import below, stream, words
 from unigrpo.task import (
+    CANONICAL_TRACES,
     EOS,
     PAD,
+    PROMPT_BOUNDS,
+    PROMPT_DRAWS,
+    PROMPT_TOKENS,
+    TOKEN_NAMES,
     TaskGeometry,
-    all_prompts,
-    all_tuples,
-    canonical_trace,
     draw_prompts,
-    make_prompt,
     make_pretrain_data,
+    prompt_ids,
     score,
-    target_spec,
     trace_lengths,
 )
 
 GEOM = TaskGeometry()
 # canonical trace -> (quadrant, band, spread)
-DECODE = {canonical_trace(p): (p.quadrant, p.band, p.spread) for p in all_prompts()}
+DECODE = {p.trace: (p.quadrant, p.band, p.spread) for p in ORACLE_PROMPTS}
 # prompt tokens -> prompt
-PROMPTS = {p.tokens: p for p in all_prompts()}
+PROMPTS = {p.tokens: p for p in ORACLE_PROMPTS}
+# per attribute position, the canonical tokens of its values
+CANON_TOKENS = [{p.trace[pos] for p in ORACLE_PROMPTS} for pos in range(3)]
 
 
 def _text_columns(seqs):
@@ -37,9 +40,14 @@ def _text_columns(seqs):
 
 
 def score_one(x0, prompt, geom) -> float:
-    """The array score of a single row."""
+    """The array score of a single row against prompt id `prompt`."""
     rewards, _ = score(np.asarray(x0)[None], [prompt], geom)
     return rewards[0]
+
+
+def target_spec(quadrant, band, spread, geom):
+    """(mu, tau) of an attribute tuple's Gaussian target, by the reference."""
+    return reference_target(prompt_id(quadrant, band, spread), geom)
 
 
 def _closed_form_expected_reward(mu_true, mu_gen, tau_gen, tau_r):
@@ -53,19 +61,28 @@ def _closed_form_expected_reward(mu_true, mu_gen, tau_gen, tau_r):
 class TestPrompts:
     def test_fixed_seed_repeats(self):
         a = random_prompts(7, "p", 20)
-        assert a == random_prompts(7, "p", 20)
-        assert a != random_prompts(8, "p", 20)
+        assert a.shape == (20,) and a.dtype == np.int64
+        np.testing.assert_array_equal(a, random_prompts(7, "p", 20))
+        assert (a != random_prompts(8, "p", 20)).any()
 
     def test_each_row_is_its_words(self):
         # counter-addressed: a row's prompt depends on its own words only
         a = random_prompts(7, "p", 20)
         index = [(0, i, 0) for i in range(20)]
         w = words(7, "p", index, 6)
-        assert draw_prompts(7, "p", index[5:9], w[5:9]) == a[5:9]
+        np.testing.assert_array_equal(draw_prompts(7, "p", index[5:9], w[5:9]), a[5:9])
+
+    def test_draws_give_the_formula_ids(self):
+        # the six draws of a row name its tuple's values and synonyms
+        index = [(0, i, 0) for i in range(500)]
+        w = words(3, "ids", index, 6)
+        draws = below(3, "ids", index, w, PROMPT_BOUNDS).tolist()
+        want = [prompt_id(QUADRANTS[q], BANDS[b], SPREADS[s], syn) for q, b, s, *syn in draws]
+        assert draw_prompts(3, "ids", index, w).tolist() == want
 
     def test_tuple_frequencies_uniform(self):
         n = 10_000
-        prompts = random_prompts(0, "freq", n)
+        prompts = [ORACLE_PROMPTS[i] for i in random_prompts(0, "freq", n)]
         counts = {}
         for p in prompts:
             key = (p.quadrant, p.band, p.spread)
@@ -74,39 +91,57 @@ class TestPrompts:
         for key, c in counts.items():
             assert abs(c / n - 1 / 16) < 0.01, key
         # every prompt token is one of its attribute's three synonyms
-        for pos, table in enumerate((task.SURFACE_QUAD, task.SURFACE_BAND,
-                                     task.SURFACE_SPREAD)):
-            syn = [table[(p.quadrant, p.band, p.spread)[pos]].index(p.tokens[pos])
-                   for p in prompts]
+        for pos, kind in enumerate(("quad", "band", "spread")):
+            syn = [SURFACE_WORDS[kind, (p.quadrant, p.band, p.spread)[pos]].index(
+                TOKEN_NAMES[p.tokens[pos]]) for p in prompts]
             freq = np.bincount(syn, minlength=3) / n
             assert np.all(np.abs(freq - 1 / 3) < 0.02), (pos, freq)
 
     def test_every_prompt_decodes_to_valid_target(self):
-        for p in all_prompts():
-            spec = target_spec(p.quadrant, p.band, p.spread, GEOM)
-            assert spec.tau > 0
-            d = task._QUAD_DIR[p.quadrant]
-            assert np.sign(spec.mu[0]) == np.sign(d[0])
-            assert np.sign(spec.mu[1]) == np.sign(d[1])
+        mu, tau = GEOM.targets(PROMPT_DRAWS[:, :3])
+        assert mu.shape == (432, 2) and tau.shape == (432,)
+        assert np.all(tau > 0)
+        for p in ORACLE_PROMPTS:
+            d = QUAD_DIRS[p.quadrant]
+            assert np.sign(mu[p.prompt_id, 0]) == np.sign(d[0])
+            assert np.sign(mu[p.prompt_id, 1]) == np.sign(d[1])
+
+    @pytest.mark.parametrize("geom", [GEOM, TaskGeometry(radius_near=0.3, radius_far=2.1,
+                                                         tau_tight=0.05, tau_wide=0.4)])
+    def test_targets_match_the_reference_bit_for_bit(self, geom):
+        mu, tau = geom.targets(PROMPT_DRAWS[:, :3])
+        for i in range(432):
+            ref_mu, ref_tau = reference_target(i, geom)
+            assert mu[i].tobytes() == ref_mu.tobytes() and tau[i] == ref_tau, i
 
     def test_prompt_ids_unique(self):
-        ids = [p.prompt_id for p in all_prompts()]
-        assert len(ids) == 432
-        assert len(set(ids)) == 432
+        ids = [p.prompt_id for p in ORACLE_PROMPTS]
+        assert ids == list(range(432))
+        assert PROMPT_DRAWS.shape == (432, 6)
+        np.testing.assert_array_equal(prompt_ids(PROMPT_DRAWS), np.arange(432))
+        for p in ORACLE_PROMPTS:
+            want = [p.quadrant - 1, BANDS.index(p.band), SPREADS.index(p.spread), *p.syn]
+            assert PROMPT_DRAWS[p.prompt_id].tolist() == want
+
+    def test_tables_match_the_per_prompt_construction(self):
+        assert TOKEN_NAMES == ["<pad>", "<eos>", "QUAD_1", "QUAD_2", "QUAD_3", "QUAD_4",
+                               "BAND_NEAR", "BAND_FAR", "SPREAD_TIGHT", "SPREAD_WIDE",
+                               *(w for syns in SURFACE_WORDS.values() for w in syns)]
+        assert PROMPT_TOKENS.tolist() == [list(p.tokens) for p in ORACLE_PROMPTS]
+        assert CANONICAL_TRACES.tolist() == [list(p.trace) for p in ORACLE_PROMPTS]
+        assert PROMPT_TOKENS.dtype == CANONICAL_TRACES.dtype == np.int64
 
 
 class TestCanonicalTrace:
     def test_synonyms_share_trace(self):
-        a = make_prompt(1, "near", "wide", (0, 0, 0))
-        b = make_prompt(1, "near", "wide", (2, 1, 2))
-        assert a.tokens != b.tokens
-        assert canonical_trace(a) == canonical_trace(b)
+        a = prompt_id(1, "near", "wide", (0, 0, 0))
+        b = prompt_id(1, "near", "wide", (2, 1, 2))
+        assert (PROMPT_TOKENS[a] != PROMPT_TOKENS[b]).any()
+        np.testing.assert_array_equal(CANONICAL_TRACES[a], CANONICAL_TRACES[b])
 
     def test_length_four_with_eos(self):
-        for p in all_prompts():
-            tr = canonical_trace(p)
-            assert len(tr) == 4
-            assert tr[-1] == EOS
+        assert CANONICAL_TRACES.shape == (432, 4)
+        assert np.all(CANONICAL_TRACES[:, -1] == EOS)
 
 
 class TestTraceLengths:
@@ -133,32 +168,31 @@ class TestTraceLengths:
 
 class TestReward:
     def test_at_target_mean_is_one(self):
-        p = make_prompt(2, "far", "tight")
-        spec = target_spec(p.quadrant, p.band, p.spread, GEOM)
-        assert score_one(spec.mu, p, GEOM) == pytest.approx(1.0)
+        mu, _ = target_spec(2, "far", "tight", GEOM)
+        assert score_one(mu, prompt_id(2, "far", "tight"), GEOM) == pytest.approx(1.0)
 
     def test_one_tau_r_away(self):
-        p = make_prompt(1, "near", "tight")
-        spec = target_spec(p.quadrant, p.band, p.spread, GEOM)
-        x = spec.mu + np.array([GEOM.tau_r, 0.0])
-        assert score_one(x, p, GEOM) == pytest.approx(np.exp(-0.5), abs=1e-12)
+        mu, _ = target_spec(1, "near", "tight", GEOM)
+        x = mu + np.array([GEOM.tau_r, 0.0])
+        assert score_one(x, prompt_id(1, "near", "tight"), GEOM) == pytest.approx(np.exp(-0.5),
+                                                                                  abs=1e-12)
 
     def test_binary_mode(self):
         geom = TaskGeometry(reward_mode="binary")
-        p = make_prompt(1, "near", "tight")
-        spec = target_spec(p.quadrant, p.band, p.spread, geom)
-        assert score_one(spec.mu, p, geom) == 1.0
-        assert score_one(-spec.mu, p, geom) == 0.0          # wrong quadrant
-        far_mu = target_spec(1, "far", "tight", geom).mu
+        p = prompt_id(1, "near", "tight")
+        mu, _ = target_spec(1, "near", "tight", geom)
+        assert score_one(mu, p, geom) == 1.0
+        assert score_one(-mu, p, geom) == 0.0          # wrong quadrant
+        far_mu, _ = target_spec(1, "far", "tight", geom)
         assert score_one(far_mu, p, geom) == 0.0            # wrong band
 
     def test_nonfinite_sample_scores_zero(self):
-        p = make_prompt(1, "near", "tight")
+        p = prompt_id(1, "near", "tight")
         assert score_one(np.array([np.nan, 0.0]), p, GEOM) == 0.0
 
     def test_bounded_and_pure(self):
         rng = stream(1, "rwd")
-        p = make_prompt(3, "far", "wide")
+        p = prompt_id(3, "far", "wide")
         for _ in range(200):
             x = rng.normal(size=2) * 3
             r = score_one(x, p, GEOM)
@@ -169,12 +203,11 @@ class TestReward:
         # Monte Carlo vs closed form, correct conditioning
         rng = stream(2, "head")
         for q, b, s in [(1, "near", "tight"), (4, "far", "wide")]:
-            spec = target_spec(q, b, s, GEOM)
-            p = make_prompt(q, b, s)
-            xs = spec.mu + spec.tau * rng.standard_normal((200_000, 2))
-            mc = np.mean(np.exp(-np.sum((xs - spec.mu) ** 2, 1) / (2 * GEOM.tau_r**2)))
-            closed = _closed_form_expected_reward(spec.mu, spec.mu, spec.tau, GEOM.tau_r)
-            assert closed == pytest.approx(GEOM.tau_r**2 / (GEOM.tau_r**2 + spec.tau**2))
+            mu, tau = target_spec(q, b, s, GEOM)
+            xs = mu + tau * rng.standard_normal((200_000, 2))
+            mc = np.mean(np.exp(-np.sum((xs - mu) ** 2, 1) / (2 * GEOM.tau_r**2)))
+            closed = _closed_form_expected_reward(mu, mu, tau, GEOM.tau_r)
+            assert closed == pytest.approx(GEOM.tau_r**2 / (GEOM.tau_r**2 + tau**2))
             assert mc == pytest.approx(closed, abs=0.01)
 
     def test_wrong_trace_lowers_expected_reward(self):
@@ -187,15 +220,15 @@ class TestReward:
         n = 4000
 
         def mean_reward(gen_spec, true_spec):
-            xs = gen_spec.mu + gen_spec.tau * rng.standard_normal((n, 2))
-            return np.mean(np.exp(-np.sum((xs - true_spec.mu) ** 2, 1) / (2 * GEOM.tau_r**2)))
+            xs = gen_spec[0] + gen_spec[1] * rng.standard_normal((n, 2))
+            return np.mean(np.exp(-np.sum((xs - true_spec[0]) ** 2, 1) / (2 * GEOM.tau_r**2)))
 
         # the vectorized scoring above agrees with score() itself
-        p0 = make_prompt(2, "far", "wide")
-        spec0 = target_spec(2, "far", "wide", GEOM)
-        x0 = spec0.mu + 0.3
+        p0 = prompt_id(2, "far", "wide")
+        mu0, _ = target_spec(2, "far", "wide", GEOM)
+        x0 = mu0 + 0.3
         assert score_one(x0, p0, GEOM) == pytest.approx(
-            np.exp(-np.sum((x0 - spec0.mu) ** 2) / (2 * GEOM.tau_r**2))
+            np.exp(-np.sum((x0 - mu0) ** 2) / (2 * GEOM.tau_r**2))
         )
 
         worst_gap = np.inf
@@ -218,10 +251,8 @@ class TestScoreOracle:
 
     def _rows(self, geom, seed):
         rng = np.random.default_rng(seed)
-        prompts = list(all_prompts())
-        idx = rng.integers(len(prompts), size=self.N)
-        rows = [prompts[i] for i in idx]
-        mu = np.array([target_spec(p.quadrant, p.band, p.spread, geom).mu for p in prompts])[idx]
+        rows = rng.integers(432, size=self.N)
+        mu = np.array([reference_target(i, geom)[0] for i in range(432)])[rows]
         x = mu + 0.3 * rng.standard_normal((self.N, 2))
         part = rng.integers(6, size=self.N)
         wide = part == 1
@@ -272,32 +303,31 @@ class TestPretrainData:
         for tokens, trace in zip(*_text_columns(seqs)):
             q, b, s = DECODE[trace]
             prompt = PROMPTS[tokens]
-            assert trace == canonical_trace(prompt)
+            assert trace == prompt.trace
             assert (q, b, s) == (prompt.quadrant, prompt.band, prompt.spread)
 
     def test_corruption_rate(self):
         prompts, traces = _text_columns(make_pretrain_data(5, 10_000, 1, GEOM, p_noise=0.25)[0])
         # a corrupted trace differs from its prompt's canonical trace in one token
-        wrong = [sum(a != b for a, b in zip(trace, canonical_trace(PROMPTS[tokens])))
+        wrong = [sum(a != b for a, b in zip(trace, PROMPTS[tokens].trace))
                  for tokens, trace in zip(prompts, traces)]
         assert set(wrong) == {0, 1}
         frac = np.mean(wrong)
         assert abs(frac - 0.25) < 0.02
-        canon = (task.CANON_QUAD, task.CANON_BAND, task.CANON_SPREAD)
         positions = []
         for tokens, trace, w in zip(prompts, traces, wrong):
             assert len(trace) == 4 and trace[3] == EOS
             if not w:
                 continue
-            right = canonical_trace(PROMPTS[tokens])
+            right = PROMPTS[tokens].trace
             pos = next(i for i in range(3) if trace[i] != right[i])
             # the swapped token is another canonical value of the same attribute
-            assert trace[pos] in canon[pos].values() and trace[pos] != right[pos]
+            assert trace[pos] in CANON_TOKENS[pos] and trace[pos] != right[pos]
             positions.append(pos)
         share = np.bincount(positions, minlength=3) / len(positions)
         assert np.all(np.abs(share - 1 / 3) < 0.03), share
         # a swapped quadrant is any of the three wrong ones
-        shift = np.bincount([(trace[0] - canonical_trace(PROMPTS[tokens])[0]) % 4
+        shift = np.bincount([(trace[0] - PROMPTS[tokens].trace[0]) % 4
                              for tokens, trace in zip(prompts, traces)], minlength=4)[1:]
         assert np.all(np.abs(shift / shift.sum() - 1 / 3) < 0.05), shift
 
@@ -317,7 +347,7 @@ class TestPretrainData:
         assert len(by_cond) == 16
         for cond, xs in by_cond.items():
             q, b, s = DECODE[cond]
-            spec = target_spec(q, b, s, GEOM)
+            mu, tau = target_spec(q, b, s, GEOM)
             xs = np.array(xs)
-            se = 3 * spec.tau / np.sqrt(len(xs))
-            assert np.all(np.abs(xs.mean(axis=0) - spec.mu) < se + 1e-9)
+            se = 3 * tau / np.sqrt(len(xs))
+            assert np.all(np.abs(xs.mean(axis=0) - mu) < se + 1e-9)

@@ -4,19 +4,17 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from prompt_draws import random_prompts
+from prompt_draws import prompt_id, random_prompts
 from reference_ops import OpTape, trace_tokens
 
 from unigrpo.errors import NumericError
 from unigrpo.nn import AdamState, adam_step, finite_diff_check, mlp_var
 from unigrpo.rng import stream
-from unigrpo.task import (
-    CANONICAL_TRACES, EOS, PAD, PROMPT_TOKENS, TaskGeometry, canonical_trace, make_prompt, make_pretrain_data,
-)
+from unigrpo.task import CANONICAL_TRACES, EOS, PAD, PROMPT_TOKENS, TaskGeometry, make_pretrain_data
 from unigrpo.text_policy import TextPolicy, softmax_np
 
 POLICY = TextPolicy()
-PROMPT = make_prompt(1, "near", "tight")
+PROMPT = prompt_id(1, "near", "tight")
 
 
 def _trace_tokens(seq, policy=POLICY):
@@ -24,7 +22,7 @@ def _trace_tokens(seq, policy=POLICY):
     return trace_tokens(seq[policy.prompt_len:])
 
 
-def _text_row(trace_tokens, prompt_tokens=PROMPT.tokens, policy=POLICY):
+def _text_row(trace_tokens, prompt_tokens=PROMPT_TOKENS[PROMPT], policy=POLICY):
     """(1, ctx) text row [prompt | trace | PAD]."""
     row = np.full((1, policy.ctx), PAD, dtype=np.int64)
     row[0, : policy.prompt_len] = prompt_tokens
@@ -71,7 +69,7 @@ def _params(seed=0):
 def _sample(params, temperature=1.0, seed=0, tag="s"):
     """(1, ctx) text row of one sampled trace of PROMPT."""
     return POLICY.sample_trace(
-        params, np.array([PROMPT.tokens]), temperature,
+        params, PROMPT_TOKENS[[PROMPT]], temperature,
         stream(seed, tag).random((1, POLICY.max_len)),
     )
 
@@ -84,7 +82,7 @@ def _old_logp(params, seqs, temperature=1.0):
 def _softmax_logprobs(params, trace_tokens):
     """Per-position log pi(y_k | prompt, y_<k) from an explicit softmax of
     logits_np, independent of the decoder."""
-    rows = _context_rows(PROMPT.tokens, list(trace_tokens))
+    rows = _context_rows(PROMPT_TOKENS[PROMPT], list(trace_tokens))
     z = POLICY.logits_np(params, rows)
     probs = np.exp(z) / np.exp(z).sum(axis=1, keepdims=True)
     return np.log(probs[np.arange(len(trace_tokens)), list(trace_tokens)])
@@ -103,7 +101,7 @@ class TestTokenLogprobs:
 
     def test_probs_normalize(self):
         params = _params(1)
-        rows = _context_rows(PROMPT.tokens, list(canonical_trace(PROMPT)))
+        rows = _context_rows(PROMPT_TOKENS[PROMPT], list(CANONICAL_TRACES[PROMPT]))
         logits = POLICY.logits_np(params, rows)
         p = np.exp(_log_softmax(logits))
         np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-12)
@@ -114,7 +112,7 @@ class TestTokenLogprobs:
         seqs = _sample(params, seed=2)
         trace, lp = _trace_tokens(seqs[0]), _old_logp(params, seqs)
         for k, tok in enumerate(trace):
-            rows = _context_rows(PROMPT.tokens, list(trace))[k : k + 1]
+            rows = _context_rows(PROMPT_TOKENS[PROMPT], list(trace))[k : k + 1]
             z = POLICY.logits_np(params, rows)[0]
             probs = np.exp(z) / np.exp(z).sum()
             assert lp[k] == pytest.approx(np.log(probs[tok]), abs=1e-12)
@@ -137,7 +135,7 @@ class TestTokenRows:
         policy = TextPolicy(max_trace_len=max_len)
         rng = stream(30, "rows", width)
         seqs = np.full((12, policy.prompt_len + width), PAD, dtype=np.int64)
-        seqs[:, : policy.prompt_len] = [p.tokens for p in random_prompts(30, "p", 12)]
+        seqs[:, : policy.prompt_len] = PROMPT_TOKENS[random_prompts(30, "p", 12)]
         traces = seqs[:, policy.prompt_len:]
         traces[:] = rng.integers(2, POLICY.vocab, size=traces.shape)
         ends = iter(range(12))
@@ -163,7 +161,7 @@ class TestTokenRows:
 class TestSampling:
     def test_tiny_temperature_is_greedy(self):
         params = _params(3)
-        greedy = POLICY.greedy_trace(params, np.array([PROMPT.tokens]))
+        greedy = POLICY.greedy_trace(params, PROMPT_TOKENS[[PROMPT]])
         assert _sample(params, 1e-6).tobytes() == greedy.tobytes()
 
     def test_stored_logprobs_self_consistent(self):
@@ -175,7 +173,7 @@ class TestSampling:
     def test_stops_at_eos_or_max_len(self):
         params = _params(5)
         seqs = POLICY.sample_trace(
-            params, np.tile(PROMPT.tokens, (20, 1)), 1.0,
+            params, np.tile(PROMPT_TOKENS[PROMPT], (20, 1)), 1.0,
             np.stack([stream(i, "s2").random(POLICY.max_len) for i in range(20)]),
         )
         assert seqs.shape == (20, POLICY.ctx) and seqs.dtype == np.int64
@@ -189,13 +187,13 @@ class TestSampling:
 
     def test_temperature_must_be_positive(self):
         with pytest.raises(ValueError):
-            POLICY.sample_trace(_params(), np.array([PROMPT.tokens]), 0.0,
+            POLICY.sample_trace(_params(), PROMPT_TOKENS[[PROMPT]], 0.0,
                                 stream(0, "s").random((1, 4)))
 
     def test_nonfinite_probabilities_rejected(self):
         # 1 / T overflows at a positive but subnormal temperature
         with pytest.raises(NumericError, match="row 0"), np.errstate(invalid="ignore"):
-            POLICY.sample_trace(_params(), np.array([PROMPT.tokens]), 1e-320,
+            POLICY.sample_trace(_params(), PROMPT_TOKENS[[PROMPT]], 1e-320,
                                 stream(0, "s").random((1, 4)))
 
     @pytest.mark.parametrize("temperature", [0.7, 1.0, 1.3])
@@ -203,7 +201,7 @@ class TestSampling:
         # the decoder before inverse-CDF sampling: lockstep logits, then one
         # Generator.choice per live row per token from that row's stream
         params = _params(8)
-        prompts = [p.tokens for p in random_prompts(8, "p", 48)]
+        prompts = PROMPT_TOKENS[random_prompts(8, "p", 48)]
         rngs = [stream(8, "row", i) for i in range(48)]
         tokens, logps = [[] for _ in prompts], [[] for _ in prompts]
         rows = np.full((len(prompts), POLICY.ctx), PAD, dtype=np.int64)
@@ -246,13 +244,13 @@ class TestSampling:
         cdf /= cdf[-1]
         ks = [0, 5, POLICY.vocab - 2]
         u = np.repeat(cdf[ks][:, None], POLICY.max_len, axis=1)
-        seqs = POLICY.sample_trace(params, np.tile(PROMPT.tokens, (3, 1)), 1.0, u)
+        seqs = POLICY.sample_trace(params, np.tile(PROMPT_TOKENS[PROMPT], (3, 1)), 1.0, u)
         assert seqs[:, POLICY.prompt_len].tolist() == [k + 1 for k in ks]
 
 
 def _group(params, g=4, seed=0, temperature=1.0):
     return POLICY.sample_trace(
-        params, np.tile(PROMPT.tokens, (g, 1)), temperature,
+        params, np.tile(PROMPT_TOKENS[PROMPT], (g, 1)), temperature,
         np.stack([stream(seed, "g", i).random(POLICY.max_len) for i in range(g)]),
     )
 
@@ -332,7 +330,7 @@ class TestSurrogate:
         for seed in range(40):
             n = 2 + seed % 3
             params = policy.init_params(stream(seed, "init-text"))
-            prompts = np.array([p.tokens for p in random_prompts(seed, "p", n)])
+            prompts = PROMPT_TOKENS[random_prompts(seed, "p", n)]
             seqs = policy.sample_trace(params, prompts, 1.3, stream(seed, "u").random((n, 6)))
             batch = policy.prepare_batch(seqs, np.ones(n), 1.3, 0.0, params)
             _, _, stats = policy.surrogate_loss(params, batch, 0.2)

@@ -13,7 +13,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from prompt_draws import random_prompts
+from prompt_draws import ORACLE_PROMPTS, all_tuples, prompt_id, random_prompts
 from reference_ops import reference_velocity
 from reference_reward import reference_reward
 
@@ -27,8 +27,7 @@ from unigrpo.metrics import read_metrics
 from unigrpo.nn import AdamState, ParamSet
 from unigrpo.rng import below, stream, words
 from unigrpo.flow_policy import FlowPolicy
-from unigrpo.task import (EOS, PAD, PROMPT_TOKENS, all_prompts, canonical_trace, draw_prompts,
-                          make_prompt)
+from unigrpo.task import EOS, PAD, PROMPT_TOKENS, draw_prompts
 from unigrpo.text_policy import TextPolicy
 from unigrpo.trainer import (
     ROLLOUT_BLOCK,
@@ -203,7 +202,8 @@ class TestRolloutWords:
                 np.testing.assert_array_equal(draws.index, index)
                 assert draws.flow.tobytes() == words(5, "flow", index, n_flow).tobytes()
                 at = [(update, s, 0) for s in range(slots)]
-                assert draws.prompts == draw_prompts(5, "prompt", at, words(5, "prompt", at, 6))
+                np.testing.assert_array_equal(
+                    draws.prompts, draw_prompts(5, "prompt", at, words(5, "prompt", at, 6)))
                 if train_text:
                     assert draws.trace.tobytes() == \
                         words(5, "trace", index, cfg.max_trace_len).tobytes()
@@ -239,7 +239,7 @@ class TestRollouts:
     def test_deterministic_given_streams(self, tiny_pretrain):
         rt = _rt()
         text, flow = _snap(rt, tiny_pretrain)
-        prompt = make_prompt(1, "near", "tight")
+        prompt = prompt_id(1, "near", "tight")
         a = _rows(_collect(rt, [prompt], text, flow, 0, 3)[0])
         b = _rows(_collect(rt, [prompt], text, flow, 0, 3)[0])
         np.testing.assert_array_equal(a.rewards, b.rewards)
@@ -258,7 +258,7 @@ class TestRollouts:
             return real(x0, prompts, geom)
 
         monkeypatch.setattr(trainer_mod, "score", counting)
-        _collect(rt, [make_prompt(2, "far", "wide")], text, flow, 0, 1)
+        _collect(rt, [prompt_id(2, "far", "wide")], text, flow, 0, 1)
         assert calls == [rt.cfg.group_size]
 
     def test_identical_members_make_degenerate_group(self, tiny_pretrain):
@@ -268,7 +268,7 @@ class TestRollouts:
         text, flow = _snap(rt, tiny_pretrain)
         draws = rollout_words(rt.cfg, 0, range(1, 2), 1)[0]
         draws.trace[1], draws.flow[1] = draws.trace[0], draws.flow[0]
-        group = collect_rollouts(rt, [make_prompt(1, "near", "tight")], text, flow, draws)[0]
+        group = collect_rollouts(rt, [prompt_id(1, "near", "tight")], text, flow, draws)[0]
         g = _rows(group)
         np.testing.assert_array_equal(g.rewards[0], g.rewards[1])
         np.testing.assert_array_equal(g.advantages, np.zeros(2))
@@ -277,7 +277,7 @@ class TestRollouts:
     def test_velocity_eval_budget_per_trajectory(self, tiny_pretrain):
         rt = _rt()
         text, flow = _snap(rt, tiny_pretrain)
-        g = _rows(_collect(rt, [make_prompt(3, "near", "wide")], text, flow, 0, 2)[0])
+        g = _rows(_collect(rt, [prompt_id(3, "near", "wide")], text, flow, 0, 2)[0])
         assert len(g.flow.starts) == rt.cfg.group_size
         assert g.flow.evals_per_row == rt.cfg.train_timesteps
 
@@ -299,7 +299,7 @@ class TestRollouts:
         # the rollout actually uses that draw
         rt30 = make_runtime(replace(TINY, group_size=30))
         text, flow = _snap(rt30, tiny_pretrain)
-        g = _rows(_collect(rt30, [make_prompt(4, "far", "tight")], text, flow, cfg.seed, 7)[0])
+        g = _rows(_collect(rt30, [prompt_id(4, "far", "tight")], text, flow, cfg.seed, 7)[0])
         np.testing.assert_array_equal(g.flow.starts, start_of(7, range(30)))
 
     @pytest.mark.parametrize("overrides", [{}, {"train_text": False}, {"train_cfg": True}])
@@ -308,7 +308,7 @@ class TestRollouts:
         # window, states and window statistics do not depend on the other rows
         rt = make_runtime(replace(TINY, **overrides))
         text, flow = _snap(rt, tiny_pretrain)
-        prompts, others = random_prompts(5, "p", 4), random_prompts(6, "p", 4)
+        prompts, others = (random_prompts(seed, "p", 4).tolist() for seed in (5, 6))
         batched = _collect(rt, prompts, text, flow, 0, 2)
         for slot in range(4):
             # the slot keeps its prompt; slot 0 runs alone, the others beside
@@ -506,15 +506,16 @@ class TestEvaluate:
         # reference: one prompt at a time, one decoded token at a time
         tp, fp, times = rt.text_policy, rt.flow_policy, rt.times_eval
         rewards, accs, drifts = [], [], []
-        for prompt, x1 in zip(*es):
+        ids, x1s = es
+        for prompt, x1 in zip(ids, np.split(x1s, len(ids))):
             tokens = []
             for _ in range(rt.cfg.max_trace_len):
                 row = np.full((1, tp.ctx), PAD, dtype=np.int64)
-                row[0, : tp.prompt_len + len(tokens)] = prompt.tokens + tuple(tokens)
+                row[0, : tp.prompt_len + len(tokens)] = ORACLE_PROMPTS[prompt].tokens + tuple(tokens)
                 tokens.append(int(np.argmax(tp.logits_np(text, row)[0])))
                 if tokens[-1] == EOS:
                     break
-            accs.append(tuple(tokens) == canonical_trace(prompt))
+            accs.append(tuple(tokens) == ORACLE_PROMPTS[prompt].trace)
             pool = fp.pool_weights(np.array([tokens]))
             cond_cur = np.repeat(pool @ moved["cemb"], len(x1), axis=0)
             cond_ref = np.repeat(pool @ flow["cemb"], len(x1), axis=0)
@@ -557,6 +558,20 @@ class TestEvaluate:
         branches = 1 if eval_cfg_scale == 1.0 else 2
         assert calls["mlp"] == [rows] * (branches * steps + steps)
 
+    def test_eval_set_is_the_per_tuple_construction(self):
+        # one synonym draw per attribute tuple in tuple order, and each
+        # tuple's frozen noise, its rows in tuple order
+        rt = _rt()
+        ids, x1 = make_eval_set(rt, 0)
+        want_ids, want_x1 = [], []
+        for i, (q, b, s) in enumerate(all_tuples()):
+            prng = stream(0, "eval-prompt", i)
+            want_ids.append(prompt_id(q, b, s, [int(prng.integers(3)) for _ in range(3)]))
+            want_x1.append(stream(0, "eval-noise", i).standard_normal((rt.cfg.eval_samples, 2)))
+        assert ids.tolist() == want_ids
+        assert x1.shape == (16 * rt.cfg.eval_samples, 2)
+        assert x1.tobytes() == np.concatenate(want_x1).tobytes()
+
     def test_deterministic(self, tiny_pretrain):
         rt = _rt()
         text, flow = _snap(rt, tiny_pretrain)
@@ -575,7 +590,7 @@ class TestGreedyTable:
         rt = _rt()
         text, _ = _snap(rt, tiny_pretrain)
         table = rt.text_policy.greedy_trace(text, PROMPT_TOKENS)
-        prompts = list(all_prompts())
+        prompts = ORACLE_PROMPTS
         assert len(prompts) == 432 and [p.prompt_id for p in prompts] == list(range(432))
         assert table.shape == (432, rt.text_policy.ctx)
         for p in prompts:
