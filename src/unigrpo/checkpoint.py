@@ -22,18 +22,13 @@ VERSION = 1
 def save_blocks(path, blocks: dict[str, np.ndarray]) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", VERSION))
-        for name, arr in blocks.items():
-            arr = np.asarray(arr, dtype=np.float64)
-            nb = name.encode("utf-8")
-            fh.write(struct.pack("<I", len(nb)))
-            fh.write(nb)
-            fh.write(struct.pack("<I", arr.ndim))
-            for d in arr.shape:
-                fh.write(struct.pack("<I", d))
-            fh.write(arr.astype("<f8", copy=False).tobytes(order="C"))
+    parts = [MAGIC, struct.pack("<I", VERSION)]
+    for name, arr in blocks.items():
+        arr = np.asarray(arr, dtype=np.float64)
+        nb = name.encode("utf-8")
+        parts.append(struct.pack(f"<I{len(nb)}sI{arr.ndim}I", len(nb), nb, arr.ndim, *arr.shape))
+        parts.append(arr.astype("<f8", copy=False).tobytes(order="C"))
+    path.write_bytes(b"".join(parts))
 
 
 def load_blocks(path) -> dict[str, np.ndarray]:

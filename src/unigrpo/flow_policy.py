@@ -167,7 +167,7 @@ class FlowUpdateBatch:
     c1: np.ndarray          # (n, 1) drift coefficients c1 * v + c2 * x
     c2x: np.ndarray         # (n, DIM) c2 * x
     neg_dt: np.ndarray      # (n, 1) -dt
-    mu_old: np.ndarray      # (n, DIM) sampling-time transition mean
+    mu_old: np.ndarray | None  # (n, DIM) transition mean at the sampling parameters, once known
     eps: np.ndarray         # (n, DIM) sampled noise
     adv: np.ndarray         # (n,)
     weight: np.ndarray      # (n,) 1 / rows
@@ -224,17 +224,17 @@ class FlowPolicy:
                     cond_out: np.ndarray | None = None) -> np.ndarray:
         """Velocity at the net's (n, arch[0]) input rows [x | time features |
         condition]; a guidance scale other than 1 combines it with the
-        unconditional branch, which runs on a copy of the rows with the
-        condition columns zeroed.  `cond_out`, when given, receives the
+        unconditional branch, the same forward's rows of a stacked copy with
+        the condition columns zeroed.  `cond_out`, when given, receives the
         conditional branch."""
+        n = len(rows)
+        if cfg_scale != 1.0:
+            rows = np.concatenate([rows, rows])
+            rows[n:, DIM + N_TIME_FEATS:] = 0.0
         v = mlp_forward_np(params, rows, self.arch, "tanh")
         if cond_out is not None:
-            cond_out[...] = v
-        if cfg_scale == 1.0:
-            return v
-        null = rows.copy()
-        null[:, DIM + N_TIME_FEATS:] = 0.0
-        return cfg_velocity(v, mlp_forward_np(params, null, self.arch, "tanh"), cfg_scale)
+            cond_out[...] = v[:n]
+        return v if cfg_scale == 1.0 else cfg_velocity(v[:n], v[n:], cfg_scale)
 
     def step_rows(self, cond: np.ndarray, times: np.ndarray):
         """Velocity-net inputs for each step of a schedule: one (B, arch[0])
@@ -258,7 +258,9 @@ class FlowPolicy:
         conditional branch.  Row i conditions on the trace row traces[i];
         for the window_size steps from window_starts[i] it takes the
         noise-injected step, its j-th with noise eps[i, j] of the
-        (B, window_size, DIM) eps, and every other step is plain Euler."""
+        (B, window_size, DIM) eps, and every other step is plain Euler.  The
+        noise is laid out by step once; a step any window covers takes every
+        row's transition mean and copies mean + s * noise onto the rows inside."""
         n, B = len(times) - 1, len(traces)
         starts = np.asarray(window_starts, dtype=np.int64)
         bad = np.flatnonzero((starts < 0) | (starts + window_size > n) | (window_size < 0))
@@ -267,27 +269,34 @@ class FlowPolicy:
             raise ConfigError(
                 f"SDE window [{start}, {start + window_size}) out of range for {n} steps"
             )
+        dts = times[:-1] - times[1:]
+        rows = np.arange(B)[:, None]
+        slots = starts[:, None] + np.arange(window_size)  # (B, W) step of each window slot
+        coefs = {}  # step: (c1, c2, s) for each step some window covers
         if window_size:
-            # which rows are inside their window at each step, built once
-            steps = np.arange(n)[:, None]
-            inside = (starts <= steps) & (steps < starts + window_size)
+            inside = np.zeros((n, B, 1), dtype=bool)
+            inside[slots, rows] = True
+            noise = np.zeros((n, B, DIM))
+            noise[slots, rows] = eps
+            ks = np.flatnonzero(inside.any(axis=(1, 2)))
+            sig = sigma_level * np.sqrt(times[ks])
+            coefs = dict(zip(ks.tolist(), zip(*drift_coefficients(times[ks], sig),
+                                              sig * np.sqrt(dts[ks]))))
         states = np.empty((n + 1, B, DIM))
         states[0] = x1
         velocities = np.empty((n, B, DIM))
-        mu = np.zeros((B, window_size, DIM))
+        means = np.empty((n, B, DIM))
         pool = self.pool_weights(traces)
         for k, inputs in enumerate(self.step_rows(pool @ params["cemb"], times)):
-            t = float(times[k])
-            dt = float(times[k] - times[k + 1])
             x = states[k]
             inputs[:, :DIM] = x
             v = self.velocity_np(params, inputs, cfg_scale, velocities[k])
-            states[k + 1] = x - v * dt
-            if window_size and (rows := np.flatnonzero(inside[k])).size:
-                slots = k - starts[rows]
-                mu[rows, slots], _, states[k + 1, rows] = sde_step_values(
-                    x[rows], v[rows], t, dt, sigma_level * np.sqrt(t), eps[rows, slots]
-                )
+            np.subtract(x, v * dts[k], out=states[k + 1])
+            if k in coefs:
+                c1, c2, s = coefs[k]
+                np.subtract(x, (c1 * v + c2 * x) * dts[k], out=means[k])
+                np.copyto(states[k + 1], means[k] + s * noise[k], where=inside[k])
+        mu = means[slots, rows]
         return FlowBatch(pool, times, states, velocities, starts, mu, sigma_level, cfg_scale)
 
     def hybrid_rollout(self, params: ParamSet, traces: np.ndarray, times: np.ndarray,
@@ -379,11 +388,12 @@ class FlowPolicy:
                       ref_params: ParamSet) -> FlowUpdateBatch:
         """The per-update part of the surrogate: one row per (trajectory,
         window step), row-major, with its state, time features, drift
-        coefficients, sampled noise eps = (x' - mu_old) / s, pooling weights,
-        and the frozen reference's velocity there.  Both regularizers are one
-        velocity penalty: with equal transition variances mu - mu_ref =
-        -c1 dt (v - v_ref), so the latent KL is the velocity MSE weighted per
-        step by kappa = c1^2 dt / (2 sigma_t^2)."""
+        coefficients, sampled noise eps = (x' - mu) / s from the rollout's
+        means, pooling weights, and the frozen reference's velocity there; the
+        old means are left to the first surrogate_loss call.  Both regularizers
+        are one velocity penalty: with equal transition variances mu - mu_ref
+        = -c1 dt (v - v_ref), so the latent KL is the velocity MSE weighted
+        per step by kappa = c1^2 dt / (2 sigma_t^2)."""
         B, W = batch.mu.shape[:2]
         assert len(advantages) == B
         if reg_mode not in ("none", "latent-kl", "velocity-mse"):
@@ -399,8 +409,8 @@ class FlowPolicy:
         ts = batch.times[ks]
         dts = ts - batch.times[ks + 1]
         sig = batch.sigma_level * np.sqrt(ts)
-        mu_old = batch.mu.reshape(-1, DIM)
-        eps = (batch.states[ks + 1, rows] - mu_old) / (sig * np.sqrt(dts))[:, None]
+        s = sig * np.sqrt(dts)
+        eps = (batch.states[ks + 1, rows] - batch.mu.reshape(-1, DIM)) / s[:, None]
         pool = batch.pool[rows]
         c1, c2 = (c[:, None] for c in drift_coefficients(ts, sig))
         xt = np.concatenate([xs, time_features(ts)], axis=1)
@@ -417,7 +427,7 @@ class FlowPolicy:
         if reg_mode == "latent-kl":
             reg_scale = weight * (c1[:, 0]**2 * dts / (2.0 * sig**2))
         return FlowUpdateBatch(
-            rows, ks, xs, xt, xt_null, pool, c1, c2 * xs, -dts[:, None], mu_old, eps,
+            rows, ks, xs, xt, xt_null, pool, c1, c2 * xs, -dts[:, None], None, eps,
             np.repeat(advantages, W), weight, batch.cfg_scale, v_ref, reg_scale,
         )
 
@@ -430,8 +440,9 @@ class FlowPolicy:
         1/B, so one call over several groups equals the mean of per-group
         calls.  With eps = (x' - mu_old) / s the sampled noise, ratio_norm's
         log ratio is exactly eps . (mu - mu_old) (its Gaussian normalizers and
-        correction cancel), which is 0 at the sampling parameters.  Everything
-        after the velocity net is one fused head node."""
+        correction cancel).  The first call on a batch must be at the sampling
+        parameters: its means become the old means, so its ratios are exactly
+        1.  Everything after the velocity net is one fused head node."""
         b = batch
         tape = Tape()
         x = self.cond_var(tape, params, b.pool, b.xt)
@@ -441,6 +452,8 @@ class FlowPolicy:
             nets.append(mlp_var(tape, params, tape.leaf(b.xt_null), self.arch, "tanh"))
             v = cfg_velocity(v, nets[1].value, b.cfg_scale)
         mu = (v * b.c1 + b.c2x) * b.neg_dt + b.xs
+        if b.mu_old is None:
+            b.mu_old = mu
         log_rt = ((mu - b.mu_old) * b.eps).sum(axis=1)
         rt = np.exp(log_rt)
         bad = np.flatnonzero(~(np.isfinite(log_rt) & np.isfinite(rt)))

@@ -7,8 +7,10 @@ row sums and the like.  The fused-head oracles rebuild each loss from
 these ops and require the same value and gradients; test_autodiff.py
 checks every op against finite differences.  `reference_velocity` is the
 velocity net as the samplers called it before they built its input rows
-once per pass, the oracle for those rows.  `reference_adam_step` is Adam
-as one expression per moment, the oracle for the in-place `adam_step`.
+once per pass, the oracle for those rows; under guidance it combines
+`reference_branches`, both branches from one stacked forward.
+`reference_adam_step` is Adam as one expression per moment, the oracle for
+the in-place `adam_step`.
 `trace_tokens` reads a trace row one token at a time, the oracle for the
 array readers of the token format (`task.trace_lengths` and its callers).
 """
@@ -164,17 +166,28 @@ def reference_velocity(policy, params, x, t, cond, cfg_scale=1.0) -> np.ndarray:
     """Velocity at (x, t) given one pooled condition per row, as it was
     computed before the samplers built their inputs once per pass: the time
     features of t broadcast to every row, concatenated with x and the
-    condition on every call; under guidance the unconditional branch sees a
-    zero condition."""
+    condition on every call; under guidance the branches of
+    reference_branches combined."""
+    if cfg_scale != 1.0:
+        return cfg_velocity(*reference_branches(policy, params, x, t, cond), cfg_scale)
+    x = np.atleast_2d(_f64(x))
+    feats = time_features(np.broadcast_to(_f64(t), (x.shape[0],)))
+    return mlp_forward_np(params, np.concatenate([x, feats, np.atleast_2d(cond)], axis=1),
+                          policy.arch, "tanh")
+
+
+def reference_branches(policy, params, x, t, cond) -> tuple[np.ndarray, np.ndarray]:
+    """The conditional and unconditional velocity at (x, t) from one forward
+    over the stacked rows [x | features | cond] and [x | features | 0], as
+    the guided samplers run them: BLAS may round a branch's rows differently
+    inside the stacked call than alone."""
     x = np.atleast_2d(_f64(x))
     cond = np.atleast_2d(cond)
     feats = time_features(np.broadcast_to(_f64(t), (x.shape[0],)))
-    v = mlp_forward_np(params, np.concatenate([x, feats, cond], axis=1), policy.arch, "tanh")
-    if cfg_scale == 1.0:
-        return v
-    null = np.zeros_like(cond)
-    v_un = mlp_forward_np(params, np.concatenate([x, feats, null], axis=1), policy.arch, "tanh")
-    return cfg_velocity(v, v_un, cfg_scale)
+    rows = np.concatenate([np.concatenate([x, feats, cond], axis=1),
+                           np.concatenate([x, feats, np.zeros_like(cond)], axis=1)])
+    v = mlp_forward_np(params, rows, policy.arch, "tanh")
+    return v[:len(x)], v[len(x):]
 
 
 # ---- Adam as one expression per moment ----

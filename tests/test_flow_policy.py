@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 from prompt_draws import prompt_id
-from reference_ops import reference_velocity, trace_tokens
+from reference_ops import reference_branches, reference_velocity, trace_tokens
 
 import unigrpo.flow_policy as flow_policy_mod
 from unigrpo.errors import ConfigError, NumericError
@@ -36,9 +36,21 @@ def _tile(n):
     return np.tile(TRACE, (n, 1))
 
 
-def _surrogate(params, batch, adv, clip_eps, reg_mode, reg_weight, ref_params):
-    """One surrogate evaluation through a freshly prepared batch."""
+def _prepared(batch, adv, reg_mode, ref_params, old_params):
+    """A prepared batch whose old means a first surrogate call at
+    `old_params`, the sampling parameters, took."""
     prepared = POLICY.prepare_batch(batch, adv, reg_mode, ref_params)
+    POLICY.surrogate_loss(old_params, prepared, 0.0, 0.0)
+    return prepared
+
+
+def _surrogate(params, batch, adv, clip_eps, reg_mode, reg_weight, ref_params, old_params=None):
+    """One surrogate evaluation through a freshly prepared batch sampled at
+    `old_params`, `params` when not given."""
+    if old_params is None:
+        prepared = POLICY.prepare_batch(batch, adv, reg_mode, ref_params)
+    else:
+        prepared = _prepared(batch, adv, reg_mode, ref_params, old_params)
     return POLICY.surrogate_loss(params, prepared, clip_eps, reg_weight)
 
 
@@ -49,6 +61,15 @@ def _cond(params, traces):
 
 def _params(seed=0):
     return POLICY.init_params(stream(seed, "init-flow"))
+
+
+def _cond_branch(params, x, t, cond, cfg_scale):
+    """The conditional-branch velocity a sampler stepping at cfg_scale keeps:
+    the plain forward, or under guidance the conditional half of the stacked
+    forward of both branches."""
+    if cfg_scale == 1.0:
+        return reference_velocity(POLICY, params, x, t, cond)
+    return reference_branches(POLICY, params, x, t, cond)[0]
 
 
 def _rollout(params, times, start, size, sigma, rng, cfg_scale=1.0):
@@ -200,11 +221,15 @@ class TestVelocityNet:
         np.testing.assert_array_equal(v1, v2)
 
     def test_guidance_combines_branches(self):
+        # the unconditional branch is the conditional one at a zero
+        # condition, both rows of one stacked forward
         params = _nontrivial_params(21)
         x = stream(21, "x").standard_normal((3, DIM))
         cond = _cond(params, _tile(3))
-        v_c = reference_velocity(POLICY, params, x, 0.4, cond)
-        v_u = reference_velocity(POLICY, params, x, 0.4, np.zeros((3, POLICY.cond_dim)))
+        v_c, v_u = reference_branches(POLICY, params, x, 0.4, cond)
+        stacked = reference_velocity(POLICY, params, np.concatenate([x, x]), 0.4,
+                                     np.concatenate([cond, np.zeros_like(cond)]))
+        np.testing.assert_array_equal(np.concatenate([v_c, v_u]), stacked)
         np.testing.assert_array_equal(
             reference_velocity(POLICY, params, x, 0.4, cond, cfg_scale=2.0),
             cfg_velocity(v_c, v_u, 2.0),
@@ -376,8 +401,9 @@ class TestHybridRollout:
     @pytest.mark.parametrize("cfg_scale", [1.0, 2.0])
     def test_keeps_conditional_branch_velocities(self, cfg_scale):
         # velocities[k] is the conditional branch at states[k], bit for bit,
-        # whatever the guidance scale the sampler steps with; take keeps each
-        # row's velocities with its states
+        # whatever the guidance scale the sampler steps with (under guidance
+        # the half of the stacked forward); take keeps each row's velocities
+        # with its states
         params = _nontrivial_params(13)
         seqs, starts = ROWS[:3], [0, 2, 7]
         x1 = stream(13, "x1").standard_normal((3, DIM))
@@ -389,7 +415,7 @@ class TestHybridRollout:
         ):
             assert batch.velocities.shape == (10, 3, DIM)
             for k in range(10):
-                v = reference_velocity(POLICY, params, batch.states[k], self.TIMES[k], cond)
+                v = _cond_branch(params, batch.states[k], self.TIMES[k], cond, cfg_scale)
                 np.testing.assert_array_equal(batch.velocities[k], v)
             parts = batch.take(np.array([1, 2, 0]))
             np.testing.assert_array_equal(parts.velocities, batch.velocities[:, [1, 2, 0]])
@@ -439,7 +465,7 @@ def _step_loop_reference(params, seqs, times, x1, starts, size, sigma, eps, cfg_
     for k in range(n):
         t, dt = float(times[k]), float(times[k] - times[k + 1])
         x = states[-1]
-        velocities.append(reference_velocity(POLICY, params, x, t, cond))
+        velocities.append(_cond_branch(params, x, t, cond, cfg_scale))
         v = reference_velocity(POLICY, params, x, t, cond, cfg_scale)
         nxt = x - v * dt
         for i in range(B):
@@ -480,6 +506,58 @@ class TestVelocityInputs:
         np.testing.assert_array_equal(batch.velocities, velocities)
         np.testing.assert_array_equal(batch.mu, mu)
 
+    @pytest.mark.parametrize("cfg_scale", [1.0, 2.0])
+    @pytest.mark.parametrize("case", ["nonfinite-x1", "whole-schedule", "sigma-zero"])
+    def test_window_edge_cases_match_reference_bit_for_bit(self, case, cfg_scale):
+        # the step-major window against the row-by-row loop: rows starting at
+        # +-inf and NaN (every step computes every row's transition mean, and
+        # only the rows inside may take it), one window over every step, and
+        # zero noise
+        params = _nontrivial_params(44)
+        n, B = len(self.TIMES) - 1, 12
+        rng = stream(44, f"edge-{case}")
+        seqs = np.tile(ROWS, (B // 4, 1))
+        x1 = rng.standard_normal((B, DIM))
+        size, sigma = 3, 0.8
+        if case == "nonfinite-x1":
+            x1[[1, 4, 6, 9]] = [[np.inf, 0.3], [-0.2, -np.inf], [np.nan, 1.0], [np.inf, np.nan]]
+        elif case == "whole-schedule":
+            size = n
+        else:
+            sigma = 0.0
+        starts = rng.integers(0, n - size + 1, size=B)
+        eps = rng.standard_normal((B, size, DIM))
+        with np.errstate(invalid="ignore", over="ignore"):
+            batch = POLICY.hybrid_rollout(params, seqs, self.TIMES, x1, starts, size, sigma, eps,
+                                          cfg_scale)
+            states, velocities, mu = _step_loop_reference(params, seqs, self.TIMES, x1, starts,
+                                                          size, sigma, eps, cfg_scale)
+        assert np.isfinite(states).all() == (case != "nonfinite-x1")
+        assert np.array_equal(batch.states, states, equal_nan=True)
+        assert np.array_equal(batch.velocities, velocities, equal_nan=True)
+        assert np.array_equal(batch.mu, mu, equal_nan=True)
+
+    @pytest.mark.parametrize("cfg_scale", [2.0, 3.0])
+    @pytest.mark.parametrize("B", [*range(1, 10), 15])
+    def test_guided_row_counts_match_stacked_reference_bit_for_bit(self, B, cfg_scale):
+        # one forward over both branches' stacked rows, at row counts whose
+        # branches BLAS may round differently from separate calls
+        params = _nontrivial_params(45)
+        rng = stream(45, "guided", B)
+        seqs = ROWS[np.arange(B) % len(ROWS)]
+        x1 = rng.standard_normal((B, DIM))
+        starts, eps = rng.integers(0, 8, size=B), rng.standard_normal((B, 3, DIM))
+        for batch, (size, sigma) in (
+            (POLICY.hybrid_rollout(params, seqs, self.TIMES, x1, starts, 3, 0.8, eps, cfg_scale),
+             (3, 0.8)),
+            (POLICY.ode_rollout_batch(params, seqs, self.TIMES, x1, cfg_scale), (0, 0.0)),
+        ):
+            states, velocities, mu = _step_loop_reference(
+                params, seqs, self.TIMES, x1, starts, size, sigma, eps[:, :size], cfg_scale)
+            np.testing.assert_array_equal(batch.states, states)
+            np.testing.assert_array_equal(batch.velocities, velocities)
+            np.testing.assert_array_equal(batch.mu, mu)
+
     def test_feature_table_matches_per_step_features(self):
         # every schedule the parser accepts up to 100 steps: n_steps >= 1 and
         # any finite shift >= 1, here a grid plus random shifts; the per-step
@@ -510,7 +588,7 @@ class TestVelocityInputs:
             v = POLICY.velocity_np(params, rows, cfg_scale, cond_out)
             np.testing.assert_array_equal(
                 v, reference_velocity(POLICY, params, x, 0.3, cond, cfg_scale))
-            np.testing.assert_array_equal(cond_out, reference_velocity(POLICY, params, x, 0.3, cond))
+            np.testing.assert_array_equal(cond_out, _cond_branch(params, x, 0.3, cond, cfg_scale))
             np.testing.assert_array_equal(rows, before)
 
     @pytest.mark.parametrize("cfg_scale", [1.0, 2.0])
@@ -699,7 +777,7 @@ class TestFlowSurrogate:
         batch = _rollout_group(params, seed=2)
         adv = np.array([0.8, -0.4, 0.1, -0.5])
         eps = 0.05
-        j, _, _ = _surrogate(moved, batch, adv, eps, "none", 0.0, params)
+        j, _, _ = _surrogate(moved, batch, adv, eps, "none", 0.0, params, old_params=params)
 
         B, W = batch.mu.shape[:2]
         total = 0.0
@@ -731,7 +809,7 @@ class TestFlowSurrogate:
         batch = _rollout_group(params, g=3, seed=3)
         adv = np.array([1.0, -0.3, 0.6])
         moved = params.with_blocks({"b2": params["b2"] + 0.01})
-        prepared = POLICY.prepare_batch(batch, adv, reg_mode, ref)
+        prepared = _prepared(batch, adv, reg_mode, ref, params)
 
         def loss(p):
             j, gs, _ = POLICY.surrogate_loss(p, prepared, 0.2, weight)
@@ -745,7 +823,7 @@ class TestFlowSurrogate:
         batch = _rollout_group(params, g=2, seed=4, cfg_scale=2.0)
         adv = np.array([0.5, -0.5])
         moved = params.with_blocks({"b2": params["b2"] + 0.01})
-        prepared = POLICY.prepare_batch(batch, adv, "velocity-mse", params)
+        prepared = _prepared(batch, adv, "velocity-mse", params, params)
 
         def loss(p):
             j, gs, _ = POLICY.surrogate_loss(p, prepared, 0.2, 0.1)
@@ -758,5 +836,6 @@ class TestFlowSurrogate:
         params = _nontrivial_params(20)
         batch = _rollout_group(params, g=2, seed=5)
         batch.mu[1, 0] = np.inf
-        with pytest.raises(NumericError, match=f"trajectory 1, step {batch.starts[1]}"):
+        with pytest.raises(NumericError, match=f"trajectory 1, step {batch.starts[1]}"), \
+                np.errstate(invalid="ignore"):
             _surrogate(params, batch, np.zeros(2), 0.2, "none", 0.0, params)

@@ -179,13 +179,14 @@ def _old_velocity_var(tape, params, xs, ts, cond, cfg_scale):
     return tape.add(v_un, tape.cmul(tape.sub(v, v_un), cfg_scale))
 
 
-def _old_flow_surrogate(params, batch, advantages, clip_eps, reg_mode, reg_weight, ref_params,
-                        mean_space=False):
-    """The flow surrogate as an op chain.  The latent KL is the velocity MSE
-    weighted per step by kappa = c1^2 dt / (2 sigma_t^2), as the fused head
-    scores it; with `mean_space` it is instead the squared distance of the
-    transition means over 2 sigma_t^2 dt, the textbook KL of two
-    equal-variance Gaussians."""
+def _old_flow_surrogate(params, batch, mu_old, advantages, clip_eps, reg_mode, reg_weight,
+                        ref_params, mean_space=False):
+    """The flow surrogate as an op chain against the (B * W, DIM) old means
+    `mu_old`, with the noise taken from the rollout's means.  The latent KL
+    is the velocity MSE weighted per step by kappa = c1^2 dt / (2 sigma_t^2),
+    as the fused head scores it; with `mean_space` it is instead the squared
+    distance of the transition means over 2 sigma_t^2 dt, the textbook KL of
+    two equal-variance Gaussians."""
     B, W = batch.mu.shape[:2]
     rows = np.repeat(np.arange(B), W)
     ks = (batch.starts[:, None] + np.arange(W)).ravel()
@@ -193,8 +194,7 @@ def _old_flow_surrogate(params, batch, advantages, clip_eps, reg_mode, reg_weigh
     ts = batch.times[ks]
     dts = ts - batch.times[ks + 1]
     sig = batch.sigma_level * np.sqrt(ts)
-    mu_old = batch.mu.reshape(-1, DIM)
-    eps = (batch.states[ks + 1, rows] - mu_old) / (sig * np.sqrt(dts))[:, None]
+    eps = (batch.states[ks + 1, rows] - batch.mu.reshape(-1, DIM)) / (sig * np.sqrt(dts))[:, None]
     adv_rows = np.repeat(advantages, W)
     w_rows = np.full(B * W, 1.0 / (B * W))
     pool = batch.pool[rows]
@@ -253,7 +253,7 @@ def _mean_space_rel_err(params, batch, adv, prepared, ref, weight=0.02) -> float
     for theta in (params, moved):
         j, gs, stats = FLOW.surrogate_loss(theta, prepared, 0.2, weight)
         old_j, old_grads, _, old_reg = _old_flow_surrogate(
-            theta, batch, adv, 0.2, "latent-kl", weight, ref, mean_space=True
+            theta, batch, prepared.mu_old, adv, 0.2, "latent-kl", weight, ref, mean_space=True
         )
         errs += [_rel_err(j, old_j), _rel_err(gs, old_grads), _rel_err(stats.reg_value, old_reg)]
     return max(errs)
@@ -274,7 +274,7 @@ class TestFlowHeads:
             for clip_eps in (0.2, 1e-4, 0.0):
                 j, gs, stats = FLOW.surrogate_loss(theta, prepared, clip_eps, weight)
                 old_j, old_grads, old_rt, old_reg = _old_flow_surrogate(
-                    theta, batch, adv, clip_eps, reg_mode, weight, ref
+                    theta, batch, prepared.mu_old, adv, clip_eps, reg_mode, weight, ref
                 )
                 _assert_same(j, old_j)
                 _assert_same(gs, old_grads)

@@ -1,5 +1,8 @@
 """ParamSet/gradient vector/Adam/MLP/finite-diff contracts and the checkpoint format."""
 
+import io
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -490,6 +493,24 @@ _BLOCKS = st.dictionaries(
 )
 
 
+def _field_by_field_bytes(blocks) -> bytes:
+    """A checkpoint's bytes as the writer produced them when it wrote each
+    field to the file in turn."""
+    out = io.BytesIO()
+    out.write(b"UGRP")
+    out.write(struct.pack("<I", 1))
+    for name, arr in blocks.items():
+        arr = np.asarray(arr, dtype=np.float64)
+        nb = name.encode("utf-8")
+        out.write(struct.pack("<I", len(nb)))
+        out.write(nb)
+        out.write(struct.pack("<I", arr.ndim))
+        for d in arr.shape:
+            out.write(struct.pack("<I", d))
+        out.write(arr.astype("<f8", copy=False).tobytes(order="C"))
+    return out.getvalue()
+
+
 def _file_settings(examples):
     # every example rewrites one file under the test's tmp_path
     return settings(max_examples=examples, deadline=None,
@@ -507,6 +528,21 @@ class TestCheckpointProperties:
         for name, arr in blocks.items():
             assert loaded[name].shape == arr.shape
             assert loaded[name].tobytes() == arr.tobytes()
+
+    @_file_settings(40)
+    @given(blocks=_BLOCKS)
+    def test_bytes_match_the_field_by_field_writer(self, tmp_path, blocks):
+        # the one-buffer writer against the writer that streamed each field,
+        # on blocks of every rank from 0-d up, and on non-float64, strided and
+        # Fortran-ordered inputs
+        path = tmp_path / "b.ckpt"
+        rng = np.random.default_rng(len(blocks))
+        extra = {"int": np.arange(6).reshape(2, 3), "strided": rng.normal(size=(4, 6))[::2, 1::2],
+                 "fortran": np.asfortranarray(rng.normal(size=(3, 2))), "0-d": np.float64(-2.5),
+                 "big-endian": rng.normal(size=3).astype(">f8")}
+        for case in (blocks, {**blocks, **extra}, {}):
+            save_blocks(path, case)
+            assert path.read_bytes() == _field_by_field_bytes(case)
 
     @_file_settings(15)
     @given(blocks=_BLOCKS)

@@ -70,6 +70,13 @@ def tiny_pretrain(tmp_path_factory):
     return out
 
 
+@pytest.fixture(scope="module")
+def desk_pretrain(tmp_path_factory):
+    """The recipe's pretraining, seed 101 at desk defaults: its directory and report."""
+    out = tmp_path_factory.mktemp("desk-pre")
+    return out, pretrain_all(replace(TrainConfig(), seed=101), out)
+
+
 def _rt():
     return make_runtime(TINY)
 
@@ -95,6 +102,13 @@ def _text_batch(rt, seqs, advantages, temperature, beta_txt, ref, old):
     """A text batch whose old log-probs a first surrogate call at `old` took."""
     batch = rt.text_policy.prepare_batch(seqs, advantages, temperature, beta_txt, ref)
     rt.text_policy.surrogate_loss(old, batch, 0.0)
+    return batch
+
+
+def _flow_batch(rt, flow_batch, advantages, reg_mode, ref, old):
+    """A flow batch whose old means a first surrogate call at `old` took."""
+    batch = rt.flow_policy.prepare_batch(flow_batch, advantages, reg_mode, ref)
+    rt.flow_policy.surrogate_loss(old, batch, 0.0, 0.0)
     return batch
 
 
@@ -454,9 +468,8 @@ class TestUnifiedUpdate:
                 ), 0.2,
             ),
             "flow": lambda gs: rt.flow_policy.surrogate_loss(
-                flow_moved, rt.flow_policy.prepare_batch(
-                    _rows(gs).flow, _rows(gs).advantages, reg_mode, flow,
-                ), 0.2, 0.02,
+                flow_moved, _flow_batch(rt, _rows(gs).flow, _rows(gs).advantages, reg_mode, flow,
+                                        flow), 0.2, 0.02,
             ),
         }
         for name, call in calls.items():
@@ -465,6 +478,29 @@ class TestUnifiedUpdate:
             assert j_batch == pytest.approx(np.mean([r[0] for r in per_group]), abs=1e-12), name
             mean = np.mean([r[1] for r in per_group], axis=0)
             np.testing.assert_allclose(g_batch, mean, rtol=0, atol=1e-12, err_msg=name)
+
+    @pytest.mark.parametrize("group,prompts,train_cfg", [
+        (2, 3, True), (5, 3, False), (5, 3, True), (6, 3, False),
+    ])
+    def test_first_epoch_flow_ratios_are_one_at_any_batch_size(self, desk_pretrain, group,
+                                                                prompts, train_cfg):
+        # the rollout takes its means from B-row velocity calls and the
+        # surrogate from B * W rows, which BLAS may round differently; at
+        # these sizes the recipe's pretraining read first-epoch ratios off 1
+        # while the old means were the rollout's
+        cfg = replace(TrainConfig(), seed=101, group_size=group, prompts_per_batch=prompts,
+                      train_cfg=train_cfg, reg_mode="none")
+        rt = make_runtime(cfg)
+        text, flow = _snap(rt, desk_pretrain[0])
+        off = []
+        for update, draws in enumerate(rollout_words(cfg, 101, range(1, 6), prompts), 1):
+            groups = collect_rollouts(rt, draws.prompts, text, flow, draws)
+            active = _rows([g for g in groups if not g.degenerate])
+            batch = rt.flow_policy.prepare_batch(active.flow, active.advantages, "none", flow)
+            _, _, stats = rt.flow_policy.surrogate_loss(flow, batch, 0.0, 0.0)
+            if not stats.max_ratio == stats.mean_ratio == 1.0 or stats.clip_fraction:
+                off.append(update)
+        assert off == []
 
     def test_failed_epoch_leaves_no_trace(self, tiny_pretrain, monkeypatch):
         rt, groups, text, flow, at, af = self._setup(tiny_pretrain)
@@ -534,8 +570,9 @@ class TestEvaluate:
     @pytest.mark.parametrize("eval_cfg_scale", [1.0, 2.0])
     def test_one_velocity_pass_per_field(self, tiny_pretrain, eval_cfg_scale, monkeypatch):
         # the drift reuses the sampler's conditional-branch velocities, so an
-        # eval pass runs the tuned field once (both branches under guidance)
-        # and the frozen reference once, one call per step each
+        # eval pass runs the tuned field once and the frozen reference once,
+        # one call per step each; under guidance the tuned field's call is
+        # one forward over both branches' stacked rows
         rt = make_runtime(replace(TINY, eval_cfg_scale=eval_cfg_scale))
         text, flow = _snap(rt, tiny_pretrain)
         moved = flow.with_blocks({"b2": flow["b2"] + 0.01})
@@ -556,7 +593,7 @@ class TestEvaluate:
         steps, rows = rt.cfg.eval_timesteps, 16 * rt.cfg.eval_samples
         assert calls["velocity"] == [(False, rows)] * steps + [(True, rows)] * steps
         branches = 1 if eval_cfg_scale == 1.0 else 2
-        assert calls["mlp"] == [rows] * (branches * steps + steps)
+        assert calls["mlp"] == [branches * rows] * steps + [rows] * steps
 
     def test_eval_set_is_the_per_tuple_construction(self):
         # one synonym draw per attribute tuple in tuple order, and each
@@ -882,11 +919,11 @@ class TestPretrainAll:
         monkeypatch.setattr(trainer_mod.ctypes, "CDLL", lambda name: object())
         assert trainer_mod.keep_freed_heap() is False
 
-    def test_timings_sidecar_leaves_recipe_outputs(self, tmp_path):
+    def test_timings_sidecar_leaves_recipe_outputs(self, desk_pretrain):
         # seed 101 at desk defaults is the recipe's pretraining: its
         # checkpoints and report hash as tools/recipe_hashes.json records
-        report = pretrain_all(replace(TrainConfig(), seed=101), tmp_path)
-        timings = json.loads((tmp_path / "pretrain_timings.json").read_text())
+        out, report = desk_pretrain
+        timings = json.loads((out / "pretrain_timings.json").read_text())
         assert set(timings) == {"data_s", "text_s", "flow_s", "checkpoint_s",
                                 "minor_faults", "allocator_policy"}
         assert all(timings[k] >= 0.0 for k in ("data_s", "text_s", "flow_s", "checkpoint_s"))
@@ -895,9 +932,9 @@ class TestPretrainAll:
         hashes = Path(__file__).resolve().parents[1] / "tools" / "recipe_hashes.json"
         want = json.loads(hashes.read_text())
         for name in ("text.ckpt", "flow.ckpt", "pretrain_report.json"):
-            got = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            got = hashlib.sha256((out / name).read_bytes()).hexdigest()
             assert got == want[f"pretrain/{name}"], name
-        assert (tmp_path / "pretrain_report.json").read_text() == json.dumps(report, indent=2)
+        assert (out / "pretrain_report.json").read_text() == json.dumps(report, indent=2)
 
     def test_reports_and_checkpoints(self, tiny_pretrain):
         import json

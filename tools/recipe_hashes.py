@@ -1,18 +1,19 @@
 """Byte-identity check: run the fixed-seed recipe and compare its output hashes.
 
-    python3 tools/recipe_hashes.py           # exit 0 iff all 24 hashes match
+    python3 tools/recipe_hashes.py           # exit 0 iff all 29 hashes match
     python3 tools/recipe_hashes.py --write   # compare, then record the current hashes
 
 The recipe runs `unigrpo pretrain --seed 101` at desk defaults, then
-`unigrpo train --seed 101` four times from that pretraining, all in a
+`unigrpo train --seed 101` five times from that pretraining, all in a
 temporary directory:
 
     desk     desk defaults
     guided   frozen text, train_cfg = true at scale 2, latent-kl, group 16
     t07      reg_mode none, temperature 0.7
     binary   reward_mode binary
+    odd      3 prompts x group 5, train_cfg = true: 15-row guided batches
 
-and takes the sha256 of the 24 outputs that a fixed seed determines: the
+and takes the sha256 of the 29 outputs that a fixed seed determines: the
 pretraining text.ckpt, flow.ckpt and pretrain_report.json, each run's
 metrics.csv, groups.jsonl, state.ckpt, text.ckpt and flow.ckpt, and the
 output of `unigrpo verify` with each oracle's ` (x.xxs)` timing removed.
@@ -42,6 +43,7 @@ RUNS = {
                "reg_mode": "latent-kl", "group_size": "16"},
     "t07": {"reg_mode": "none", "temperature": "0.7"},
     "binary": {"reward_mode": "binary"},
+    "odd": {"prompts_per_batch": "3", "group_size": "5", "train_cfg": "true"},
 }
 PRETRAIN_FILES = ("text.ckpt", "flow.ckpt", "pretrain_report.json")
 RUN_FILES = ("metrics.csv", "groups.jsonl", "state.ckpt", "text.ckpt", "flow.ckpt")
