@@ -24,7 +24,6 @@ class TrainConfig:
     prompts_per_batch: int = 4
     clip_eps: float = 1e-4
     beta_txt: float = 0.0
-    lambda_flow: float = 1.0
     ppo_epochs: int = 2
     temperature: float = 1.0
     adv_eps: float = 1e-8
@@ -112,7 +111,7 @@ class TrainConfig:
         for name in ("p_uncond", "p_noise"):
             if not 0 <= getattr(self, name) <= 1:
                 raise ConfigError(f"{name} must lie in [0, 1]")
-        for name in ("lambda_flow", "tau_tight", "tau_wide"):
+        for name in ("tau_tight", "tau_wide"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0")
         if not 0 < self.radius_near < self.radius_far:

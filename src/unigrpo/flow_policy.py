@@ -173,7 +173,7 @@ class FlowUpdateBatch:
     weight: np.ndarray      # (n,) 1 / rows
     cfg_scale: float
     v_ref: np.ndarray | None  # (n, DIM) reference velocity, None without a regularizer
-    reg_scale: np.ndarray     # (n,) regularizer weight: weight, times kappa under latent-kl
+    reg_scale: np.ndarray | None  # (n,) penalty weight: reg_weight * weight (* kappa, latent-kl)
 
 
 class FlowPolicy:
@@ -199,24 +199,14 @@ class FlowPolicy:
         shares = (1.0 / lens)[owner]
         return np.bincount(cells, weights=shares, minlength=n * self.vocab).reshape(n, self.vocab)
 
-    def cond_var(self, tape: Tape, params: ParamSet, pool: np.ndarray, xt: np.ndarray,
-                 keep: np.ndarray | None = None) -> Var:
+    def cond_var(self, tape: Tape, params: ParamSet, pool: np.ndarray, xt: np.ndarray) -> Var:
         """Velocity-net input [xt | condition] as one tape node, the condition
-        pooled from `pool` (each row's pooling weights) and scaled by `keep`
-        when given; differentiable w.r.t. the embedding table."""
+        pooled from `pool` (each row's pooling weights; a zero row is the
+        unconditional input); differentiable w.r.t. the embedding table."""
         cemb = tape.param(params, "cemb")
-        cond = pool @ cemb.value
-        if keep is not None:
-            cond = cond * keep[:, None]
         k = xt.shape[1]
-
-        def vjp(g):
-            g = g[:, k:].copy()
-            if keep is not None:
-                g = g * keep[:, None]
-            return (pool.T @ g,)
-
-        return tape.node(np.concatenate([xt, cond], axis=1), [cemb], vjp)
+        return tape.node(np.concatenate([xt, pool @ cemb.value], axis=1), [cemb],
+                         lambda g: (pool.T @ g[:, k:].copy(),))
 
     # ---- velocity net ----
 
@@ -316,15 +306,14 @@ class FlowPolicy:
     # ---- flow-matching pretraining ----
 
     def fm_loss_frozen(
-        self, params: ParamSet, x0: np.ndarray, pool: np.ndarray, t: np.ndarray,
-        x1: np.ndarray, keep: np.ndarray,
+        self, params: ParamSet, x0: np.ndarray, pool: np.ndarray, t: np.ndarray, x1: np.ndarray,
     ) -> tuple[float, np.ndarray]:
         """Rectified-flow regression with all randomness supplied by the caller:
         regress v(x_t, t, cond) onto x_1 - x_0 along the linear path.  `pool`
-        holds each row's pooling weights; `keep` zeroes dropout rows' conditions."""
+        holds each row's pooling weights, a zero row for a dropped condition."""
         xt = (1.0 - t)[:, None] * x0 + t[:, None] * x1
         tape = Tape()
-        x = self.cond_var(tape, params, pool, np.concatenate([xt, time_features(t)], axis=1), keep)
+        x = self.cond_var(tape, params, pool, np.concatenate([xt, time_features(t)], axis=1))
         v = mlp_var(tape, params, x, self.arch, "tanh")
         diff = v.value - (x1 - x0)
         scale = 1.0 / len(x0)
@@ -347,14 +336,15 @@ class FlowPolicy:
         the (n, DIM) targets `x0`, plus a quadrant-accuracy report from
         deterministic sampling.  The (n, vocab) pooling weights are built
         once; each batch slices them and x0 and draws its (t, x_1, dropout)
-        from `rng`.  An epoch's loss weighs each batch by its rows."""
+        from `rng`, a dropped row's pooling weights zeroed.  An epoch's loss
+        weighs each batch by its rows."""
         pool_all = self.pool_weights(conds)
 
         def batch_loss(params, sel):
             t = 1.0 - rng.random(len(sel))  # Uniform(0, 1]
             x1 = rng.standard_normal((len(sel), DIM))
-            keep = (rng.random(len(sel)) >= p_uncond).astype(np.float64)
-            return (*self.fm_loss_frozen(params, x0[sel], pool_all[sel], t, x1, keep), len(sel))
+            pool = pool_all[sel] * (rng.random(len(sel)) >= p_uncond)[:, None]
+            return (*self.fm_loss_frozen(params, x0[sel], pool, t, x1), len(sel))
 
         params, epoch_losses = fit(params, len(x0), epochs, batch_size, lr, rng, batch_loss)
         report = {"epoch_losses": epoch_losses}
@@ -385,15 +375,17 @@ class FlowPolicy:
     # ---- GRPO surrogate ----
 
     def prepare_batch(self, batch: FlowBatch, advantages: np.ndarray, reg_mode: str,
-                      ref_params: ParamSet) -> FlowUpdateBatch:
+                      reg_weight: float, ref_params: ParamSet) -> FlowUpdateBatch:
         """The per-update part of the surrogate: one row per (trajectory,
         window step), row-major, with its state, time features, drift
         coefficients, sampled noise eps = (x' - mu) / s from the rollout's
         means, pooling weights, and the frozen reference's velocity there; the
         old means are left to the first surrogate_loss call.  Both regularizers
-        are one velocity penalty: with equal transition variances mu - mu_ref
-        = -c1 dt (v - v_ref), so the latent KL is the velocity MSE weighted
-        per step by kappa = c1^2 dt / (2 sigma_t^2)."""
+        are one velocity penalty, `reg_weight` times the row weight per row:
+        with equal transition variances mu - mu_ref = -c1 dt (v - v_ref), so
+        the latent KL is the velocity MSE weighted per step by
+        kappa = c1^2 dt / (2 sigma_t^2).  A non-finite stored mean or next
+        state is a NumericError naming its trajectory and step."""
         B, W = batch.mu.shape[:2]
         assert len(advantages) == B
         if reg_mode not in ("none", "latent-kl", "velocity-mse"):
@@ -405,12 +397,17 @@ class FlowPolicy:
 
         rows = np.repeat(np.arange(B), W)
         ks = (batch.starts[:, None] + np.arange(W)).ravel()
+        mu, x_next = batch.mu.reshape(-1, DIM), batch.states[ks + 1, rows]
+        bad = np.flatnonzero(~(np.isfinite(mu) & np.isfinite(x_next)).all(axis=1))
+        if bad.size:
+            raise NumericError(f"non-finite flow rollout at trajectory {rows[bad[0]]}, "
+                               f"step {ks[bad[0]]}")
         xs = batch.states[ks, rows]
         ts = batch.times[ks]
         dts = ts - batch.times[ks + 1]
         sig = batch.sigma_level * np.sqrt(ts)
         s = sig * np.sqrt(dts)
-        eps = (batch.states[ks + 1, rows] - batch.mu.reshape(-1, DIM)) / s[:, None]
+        eps = (x_next - mu) / s[:, None]
         pool = batch.pool[rows]
         c1, c2 = (c[:, None] for c in drift_coefficients(ts, sig))
         xt = np.concatenate([xs, time_features(ts)], axis=1)
@@ -418,25 +415,25 @@ class FlowPolicy:
         if batch.cfg_scale != 1.0:
             xt_null = np.concatenate([xt, np.zeros((len(xs), self.cond_dim))], axis=1)
         weight = np.full(B * W, 1.0 / (B * W))
-        v_ref, reg_scale = None, weight
+        v_ref = reg_scale = None
         if reg_mode != "none":
             # frozen-reference velocities at the stored states, constant in theta
             v_ref = self.velocity_np(
                 ref_params, np.concatenate([xt, pool @ ref_params["cemb"]], axis=1),
                 batch.cfg_scale)
-        if reg_mode == "latent-kl":
-            reg_scale = weight * (c1[:, 0]**2 * dts / (2.0 * sig**2))
+            kappa = c1[:, 0]**2 * dts / (2.0 * sig**2) if reg_mode == "latent-kl" else 1.0
+            reg_scale = reg_weight * (weight * kappa)
         return FlowUpdateBatch(
             rows, ks, xs, xt, xt_null, pool, c1, c2 * xs, -dts[:, None], None, eps,
             np.repeat(advantages, W), weight, batch.cfg_scale, v_ref, reg_scale,
         )
 
     def surrogate_loss(
-        self, params: ParamSet, batch: FlowUpdateBatch, clip_eps: float, reg_weight: float,
+        self, params: ParamSet, batch: FlowUpdateBatch, clip_eps: float,
     ) -> tuple[float, np.ndarray, LossStats]:
         """Clipped objective over each row's stochastic window with
-        standardized ratios, minus the configured drift regularizer evaluated
-        at the stored states against the frozen reference.  Each row weighs
+        standardized ratios, minus the batch's drift penalty evaluated at the
+        stored states against the frozen reference.  Each row weighs
         1/B, so one call over several groups equals the mean of per-group
         calls.  With eps = (x' - mu_old) / s the sampled noise, ratio_norm's
         log ratio is exactly eps . (mu - mu_old) (its Gaussian normalizers and
@@ -465,14 +462,14 @@ class FlowPolicy:
         j, clip_vjp, stats = clipped_objective(rt, b.adv, b.weight, clip_eps)
         if b.v_ref is not None:
             diff = v - b.v_ref
-            reg_rows = (diff * diff).sum(axis=1)
-            stats.reg_value = float(reg_rows @ b.reg_scale)
-            j = j - np.sum(reg_rows * (reg_weight * b.reg_scale))
+            penalty = np.sum((diff * diff).sum(axis=1) * b.reg_scale)
+            stats.reg_value = float(penalty)
+            j = j - penalty
 
         def vjp(g):
             g_v = (clip_vjp(g) * rt)[:, None] * b.eps * b.neg_dt * b.c1
             if b.v_ref is not None:
-                g_v = 2.0 * diff * ((-g) * (reg_weight * b.reg_scale))[:, None] + g_v
+                g_v = 2.0 * diff * ((-g) * b.reg_scale)[:, None] + g_v
             if b.xt_null is None:
                 return (g_v,)
             g_cond = g_v * b.cfg_scale

@@ -18,7 +18,7 @@ import platform
 import resource
 import subprocess
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -202,10 +202,11 @@ def collect_rollouts(rt: Runtime, prompts: np.ndarray, text_old: ParamSet,
 
 @dataclass
 class UpdateStats:
-    j_text: float
-    j_flow: float
-    clip_frac_text: float
-    clip_frac_flow: float
+    """Per policy name: the first PPO epoch's surrogate and the last epoch's
+    clip fraction; 0 for a policy that does not train."""
+
+    j: dict[str, float] = field(default_factory=lambda: {"text": 0.0, "flow": 0.0})
+    clip_frac: dict[str, float] = field(default_factory=lambda: {"text": 0.0, "flow": 0.0})
     skipped: bool = False
 
 
@@ -219,66 +220,52 @@ def unified_update(
     adam_text: AdamState,
     adam_flow: AdamState,
 ) -> tuple[ParamSet, ParamSet, UpdateStats]:
-    """PPO epochs of joint ascent on J_text + lambda * J_flow against the old
-    policies, the entry parameters the groups were sampled with; degenerate
-    groups are excluded entirely.  Each trained policy's batch over the rows
-    of all active groups is prepared once, and each epoch evaluates its
-    surrogate on that batch.  A non-finite objective or gradient skips the
-    whole update: parameters and both optimizer states are returned as they
-    came in."""
+    """PPO epochs of ascent on J_text + J_flow against the old policies, the
+    entry parameters the groups were sampled with, over the rows of the
+    non-degenerate groups.  Each trained policy's batch is prepared once, and
+    each epoch runs one step per trained policy: its surrogate, then its own
+    Adam step.  A non-finite rollout, objective or gradient skips the whole
+    update: parameters and both optimizer states are returned as they came in."""
     cfg = rt.cfg
     active = [g for g in groups if not g.degenerate]
-    stats = UpdateStats(0.0, 0.0, 0.0, 0.0)
+    stats = UpdateStats()
     if not active:
         return text_params, flow_params, stats
 
-    reg_weight = cfg.beta_img if cfg.reg_mode == "latent-kl" else cfg.mse_weight
-    if cfg.reg_mode == "none":
-        reg_weight = 0.0
     batch = active[0].batch
     rows = np.r_[tuple(g.rows for g in active)]
     advantages = batch.advantages[rows]
-
-    entry_text, entry_flow = text_params, flow_params
+    params = {"text": text_params, "flow": flow_params}
     # adam_step builds new moment vectors, so holding the current ones suffices
     saved = [(adam, adam.m, adam.v, adam.step) for adam in (adam_text, adam_flow)]
     try:
+        trained = []  # (name, policy, prepared batch, optimizer state)
         if cfg.train_text:
-            text_batch = rt.text_policy.prepare_batch(
+            trained.append(("text", rt.text_policy, rt.text_policy.prepare_batch(
                 batch.seqs[rows], advantages, cfg.temperature, cfg.beta_txt, text_ref
-            )
+            ), adam_text))
         if cfg.train_flow:
-            flow_batch = rt.flow_policy.prepare_batch(batch.flow.take(rows), advantages,
-                                                      cfg.reg_mode, flow_ref)
+            reg_weight = {"none": 0.0, "latent-kl": cfg.beta_img,
+                          "velocity-mse": cfg.mse_weight}[cfg.reg_mode]
+            trained.append(("flow", rt.flow_policy, rt.flow_policy.prepare_batch(
+                batch.flow.take(rows), advantages, cfg.reg_mode, reg_weight, flow_ref
+            ), adam_flow))
         for epoch in range(cfg.ppo_epochs):
-            new_text, new_flow = text_params, flow_params
-            if cfg.train_text:
-                j, grads, st = rt.text_policy.surrogate_loss(text_params, text_batch, cfg.clip_eps)
+            for name, policy, prepared, adam in trained:
+                j, grads, st = policy.surrogate_loss(params[name], prepared, cfg.clip_eps)
                 if not np.isfinite(j):
-                    raise NumericError("non-finite text surrogate")
+                    raise NumericError(f"non-finite {name} surrogate")
                 if epoch == 0:
-                    stats.j_text = j
-                stats.clip_frac_text = st.clip_fraction
+                    stats.j[name] = j
+                stats.clip_frac[name] = st.clip_fraction
                 grads *= -1.0  # ascend
-                new_text = adam_step(text_params, grads, adam_text)
-            if cfg.train_flow:
-                j, grads, st = rt.flow_policy.surrogate_loss(
-                    flow_params, flow_batch, cfg.clip_eps, reg_weight
-                )
-                if not np.isfinite(j):
-                    raise NumericError("non-finite flow surrogate")
-                if epoch == 0:
-                    stats.j_flow = j
-                stats.clip_frac_flow = st.clip_fraction
-                grads *= -cfg.lambda_flow  # ascend lambda * J_flow
-                new_flow = adam_step(flow_params, grads, adam_flow)
-            text_params, flow_params = new_text, new_flow
+                params[name] = adam_step(params[name], grads, adam)
     except NumericError:
         for adam, m, v, step in saved:
             adam.m, adam.v, adam.step = m, v, step
         stats.skipped = True
-        return entry_text, entry_flow, stats
-    return text_params, flow_params, stats
+        return text_params, flow_params, stats
+    return params["text"], params["flow"], stats
 
 
 # ---- evaluation ----
@@ -486,13 +473,13 @@ def train(cfg: TrainConfig, out_dir, resume: bool = False, config_text: str | No
     seed = cfg.seed
 
     pre = Path(cfg.pretrain_dir)
-    for name in ("text.ckpt", "flow.ckpt"):
-        if not (pre / name).exists():
-            raise CheckpointError(
-                f"missing pretrained checkpoint {pre / name}; run pretraining first"
-            )
-    text_ref = checkpoint.load_params(pre / "text.ckpt")
-    flow_ref = checkpoint.load_params(pre / "flow.ckpt")
+    # a resume keeps the references its run started from, whatever pretrain_dir holds now
+    refs = [out / f"ref_{name}" if resume else pre / name for name in ("text.ckpt", "flow.ckpt")]
+    for path in refs:
+        if not path.exists():
+            raise CheckpointError(f"missing reference checkpoint {path}" if resume else
+                                  f"missing pretrained checkpoint {path}; run pretraining first")
+    text_ref, flow_ref = map(checkpoint.load_params, refs)
     check_architecture(text_ref, rt.text_policy, "text")
     check_architecture(flow_ref, rt.flow_policy, "flow")
 
@@ -528,10 +515,10 @@ def train(cfg: TrainConfig, out_dir, resume: bool = False, config_text: str | No
                               f"{start_update}, which {state_path} was saved at")
         rewind_run(out, start_update)
 
-    checkpoint.save_params(out / "ref_text.ckpt", text_ref)
-    checkpoint.save_params(out / "ref_flow.ckpt", flow_ref)
-    # a resumed run keeps its manifest; a fresh one replaces another run's
+    # a resumed run keeps its manifest and references; a fresh one replaces another run's
     if not resume:
+        checkpoint.save_params(out / "ref_text.ckpt", text_ref)
+        checkpoint.save_params(out / "ref_flow.ckpt", flow_ref)
         manifest = {
             "config_text": config_text if config_text is not None else dump_config(cfg),
             "config_resolved": config_to_dict(cfg),
@@ -589,10 +576,10 @@ def train(cfg: TrainConfig, out_dir, resume: bool = False, config_text: str | No
             update=update,
             mean_train_reward=float(batch.rewards.mean()),
             eval_reward=ev["eval_reward"] if ev else None,
-            j_text=ustats.j_text,
-            j_flow=ustats.j_flow,
-            clip_frac_text=ustats.clip_frac_text,
-            clip_frac_flow=ustats.clip_frac_flow,
+            j_text=ustats.j["text"],
+            j_flow=ustats.j["flow"],
+            clip_frac_text=ustats.clip_frac["text"],
+            clip_frac_flow=ustats.clip_frac["flow"],
             velocity_drift=ev["velocity_drift"] if ev else None,
             text_accuracy=ev["text_accuracy"] if ev else None,
             nonfinite_samples=batch.nonfinite,

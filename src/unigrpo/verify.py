@@ -142,11 +142,11 @@ def gradient_oracles(corrupt_gradient: bool = False) -> list[OracleResult]:
     )
     fmoved = fparams.with_blocks({"b2": fparams["b2"] + 0.01})
     for reg_mode, weight in (("none", 0.0), ("latent-kl", 0.02), ("velocity-mse", 0.5)):
-        fbatch = flow.prepare_batch(batch, adv, reg_mode, fref)
-        flow.surrogate_loss(fparams, fbatch, 0.2, weight)  # the old means are those at fparams
+        fbatch = flow.prepare_batch(batch, adv, reg_mode, weight, fref)
+        flow.surrogate_loss(fparams, fbatch, 0.2)  # the old means are those at fparams
 
-        def flow_loss(p, fbatch=fbatch, weight=weight):
-            j, grads, _ = flow.surrogate_loss(p, fbatch, 0.2, weight)
+        def flow_loss(p, fbatch=fbatch):
+            j, grads, _ = flow.surrogate_loss(p, fbatch, 0.2)
             return j, grads
 
         rep = finite_diff_check(
@@ -162,12 +162,11 @@ def gradient_oracles(corrupt_gradient: bool = False) -> list[OracleResult]:
     x0 = rng.normal(size=(6, 2))
     t = 1.0 - rng.random(6)
     x1 = rng.standard_normal((6, 2))
-    keep = np.ones(6)
-    keep[0] = 0.0
     pool = flow.pool_weights(np.tile(trace, (6, 1)))
+    pool[0] = 0.0  # row 0's condition dropped
 
     def fm_loss(p):
-        return flow.fm_loss_frozen(p, x0, pool, t, x1, keep)
+        return flow.fm_loss_frozen(p, x0, pool, t, x1)
 
     rep = finite_diff_check(fm_loss, fparams, probes=100, tol=1e-4, rng=stream(SEED, "fd-fm"))
     results.append(OracleResult("grad/flow-pretrain", rep.max_rel_err, 1e-4, rep.passed))

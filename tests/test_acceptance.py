@@ -5,6 +5,7 @@ Criterion 9 is soft by design: a reward-gap miss prints WARN without
 failing, while its evaluation-budget half remains a hard assertion.
 """
 
+import shutil
 import time
 from dataclasses import replace
 
@@ -25,6 +26,22 @@ from unigrpo.trainer import (
 )
 
 pytestmark = pytest.mark.acceptance
+
+
+@pytest.fixture(scope="session")
+def seed0_pretrain(tmp_path_factory):
+    """Seed 0's pretraining at TrainConfig() defaults, which criteria 7, 8 and
+    9 all start from."""
+    out = tmp_path_factory.mktemp("seed0-pretrain")
+    pretrain_all(TrainConfig(), out)
+    return out
+
+
+def _with_seed0_pretrain(out_dir, seed0_pretrain):
+    """`out_dir` for an `ablate` run, holding the shared seed-0 pretraining
+    where `ablate` looks for it (it skips a pretraining it finds)."""
+    shutil.copytree(seed0_pretrain, out_dir / "seed0" / "pretrain")
+    return out_dir
 
 
 def _report(criterion: int, passed: bool, detail: str, warn: bool = False):
@@ -107,9 +124,10 @@ def test_criterion_6_cfg_free_rollout_contract(tmp_path):
     )
 
 
-def test_criterion_7_end_to_end_improvement(tmp_path):
+def test_criterion_7_end_to_end_improvement(tmp_path, seed0_pretrain):
+    out = _with_seed0_pretrain(tmp_path / "comp", seed0_pretrain)
     tic = time.perf_counter()
-    report = ablate(TrainConfig(), "component-sweep", tmp_path / "comp")
+    report = ablate(TrainConfig(), "component-sweep", out)
     elapsed = time.perf_counter() - tic
     verdicts = {name: (status, detail) for name, status, detail in report["verdicts"]}
     ok = (
@@ -125,9 +143,10 @@ def test_criterion_7_end_to_end_improvement(tmp_path):
     )
 
 
-def test_criterion_8_regularization_ablation(tmp_path):
+def test_criterion_8_regularization_ablation(tmp_path, seed0_pretrain):
+    out = _with_seed0_pretrain(tmp_path / "reg", seed0_pretrain)
     tic = time.perf_counter()
-    report = ablate(TrainConfig(), "reg-sweep", tmp_path / "reg")
+    report = ablate(TrainConfig(), "reg-sweep", out)
     elapsed = time.perf_counter() - tic
     verdicts = {name: (status, detail) for name, status, detail in report["verdicts"]}
     ok = (
@@ -141,8 +160,9 @@ def test_criterion_8_regularization_ablation(tmp_path):
     )
 
 
-def test_criterion_9_cfg_ablation(tmp_path):
-    report = ablate(TrainConfig(), "cfg-on-vs-off", tmp_path / "cfg")
+def test_criterion_9_cfg_ablation(tmp_path, seed0_pretrain):
+    out = _with_seed0_pretrain(tmp_path / "cfg", seed0_pretrain)
+    report = ablate(TrainConfig(), "cfg-on-vs-off", out)
     verdicts = {name: (status, detail) for name, status, detail in report["verdicts"]}
     budget_ok = verdicts["eval-budget"][0] == "PASS"
     gap_ok = verdicts["reward-gap"][0] == "PASS"

@@ -54,13 +54,13 @@ class TestConfigParsing:
             """
             # a comment
             seed = 7
-            lambda_flow = 0.5   # inline comment
+            beta_img = 0.5   # inline comment
             train_cfg = true
             reg_mode = latent-kl
             """
         )
         assert cfg.seed == 7
-        assert cfg.lambda_flow == 0.5
+        assert cfg.beta_img == 0.5
         assert cfg.train_cfg is True
         assert cfg.reg_mode == "latent-kl"
 
@@ -98,7 +98,7 @@ class TestValidation:
         [
             {"group_size": 1},
             {"ppo_epochs": 0},
-            {"lambda_flow": -1.0},
+            {"beta_img": -1.0},
             {"temperature": 0.0},
             {"timestep_shift": 0.5},
             {"reg_mode": "bogus"},
@@ -281,6 +281,15 @@ class TestCli:
         assert rc == 2
         assert "not_a_key" in capsys.readouterr().err
 
+    def test_removed_lambda_flow_key_exits_2(self, tmp_path, capsys):
+        # the flow loss weight is gone: with a separate Adam state per policy
+        # it only rescaled Adam's epsilon, and 0 is train_flow = false
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(TINY_CONFIG + "lambda_flow = 1.0\n")
+        rc = main(["train", "--config", str(bad), "--out", str(tmp_path / "r")])
+        assert rc == 2
+        assert "unknown config key 'lambda_flow'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("line", ["tau_r = 0", "lr_flow = nan", "p_uncond = 2"]
                              + GEOMETRY_AND_PRETRAIN_LINES + MODEL_SIZE_LINES)
     def test_out_of_range_value_exits_2(self, tmp_path, capsys, line):
@@ -322,6 +331,39 @@ class TestCli:
         assert rc == 0
         rc = main(["train", "--config", str(cfg_path), "--out", str(ws / "resumable"), "--resume"])
         assert rc == 0
+
+    def test_resume_keeps_the_runs_references(self, tmp_path, capsys):
+        # the pretraining directory is replaced while a run is stopped: the
+        # resume continues against the references the run started from, as
+        # the uninterrupted run does
+        pre, cfg, short = tmp_path / "pre", tmp_path / "c.cfg", tmp_path / "short.cfg"
+        cfg.write_text(TINY_CONFIG + f"pretrain_dir = {pre}\n")
+        short.write_text(cfg.read_text().replace("total_updates = 4", "total_updates = 2"))
+        assert main(["pretrain", "--config", str(cfg), "--out", str(pre)]) == 0
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "full")]) == 0
+        assert main(["train", "--config", str(short), "--out", str(tmp_path / "cut")]) == 0
+        assert main(["pretrain", "--config", str(cfg), "--seed", "1", "--out", str(pre)]) == 0
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "cut"),
+                     "--resume"]) == 0
+        capsys.readouterr()
+        for name in ("metrics.csv", "state.ckpt", "text.ckpt", "flow.ckpt", "ref_text.ckpt",
+                     "ref_flow.ckpt"):
+            assert (tmp_path / "full" / name).read_bytes() == \
+                (tmp_path / "cut" / name).read_bytes(), name
+
+    @pytest.mark.parametrize("name", ["ref_text.ckpt", "ref_flow.ckpt"])
+    def test_resume_without_its_reference_copy_exits_3(self, cli_workspace, capsys, name):
+        ws, cfg_path = cli_workspace
+        short = ws / "two_updates.cfg"
+        short.write_text(cfg_path.read_text().replace("total_updates = 4", "total_updates = 2"))
+        out = ws / f"without_{name}"
+        assert main(["train", "--config", str(short), "--out", str(out)]) == 0
+        (out / name).unlink()
+        capsys.readouterr()
+        rc = main(["train", "--config", str(cfg_path), "--out", str(out), "--resume"])
+        assert rc == 3
+        assert str(out / name) in capsys.readouterr().err
+        assert not (out / name).exists()
 
     def test_resume_from_nonfinite_optimizer_state_exits_3(self, cli_workspace, capsys):
         # a NaN Adam moment in state.ckpt must not resume into silently skipped updates

@@ -36,11 +36,11 @@ def _tile(n):
     return np.tile(TRACE, (n, 1))
 
 
-def _prepared(batch, adv, reg_mode, ref_params, old_params):
+def _prepared(batch, adv, reg_mode, reg_weight, ref_params, old_params):
     """A prepared batch whose old means a first surrogate call at
     `old_params`, the sampling parameters, took."""
-    prepared = POLICY.prepare_batch(batch, adv, reg_mode, ref_params)
-    POLICY.surrogate_loss(old_params, prepared, 0.0, 0.0)
+    prepared = POLICY.prepare_batch(batch, adv, reg_mode, reg_weight, ref_params)
+    POLICY.surrogate_loss(old_params, prepared, 0.0)
     return prepared
 
 
@@ -48,10 +48,10 @@ def _surrogate(params, batch, adv, clip_eps, reg_mode, reg_weight, ref_params, o
     """One surrogate evaluation through a freshly prepared batch sampled at
     `old_params`, `params` when not given."""
     if old_params is None:
-        prepared = POLICY.prepare_batch(batch, adv, reg_mode, ref_params)
+        prepared = POLICY.prepare_batch(batch, adv, reg_mode, reg_weight, ref_params)
     else:
-        prepared = _prepared(batch, adv, reg_mode, ref_params, old_params)
-    return POLICY.surrogate_loss(params, prepared, clip_eps, reg_weight)
+        prepared = _prepared(batch, adv, reg_mode, reg_weight, ref_params, old_params)
+    return POLICY.surrogate_loss(params, prepared, clip_eps)
 
 
 def _cond(params, traces):
@@ -620,7 +620,7 @@ class TestVelocityInputs:
         assert feature_calls == [n] and velocity_rows == [B] * n
         for reg_mode, n_ref in (("none", 0), ("latent-kl", 1), ("velocity-mse", 1)):
             del feature_calls[:], velocity_rows[:]
-            POLICY.prepare_batch(batch, np.ones(B), reg_mode, params)
+            POLICY.prepare_batch(batch, np.ones(B), reg_mode, 1.0, params)
             assert feature_calls == [B * 3] and velocity_rows == [B * 3] * n_ref
 
 
@@ -632,7 +632,7 @@ class TestPretraining:
         x0 = np.array([[0.3, -0.4]])
         t = np.array([0.5])
         pool = POLICY.pool_weights(_tile(1))
-        loss, _ = POLICY.fm_loss_frozen(params, x0, pool, t, x0.copy(), np.ones(1))
+        loss, _ = POLICY.fm_loss_frozen(params, x0, pool, t, x0.copy())
         assert loss == pytest.approx(0.0, abs=1e-12)
 
     def test_gradient_matches_finite_differences(self):
@@ -644,12 +644,11 @@ class TestPretraining:
         x0 = np.stack(x0s)
         t = 1.0 - rng.random(6)
         x1 = rng.standard_normal((6, 2))
-        keep = np.ones(6)
-        keep[0] = 0.0
         pool = POLICY.pool_weights(_tile(6))
+        pool[0] = 0.0  # row 0's condition dropped
 
         def loss(p):
-            return POLICY.fm_loss_frozen(p, x0, pool, t, x1, keep)
+            return POLICY.fm_loss_frozen(p, x0, pool, t, x1)
 
         report = finite_diff_check(loss, params, probes=100, tol=1e-4, rng=stream(7, "fd"))
         assert report.passed, (report.max_rel_err, report.failing_blocks)
@@ -675,7 +674,8 @@ class TestPretraining:
                 keep = (rng.random(len(batch)) >= 0.2).astype(np.float64)
                 loss, gs = POLICY.fm_loss_frozen(
                     ref, np.stack([x0[i] for i in batch]),
-                    POLICY.pool_weights(np.stack([conds[i] for i in batch])), t, x1, keep,
+                    POLICY.pool_weights(np.stack([conds[i] for i in batch])) * keep[:, None],
+                    t, x1,
                 )
                 ref = adam_step(ref, gs, state)
                 total += loss * len(batch)
@@ -809,10 +809,10 @@ class TestFlowSurrogate:
         batch = _rollout_group(params, g=3, seed=3)
         adv = np.array([1.0, -0.3, 0.6])
         moved = params.with_blocks({"b2": params["b2"] + 0.01})
-        prepared = _prepared(batch, adv, reg_mode, ref, params)
+        prepared = _prepared(batch, adv, reg_mode, weight, ref, params)
 
         def loss(p):
-            j, gs, _ = POLICY.surrogate_loss(p, prepared, 0.2, weight)
+            j, gs, _ = POLICY.surrogate_loss(p, prepared, 0.2)
             return j, gs
 
         report = finite_diff_check(loss, moved, probes=100, tol=1e-4, rng=stream(8, "fd"))
@@ -823,19 +823,31 @@ class TestFlowSurrogate:
         batch = _rollout_group(params, g=2, seed=4, cfg_scale=2.0)
         adv = np.array([0.5, -0.5])
         moved = params.with_blocks({"b2": params["b2"] + 0.01})
-        prepared = _prepared(batch, adv, "velocity-mse", params, params)
+        prepared = _prepared(batch, adv, "velocity-mse", 0.1, params, params)
 
         def loss(p):
-            j, gs, _ = POLICY.surrogate_loss(p, prepared, 0.2, 0.1)
+            j, gs, _ = POLICY.surrogate_loss(p, prepared, 0.2)
             return j, gs
 
         report = finite_diff_check(loss, moved, probes=60, tol=1e-4, rng=stream(9, "fd"))
         assert report.passed, (report.max_rel_err, report.failing_blocks)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_nonfinite_ratio_names_step(self):
+        # the rollout's non-finite mean is refused before any arithmetic on
+        # it, so numpy warns of no invalid value first
         params = _nontrivial_params(20)
         batch = _rollout_group(params, g=2, seed=5)
         batch.mu[1, 0] = np.inf
-        with pytest.raises(NumericError, match=f"trajectory 1, step {batch.starts[1]}"), \
-                np.errstate(invalid="ignore"):
+        with pytest.raises(NumericError, match=f"trajectory 1, step {batch.starts[1]}"):
             _surrogate(params, batch, np.zeros(2), 0.2, "none", 0.0, params)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("value", [np.nan, -np.inf])
+    def test_nonfinite_next_state_names_step(self, value):
+        params = _nontrivial_params(20)
+        batch = _rollout_group(params, g=2, seed=5)
+        k = batch.starts[0] + 2
+        batch.states[k + 1, 0, 1] = value
+        with pytest.raises(NumericError, match=f"trajectory 0, step {k}"):
+            _surrogate(params, batch, np.zeros(2), 0.2, "velocity-mse", 0.5, params)

@@ -222,8 +222,9 @@ def _old_flow_surrogate(params, batch, mu_old, advantages, clip_eps, reg_mode, r
             reg_rows = tape.sum_rows(tape.square(tape.cadd(v, -v_ref)))
             if reg_mode == "latent-kl":
                 w_reg = w_rows * (c1[:, 0]**2 * dts / (2.0 * sig**2))
-        reg_value = float(reg_rows.value @ w_reg)
-        j = tape.sub(j, tape.sum(tape.cmul(reg_rows, reg_weight * w_reg)))
+        penalty = tape.sum(tape.cmul(reg_rows, reg_weight * w_reg))
+        reg_value = float(penalty.value)
+        j = tape.sub(j, penalty)
     grads = tape.param_grads(1.0, output=j)
     return float(j.value), grads, rt.value, reg_value
 
@@ -247,11 +248,11 @@ def _rel_err(new, old) -> float:
 def _mean_space_rel_err(params, batch, adv, prepared, ref, weight=0.02) -> float:
     """Largest relative error of the fused latent-KL surrogate's value,
     gradient and regularizer against the mean-space op chain, on params and
-    on a moved copy."""
+    on a moved copy; `prepared` carries the regularizer weight `weight`."""
     moved = params.with_blocks({"b2": params["b2"] + 0.01, "cemb": params["cemb"] - 0.02})
     errs = []
     for theta in (params, moved):
-        j, gs, stats = FLOW.surrogate_loss(theta, prepared, 0.2, weight)
+        j, gs, stats = FLOW.surrogate_loss(theta, prepared, 0.2)
         old_j, old_grads, _, old_reg = _old_flow_surrogate(
             theta, batch, prepared.mu_old, adv, 0.2, "latent-kl", weight, ref, mean_space=True
         )
@@ -268,11 +269,11 @@ class TestFlowHeads:
         params, ref = _flow_params(7), _flow_params(8)
         batch = _flow_rollout(params, cfg_scale)
         adv = stream(9, "adv").normal(size=8)
-        prepared = FLOW.prepare_batch(batch, adv, reg_mode, ref)
+        prepared = FLOW.prepare_batch(batch, adv, reg_mode, weight, ref)
         moved = params.with_blocks({"b2": params["b2"] + 0.01, "cemb": params["cemb"] - 0.02})
         for theta in (params, moved):
             for clip_eps in (0.2, 1e-4, 0.0):
-                j, gs, stats = FLOW.surrogate_loss(theta, prepared, clip_eps, weight)
+                j, gs, stats = FLOW.surrogate_loss(theta, prepared, clip_eps)
                 old_j, old_grads, old_rt, old_reg = _old_flow_surrogate(
                     theta, batch, prepared.mu_old, adv, clip_eps, reg_mode, weight, ref
                 )
@@ -282,7 +283,7 @@ class TestFlowHeads:
                 assert stats.max_ratio == float(old_rt.max())
                 assert stats.reg_value == old_reg
                 assert stats.rows == len(old_rt)
-        _, _, stats = FLOW.surrogate_loss(params, prepared, 0.0, weight)
+        _, _, stats = FLOW.surrogate_loss(params, prepared, 0.0)
         assert stats.max_ratio == 1.0 and stats.mean_ratio == 1.0 and stats.clip_fraction == 0.0
 
     @pytest.mark.parametrize("cfg_scale", [1.0, 2.0])
@@ -293,7 +294,7 @@ class TestFlowHeads:
         params, ref = _flow_params(7), _flow_params(8)
         batch = _flow_rollout(params, cfg_scale)
         adv = stream(9, "adv").normal(size=8)
-        prepared = FLOW.prepare_batch(batch, adv, "latent-kl", ref)
+        prepared = FLOW.prepare_batch(batch, adv, "latent-kl", 0.02, ref)
         assert _mean_space_rel_err(params, batch, adv, prepared, ref) <= 1e-12
 
     def test_mean_space_chain_sees_a_dropped_kappa(self):
@@ -302,8 +303,8 @@ class TestFlowHeads:
         params, ref = _flow_params(7), _flow_params(8)
         batch = _flow_rollout(params, 2.0)
         adv = stream(9, "adv").normal(size=8)
-        prepared = FLOW.prepare_batch(batch, adv, "latent-kl", ref)
-        dropped = replace(prepared, reg_scale=prepared.weight)
+        prepared = FLOW.prepare_batch(batch, adv, "latent-kl", 0.02, ref)
+        dropped = replace(prepared, reg_scale=0.02 * prepared.weight)
         assert _mean_space_rel_err(params, batch, adv, dropped, ref) > 1e-3
 
     def test_fm_matches_op_chain(self):
@@ -315,7 +316,7 @@ class TestFlowHeads:
         x1 = rng.standard_normal((n, DIM))
         keep = (rng.random(n) >= 0.2).astype(np.float64)
         pool = FLOW.pool_weights(PROMPT_TOKENS[random_prompts(11, "c", n)])
-        loss, gs = FLOW.fm_loss_frozen(params, x0, pool, t, x1, keep)
+        loss, gs = FLOW.fm_loss_frozen(params, x0, pool * keep[:, None], t, x1)
 
         tape = OpTape()
         cond = tape.cmul(tape.cmatmul(pool, tape.param(params, "cemb")), keep[:, None])
@@ -344,9 +345,9 @@ def test_every_loss_tape_is_at_most_twelve_nodes(monkeypatch):
     TEXT.ce_loss(tparams, rows, targets)
     for cfg_scale in (1.0, 2.0):
         prepared = FLOW.prepare_batch(_flow_rollout(fparams, cfg_scale, g=4), np.ones(4),
-                                      "velocity-mse", fparams)
-        FLOW.surrogate_loss(fparams, prepared, 0.2, 0.1)
+                                      "velocity-mse", 0.1, fparams)
+        FLOW.surrogate_loss(fparams, prepared, 0.2)
     pool = FLOW.pool_weights(np.array([(3, EOS), (4, 5)]))
     FLOW.fm_loss_frozen(fparams, np.zeros((2, DIM)), pool,
-                        np.array([0.3, 0.9]), np.ones((2, DIM)), np.ones(2))
+                        np.array([0.3, 0.9]), np.ones((2, DIM)))
     assert lengths == [11, 11, 10, 12, 10]

@@ -105,10 +105,10 @@ def _text_batch(rt, seqs, advantages, temperature, beta_txt, ref, old):
     return batch
 
 
-def _flow_batch(rt, flow_batch, advantages, reg_mode, ref, old):
+def _flow_batch(rt, flow_batch, advantages, reg_mode, reg_weight, ref, old):
     """A flow batch whose old means a first surrogate call at `old` took."""
-    batch = rt.flow_policy.prepare_batch(flow_batch, advantages, reg_mode, ref)
-    rt.flow_policy.surrogate_loss(old, batch, 0.0, 0.0)
+    batch = rt.flow_policy.prepare_batch(flow_batch, advantages, reg_mode, reg_weight, ref)
+    rt.flow_policy.surrogate_loss(old, batch, 0.0)
     return batch
 
 
@@ -381,15 +381,6 @@ class TestUnifiedUpdate:
         af = AdamState.for_params(flow, lr=cfg.lr_flow)
         return rt, groups, text, flow, at, af
 
-    def test_lambda_zero_freezes_flow(self, tiny_pretrain):
-        rt, groups, text, flow, at, af = self._setup(tiny_pretrain, lambda_flow=0.0)
-        new_text, new_flow, _ = unified_update(rt, groups, text, flow, text, flow, at, af)
-        for name, arr in flow.items():
-            np.testing.assert_array_equal(new_flow[name], arr)
-        assert any(
-            not np.array_equal(new_text[name], arr) for name, arr in text.items()
-        )
-
     def test_degenerate_groups_leave_params_untouched(self, tiny_pretrain):
         rt, groups, text, flow, at, af = self._setup(tiny_pretrain, reg_mode="none")
         for g in groups:
@@ -399,7 +390,7 @@ class TestUnifiedUpdate:
             np.testing.assert_array_equal(new_text[name], arr)
         for name, arr in flow.items():
             np.testing.assert_array_equal(new_flow[name], arr)
-        assert stats.j_text == 0.0 and stats.j_flow == 0.0
+        assert stats.j == {"text": 0.0, "flow": 0.0}
 
     def test_zero_window_rollout_and_update(self, tiny_pretrain):
         # W = 0 is a valid config: the flow rollout is the plain ODE, so the
@@ -412,7 +403,7 @@ class TestUnifiedUpdate:
             np.testing.assert_array_equal(g.flow.starts, rt.cfg.sde_window_lo)
             assert np.isfinite(g.rewards).all()
         new_text, _, stats = unified_update(rt, groups, text, flow, text, flow, at, af)
-        assert not stats.skipped and np.isfinite(stats.j_text)
+        assert not stats.skipped and np.isfinite(stats.j["text"])
         assert any(not np.array_equal(new_text[name], arr) for name, arr in text.items())
 
     def test_freeze_flags(self, tiny_pretrain):
@@ -422,9 +413,11 @@ class TestUnifiedUpdate:
             np.testing.assert_array_equal(new_text[name], arr)
 
         rt, groups, text, flow, at, af = self._setup(tiny_pretrain, train_flow=False)
-        _, new_flow, _ = unified_update(rt, groups, text, flow, text, flow, at, af)
+        new_text, new_flow, _ = unified_update(rt, groups, text, flow, text, flow, at, af)
         for name, arr in flow.items():
             np.testing.assert_array_equal(new_flow[name], arr)
+        assert af.step == 0
+        assert any(not np.array_equal(new_text[name], arr) for name, arr in text.items())
 
     def test_on_policy_first_epoch_objective_additivity(self, tiny_pretrain):
         # at theta = theta_old the per-group surrogates equal mean(adv) = 0,
@@ -441,16 +434,16 @@ class TestUnifiedUpdate:
         ])
         j_flow_sep = np.mean([
             rt.flow_policy.surrogate_loss(flow, rt.flow_policy.prepare_batch(
-                g.flow, g.advantages, cfg.reg_mode, flow,
-            ), cfg.clip_eps, cfg.mse_weight)[0]
+                g.flow, g.advantages, cfg.reg_mode, cfg.mse_weight, flow,
+            ), cfg.clip_eps)[0]
             for g in active
         ])
         _, _, stats = unified_update(rt, groups, text, flow, text, flow, at, af)
-        assert stats.j_text == pytest.approx(j_text_sep, abs=1e-12)
-        assert stats.j_flow == pytest.approx(j_flow_sep, abs=1e-12)
+        assert stats.j["text"] == pytest.approx(j_text_sep, abs=1e-12)
+        assert stats.j["flow"] == pytest.approx(j_flow_sep, abs=1e-12)
         # reg evaluated at theta = theta_ref contributes exactly 0
-        assert stats.j_text == pytest.approx(0.0, abs=1e-10)
-        assert stats.j_flow == pytest.approx(0.0, abs=1e-10)
+        assert stats.j["text"] == pytest.approx(0.0, abs=1e-10)
+        assert stats.j["flow"] == pytest.approx(0.0, abs=1e-10)
 
 
     @pytest.mark.parametrize("reg_mode", ["none", "latent-kl", "velocity-mse"])
@@ -468,8 +461,8 @@ class TestUnifiedUpdate:
                 ), 0.2,
             ),
             "flow": lambda gs: rt.flow_policy.surrogate_loss(
-                flow_moved, _flow_batch(rt, _rows(gs).flow, _rows(gs).advantages, reg_mode, flow,
-                                        flow), 0.2, 0.02,
+                flow_moved, _flow_batch(rt, _rows(gs).flow, _rows(gs).advantages, reg_mode, 0.02,
+                                        flow, flow), 0.2,
             ),
         }
         for name, call in calls.items():
@@ -496,11 +489,21 @@ class TestUnifiedUpdate:
         for update, draws in enumerate(rollout_words(cfg, 101, range(1, 6), prompts), 1):
             groups = collect_rollouts(rt, draws.prompts, text, flow, draws)
             active = _rows([g for g in groups if not g.degenerate])
-            batch = rt.flow_policy.prepare_batch(active.flow, active.advantages, "none", flow)
-            _, _, stats = rt.flow_policy.surrogate_loss(flow, batch, 0.0, 0.0)
+            batch = rt.flow_policy.prepare_batch(active.flow, active.advantages, "none", 0.0, flow)
+            _, _, stats = rt.flow_policy.surrogate_loss(flow, batch, 0.0)
             if not stats.max_ratio == stats.mean_ratio == 1.0 or stats.clip_fraction:
                 off.append(update)
         assert off == []
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_nonfinite_rollout_skips_the_update(self, tiny_pretrain):
+        # refused when the flow batch is prepared, before any arithmetic on it
+        rt, groups, text, flow, at, af = self._setup(tiny_pretrain)
+        row = next(g for g in groups if not g.degenerate).rows.start
+        groups[0].batch.flow.mu[row, 1] = np.nan
+        new_text, new_flow, stats = unified_update(rt, groups, text, flow, text, flow, at, af)
+        assert stats.skipped and at.step == af.step == 0
+        assert new_text is text and new_flow is flow
 
     def test_failed_epoch_leaves_no_trace(self, tiny_pretrain, monkeypatch):
         rt, groups, text, flow, at, af = self._setup(tiny_pretrain)

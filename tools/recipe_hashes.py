@@ -1,6 +1,6 @@
 """Byte-identity check: run the fixed-seed recipe and compare its output hashes.
 
-    python3 tools/recipe_hashes.py           # exit 0 iff all 29 hashes match
+    python3 tools/recipe_hashes.py           # exit 0 iff all 30 entries match
     python3 tools/recipe_hashes.py --write   # compare, then record the current hashes
 
 The recipe runs `unigrpo pretrain --seed 101` at desk defaults, then
@@ -16,15 +16,19 @@ temporary directory:
 and takes the sha256 of the 29 outputs that a fixed seed determines: the
 pretraining text.ckpt, flow.ckpt and pretrain_report.json, each run's
 metrics.csv, groups.jsonl, state.ckpt, text.ckpt and flow.ckpt, and the
-output of `unigrpo verify` with each oracle's ` (x.xxs)` timing removed.
-It compares them with tools/recipe_hashes.json.  A change that is not
-meant to move any number must keep every hash.  The commands run from this
-checkout's `src`.
+output of `unigrpo verify` with each oracle's ` (x.xxs)` timing removed,
+plus a 30th entry, `blas_kernel`: the runtime kernel of the OpenBLAS
+library in numpy's wheel ("unknown" where it cannot be read).  The hashes
+hold only for the kernel they were recorded with, so a host with another
+kernel reports it by name.  It compares all 30 with
+tools/recipe_hashes.json.  A change that is not meant to move any number
+must keep every hash.  The commands run from this checkout's `src`.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import hashlib
 import json
 import os
@@ -67,6 +71,21 @@ def run_cli(*args: str) -> str:
                           stdout=subprocess.PIPE, text=True).stdout
 
 
+def blas_kernel() -> str:
+    """The runtime kernel (OpenBLAS's core name) of the scipy-openblas library
+    in numpy's wheel, or "unknown"."""
+    import numpy as np
+
+    for lib in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        try:
+            corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.argtypes, corename.restype = (), ctypes.c_char_p
+        return corename().decode()
+    return "unknown"
+
+
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -83,6 +102,7 @@ def recipe_hashes(work: Path) -> dict:
                        for name in RUN_FILES})
     oracles = re.sub(r" \(\d+\.\d+s\)", "", run_cli("verify"))
     hashes["verify/oracles"] = sha256(oracles.encode())
+    hashes["blas_kernel"] = blas_kernel()
     return hashes
 
 
