@@ -69,10 +69,10 @@ class Tape:
         """Record an op computed outside the tape; vjp(g) gives one gradient per input."""
         return self._push(value, tuple(v.idx for v in inputs), vjp)
 
-    def backward(self, seed=1.0, output: Var | None = None) -> list:
-        """Gradients (indexed by node) of the output w.r.t. every node.  A node
+    def backward(self, seed=1.0) -> list:
+        """Gradients (indexed by node) of `output` w.r.t. every node.  A node
         read by several others gets their gradients summed, latest reader first."""
-        out = output if output is not None else self.output
+        out = self.output
         if out is None:
             raise ValueError("tape has no output Var")
         seed = _f64(seed)
@@ -91,10 +91,10 @@ class Tape:
                     grads[pidx] = grads[pidx] + pg
         return grads
 
-    def param_grads(self, seed=1.0, output: Var | None = None) -> np.ndarray:
+    def param_grads(self, seed=1.0) -> np.ndarray:
         """Gradients for the registered parameter leaves as one new vector in
         the layout of their ParamSet; blocks the output does not reach stay zero."""
-        grads = self.backward(seed, output)
+        grads = self.backward(seed)
         vec = np.zeros(self.param_source.layout.size)
         views = self.param_source.layout.views(vec)
         for name, var in self.params.items():

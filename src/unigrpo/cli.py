@@ -1,6 +1,7 @@
 """Command-line entry points.
 
-Commands: pretrain, train, ablate, verify, eval.  Exit codes: 0 success,
+Commands: pretrain, train, ablate, verify, eval (which reads its config,
+policies and reference from the run directory).  Exit codes: 0 success,
 2 configuration error, 3 checkpoint error, 4 numeric/oracle failure.
 """
 
@@ -18,16 +19,14 @@ from dataclasses import replace  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 from .ablate import MODES, ablate  # noqa: E402
-from .config import TrainConfig, dump_config, load_config  # noqa: E402
+from .config import TrainConfig, load_config  # noqa: E402
 from .errors import CheckpointError, ConfigError, NumericError  # noqa: E402
 from .verify import run_all  # noqa: E402
 
 
-def _load(args) -> tuple[TrainConfig, str]:
-    if args.config:
-        cfg, text = load_config(args.config)
-    else:
-        cfg, text = TrainConfig().validate(), dump_config(TrainConfig())
+def _load(args) -> tuple[TrainConfig, str | None]:
+    """The config and its file's text; None without a file: `train` then dumps `cfg`."""
+    cfg, text = load_config(args.config) if args.config else (TrainConfig().validate(), None)
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
     return cfg, text
@@ -81,21 +80,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    from . import checkpoint
-    from .trainer import check_architecture, evaluate, make_eval_set, make_runtime
+    from .trainer import evaluate_run
 
-    cfg, _ = _load(args)
-    rt = make_runtime(cfg)
-    run = Path(args.run)
-    text_params = checkpoint.load_params(run / "text.ckpt")
-    flow_params = checkpoint.load_params(run / "flow.ckpt")
-    ref_path = run / "ref_flow.ckpt"
-    flow_ref = checkpoint.load_params(ref_path) if ref_path.exists() else flow_params
-    check_architecture(text_params, rt.text_policy, "text")
-    check_architecture(flow_params, rt.flow_policy, "flow")
-    check_architecture(flow_ref, rt.flow_policy, "ref_flow")
-    ev = evaluate(rt, text_params, flow_params, flow_ref, make_eval_set(rt, cfg.seed))
-    print(json.dumps(ev, indent=2))
+    print(json.dumps(evaluate_run(args.run), indent=2))
     return 0
 
 
@@ -124,9 +111,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--self-test-corrupt", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(fn=cmd_verify)
 
-    p = sub.add_parser("eval", help="evaluate a run directory's checkpoint")
-    _add_common(p, "run")
-    p.add_argument("--run", type=str, required=True, help="run directory with checkpoints")
+    p = sub.add_parser("eval", help="re-run a run directory's last evaluation")
+    p.add_argument("--run", type=str, required=True,
+                   help="run directory: its manifest's config, checkpoints and reference")
     p.set_defaults(fn=cmd_eval)
     return parser
 

@@ -147,6 +147,8 @@ class TrainConfig:
         return list(range(self.sde_window_lo, last + 1))
 
 
+# each key's value type, read off its default
+_KEY_TYPES = {f.name: type(f.default) for f in fields(TrainConfig)}
 _BOOL = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
 
 
@@ -166,10 +168,6 @@ def _coerce(name: str, raw: str, target_type):
 
 def parse_config_text(text: str) -> TrainConfig:
     """Parse `key = value` lines; '#' starts a comment; unknown keys are errors."""
-    known = {f.name: f.type for f in fields(TrainConfig)}
-    types = {
-        f.name: type(getattr(TrainConfig(), f.name)) for f in fields(TrainConfig)
-    }
     values = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
@@ -178,11 +176,11 @@ def parse_config_text(text: str) -> TrainConfig:
         if "=" not in body:
             raise ConfigError(f"line {lineno}: expected 'key = value', got '{line.strip()}'")
         key, raw = (part.strip() for part in body.split("=", 1))
-        if key not in known:
+        if key not in _KEY_TYPES:
             raise ConfigError(f"unknown config key '{key}' (line {lineno})")
         if key in values:
             raise ConfigError(f"duplicate config key '{key}' (line {lineno})")
-        values[key] = _coerce(key, raw, types[key])
+        values[key] = _coerce(key, raw, _KEY_TYPES[key])
     return TrainConfig(**values).validate()
 
 
@@ -198,6 +196,14 @@ def load_config(path) -> tuple[TrainConfig, str]:
 
 def config_to_dict(cfg: TrainConfig) -> dict:
     return {f.name: getattr(cfg, f.name) for f in fields(TrainConfig)}
+
+
+def config_from_dict(values: dict) -> TrainConfig:
+    """The config `config_to_dict` gave `values`; keys it no longer has are ignored."""
+    for key, want in _KEY_TYPES.items():
+        if type(values.get(key)) is not want:
+            raise ConfigError(f"{key} = {values.get(key)!r} is missing or not a {want.__name__}")
+    return TrainConfig(**{key: values[key] for key in _KEY_TYPES}).validate()
 
 
 def dump_config(cfg: TrainConfig) -> str:

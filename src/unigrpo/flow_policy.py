@@ -22,8 +22,8 @@ from .autodiff import Tape, Var
 from .errors import ConfigError, NumericError
 from .nn import (LossStats, ParamSet, clipped_objective, fit, init_mlp_blocks, mlp_forward_np,
                  mlp_var)
-from .task import (BANDS, CANONICAL_TRACES, N_SYNONYMS, PROMPT_DRAWS, QUADRANTS, SPREADS,
-                   VOCAB_SIZE, TaskGeometry, trace_lengths)
+from .task import (CANONICAL_TRACES, N_SYNONYMS, PROMPT_DRAWS, VOCAB_SIZE, TaskGeometry,
+                   trace_lengths)
 
 DIM = 2  # sample space
 
@@ -41,8 +41,8 @@ def time_features(t) -> np.ndarray:
 N_TIME_FEATS = 7
 
 
-def timestep_schedule(n_steps: int, shift: float) -> tuple[np.ndarray, np.ndarray]:
-    """Times t_0=1 > ... > t_n=0 on the shifted grid, plus per-step dt.
+def timestep_schedule(n_steps: int, shift: float) -> np.ndarray:
+    """Times t_0=1 > ... > t_n=0 on the shifted grid.
 
     The uniform grid u is mapped by t = shift*u / (1 + (shift-1)*u), which
     concentrates steps near the data end for shift > 1 and is the identity
@@ -55,7 +55,7 @@ def timestep_schedule(n_steps: int, shift: float) -> tuple[np.ndarray, np.ndarra
     u = 1.0 - np.arange(n_steps + 1) / n_steps
     times = shift * u / (1.0 + (shift - 1.0) * u)
     times[0], times[-1] = 1.0, 0.0
-    return times, times[:-1] - times[1:]
+    return times
 
 
 # ---- per-step transition math ----
@@ -351,26 +351,20 @@ class FlowPolicy:
         report.update(self.quadrant_accuracy(params, rng))
         return params, report
 
-    def quadrant_accuracy(self, params: ParamSet, rng, n_per_cond: int = 200,
-                          n_steps: int = 20, shift: float = 3.0) -> dict:
-        """Fraction of deterministic samples landing in the conditioned quadrant."""
-        times, _ = timestep_schedule(n_steps, shift)
+    def quadrant_accuracy(self, params: ParamSet, rng) -> dict:
+        """Mean and smallest share, over the attribute tuples, of deterministic
+        samples landing in the conditioned quadrant: 200 per tuple, 20 steps,
+        shift 3."""
+        times = timestep_schedule(20, 3.0)
         ids = np.arange(0, len(PROMPT_DRAWS), N_SYNONYMS**3)  # each tuple's first prompt
-        attrs = PROMPT_DRAWS[ids, :3]
-        mu, _ = TaskGeometry().targets(attrs)
-        per_cond = {}
-        for (q, b, s), trace, target in zip(attrs, CANONICAL_TRACES[ids], mu):
-            traces = np.tile(trace, (n_per_cond, 1))
-            x1 = rng.standard_normal((n_per_cond, DIM))
-            x0 = self.ode_rollout_batch(params, traces, times, x1).states[-1]
-            ok = (np.sign(x0) == np.sign(target)).all(axis=1)
-            per_cond[f"{QUADRANTS[q]}-{BANDS[b]}-{SPREADS[s]}"] = float(ok.mean())
-        vals = list(per_cond.values())
-        return {
-            "quadrant_accuracy_mean": float(np.mean(vals)),
-            "quadrant_accuracy_min": float(np.min(vals)),
-            "quadrant_accuracy": per_cond,
-        }
+        mu, _ = TaskGeometry().targets(PROMPT_DRAWS[ids, :3])
+        shares = []
+        for trace, target in zip(CANONICAL_TRACES[ids], mu):
+            x1 = rng.standard_normal((200, DIM))
+            x0 = self.ode_rollout_batch(params, np.tile(trace, (200, 1)), times, x1).states[-1]
+            shares.append(float((np.sign(x0) == np.sign(target)).all(axis=1).mean()))
+        return {"quadrant_accuracy_mean": float(np.mean(shares)),
+                "quadrant_accuracy_min": float(np.min(shares))}
 
     # ---- GRPO surrogate ----
 

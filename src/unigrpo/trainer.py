@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import checkpoint
-from .config import TrainConfig, config_to_dict, dump_config
+from .config import TrainConfig, config_from_dict, config_to_dict, dump_config
 from .errors import CheckpointError, ConfigError, NumericError
 from .flow_policy import DIM, FlowBatch, FlowPolicy, timestep_schedule
 from .metrics import MetricsRow, MetricsWriter, read_metrics, rewind_run
@@ -113,8 +113,8 @@ def make_runtime(cfg: TrainConfig) -> Runtime:
         VOCAB_SIZE, PROMPT_LEN, cfg.max_trace_len, cfg.text_embed_dim, cfg.text_hidden
     )
     flow_policy = FlowPolicy(VOCAB_SIZE, cfg.flow_cond_dim, cfg.flow_hidden)
-    times_train, _ = timestep_schedule(cfg.train_timesteps, cfg.timestep_shift)
-    times_eval, _ = timestep_schedule(cfg.eval_timesteps, cfg.timestep_shift)
+    times_train = timestep_schedule(cfg.train_timesteps, cfg.timestep_shift)
+    times_eval = timestep_schedule(cfg.eval_timesteps, cfg.timestep_shift)
     return Runtime(cfg, geom, text_policy, flow_policy, times_train, times_eval)
 
 
@@ -426,28 +426,19 @@ def _software() -> dict:
             "thread_env": {v: os.environ.get(v) for v in threads}}
 
 
-class _Zeros:
-    """Stands in for the Generator `init_params` draws from: each draw is
-    zeros of the asked size, so the policy lays out its blocks undrawn."""
-
-    @staticmethod
-    def normal(loc=0.0, scale=1.0, size=None) -> np.ndarray:
-        return np.zeros(size)
-
-
-def check_architecture(loaded: ParamSet, policy: TextPolicy | FlowPolicy, which: str) -> None:
-    """CheckpointError unless `loaded` has the blocks and shapes `policy` builds."""
-    expected = policy.init_params(_Zeros())
+def check_architecture(loaded: ParamSet, policy: TextPolicy | FlowPolicy, which: str) -> ParamSet:
+    """`loaded`; CheckpointError unless it has the blocks and shapes `policy` builds."""
+    expected = policy.init_params(np.random.default_rng(0))
     got = {n: loaded[n].shape for n in loaded.names()}
     want = {n: expected[n].shape for n in expected.names()}
     if got != want:
-        raise CheckpointError(
-            f"{which} checkpoint does not match the configured architecture: "
-            f"{got} vs {want}"
-        )
+        raise CheckpointError(f"{which} checkpoint does not match the configured "
+                              f"architecture: {got} vs {want}")
+    return loaded
 
 
 _STATE_FILE = "state.ckpt"
+_MANIFEST_FILE = "run_manifest.json"
 # config keys a resume may change: what a run logs and saves, or what `train` does not read
 _RESUME_FREE_KEYS = ("total_updates", "eval_every", "checkpoint_every", "ablate_seeds",
                      "ablate_updates")
@@ -462,6 +453,30 @@ def _save_state(out: Path, update: int, text_params, flow_params, adam_text, ada
     checkpoint.save_blocks(out / _STATE_FILE, blocks)
     checkpoint.save_params(out / "text.ckpt", text_params)
     checkpoint.save_params(out / "flow.ckpt", flow_params)
+
+
+def read_run_config(out: Path) -> dict:
+    """The `config_resolved` of a run directory's manifest; a CheckpointError
+    naming the manifest when it is missing, is not JSON or holds no config."""
+    path = out / _MANIFEST_FILE
+    try:
+        return dict(json.loads(path.read_text())["config_resolved"])
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise CheckpointError(f"unusable run manifest {path}: {exc!r}") from exc
+
+
+def evaluate_run(run_dir) -> dict:
+    """The last evaluation a run directory's training logged, from its
+    manifest's config, text.ckpt, flow.ckpt and ref_flow.ckpt."""
+    run = Path(run_dir)
+    try:
+        rt = make_runtime(config_from_dict(read_run_config(run)))
+    except ConfigError as exc:
+        raise CheckpointError(f"{run / _MANIFEST_FILE}: {exc}") from exc
+    policies = {"text": rt.text_policy, "flow": rt.flow_policy, "ref_flow": rt.flow_policy}
+    params = [check_architecture(checkpoint.load_params(run / f"{name}.ckpt"), policy, name)
+              for name, policy in policies.items()]
+    return evaluate(rt, *params, make_eval_set(rt, rt.cfg.seed))
 
 
 def train(cfg: TrainConfig, out_dir, resume: bool = False, config_text: str | None = None) -> dict:
@@ -488,18 +503,15 @@ def train(cfg: TrainConfig, out_dir, resume: bool = False, config_text: str | No
     adam_flow = AdamState.for_params(flow_params, lr=cfg.lr_flow)
     start_update = 0
 
-    manifest_path = out / "run_manifest.json"
+    manifest_path = out / _MANIFEST_FILE
     if resume:
         # the whole run directory is checked before any file of it is written
-        try:
-            saved = json.loads(manifest_path.read_text())["config_resolved"]
-            for key, value in config_to_dict(cfg).items():
-                if key not in _RESUME_FREE_KEYS and saved.get(key) != value:
-                    raise ConfigError(f"{key} = {value} differs from the run's {key} = "
-                                      f"{saved.get(key)} ({manifest_path}); a resume may "
-                                      f"change only {', '.join(_RESUME_FREE_KEYS)}")
-        except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
-            raise CheckpointError(f"cannot resume: {manifest_path}: {exc!r}") from exc
+        saved = read_run_config(out)
+        for key, value in config_to_dict(cfg).items():
+            if key not in _RESUME_FREE_KEYS and saved.get(key) != value:
+                raise ConfigError(f"{key} = {value} differs from the run's {key} = "
+                                  f"{saved.get(key)} ({manifest_path}); a resume may "
+                                  f"change only {', '.join(_RESUME_FREE_KEYS)}")
         state_path = out / _STATE_FILE
         blocks = checkpoint.load_blocks(state_path)
         try:

@@ -131,7 +131,7 @@ def gradient_oracles(corrupt_gradient: bool = False) -> list[OracleResult]:
     # flow surrogate under each regularizer
     fparams = _nontrivial_flow_params(flow, SEED)
     fref = _nontrivial_flow_params(flow, SEED + 7)
-    times, _ = timestep_schedule(10, 3.0)
+    times = timestep_schedule(10, 3.0)
     trace = CANONICAL_TRACES[prompt]
     rngs = [stream(SEED, "f", i) for i in range(3)]
     x1 = np.stack([rng.standard_normal(2) for rng in rngs])
@@ -256,7 +256,7 @@ def sde_bitwise_oracle() -> OracleResult:
     flow = FlowPolicy()
     params = _nontrivial_flow_params(flow, SEED + 3)
     trace = CANONICAL_TRACES[[243]]  # quadrant 3, near, wide
-    times, _ = timestep_schedule(10, 3.0)
+    times = timestep_schedule(10, 3.0)
     n = len(times) - 1
     rng = stream(SEED, "bit")
     x1 = rng.standard_normal((1, 2))
@@ -274,7 +274,7 @@ def sde_marginal_oracle(n_traj: int = 10_000, n_steps: int = 100) -> OracleResul
     mu0 = np.array([0.5, -0.3])
     tau = 0.4
     sigma_level = 0.8
-    times, _ = timestep_schedule(n_steps, 1.0)
+    times = timestep_schedule(n_steps, 1.0)
 
     def v_star(x, t):
         rho2 = (1 - t) ** 2 * tau**2 + t**2
@@ -316,7 +316,7 @@ def rollout_budget_oracle() -> OracleResult:
     flow = FlowPolicy()
     params = _nontrivial_flow_params(flow, SEED + 4)
     trace = CANONICAL_TRACES[[54]]  # quadrant 1, far, tight
-    times, _ = timestep_schedule(10, 3.0)
+    times = timestep_schedule(10, 3.0)
     plain, guided = (
         flow.hybrid_rollout(params, trace, times, rng.standard_normal((1, 2)), [1], 3, 0.8,
                             rng.standard_normal((1, 3, 2)), cfg_scale)
@@ -335,7 +335,7 @@ def rollout_budget_oracle() -> OracleResult:
 
 def spot_value_oracle() -> OracleResult:
     checks = []
-    times, _ = timestep_schedule(2, 3.0)
+    times = timestep_schedule(2, 3.0)
     checks.append(abs(times[1] - 0.75))
     checks.append(abs(transition_logprob(np.zeros(1), 1.0, np.zeros(1)) + 0.9189385332046727))
     checks.append(abs(transition_logprob(np.zeros(1), 1.0, np.ones(1)) + 1.4189385332046727))

@@ -44,7 +44,8 @@ def _check_unary(build, x, tol=1e-7):
     v = t.leaf(x)
     out = build(t, v)
     w = rng.normal(size=out.value.shape)
-    grads = t.backward(w, output=out)
+    t.output = out
+    grads = t.backward(w)
     analytic = grads[v.idx]
     numeric = _fd_scalar(scalar, x.copy())
     np.testing.assert_allclose(analytic, numeric, rtol=tol, atol=tol)
@@ -78,7 +79,8 @@ def test_sum_and_reshape_and_clip_gradients():
     t = OpTape()
     v = t.leaf(x)
     s = t.sum(v)
-    grads = t.backward(1.0, output=s)
+    t.output = s
+    grads = t.backward(1.0)
     np.testing.assert_array_equal(grads[v.idx], np.ones_like(x))
 
 
@@ -92,7 +94,8 @@ def test_binary_op_gradients():
         a, b = t.leaf(a0), t.leaf(b0)
         out = getattr(t, op)(a, b)
         w = rng.normal(size=out.value.shape)
-        grads = t.backward(w, output=out)
+        t.output = out
+        grads = t.backward(w)
 
         def scalar_a(arr):
             t2 = OpTape()
@@ -116,7 +119,8 @@ def test_matmul_bias_gradients():
     out = mlp_var(t, ParamSet({"W0": w0, "b0": b0}), x, (3, 2))
     w, b = t.params["W0"], t.params["b0"]
     seed = rng.normal(size=out.value.shape)
-    grads = t.backward(seed, output=out)
+    t.output = out
+    grads = t.backward(seed)
 
     def loss(xa, wa, ba):
         return float(((xa @ wa + ba) * seed).sum())
@@ -146,7 +150,8 @@ def test_cmatmul_concat_gather_select():
     cols = np.array([1, 4])
     sel = t.select_cols(out, cols)
     s = t.sum(sel)
-    grads = t.backward(1.0, output=s)
+    t.output = s
+    grads = t.backward(1.0)
 
     def scalar(arr):
         gg = arr[ids]
@@ -162,7 +167,8 @@ def test_gather_rows_accumulates_duplicates():
     e = t.leaf(np.zeros((3, 2)))
     g = t.gather_rows(e, [1, 1, 1])
     s = t.sum(g)
-    grads = t.backward(1.0, output=s)
+    t.output = s
+    grads = t.backward(1.0)
     np.testing.assert_array_equal(grads[e.idx], [[0, 0], [3, 3], [0, 0]])
 
 
@@ -171,7 +177,8 @@ def test_minimum_tie_goes_to_first_argument():
     a = t.leaf(np.array([1.0, 2.0]))
     b = t.leaf(np.array([1.0, 3.0]))
     m = t.minimum(a, b)
-    grads = t.backward(np.ones(2), output=m)
+    t.output = m
+    grads = t.backward(np.ones(2))
     np.testing.assert_array_equal(grads[a.idx], [1.0, 1.0])
     np.testing.assert_array_equal(grads[b.idx], [0.0, 0.0])
 

@@ -17,6 +17,8 @@ from unigrpo.cli import main
 from unigrpo.config import TrainConfig, dump_config, load_config, parse_config_text
 from unigrpo.errors import ConfigError
 from unigrpo.flow_policy import FlowPolicy
+from unigrpo.metrics import read_metrics
+from unigrpo.text_policy import TextPolicy
 
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 FLOAT_KEYS = [f.name for f in fields(TrainConfig)
@@ -221,11 +223,28 @@ def cli_workspace(tmp_path_factory):
     return ws, cfg_path
 
 
-def _trained_run(ws, cfg_path, capsys) -> None:
-    """Train the workspace's run directory once, for the commands that read it."""
-    if not (ws / "run/text.ckpt").exists():
-        assert main(["train", "--config", str(cfg_path), "--out", str(ws / "run")]) == 0
+EVAL_COLUMNS = ("eval_reward", "text_accuracy", "velocity_drift")
+
+
+def _seeded_run(ws, cfg_path, capsys, train_text: str = "true") -> Path:
+    """A finished run trained at a seed and an eval_samples other than the
+    workspace config's and the defaults'."""
+    run = ws / f"seeded_run_text_{train_text}"
+    if not (run / "summary.json").exists():
+        cfg = ws / f"seeded_text_{train_text}.cfg"
+        text = _without(_without(cfg_path.read_text(), "eval_samples"), "train_text")
+        cfg.write_text(text + f"eval_samples = 6\ntrain_text = {train_text}\n")
+        assert main(["train", "--config", str(cfg), "--out", str(run), "--seed", "5"]) == 0
         capsys.readouterr()
+    return run
+
+
+def _seeded_run_copy(cli_workspace, tmp_path, capsys) -> Path:
+    """A copy of the workspace's seeded run, for a test to damage."""
+    ws, cfg_path = cli_workspace
+    run = tmp_path / "run"
+    shutil.copytree(_seeded_run(ws, cfg_path, capsys), run)
+    return run
 
 
 class TestCli:
@@ -239,40 +258,83 @@ class TestCli:
         assert (ws / "run/metrics.csv").exists()
         assert (ws / "run/run_manifest.json").exists()
 
-    def test_eval_command(self, cli_workspace, capsys):
+    @pytest.mark.parametrize("train_text", ["true", "false"])
+    def test_eval_prints_the_runs_own_final_row(self, cli_workspace, capsys, train_text):
+        # eval takes its config from the run's manifest, so a run trained at
+        # another seed and eval_samples prints the row it logged, bit for bit
         ws, cfg_path = cli_workspace
-        _trained_run(ws, cfg_path, capsys)
-        rc = main(["eval", "--config", str(cfg_path), "--run", str(ws / "run")])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "eval_reward" in out
+        run = _seeded_run(ws, cfg_path, capsys, train_text)
+        assert main(["eval", "--run", str(run)]) == 0
+        printed = json.loads(capsys.readouterr().out)
+        last = read_metrics(run / "metrics.csv")[-1]
+        assert printed == {key: last[key] for key in EVAL_COLUMNS}
 
-    @pytest.mark.parametrize("line, which", [("max_trace_len = 5", "text"),
-                                             ("text_hidden = 40", "text"),
-                                             ("flow_hidden = 16", "flow")])
+    def test_eval_without_its_reference_exits_3(self, cli_workspace, tmp_path, capsys):
+        # no fallback to the evaluated flow, which would read drift 0.0
+        run = _seeded_run_copy(cli_workspace, tmp_path, capsys)
+        (run / "ref_flow.ckpt").unlink()
+        assert main(["eval", "--run", str(run)]) == 3
+        assert "ref_flow.ckpt" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("damage", ["missing", "garbled", "no config", "config a list",
+                                        "key missing", "refused value", "wrong type"])
+    def test_eval_without_a_usable_manifest_exits_3(self, cli_workspace, tmp_path, capsys,
+                                                    damage):
+        run = _seeded_run_copy(cli_workspace, tmp_path, capsys)
+        manifest = run / "run_manifest.json"
+        data = json.loads(manifest.read_text())
+        config = data["config_resolved"]
+        if damage == "missing":
+            manifest.unlink()
+        elif damage == "garbled":
+            manifest.write_text(manifest.read_text()[:40])
+        else:
+            if damage == "no config":
+                del data["config_resolved"]
+            elif damage == "config a list":
+                data["config_resolved"] = list(config.values())
+            elif damage == "key missing":
+                del config["flow_hidden"]
+            elif damage == "refused value":
+                config["group_size"] = 1
+            else:
+                config["seed"] = "5"
+            manifest.write_text(json.dumps(data))
+        assert main(["eval", "--run", str(run)]) == 3
+        assert "run_manifest.json" in capsys.readouterr().err
+
+    def test_eval_ignores_keys_the_config_no_longer_has(self, cli_workspace, tmp_path, capsys):
+        # a run from before lambda_flow was deleted still evaluates, as it resumes
+        run = _seeded_run_copy(cli_workspace, tmp_path, capsys)
+        manifest = run / "run_manifest.json"
+        data = json.loads(manifest.read_text())
+        data["config_resolved"]["lambda_flow"] = 1.0
+        manifest.write_text(json.dumps(data))
+        assert main(["eval", "--run", str(run)]) == 0
+        last = read_metrics(run / "metrics.csv")[-1]
+        assert json.loads(capsys.readouterr().out) == {key: last[key] for key in EVAL_COLUMNS}
+
+    @pytest.mark.parametrize("option", [["--config", "tiny.cfg"], ["--seed", "5"],
+                                        ["--out", "run"]], ids=["config", "seed", "out"])
+    def test_eval_takes_no_config_seed_or_out(self, capsys, option):
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--run", "run", *option])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {option[0]}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, params", [
+        ("text", TextPolicy(hidden=40).init_params(np.random.default_rng(0))),
+        ("flow", FlowPolicy(hidden=16).init_params(np.random.default_rng(0))),
+        ("ref_flow", FlowPolicy(hidden=16).init_params(np.random.default_rng(0))),
+    ], ids=["text", "flow", "ref_flow"])
     def test_eval_of_another_architecture_exits_3(self, cli_workspace, tmp_path, capsys,
-                                                  line, which):
-        # a config whose sizes differ from the run's checkpoints is a bad
+                                                  name, params):
+        # a checkpoint whose sizes differ from the run's config is a bad
         # checkpoint, not a numpy error or an evaluation of the wrong net
-        ws, cfg_path = cli_workspace
-        _trained_run(ws, cfg_path, capsys)
-        other = tmp_path / "other.cfg"
-        other.write_text(_without(cfg_path.read_text(), line.split()[0]) + line + "\n")
-        rc = main(["eval", "--config", str(other), "--run", str(ws / "run")])
-        assert rc == 3
-        assert f"{which} checkpoint does not match" in capsys.readouterr().err
-
-    def test_eval_of_another_reference_architecture_exits_3(self, cli_workspace, tmp_path,
-                                                            capsys):
-        ws, cfg_path = cli_workspace
-        _trained_run(ws, cfg_path, capsys)
-        run = tmp_path / "run"
-        shutil.copytree(ws / "run", run)
-        save_params(run / "ref_flow.ckpt",
-                    FlowPolicy(hidden=16).init_params(np.random.default_rng(0)))
-        rc = main(["eval", "--config", str(cfg_path), "--run", str(run)])
-        assert rc == 3
-        assert "ref_flow checkpoint does not match" in capsys.readouterr().err
+        run = _seeded_run_copy(cli_workspace, tmp_path, capsys)
+        save_params(run / f"{name}.ckpt", params)
+        assert main(["eval", "--run", str(run)]) == 3
+        assert f"{name} checkpoint does not match" in capsys.readouterr().err
 
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"

@@ -92,7 +92,8 @@ def _old_text_surrogate(params, seqs, old_lp, advantages, clip_eps, beta_txt, re
         ref_ls = _old_log_softmax_np(TEXT.logits_np(ref_params, distinct) * inv_t)
         kl_rows = tape.sum_rows(tape.mul(tape.softmax(logits), tape.cadd(ls, -ref_ls)))
         j = tape.sub(j, tape.sum(tape.cmul(kl_rows, w_distinct)))
-    grads = tape.param_grads(1.0, output=j)
+    tape.output = j
+    grads = tape.param_grads(1.0)
     return float(j.value), grads, ratio.value, distinct, inverse
 
 
@@ -156,7 +157,8 @@ class TestTextHeads:
         logp = tape.select_cols(tape.log_softmax(_old_logits_var(tape, params, rows)), targets)
         old = tape.sum(tape.cmul(logp, -1.0 / len(targets)))
         _assert_same(loss, float(old.value))
-        _assert_same(gs, tape.param_grads(1.0, output=old))
+        tape.output = old
+        _assert_same(gs, tape.param_grads(1.0))
 
 
 # ---- the flow chain ----
@@ -225,12 +227,13 @@ def _old_flow_surrogate(params, batch, mu_old, advantages, clip_eps, reg_mode, r
         penalty = tape.sum(tape.cmul(reg_rows, reg_weight * w_reg))
         reg_value = float(penalty.value)
         j = tape.sub(j, penalty)
-    grads = tape.param_grads(1.0, output=j)
+    tape.output = j
+    grads = tape.param_grads(1.0)
     return float(j.value), grads, rt.value, reg_value
 
 
 def _flow_rollout(params, cfg_scale, g=8, seed=0):
-    times, _ = timestep_schedule(10, 3.0)
+    times = timestep_schedule(10, 3.0)
     rng = stream(seed, "roll")
     starts = rng.integers(0, 4, size=g)
     return FLOW.hybrid_rollout(
@@ -325,7 +328,8 @@ class TestFlowHeads:
         sq = tape.sum_rows(tape.square(tape.cadd(v, -(x1 - x0))))
         old = tape.sum(tape.cmul(sq, 1.0 / n))
         _assert_same(loss, float(old.value))
-        _assert_same(gs, tape.param_grads(1.0, output=old))
+        tape.output = old
+        _assert_same(gs, tape.param_grads(1.0))
 
 
 def test_every_loss_tape_is_at_most_twelve_nodes(monkeypatch):

@@ -154,7 +154,8 @@ class TestFusedNode:
             tape = OpTape()
             x = tape.leaf(x0)
             out = build(tape, params, x, arch, activation)
-            grads = tape.backward(seed, output=out)
+            tape.output = out
+            grads = tape.backward(seed)
             blocks = {name: grads[var.idx] for name, var in tape.params.items()}
             results.append((out.value, grads[x.idx], blocks, len(tape)))
         (out, gx, blocks, nodes), (ref_out, ref_gx, ref_blocks, ref_nodes) = results
@@ -184,7 +185,8 @@ class TestFusedNode:
             for build in (mlp_var, _unfused_mlp):
                 tape = OpTape()
                 x = tape.leaf(x0)
-                grads = tape.backward(seed, output=build(tape, params, x, arch, "silu"))
+                tape.output = build(tape, params, x, arch, "silu")
+                grads = tape.backward(seed)
                 results.append([grads[x.idx]] + [grads[var.idx] for var in tape.params.values()])
         if scale > 1.0:
             assert max(np.abs(a).max() for a, _, _ in saved) > 710.0  # exp(-h) overflows

@@ -384,7 +384,8 @@ def _per_row_surrogate(policy, params, seqs, old_logp, adv, clip_eps, beta_txt, 
         ref_ls = _log_softmax(policy.logits_np(ref_params, rows) * inv_t)
         kl_rows = tape.sum_rows(tape.mul(tape.softmax(logits), tape.cadd(ls, -ref_ls)))
         j = tape.sub(j, tape.sum(tape.cmul(kl_rows, beta_txt * w_rows)))
-    return float(j.value), tape.param_grads(1.0, output=j)
+    tape.output = j
+    return float(j.value), tape.param_grads(1.0)
 
 
 def _dedup_seqs(policy, params, kind, temperature):
