@@ -28,7 +28,7 @@ def _load(args) -> tuple[TrainConfig, str | None]:
     """The config and its file's text; None without a file: `train` then dumps `cfg`."""
     cfg, text = load_config(args.config) if args.config else (TrainConfig().validate(), None)
     if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
+        cfg = replace(cfg, seed=args.seed).validate()
     return cfg, text
 
 

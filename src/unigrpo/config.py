@@ -97,7 +97,7 @@ class TrainConfig:
                      "flow_hidden", "pretrain_text_epochs", "pretrain_flow_epochs"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
-        for name in ("total_updates", "eval_every", "checkpoint_every", "ablate_updates"):
+        for name in ("seed", "total_updates", "eval_every", "checkpoint_every", "ablate_updates"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0")
         # a canonical trace may be one token longer than the context holds

@@ -21,7 +21,7 @@ import numpy as np
 from .autodiff import Tape, Var
 from .errors import ConfigError, NumericError
 from .nn import (LossStats, ParamSet, clipped_objective, fit, init_mlp_blocks, mlp_forward_np,
-                 mlp_var)
+                 mlp_var, slice_blocks)
 from .task import (CANONICAL_TRACES, N_SYNONYMS, PROMPT_DRAWS, VOCAB_SIZE, TaskGeometry,
                    trace_lengths)
 
@@ -125,19 +125,19 @@ def evals_per_step(cfg_scale: float) -> int:
 class FlowBatch:
     """One lockstep denoising pass over B rows.  `pool[i]` holds row i's
     token pooling weights, `states[k]` every row's latent before schedule
-    step k and `states[-1]` the samples, and `velocities[k]` the
-    conditional-branch velocity the sampler evaluated at `states[k]`.  Row i
-    is stochastic for the W steps from `starts[i]`; `mu` holds its
-    sampling-time transition mean at those steps."""
+    step k and `states[-1]` the samples, and `drift[k]`, given a frozen
+    reference, each row's squared distance there between the conditional
+    branch and the reference velocity.  Row i is stochastic for the W steps
+    from `starts[i]`; `mu` holds its sampling-time transition mean at them."""
 
     pool: np.ndarray       # (B, vocab)
     times: np.ndarray
     states: np.ndarray     # (n+1, B, DIM), step-major
-    velocities: np.ndarray  # (n, B, DIM), step-major
     starts: np.ndarray     # (B,)
     mu: np.ndarray         # (B, W, DIM)
     sigma_level: float
     cfg_scale: float
+    drift: np.ndarray | None  # (n, B), step-major, with a reference only
 
     @property
     def evals_per_row(self) -> int:
@@ -149,8 +149,8 @@ class FlowBatch:
 
     def take(self, rows) -> FlowBatch:
         return replace(self, pool=self.pool[rows], states=self.states[:, rows],
-                       velocities=self.velocities[:, rows], starts=self.starts[rows],
-                       mu=self.mu[rows])
+                       starts=self.starts[rows], mu=self.mu[rows],
+                       drift=None if self.drift is None else self.drift[:, rows])
 
 
 @dataclass
@@ -210,47 +210,46 @@ class FlowPolicy:
 
     # ---- velocity net ----
 
-    def velocity_np(self, params: ParamSet, rows: np.ndarray, cfg_scale: float = 1.0,
-                    cond_out: np.ndarray | None = None) -> np.ndarray:
-        """Velocity at the net's (n, arch[0]) input rows [x | time features |
-        condition]; a guidance scale other than 1 combines it with the
-        unconditional branch, the same forward's rows of a stacked copy with
-        the condition columns zeroed.  `cond_out`, when given, receives the
-        conditional branch."""
-        n = len(rows)
-        if cfg_scale != 1.0:
-            rows = np.concatenate([rows, rows])
-            rows[n:, DIM + N_TIME_FEATS:] = 0.0
-        v = mlp_forward_np(params, rows, self.arch, "tanh")
-        if cond_out is not None:
-            cond_out[...] = v[:n]
-        return v if cfg_scale == 1.0 else cfg_velocity(v[:n], v[n:], cfg_scale)
+    def velocity_np(self, params, rows: np.ndarray,
+                    cfg_scale: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+        """Velocity at the net's input rows [x | time features | condition],
+        laid out as field_inputs lays them out: (n, arch[0]) rows or
+        (S, n, arch[0]) slices of one forward (mlp_forward_np).  Returns it and
+        the forward's output; a guidance scale other than 1 combines slice 0,
+        the conditional branch, with slice 1, the unconditional one."""
+        out = mlp_forward_np(params, rows, self.arch, "tanh")
+        v = out if out.ndim == 2 else out[0]
+        return (v if cfg_scale == 1.0 else cfg_velocity(v, out[1], cfg_scale)), out
 
-    def step_rows(self, cond: np.ndarray, times: np.ndarray):
-        """Velocity-net inputs for each step of a schedule: one (B, arch[0])
-        buffer with the condition columns written once; step k writes its
-        time-feature row before yielding, and the caller writes the states
-        into [:, :DIM].  Every step yields the same buffer."""
-        feats = time_features(times[:-1])
-        rows = np.empty((len(cond), self.arch[0]))
-        rows[:, DIM + N_TIME_FEATS:] = cond
-        for f in feats:
-            rows[:, DIM:DIM + N_TIME_FEATS] = f
-            yield rows
+    def field_inputs(self, params: ParamSet, pool: np.ndarray, cfg_scale: float,
+                     ref_params: ParamSet | None = None):
+        """slice_blocks and the input buffer of one velocity forward over the
+        pooling rows `pool`, a slice per field: the conditional branch, under
+        guidance the unconditional one (condition zeroed), and with
+        `ref_params` the frozen reference, conditioned through its own `cemb`.
+        The caller writes [x | time features]; one slice comes back 2-D."""
+        fields = [params] * evals_per_step(cfg_scale) + [ref_params] * (ref_params is not None)
+        inputs = np.empty((len(fields), len(pool), self.arch[0]))
+        for s, f in enumerate(fields):
+            unconditional = s == 1 and cfg_scale != 1.0
+            inputs[s, :, DIM + N_TIME_FEATS:] = 0.0 if unconditional else pool @ f["cemb"]
+        inputs = inputs if len(fields) > 1 else inputs[0]
+        return slice_blocks(fields, len(pool), self.arch), inputs
 
     # ---- rollouts ----
 
     def _denoise(self, params: ParamSet, traces: np.ndarray, times: np.ndarray,
                  x1: np.ndarray, window_starts, window_size: int, sigma_level: float,
-                 eps: np.ndarray, cfg_scale: float) -> FlowBatch:
-        """Lockstep denoising of every row of x1 with one velocity_np call per
-        step over the inputs step_rows builds once per pass, keeping the
-        conditional branch.  Row i conditions on the trace row traces[i];
-        for the window_size steps from window_starts[i] it takes the
-        noise-injected step, its j-th with noise eps[i, j] of the
-        (B, window_size, DIM) eps, and every other step is plain Euler.  The
-        noise is laid out by step once; a step any window covers takes every
-        row's transition mean and copies mean + s * noise onto the rows inside."""
+                 eps: np.ndarray, cfg_scale: float,
+                 ref_params: ParamSet | None = None) -> FlowBatch:
+        """Lockstep denoising of every row of x1, one velocity_np call per step
+        over the blocks and buffer field_inputs builds once per pass; with
+        `ref_params` the reference slice's distance from the conditional
+        branch is the drift.  Row i conditions on the trace row traces[i]; for
+        the window_size steps from window_starts[i] it takes the noise-injected
+        step, its j-th with noise eps[i, j], and every other step is plain
+        Euler; a step any window covers copies its transition mean + s * noise
+        onto the rows inside."""
         n, B = len(times) - 1, len(traces)
         starts = np.asarray(window_starts, dtype=np.int64)
         bad = np.flatnonzero((starts < 0) | (starts + window_size > n) | (window_size < 0))
@@ -274,20 +273,25 @@ class FlowPolicy:
                                               sig * np.sqrt(dts[ks]))))
         states = np.empty((n + 1, B, DIM))
         states[0] = x1
-        velocities = np.empty((n, B, DIM))
         means = np.empty((n, B, DIM))
         pool = self.pool_weights(traces)
-        for k, inputs in enumerate(self.step_rows(pool @ params["cemb"], times)):
+        net, inputs = self.field_inputs(params, pool, cfg_scale, ref_params)
+        diff = None if ref_params is None else np.empty((n, B, DIM))
+        for k, f in enumerate(time_features(times[:-1])):
             x = states[k]
-            inputs[:, :DIM] = x
-            v = self.velocity_np(params, inputs, cfg_scale, velocities[k])
+            inputs[..., :DIM] = x
+            inputs[..., DIM:DIM + N_TIME_FEATS] = f
+            v, out = self.velocity_np(net, inputs, cfg_scale)
+            if diff is not None:
+                np.subtract(out[0], out[-1], out=diff[k])
             np.subtract(x, v * dts[k], out=states[k + 1])
             if k in coefs:
                 c1, c2, s = coefs[k]
                 np.subtract(x, (c1 * v + c2 * x) * dts[k], out=means[k])
                 np.copyto(states[k + 1], means[k] + s * noise[k], where=inside[k])
         mu = means[slots, rows]
-        return FlowBatch(pool, times, states, velocities, starts, mu, sigma_level, cfg_scale)
+        drift = None if diff is None else np.sum(diff * diff, axis=2)
+        return FlowBatch(pool, times, states, starts, mu, sigma_level, cfg_scale, drift)
 
     def hybrid_rollout(self, params: ParamSet, traces: np.ndarray, times: np.ndarray,
                        x1: np.ndarray, window_starts, window_size: int, sigma_level: float,
@@ -298,10 +302,11 @@ class FlowPolicy:
                              sigma_level, eps, cfg_scale)
 
     def ode_rollout_batch(self, params: ParamSet, traces: np.ndarray, times: np.ndarray,
-                          x1: np.ndarray, cfg_scale: float = 1.0) -> FlowBatch:
-        """Deterministic Euler sampling of every row of x1."""
+                          x1: np.ndarray, cfg_scale: float = 1.0,
+                          ref_params: ParamSet | None = None) -> FlowBatch:
+        """Deterministic Euler sampling of every row of x1; with `ref_params`, its drift too."""
         return self._denoise(params, traces, times, x1, [0] * len(traces), 0, 0.0,
-                             np.zeros((len(traces), 0, DIM)), cfg_scale)
+                             np.zeros((len(traces), 0, DIM)), cfg_scale, ref_params)
 
     # ---- flow-matching pretraining ----
 
@@ -412,9 +417,9 @@ class FlowPolicy:
         v_ref = reg_scale = None
         if reg_mode != "none":
             # frozen-reference velocities at the stored states, constant in theta
-            v_ref = self.velocity_np(
-                ref_params, np.concatenate([xt, pool @ ref_params["cemb"]], axis=1),
-                batch.cfg_scale)
+            net, rows = self.field_inputs(ref_params, pool, batch.cfg_scale)
+            rows[..., :DIM + N_TIME_FEATS] = xt
+            v_ref, _ = self.velocity_np(net, rows, batch.cfg_scale)
             kappa = c1[:, 0]**2 * dts / (2.0 * sig**2) if reg_mode == "latent-kl" else 1.0
             reg_scale = reg_weight * (weight * kappa)
         return FlowUpdateBatch(

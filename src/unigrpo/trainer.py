@@ -287,10 +287,10 @@ def evaluate(rt: Runtime, text_params: ParamSet, flow_params: ParamSet,
     """Greedy reasoning + deterministic sampling at the evaluation schedule,
     all prompts decoded (or read from `greedy`, the greedy text rows of
     `text_params` for every prompt id) and all their samples integrated in
-    one batch; also measures how far the tuned velocity field drifted from
-    the frozen reference over the states the sampler actually visits: the
-    sampler keeps the tuned field's conditional velocities there, so only
-    the reference field runs again, one step at a time."""
+    one batch; also measures how far the tuned velocity field's conditional
+    branch drifted from the frozen reference over the states the sampler
+    actually visits: the reference runs as one more slice of each sampling
+    step's forward."""
     cfg = rt.cfg
     ids, x1 = eval_set
     if greedy is None:
@@ -299,15 +299,10 @@ def evaluate(rt: Runtime, text_params: ParamSet, flow_params: ParamSet,
         traces = greedy[ids, PROMPT_LEN:]
     owners = np.repeat(np.arange(len(ids)), cfg.eval_samples)
     batch = rt.flow_policy.ode_rollout_batch(flow_params, traces[owners], rt.times_eval, x1,
-                                             cfg.eval_cfg_scale)
+                                             cfg.eval_cfg_scale, flow_ref)
     rewards, _ = score(batch.states[-1], ids[owners], rt.geom)
     # drift averaged in prompt, step, sample order
-    diff = batch.velocities
-    fp = rt.flow_policy
-    for k, rows in enumerate(fp.step_rows(batch.pool @ flow_ref["cemb"], rt.times_eval)):
-        rows[:, :DIM] = batch.states[k]
-        diff[k] -= fp.velocity_np(flow_ref, rows)
-    drift = np.sum(diff * diff, axis=2).reshape(len(diff), len(ids), -1)
+    drift = batch.drift.reshape(len(batch.drift), len(ids), -1)
     return {
         "eval_reward": float(np.mean(rewards)),
         "text_accuracy": canonical_accuracy(traces, ids),

@@ -8,7 +8,7 @@ these ops and require the same value and gradients; test_autodiff.py
 checks every op against finite differences.  `reference_velocity` is the
 velocity net as the samplers called it before they built its input rows
 once per pass, the oracle for those rows; under guidance it combines
-`reference_branches`, both branches from one stacked forward.
+`reference_branches`, each branch from its own forward.
 `reference_adam_step` is Adam as one expression per moment, the oracle for
 the in-place `adam_step`.
 `trace_tokens` reads a trace row one token at a time, the oracle for the
@@ -177,17 +177,11 @@ def reference_velocity(policy, params, x, t, cond, cfg_scale=1.0) -> np.ndarray:
 
 
 def reference_branches(policy, params, x, t, cond) -> tuple[np.ndarray, np.ndarray]:
-    """The conditional and unconditional velocity at (x, t) from one forward
-    over the stacked rows [x | features | cond] and [x | features | 0], as
-    the guided samplers run them: BLAS may round a branch's rows differently
-    inside the stacked call than alone."""
-    x = np.atleast_2d(_f64(x))
+    """The conditional and unconditional velocity at (x, t), each from its
+    own forward over the rows [x | features | cond] and [x | features | 0]."""
     cond = np.atleast_2d(cond)
-    feats = time_features(np.broadcast_to(_f64(t), (x.shape[0],)))
-    rows = np.concatenate([np.concatenate([x, feats, cond], axis=1),
-                           np.concatenate([x, feats, np.zeros_like(cond)], axis=1)])
-    v = mlp_forward_np(params, rows, policy.arch, "tanh")
-    return v[:len(x)], v[len(x):]
+    return (reference_velocity(policy, params, x, t, cond),
+            reference_velocity(policy, params, x, t, np.zeros_like(cond)))
 
 
 # ---- Adam as one expression per moment ----

@@ -114,6 +114,31 @@ class TestClaims:
                      "--claim", "train-guided:update_ms.p50") == 1
 
 
+def test_records_every_runs_end_to_end_values(pair, monkeypatch, tmp_path):
+    # each pair's values by seed and side, every end-to-end metric of
+    # BENCHMARK.json and nothing else, for each workload
+    def run_once(checkout, workload, seed, seconds):
+        result = _result(1.0 + 0.01 * seed if checkout == pair[0] else 0.9)
+        result["metrics"]["trace.overhead_s"] = {"value": 5.0}
+        if workload == "train-guided":
+            result["metrics"]["eval_ms.p50"]["value"] = 100.0 * seed
+        return result
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    out = tmp_path / "bench.json"
+    _main(pair, "--workload", "train-desk", "--workload", "train-guided", "--out", str(out))
+    record = json.loads(out.read_text())
+    for workload in ("train-desk", "train-guided"):
+        runs = record[workload]["runs"]
+        assert [r["seed"] for r in runs] == [1, 2, 3]
+        for seed, r in zip((1, 2, 3), runs):
+            for side, scale in (("parent", 1.0 + 0.01 * seed), ("change", 0.9)):
+                want = _result(scale)["metrics"]
+                if workload == "train-guided":
+                    want["eval_ms.p50"]["value"] = 100.0 * seed
+                assert r[side] == {name: v["value"] for name, v in want.items()}
+
+
 def test_counts_pairs_with_identical_eval_reward(pair, monkeypatch, capsys, tmp_path):
     # seeds 1 and 3 read the same eval_reward on both sides, seed 2 does not;
     # the count is reported and recorded, and does not change the verdict

@@ -112,6 +112,7 @@ class TestValidation:
             {"prompts_per_batch": 0},
             {"eval_samples": 0},
             {"pretrain_batch": 0},
+            {"seed": -1},
         ],
     )
     def test_invalid_configs_rejected(self, kw):
@@ -370,6 +371,21 @@ class TestCli:
         rc = main(["train", "--config", str(bad), "--out", str(tmp_path / "r")])
         assert rc == 2
         assert f"config error: {key}" in capsys.readouterr().err
+
+    def test_negative_seed_in_config_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(_without(TINY_CONFIG, "seed") + "seed = -3\n")
+        rc = main(["train", "--config", str(bad), "--out", str(tmp_path / "r")])
+        assert rc == 2
+        assert "config error: seed must be >= 0" in capsys.readouterr().err
+
+    def test_negative_seed_option_exits_2(self, tmp_path, capsys):
+        # the --seed override is checked like a config value, before numpy
+        # sees it
+        rc = main(["pretrain", "--seed", "-1", "--out", str(tmp_path / "pre")])
+        assert rc == 2
+        assert "config error: seed must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "pre").exists()
 
     def test_shortest_trace_context_runs(self, tmp_path, capsys):
         # max_trace_len = 3 holds a canonical trace's context: pretraining and

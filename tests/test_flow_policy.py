@@ -20,7 +20,7 @@ from unigrpo.flow_policy import (
     timestep_schedule,
     transition_logprob,
 )
-from unigrpo.nn import AdamState, adam_step, finite_diff_check
+from unigrpo.nn import AdamState, adam_step, finite_diff_check, mlp_forward_np
 from unigrpo.rng import stream
 from unigrpo.task import CANONICAL_TRACES, EOS, PAD, TaskGeometry, make_pretrain_data
 
@@ -61,15 +61,6 @@ def _cond(params, traces):
 
 def _params(seed=0):
     return POLICY.init_params(stream(seed, "init-flow"))
-
-
-def _cond_branch(params, x, t, cond, cfg_scale):
-    """The conditional-branch velocity a sampler stepping at cfg_scale keeps:
-    the plain forward, or under guidance the conditional half of the stacked
-    forward of both branches."""
-    if cfg_scale == 1.0:
-        return reference_velocity(POLICY, params, x, t, cond)
-    return reference_branches(POLICY, params, x, t, cond)[0]
 
 
 def _rollout(params, times, start, size, sigma, rng, cfg_scale=1.0):
@@ -222,14 +213,15 @@ class TestVelocityNet:
 
     def test_guidance_combines_branches(self):
         # the unconditional branch is the conditional one at a zero
-        # condition, both rows of one stacked forward
+        # condition, each branch its own forward
         params = _nontrivial_params(21)
         x = stream(21, "x").standard_normal((3, DIM))
         cond = _cond(params, _tile(3))
         v_c, v_u = reference_branches(POLICY, params, x, 0.4, cond)
-        stacked = reference_velocity(POLICY, params, np.concatenate([x, x]), 0.4,
-                                     np.concatenate([cond, np.zeros_like(cond)]))
-        np.testing.assert_array_equal(np.concatenate([v_c, v_u]), stacked)
+        feats = time_features(np.full(3, 0.4))
+        for v, c in ((v_c, cond), (v_u, np.zeros_like(cond))):
+            np.testing.assert_array_equal(
+                v, mlp_forward_np(params, np.concatenate([x, feats, c], axis=1), POLICY.arch))
         np.testing.assert_array_equal(
             reference_velocity(POLICY, params, x, 0.4, cond, cfg_scale=2.0),
             cfg_velocity(v_c, v_u, 2.0),
@@ -399,27 +391,33 @@ class TestHybridRollout:
                 np.testing.assert_allclose(batch.states[k + 1, i], x, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("cfg_scale", [1.0, 2.0])
-    def test_keeps_conditional_branch_velocities(self, cfg_scale):
-        # velocities[k] is the conditional branch at states[k], bit for bit,
-        # whatever the guidance scale the sampler steps with (under guidance
-        # the half of the stacked forward); take keeps each row's velocities
-        # with its states
-        params = _nontrivial_params(13)
+    def test_keeps_drift_from_the_reference(self, cfg_scale):
+        # with a reference, drift[k] is each row's squared distance at
+        # states[k] between the conditional branch and the reference's
+        # velocity, bit for bit, whatever the guidance scale the sampler
+        # steps with; the reference slice leaves the samples as they are,
+        # take keeps each row's drift with its states, and a pass without a
+        # reference keeps none
+        params, ref = _nontrivial_params(13), _nontrivial_params(14)
         seqs, starts = ROWS[:3], [0, 2, 7]
         x1 = stream(13, "x1").standard_normal((3, DIM))
         eps = stream(13, "eps").standard_normal((3, 3, DIM))
-        cond = _cond(params, seqs)
-        for batch in (
-            POLICY.hybrid_rollout(params, seqs, self.TIMES, x1, starts, 3, 0.8, eps, cfg_scale),
-            POLICY.ode_rollout_batch(params, seqs, self.TIMES, x1, cfg_scale),
-        ):
-            assert batch.velocities.shape == (10, 3, DIM)
-            for k in range(10):
-                v = _cond_branch(params, batch.states[k], self.TIMES[k], cond, cfg_scale)
-                np.testing.assert_array_equal(batch.velocities[k], v)
-            parts = batch.take(np.array([1, 2, 0]))
-            np.testing.assert_array_equal(parts.velocities, batch.velocities[:, [1, 2, 0]])
-            np.testing.assert_array_equal(parts.states, batch.states[:, [1, 2, 0]])
+        cond, cond_ref = _cond(params, seqs), _cond(ref, seqs)
+        plain = POLICY.ode_rollout_batch(params, seqs, self.TIMES, x1, cfg_scale)
+        batch = POLICY.ode_rollout_batch(params, seqs, self.TIMES, x1, cfg_scale, ref)
+        np.testing.assert_array_equal(batch.states, plain.states)
+        assert batch.drift.shape == (10, 3)
+        for k in range(10):
+            x, t = batch.states[k], self.TIMES[k]
+            diff = (reference_velocity(POLICY, params, x, t, cond)
+                    - reference_velocity(POLICY, ref, x, t, cond_ref))
+            np.testing.assert_array_equal(batch.drift[k], np.sum(diff * diff, axis=1))
+        parts = batch.take(np.array([1, 2, 0]))
+        np.testing.assert_array_equal(parts.drift, batch.drift[:, [1, 2, 0]])
+        np.testing.assert_array_equal(parts.states, batch.states[:, [1, 2, 0]])
+        hybrid = POLICY.hybrid_rollout(params, seqs, self.TIMES, x1, starts, 3, 0.8, eps,
+                                       cfg_scale)
+        assert plain.drift is None and hybrid.drift is None and hybrid.take([0]).drift is None
 
     def test_keeps_pooling_weights_of_the_traces(self):
         # pool[i] is row i's pooling weights, bit for bit, and take keeps
@@ -454,18 +452,24 @@ class TestHybridRollout:
 
 
 
-def _step_loop_reference(params, seqs, times, x1, starts, size, sigma, eps, cfg_scale):
+def _step_loop_reference(params, seqs, times, x1, starts, size, sigma, eps, cfg_scale,
+                         ref=None):
     """The lockstep sampler as it ran before it built the velocity-net inputs
-    once per pass: one reference_velocity call per step over every row, then
-    the noise-injected step row by row inside each window."""
+    once per pass: one reference_velocity call per step over every row, each
+    guidance branch its own call, then the noise-injected step row by row
+    inside each window; with a reference `ref`, each step's squared distance
+    between the conditional branch and the reference's velocity too."""
     n, B = len(times) - 1, len(seqs)
     cond = _cond(params, seqs)
-    states, velocities = [np.asarray(x1, dtype=np.float64)], []
+    states, drift = [np.asarray(x1, dtype=np.float64)], []
     mu = np.zeros((B, size, DIM))
     for k in range(n):
         t, dt = float(times[k]), float(times[k] - times[k + 1])
         x = states[-1]
-        velocities.append(_cond_branch(params, x, t, cond, cfg_scale))
+        if ref is not None:
+            diff = (reference_velocity(POLICY, params, x, t, cond)
+                    - reference_velocity(POLICY, ref, x, t, _cond(ref, seqs)))
+            drift.append(np.sum(diff * diff, axis=1))
         v = reference_velocity(POLICY, params, x, t, cond, cfg_scale)
         nxt = x - v * dt
         for i in range(B):
@@ -474,7 +478,7 @@ def _step_loop_reference(params, seqs, times, x1, starts, size, sigma, eps, cfg_
                 mu[i, j], _, nxt[i] = sde_step_values(x[i], v[i], t, dt, sigma * np.sqrt(t),
                                                       eps[i, j])
         states.append(nxt)
-    return np.stack(states), np.stack(velocities), mu
+    return np.stack(states), mu, (np.stack(drift) if ref is not None else None)
 
 
 class TestVelocityInputs:
@@ -488,7 +492,9 @@ class TestVelocityInputs:
     @pytest.mark.parametrize("cfg_scale", [1.0, 2.0, 3.0])
     @pytest.mark.parametrize("B", [1, 32, 128])
     def test_rollouts_match_per_step_reference_bit_for_bit(self, B, cfg_scale, windowed):
-        params = _nontrivial_params(40)
+        # the deterministic pass runs with a frozen reference, whose drift
+        # is checked too
+        params, ref = _nontrivial_params(40), None
         rng = stream(40, "inputs", B)
         seqs = np.tile(ROWS, (B // 4, 1)) if B > 1 else _tile(1)
         x1 = rng.standard_normal((B, DIM))
@@ -499,12 +505,15 @@ class TestVelocityInputs:
                                           cfg_scale)
         else:
             starts, size, sigma, eps = np.zeros(B, dtype=np.int64), 0, 0.0, np.zeros((B, 0, DIM))
-            batch = POLICY.ode_rollout_batch(params, seqs, self.TIMES, x1, cfg_scale)
-        states, velocities, mu = _step_loop_reference(params, seqs, self.TIMES, x1, starts, size,
-                                                      sigma, eps, cfg_scale)
+            ref = _nontrivial_params(46)
+            batch = POLICY.ode_rollout_batch(params, seqs, self.TIMES, x1, cfg_scale, ref)
+        states, mu, drift = _step_loop_reference(params, seqs, self.TIMES, x1, starts, size,
+                                                 sigma, eps, cfg_scale, ref)
         np.testing.assert_array_equal(batch.states, states)
-        np.testing.assert_array_equal(batch.velocities, velocities)
         np.testing.assert_array_equal(batch.mu, mu)
+        assert (batch.drift is None) == windowed
+        if not windowed:
+            np.testing.assert_array_equal(batch.drift, drift)
 
     @pytest.mark.parametrize("cfg_scale", [1.0, 2.0])
     @pytest.mark.parametrize("case", ["nonfinite-x1", "whole-schedule", "sigma-zero"])
@@ -530,33 +539,35 @@ class TestVelocityInputs:
         with np.errstate(invalid="ignore", over="ignore"):
             batch = POLICY.hybrid_rollout(params, seqs, self.TIMES, x1, starts, size, sigma, eps,
                                           cfg_scale)
-            states, velocities, mu = _step_loop_reference(params, seqs, self.TIMES, x1, starts,
-                                                          size, sigma, eps, cfg_scale)
+            states, mu, _ = _step_loop_reference(params, seqs, self.TIMES, x1, starts, size,
+                                                 sigma, eps, cfg_scale)
         assert np.isfinite(states).all() == (case != "nonfinite-x1")
         assert np.array_equal(batch.states, states, equal_nan=True)
-        assert np.array_equal(batch.velocities, velocities, equal_nan=True)
         assert np.array_equal(batch.mu, mu, equal_nan=True)
 
     @pytest.mark.parametrize("cfg_scale", [2.0, 3.0])
-    @pytest.mark.parametrize("B", [*range(1, 10), 15])
-    def test_guided_row_counts_match_stacked_reference_bit_for_bit(self, B, cfg_scale):
-        # one forward over both branches' stacked rows, at row counts whose
-        # branches BLAS may round differently from separate calls
-        params = _nontrivial_params(45)
+    @pytest.mark.parametrize("B", [*range(1, 10), 15, 45])
+    def test_guided_row_counts_match_separate_branches_bit_for_bit(self, B, cfg_scale):
+        # each branch, and the reference, a slice of one forward, at row
+        # counts where rows stacked into one gemm would round differently
+        # from separate calls
+        params, ref = _nontrivial_params(45), _nontrivial_params(47)
         rng = stream(45, "guided", B)
         seqs = ROWS[np.arange(B) % len(ROWS)]
         x1 = rng.standard_normal((B, DIM))
         starts, eps = rng.integers(0, 8, size=B), rng.standard_normal((B, 3, DIM))
-        for batch, (size, sigma) in (
+        for batch, (size, sigma, r) in (
             (POLICY.hybrid_rollout(params, seqs, self.TIMES, x1, starts, 3, 0.8, eps, cfg_scale),
-             (3, 0.8)),
-            (POLICY.ode_rollout_batch(params, seqs, self.TIMES, x1, cfg_scale), (0, 0.0)),
+             (3, 0.8, None)),
+            (POLICY.ode_rollout_batch(params, seqs, self.TIMES, x1, cfg_scale, ref),
+             (0, 0.0, ref)),
         ):
-            states, velocities, mu = _step_loop_reference(
-                params, seqs, self.TIMES, x1, starts, size, sigma, eps[:, :size], cfg_scale)
+            states, mu, drift = _step_loop_reference(
+                params, seqs, self.TIMES, x1, starts, size, sigma, eps[:, :size], cfg_scale, r)
             np.testing.assert_array_equal(batch.states, states)
-            np.testing.assert_array_equal(batch.velocities, velocities)
             np.testing.assert_array_equal(batch.mu, mu)
+            if r is not None:
+                np.testing.assert_array_equal(batch.drift, drift)
 
     def test_feature_table_matches_per_step_features(self):
         # every schedule the parser accepts up to 100 steps: n_steps >= 1 and
@@ -576,25 +587,55 @@ class TestVelocityInputs:
                     assert same, (n, shift, rows)
 
     def test_velocity_rows_match_reference(self):
-        # velocity_np takes the rows as they are and leaves them unchanged;
-        # cond_out receives the conditional branch under guidance too
+        # field_inputs lays out one slice per field, the unconditional
+        # branch's condition zeroed; velocity_np takes the rows as they are
+        # and leaves them unchanged, and its output holds the conditional
+        # branch, under guidance the unconditional one as a second slice
         params = _nontrivial_params(42)
         x = stream(42, "x").standard_normal((5, DIM))
-        cond = _cond(params, ROWS[[0, 1, 2, 3, 0]])
-        rows = np.concatenate([x, time_features(np.full(5, 0.3)), cond], axis=1)
-        before = rows.copy()
+        traces = ROWS[[0, 1, 2, 3, 0]]
+        cond = _cond(params, traces)
         for cfg_scale in (1.0, 2.0, 3.0):
-            cond_out = np.empty((5, DIM))
-            v = POLICY.velocity_np(params, rows, cfg_scale, cond_out)
-            np.testing.assert_array_equal(
-                v, reference_velocity(POLICY, params, x, 0.3, cond, cfg_scale))
-            np.testing.assert_array_equal(cond_out, _cond_branch(params, x, 0.3, cond, cfg_scale))
-            np.testing.assert_array_equal(rows, before)
+            net, rows = POLICY.field_inputs(params, POLICY.pool_weights(traces), cfg_scale)
+            rows[..., :DIM + N_TIME_FEATS] = np.concatenate(
+                [x, time_features(np.full(5, 0.3))], axis=1)
+            before = rows.copy()
+            for blocks in (net, params):
+                v, out = POLICY.velocity_np(blocks, rows, cfg_scale)
+                np.testing.assert_array_equal(
+                    v, reference_velocity(POLICY, params, x, 0.3, cond, cfg_scale))
+                if cfg_scale == 1.0:
+                    assert rows.shape == (5, POLICY.arch[0])
+                    np.testing.assert_array_equal(out, v)
+                else:
+                    assert rows.shape == (2, 5, POLICY.arch[0])
+                    np.testing.assert_array_equal(
+                        out, np.stack(reference_branches(POLICY, params, x, 0.3, cond)))
+                np.testing.assert_array_equal(rows, before)
+
+    @pytest.mark.parametrize("cfg_scale", [2.0, 3.0])
+    @pytest.mark.parametrize("n", [15, 45])
+    def test_guided_velocity_equals_separate_branch_calls(self, n, cfg_scale):
+        # at row counts that are not multiples of 4, where one gemm over
+        # both branches' rows rounds them differently from separate calls
+        params = _nontrivial_params(48)
+        rng = stream(48, "rows", n)
+        x = rng.standard_normal((n, DIM))
+        traces = ROWS[np.arange(n) % len(ROWS)]
+        feats = time_features(rng.random(n))
+        _, rows = POLICY.field_inputs(params, POLICY.pool_weights(traces), cfg_scale)
+        rows[..., :DIM + N_TIME_FEATS] = np.concatenate([x, feats], axis=1)
+        cond = _cond(params, traces)
+        v_c, v_u = (mlp_forward_np(params, np.concatenate([x, feats, c], axis=1), POLICY.arch)
+                    for c in (cond, np.zeros_like(cond)))
+        v, _ = POLICY.velocity_np(params, rows, cfg_scale)
+        assert v.tobytes() == cfg_velocity(v_c, v_u, cfg_scale).tobytes()
 
     @pytest.mark.parametrize("cfg_scale", [1.0, 2.0])
     def test_one_feature_table_per_pass(self, cfg_scale, monkeypatch):
         # one time_features call per denoising pass and per prepared batch;
-        # one velocity_np call per step, over all B rows
+        # one velocity_np call per step, over all B rows: one (B, arch[0])
+        # array, or under guidance and with a reference one slice per field
         params = _nontrivial_params(43)
         feature_calls, velocity_rows = [], []
         real_features, real_velocity = flow_policy_mod.time_features, FlowPolicy.velocity_np
@@ -604,24 +645,28 @@ class TestVelocityInputs:
             return real_features(t)
 
         def velocity(self, params, rows, *args, **kwargs):
-            velocity_rows.append(len(rows))
+            velocity_rows.append(rows.shape[:-1])
             return real_velocity(self, params, rows, *args, **kwargs)
 
         monkeypatch.setattr(flow_policy_mod, "time_features", features)
         monkeypatch.setattr(FlowPolicy, "velocity_np", velocity)
         B, n = 6, len(self.TIMES) - 1
+        branches = () if cfg_scale == 1.0 else (2,)
         x1 = stream(43, "x1").standard_normal((B, DIM))
         eps = stream(43, "eps").standard_normal((B, 3, DIM))
         batch = POLICY.hybrid_rollout(params, _tile(B), self.TIMES, x1, [0, 1, 2, 3, 4, 7], 3,
                                       0.8, eps, cfg_scale)
-        assert feature_calls == [n] and velocity_rows == [B] * n
+        assert feature_calls == [n] and velocity_rows == [(*branches, B)] * n
         del feature_calls[:], velocity_rows[:]
         POLICY.ode_rollout_batch(params, _tile(B), self.TIMES, x1, cfg_scale)
-        assert feature_calls == [n] and velocity_rows == [B] * n
+        assert feature_calls == [n] and velocity_rows == [(*branches, B)] * n
+        del feature_calls[:], velocity_rows[:]
+        POLICY.ode_rollout_batch(params, _tile(B), self.TIMES, x1, cfg_scale, _params(44))
+        assert feature_calls == [n] and velocity_rows == [(len(branches) + 2, B)] * n
         for reg_mode, n_ref in (("none", 0), ("latent-kl", 1), ("velocity-mse", 1)):
             del feature_calls[:], velocity_rows[:]
             POLICY.prepare_batch(batch, np.ones(B), reg_mode, 1.0, params)
-            assert feature_calls == [B * 3] and velocity_rows == [B * 3] * n_ref
+            assert feature_calls == [B * 3] and velocity_rows == [(*branches, B * 3)] * n_ref
 
 
 class TestPretraining:

@@ -23,6 +23,7 @@ from unigrpo.nn import (
     init_mlp_blocks,
     mlp_forward_np,
     mlp_var,
+    slice_blocks,
 )
 from unigrpo.rng import stream
 from unigrpo.text_policy import TextPolicy
@@ -80,6 +81,32 @@ class TestForwardMlp:
         out, _ = _tape_mlp(params, x, arch)
         assert out.shape == (5, arch[-1])
         np.testing.assert_array_equal(out, mlp_forward_np(params, x, arch))
+
+    @pytest.mark.parametrize("activation, arch", [("tanh", FlowPolicy().arch),
+                                                  ("silu", TextPolicy().arch)])
+    @pytest.mark.parametrize("S", [1, 2, 3])
+    def test_slices_equal_separate_calls_bit_for_bit(self, S, activation, arch):
+        # an (S, n, arch[0]) input runs one gemm per slice, so each slice's
+        # output equals a call on that slice alone, under 2-D blocks shared
+        # by every slice and under slice_blocks' stacked ones, one set per
+        # slice with each bias copied over the rows; row counts off and on
+        # multiples of 4, up to 300 rows, where a 64 x 64 layer's M * N * K
+        # passes 10^6
+        sets = [ParamSet(init_mlp_blocks(np.random.default_rng(60 + s), arch))
+                for s in range(S)]
+        rng = np.random.default_rng(61)
+        for n in (1, 2, 3, 4, 5, 7, 8, 15, 45, 64, 127, 128, 129, 255, 300):
+            x = rng.normal(size=(S, n, arch[0]))
+            shared = mlp_forward_np(sets[0], x, arch, activation)
+            blocks = slice_blocks(sets, n, arch)  # 2-D for one set, for 2-D inputs
+            assert blocks["b0"].shape == (S, n, arch[1])[S == 1:]
+            own = mlp_forward_np(blocks, x if S > 1 else x[0], arch, activation)
+            own = own.reshape(S, n, arch[-1])
+            for s in range(S):
+                alone = mlp_forward_np(sets[0], x[s], arch, activation)
+                assert shared[s].tobytes() == alone.tobytes(), (n, s)
+                alone = mlp_forward_np(sets[s], x[s], arch, activation)
+                assert own[s].tobytes() == alone.tobytes(), (n, s)
 
 
 class TestBackward:

@@ -22,12 +22,14 @@ import unigrpo.trainer as trainer_mod
 from unigrpo import checkpoint
 from unigrpo.config import TrainConfig, config_to_dict
 from unigrpo.errors import CheckpointError, ConfigError, NumericError
-from unigrpo.flow_policy import FlowBatch, transition_logprob
+from unigrpo.flow_policy import (DIM, N_TIME_FEATS, FlowBatch, cfg_velocity, time_features,
+                                 transition_logprob)
 from unigrpo.metrics import read_metrics
-from unigrpo.nn import AdamState, ParamSet
+from unigrpo.nn import AdamState, ParamSet, mlp_forward_np
 from unigrpo.rng import below, stream, words
 from unigrpo.flow_policy import FlowPolicy
-from unigrpo.task import EOS, PAD, PROMPT_TOKENS, draw_prompts
+from unigrpo.task import (EOS, PAD, PROMPT_LEN, PROMPT_TOKENS, canonical_accuracy, draw_prompts,
+                          score)
 from unigrpo.text_policy import TextPolicy
 from unigrpo.trainer import (
     ROLLOUT_BLOCK,
@@ -533,6 +535,46 @@ class TestUnifiedUpdate:
             assert st.v.tobytes() == v.tobytes()
 
 
+def _two_pass_evaluate(rt, text_params, flow_params, flow_ref, eval_set) -> dict:
+    """evaluate as it ran with the drift in a second pass: the sampler steps
+    with the tuned field, under guidance one forward over both branches'
+    rows stacked into one array, and keeps the conditional branch; then the
+    reference walks the same states, one forward per step.  Eval batches
+    hold 16 * eval_samples rows, a multiple of 4, at which the stacked rows
+    round as separate calls do."""
+    cfg, fp, times = rt.cfg, rt.flow_policy, rt.times_eval
+    ids, x1 = eval_set
+    traces = rt.text_policy.greedy_trace(text_params, PROMPT_TOKENS[ids])[:, PROMPT_LEN:]
+    owners = np.repeat(np.arange(len(ids)), cfg.eval_samples)
+    pool = fp.pool_weights(traces[owners])
+    B, n, w = len(x1), len(times) - 1, cfg.eval_cfg_scale
+    feats = time_features(times[:-1])
+    states, cond_v = [x1], []
+    for k in range(n):
+        rows = np.concatenate([states[k], np.tile(feats[k], (B, 1)),
+                               pool @ flow_params["cemb"]], axis=1)
+        if w != 1.0:
+            rows = np.concatenate([rows, rows])
+            rows[B:, DIM + N_TIME_FEATS:] = 0.0
+        v = mlp_forward_np(flow_params, rows, fp.arch, "tanh")
+        cond_v.append(v[:B])
+        if w != 1.0:
+            v = cfg_velocity(v[:B], v[B:], w)
+        states.append(states[k] - v * (times[k] - times[k + 1]))
+    rewards, _ = score(states[-1], ids[owners], rt.geom)
+    diff = np.stack(cond_v)
+    for k in range(n):
+        rows = np.concatenate([states[k], np.tile(feats[k], (B, 1)),
+                               pool @ flow_ref["cemb"]], axis=1)
+        diff[k] -= mlp_forward_np(flow_ref, rows, fp.arch, "tanh")
+    drift = np.sum(diff * diff, axis=2).reshape(n, len(ids), -1)
+    return {
+        "eval_reward": float(np.mean(rewards)),
+        "text_accuracy": canonical_accuracy(traces, ids),
+        "velocity_drift": float(np.mean(drift.transpose(1, 0, 2).ravel())),
+    }
+
+
 class TestEvaluate:
     @pytest.mark.parametrize("eval_cfg_scale", [1.0, 2.0])
     def test_batched_matches_per_prompt_loop(self, tiny_pretrain, eval_cfg_scale):
@@ -572,10 +614,10 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("eval_cfg_scale", [1.0, 2.0])
     def test_one_velocity_pass_per_field(self, tiny_pretrain, eval_cfg_scale, monkeypatch):
-        # the drift reuses the sampler's conditional-branch velocities, so an
-        # eval pass runs the tuned field once and the frozen reference once,
-        # one call per step each; under guidance the tuned field's call is
-        # one forward over both branches' stacked rows
+        # the frozen reference is one more slice of the sampler's forward,
+        # so an eval pass runs one velocity forward per step over every
+        # field's rows: the tuned field's conditional rows, under guidance
+        # its unconditional ones, and the reference's
         rt = make_runtime(replace(TINY, eval_cfg_scale=eval_cfg_scale))
         text, flow = _snap(rt, tiny_pretrain)
         moved = flow.with_blocks({"b2": flow["b2"] + 0.01})
@@ -583,20 +625,32 @@ class TestEvaluate:
         real_velocity, real_mlp = FlowPolicy.velocity_np, flow_policy_mod.mlp_forward_np
 
         def velocity(self, params, x, *args, **kwargs):
-            calls["velocity"].append((params is flow, len(x)))
+            calls["velocity"].append(x.shape[:-1])
             return real_velocity(self, params, x, *args, **kwargs)
 
         def mlp(params, x, *args, **kwargs):
-            calls["mlp"].append(len(x))
+            calls["mlp"].append(x.shape[:-1])
             return real_mlp(params, x, *args, **kwargs)
 
         monkeypatch.setattr(FlowPolicy, "velocity_np", velocity)
         monkeypatch.setattr(flow_policy_mod, "mlp_forward_np", mlp)
         evaluate(rt, text, moved, flow, make_eval_set(rt, 0))
         steps, rows = rt.cfg.eval_timesteps, 16 * rt.cfg.eval_samples
-        assert calls["velocity"] == [(False, rows)] * steps + [(True, rows)] * steps
-        branches = 1 if eval_cfg_scale == 1.0 else 2
-        assert calls["mlp"] == [branches * rows] * steps + [rows] * steps
+        slices = 2 if eval_cfg_scale == 1.0 else 3
+        assert calls["velocity"] == [(slices, rows)] * steps
+        assert calls["mlp"] == [(slices, rows)] * steps
+
+    @pytest.mark.parametrize("eval_cfg_scale", [1.0, 2.0])
+    def test_equals_the_two_pass_evaluation(self, tiny_pretrain, eval_cfg_scale):
+        # the whole result is == the evaluation that measured the drift in a
+        # second pass over the sampled states
+        rt = make_runtime(replace(TINY, eval_cfg_scale=eval_cfg_scale))
+        text, flow = _snap(rt, tiny_pretrain)
+        moved = flow.with_blocks({"b2": flow["b2"] + 0.01, "W1": flow["W1"] * 1.01})
+        es = make_eval_set(rt, 0)
+        got = evaluate(rt, text, moved, flow, es)
+        assert got == _two_pass_evaluate(rt, text, moved, flow, es)
+        assert got["velocity_drift"] > 0
 
     def test_eval_set_is_the_per_tuple_construction(self):
         # one synonym draw per attribute tuple in tuple order, and each

@@ -23,9 +23,11 @@ it).  Failures are compared seed by seed, not as shares of the attempted
 operations: a seed's set-up failures are a fixed count, while the number
 of operations a run attempts depends on how fast it ran.  With --out it
 writes, per workload, the change's last result line in the
-BENCH_<pr>.json shape, plus the medians, win counts, failures per seed and
-identical-eval_reward pair count, and `src_lines`, the line count of
-src/unigrpo/*.py in each checkout, next to them.
+BENCH_<pr>.json shape, plus the medians, win counts, failures per seed,
+identical-eval_reward pair count and every run's end-to-end values by seed
+and side (`runs`, so a record can be re-analysed without re-running), and
+`src_lines`, the line count of src/unigrpo/*.py in each checkout, next to
+them.
 
 It refuses to run (exit 2) when perfbench/ (its __pycache__ aside) or
 BENCHMARK.json differ between the two checkouts, naming the first file that
@@ -118,6 +120,14 @@ def failed_per_seed(seeds: list[int], runs: list[tuple[dict, dict]]) -> dict:
     return failed
 
 
+def run_values(spec: dict, seeds: list[int], runs: list[tuple[dict, dict]]) -> list[dict]:
+    """Each pair's end-to-end metric values, by seed and side."""
+    names = [m["name"] for m in spec["end_to_end"]]
+    return [{"seed": seed, **{side: {n: run["metrics"][n]["value"] for n in names}
+                              for side, run in zip(("parent", "change"), pair)}}
+            for seed, pair in zip(seeds, runs)]
+
+
 def summarize(spec: dict, runs: list[tuple[dict, dict]], claims: set[str]) -> tuple[dict, bool]:
     """Per end-to-end metric: medians, parent IQR, wins; and whether every
     claim is shown and no bound crossed."""
@@ -205,7 +215,8 @@ def main(argv=None) -> int:
                   f"change {e['change_median']:.6g}  {e['relative_change']:+.1%}  "
                   f"wins {e['wins']}/{e['pairs']}  {verdict}")
         record[workload] = {"seed": args.seeds[-1], "result": runs[-1][1], "pairs": summary,
-                            "failed_per_seed": failed, "eval_reward_identical": same}
+                            "failed_per_seed": failed, "eval_reward_identical": same,
+                            "runs": run_values(spec, args.seeds, runs)}
     if args.out:
         args.out.write_text(json.dumps(record, indent=2) + "\n")
     return 0 if all_ok else 1
