@@ -112,6 +112,31 @@ def cfg_velocity(v_cond: np.ndarray, v_uncond: np.ndarray, w: float) -> np.ndarr
     return np.asarray(v_uncond) + w * (np.asarray(v_cond) - np.asarray(v_uncond))
 
 
+@dataclass(frozen=True)
+class StepTable:
+    """The per-step constants of one timestep schedule at one noise level,
+    computed once by step_table: row k holds step k, from t = times[k] to
+    times[k + 1]."""
+
+    times: np.ndarray   # (n+1,) the schedule
+    sigma_level: float
+    dts: np.ndarray     # (n,) step sizes
+    feats: np.ndarray   # (n, N_TIME_FEATS) time features
+    sig: np.ndarray     # (n,) noise level sigma_t = sigma_level * sqrt(t)
+    c1: np.ndarray      # (n,) drift coefficients of c1 * v + c2 * x
+    c2: np.ndarray      # (n,)
+    std: np.ndarray     # (n,) transition std sigma_t * sqrt(dt)
+
+
+def step_table(times: np.ndarray, sigma_level: float = 0.0) -> StepTable:
+    """The StepTable of the schedule `times` at `sigma_level`."""
+    t = times[:-1]
+    dts = t - times[1:]
+    sig = sigma_level * np.sqrt(t)
+    c1, c2 = drift_coefficients(t, sig)
+    return StepTable(times, sigma_level, dts, time_features(t), sig, c1, c2, sig * np.sqrt(dts))
+
+
 def evals_per_step(cfg_scale: float) -> int:
     """Velocity-net evaluations per sample per denoising step; a guidance
     scale of exactly 1 needs only the conditional branch."""
@@ -123,25 +148,25 @@ def evals_per_step(cfg_scale: float) -> int:
 
 @dataclass
 class FlowBatch:
-    """One lockstep denoising pass over B rows.  `pool[i]` holds row i's
-    token pooling weights, `states[k]` every row's latent before schedule
-    step k and `states[-1]` the samples, and `drift[k]`, given a frozen
+    """One lockstep denoising pass over B rows along the schedule and noise
+    level of `steps`.  `pool[i]` holds row i's token pooling weights,
+    `states[k]` every row's latent before schedule step k and `states[-1]`
+    the samples, and `drift[k]`, given a frozen
     reference, each row's squared distance there between the conditional
     branch and the reference velocity.  Row i is stochastic for the W steps
     from `starts[i]`; `mu` holds its sampling-time transition mean at them."""
 
     pool: np.ndarray       # (B, vocab)
-    times: np.ndarray
+    steps: StepTable
     states: np.ndarray     # (n+1, B, DIM), step-major
     starts: np.ndarray     # (B,)
     mu: np.ndarray         # (B, W, DIM)
-    sigma_level: float
     cfg_scale: float
     drift: np.ndarray | None  # (n, B), step-major, with a reference only
 
     @property
     def evals_per_row(self) -> int:
-        return (len(self.times) - 1) * evals_per_step(self.cfg_scale)
+        return len(self.steps.dts) * evals_per_step(self.cfg_scale)
 
     @property
     def velocity_evals(self) -> int:
@@ -161,8 +186,7 @@ class FlowUpdateBatch:
     rows: np.ndarray        # (n,) trajectory of each row
     ks: np.ndarray          # (n,) schedule step of each row
     xs: np.ndarray          # (n, DIM) state before the step
-    xt: np.ndarray          # (n, DIM + N_TIME_FEATS) state and time features
-    xt_null: np.ndarray | None  # xt plus a zero condition, under guidance only
+    inputs: np.ndarray      # (S, n, arch[0]) velocity-net input, a slice per guidance branch
     pool: np.ndarray        # (n, vocab) pooling weights
     c1: np.ndarray          # (n, 1) drift coefficients c1 * v + c2 * x
     c2x: np.ndarray         # (n, DIM) c2 * x
@@ -199,14 +223,18 @@ class FlowPolicy:
         shares = (1.0 / lens)[owner]
         return np.bincount(cells, weights=shares, minlength=n * self.vocab).reshape(n, self.vocab)
 
-    def cond_var(self, tape: Tape, params: ParamSet, pool: np.ndarray, xt: np.ndarray) -> Var:
-        """Velocity-net input [xt | condition] as one tape node, the condition
-        pooled from `pool` (each row's pooling weights; a zero row is the
-        unconditional input); differentiable w.r.t. the embedding table."""
+    def cond_var(self, tape: Tape, params: ParamSet, pool: np.ndarray,
+                 inputs: np.ndarray) -> Var:
+        """The velocity-net input buffer `inputs`, (n, arch[0]) rows or
+        (S, n, arch[0]) slices, as one tape node, after writing the condition
+        columns of its rows (of slice 0) pooled from `pool` (each row's pooling
+        weights; a zero row is the unconditional input); differentiable
+        w.r.t. the embedding table through those columns.  The gradient it
+        takes is that of those rows, as mlp_var passes it."""
         cemb = tape.param(params, "cemb")
-        k = xt.shape[1]
-        return tape.node(np.concatenate([xt, pool @ cemb.value], axis=1), [cemb],
-                         lambda g: (pool.T @ g[:, k:].copy(),))
+        k = DIM + N_TIME_FEATS
+        (inputs if inputs.ndim == 2 else inputs[0])[:, k:] = pool @ cemb.value
+        return tape.node(inputs, [cemb], lambda g: (pool.T @ g[:, k:].copy(),))
 
     # ---- velocity net ----
 
@@ -227,7 +255,8 @@ class FlowPolicy:
         pooling rows `pool`, a slice per field: the conditional branch, under
         guidance the unconditional one (condition zeroed), and with
         `ref_params` the frozen reference, conditioned through its own `cemb`.
-        The caller writes [x | time features]; one slice comes back 2-D."""
+        The caller writes [x | time features]; one slice comes back 2-D.  The
+        samplers lay out each pass with it."""
         fields = [params] * evals_per_step(cfg_scale) + [ref_params] * (ref_params is not None)
         inputs = np.empty((len(fields), len(pool), self.arch[0]))
         for s, f in enumerate(fields):
@@ -238,19 +267,18 @@ class FlowPolicy:
 
     # ---- rollouts ----
 
-    def _denoise(self, params: ParamSet, traces: np.ndarray, times: np.ndarray,
-                 x1: np.ndarray, window_starts, window_size: int, sigma_level: float,
-                 eps: np.ndarray, cfg_scale: float,
-                 ref_params: ParamSet | None = None) -> FlowBatch:
-        """Lockstep denoising of every row of x1, one velocity_np call per step
-        over the blocks and buffer field_inputs builds once per pass; with
-        `ref_params` the reference slice's distance from the conditional
-        branch is the drift.  Row i conditions on the trace row traces[i]; for
-        the window_size steps from window_starts[i] it takes the noise-injected
-        step, its j-th with noise eps[i, j], and every other step is plain
-        Euler; a step any window covers copies its transition mean + s * noise
-        onto the rows inside."""
-        n, B = len(times) - 1, len(traces)
+    def _denoise(self, params: ParamSet, traces: np.ndarray, steps: StepTable,
+                 x1: np.ndarray, window_starts, window_size: int, eps: np.ndarray,
+                 cfg_scale: float, ref_params: ParamSet | None = None) -> FlowBatch:
+        """Lockstep denoising of every row of x1 along `steps`, one velocity_np
+        call per step over the blocks and buffer field_inputs builds once per
+        pass; with `ref_params` the reference slice's distance from the
+        conditional branch is the drift.  Row i conditions on the trace row
+        traces[i]; for the window_size steps from window_starts[i] it takes the
+        noise-injected step, its j-th with noise eps[i, j], and every other
+        step is plain Euler; a step any window covers copies its transition
+        mean + s * noise onto the rows inside."""
+        n, B = len(steps.dts), len(traces)
         starts = np.asarray(window_starts, dtype=np.int64)
         bad = np.flatnonzero((starts < 0) | (starts + window_size > n) | (window_size < 0))
         if bad.size:
@@ -258,26 +286,23 @@ class FlowPolicy:
             raise ConfigError(
                 f"SDE window [{start}, {start + window_size}) out of range for {n} steps"
             )
-        dts = times[:-1] - times[1:]
+        dts = steps.dts
         rows = np.arange(B)[:, None]
         slots = starts[:, None] + np.arange(window_size)  # (B, W) step of each window slot
-        coefs = {}  # step: (c1, c2, s) for each step some window covers
+        covered = set()  # the steps some window covers
         if window_size:
             inside = np.zeros((n, B, 1), dtype=bool)
             inside[slots, rows] = True
             noise = np.zeros((n, B, DIM))
             noise[slots, rows] = eps
-            ks = np.flatnonzero(inside.any(axis=(1, 2)))
-            sig = sigma_level * np.sqrt(times[ks])
-            coefs = dict(zip(ks.tolist(), zip(*drift_coefficients(times[ks], sig),
-                                              sig * np.sqrt(dts[ks]))))
+            covered = set(np.flatnonzero(inside.any(axis=(1, 2))).tolist())
         states = np.empty((n + 1, B, DIM))
         states[0] = x1
         means = np.empty((n, B, DIM))
         pool = self.pool_weights(traces)
         net, inputs = self.field_inputs(params, pool, cfg_scale, ref_params)
         diff = None if ref_params is None else np.empty((n, B, DIM))
-        for k, f in enumerate(time_features(times[:-1])):
+        for k, f in enumerate(steps.feats):
             x = states[k]
             inputs[..., :DIM] = x
             inputs[..., DIM:DIM + N_TIME_FEATS] = f
@@ -285,27 +310,27 @@ class FlowPolicy:
             if diff is not None:
                 np.subtract(out[0], out[-1], out=diff[k])
             np.subtract(x, v * dts[k], out=states[k + 1])
-            if k in coefs:
-                c1, c2, s = coefs[k]
+            if k in covered:
+                c1, c2 = steps.c1[k], steps.c2[k]
                 np.subtract(x, (c1 * v + c2 * x) * dts[k], out=means[k])
-                np.copyto(states[k + 1], means[k] + s * noise[k], where=inside[k])
+                np.copyto(states[k + 1], means[k] + steps.std[k] * noise[k], where=inside[k])
         mu = means[slots, rows]
         drift = None if diff is None else np.sum(diff * diff, axis=2)
-        return FlowBatch(pool, times, states, starts, mu, sigma_level, cfg_scale, drift)
+        return FlowBatch(pool, steps, states, starts, mu, cfg_scale, drift)
 
-    def hybrid_rollout(self, params: ParamSet, traces: np.ndarray, times: np.ndarray,
-                       x1: np.ndarray, window_starts, window_size: int, sigma_level: float,
-                       eps: np.ndarray, cfg_scale: float = 1.0) -> FlowBatch:
-        """Training rollouts: each row stochastic inside its own window, with
-        the (B, window_size, DIM) window noise eps."""
-        return self._denoise(params, traces, times, x1, window_starts, window_size,
-                             sigma_level, eps, cfg_scale)
+    def hybrid_rollout(self, params: ParamSet, traces: np.ndarray, steps: StepTable,
+                       x1: np.ndarray, window_starts, window_size: int, eps: np.ndarray,
+                       cfg_scale: float = 1.0) -> FlowBatch:
+        """Training rollouts at the noise level of `steps`: each row stochastic
+        inside its own window, with the (B, window_size, DIM) window noise eps."""
+        return self._denoise(params, traces, steps, x1, window_starts, window_size, eps,
+                             cfg_scale)
 
-    def ode_rollout_batch(self, params: ParamSet, traces: np.ndarray, times: np.ndarray,
+    def ode_rollout_batch(self, params: ParamSet, traces: np.ndarray, steps: StepTable,
                           x1: np.ndarray, cfg_scale: float = 1.0,
                           ref_params: ParamSet | None = None) -> FlowBatch:
         """Deterministic Euler sampling of every row of x1; with `ref_params`, its drift too."""
-        return self._denoise(params, traces, times, x1, [0] * len(traces), 0, 0.0,
+        return self._denoise(params, traces, steps, x1, [0] * len(traces), 0,
                              np.zeros((len(traces), 0, DIM)), cfg_scale, ref_params)
 
     # ---- flow-matching pretraining ----
@@ -318,7 +343,8 @@ class FlowPolicy:
         holds each row's pooling weights, a zero row for a dropped condition."""
         xt = (1.0 - t)[:, None] * x0 + t[:, None] * x1
         tape = Tape()
-        x = self.cond_var(tape, params, pool, np.concatenate([xt, time_features(t)], axis=1))
+        x = self.cond_var(tape, params, pool, np.concatenate(
+            [xt, time_features(t), np.empty((len(t), self.cond_dim))], axis=1))
         v = mlp_var(tape, params, x, self.arch, "tanh")
         diff = v.value - (x1 - x0)
         scale = 1.0 / len(x0)
@@ -360,13 +386,13 @@ class FlowPolicy:
         """Mean and smallest share, over the attribute tuples, of deterministic
         samples landing in the conditioned quadrant: 200 per tuple, 20 steps,
         shift 3."""
-        times = timestep_schedule(20, 3.0)
+        steps = step_table(timestep_schedule(20, 3.0))
         ids = np.arange(0, len(PROMPT_DRAWS), N_SYNONYMS**3)  # each tuple's first prompt
         mu, _ = TaskGeometry().targets(PROMPT_DRAWS[ids, :3])
         shares = []
         for trace, target in zip(CANONICAL_TRACES[ids], mu):
             x1 = rng.standard_normal((200, DIM))
-            x0 = self.ode_rollout_batch(params, np.tile(trace, (200, 1)), times, x1).states[-1]
+            x0 = self.ode_rollout_batch(params, np.tile(trace, (200, 1)), steps, x1).states[-1]
             shares.append(float((np.sign(x0) == np.sign(target)).all(axis=1).mean()))
         return {"quadrant_accuracy_mean": float(np.mean(shares)),
                 "quadrant_accuracy_min": float(np.min(shares))}
@@ -376,22 +402,28 @@ class FlowPolicy:
     def prepare_batch(self, batch: FlowBatch, advantages: np.ndarray, reg_mode: str,
                       reg_weight: float, ref_params: ParamSet) -> FlowUpdateBatch:
         """The per-update part of the surrogate: one row per (trajectory,
-        window step), row-major, with its state, time features, drift
-        coefficients, sampled noise eps = (x' - mu) / s from the rollout's
-        means, pooling weights, and the frozen reference's velocity there; the
-        old means are left to the first surrogate_loss call.  Both regularizers
-        are one velocity penalty, `reg_weight` times the row weight per row:
-        with equal transition variances mu - mu_ref = -c1 dt (v - v_ref), so
-        the latent KL is the velocity MSE weighted per step by
-        kappa = c1^2 dt / (2 sigma_t^2).  A non-finite stored mean or next
-        state is a NumericError naming its trajectory and step."""
+        window step), row-major, with its state, its step's rows of the
+        batch's StepTable, sampled noise eps = (x' - mu) / s from the
+        rollout's means, pooling weights, and the frozen reference's velocity
+        there; the old means are left to the first surrogate_loss call.  The
+        velocity net's input is laid out once, a slice per guidance branch:
+        states and time features in every slice, the unconditional slice's
+        condition zeroed; the reference runs on it with slice 0 conditioned
+        through its own `cemb`, and each surrogate_loss rewrites only that
+        condition.  Both regularizers are one velocity penalty, `reg_weight`
+        times the row weight per row: with equal transition variances
+        mu - mu_ref = -c1 dt (v - v_ref), so the latent KL is the velocity MSE
+        weighted per step by kappa = c1^2 dt / (2 sigma_t^2).  A non-finite
+        stored mean or next state is a NumericError naming its trajectory and
+        step."""
         B, W = batch.mu.shape[:2]
         assert len(advantages) == B
         if reg_mode not in ("none", "latent-kl", "velocity-mse"):
             raise ConfigError(f"unknown regularizer mode '{reg_mode}'")
         if W == 0:
             raise ConfigError("no stochastic steps recorded in this batch")
-        if not batch.sigma_level > 0.0:
+        steps = batch.steps
+        if not steps.sigma_level > 0.0:
             raise ConfigError("windowed steps have no stochastic statistics at sigma_level 0")
 
         rows = np.repeat(np.arange(B), W)
@@ -402,28 +434,24 @@ class FlowPolicy:
             raise NumericError(f"non-finite flow rollout at trajectory {rows[bad[0]]}, "
                                f"step {ks[bad[0]]}")
         xs = batch.states[ks, rows]
-        ts = batch.times[ks]
-        dts = ts - batch.times[ks + 1]
-        sig = batch.sigma_level * np.sqrt(ts)
-        s = sig * np.sqrt(dts)
-        eps = (x_next - mu) / s[:, None]
+        dts = steps.dts[ks]
+        eps = (x_next - mu) / steps.std[ks, None]
         pool = batch.pool[rows]
-        c1, c2 = (c[:, None] for c in drift_coefficients(ts, sig))
-        xt = np.concatenate([xs, time_features(ts)], axis=1)
-        xt_null = None
-        if batch.cfg_scale != 1.0:
-            xt_null = np.concatenate([xt, np.zeros((len(xs), self.cond_dim))], axis=1)
+        c1 = steps.c1[ks, None]
+        inputs = np.empty((evals_per_step(batch.cfg_scale), B * W, self.arch[0]))
+        inputs[..., :DIM] = xs
+        inputs[..., DIM:DIM + N_TIME_FEATS] = steps.feats[ks]
+        inputs[1:, :, DIM + N_TIME_FEATS:] = 0.0
         weight = np.full(B * W, 1.0 / (B * W))
         v_ref = reg_scale = None
         if reg_mode != "none":
             # frozen-reference velocities at the stored states, constant in theta
-            net, rows = self.field_inputs(ref_params, pool, batch.cfg_scale)
-            rows[..., :DIM + N_TIME_FEATS] = xt
-            v_ref, _ = self.velocity_np(net, rows, batch.cfg_scale)
-            kappa = c1[:, 0]**2 * dts / (2.0 * sig**2) if reg_mode == "latent-kl" else 1.0
+            inputs[0, :, DIM + N_TIME_FEATS:] = pool @ ref_params["cemb"]
+            v_ref, _ = self.velocity_np(ref_params, inputs, batch.cfg_scale)
+            kappa = c1[:, 0]**2 * dts / (2.0 * steps.sig[ks]**2) if reg_mode == "latent-kl" else 1.0
             reg_scale = reg_weight * (weight * kappa)
         return FlowUpdateBatch(
-            rows, ks, xs, xt, xt_null, pool, c1, c2 * xs, -dts[:, None], None, eps,
+            rows, ks, xs, inputs, pool, c1, steps.c2[ks, None] * xs, -dts[:, None], None, eps,
             np.repeat(advantages, W), weight, batch.cfg_scale, v_ref, reg_scale,
         )
 
@@ -438,15 +466,14 @@ class FlowPolicy:
         log ratio is exactly eps . (mu - mu_old) (its Gaussian normalizers and
         correction cancel).  The first call on a batch must be at the sampling
         parameters: its means become the old means, so its ratios are exactly
-        1.  Everything after the velocity net is one fused head node."""
+        1.  The velocity net is one node over the batch's input slices (both
+        guidance branches), and everything after it one fused head node."""
         b = batch
         tape = Tape()
-        x = self.cond_var(tape, params, b.pool, b.xt)
-        nets = [mlp_var(tape, params, x, self.arch, "tanh")]
-        v = nets[0].value
-        if b.xt_null is not None:
-            nets.append(mlp_var(tape, params, tape.leaf(b.xt_null), self.arch, "tanh"))
-            v = cfg_velocity(v, nets[1].value, b.cfg_scale)
+        x = self.cond_var(tape, params, b.pool, b.inputs)
+        net = mlp_var(tape, params, x, self.arch, "tanh")
+        out = net.value
+        v = out[0] if len(out) == 1 else cfg_velocity(out[0], out[1], b.cfg_scale)
         mu = (v * b.c1 + b.c2x) * b.neg_dt + b.xs
         if b.mu_old is None:
             b.mu_old = mu
@@ -469,10 +496,10 @@ class FlowPolicy:
             g_v = (clip_vjp(g) * rt)[:, None] * b.eps * b.neg_dt * b.c1
             if b.v_ref is not None:
                 g_v = 2.0 * diff * ((-g) * b.reg_scale)[:, None] + g_v
-            if b.xt_null is None:
-                return (g_v,)
+            if len(out) == 1:
+                return (g_v[None],)
             g_cond = g_v * b.cfg_scale
-            return g_cond, g_v - g_cond
+            return (np.stack([g_cond, g_v - g_cond]),)
 
-        tape.output = tape.node(j, nets, vjp)
+        tape.output = tape.node(j, [net], vjp)
         return float(j), tape.param_grads(1.0), stats

@@ -238,12 +238,16 @@ def mlp_var(
     arch: tuple[int, ...],
     activation: str = "tanh",
 ) -> Var:
-    """Differentiable MLP forward as one tape node; x is (n, arch[0]).  The
-    forward is mlp_forward_np; the backward runs the layers in reverse in
-    numpy and yields gradients for x and every W{i}/b{i}."""
+    """Differentiable MLP forward as one tape node; x is (n, arch[0]) rows or
+    (S, n, arch[0]) slices.  The forward is mlp_forward_np; the backward runs
+    the layers in reverse in numpy and yields gradients for x and every
+    W{i}/b{i}.  Over slices each W/b gradient is summed as S nodes of one
+    slice each would sum on a tape, latest reader first, and the gradient x
+    gets is slice 0's, (n, arch[0]): the one slice the callers differentiate
+    through."""
     if activation not in _ACTIVATIONS:
         raise ConfigError(f"unknown activation '{activation}'")
-    if x.value.ndim != 2 or x.value.shape[1] != arch[0]:
+    if x.value.ndim not in (2, 3) or x.value.shape[-1] != arch[0]:
         raise ConfigError(
             f"input shape {x.value.shape} incompatible with arch[0]={arch[0]}"
         )
@@ -257,6 +261,7 @@ def mlp_var(
     leaves = [tape.param(params, f"{kind}{i}") for i in range(n_layers) for kind in "Wb"]
     saved = []
     out = mlp_forward_np(params, x.value, arch, activation, saved)
+    sliced = x.value.ndim == 3
 
     def vjp(g):
         if activation == "tanh":
@@ -270,13 +275,27 @@ def mlp_var(
         grads = []
         for i in range(n_layers - 1, -1, -1):
             layer_in = acts[i - 1] if i else x.value
-            grads += [g.sum(axis=0), layer_in.T @ g]
-            g = g @ params[f"W{i}"].T
+            if sliced:
+                grads += [_latest_first(g.sum(axis=1)),
+                          _latest_first(layer_in.transpose(0, 2, 1) @ g)]
+            else:
+                grads += [g.sum(axis=0), layer_in.T @ g]
             if i:
+                g = g @ params[f"W{i}"].T
                 g = g * slopes[i - 1]
+        g = (g[0] if sliced else g) @ params["W0"].T
         return (g, *grads[::-1])
 
     return tape.node(out, [x, *leaves], vjp)
+
+
+def _latest_first(per_slice: np.ndarray) -> np.ndarray:
+    """Sum over the leading slice axis in the order a tape sums the
+    gradients of S readers of one leaf: the last slice first."""
+    total = per_slice[-1]
+    for part in per_slice[-2::-1]:
+        total = total + part
+    return total
 
 
 def slice_blocks(param_sets: list[ParamSet], rows: int,

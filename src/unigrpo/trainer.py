@@ -27,7 +27,7 @@ import numpy as np
 from . import checkpoint
 from .config import TrainConfig, config_from_dict, config_to_dict, dump_config
 from .errors import CheckpointError, ConfigError, NumericError
-from .flow_policy import DIM, FlowBatch, FlowPolicy, timestep_schedule
+from .flow_policy import DIM, FlowBatch, FlowPolicy, StepTable, step_table, timestep_schedule
 from .metrics import MetricsRow, MetricsWriter, read_metrics, rewind_run
 from .nn import AdamState, ParamSet, adam_step, checked_count
 from .rng import below, normals, stream, uniforms, words_by_tag
@@ -89,14 +89,15 @@ class GroupRollout:
 
 @dataclass
 class Runtime:
-    """Config plus the derived policy objects and schedules."""
+    """Config plus the derived policy objects and the step tables of the
+    training schedule (at `sigma_level`) and the evaluation one."""
 
     cfg: TrainConfig
     geom: TaskGeometry
     text_policy: TextPolicy
     flow_policy: FlowPolicy
-    times_train: np.ndarray
-    times_eval: np.ndarray
+    steps_train: StepTable
+    steps_eval: StepTable
 
 
 def make_runtime(cfg: TrainConfig) -> Runtime:
@@ -113,9 +114,10 @@ def make_runtime(cfg: TrainConfig) -> Runtime:
         VOCAB_SIZE, PROMPT_LEN, cfg.max_trace_len, cfg.text_embed_dim, cfg.text_hidden
     )
     flow_policy = FlowPolicy(VOCAB_SIZE, cfg.flow_cond_dim, cfg.flow_hidden)
-    times_train = timestep_schedule(cfg.train_timesteps, cfg.timestep_shift)
-    times_eval = timestep_schedule(cfg.eval_timesteps, cfg.timestep_shift)
-    return Runtime(cfg, geom, text_policy, flow_policy, times_train, times_eval)
+    steps_train = step_table(timestep_schedule(cfg.train_timesteps, cfg.timestep_shift),
+                             cfg.sigma_level)
+    steps_eval = step_table(timestep_schedule(cfg.eval_timesteps, cfg.timestep_shift))
+    return Runtime(cfg, geom, text_policy, flow_policy, steps_train, steps_eval)
 
 
 # ---- rollout phase ----
@@ -126,27 +128,29 @@ ROLLOUT_BLOCK = 32
 
 @dataclass
 class RolloutWords:
-    """One update's prompts and rollout words.  The prompt at batch index
-    `slot` comes from the six "prompt" words at counter index (update, slot,
-    0).  Row r belongs to member r % G of the prompt at batch index r // G
-    and sits at counter index (update, slot, member).  Layout per row:
-    "trace" word k is the uniform of token k; "flow" word 0 picks the window
-    start and words 1 .. 2 + 2W are Box-Muller pairs giving x1, then the
-    window's eps step by step."""
+    """One update's prompts and the variates of its rollouts.  The prompt at
+    batch index `slot` comes from the six "prompt" words at counter index
+    (update, slot, 0).  Row r belongs to member r % G of the prompt at batch
+    index r // G and draws from its words at counter index (update, slot,
+    member): "trace" word k gives the uniform of token k; "flow" word 0
+    picks the window start (through `below`, which redraws at that index)
+    and words 1 .. 2 + 2W are Box-Muller pairs giving x1, then the window's
+    eps step by step."""
 
-    seed: int
-    index: np.ndarray         # (rows, 3) counter indices
-    prompts: np.ndarray       # (slots,) prompt ids
-    trace: np.ndarray | None  # (rows, max_trace_len), only when the text policy trains
-    flow: np.ndarray          # (rows, 1 + DIM + W * DIM)
+    prompts: np.ndarray         # (slots,) prompt ids
+    uniforms: np.ndarray | None  # (rows, max_trace_len), only when the text policy trains
+    starts: np.ndarray          # (rows,) window starts
+    x1: np.ndarray              # (rows, DIM)
+    eps: np.ndarray             # (rows, W, DIM)
 
 
 def rollout_words(cfg: TrainConfig, seed: int, updates: range,
                   slots: int) -> list[RolloutWords]:
-    """The prompts and rollout words of each update in `updates` for `slots`
-    prompts, every tag's words drawn in one Philox pass.  Each word has a
-    fixed counter address, so an update's draws do not depend on the block
-    it is drawn with."""
+    """The prompts and rollout variates of each update in `updates` for
+    `slots` prompts: every tag's words drawn in one Philox pass, and each
+    variate taken from them once for the whole block.  Each word has a fixed
+    counter address, and each conversion works row by row, so an update's
+    variates do not depend on the block it is drawn with."""
     G, W = cfg.group_size, cfg.sde_window_size
     index = np.stack(np.meshgrid(np.asarray(updates), np.arange(slots),
                                  np.arange(G), indexing="ij"), axis=-1).reshape(-1, 3)
@@ -155,10 +159,15 @@ def rollout_words(cfg: TrainConfig, seed: int, updates: range,
         draws["trace"] = (index, cfg.max_trace_len)
     w = words_by_tag(seed, draws)
     prompts = draw_prompts(seed, "prompt", index[::G], w["prompt"])
+    u = uniforms(w["trace"]) if cfg.train_text else None
+    starts = np.asarray(cfg.window_starts)[below(seed, "flow", index, w["flow"][:, 0],
+                                                 len(cfg.window_starts))]
+    z = normals(w["flow"][:, 1:])
+    eps = z[:, DIM:].reshape(len(index), W, DIM)
     rows = slots * G
-    return [RolloutWords(seed, index[lo:lo + rows], prompts[lo // G:lo // G + slots],
-                         w["trace"][lo:lo + rows] if cfg.train_text else None,
-                         w["flow"][lo:lo + rows])
+    return [RolloutWords(prompts[lo // G:lo // G + slots],
+                         None if u is None else u[lo:lo + rows], starts[lo:lo + rows],
+                         z[lo:lo + rows, :DIM], eps[lo:lo + rows])
             for lo in range(0, len(index), rows)]
 
 
@@ -168,28 +177,23 @@ def collect_rollouts(rt: Runtime, prompts: np.ndarray, text_old: ParamSet,
     """One group of rollouts per prompt id, every member advanced in lockstep:
     one text decode and one flow rollout over all prompts x group-size rows,
     their randomness taken from the update's `draws`.  Member m of the
-    prompt at batch index `slot` has its own counter-addressed words, so
+    prompt at batch index `slot` has its own counter-addressed variates, so
     batch composition changes none of its draws.  With frozen text each
     row comes from `greedy`, the greedy text rows of `text_old` for every
     prompt id.  The groups are row ranges of one shared `Rollouts`."""
     cfg = rt.cfg
-    G, W = cfg.group_size, cfg.sde_window_size
+    G = cfg.group_size
     ids = np.repeat(prompts, G)
     if cfg.train_text:
         seqs = rt.text_policy.sample_trace(text_old, PROMPT_TOKENS[ids], cfg.temperature,
-                                           uniforms(draws.trace))
+                                           draws.uniforms)
     else:
         # frozen text expert: one deterministic trace per prompt, shared by its
         # group; group variance comes from the stochastic denoising window
         seqs = greedy[ids]
-    w = draws.flow
-    starts = np.asarray(cfg.window_starts)[below(draws.seed, "flow", draws.index, w[:, 0],
-                                                 len(cfg.window_starts))]
-    z = normals(w[:, 1:])
     flow = rt.flow_policy.hybrid_rollout(
-        flow_old, seqs[:, PROMPT_LEN:], rt.times_train, z[:, :DIM], starts, W,
-        cfg.sigma_level, z[:, DIM:].reshape(len(ids), W, DIM),
-        cfg_scale=cfg.train_cfg_scale if cfg.train_cfg else 1.0,
+        flow_old, seqs[:, PROMPT_LEN:], rt.steps_train, draws.x1, draws.starts,
+        cfg.sde_window_size, draws.eps, cfg_scale=cfg.train_cfg_scale if cfg.train_cfg else 1.0,
     )
     rewards, finite = score(flow.states[-1], ids, rt.geom)
     advantages = group_advantages(rewards.reshape(len(prompts), G), cfg.adv_eps).ravel()
@@ -298,7 +302,7 @@ def evaluate(rt: Runtime, text_params: ParamSet, flow_params: ParamSet,
     else:
         traces = greedy[ids, PROMPT_LEN:]
     owners = np.repeat(np.arange(len(ids)), cfg.eval_samples)
-    batch = rt.flow_policy.ode_rollout_batch(flow_params, traces[owners], rt.times_eval, x1,
+    batch = rt.flow_policy.ode_rollout_batch(flow_params, traces[owners], rt.steps_eval, x1,
                                              cfg.eval_cfg_scale, flow_ref)
     rewards, _ = score(batch.states[-1], ids[owners], rt.geom)
     # drift averaged in prompt, step, sample order

@@ -19,6 +19,7 @@ from .flow_policy import (
     ratio_norm,
     latent_kl,
     sde_step_values,
+    step_table,
     timestep_schedule,
     transition_logprob,
 )
@@ -131,13 +132,13 @@ def gradient_oracles(corrupt_gradient: bool = False) -> list[OracleResult]:
     # flow surrogate under each regularizer
     fparams = _nontrivial_flow_params(flow, SEED)
     fref = _nontrivial_flow_params(flow, SEED + 7)
-    times = timestep_schedule(10, 3.0)
+    steps = step_table(timestep_schedule(10, 3.0), 0.8)
     trace = CANONICAL_TRACES[prompt]
     rngs = [stream(SEED, "f", i) for i in range(3)]
     x1 = np.stack([rng.standard_normal(2) for rng in rngs])
     batch = flow.hybrid_rollout(
-        fparams, np.tile(trace, (3, 1)), times, x1,
-        [int(stream(SEED, "w", i).integers(0, 4)) for i in range(3)], 3, 0.8,
+        fparams, np.tile(trace, (3, 1)), steps, x1,
+        [int(stream(SEED, "w", i).integers(0, 4)) for i in range(3)], 3,
         np.stack([rng.standard_normal((3, 2)) for rng in rngs]),
     )
     fmoved = fparams.with_blocks({"b2": fparams["b2"] + 0.01})
@@ -256,13 +257,12 @@ def sde_bitwise_oracle() -> OracleResult:
     flow = FlowPolicy()
     params = _nontrivial_flow_params(flow, SEED + 3)
     trace = CANONICAL_TRACES[[243]]  # quadrant 3, near, wide
-    times = timestep_schedule(10, 3.0)
-    n = len(times) - 1
+    steps = step_table(timestep_schedule(10, 3.0), 0.0)
+    n = len(steps.dts)
     rng = stream(SEED, "bit")
     x1 = rng.standard_normal((1, 2))
-    sde = flow.hybrid_rollout(params, trace, times, x1, [0], n, 0.0,
-                              rng.standard_normal((1, n, 2)))
-    ode = flow.ode_rollout_batch(params, trace, times, x1)
+    sde = flow.hybrid_rollout(params, trace, steps, x1, [0], n, rng.standard_normal((1, n, 2)))
+    ode = flow.ode_rollout_batch(params, trace, steps, x1)
     same = bool(np.array_equal(sde.states[-1], ode.states[-1]))
     return OracleResult("sde/zero-noise-bitwise", 0.0 if same else 1.0, 0.0, same)
 
@@ -316,9 +316,9 @@ def rollout_budget_oracle() -> OracleResult:
     flow = FlowPolicy()
     params = _nontrivial_flow_params(flow, SEED + 4)
     trace = CANONICAL_TRACES[[54]]  # quadrant 1, far, tight
-    times = timestep_schedule(10, 3.0)
+    steps = step_table(timestep_schedule(10, 3.0), 0.8)
     plain, guided = (
-        flow.hybrid_rollout(params, trace, times, rng.standard_normal((1, 2)), [1], 3, 0.8,
+        flow.hybrid_rollout(params, trace, steps, rng.standard_normal((1, 2)), [1], 3,
                             rng.standard_normal((1, 3, 2)), cfg_scale)
         for rng, cfg_scale in ((stream(SEED, "cnt"), 1.0), (stream(SEED, "cnt"), 2.0))
     )

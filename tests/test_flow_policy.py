@@ -16,6 +16,7 @@ from unigrpo.flow_policy import (
     latent_kl,
     ratio_norm,
     sde_step_values,
+    step_table,
     time_features,
     timestep_schedule,
     transition_logprob,
@@ -68,8 +69,8 @@ def _rollout(params, times, start, size, sigma, rng, cfg_scale=1.0):
     first draw and its window noise the next."""
     x1 = rng.standard_normal((1, DIM))
     return POLICY.hybrid_rollout(
-        params, _tile(1), times, x1, [start], size, sigma, rng.standard_normal((1, size, DIM)),
-        cfg_scale,
+        params, _tile(1), step_table(times, sigma), x1, [start], size,
+        rng.standard_normal((1, size, DIM)), cfg_scale,
     )
 
 
@@ -308,6 +309,7 @@ def _nontrivial_params(seed=7):
 
 class TestHybridRollout:
     TIMES = timestep_schedule(10, 3.0)
+    STEPS, ODE = step_table(TIMES, 0.8), step_table(TIMES)
 
     def test_window_size_zero_is_deterministic(self):
         params = _nontrivial_params()
@@ -321,7 +323,7 @@ class TestHybridRollout:
         n = len(self.TIMES) - 1
         sde = _rollout(params, self.TIMES, 0, n, 0.0, stream(3, "r"))
         x1 = stream(3, "r").standard_normal((1, DIM))
-        ode = POLICY.ode_rollout_batch(params, _tile(1), self.TIMES, x1)
+        ode = POLICY.ode_rollout_batch(params, _tile(1), self.ODE, x1)
         np.testing.assert_array_equal(sde.states[-1], ode.states[-1])
 
     def test_velocity_eval_counts(self):
@@ -334,7 +336,7 @@ class TestHybridRollout:
         rngs = [stream(4, "r", i) for i in range(3)]
         x1 = np.stack([rng.standard_normal(DIM) for rng in rngs])
         batch = POLICY.hybrid_rollout(
-            params, ROWS[:3], self.TIMES, x1, [0, 2, 7], 3, 0.8,
+            params, ROWS[:3], self.STEPS, x1, [0, 2, 7], 3,
             np.stack([rng.standard_normal((3, DIM)) for rng in rngs]), cfg_scale=2.0,
         )
         assert batch.evals_per_row == 20
@@ -359,7 +361,7 @@ class TestHybridRollout:
                     transition_logprob(mu, s, batch.states[k + 1, 0]), abs=1e-12
                 )
         assert euler == [k not in (2, 3, 4) for k in range(10)]
-        assert all(a > b for a, b in zip(batch.times, batch.times[1:]))
+        assert all(a > b for a, b in zip(batch.steps.times, batch.steps.times[1:]))
 
     def test_matches_per_row_reference_loop(self):
         # three rows whose windows open at the first step, mid-way and at the
@@ -371,7 +373,8 @@ class TestHybridRollout:
         rngs = [stream(12, "ref", i) for i in range(3)]
         x1 = np.stack([rng.standard_normal(DIM) for rng in rngs])
         eps = np.stack([rng.standard_normal((size, DIM)) for rng in rngs])
-        batch = POLICY.hybrid_rollout(params, seqs, self.TIMES, x1, starts, size, sigma, eps)
+        batch = POLICY.hybrid_rollout(params, seqs, step_table(self.TIMES, sigma), x1, starts,
+                                      size, eps)
         for i, (seq, start) in enumerate(zip(seqs, starts)):
             rng = stream(12, "ref", i)
             x = rng.standard_normal(DIM)
@@ -403,8 +406,8 @@ class TestHybridRollout:
         x1 = stream(13, "x1").standard_normal((3, DIM))
         eps = stream(13, "eps").standard_normal((3, 3, DIM))
         cond, cond_ref = _cond(params, seqs), _cond(ref, seqs)
-        plain = POLICY.ode_rollout_batch(params, seqs, self.TIMES, x1, cfg_scale)
-        batch = POLICY.ode_rollout_batch(params, seqs, self.TIMES, x1, cfg_scale, ref)
+        plain = POLICY.ode_rollout_batch(params, seqs, self.ODE, x1, cfg_scale)
+        batch = POLICY.ode_rollout_batch(params, seqs, self.ODE, x1, cfg_scale, ref)
         np.testing.assert_array_equal(batch.states, plain.states)
         assert batch.drift.shape == (10, 3)
         for k in range(10):
@@ -415,7 +418,7 @@ class TestHybridRollout:
         parts = batch.take(np.array([1, 2, 0]))
         np.testing.assert_array_equal(parts.drift, batch.drift[:, [1, 2, 0]])
         np.testing.assert_array_equal(parts.states, batch.states[:, [1, 2, 0]])
-        hybrid = POLICY.hybrid_rollout(params, seqs, self.TIMES, x1, starts, 3, 0.8, eps,
+        hybrid = POLICY.hybrid_rollout(params, seqs, self.STEPS, x1, starts, 3, eps,
                                        cfg_scale)
         assert plain.drift is None and hybrid.drift is None and hybrid.take([0]).drift is None
 
@@ -427,8 +430,8 @@ class TestHybridRollout:
         x1 = stream(16, "x1").standard_normal((5, DIM))
         eps = stream(16, "eps").standard_normal((5, 2, DIM))
         for batch in (
-            POLICY.hybrid_rollout(params, seqs, self.TIMES, x1, [0, 1, 2, 3, 8], 2, 0.8, eps),
-            POLICY.ode_rollout_batch(params, seqs, self.TIMES, x1, 2.0),
+            POLICY.hybrid_rollout(params, seqs, self.STEPS, x1, [0, 1, 2, 3, 8], 2, eps),
+            POLICY.ode_rollout_batch(params, seqs, self.ODE, x1, 2.0),
         ):
             assert batch.pool.tobytes() == POLICY.pool_weights(seqs).tobytes()
             parts = batch.take(np.array([3, 4, 0, 1, 2]))
@@ -437,15 +440,15 @@ class TestHybridRollout:
 
     def test_window_out_of_range_rejected(self):
         with pytest.raises(ConfigError):
-            POLICY.hybrid_rollout(_params(), _tile(2), self.TIMES, np.zeros((2, DIM)),
-                                  [0, 9], 3, 0.8, np.zeros((2, 3, DIM)))
+            POLICY.hybrid_rollout(_params(), _tile(2), self.STEPS, np.zeros((2, DIM)),
+                                  [0, 9], 3, np.zeros((2, 3, DIM)))
 
     def test_ode_guidance_scale_controls_eval_count(self):
         params = _nontrivial_params(11)
         x1 = stream(6, "x1").standard_normal((5, 2))
-        n_plain = POLICY.ode_rollout_batch(params, _tile(5), self.TIMES, x1).velocity_evals
+        n_plain = POLICY.ode_rollout_batch(params, _tile(5), self.ODE, x1).velocity_evals
         n_guided = POLICY.ode_rollout_batch(
-            params, _tile(5), self.TIMES, x1, cfg_scale=1.5
+            params, _tile(5), self.ODE, x1, cfg_scale=1.5
         ).velocity_evals
         assert n_plain == 5 * 10
         assert n_guided == 2 * 5 * 10
@@ -487,6 +490,7 @@ class TestVelocityInputs:
     once, and each step writes only its states and its feature row."""
 
     TIMES = timestep_schedule(10, 3.0)
+    STEPS, ODE = step_table(TIMES, 0.8), step_table(TIMES)
 
     @pytest.mark.parametrize("windowed", [False, True])
     @pytest.mark.parametrize("cfg_scale", [1.0, 2.0, 3.0])
@@ -501,12 +505,12 @@ class TestVelocityInputs:
         if windowed:
             starts, size, sigma = rng.integers(0, 8, size=B), 3, 0.8
             eps = rng.standard_normal((B, size, DIM))
-            batch = POLICY.hybrid_rollout(params, seqs, self.TIMES, x1, starts, size, sigma, eps,
-                                          cfg_scale)
+            batch = POLICY.hybrid_rollout(params, seqs, step_table(self.TIMES, sigma), x1,
+                                          starts, size, eps, cfg_scale)
         else:
             starts, size, sigma, eps = np.zeros(B, dtype=np.int64), 0, 0.0, np.zeros((B, 0, DIM))
             ref = _nontrivial_params(46)
-            batch = POLICY.ode_rollout_batch(params, seqs, self.TIMES, x1, cfg_scale, ref)
+            batch = POLICY.ode_rollout_batch(params, seqs, self.ODE, x1, cfg_scale, ref)
         states, mu, drift = _step_loop_reference(params, seqs, self.TIMES, x1, starts, size,
                                                  sigma, eps, cfg_scale, ref)
         np.testing.assert_array_equal(batch.states, states)
@@ -537,8 +541,8 @@ class TestVelocityInputs:
         starts = rng.integers(0, n - size + 1, size=B)
         eps = rng.standard_normal((B, size, DIM))
         with np.errstate(invalid="ignore", over="ignore"):
-            batch = POLICY.hybrid_rollout(params, seqs, self.TIMES, x1, starts, size, sigma, eps,
-                                          cfg_scale)
+            batch = POLICY.hybrid_rollout(params, seqs, step_table(self.TIMES, sigma), x1,
+                                          starts, size, eps, cfg_scale)
             states, mu, _ = _step_loop_reference(params, seqs, self.TIMES, x1, starts, size,
                                                  sigma, eps, cfg_scale)
         assert np.isfinite(states).all() == (case != "nonfinite-x1")
@@ -557,9 +561,9 @@ class TestVelocityInputs:
         x1 = rng.standard_normal((B, DIM))
         starts, eps = rng.integers(0, 8, size=B), rng.standard_normal((B, 3, DIM))
         for batch, (size, sigma, r) in (
-            (POLICY.hybrid_rollout(params, seqs, self.TIMES, x1, starts, 3, 0.8, eps, cfg_scale),
+            (POLICY.hybrid_rollout(params, seqs, self.STEPS, x1, starts, 3, eps, cfg_scale),
              (3, 0.8, None)),
-            (POLICY.ode_rollout_batch(params, seqs, self.TIMES, x1, cfg_scale, ref),
+            (POLICY.ode_rollout_batch(params, seqs, self.ODE, x1, cfg_scale, ref),
              (0, 0.0, ref)),
         ):
             states, mu, drift = _step_loop_reference(
@@ -632,41 +636,67 @@ class TestVelocityInputs:
         assert v.tobytes() == cfg_velocity(v_c, v_u, cfg_scale).tobytes()
 
     @pytest.mark.parametrize("cfg_scale", [1.0, 2.0])
-    def test_one_feature_table_per_pass(self, cfg_scale, monkeypatch):
-        # one time_features call per denoising pass and per prepared batch;
-        # one velocity_np call per step, over all B rows: one (B, arch[0])
-        # array, or under guidance and with a reference one slice per field
+    def test_passes_read_the_step_table(self, cfg_scale, monkeypatch):
+        # no time_features or drift_coefficients call per pass or per
+        # prepared batch, only the step table's rows; one velocity_np call
+        # per step, over all B rows: one (B, arch[0]) array, or under
+        # guidance and with a reference one slice per field; a prepared
+        # batch's reference call runs on its own input, a slice per branch
         params = _nontrivial_params(43)
-        feature_calls, velocity_rows = [], []
-        real_features, real_velocity = flow_policy_mod.time_features, FlowPolicy.velocity_np
-
-        def features(t):
-            feature_calls.append(np.size(t))
-            return real_features(t)
+        steps = self.STEPS
+        calls, velocity_rows = [], []
+        real_velocity = FlowPolicy.velocity_np
+        for name in ("time_features", "drift_coefficients"):
+            real = getattr(flow_policy_mod, name)
+            monkeypatch.setattr(flow_policy_mod, name,
+                                lambda *a, name=name, real=real: calls.append(name) or real(*a))
 
         def velocity(self, params, rows, *args, **kwargs):
             velocity_rows.append(rows.shape[:-1])
             return real_velocity(self, params, rows, *args, **kwargs)
 
-        monkeypatch.setattr(flow_policy_mod, "time_features", features)
         monkeypatch.setattr(FlowPolicy, "velocity_np", velocity)
         B, n = 6, len(self.TIMES) - 1
         branches = () if cfg_scale == 1.0 else (2,)
         x1 = stream(43, "x1").standard_normal((B, DIM))
         eps = stream(43, "eps").standard_normal((B, 3, DIM))
-        batch = POLICY.hybrid_rollout(params, _tile(B), self.TIMES, x1, [0, 1, 2, 3, 4, 7], 3,
-                                      0.8, eps, cfg_scale)
-        assert feature_calls == [n] and velocity_rows == [(*branches, B)] * n
-        del feature_calls[:], velocity_rows[:]
-        POLICY.ode_rollout_batch(params, _tile(B), self.TIMES, x1, cfg_scale)
-        assert feature_calls == [n] and velocity_rows == [(*branches, B)] * n
-        del feature_calls[:], velocity_rows[:]
-        POLICY.ode_rollout_batch(params, _tile(B), self.TIMES, x1, cfg_scale, _params(44))
-        assert feature_calls == [n] and velocity_rows == [(len(branches) + 2, B)] * n
+        batch = POLICY.hybrid_rollout(params, _tile(B), steps, x1, [0, 1, 2, 3, 4, 7], 3, eps,
+                                      cfg_scale)
+        assert calls == [] and velocity_rows == [(*branches, B)] * n
+        del velocity_rows[:]
+        POLICY.ode_rollout_batch(params, _tile(B), steps, x1, cfg_scale)
+        assert calls == [] and velocity_rows == [(*branches, B)] * n
+        del velocity_rows[:]
+        POLICY.ode_rollout_batch(params, _tile(B), steps, x1, cfg_scale, _params(44))
+        assert calls == [] and velocity_rows == [(len(branches) + 2, B)] * n
         for reg_mode, n_ref in (("none", 0), ("latent-kl", 1), ("velocity-mse", 1)):
-            del feature_calls[:], velocity_rows[:]
+            del velocity_rows[:]
             POLICY.prepare_batch(batch, np.ones(B), reg_mode, 1.0, params)
-            assert feature_calls == [B * 3] and velocity_rows == [(*branches, B * 3)] * n_ref
+            assert calls == [] and velocity_rows == [(len(branches) + 1, B * 3)] * n_ref
+
+
+class TestStepTable:
+    @pytest.mark.parametrize("n", [1, 2, 10, 20, 37])
+    @pytest.mark.parametrize("shift", [1.0, 3.0, 7.5])
+    @pytest.mark.parametrize("sigma_level", [0.0, 0.8, 1.3])
+    def test_rows_equal_per_step_values(self, n, shift, sigma_level):
+        # row k holds what time_features and drift_coefficients give at
+        # step k's own time, bit for bit
+        times = timestep_schedule(n, shift)
+        steps = step_table(times, sigma_level)
+        assert steps.times is times and steps.sigma_level == sigma_level
+        assert steps.feats.shape == (n, N_TIME_FEATS)
+        for k in range(n):
+            t, dt = times[k], times[k] - times[k + 1]
+            sig = sigma_level * np.sqrt(t)
+            c1, c2 = drift_coefficients(t, sig)
+            assert steps.feats[k].tobytes() == time_features(t)[0].tobytes()
+            assert [steps.dts[k], steps.sig[k], steps.c1[k], steps.c2[k], steps.std[k]] == \
+                [dt, sig, c1, c2, sig * np.sqrt(dt)]
+
+    def test_step_at_time_zero_rejected(self):
+        with pytest.raises(NumericError, match="t=0"):
+            step_table(np.array([1.0, 0.0, 0.0]), 0.8)
 
 
 class TestPretraining:
@@ -773,7 +803,7 @@ def _rollout_group(params, g=4, seed=0, sigma=0.8, cfg_scale=1.0):
     x1 = np.stack([rng.standard_normal(DIM) for rng in rngs])
     eps = np.stack([rng.standard_normal((3, DIM)) for rng in rngs])
     return POLICY.hybrid_rollout(
-        params, _tile(g), times, x1, starts, 3, sigma, eps, cfg_scale=cfg_scale
+        params, _tile(g), step_table(times, sigma), x1, starts, 3, eps, cfg_scale=cfg_scale
     )
 
 
@@ -831,8 +861,9 @@ class TestFlowSurrogate:
             cond = batch.pool[i:i + 1] @ moved["cemb"]
             for w in range(W):
                 k = batch.starts[i] + w
-                t, dt = float(batch.times[k]), float(batch.times[k] - batch.times[k + 1])
-                sigma_t = batch.sigma_level * np.sqrt(t)
+                times = batch.steps.times
+                t, dt = float(times[k]), float(times[k] - times[k + 1])
+                sigma_t = batch.steps.sigma_level * np.sqrt(t)
                 x, x_next = batch.states[k, i], batch.states[k + 1, i]
                 v = reference_velocity(POLICY, moved, x, t, cond)[0]
                 c1, c2 = drift_coefficients(t, sigma_t)
@@ -852,6 +883,26 @@ class TestFlowSurrogate:
         params = _nontrivial_params(16)
         ref = _nontrivial_params(17)
         batch = _rollout_group(params, g=3, seed=3)
+        adv = np.array([1.0, -0.3, 0.6])
+        moved = params.with_blocks({"b2": params["b2"] + 0.01})
+        prepared = _prepared(batch, adv, reg_mode, weight, ref, params)
+
+        def loss(p):
+            j, gs, _ = POLICY.surrogate_loss(p, prepared, 0.2)
+            return j, gs
+
+        report = finite_diff_check(loss, moved, probes=100, tol=1e-4, rng=stream(8, "fd"))
+        assert report.passed, (report.max_rel_err, report.failing_blocks)
+
+    @pytest.mark.parametrize("reg_mode,weight", [
+        ("none", 0.0), ("latent-kl", 0.02), ("velocity-mse", 0.5),
+    ])
+    def test_guided_gradient_matches_finite_differences(self, reg_mode, weight):
+        # a batch prepared at guidance scale 2: both branches are slices of
+        # one MLP node, and the reference ran on the same input buffer
+        params = _nontrivial_params(16)
+        ref = _nontrivial_params(17)
+        batch = _rollout_group(params, g=3, seed=3, cfg_scale=2.0)
         adv = np.array([1.0, -0.3, 0.6])
         moved = params.with_blocks({"b2": params["b2"] + 0.01})
         prepared = _prepared(batch, adv, reg_mode, weight, ref, params)

@@ -21,8 +21,8 @@ from prompt_draws import random_prompts
 from reference_ops import OpTape, reference_velocity, trace_tokens
 
 from unigrpo.autodiff import Tape
-from unigrpo.flow_policy import (DIM, FlowPolicy, drift_coefficients, time_features,
-                                 timestep_schedule)
+from unigrpo.flow_policy import (DIM, FlowPolicy, drift_coefficients, step_table,
+                                 time_features, timestep_schedule)
 from unigrpo.nn import mlp_var
 from unigrpo.rng import stream
 from unigrpo.task import EOS, PAD, PROMPT_TOKENS, TaskGeometry, make_pretrain_data
@@ -193,9 +193,9 @@ def _old_flow_surrogate(params, batch, mu_old, advantages, clip_eps, reg_mode, r
     rows = np.repeat(np.arange(B), W)
     ks = (batch.starts[:, None] + np.arange(W)).ravel()
     xs = batch.states[ks, rows]
-    ts = batch.times[ks]
-    dts = ts - batch.times[ks + 1]
-    sig = batch.sigma_level * np.sqrt(ts)
+    ts = batch.steps.times[ks]
+    dts = ts - batch.steps.times[ks + 1]
+    sig = batch.steps.sigma_level * np.sqrt(ts)
     eps = (batch.states[ks + 1, rows] - batch.mu.reshape(-1, DIM)) / (sig * np.sqrt(dts))[:, None]
     adv_rows = np.repeat(advantages, W)
     w_rows = np.full(B * W, 1.0 / (B * W))
@@ -237,8 +237,8 @@ def _flow_rollout(params, cfg_scale, g=8, seed=0):
     rng = stream(seed, "roll")
     starts = rng.integers(0, 4, size=g)
     return FLOW.hybrid_rollout(
-        params, PROMPT_TOKENS[random_prompts(seed, "c", g)], times,
-        rng.standard_normal((g, DIM)), starts, 3, 0.8, rng.standard_normal((g, 3, DIM)),
+        params, PROMPT_TOKENS[random_prompts(seed, "c", g)], step_table(times, 0.8),
+        rng.standard_normal((g, DIM)), starts, 3, rng.standard_normal((g, 3, DIM)),
         cfg_scale,
     )
 
@@ -332,8 +332,9 @@ class TestFlowHeads:
         _assert_same(gs, tape.param_grads(1.0))
 
 
-def test_every_loss_tape_is_at_most_twelve_nodes(monkeypatch):
-    # parameter leaves included: input node, MLP node(s), one head node
+def test_every_loss_tape_is_at_most_eleven_nodes(monkeypatch):
+    # parameter leaves included: input node, one MLP node (both guidance
+    # branches are slices of it), one head node
     lengths = []
     real = Tape.param_grads
 
@@ -354,4 +355,4 @@ def test_every_loss_tape_is_at_most_twelve_nodes(monkeypatch):
     pool = FLOW.pool_weights(np.array([(3, EOS), (4, 5)]))
     FLOW.fm_loss_frozen(fparams, np.zeros((2, DIM)), pool,
                         np.array([0.3, 0.9]), np.ones((2, DIM)))
-    assert lengths == [11, 11, 10, 12, 10]
+    assert lengths == [11, 11, 10, 10, 10]

@@ -220,6 +220,37 @@ class TestFusedNode:
         for got, ref in zip(*results):
             assert got.tobytes() == ref.tobytes()
 
+    @pytest.mark.parametrize("activation, arch", [("tanh", FlowPolicy().arch),
+                                                  ("silu", TextPolicy().arch)])
+    @pytest.mark.parametrize("S", [1, 2, 3])
+    def test_slices_equal_separate_nodes_bit_for_bit(self, S, activation, arch):
+        # one node over (S, n, arch[0]) slices against S nodes of one slice
+        # each on one tape, both read by one head node that hands each slice
+        # its own output gradient: the same outputs, parameter gradients and
+        # slice 0 input gradient
+        params = ParamSet(init_mlp_blocks(np.random.default_rng(70), arch))
+        rng = np.random.default_rng(71)
+        for n in (1, 15, 45, 192):
+            x0, seed = rng.normal(size=(S, n, arch[0])), rng.normal(size=(S, n, arch[-1]))
+            results = []
+            for sliced in (True, False):
+                tape = Tape()
+                if sliced:
+                    xs = [tape.leaf(x0)]
+                    nets = [mlp_var(tape, params, xs[0], arch, activation)]
+                    outs, seeds = nets[0].value, [seed]
+                else:
+                    xs = [tape.leaf(x) for x in x0]
+                    nets = [mlp_var(tape, params, x, arch, activation) for x in xs]
+                    outs, seeds = np.stack([v.value for v in nets]), list(seed)
+                tape.output = tape.node(np.zeros(()), nets, lambda g, seeds=seeds: seeds)
+                grads = tape.backward(1.0)
+                results.append((outs, grads[xs[0].idx], tape.param_grads(1.0)))
+            (out, gx, gp), (ref_out, ref_gx, ref_gp) = results
+            assert out.tobytes() == ref_out.tobytes(), n
+            assert gx.shape == (n, arch[0]) and gx.tobytes() == ref_gx.tobytes(), n
+            assert gp.tobytes() == ref_gp.tobytes(), n
+
     @pytest.mark.parametrize("activation", ["tanh", "silu"])
     def test_matches_finite_differences(self, activation):
         params, arch = _mlp_params(seed=8)

@@ -26,7 +26,7 @@ from unigrpo.flow_policy import (DIM, N_TIME_FEATS, FlowBatch, cfg_velocity, tim
                                  transition_logprob)
 from unigrpo.metrics import read_metrics
 from unigrpo.nn import AdamState, ParamSet, mlp_forward_np
-from unigrpo.rng import below, stream, words
+from unigrpo.rng import below, normals, stream, uniforms, words
 from unigrpo.flow_policy import FlowPolicy
 from unigrpo.task import (EOS, PAD, PROMPT_LEN, PROMPT_TOKENS, canonical_accuracy, draw_prompts,
                           score)
@@ -132,8 +132,8 @@ def _window_logp(batch: FlowBatch) -> np.ndarray:
     out = np.empty((B, W))
     for i, w in np.ndindex(B, W):
         k = batch.starts[i] + w
-        t, dt = batch.times[k], batch.times[k] - batch.times[k + 1]
-        s = batch.sigma_level * np.sqrt(t) * np.sqrt(dt)
+        t, dt = batch.steps.times[k], batch.steps.times[k] - batch.steps.times[k + 1]
+        s = batch.steps.sigma_level * np.sqrt(t) * np.sqrt(dt)
         out[i, w] = transition_logprob(batch.mu[i, w], s, batch.states[k + 1, i])
     return out
 
@@ -200,42 +200,60 @@ class TestGroupAdvantages:
 
 class TestRolloutWords:
     @pytest.mark.parametrize("train_text", [True, False])
-    def test_block_words_equal_per_update_words(self, train_text):
+    def test_block_variates_equal_per_update_variates(self, train_text):
         # blocks as `train` draws them from update 1 and from a resume at
-        # update 7, each crossing a block boundary: every update's prompts
-        # and words are the ones one `words` call per tag gives for that
-        # update alone
+        # update 7: two full blocks, then a partial last one; every update's
+        # prompts and variates are uniforms, below and normals applied to
+        # the words one `words` call per tag gives for that update alone
         cfg = replace(TINY, train_text=train_text, sde_window_size=2)
-        slots, n_flow = 3, 1 + 2 + 2 * 2
+        slots, G, W = 3, cfg.group_size, cfg.sde_window_size
         for first in (1, 7):
+            last = first + 2 * ROLLOUT_BLOCK + 5
             got = []
-            for lo in range(first, first + 2 * ROLLOUT_BLOCK, ROLLOUT_BLOCK):
-                got += rollout_words(cfg, 5, range(lo, lo + ROLLOUT_BLOCK), slots)
-            assert len(got) == 2 * ROLLOUT_BLOCK
+            for lo in range(first, last, ROLLOUT_BLOCK):
+                got += rollout_words(cfg, 5, range(lo, min(lo + ROLLOUT_BLOCK, last)), slots)
+            assert len(got) == last - first
             for update, draws in enumerate(got, start=first):
-                index = [(update, s, m) for s in range(slots) for m in range(cfg.group_size)]
-                assert draws.seed == 5
-                np.testing.assert_array_equal(draws.index, index)
-                assert draws.flow.tobytes() == words(5, "flow", index, n_flow).tobytes()
+                index = [(update, s, m) for s in range(slots) for m in range(G)]
+                w = words(5, "flow", index, 1 + DIM + W * DIM)
+                starts = np.asarray(cfg.window_starts)[
+                    below(5, "flow", index, w[:, 0], len(cfg.window_starts))]
+                z = normals(w[:, 1:])
+                assert draws.starts.tobytes() == starts.tobytes()
+                assert draws.x1.tobytes() == z[:, :DIM].tobytes()
+                assert draws.eps.tobytes() == z[:, DIM:].reshape(slots * G, W, DIM).tobytes()
                 at = [(update, s, 0) for s in range(slots)]
                 np.testing.assert_array_equal(
                     draws.prompts, draw_prompts(5, "prompt", at, words(5, "prompt", at, 6)))
                 if train_text:
-                    assert draws.trace.tobytes() == \
-                        words(5, "trace", index, cfg.max_trace_len).tobytes()
+                    assert draws.uniforms.tobytes() == \
+                        uniforms(words(5, "trace", index, cfg.max_trace_len)).tobytes()
                 else:
-                    assert draws.trace is None
+                    assert draws.uniforms is None
 
-    def test_redraw_rows_follow_the_update_index(self):
-        # `below` redraws a rejected row at its own counter index; word 0 is
-        # rejected at bound 3
+    def test_forced_rejection_redraws_at_the_row_address(self, monkeypatch):
+        # every row's window-start word is 0, which `below` rejects at
+        # TINY's 3 window starts: each row redraws from its own counter
+        # index, so a block and a block of one update give every update the
+        # same starts, and the redraws differ by row
+        real = trainer_mod.words_by_tag
+
+        def rejected(seed, draws, *args):
+            w = real(seed, draws, *args)
+            w["flow"][:, 0] = 0
+            return w
+
+        monkeypatch.setattr(trainer_mod, "words_by_tag", rejected)
         block = rollout_words(TINY, 5, range(30, 35), 2)
         for update, draws in zip(range(30, 35), block):
             index = [(update, s, m) for s in range(2) for m in range(TINY.group_size)]
             zero = np.zeros(len(index), dtype=np.uint64)
-            got = below(5, "flow", draws.index, zero, 3)
-            assert got.tolist() == below(5, "flow", index, zero, 3).tolist()
-            assert len(set(got.tolist())) > 1
+            assert len(TINY.window_starts) == 3
+            starts = np.asarray(TINY.window_starts)[below(5, "flow", index, zero, 3)]
+            assert draws.starts.tolist() == starts.tolist()
+            alone = rollout_words(TINY, 5, range(update, update + 1), 2)[0]
+            assert alone.starts.tolist() == starts.tolist()
+            assert len(set(starts.tolist())) > 1
 
     def test_block_length_and_resume_point_change_no_output(self, tiny_pretrain, tmp_path,
                                                            monkeypatch):
@@ -283,7 +301,8 @@ class TestRollouts:
         rt = make_runtime(replace(TINY, group_size=2))
         text, flow = _snap(rt, tiny_pretrain)
         draws = rollout_words(rt.cfg, 0, range(1, 2), 1)[0]
-        draws.trace[1], draws.flow[1] = draws.trace[0], draws.flow[0]
+        for part in (draws.uniforms, draws.starts, draws.x1, draws.eps):
+            part[1] = part[0]
         group = collect_rollouts(rt, [prompt_id(1, "near", "tight")], text, flow, draws)[0]
         g = _rows(group)
         np.testing.assert_array_equal(g.rewards[0], g.rewards[1])
@@ -507,6 +526,35 @@ class TestUnifiedUpdate:
         assert stats.skipped and at.step == af.step == 0
         assert new_text is text and new_flow is flow
 
+    @pytest.mark.parametrize("train_cfg", [False, True])
+    @pytest.mark.parametrize("reg_mode", ["none", "latent-kl", "velocity-mse"])
+    def test_nonfinite_ratio_skips_the_update(self, tiny_pretrain, reg_mode, train_cfg):
+        # a prepared batch's rows name each row's trajectory under every
+        # regularizer, at guidance scales 1 and 2; a ratio that is not
+        # finite is a NumericError naming one, which skips the update and
+        # leaves parameters and both optimizer states as they came in
+        rt, groups, text, flow, at, af = self._setup(tiny_pretrain, reg_mode=reg_mode,
+                                                     train_cfg=train_cfg)
+        assert rt.cfg.train_cfg_scale == 2.0
+        flow_batch = groups[0].batch.flow
+        B, W = flow_batch.mu.shape[:2]
+        prepared = rt.flow_policy.prepare_batch(flow_batch, np.ones(B), reg_mode, 0.1, flow)
+        np.testing.assert_array_equal(prepared.rows, np.repeat(np.arange(B), W))
+        # a completed update first, so the optimizer state is non-trivial
+        text, flow, stats = unified_update(rt, groups, text, flow, text, flow, at, af)
+        assert not stats.skipped
+        entry = [(st.m.copy(), st.v.copy(), st.step) for st in (at, af)]
+        # a next state far out but finite: its noise, and so its ratio, overflows
+        row = next(g for g in groups[::-1] if not g.degenerate).rows.stop - 1
+        flow_batch.states[flow_batch.starts[row] + W, row] = 1e308
+        with np.errstate(over="ignore", invalid="ignore"):
+            new_text, new_flow, stats = unified_update(rt, groups, text, flow, text, flow,
+                                                       at, af)
+        assert stats.skipped and new_text is text and new_flow is flow
+        for st, (m, v, step) in zip((at, af), entry):
+            assert st.step == step
+            assert st.m.tobytes() == m.tobytes() and st.v.tobytes() == v.tobytes()
+
     def test_failed_epoch_leaves_no_trace(self, tiny_pretrain, monkeypatch):
         rt, groups, text, flow, at, af = self._setup(tiny_pretrain)
         # a completed update first, so the optimizer state is non-trivial
@@ -542,7 +590,7 @@ def _two_pass_evaluate(rt, text_params, flow_params, flow_ref, eval_set) -> dict
     reference walks the same states, one forward per step.  Eval batches
     hold 16 * eval_samples rows, a multiple of 4, at which the stacked rows
     round as separate calls do."""
-    cfg, fp, times = rt.cfg, rt.flow_policy, rt.times_eval
+    cfg, fp, times = rt.cfg, rt.flow_policy, rt.steps_eval.times
     ids, x1 = eval_set
     traces = rt.text_policy.greedy_trace(text_params, PROMPT_TOKENS[ids])[:, PROMPT_LEN:]
     owners = np.repeat(np.arange(len(ids)), cfg.eval_samples)
@@ -585,7 +633,7 @@ class TestEvaluate:
         got = evaluate(rt, text, moved, flow, es)
 
         # reference: one prompt at a time, one decoded token at a time
-        tp, fp, times = rt.text_policy, rt.flow_policy, rt.times_eval
+        tp, fp, times = rt.text_policy, rt.flow_policy, rt.steps_eval.times
         rewards, accs, drifts = [], [], []
         ids, x1s = es
         for prompt, x1 in zip(ids, np.split(x1s, len(ids))):
