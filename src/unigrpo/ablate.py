@@ -59,17 +59,17 @@ def _curves(run_dir) -> tuple[list[tuple[int, float]], list[tuple[int, float]]]:
 
 
 def _rollout_evals_per_step(run_dir, n_steps: int) -> float:
-    """Mean velocity evaluations per denoising step across logged rollouts."""
-    counts = []
+    """Mean velocity evaluations per denoising step across logged rollouts:
+    a groups.jsonl record's `velocity_evals` is what each of its group's
+    group_size rollouts took, so the mean over records is that over rollouts."""
     with open(Path(run_dir) / "groups.jsonl") as fh:
-        for line in fh:
-            counts.extend(json.loads(line)["velocity_evals"])
+        counts = [json.loads(line)["velocity_evals"] for line in fh]
     return float(np.mean(counts) / n_steps)
 
 
 def ablate(cfg: TrainConfig, mode: str, out_dir) -> dict:
     """Run the paired configurations of one mode and emit comparison files."""
-    arms = _arms(mode, cfg)
+    arms = [(name, arm_cfg.validate()) for name, arm_cfg in _arms(mode, cfg)]  # before any run
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     n_seeds = cfg.ablate_seeds if mode == "component-sweep" else 1

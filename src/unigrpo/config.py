@@ -132,6 +132,9 @@ class TrainConfig:
             raise ConfigError("sde_window_size must fit inside [sde_window_lo, sde_window_hi]")
         if self.sde_window_size > 0 and self.sigma_level <= 0:
             raise ConfigError("sigma_level must be positive when the SDE window is non-empty")
+        if not (self.train_text or self.train_flow):
+            raise ConfigError("train_text and train_flow are both false: a run must train "
+                              "at least one policy")
         if self.sde_window_size == 0 and self.train_flow:
             raise ConfigError("train_flow needs sde_window_size >= 1: the flow surrogate "
                               "has no stochastic steps without a window")

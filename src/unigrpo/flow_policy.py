@@ -14,7 +14,7 @@ quality of the text policy causally matters for reward.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -172,18 +172,13 @@ class FlowBatch:
     def velocity_evals(self) -> int:
         return self.evals_per_row * len(self.starts)
 
-    def take(self, rows) -> FlowBatch:
-        return replace(self, pool=self.pool[rows], states=self.states[:, rows],
-                       starts=self.starts[rows], mu=self.mu[rows],
-                       drift=None if self.drift is None else self.drift[:, rows])
-
 
 @dataclass
 class FlowUpdateBatch:
     """Everything a flow surrogate needs besides theta, built once per update:
     one row per (trajectory, window step), row-major."""
 
-    rows: np.ndarray        # (n,) trajectory of each row
+    rows: np.ndarray        # (n,) trajectory of each row, a row of the rollout
     ks: np.ndarray          # (n,) schedule step of each row
     xs: np.ndarray          # (n, DIM) state before the step
     inputs: np.ndarray      # (S, n, arch[0]) velocity-net input, a slice per guidance branch
@@ -399,24 +394,26 @@ class FlowPolicy:
 
     # ---- GRPO surrogate ----
 
-    def prepare_batch(self, batch: FlowBatch, advantages: np.ndarray, reg_mode: str,
-                      reg_weight: float, ref_params: ParamSet) -> FlowUpdateBatch:
-        """The per-update part of the surrogate: one row per (trajectory,
-        window step), row-major, with its state, its step's rows of the
-        batch's StepTable, sampled noise eps = (x' - mu) / s from the
-        rollout's means, pooling weights, and the frozen reference's velocity
-        there; the old means are left to the first surrogate_loss call.  The
-        velocity net's input is laid out once, a slice per guidance branch:
-        states and time features in every slice, the unconditional slice's
-        condition zeroed; the reference runs on it with slice 0 conditioned
-        through its own `cemb`, and each surrogate_loss rewrites only that
-        condition.  Both regularizers are one velocity penalty, `reg_weight`
-        times the row weight per row: with equal transition variances
-        mu - mu_ref = -c1 dt (v - v_ref), so the latent KL is the velocity MSE
-        weighted per step by kappa = c1^2 dt / (2 sigma_t^2).  A non-finite
-        stored mean or next state is a NumericError naming its trajectory and
+    def prepare_batch(self, batch: FlowBatch, traj: np.ndarray, advantages: np.ndarray,
+                      reg_mode: str, reg_weight: float, ref_params: ParamSet) -> FlowUpdateBatch:
+        """The per-update part of the surrogate over the trajectories `traj`,
+        rows of `batch` gathered from it once, whose advantages are
+        `advantages`: one row per (trajectory, window step), row-major, with
+        its state, its step's rows of the batch's StepTable, sampled noise
+        eps = (x' - mu) / s from the rollout's means, pooling weights, and the
+        frozen reference's velocity there; the old means are left to the first
+        surrogate_loss call.  The velocity net's input is laid out once, a
+        slice per guidance branch: states and time features in every slice,
+        the unconditional slice's condition zeroed; the reference runs on it
+        with slice 0 conditioned through its own `cemb`, and each
+        surrogate_loss rewrites only that condition.  Both regularizers are
+        one velocity penalty, `reg_weight` times the row weight per row: with
+        equal transition variances mu - mu_ref = -c1 dt (v - v_ref), so the
+        latent KL is the velocity MSE weighted per step by
+        kappa = c1^2 dt / (2 sigma_t^2).  A non-finite stored mean or next
+        state is a NumericError naming its trajectory, a row of `batch`, and
         step."""
-        B, W = batch.mu.shape[:2]
+        B, W = len(traj), batch.mu.shape[1]
         assert len(advantages) == B
         if reg_mode not in ("none", "latent-kl", "velocity-mse"):
             raise ConfigError(f"unknown regularizer mode '{reg_mode}'")
@@ -426,9 +423,9 @@ class FlowPolicy:
         if not steps.sigma_level > 0.0:
             raise ConfigError("windowed steps have no stochastic statistics at sigma_level 0")
 
-        rows = np.repeat(np.arange(B), W)
-        ks = (batch.starts[:, None] + np.arange(W)).ravel()
-        mu, x_next = batch.mu.reshape(-1, DIM), batch.states[ks + 1, rows]
+        rows = np.repeat(traj, W)
+        ks = (batch.starts[traj][:, None] + np.arange(W)).ravel()
+        mu, x_next = batch.mu[traj].reshape(-1, DIM), batch.states[ks + 1, rows]
         bad = np.flatnonzero(~(np.isfinite(mu) & np.isfinite(x_next)).all(axis=1))
         if bad.size:
             raise NumericError(f"non-finite flow rollout at trajectory {rows[bad[0]]}, "

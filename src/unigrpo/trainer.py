@@ -252,7 +252,7 @@ def unified_update(
             reg_weight = {"none": 0.0, "latent-kl": cfg.beta_img,
                           "velocity-mse": cfg.mse_weight}[cfg.reg_mode]
             trained.append(("flow", rt.flow_policy, rt.flow_policy.prepare_batch(
-                batch.flow.take(rows), advantages, cfg.reg_mode, reg_weight, flow_ref
+                batch.flow, rows, advantages, cfg.reg_mode, reg_weight, flow_ref
             ), adam_flow))
         for epoch in range(cfg.ppo_epochs):
             for name, policy, prepared, adam in trained:
@@ -595,21 +595,20 @@ def train(cfg: TrainConfig, out_dir, resume: bool = False, config_text: str | No
             text_accuracy=ev["text_accuracy"] if ev else None,
             nonfinite_samples=batch.nonfinite,
         ))
+        # advantages and window step lists are left out: rewards, starts and cfg give them
         traces = batch.seqs[:, PROMPT_LEN:].tolist()
         lengths = trace_lengths(batch.seqs[:, PROMPT_LEN:]).tolist()
+        starts = batch.flow.starts.tolist()
         for slot, g in enumerate(groups):
             writer.write_group_record({
                 "update": update,
                 "slot": slot,
                 "prompt_id": int(draws.prompts[slot]),
                 "rewards": batch.rewards[g.rows].tolist(),
-                "advantages": batch.advantages[g.rows].tolist(),
                 "traces": [tr[:m] for tr, m in zip(traces[g.rows], lengths[g.rows])],
-                "windows": [list(range(s, s + cfg.sde_window_size))
-                            for s in batch.flow.starts[g.rows].tolist()],
+                "window_starts": starts[g.rows],
                 "x0": batch.flow.states[-1, g.rows].tolist(),
-                "velocity_evals": [batch.flow.evals_per_row] * cfg.group_size,
-                "degenerate": g.degenerate,
+                "velocity_evals": batch.flow.evals_per_row,
                 "skipped": ustats.skipped,
             })
 

@@ -143,7 +143,7 @@ def gradient_oracles(corrupt_gradient: bool = False) -> list[OracleResult]:
     )
     fmoved = fparams.with_blocks({"b2": fparams["b2"] + 0.01})
     for reg_mode, weight in (("none", 0.0), ("latent-kl", 0.02), ("velocity-mse", 0.5)):
-        fbatch = flow.prepare_batch(batch, adv, reg_mode, weight, fref)
+        fbatch = flow.prepare_batch(batch, np.arange(3), adv, reg_mode, weight, fref)
         flow.surrogate_loss(fparams, fbatch, 0.2)  # the old means are those at fparams
 
         def flow_loss(p, fbatch=fbatch):

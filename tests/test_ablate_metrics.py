@@ -1,6 +1,7 @@
 """Ablation harness artifacts and the metrics file machinery."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -94,6 +95,13 @@ class TestAblate:
     def test_unknown_mode(self, tmp_path):
         with pytest.raises(ConfigError, match="bogus"):
             ablate(TINY, "bogus", tmp_path)
+
+    def test_arm_that_trains_no_policy_refused_before_any_run(self, tmp_path):
+        # from frozen text the text-only arm would train nothing; it is
+        # refused before the sweep pretrains or trains its other arms
+        with pytest.raises(ConfigError, match="train_text and train_flow are both false"):
+            ablate(replace(TINY, train_text=False), "component-sweep", tmp_path / "comp")
+        assert not (tmp_path / "comp").exists()
 
     def test_component_sweep_artifacts(self, tmp_path):
         report = ablate(TINY, "component-sweep", tmp_path / "comp")

@@ -113,6 +113,7 @@ class TestValidation:
             {"eval_samples": 0},
             {"pretrain_batch": 0},
             {"seed": -1},
+            {"train_text": False, "train_flow": False},
         ],
     )
     def test_invalid_configs_rejected(self, kw):
@@ -371,6 +372,17 @@ class TestCli:
         rc = main(["train", "--config", str(bad), "--out", str(tmp_path / "r")])
         assert rc == 2
         assert f"config error: {key}" in capsys.readouterr().err
+
+    def test_config_that_trains_no_policy_exits_2(self, tmp_path, capsys):
+        # such a run would sample, score and evaluate every update and never
+        # take a step
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(TINY_CONFIG + "train_text = false\ntrain_flow = false\n")
+        rc = main(["train", "--config", str(bad), "--out", str(tmp_path / "r")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "config error: train_text and train_flow are both false" in err
+        assert not (tmp_path / "r").exists()
 
     def test_negative_seed_in_config_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"

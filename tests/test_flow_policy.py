@@ -1,5 +1,7 @@
 """Flow generator: schedules, transitions, ratio normalization, rollouts, losses."""
 
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 from prompt_draws import prompt_id
@@ -40,7 +42,8 @@ def _tile(n):
 def _prepared(batch, adv, reg_mode, reg_weight, ref_params, old_params):
     """A prepared batch whose old means a first surrogate call at
     `old_params`, the sampling parameters, took."""
-    prepared = POLICY.prepare_batch(batch, adv, reg_mode, reg_weight, ref_params)
+    prepared = POLICY.prepare_batch(batch, np.arange(len(adv)), adv, reg_mode, reg_weight,
+                                    ref_params)
     POLICY.surrogate_loss(old_params, prepared, 0.0)
     return prepared
 
@@ -49,7 +52,8 @@ def _surrogate(params, batch, adv, clip_eps, reg_mode, reg_weight, ref_params, o
     """One surrogate evaluation through a freshly prepared batch sampled at
     `old_params`, `params` when not given."""
     if old_params is None:
-        prepared = POLICY.prepare_batch(batch, adv, reg_mode, reg_weight, ref_params)
+        prepared = POLICY.prepare_batch(batch, np.arange(len(adv)), adv, reg_mode, reg_weight,
+                                        ref_params)
     else:
         prepared = _prepared(batch, adv, reg_mode, reg_weight, ref_params, old_params)
     return POLICY.surrogate_loss(params, prepared, clip_eps)
@@ -399,8 +403,7 @@ class TestHybridRollout:
         # states[k] between the conditional branch and the reference's
         # velocity, bit for bit, whatever the guidance scale the sampler
         # steps with; the reference slice leaves the samples as they are,
-        # take keeps each row's drift with its states, and a pass without a
-        # reference keeps none
+        # and a pass without a reference keeps none
         params, ref = _nontrivial_params(13), _nontrivial_params(14)
         seqs, starts = ROWS[:3], [0, 2, 7]
         x1 = stream(13, "x1").standard_normal((3, DIM))
@@ -415,28 +418,52 @@ class TestHybridRollout:
             diff = (reference_velocity(POLICY, params, x, t, cond)
                     - reference_velocity(POLICY, ref, x, t, cond_ref))
             np.testing.assert_array_equal(batch.drift[k], np.sum(diff * diff, axis=1))
-        parts = batch.take(np.array([1, 2, 0]))
-        np.testing.assert_array_equal(parts.drift, batch.drift[:, [1, 2, 0]])
-        np.testing.assert_array_equal(parts.states, batch.states[:, [1, 2, 0]])
         hybrid = POLICY.hybrid_rollout(params, seqs, self.STEPS, x1, starts, 3, eps,
                                        cfg_scale)
-        assert plain.drift is None and hybrid.drift is None and hybrid.take([0]).drift is None
+        assert plain.drift is None and hybrid.drift is None
 
     def test_keeps_pooling_weights_of_the_traces(self):
-        # pool[i] is row i's pooling weights, bit for bit, and take keeps
-        # them with their rows
+        # pool[i] is row i's pooling weights, bit for bit, and a batch
+        # prepared over some of the rows gathers each one's with its states
         params = _nontrivial_params(16)
         seqs = ROWS[[0, 1, 2, 3, 0]]
         x1 = stream(16, "x1").standard_normal((5, DIM))
         eps = stream(16, "eps").standard_normal((5, 2, DIM))
-        for batch in (
-            POLICY.hybrid_rollout(params, seqs, self.STEPS, x1, [0, 1, 2, 3, 8], 2, eps),
-            POLICY.ode_rollout_batch(params, seqs, self.ODE, x1, 2.0),
-        ):
+        hybrid = POLICY.hybrid_rollout(params, seqs, self.STEPS, x1, [0, 1, 2, 3, 8], 2, eps)
+        for batch in (hybrid, POLICY.ode_rollout_batch(params, seqs, self.ODE, x1, 2.0)):
             assert batch.pool.tobytes() == POLICY.pool_weights(seqs).tobytes()
-            parts = batch.take(np.array([3, 4, 0, 1, 2]))
-            assert parts.pool.tobytes() == POLICY.pool_weights(seqs[[3, 4, 0, 1, 2]]).tobytes()
-            np.testing.assert_array_equal(parts.states, batch.states[:, [3, 4, 0, 1, 2]])
+        traj = np.array([3, 4, 0])
+        prepared = POLICY.prepare_batch(hybrid, traj, np.ones(3), "none", 0.0, params)
+        rows = np.repeat(traj, 2)
+        np.testing.assert_array_equal(prepared.rows, rows)
+        assert prepared.pool.tobytes() == POLICY.pool_weights(seqs[rows]).tobytes()
+        np.testing.assert_array_equal(prepared.xs, hybrid.states[prepared.ks, rows])
+
+    @pytest.mark.parametrize("cfg_scale", [1.0, 2.0])
+    @pytest.mark.parametrize("reg_mode", ["none", "latent-kl", "velocity-mse"])
+    def test_prepared_rows_equal_those_of_a_row_copy(self, reg_mode, cfg_scale):
+        # preparing trajectories `traj` of a batch in place gathers the same
+        # elements a copy of just those rows holds, so every prepared array
+        # is bit for bit the copy's; only the trajectory each row names
+        # differs, a row of the batch rather than of the copy
+        params, ref = _nontrivial_params(17), _nontrivial_params(18)
+        seqs = ROWS[[0, 1, 2, 3, 0, 1]]
+        x1 = stream(17, "x1").standard_normal((6, DIM))
+        eps = stream(17, "eps").standard_normal((6, 3, DIM))
+        batch = POLICY.hybrid_rollout(params, seqs, self.STEPS, x1, [0, 4, 2, 7, 1, 3], 3, eps,
+                                      cfg_scale)
+        traj, adv = np.array([4, 1, 5]), np.array([0.5, -1.0, 1.5])
+        copy = replace(batch, pool=batch.pool[traj], states=batch.states[:, traj],
+                       starts=batch.starts[traj], mu=batch.mu[traj])
+        got = POLICY.prepare_batch(batch, traj, adv, reg_mode, 0.3, ref)
+        want = POLICY.prepare_batch(copy, np.arange(3), adv, reg_mode, 0.3, ref)
+        np.testing.assert_array_equal(got.rows, traj[want.rows])
+        if reg_mode == "none":  # slice 0's condition is left to each surrogate_loss
+            got.inputs[0, :, DIM + N_TIME_FEATS:] = want.inputs[0, :, DIM + N_TIME_FEATS:] = 0.0
+        for f in fields(got):
+            if f.name != "rows":
+                a, b = getattr(got, f.name), getattr(want, f.name)
+                assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), f.name
 
     def test_window_out_of_range_rejected(self):
         with pytest.raises(ConfigError):
@@ -671,7 +698,7 @@ class TestVelocityInputs:
         assert calls == [] and velocity_rows == [(len(branches) + 2, B)] * n
         for reg_mode, n_ref in (("none", 0), ("latent-kl", 1), ("velocity-mse", 1)):
             del velocity_rows[:]
-            POLICY.prepare_batch(batch, np.ones(B), reg_mode, 1.0, params)
+            POLICY.prepare_batch(batch, np.arange(B), np.ones(B), reg_mode, 1.0, params)
             assert calls == [] and velocity_rows == [(len(branches) + 1, B * 3)] * n_ref
 
 

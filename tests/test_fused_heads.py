@@ -272,7 +272,7 @@ class TestFlowHeads:
         params, ref = _flow_params(7), _flow_params(8)
         batch = _flow_rollout(params, cfg_scale)
         adv = stream(9, "adv").normal(size=8)
-        prepared = FLOW.prepare_batch(batch, adv, reg_mode, weight, ref)
+        prepared = FLOW.prepare_batch(batch, np.arange(8), adv, reg_mode, weight, ref)
         moved = params.with_blocks({"b2": params["b2"] + 0.01, "cemb": params["cemb"] - 0.02})
         for theta in (params, moved):
             for clip_eps in (0.2, 1e-4, 0.0):
@@ -297,7 +297,7 @@ class TestFlowHeads:
         params, ref = _flow_params(7), _flow_params(8)
         batch = _flow_rollout(params, cfg_scale)
         adv = stream(9, "adv").normal(size=8)
-        prepared = FLOW.prepare_batch(batch, adv, "latent-kl", 0.02, ref)
+        prepared = FLOW.prepare_batch(batch, np.arange(8), adv, "latent-kl", 0.02, ref)
         assert _mean_space_rel_err(params, batch, adv, prepared, ref) <= 1e-12
 
     def test_mean_space_chain_sees_a_dropped_kappa(self):
@@ -306,7 +306,7 @@ class TestFlowHeads:
         params, ref = _flow_params(7), _flow_params(8)
         batch = _flow_rollout(params, 2.0)
         adv = stream(9, "adv").normal(size=8)
-        prepared = FLOW.prepare_batch(batch, adv, "latent-kl", 0.02, ref)
+        prepared = FLOW.prepare_batch(batch, np.arange(8), adv, "latent-kl", 0.02, ref)
         dropped = replace(prepared, reg_scale=0.02 * prepared.weight)
         assert _mean_space_rel_err(params, batch, adv, dropped, ref) > 1e-3
 
@@ -349,8 +349,8 @@ def test_every_loss_tape_is_at_most_eleven_nodes(monkeypatch):
     rows, targets, _, _ = TEXT.token_rows(traces)
     TEXT.ce_loss(tparams, rows, targets)
     for cfg_scale in (1.0, 2.0):
-        prepared = FLOW.prepare_batch(_flow_rollout(fparams, cfg_scale, g=4), np.ones(4),
-                                      "velocity-mse", 0.1, fparams)
+        prepared = FLOW.prepare_batch(_flow_rollout(fparams, cfg_scale, g=4), np.arange(4),
+                                      np.ones(4), "velocity-mse", 0.1, fparams)
         FLOW.surrogate_loss(fparams, prepared, 0.2)
     pool = FLOW.pool_weights(np.array([(3, EOS), (4, 5)]))
     FLOW.fm_loss_frozen(fparams, np.zeros((2, DIM)), pool,

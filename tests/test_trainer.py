@@ -1,6 +1,7 @@
 """Trainer machinery: advantages, rollouts, unified updates, persistence."""
 
 import hashlib
+import itertools
 import json
 import os
 import platform
@@ -33,6 +34,7 @@ from unigrpo.task import (EOS, PAD, PROMPT_LEN, PROMPT_TOKENS, canonical_accurac
 from unigrpo.text_policy import TextPolicy
 from unigrpo.trainer import (
     ROLLOUT_BLOCK,
+    GroupRollout,
     check_architecture,
     collect_rollouts,
     evaluate,
@@ -92,12 +94,15 @@ def _collect(rt, prompts, text, flow, seed, update):
 
 
 def _rows(groups):
-    """The rewards, advantages, text rows and FlowBatch of the rows of
-    `groups` (one group or a list), in group order."""
+    """The rows `traj` of `groups` (one group or a list) in their update's
+    batch, in group order: their rewards, advantages, text rows, window
+    starts, states and window means, and the batch's FlowBatch `flow`."""
     groups = groups if isinstance(groups, list) else [groups]
     b, rows = groups[0].batch, np.r_[tuple(g.rows for g in groups)]
     return SimpleNamespace(rewards=b.rewards[rows], advantages=b.advantages[rows],
-                           seqs=b.seqs[rows], flow=b.flow.take(rows))
+                           seqs=b.seqs[rows], flow=b.flow, traj=rows,
+                           starts=b.flow.starts[rows], states=b.flow.states[:, rows],
+                           mu=b.flow.mu[rows])
 
 
 def _text_batch(rt, seqs, advantages, temperature, beta_txt, ref, old):
@@ -107,9 +112,11 @@ def _text_batch(rt, seqs, advantages, temperature, beta_txt, ref, old):
     return batch
 
 
-def _flow_batch(rt, flow_batch, advantages, reg_mode, reg_weight, ref, old):
-    """A flow batch whose old means a first surrogate call at `old` took."""
-    batch = rt.flow_policy.prepare_batch(flow_batch, advantages, reg_mode, reg_weight, ref)
+def _flow_batch(rt, flow_batch, traj, advantages, reg_mode, reg_weight, ref, old):
+    """A flow batch over the trajectories `traj` whose old means a first
+    surrogate call at `old` took."""
+    batch = rt.flow_policy.prepare_batch(flow_batch, traj, advantages, reg_mode, reg_weight,
+                                         ref)
     rt.flow_policy.surrogate_loss(old, batch, 0.0)
     return batch
 
@@ -126,15 +133,16 @@ def _snap(rt, pre_dir):
     return text, flow
 
 
-def _window_logp(batch: FlowBatch) -> np.ndarray:
-    """(B, W) sampling-time log-densities of each row's window steps."""
-    B, W = batch.mu.shape[:2]
-    out = np.empty((B, W))
-    for i, w in np.ndindex(B, W):
+def _window_logp(batch: FlowBatch, traj) -> np.ndarray:
+    """(len(traj), W) sampling-time log-densities of the window steps of
+    the rows `traj`."""
+    W = batch.mu.shape[1]
+    out = np.empty((len(traj), W))
+    for (n, i), w in itertools.product(enumerate(traj), range(W)):
         k = batch.starts[i] + w
         t, dt = batch.steps.times[k], batch.steps.times[k] - batch.steps.times[k + 1]
         s = batch.steps.sigma_level * np.sqrt(t) * np.sqrt(dt)
-        out[i, w] = transition_logprob(batch.mu[i, w], s, batch.states[k + 1, i])
+        out[n, w] = transition_logprob(batch.mu[i, w], s, batch.states[k + 1, i])
     return out
 
 
@@ -277,7 +285,7 @@ class TestRollouts:
         a = _rows(_collect(rt, [prompt], text, flow, 0, 3)[0])
         b = _rows(_collect(rt, [prompt], text, flow, 0, 3)[0])
         np.testing.assert_array_equal(a.rewards, b.rewards)
-        np.testing.assert_array_equal(a.flow.states[-1], b.flow.states[-1])
+        np.testing.assert_array_equal(a.states[-1], b.states[-1])
 
     def test_exactly_g_reward_evaluations(self, tiny_pretrain, monkeypatch):
         # sparse terminal reward: scored once per trajectory, at t=0, all
@@ -313,7 +321,7 @@ class TestRollouts:
         rt = _rt()
         text, flow = _snap(rt, tiny_pretrain)
         g = _rows(_collect(rt, [prompt_id(3, "near", "wide")], text, flow, 0, 2)[0])
-        assert len(g.flow.starts) == rt.cfg.group_size
+        assert len(g.starts) == rt.cfg.group_size
         assert g.flow.evals_per_row == rt.cfg.train_timesteps
 
     def test_window_start_distribution_and_binding(self, tiny_pretrain):
@@ -335,7 +343,7 @@ class TestRollouts:
         rt30 = make_runtime(replace(TINY, group_size=30))
         text, flow = _snap(rt30, tiny_pretrain)
         g = _rows(_collect(rt30, [prompt_id(4, "far", "tight")], text, flow, cfg.seed, 7)[0])
-        np.testing.assert_array_equal(g.flow.starts, start_of(7, range(30)))
+        np.testing.assert_array_equal(g.starts, start_of(7, range(30)))
 
     @pytest.mark.parametrize("overrides", [{}, {"train_text": False}, {"train_cfg": True}])
     def test_batch_composition_changes_no_member(self, tiny_pretrain, overrides):
@@ -354,10 +362,10 @@ class TestRollouts:
             assert got.seqs.tobytes() == ref.seqs.tobytes()
             np.testing.assert_allclose(_old_logp(rt, text, got.seqs), _old_logp(rt, text, ref.seqs),
                                        rtol=0, atol=1e-12)
-            a, b = got.flow, ref.flow
-            np.testing.assert_array_equal(a.starts, b.starts)
-            assert a.evals_per_row == b.evals_per_row
-            for u, v in ((a.states, b.states), (a.mu, b.mu), (_window_logp(a), _window_logp(b))):
+            np.testing.assert_array_equal(got.starts, ref.starts)
+            assert got.flow.evals_per_row == ref.flow.evals_per_row
+            for u, v in ((got.states, ref.states), (got.mu, ref.mu),
+                         (_window_logp(got.flow, got.traj), _window_logp(ref.flow, ref.traj))):
                 assert u.shape == v.shape
                 np.testing.assert_allclose(u, v, rtol=0, atol=1e-12)
 
@@ -420,8 +428,8 @@ class TestUnifiedUpdate:
             tiny_pretrain, sde_window_size=0, sigma_level=0.0, train_flow=False
         )
         for g in map(_rows, groups):
-            assert g.flow.mu.shape == (rt.cfg.group_size, 0, 2)
-            np.testing.assert_array_equal(g.flow.starts, rt.cfg.sde_window_lo)
+            assert g.mu.shape == (rt.cfg.group_size, 0, 2)
+            np.testing.assert_array_equal(g.starts, rt.cfg.sde_window_lo)
             assert np.isfinite(g.rewards).all()
         new_text, _, stats = unified_update(rt, groups, text, flow, text, flow, at, af)
         assert not stats.skipped and np.isfinite(stats.j["text"])
@@ -455,7 +463,7 @@ class TestUnifiedUpdate:
         ])
         j_flow_sep = np.mean([
             rt.flow_policy.surrogate_loss(flow, rt.flow_policy.prepare_batch(
-                g.flow, g.advantages, cfg.reg_mode, cfg.mse_weight, flow,
+                g.flow, g.traj, g.advantages, cfg.reg_mode, cfg.mse_weight, flow,
             ), cfg.clip_eps)[0]
             for g in active
         ])
@@ -482,8 +490,8 @@ class TestUnifiedUpdate:
                 ), 0.2,
             ),
             "flow": lambda gs: rt.flow_policy.surrogate_loss(
-                flow_moved, _flow_batch(rt, _rows(gs).flow, _rows(gs).advantages, reg_mode, 0.02,
-                                        flow, flow), 0.2,
+                flow_moved, _flow_batch(rt, _rows(gs).flow, _rows(gs).traj, _rows(gs).advantages,
+                                        reg_mode, 0.02, flow, flow), 0.2,
             ),
         }
         for name, call in calls.items():
@@ -510,7 +518,8 @@ class TestUnifiedUpdate:
         for update, draws in enumerate(rollout_words(cfg, 101, range(1, 6), prompts), 1):
             groups = collect_rollouts(rt, draws.prompts, text, flow, draws)
             active = _rows([g for g in groups if not g.degenerate])
-            batch = rt.flow_policy.prepare_batch(active.flow, active.advantages, "none", 0.0, flow)
+            batch = rt.flow_policy.prepare_batch(active.flow, active.traj, active.advantages,
+                                                 "none", 0.0, flow)
             _, _, stats = rt.flow_policy.surrogate_loss(flow, batch, 0.0)
             if not stats.max_ratio == stats.mean_ratio == 1.0 or stats.clip_fraction:
                 off.append(update)
@@ -538,7 +547,8 @@ class TestUnifiedUpdate:
         assert rt.cfg.train_cfg_scale == 2.0
         flow_batch = groups[0].batch.flow
         B, W = flow_batch.mu.shape[:2]
-        prepared = rt.flow_policy.prepare_batch(flow_batch, np.ones(B), reg_mode, 0.1, flow)
+        prepared = rt.flow_policy.prepare_batch(flow_batch, np.arange(B), np.ones(B), reg_mode,
+                                                0.1, flow)
         np.testing.assert_array_equal(prepared.rows, np.repeat(np.arange(B), W))
         # a completed update first, so the optimizer state is non-trivial
         text, flow, stats = unified_update(rt, groups, text, flow, text, flow, at, af)
@@ -554,6 +564,35 @@ class TestUnifiedUpdate:
         for st, (m, v, step) in zip((at, af), entry):
             assert st.step == step
             assert st.m.tobytes() == m.tobytes() and st.v.tobytes() == v.tobytes()
+
+    @pytest.mark.parametrize("plant", ["rollout", "ratio"])
+    def test_nonfinite_flow_names_the_rollout_row(self, tiny_pretrain, monkeypatch, plant):
+        # with the first group degenerate the update's flow rows start at the
+        # second group; a non-finite stored mean, or a next state whose ratio
+        # overflows, names its trajectory by its row of the rollout, not by
+        # its place among the active rows
+        rt, groups, text, flow, at, af = self._setup(tiny_pretrain, prompts_per_batch=3)
+        batch, W = groups[0].batch, rt.cfg.sde_window_size
+        batch.advantages[groups[0].rows] = 0.0
+        row = next(g for g in groups[1:] if not g.degenerate).rows.start + 1
+        k = batch.flow.starts[row] + W - 1
+        if plant == "rollout":
+            batch.flow.mu[row, W - 1] = np.nan
+        else:
+            batch.flow.states[k + 1, row] = 1e308
+        errors = []
+        for name in ("prepare_batch", "surrogate_loss"):
+            def spy(*args, real=getattr(FlowPolicy, name), **kwargs):
+                try:
+                    return real(*args, **kwargs)
+                except NumericError as exc:
+                    errors.append(str(exc))
+                    raise
+            monkeypatch.setattr(FlowPolicy, name, spy)
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, _, stats = unified_update(rt, groups, text, flow, text, flow, at, af)
+        assert stats.skipped
+        assert errors == [f"non-finite flow {plant} at trajectory {row}, step {k}"]
 
     def test_failed_epoch_leaves_no_trace(self, tiny_pretrain, monkeypatch):
         rt, groups, text, flow, at, af = self._setup(tiny_pretrain)
@@ -819,6 +858,37 @@ class TestTrainLoop:
         train(cfg, tmp_path / "b")
         assert (tmp_path / "a/metrics.csv").read_bytes() == (tmp_path / "b/metrics.csv").read_bytes()
         assert (tmp_path / "a/groups.jsonl").read_bytes() == (tmp_path / "b/groups.jsonl").read_bytes()
+
+    @pytest.mark.parametrize("overrides", [{}, {"train_text": False, "train_cfg": True}])
+    def test_group_records_lose_nothing(self, tiny_pretrain, tmp_path, monkeypatch, overrides):
+        # a record keeps only what nothing else determines: each update's
+        # advantages, degenerate groups, window steps and eval budget follow,
+        # bit for bit, from its fields and the run manifest's config
+        spied = []
+
+        def spy(*args, real=trainer_mod.collect_rollouts, **kwargs):
+            groups = real(*args, **kwargs)
+            spied.append(groups[0].batch)
+            return groups
+
+        monkeypatch.setattr(trainer_mod, "collect_rollouts", spy)
+        out = tmp_path / "run"
+        train(replace(TINY, pretrain_dir=str(tiny_pretrain), **overrides), out)
+        cfg = json.loads((out / "run_manifest.json").read_text())["config_resolved"]
+        G, W = cfg["group_size"], cfg["sde_window_size"]
+        records = [json.loads(line) for line in (out / "groups.jsonl").read_text().splitlines()]
+        assert len(records) == len(spied) * cfg["prompts_per_batch"]
+        for rec in records:
+            assert set(rec) == {"update", "slot", "prompt_id", "rewards", "traces",
+                                "window_starts", "x0", "velocity_evals", "skipped"}
+            batch = spied[rec["update"] - 1]
+            rows = slice(rec["slot"] * G, (rec["slot"] + 1) * G)
+            advantages = group_advantages(np.array(rec["rewards"]), cfg["adv_eps"])
+            assert (advantages == batch.advantages[rows]).all()
+            assert GroupRollout(batch, rows).degenerate == (not advantages.any())
+            np.testing.assert_array_equal(np.add.outer(rec["window_starts"], np.arange(W)),
+                                          batch.flow.starts[rows, None] + np.arange(W))
+            assert rec["velocity_evals"] == batch.flow.evals_per_row
 
     def test_resume_equals_uninterrupted(self, tiny_pretrain, tmp_path):
         from dataclasses import replace

@@ -24,7 +24,9 @@ library in numpy's wheel ("unknown" where it cannot be read).  The hashes
 hold only for the kernel they were recorded with, so a host with another
 kernel reports it by name.  It compares all 40 with
 tools/recipe_hashes.json.  A change that is not meant to move any number
-must keep every hash.  The commands run from this checkout's `src`.
+must keep every hash.  The commands run from this checkout's `src`, each
+with one BLAS thread: the pretraining first, then the seven trainings and
+`unigrpo verify` concurrently, one per CPU this process may run on.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ import re
 import subprocess
 import sys
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -69,8 +72,10 @@ def config_text(overrides: dict) -> str:
 
 
 def run_cli(*args: str) -> str:
-    """The command's stdout."""
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    """The command's stdout; its BLAS runs on one thread, so that concurrent
+    commands do not contend for the CPUs."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     return subprocess.run([sys.executable, "-m", "unigrpo.cli", *args], env=env, check=True,
                           stdout=subprocess.PIPE, text=True).stdout
 
@@ -98,13 +103,19 @@ def recipe_hashes(work: Path) -> dict:
     pre = work / "pretrain"
     run_cli("pretrain", "--seed", SEED, "--out", str(pre))
     hashes = {f"pretrain/{name}": sha256((pre / name).read_bytes()) for name in PRETRAIN_FILES}
-    for run, overrides in RUNS.items():
+
+    def train(run: str) -> dict:
         cfg = work / f"{run}.cfg"
-        cfg.write_text(config_text({**overrides, "pretrain_dir": str(pre)}))
+        cfg.write_text(config_text({**RUNS[run], "pretrain_dir": str(pre)}))
         run_cli("train", "--config", str(cfg), "--seed", SEED, "--out", str(work / run))
-        hashes.update({f"{run}/{name}": sha256((work / run / name).read_bytes())
-                       for name in RUN_FILES})
-    oracles = re.sub(r" \(\d+\.\d+s\)", "", run_cli("verify"))
+        return {f"{run}/{name}": sha256((work / run / name).read_bytes()) for name in RUN_FILES}
+
+    with ThreadPoolExecutor(min(len(RUNS) + 1, len(os.sched_getaffinity(0)))) as pool:
+        runs = pool.map(train, RUNS)  # yields in RUNS order, so the hashes keep theirs
+        verify = pool.submit(run_cli, "verify")
+        for part in runs:
+            hashes.update(part)
+        oracles = re.sub(r" \(\d+\.\d+s\)", "", verify.result())
     hashes["verify/oracles"] = sha256(oracles.encode())
     hashes["blas_kernel"] = blas_kernel()
     return hashes
