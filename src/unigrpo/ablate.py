@@ -73,7 +73,6 @@ def ablate(cfg: TrainConfig, mode: str, out_dir) -> dict:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     n_seeds = cfg.ablate_seeds if mode == "component-sweep" else 1
-    updates = cfg.ablate_updates or cfg.total_updates
 
     runs: dict[str, list[dict]] = {name: [] for name, _ in arms}
     for s in range(n_seeds):
@@ -83,19 +82,14 @@ def ablate(cfg: TrainConfig, mode: str, out_dir) -> dict:
             pretrain_all(replace(cfg, seed=seed), pre_dir)
         for name, arm_cfg in arms:
             run_dir = out / f"seed{seed}" / name
-            summary = train(
-                replace(arm_cfg, seed=seed, total_updates=updates,
-                        pretrain_dir=str(pre_dir)),
-                run_dir,
-            )
+            summary = train(replace(arm_cfg, seed=seed, pretrain_dir=str(pre_dir)), run_dir)
             summary["run_dir"] = str(run_dir)
             summary["eval_curve"], summary["drift_curve"] = _curves(run_dir)
-            summary["rollout_evals_per_step"] = _rollout_evals_per_step(
-                run_dir, cfg.train_timesteps
-            )
+            summary["rollout_evals_per_step"] = _rollout_evals_per_step(run_dir,
+                                                                        cfg.train_timesteps)
             runs[name].append(summary)
 
-    report = {"mode": mode, "seeds": n_seeds, "updates": updates, "runs": runs}
+    report = {"mode": mode, "seeds": n_seeds, "updates": cfg.total_updates, "runs": runs}
     report["verdicts"] = _verdicts(mode, runs)
     _write_comparison_csv(out, runs)
     verdict_lines = [

@@ -20,6 +20,8 @@ VERSION = 1
 
 
 def save_blocks(path, blocks: dict[str, np.ndarray]) -> None:
+    """Writes `path`.tmp, then renames it over `path`: a save that fails or is
+    interrupted leaves the previous file whole."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     parts = [MAGIC, struct.pack("<I", VERSION)]
@@ -28,7 +30,12 @@ def save_blocks(path, blocks: dict[str, np.ndarray]) -> None:
         nb = name.encode("utf-8")
         parts.append(struct.pack(f"<I{len(nb)}sI{arr.ndim}I", len(nb), nb, arr.ndim, *arr.shape))
         parts.append(arr.astype("<f8", copy=False).tobytes(order="C"))
-    path.write_bytes(b"".join(parts))
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_bytes(b"".join(parts))
+        tmp.replace(path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def load_blocks(path) -> dict[str, np.ndarray]:
@@ -61,7 +68,8 @@ def load_blocks(path) -> dict[str, np.ndarray]:
             pos += 8 * count
             blocks[name] = arr.reshape(dims) if ndim else arr.reshape(())
     except (struct.error, ValueError, UnicodeDecodeError) as exc:
-        raise CheckpointError(f"{path}: truncated or corrupt checkpoint") from exc
+        where = f"after block '{next(reversed(blocks))}'" if blocks else "before its first block"
+        raise CheckpointError(f"{path}: truncated or corrupt checkpoint {where}") from exc
     if pos != len(data):
         raise CheckpointError(f"{path}: trailing bytes after last block")
     return blocks

@@ -82,7 +82,6 @@ class TrainConfig:
 
     # ablation harness
     ablate_seeds: int = 3
-    ablate_updates: int = 0  # 0 -> total_updates
 
     def validate(self) -> "TrainConfig":
         for f in fields(self):
@@ -97,7 +96,8 @@ class TrainConfig:
                      "flow_hidden", "pretrain_text_epochs", "pretrain_flow_epochs"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
-        for name in ("seed", "total_updates", "eval_every", "checkpoint_every", "ablate_updates"):
+        for name in ("seed", "total_updates", "eval_every", "checkpoint_every", "tau_tight",
+                     "tau_wide"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0")
         # a canonical trace may be one token longer than the context holds
@@ -111,9 +111,6 @@ class TrainConfig:
         for name in ("p_uncond", "p_noise"):
             if not 0 <= getattr(self, name) <= 1:
                 raise ConfigError(f"{name} must lie in [0, 1]")
-        for name in ("tau_tight", "tau_wide"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0")
         if not 0 < self.radius_near < self.radius_far:
             raise ConfigError(f"radius_near must lie in (0, radius_far), got radius_near = "
                               f"{self.radius_near} and radius_far = {self.radius_far}")

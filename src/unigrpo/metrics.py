@@ -48,13 +48,9 @@ class MetricsWriter:
     def __init__(self, out_dir, append: bool = False):
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        self.csv_path = out / "metrics.csv"
-        self.jsonl_path = out / "groups.jsonl"
-        self.timings_path = out / "timings.csv"
         mode = "a" if append else "w"
-        self._csv = open(self.csv_path, mode)
-        self._jsonl = open(self.jsonl_path, mode)
-        self._timings = open(self.timings_path, mode)
+        self._csv, self._jsonl, self._timings = (
+            open(out / name, mode) for name in ("metrics.csv", "groups.jsonl", "timings.csv"))
         if not append:
             self._csv.write(",".join(METRICS_HEADER) + "\n")
             self._timings.write(",".join(TIMINGS_HEADER) + "\n")
@@ -74,9 +70,8 @@ class MetricsWriter:
         self._jsonl.flush()
 
     def close(self) -> None:
-        self._csv.close()
-        self._jsonl.close()
-        self._timings.close()
+        for fh in (self._csv, self._jsonl, self._timings):
+            fh.close()
 
 
 def _parse_row(header: list[str], line: str) -> dict:

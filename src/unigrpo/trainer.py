@@ -327,9 +327,9 @@ _TRIM_THRESHOLD = 64 << 20
 
 
 def keep_freed_heap() -> bool:
-    """Allocator policy for pretraining's minibatch steps: on glibc, fix the
-    mmap and trim thresholds so that the memory one step frees stays in the
-    heap and the next step reuses it, where glibc's defaults hand each
+    """Allocator policy of pretraining, training and evaluation: on glibc,
+    fix the mmap and trim thresholds so that the memory one step frees stays
+    in the heap and the next step reuses it, where glibc's defaults hand each
     step's heap top back to the kernel and the next step faults it in again
     (about 900 minor faults per desk-size text step).  Both are fixed
     because fixing either one turns off glibc's dynamic mmap threshold,
@@ -439,19 +439,37 @@ def check_architecture(loaded: ParamSet, policy: TextPolicy | FlowPolicy, which:
 _STATE_FILE = "state.ckpt"
 _MANIFEST_FILE = "run_manifest.json"
 # config keys a resume may change: what a run logs and saves, or what `train` does not read
-_RESUME_FREE_KEYS = ("total_updates", "eval_every", "checkpoint_every", "ablate_seeds",
-                     "ablate_updates")
+_RESUME_FREE_KEYS = ("total_updates", "eval_every", "checkpoint_every", "ablate_seeds")
 
 
 def _save_state(out: Path, update: int, text_params, flow_params, adam_text, adam_flow):
+    """The run's one checkpoint: `text.*`, `flow.*`, `adam_*.*` and `meta.update`."""
     blocks = {f"text.{k}": v for k, v in text_params.items()}
     blocks.update({f"flow.{k}": v for k, v in flow_params.items()})
     blocks.update(adam_text.state_blocks("adam_text"))
     blocks.update(adam_flow.state_blocks("adam_flow"))
     blocks["meta.update"] = np.float64(update)
     checkpoint.save_blocks(out / _STATE_FILE, blocks)
-    checkpoint.save_params(out / "text.ckpt", text_params)
-    checkpoint.save_params(out / "flow.ckpt", flow_params)
+
+
+def load_state(run: Path, rt: Runtime) -> tuple[int, ParamSet, ParamSet, AdamState, AdamState]:
+    """The update, policies and Adam states (at the config's learning rates)
+    `_save_state` wrote to `run`, in the layouts of `rt`'s policies; a
+    CheckpointError naming state.ckpt and any block missing or misshapen."""
+    path = run / _STATE_FILE
+    blocks = checkpoint.load_blocks(path)
+    try:
+        update = checked_count(blocks, "meta.update")
+        params, adams = [], []
+        for name, policy, lr in (("text", rt.text_policy, rt.cfg.lr_text),
+                                 ("flow", rt.flow_policy, rt.cfg.lr_flow)):
+            shaped = policy.init_params(np.random.default_rng(0))
+            params.append(shaped.with_vector(shaped.layout.flatten(blocks, f"{name}.")))
+            adams.append(AdamState.for_params(params[-1], lr=lr))
+            adams[-1].load_state_blocks(f"adam_{name}", blocks)
+    except ConfigError as exc:
+        raise CheckpointError(f"{path}: {exc}") from exc
+    return update, *params, *adams
 
 
 def read_run_config(out: Path) -> dict:
@@ -465,26 +483,27 @@ def read_run_config(out: Path) -> dict:
 
 
 def evaluate_run(run_dir) -> dict:
-    """The last evaluation a run directory's training logged, from its
-    manifest's config, text.ckpt, flow.ckpt and ref_flow.ckpt."""
+    """The last evaluation a run directory's training logged, from its manifest's
+    config, the policies in its state.ckpt and its ref_flow.ckpt."""
+    keep_freed_heap()
     run = Path(run_dir)
     try:
         rt = make_runtime(config_from_dict(read_run_config(run)))
     except ConfigError as exc:
         raise CheckpointError(f"{run / _MANIFEST_FILE}: {exc}") from exc
-    policies = {"text": rt.text_policy, "flow": rt.flow_policy, "ref_flow": rt.flow_policy}
-    params = [check_architecture(checkpoint.load_params(run / f"{name}.ckpt"), policy, name)
-              for name, policy in policies.items()]
-    return evaluate(rt, *params, make_eval_set(rt, rt.cfg.seed))
+    _, text_params, flow_params, _, _ = load_state(run, rt)
+    ref = check_architecture(checkpoint.load_params(run / "ref_flow.ckpt"), rt.flow_policy,
+                             "ref_flow")
+    return evaluate(rt, text_params, flow_params, ref, make_eval_set(rt, rt.cfg.seed))
 
 
 def train(cfg: TrainConfig, out_dir, resume: bool = False, config_text: str | None = None) -> dict:
-    """Full training run; every random draw derives from (seed, purpose,
-    indices) so a fixed seed reproduces the metrics byte-for-byte and a
-    resumed run continues them exactly."""
+    """Full training run under `keep_freed_heap`; every random draw derives
+    from (seed, purpose, indices) so a fixed seed reproduces the metrics
+    byte-for-byte and a resumed run continues them exactly."""
+    heap_kept = keep_freed_heap()
     rt = make_runtime(cfg)
     out = Path(out_dir)
-    seed = cfg.seed
 
     pre = Path(cfg.pretrain_dir)
     # a resume keeps the references its run started from, whatever pretrain_dir holds now
@@ -497,11 +516,6 @@ def train(cfg: TrainConfig, out_dir, resume: bool = False, config_text: str | No
     check_architecture(text_ref, rt.text_policy, "text")
     check_architecture(flow_ref, rt.flow_policy, "flow")
 
-    text_params, flow_params = text_ref.copy(), flow_ref.copy()
-    adam_text = AdamState.for_params(text_params, lr=cfg.lr_text)
-    adam_flow = AdamState.for_params(flow_params, lr=cfg.lr_flow)
-    start_update = 0
-
     manifest_path = out / _MANIFEST_FILE
     if resume:
         # the whole run directory is checked before any file of it is written
@@ -511,39 +525,33 @@ def train(cfg: TrainConfig, out_dir, resume: bool = False, config_text: str | No
                 raise ConfigError(f"{key} = {value} differs from the run's {key} = "
                                   f"{saved.get(key)} ({manifest_path}); a resume may "
                                   f"change only {', '.join(_RESUME_FREE_KEYS)}")
-        state_path = out / _STATE_FILE
-        blocks = checkpoint.load_blocks(state_path)
-        try:
-            start_update = checked_count(blocks, "meta.update")
-            text_params = text_params.with_vector(text_params.layout.flatten(blocks, "text."))
-            flow_params = flow_params.with_vector(flow_params.layout.flatten(blocks, "flow."))
-            adam_text.load_state_blocks("adam_text", blocks)
-            adam_flow.load_state_blocks("adam_flow", blocks)
-        except ConfigError as exc:
-            raise CheckpointError(f"{state_path}: {exc}") from exc
+        start_update, text_params, flow_params, adam_text, adam_flow = load_state(out, rt)
         if start_update > cfg.total_updates:
             raise ConfigError(f"total_updates = {cfg.total_updates} is below update "
-                              f"{start_update}, which {state_path} was saved at")
+                              f"{start_update}, which {out / _STATE_FILE} was saved at")
         rewind_run(out, start_update)
-
-    # a resumed run keeps its manifest and references; a fresh one replaces another run's
-    if not resume:
+    else:
+        # a fresh run replaces another run's manifest and references; a resume keeps them
+        start_update, text_params, flow_params = 0, text_ref.copy(), flow_ref.copy()
+        adam_text = AdamState.for_params(text_params, lr=cfg.lr_text)
+        adam_flow = AdamState.for_params(flow_params, lr=cfg.lr_flow)
         checkpoint.save_params(out / "ref_text.ckpt", text_ref)
         checkpoint.save_params(out / "ref_flow.ckpt", flow_ref)
         manifest = {
             "config_text": config_text if config_text is not None else dump_config(cfg),
             "config_resolved": config_to_dict(cfg),
-            "seed": seed,
+            "seed": cfg.seed,
             "build_id": _build_id(),
             **_software(),
             "started_at": datetime.now(timezone.utc).isoformat(),
             "out_dir": str(out),
             "pretrain_dir": str(pre),
+            "allocator_policy": heap_kept,
         }
         manifest_path.write_text(json.dumps(manifest, indent=2))
 
     writer = MetricsWriter(out, append=resume)
-    eval_set = make_eval_set(rt, seed)
+    eval_set = make_eval_set(rt, cfg.seed)
     # frozen text decodes every prompt once, from the parameters resumed from
     greedy = None if cfg.train_text else rt.text_policy.greedy_trace(text_params, PROMPT_TOKENS)
 
@@ -565,7 +573,7 @@ def train(cfg: TrainConfig, out_dir, resume: bool = False, config_text: str | No
         tic = time.perf_counter()
         if not pending:
             block = range(update, min(update + ROLLOUT_BLOCK, cfg.total_updates + 1))
-            pending = rollout_words(cfg, seed, block, cfg.prompts_per_batch)[::-1]
+            pending = rollout_words(cfg, cfg.seed, block, cfg.prompts_per_batch)[::-1]
         draws = pending.pop()
         # no step writes a ParamSet in place: the current policy is the old one
         groups = collect_rollouts(rt, draws.prompts, text_params, flow_params, draws, greedy)
@@ -622,7 +630,7 @@ def train(cfg: TrainConfig, out_dir, resume: bool = False, config_text: str | No
     writer.close()
     # row 0 is the baseline evaluation and the final update always evaluates
     rows = read_metrics(out / "metrics.csv")
-    summary = {
+    return {
         "out_dir": str(out),
         "updates": cfg.total_updates,
         "baseline_eval": rows[0]["eval_reward"],
@@ -630,5 +638,3 @@ def train(cfg: TrainConfig, out_dir, resume: bool = False, config_text: str | No
         "final_text_accuracy": rows[-1]["text_accuracy"],
         "final_velocity_drift": rows[-1]["velocity_drift"],
     }
-    (out / "summary.json").write_text(json.dumps(summary, indent=2))
-    return summary

@@ -189,10 +189,10 @@ def test_criterion_10_determinism_and_persistence(tmp_path):
         (tmp_path / "a/metrics.csv").read_bytes() == (tmp_path / "b/metrics.csv").read_bytes()
     )
 
-    params = checkpoint.load_params(tmp_path / "a/text.ckpt")
-    checkpoint.save_params(tmp_path / "text2.ckpt", params)
+    blocks = checkpoint.load_blocks(tmp_path / "a/state.ckpt")
+    checkpoint.save_blocks(tmp_path / "state2.ckpt", blocks)
     ckpt_exact = (
-        (tmp_path / "a/text.ckpt").read_bytes() == (tmp_path / "text2.ckpt").read_bytes()
+        (tmp_path / "a/state.ckpt").read_bytes() == (tmp_path / "state2.ckpt").read_bytes()
     )
 
     train(replace(cfg, total_updates=5), tmp_path / "resumed")

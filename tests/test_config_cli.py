@@ -41,8 +41,8 @@ MODEL_SIZE_LINES = [
 # crashed later with a message that did not name the key
 RUN_CONTROL_LINES = [
     "max_trace_len = 2", "max_trace_len = 0", "eval_timesteps = 0", "train_timesteps = 0",
-    "total_updates = -2", "eval_every = -1", "checkpoint_every = -5", "ablate_updates = -1",
-    "ablate_seeds = 0", "adv_eps = -1e-8", "adv_eps = 0",
+    "total_updates = -2", "eval_every = -1", "checkpoint_every = -5", "ablate_seeds = 0",
+    "adv_eps = -1e-8", "adv_eps = 0",
 ]
 
 
@@ -170,8 +170,8 @@ class TestValidation:
 
     @pytest.mark.parametrize("line", ["max_trace_len = 3", "eval_timesteps = 1",
                                       "total_updates = 0", "eval_every = 0",
-                                      "checkpoint_every = 0", "ablate_updates = 0",
-                                      "ablate_seeds = 1", "adv_eps = 1e-300"])
+                                      "checkpoint_every = 0", "ablate_seeds = 1",
+                                      "adv_eps = 1e-300"])
     def test_run_control_bounds_accepted(self, line):
         parse_config_text(line)
 
@@ -226,18 +226,32 @@ def cli_workspace(tmp_path_factory):
 
 
 EVAL_COLUMNS = ("eval_reward", "text_accuracy", "velocity_drift")
+RUN_FILES = {"run_manifest.json", "metrics.csv", "timings.csv", "groups.jsonl", "state.ckpt",
+             "ref_text.ckpt", "ref_flow.ckpt"}
+# the summary `train` printed for each finished seeded run, by run directory
+_SEEDED_SUMMARIES: dict[Path, dict] = {}
+
+
+def _printed_summary(capsys) -> dict:
+    out = capsys.readouterr().out
+    return json.loads(out[out.index("{"):])
+
+
+def _seeded_args(ws, cfg_path, train_text: str = "true") -> list[str]:
+    """`train` options of a run at a seed and an eval_samples other than the
+    workspace config's and the defaults', without its --out."""
+    cfg = ws / f"seeded_text_{train_text}.cfg"
+    text = _without(_without(cfg_path.read_text(), "eval_samples"), "train_text")
+    cfg.write_text(text + f"eval_samples = 6\ntrain_text = {train_text}\n")
+    return ["train", "--config", str(cfg), "--seed", "5"]
 
 
 def _seeded_run(ws, cfg_path, capsys, train_text: str = "true") -> Path:
-    """A finished run trained at a seed and an eval_samples other than the
-    workspace config's and the defaults'."""
+    """A finished run of `_seeded_args`."""
     run = ws / f"seeded_run_text_{train_text}"
-    if not (run / "summary.json").exists():
-        cfg = ws / f"seeded_text_{train_text}.cfg"
-        text = _without(_without(cfg_path.read_text(), "eval_samples"), "train_text")
-        cfg.write_text(text + f"eval_samples = 6\ntrain_text = {train_text}\n")
-        assert main(["train", "--config", str(cfg), "--out", str(run), "--seed", "5"]) == 0
-        capsys.readouterr()
+    if run not in _SEEDED_SUMMARIES:
+        assert main([*_seeded_args(ws, cfg_path, train_text), "--out", str(run)]) == 0
+        _SEEDED_SUMMARIES[run] = _printed_summary(capsys)
     return run
 
 
@@ -254,11 +268,9 @@ class TestCli:
         ws, cfg_path = cli_workspace
         rc = main(["train", "--config", str(cfg_path), "--out", str(ws / "run")])
         assert rc == 0
-        out = capsys.readouterr().out
-        summary = json.loads(out[out.index("{"):])
+        summary = _printed_summary(capsys)
         assert "final_eval" in summary
-        assert (ws / "run/metrics.csv").exists()
-        assert (ws / "run/run_manifest.json").exists()
+        assert {p.name for p in (ws / "run").iterdir()} == RUN_FILES
 
     @pytest.mark.parametrize("train_text", ["true", "false"])
     def test_eval_prints_the_runs_own_final_row(self, cli_workspace, capsys, train_text):
@@ -270,6 +282,7 @@ class TestCli:
         printed = json.loads(capsys.readouterr().out)
         last = read_metrics(run / "metrics.csv")[-1]
         assert printed == {key: last[key] for key in EVAL_COLUMNS}
+        assert printed["eval_reward"] == _SEEDED_SUMMARIES[run]["final_eval"]
 
     def test_eval_without_its_reference_exits_3(self, cli_workspace, tmp_path, capsys):
         # no fallback to the evaluated flow, which would read drift 0.0
@@ -306,15 +319,20 @@ class TestCli:
         assert "run_manifest.json" in capsys.readouterr().err
 
     def test_eval_ignores_keys_the_config_no_longer_has(self, cli_workspace, tmp_path, capsys):
-        # a run from before lambda_flow was deleted still evaluates, as it resumes
+        # a run from before lambda_flow and ablate_updates were deleted still
+        # evaluates and resumes
+        ws, cfg_path = cli_workspace
         run = _seeded_run_copy(cli_workspace, tmp_path, capsys)
         manifest = run / "run_manifest.json"
         data = json.loads(manifest.read_text())
-        data["config_resolved"]["lambda_flow"] = 1.0
+        data["config_resolved"].update(lambda_flow=1.0, ablate_updates=0)
         manifest.write_text(json.dumps(data))
         assert main(["eval", "--run", str(run)]) == 0
         last = read_metrics(run / "metrics.csv")[-1]
         assert json.loads(capsys.readouterr().out) == {key: last[key] for key in EVAL_COLUMNS}
+        assert main([*_seeded_args(ws, cfg_path), "--out", str(run), "--resume"]) == 0
+        assert _printed_summary(capsys) == {**_SEEDED_SUMMARIES[ws / "seeded_run_text_true"],
+                                            "out_dir": str(run)}
 
     @pytest.mark.parametrize("option", [["--config", "tiny.cfg"], ["--seed", "5"],
                                         ["--out", "run"]], ids=["config", "seed", "out"])
@@ -332,11 +350,49 @@ class TestCli:
     def test_eval_of_another_architecture_exits_3(self, cli_workspace, tmp_path, capsys,
                                                   name, params):
         # a checkpoint whose sizes differ from the run's config is a bad
-        # checkpoint, not a numpy error or an evaluation of the wrong net
+        # checkpoint, not a numpy error or an evaluation of the wrong net:
+        # the policies are state.ckpt's blocks, the reference its own file
         run = _seeded_run_copy(cli_workspace, tmp_path, capsys)
-        save_params(run / f"{name}.ckpt", params)
+        if name == "ref_flow":
+            save_params(run / f"{name}.ckpt", params)
+        else:
+            blocks = load_blocks(run / "state.ckpt")
+            blocks.update({f"{name}.{k}": v for k, v in params.items()})
+            save_blocks(run / "state.ckpt", blocks)
         assert main(["eval", "--run", str(run)]) == 3
-        assert f"{name} checkpoint does not match" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        if name == "ref_flow":
+            assert f"{name} checkpoint does not match" in err
+        else:
+            assert "state.ckpt: shape mismatch for block" in err and f"'{name}." in err
+
+    @pytest.mark.parametrize("damage", ["missing flow.W0", "misshapen text.b1", "truncated"])
+    @pytest.mark.parametrize("command", ["eval", "resume"])
+    def test_damaged_state_exits_3(self, cli_workspace, tmp_path, capsys, damage, command):
+        # eval --run and --resume read the policies through one loader over
+        # state.ckpt: a damaged block is a checkpoint error naming the file,
+        # and a refused resume leaves the run directory as it was
+        ws, cfg_path = cli_workspace
+        run = _seeded_run_copy(cli_workspace, tmp_path, capsys)
+        path = run / "state.ckpt"
+        blocks = load_blocks(path)
+        if damage == "missing flow.W0":
+            del blocks["flow.W0"]
+            save_blocks(path, blocks)
+        elif damage == "misshapen text.b1":
+            blocks["text.b1"] = blocks["text.b1"][:-1]
+            save_blocks(path, blocks)
+        else:
+            path.write_bytes(path.read_bytes()[:-100])
+        before = {p.name: p.read_bytes() for p in run.iterdir()}
+        args = ["eval", "--run", str(run)] if command == "eval" else \
+            [*_seeded_args(ws, cfg_path), "--out", str(run), "--resume"]
+        assert main(args) == 3
+        named = {"missing flow.W0": "missing parameter block 'flow.W0'",
+                 "misshapen text.b1": "shape mismatch for block 'text.b1'",
+                 "truncated": "truncated or corrupt checkpoint after block 'adam_flow."}[damage]
+        assert f"checkpoint error: {path}: {named}" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in run.iterdir()} == before
 
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
@@ -353,6 +409,16 @@ class TestCli:
         rc = main(["train", "--config", str(bad), "--out", str(tmp_path / "r")])
         assert rc == 2
         assert "unknown config key 'lambda_flow'" in capsys.readouterr().err
+
+    def test_removed_ablate_updates_key_exits_2(self, tmp_path, capsys):
+        # ablate runs total_updates; the knob whose 0 meant that is gone
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(TINY_CONFIG + "ablate_updates = 0\n")
+        rc = main(["ablate", "--config", str(bad), "--mode", "reg-sweep",
+                   "--out", str(tmp_path / "a")])
+        assert rc == 2
+        assert "unknown config key 'ablate_updates'" in capsys.readouterr().err
+        assert not (tmp_path / "a").exists()
 
     @pytest.mark.parametrize("line", ["tau_r = 0", "lr_flow = nan", "p_uncond = 2"]
                              + GEOMETRY_AND_PRETRAIN_LINES + MODEL_SIZE_LINES)
@@ -436,8 +502,7 @@ class TestCli:
         assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "cut"),
                      "--resume"]) == 0
         capsys.readouterr()
-        for name in ("metrics.csv", "state.ckpt", "text.ckpt", "flow.ckpt", "ref_text.ckpt",
-                     "ref_flow.ckpt"):
+        for name in ("metrics.csv", "state.ckpt", "ref_text.ckpt", "ref_flow.ckpt"):
             assert (tmp_path / "full" / name).read_bytes() == \
                 (tmp_path / "cut" / name).read_bytes(), name
 
@@ -556,8 +621,9 @@ class TestCli:
         assert "total_updates = 1" in err and "update 2" in err
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
         for cfg in (configs[2], cfg_path):
+            capsys.readouterr()
             assert main(["train", "--config", str(cfg), "--out", str(out), "--resume"]) == 0
-        assert json.loads((out / "summary.json").read_text())["updates"] == 4
+        assert _printed_summary(capsys)["updates"] == 4
 
     @pytest.mark.parametrize("changes, key, values", [
         ({"group_size": "8", "total_updates": "4", "--seed": "5"}, "seed", ("5", "0")),
@@ -602,12 +668,13 @@ class TestCli:
         assert main(["train", "--config", str(short), "--out", str(out)]) == 0
         text = cfg_path.read_text()
         for name, value in (("eval_every", "1"), ("checkpoint_every", "3"),
-                            ("ablate_seeds", "2"), ("ablate_updates", "7")):
+                            ("ablate_seeds", "2")):
             text = _without(text, name) + f"{name} = {value}\n"
         free = ws / "free_keys.cfg"
         free.write_text(text)
+        capsys.readouterr()
         assert main(["train", "--config", str(free), "--out", str(out), "--resume"]) == 0
-        assert json.loads((out / "summary.json").read_text())["updates"] == 4
+        assert _printed_summary(capsys)["updates"] == 4
 
     @pytest.mark.parametrize("damage", ["missing", "garbled", "no config"])
     def test_resume_without_a_readable_manifest_exits_3(self, cli_workspace, capsys, damage):

@@ -2,6 +2,7 @@
 
 import io
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -533,6 +534,55 @@ class TestCheckpoint:
         path.write_bytes(data[:-8])
         with pytest.raises(CheckpointError):
             load_blocks(path)
+
+    def test_truncation_names_the_last_whole_block(self, tmp_path):
+        path = tmp_path / "t.ckpt"
+        save_blocks(path, {"a": np.zeros(2), "b": np.zeros(3)})
+        data = path.read_bytes()
+        path.write_bytes(data[:-8])
+        with pytest.raises(CheckpointError, match="truncated or corrupt checkpoint after "
+                                                  "block 'a'"):
+            load_blocks(path)
+        path.write_bytes(data[:12])
+        with pytest.raises(CheckpointError, match="before its first block"):
+            load_blocks(path)
+
+    @pytest.mark.parametrize("fails", ["write", "rename"])
+    def test_failed_save_leaves_the_old_file_whole(self, tmp_path, monkeypatch, fails):
+        # a save that dies half-way through its write, or before its rename,
+        # leaves the previous checkpoint's bytes and no temporary file
+        path = tmp_path / "state.ckpt"
+        save_blocks(path, {"w": np.arange(6.0)})
+        before = path.read_bytes()
+        real_write = Path.write_bytes
+
+        def half_write(self, data):
+            real_write(self, data[:len(data) // 2])
+            raise OSError("disk full")
+
+        def no_rename(self, target):
+            raise OSError("interrupted")
+
+        if fails == "write":
+            monkeypatch.setattr(Path, "write_bytes", half_write)
+        else:
+            monkeypatch.setattr(Path, "replace", no_rename)
+        with pytest.raises(OSError):
+            save_blocks(path, {"w": np.ones(6), "v": np.ones(40)})
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["state.ckpt"]
+
+    def test_save_replaces_the_file_whole(self, tmp_path):
+        # the new file is renamed over the old: a reader holding the old
+        # file keeps reading the old bytes
+        path = tmp_path / "state.ckpt"
+        save_blocks(path, {"w": np.zeros(4)})
+        with open(path, "rb") as old:
+            save_blocks(path, {"w": np.ones(4)})
+            assert old.read() != path.read_bytes()
+        assert load_blocks(path)["w"].tolist() == [1.0] * 4
+        assert [p.name for p in tmp_path.iterdir()] == ["state.ckpt"]
 
     def test_nonfinite_payload_rejected_with_block_name(self, tmp_path):
         path = tmp_path / "n.ckpt"

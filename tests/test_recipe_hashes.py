@@ -13,8 +13,8 @@ _spec = importlib.util.spec_from_file_location("recipe_hashes", ROOT / "tools/re
 recipe_hashes = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(recipe_hashes)
 
-RECORDED = {"desk/metrics.csv": "aa", "guided/flow.ckpt": "bb", "verify/oracles": "cc"}
-GOT = {"desk/metrics.csv": "aa", "guided/flow.ckpt": "b2", "verify/oracles": "cc"}
+RECORDED = {"desk/metrics.csv": "aa", "guided/state.ckpt": "bb", "verify/oracles": "cc"}
+GOT = {"desk/metrics.csv": "aa", "guided/state.ckpt": "b2", "verify/oracles": "cc"}
 
 
 @pytest.fixture
@@ -36,7 +36,7 @@ def test_compare_reports_each_hash_and_fails_on_a_mismatch(canned, monkeypatch, 
     lines = capsys.readouterr().out.splitlines()
     assert lines == [
         "ok       desk/metrics.csv",
-        "MISMATCH guided/flow.ckpt: got b2, want bb",
+        "MISMATCH guided/state.ckpt: got b2, want bb",
         "ok       verify/oracles",
         "2/3 hashes match",
     ]
@@ -48,7 +48,7 @@ def test_write_prints_what_moved_then_records(canned, monkeypatch, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[:4] == [
         "ok       desk/metrics.csv",
-        "MISMATCH guided/flow.ckpt: got b2, want bb",
+        "MISMATCH guided/state.ckpt: got b2, want bb",
         "ok       verify/oracles",
         "2/3 hashes match",
     ]

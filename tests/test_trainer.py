@@ -38,6 +38,7 @@ from unigrpo.trainer import (
     check_architecture,
     collect_rollouts,
     evaluate,
+    evaluate_run,
     group_advantages,
     make_eval_set,
     make_runtime,
@@ -906,9 +907,7 @@ class TestTrainLoop:
                 timings.write_text("".join(timings.read_text().splitlines(True)[:-1]))
             train(cfg, tmp_path / run, resume=True)
 
-            assert (tmp_path / "full/metrics.csv").read_bytes() == \
-                (tmp_path / run / "metrics.csv").read_bytes()
-            for name in ("text.ckpt", "flow.ckpt", "state.ckpt"):
+            for name in ("metrics.csv", "state.ckpt"):
                 assert (tmp_path / "full" / name).read_bytes() == \
                     (tmp_path / run / name).read_bytes()
 
@@ -923,10 +922,55 @@ class TestTrainLoop:
             == [rows[-1][key] for key in ("eval_reward", "text_accuracy", "velocity_drift")]
         assert None not in first.values()
         assert train(cfg, tmp_path / "run", resume=True) == first
-        assert json.loads((tmp_path / "run/summary.json").read_text()) == first
         zero = train(replace(cfg, total_updates=0), tmp_path / "zero")
         assert None not in zero.values()
         assert zero["final_eval"] == zero["baseline_eval"] == first["baseline_eval"]
+
+    def test_run_directory_holds_exactly_its_files(self, tiny_pretrain, tmp_path):
+        # state.ckpt is the one checkpoint; the summary is returned, not
+        # written; a run of no updates saves no state
+        cfg = replace(TINY, pretrain_dir=str(tiny_pretrain))
+        files = {"run_manifest.json", "metrics.csv", "timings.csv", "groups.jsonl",
+                 "state.ckpt", "ref_text.ckpt", "ref_flow.ckpt"}
+        train(replace(cfg, total_updates=2), tmp_path / "run")
+        assert {p.name for p in (tmp_path / "run").iterdir()} == files
+        train(cfg, tmp_path / "run", resume=True)
+        assert {p.name for p in (tmp_path / "run").iterdir()} == files
+        train(replace(cfg, total_updates=0), tmp_path / "zero")
+        assert {p.name for p in (tmp_path / "zero").iterdir()} == files - {"state.ckpt"}
+
+    def test_older_policy_files_are_left_unread(self, tiny_pretrain, tmp_path):
+        # a run directory from before state.ckpt was the one checkpoint keeps
+        # its text.ckpt and flow.ckpt through a resume; neither the resume
+        # nor eval reads them
+        cfg = replace(TINY, pretrain_dir=str(tiny_pretrain))
+        train(cfg, tmp_path / "full")
+        train(replace(cfg, total_updates=3), tmp_path / "run")
+        for name in ("text.ckpt", "flow.ckpt"):
+            (tmp_path / "run" / name).write_bytes(b"stale")
+        train(cfg, tmp_path / "run", resume=True)
+        for name in ("metrics.csv", "state.ckpt"):
+            assert (tmp_path / "full" / name).read_bytes() == \
+                (tmp_path / "run" / name).read_bytes()
+        last = read_metrics(tmp_path / "run/metrics.csv")[-1]
+        assert evaluate_run(tmp_path / "run") == \
+            {key: last[key] for key in ("eval_reward", "text_accuracy", "velocity_drift")}
+        for name in ("text.ckpt", "flow.ckpt"):
+            assert (tmp_path / "run" / name).read_bytes() == b"stale"
+
+    def test_train_and_eval_keep_freed_heap(self, tiny_pretrain, tmp_path, monkeypatch):
+        # every command that runs the policies sets the allocator policy, and
+        # the manifest records whether it applied
+        calls = []
+        for applied in (True, False):
+            monkeypatch.setattr(trainer_mod, "keep_freed_heap",
+                                lambda applied=applied: calls.append(applied) or applied)
+            out = tmp_path / f"run_{applied}"
+            train(replace(TINY, pretrain_dir=str(tiny_pretrain), total_updates=1), out)
+            manifest = json.loads((out / "run_manifest.json").read_text())
+            assert manifest["allocator_policy"] is applied
+            evaluate_run(out)
+        assert calls == [True, True, False, False]
 
     def test_run_directory_is_self_describing(self, tiny_pretrain, tmp_path):
         from dataclasses import replace
@@ -986,9 +1030,9 @@ class TestTrainLoop:
 
         cfg = replace(TINY, pretrain_dir=str(tiny_pretrain))
         train(cfg, tmp_path / "run")
-        params = checkpoint.load_params(tmp_path / "run/text.ckpt")
-        checkpoint.save_params(tmp_path / "again.ckpt", params)
-        assert (tmp_path / "run/text.ckpt").read_bytes() == (tmp_path / "again.ckpt").read_bytes()
+        blocks = checkpoint.load_blocks(tmp_path / "run/state.ckpt")
+        checkpoint.save_blocks(tmp_path / "again.ckpt", blocks)
+        assert (tmp_path / "run/state.ckpt").read_bytes() == (tmp_path / "again.ckpt").read_bytes()
 
 
     @pytest.mark.skipif(shutil.which("git") is None, reason="needs git")

@@ -1,6 +1,6 @@
 """Byte-identity check: run the fixed-seed recipe and compare its output hashes.
 
-    python3 tools/recipe_hashes.py           # exit 0 iff all 40 entries match
+    python3 tools/recipe_hashes.py           # exit 0 iff all 26 entries match
     python3 tools/recipe_hashes.py --write   # compare, then record the current hashes
 
 The recipe runs `unigrpo pretrain --seed 101` at desk defaults, then
@@ -15,14 +15,13 @@ temporary directory:
     evalcfg  desk defaults evaluated with guidance, eval_cfg_scale = 2.0
     cfgnone  reg_mode none, train_cfg = true: guided updates with no reference
 
-and takes the sha256 of the 39 outputs that a fixed seed determines: the
+and takes the sha256 of the 25 outputs that a fixed seed determines: the
 pretraining text.ckpt, flow.ckpt and pretrain_report.json, each run's
-metrics.csv, groups.jsonl, state.ckpt, text.ckpt and flow.ckpt, and the
-output of `unigrpo verify` with each oracle's ` (x.xxs)` timing removed,
-plus a 40th entry, `blas_kernel`: the runtime kernel of the OpenBLAS
-library in numpy's wheel ("unknown" where it cannot be read).  The hashes
-hold only for the kernel they were recorded with, so a host with another
-kernel reports it by name.  It compares all 40 with
+metrics.csv, groups.jsonl and state.ckpt, and the output of `unigrpo
+verify` with each oracle's ` (x.xxs)` timing removed, plus a 26th entry,
+`blas_kernel`: the runtime kernel of the OpenBLAS library in numpy's wheel
+("unknown" where it cannot be read).  The hashes hold only for the kernel
+they were recorded with, so a host with another kernel reports it by name.  It compares all 26 with
 tools/recipe_hashes.json.  A change that is not meant to move any number
 must keep every hash.  The commands run from this checkout's `src`, each
 with one BLAS thread: the pretraining first, then the seven trainings and
@@ -57,7 +56,7 @@ RUNS = {
     "cfgnone": {"reg_mode": "none", "train_cfg": "true"},
 }
 PRETRAIN_FILES = ("text.ckpt", "flow.ckpt", "pretrain_report.json")
-RUN_FILES = ("metrics.csv", "groups.jsonl", "state.ckpt", "text.ckpt", "flow.ckpt")
+RUN_FILES = ("metrics.csv", "groups.jsonl", "state.ckpt")
 
 
 def config_text(overrides: dict) -> str:
