@@ -78,7 +78,7 @@ def ablate(cfg: TrainConfig, mode: str, out_dir) -> dict:
     for s in range(n_seeds):
         seed = cfg.seed + s
         pre_dir = out / f"seed{seed}" / "pretrain"
-        if not (pre_dir / "text.ckpt").exists():
+        if not (pre_dir / "pretrain_report.json").exists():  # written after both checkpoints
             pretrain_all(replace(cfg, seed=seed), pre_dir)
         for name, arm_cfg in arms:
             run_dir = out / f"seed{seed}" / name

@@ -70,8 +70,6 @@ def load_blocks(path) -> dict[str, np.ndarray]:
     except (struct.error, ValueError, UnicodeDecodeError) as exc:
         where = f"after block '{next(reversed(blocks))}'" if blocks else "before its first block"
         raise CheckpointError(f"{path}: truncated or corrupt checkpoint {where}") from exc
-    if pos != len(data):
-        raise CheckpointError(f"{path}: trailing bytes after last block")
     return blocks
 
 

@@ -228,9 +228,6 @@ def init_mlp_blocks(
     return blocks
 
 
-_ACTIVATIONS = ("tanh", "silu")
-
-
 def mlp_var(
     tape: Tape,
     params: ParamSet,
@@ -245,19 +242,7 @@ def mlp_var(
     slice each would sum on a tape, latest reader first, and the gradient x
     gets is slice 0's, (n, arch[0]): the one slice the callers differentiate
     through."""
-    if activation not in _ACTIVATIONS:
-        raise ConfigError(f"unknown activation '{activation}'")
-    if x.value.ndim not in (2, 3) or x.value.shape[-1] != arch[0]:
-        raise ConfigError(
-            f"input shape {x.value.shape} incompatible with arch[0]={arch[0]}"
-        )
     n_layers = len(arch) - 1
-    for i in range(n_layers):
-        for name, shape in ((f"W{i}", (arch[i], arch[i + 1])), (f"b{i}", (arch[i + 1],))):
-            if params[name].shape != shape:
-                raise ConfigError(
-                    f"shape mismatch for block '{name}': {params[name].shape} vs expected {shape}"
-                )
     leaves = [tape.param(params, f"{kind}{i}") for i in range(n_layers) for kind in "Wb"]
     saved = []
     out = mlp_forward_np(params, x.value, arch, activation, saved)

@@ -165,8 +165,6 @@ def make_pretrain_data(seed: int, n_text: int, n_flow: int, geom: TaskGeometry,
     noise coin; flow example i those of row (1, i, 0): three attribute
     words, then a Box-Muller pair.
     """
-    if n_text <= 0 or n_flow <= 0:
-        raise ValueError("n_text and n_flow must be positive")
     tag = "pretrain-data"
     index = _examples(0, n_text)
     w = words(seed, tag, index, 9)

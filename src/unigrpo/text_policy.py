@@ -152,8 +152,6 @@ class TextPolicy:
         Generator.choice applies to one uniform); without uniforms every row
         takes the argmax, ties to the lowest token id.  Returns the
         (n, ctx) text rows [prompt | trace]."""
-        if temperature <= 0:
-            raise ValueError("temperature must be positive")
         n = len(prompts)
         rows = np.full((n, self.ctx), PAD, dtype=np.int64)
         rows[:, : self.prompt_len] = prompts
@@ -194,12 +192,7 @@ class TextPolicy:
         surrogate_loss call.  Each trace weighs 1/len(seqs), so one batch
         over several groups equals the mean of per-group batches."""
         G = len(seqs)
-        assert len(advantages) == G
         rows, targets, owner, position = self.token_rows(seqs)
-        bad = np.flatnonzero((targets < 0) | (targets >= self.vocab))
-        if bad.size:
-            raise ValueError(f"token out of vocabulary at trace {owner[bad[0]]}, "
-                             f"position {position[bad[0]]}")
         weight = 1.0 / (G * np.bincount(owner, minlength=G)[owner])
         # one byte string per row: np.unique sorts and merges them whole
         keys = rows.view(np.dtype((np.void, rows.itemsize * self.ctx))).ravel()

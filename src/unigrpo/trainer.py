@@ -55,8 +55,6 @@ def group_advantages(rewards: np.ndarray, eps_std: float = 1e-8) -> np.ndarray:
     with ~equal rewards gets all-zero advantages and is skipped by the
     losses."""
     rewards = np.asarray(rewards, dtype=np.float64)
-    if rewards.ndim == 0 or rewards.shape[-1] < 2:
-        raise ConfigError("group size must be >= 2")
     std = rewards.std(axis=-1, keepdims=True)
     centered = rewards - rewards.mean(axis=-1, keepdims=True)
     # not `std >= eps_std`: a NaN std divides, as it always has
@@ -442,20 +440,21 @@ _MANIFEST_FILE = "run_manifest.json"
 _RESUME_FREE_KEYS = ("total_updates", "eval_every", "checkpoint_every", "ablate_seeds")
 
 
-def _save_state(out: Path, update: int, text_params, flow_params, adam_text, adam_flow):
+def _state_blocks(update: int, text_params, flow_params, adam_text, adam_flow) -> dict:
     """The run's one checkpoint: `text.*`, `flow.*`, `adam_*.*` and `meta.update`."""
     blocks = {f"text.{k}": v for k, v in text_params.items()}
     blocks.update({f"flow.{k}": v for k, v in flow_params.items()})
     blocks.update(adam_text.state_blocks("adam_text"))
     blocks.update(adam_flow.state_blocks("adam_flow"))
     blocks["meta.update"] = np.float64(update)
-    checkpoint.save_blocks(out / _STATE_FILE, blocks)
+    return blocks
 
 
 def load_state(run: Path, rt: Runtime) -> tuple[int, ParamSet, ParamSet, AdamState, AdamState]:
     """The update, policies and Adam states (at the config's learning rates)
-    `_save_state` wrote to `run`, in the layouts of `rt`'s policies; a
-    CheckpointError naming state.ckpt and any block missing or misshapen."""
+    `_state_blocks` wrote to `run`, in the layouts of `rt`'s policies; a
+    CheckpointError naming state.ckpt and any block missing, misshapen or
+    not one `_state_blocks` writes."""
     path = run / _STATE_FILE
     blocks = checkpoint.load_blocks(path)
     try:
@@ -469,6 +468,9 @@ def load_state(run: Path, rt: Runtime) -> tuple[int, ParamSet, ParamSet, AdamSta
             adams[-1].load_state_blocks(f"adam_{name}", blocks)
     except ConfigError as exc:
         raise CheckpointError(f"{path}: {exc}") from exc
+    unknown = blocks.keys() - _state_blocks(update, *params, *adams).keys()
+    if unknown:
+        raise CheckpointError(f"{path}: unknown parameter block '{min(unknown)}'")
     return update, *params, *adams
 
 
@@ -622,7 +624,8 @@ def train(cfg: TrainConfig, out_dir, resume: bool = False, config_text: str | No
 
         if (cfg.checkpoint_every > 0 and update % cfg.checkpoint_every == 0) \
                 or update == cfg.total_updates:
-            _save_state(out, update, text_params, flow_params, adam_text, adam_flow)
+            checkpoint.save_blocks(out / _STATE_FILE, _state_blocks(
+                update, text_params, flow_params, adam_text, adam_flow))
         toc = time.perf_counter()
         writer.write_timings(update, toc - tic, t_rollout - tic, t_update - t_rollout,
                              t_eval - t_update, toc - t_eval)

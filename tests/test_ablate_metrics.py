@@ -9,6 +9,7 @@ from unigrpo.ablate import ablate
 from unigrpo.config import TrainConfig
 from unigrpo.errors import ConfigError
 from unigrpo.metrics import MetricsRow, MetricsWriter, read_metrics, rewind_run
+from unigrpo.trainer import pretrain_all
 
 TINY = TrainConfig(
     seed=0,
@@ -131,6 +132,19 @@ class TestAblate:
         assert {m["config_resolved"]["reg_mode"] for m in manifests} == {
             "none", "latent-kl", "velocity-mse",
         }
+
+    def test_unfinished_pretraining_is_run_again(self, tmp_path):
+        # pretrain_all writes pretrain_report.json after both checkpoints; a
+        # seed's pretraining that stopped before it is redone, not trained from
+        pre = tmp_path / "cfg/seed0/pretrain"
+        pretrain_all(TINY, pre)
+        whole = {name: (pre / name).read_bytes() for name in ("text.ckpt", "flow.ckpt")}
+        for name in ("flow.ckpt", "pretrain_report.json", "pretrain_timings.json"):
+            (pre / name).unlink()
+        report = ablate(TINY, "cfg-on-vs-off", tmp_path / "cfg")
+        assert set(report["runs"]) == {"cfg-free", "cfg-on"}
+        assert {name: (pre / name).read_bytes() for name in whole} == whole
+        assert (pre / "pretrain_report.json").exists()
 
     def test_cfg_mode_reports_eval_budget(self, tmp_path):
         report = ablate(TINY, "cfg-on-vs-off", tmp_path / "cfg")

@@ -366,12 +366,14 @@ class TestCli:
         else:
             assert "state.ckpt: shape mismatch for block" in err and f"'{name}." in err
 
-    @pytest.mark.parametrize("damage", ["missing flow.W0", "misshapen text.b1", "truncated"])
+    @pytest.mark.parametrize("damage", ["missing flow.W0", "misshapen text.b1", "truncated",
+                                        "unread block"])
     @pytest.mark.parametrize("command", ["eval", "resume"])
     def test_damaged_state_exits_3(self, cli_workspace, tmp_path, capsys, damage, command):
         # eval --run and --resume read the policies through one loader over
-        # state.ckpt: a damaged block is a checkpoint error naming the file,
-        # and a refused resume leaves the run directory as it was
+        # state.ckpt: a damaged block, or one the loader would not read, is a
+        # checkpoint error naming the file, and a refused resume leaves the
+        # run directory as it was
         ws, cfg_path = cli_workspace
         run = _seeded_run_copy(cli_workspace, tmp_path, capsys)
         path = run / "state.ckpt"
@@ -382,15 +384,18 @@ class TestCli:
         elif damage == "misshapen text.b1":
             blocks["text.b1"] = blocks["text.b1"][:-1]
             save_blocks(path, blocks)
-        else:
+        elif damage == "truncated":
             path.write_bytes(path.read_bytes()[:-100])
+        else:  # a block named '': empty name, 0-d, payload 0.0
+            path.write_bytes(path.read_bytes() + bytes(16))
         before = {p.name: p.read_bytes() for p in run.iterdir()}
         args = ["eval", "--run", str(run)] if command == "eval" else \
             [*_seeded_args(ws, cfg_path), "--out", str(run), "--resume"]
         assert main(args) == 3
         named = {"missing flow.W0": "missing parameter block 'flow.W0'",
                  "misshapen text.b1": "shape mismatch for block 'text.b1'",
-                 "truncated": "truncated or corrupt checkpoint after block 'adam_flow."}[damage]
+                 "truncated": "truncated or corrupt checkpoint after block 'adam_flow.",
+                 "unread block": "unknown parameter block ''"}[damage]
         assert f"checkpoint error: {path}: {named}" in capsys.readouterr().err
         assert {p.name: p.read_bytes() for p in run.iterdir()} == before
 
