@@ -69,7 +69,7 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    report = run_all(corrupt_gradient=args.self_test_corrupt)
+    report = run_all()
     for line in report.lines():
         print(line)
     if not report.passed:
@@ -108,7 +108,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_ablate)
 
     p = sub.add_parser("verify", help="run every analytic and Monte-Carlo oracle")
-    p.add_argument("--self-test-corrupt", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("eval", help="re-run a run directory's last evaluation")

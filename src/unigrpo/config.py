@@ -26,7 +26,6 @@ class TrainConfig:
     beta_txt: float = 0.0
     ppo_epochs: int = 2
     temperature: float = 1.0
-    adv_eps: float = 1e-8
     lr_text: float = 1e-3
     lr_flow: float = 3e-3
     train_text: bool = True
@@ -105,7 +104,7 @@ class TrainConfig:
             raise ConfigError(f"max_trace_len must be >= {TRACE_LEN - 1}: a canonical trace "
                               f"has {TRACE_LEN} tokens")
         for name in ("temperature", "clip_eps", "lr_text", "lr_flow", "tau_r", "pretrain_text_lr",
-                     "pretrain_flow_lr", "adv_eps"):
+                     "pretrain_flow_lr"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
         for name in ("p_uncond", "p_noise"):

@@ -190,8 +190,8 @@ class FlowUpdateBatch:
 
 
 class FlowPolicy:
-    def __init__(self, vocab_size: int = VOCAB_SIZE, cond_dim: int = 8, hidden: int = 64):
-        self.vocab = vocab_size
+    def __init__(self, cond_dim: int = 8, hidden: int = 64):
+        self.vocab = VOCAB_SIZE
         self.cond_dim = cond_dim
         self.arch = (DIM + N_TIME_FEATS + cond_dim, hidden, hidden, DIM)
 
@@ -361,9 +361,7 @@ class FlowPolicy:
             return (*self.fm_loss_frozen(params, x0[sel], pool, t, x1), len(sel))
 
         params, epoch_losses = fit(params, len(x0), epochs, batch_size, lr, rng, batch_loss)
-        report = {"epoch_losses": epoch_losses}
-        report.update(self.quadrant_accuracy(params, rng))
-        return params, report
+        return params, {**self.quadrant_accuracy(params, rng), "epoch_losses": epoch_losses}
 
     def quadrant_accuracy(self, params: ParamSet, rng) -> dict:
         """Mean and smallest share, over the attribute tuples, of deterministic

@@ -19,16 +19,16 @@ TIMINGS_HEADER = ["update", "wall_clock", "rollout_s", "update_s", "eval_s", "io
 
 @dataclass
 class MetricsRow:
-    update: int
-    mean_train_reward: float
-    eval_reward: float | None  # None when this update had no evaluation pass
-    j_text: float
-    j_flow: float
-    clip_frac_text: float
-    clip_frac_flow: float
-    velocity_drift: float | None
-    text_accuracy: float | None
-    nonfinite_samples: int
+    update: int  # the defaults are the baseline row's, update 0
+    mean_train_reward: float = 0.0
+    eval_reward: float | None = None  # None when this update had no evaluation pass
+    j_text: float = 0.0
+    j_flow: float = 0.0
+    clip_frac_text: float = 0.0
+    clip_frac_flow: float = 0.0
+    velocity_drift: float | None = None
+    text_accuracy: float | None = None
+    nonfinite_samples: int = 0
 
 
 METRICS_HEADER = [f.name for f in fields(MetricsRow)]

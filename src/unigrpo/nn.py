@@ -400,23 +400,21 @@ class FdReport:
 def finite_diff_check(
     loss_fn,
     params: ParamSet,
+    rng: np.random.Generator,
     probes: int = 100,
     tol: float = 1e-4,
-    h: float = 1e-3,
-    rng: np.random.Generator | None = None,
 ) -> FdReport:
     """Compare loss_fn's analytic gradient to the fourth-order central
-    difference [8(f(x+h) - f(x-h)) - (f(x+2h) - f(x-2h))] / 12h at random
-    flat indices, drawn block by size, then index within the block.  Its
-    truncation error is O(h^4), so h can be large enough that roundoff in f
-    stays far below the tolerance even for gradients near 1e-8.
+    difference [8(f(x+h) - f(x-h)) - (f(x+2h) - f(x-2h))] / 12h, h = 1e-3,
+    at flat indices drawn from `rng`, block by size, then index within the
+    block.  Its truncation error is O(h^4), so h can be large enough that
+    roundoff in f stays far below the tolerance even for gradients near 1e-8.
 
     loss_fn maps ParamSet -> (scalar, gradient vector in its layout) and
     must be deterministic; two evaluations at identical params are
     required to agree exactly or the check aborts.
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
+    h = 1e-3
     v1, grads = loss_fn(params)
     v2, _ = loss_fn(params)
     if v1 != v2:

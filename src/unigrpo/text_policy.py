@@ -70,20 +70,13 @@ def _pick_vjp(logp: np.ndarray, rows: np.ndarray, targets: np.ndarray, g_pick: n
 
 
 class TextPolicy:
-    def __init__(
-        self,
-        vocab_size: int = VOCAB_SIZE,
-        prompt_len: int = PROMPT_LEN,
-        max_trace_len: int = TRACE_LEN,
-        embed_dim: int = 12,
-        hidden: int = 48,
-    ):
-        self.vocab = vocab_size
-        self.prompt_len = prompt_len
+    def __init__(self, max_trace_len: int = TRACE_LEN, embed_dim: int = 12, hidden: int = 48):
+        self.vocab = VOCAB_SIZE
+        self.prompt_len = PROMPT_LEN
         self.max_len = max_trace_len
         self.embed = embed_dim
-        self.ctx = prompt_len + max_trace_len
-        self.arch = (self.ctx * embed_dim, hidden, hidden, vocab_size)
+        self.ctx = PROMPT_LEN + max_trace_len
+        self.arch = (self.ctx * embed_dim, hidden, hidden, VOCAB_SIZE)
 
     # ---- parameters ----
 
@@ -293,8 +286,8 @@ class TextPolicy:
         greedy = self.greedy_trace(params, PROMPT_TOKENS)[:, self.prompt_len:]
         monotone = all(b <= a + 1e-9 for a, b in zip(epoch_losses, epoch_losses[1:]))
         report = {
-            "epoch_losses": epoch_losses,
             "greedy_accuracy": canonical_accuracy(greedy, np.arange(len(PROMPT_TOKENS))),
+            "epoch_losses": epoch_losses,
             "loss_monotone": monotone,
         }
         return params, report

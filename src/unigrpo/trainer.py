@@ -37,7 +37,6 @@ from .task import (
     PROMPT_DRAWS,
     PROMPT_LEN,
     PROMPT_TOKENS,
-    VOCAB_SIZE,
     TaskGeometry,
     canonical_accuracy,
     draw_prompts,
@@ -49,16 +48,16 @@ from .task import (
 from .text_policy import TextPolicy
 
 
-def group_advantages(rewards: np.ndarray, eps_std: float = 1e-8) -> np.ndarray:
+def group_advantages(rewards: np.ndarray) -> np.ndarray:
     """Within-group standardization (population std) along the last axis, so
-    each row of a (prompts, group) array is one group; a degenerate group
-    with ~equal rewards gets all-zero advantages and is skipped by the
-    losses."""
+    each row of a (prompts, group) array is one group; a degenerate group,
+    rewards with std below 1e-8, gets all-zero advantages and is skipped by
+    the losses."""
     rewards = np.asarray(rewards, dtype=np.float64)
     std = rewards.std(axis=-1, keepdims=True)
     centered = rewards - rewards.mean(axis=-1, keepdims=True)
-    # not `std >= eps_std`: a NaN std divides, as it always has
-    return np.divide(centered, std, out=np.zeros_like(centered), where=~(std < eps_std))
+    # not `std >= 1e-8`: a NaN std divides, as it always has
+    return np.divide(centered, std, out=np.zeros_like(centered), where=~(std < 1e-8))
 
 
 @dataclass
@@ -108,10 +107,8 @@ def make_runtime(cfg: TrainConfig) -> Runtime:
         tau_r=cfg.tau_r,
         reward_mode=cfg.reward_mode,
     )
-    text_policy = TextPolicy(
-        VOCAB_SIZE, PROMPT_LEN, cfg.max_trace_len, cfg.text_embed_dim, cfg.text_hidden
-    )
-    flow_policy = FlowPolicy(VOCAB_SIZE, cfg.flow_cond_dim, cfg.flow_hidden)
+    text_policy = TextPolicy(cfg.max_trace_len, cfg.text_embed_dim, cfg.text_hidden)
+    flow_policy = FlowPolicy(cfg.flow_cond_dim, cfg.flow_hidden)
     steps_train = step_table(timestep_schedule(cfg.train_timesteps, cfg.timestep_shift),
                              cfg.sigma_level)
     steps_eval = step_table(timestep_schedule(cfg.eval_timesteps, cfg.timestep_shift))
@@ -194,7 +191,7 @@ def collect_rollouts(rt: Runtime, prompts: np.ndarray, text_old: ParamSet,
         cfg.sde_window_size, draws.eps, cfg_scale=cfg.train_cfg_scale if cfg.train_cfg else 1.0,
     )
     rewards, finite = score(flow.states[-1], ids, rt.geom)
-    advantages = group_advantages(rewards.reshape(len(prompts), G), cfg.adv_eps).ravel()
+    advantages = group_advantages(rewards.reshape(len(prompts), G)).ravel()
     batch = Rollouts(seqs, flow, rewards, advantages, int(np.count_nonzero(~finite)))
     return [GroupRollout(batch, slice(lo, lo + G)) for lo in range(0, len(ids), G)]
 
@@ -378,14 +375,9 @@ def pretrain_all(cfg: TrainConfig, out_dir) -> dict:
     checkpoint.save_params(out / "text.ckpt", text_params)
     checkpoint.save_params(out / "flow.ckpt", flow_params)
     laps.append(time.perf_counter())
-    report = {
-        "text_greedy_accuracy": text_report["greedy_accuracy"],
-        "text_epoch_losses": text_report["epoch_losses"],
-        "text_loss_monotone": text_report["loss_monotone"],
-        "flow_quadrant_accuracy_mean": flow_report["quadrant_accuracy_mean"],
-        "flow_quadrant_accuracy_min": flow_report["quadrant_accuracy_min"],
-        "flow_epoch_losses": flow_report["epoch_losses"],
-    }
+    report = {f"{name}_{key}": value
+              for name, own in (("text", text_report), ("flow", flow_report))
+              for key, value in own.items()}
     (out / "pretrain_report.json").write_text(json.dumps(report, indent=2))
     phases = ("data_s", "text_s", "flow_s", "checkpoint_s")
     timings = {name: b - a for name, a, b in zip(phases, laps, laps[1:])}
@@ -533,12 +525,14 @@ def train(cfg: TrainConfig, out_dir, resume: bool = False, config_text: str | No
                               f"{start_update}, which {out / _STATE_FILE} was saved at")
         rewind_run(out, start_update)
     else:
-        # a fresh run replaces another run's manifest and references; a resume keeps them
+        # a fresh run replaces another run's manifest, references and state; a resume keeps them
         start_update, text_params, flow_params = 0, text_ref.copy(), flow_ref.copy()
         adam_text = AdamState.for_params(text_params, lr=cfg.lr_text)
         adam_flow = AdamState.for_params(flow_params, lr=cfg.lr_flow)
         checkpoint.save_params(out / "ref_text.ckpt", text_ref)
         checkpoint.save_params(out / "ref_flow.ckpt", flow_ref)
+        checkpoint.save_blocks(out / _STATE_FILE, _state_blocks(
+            0, text_params, flow_params, adam_text, adam_flow))
         manifest = {
             "config_text": config_text if config_text is not None else dump_config(cfg),
             "config_resolved": config_to_dict(cfg),
@@ -561,12 +555,7 @@ def train(cfg: TrainConfig, out_dir, resume: bool = False, config_text: str | No
         tic = time.perf_counter()
         ev = evaluate(rt, text_params, flow_params, flow_ref, eval_set, greedy)
         t_eval = time.perf_counter()
-        writer.write_row(MetricsRow(
-            update=0, mean_train_reward=0.0, eval_reward=ev["eval_reward"],
-            j_text=0.0, j_flow=0.0, clip_frac_text=0.0, clip_frac_flow=0.0,
-            velocity_drift=ev["velocity_drift"], text_accuracy=ev["text_accuracy"],
-            nonfinite_samples=0,
-        ))
+        writer.write_row(MetricsRow(0, **ev))
         toc = time.perf_counter()
         writer.write_timings(0, toc - tic, 0.0, 0.0, t_eval - tic, toc - t_eval)
 
@@ -594,16 +583,14 @@ def train(cfg: TrainConfig, out_dir, resume: bool = False, config_text: str | No
 
         batch = groups[0].batch
         writer.write_row(MetricsRow(
-            update=update,
+            update,
             mean_train_reward=float(batch.rewards.mean()),
-            eval_reward=ev["eval_reward"] if ev else None,
             j_text=ustats.j["text"],
             j_flow=ustats.j["flow"],
             clip_frac_text=ustats.clip_frac["text"],
             clip_frac_flow=ustats.clip_frac["flow"],
-            velocity_drift=ev["velocity_drift"] if ev else None,
-            text_accuracy=ev["text_accuracy"] if ev else None,
             nonfinite_samples=batch.nonfinite,
+            **(ev or {}),
         ))
         # advantages and window step lists are left out: rewards, starts and cfg give them
         traces = batch.seqs[:, PROMPT_LEN:].tolist()

@@ -80,17 +80,7 @@ def _nontrivial_flow_params(flow: FlowPolicy, seed: int):
     })
 
 
-def _corrupt(loss_fn, block: str):
-    def wrapped(p):
-        v, grads = loss_fn(p)
-        lo, hi, _ = p.layout.spans[block]
-        grads[lo:hi] += 0.3
-        return v, grads
-
-    return wrapped
-
-
-def gradient_oracles(corrupt_gradient: bool = False) -> list[OracleResult]:
+def gradient_oracles() -> list[OracleResult]:
     """Central finite differences vs analytic gradients for every trainable
     objective, with frozen rollout noise."""
     text, flow = TextPolicy(), FlowPolicy()
@@ -112,8 +102,7 @@ def gradient_oracles(corrupt_gradient: bool = False) -> list[OracleResult]:
         j, grads, _ = text.surrogate_loss(p, tbatch, 0.2)
         return j, grads
 
-    fn = _corrupt(text_loss, "W0") if corrupt_gradient else text_loss
-    rep = finite_diff_check(fn, tmoved, probes=100, tol=1e-4, rng=stream(SEED, "fd-t"))
+    rep = finite_diff_check(text_loss, tmoved, probes=100, tol=1e-4, rng=stream(SEED, "fd-t"))
     results.append(OracleResult(
         "grad/text-surrogate", rep.max_rel_err, 1e-4, rep.passed,
         detail=",".join(rep.failing_blocks),
@@ -203,7 +192,8 @@ def advantage_oracle() -> OracleResult:
 # ---- ratio normalization centering ----
 
 
-def rationorm_oracle(n_draws: int = 100_000, n_configs: int = 10) -> OracleResult:
+def rationorm_oracle() -> OracleResult:
+    n_draws, n_configs = 100_000, 10
     if ratio_norm(0.0, np.zeros(2), 0.7, 0.05) != 1.0:
         return OracleResult("rationorm/centering", np.inf, 3.0, False,
                             detail="identity at theta=theta_old violated")
@@ -228,7 +218,8 @@ def rationorm_oracle(n_draws: int = 100_000, n_configs: int = 10) -> OracleResul
 # ---- Gaussian KL identity ----
 
 
-def latent_kl_oracle(n_draws: int = 100_000, n_configs: int = 10) -> OracleResult:
+def latent_kl_oracle() -> OracleResult:
+    n_draws, n_configs = 100_000, 10
     spot = latent_kl(np.array([np.sqrt(0.02), 0.0]), np.zeros(2), 1.0, 0.04)
     if abs(spot - 0.25) > 1e-12:
         return OracleResult("latent-kl/identity", spot, 3.0, False, detail="spot value wrong")
@@ -267,10 +258,11 @@ def sde_bitwise_oracle() -> OracleResult:
     return OracleResult("sde/zero-noise-bitwise", 0.0 if same else 1.0, 0.0, same)
 
 
-def sde_marginal_oracle(n_traj: int = 10_000, n_steps: int = 100) -> OracleResult:
+def sde_marginal_oracle() -> OracleResult:
     """In the linear-Gaussian regime (closed-form optimal velocity) the
     noise-injected sampler's terminal mean and covariance must match the
     deterministic sampler's within 3-sigma Monte-Carlo bands."""
+    n_traj, n_steps = 10_000, 100
     mu0 = np.array([0.5, -0.3])
     tau = 0.4
     sigma_level = 0.8
@@ -365,7 +357,8 @@ def spot_value_oracle() -> OracleResult:
 # ---- reward headroom (Gaussian integral) ----
 
 
-def reward_headroom_oracle(n: int = 200_000) -> OracleResult:
+def reward_headroom_oracle() -> OracleResult:
+    n = 200_000
     geom = TaskGeometry()
     rng = stream(SEED, "head")
     worst = 0.0
@@ -377,10 +370,8 @@ def reward_headroom_oracle(n: int = 200_000) -> OracleResult:
     return OracleResult("reward/headroom-gaussian-integral", worst, 0.01, worst < 0.01)
 
 
-def run_all(corrupt_gradient: bool = False) -> OracleReport:
-    report = OracleReport()
-    for res in gradient_oracles(corrupt_gradient):
-        report.results.append(res)
+def run_all() -> OracleReport:
+    report = OracleReport(gradient_oracles())
     for fn in (
         advantage_oracle,
         rationorm_oracle,

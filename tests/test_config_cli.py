@@ -42,7 +42,6 @@ MODEL_SIZE_LINES = [
 RUN_CONTROL_LINES = [
     "max_trace_len = 2", "max_trace_len = 0", "eval_timesteps = 0", "train_timesteps = 0",
     "total_updates = -2", "eval_every = -1", "checkpoint_every = -5", "ablate_seeds = 0",
-    "adv_eps = -1e-8", "adv_eps = 0",
 ]
 
 
@@ -170,8 +169,7 @@ class TestValidation:
 
     @pytest.mark.parametrize("line", ["max_trace_len = 3", "eval_timesteps = 1",
                                       "total_updates = 0", "eval_every = 0",
-                                      "checkpoint_every = 0", "ablate_seeds = 1",
-                                      "adv_eps = 1e-300"])
+                                      "checkpoint_every = 0", "ablate_seeds = 1"])
     def test_run_control_bounds_accepted(self, line):
         parse_config_text(line)
 
@@ -319,13 +317,13 @@ class TestCli:
         assert "run_manifest.json" in capsys.readouterr().err
 
     def test_eval_ignores_keys_the_config_no_longer_has(self, cli_workspace, tmp_path, capsys):
-        # a run from before lambda_flow and ablate_updates were deleted still
-        # evaluates and resumes
+        # a run from before lambda_flow, ablate_updates and adv_eps were deleted
+        # still evaluates and resumes
         ws, cfg_path = cli_workspace
         run = _seeded_run_copy(cli_workspace, tmp_path, capsys)
         manifest = run / "run_manifest.json"
         data = json.loads(manifest.read_text())
-        data["config_resolved"].update(lambda_flow=1.0, ablate_updates=0)
+        data["config_resolved"].update(lambda_flow=1.0, ablate_updates=0, adv_eps=1e-8)
         manifest.write_text(json.dumps(data))
         assert main(["eval", "--run", str(run)]) == 0
         last = read_metrics(run / "metrics.csv")[-1]
@@ -414,6 +412,15 @@ class TestCli:
         rc = main(["train", "--config", str(bad), "--out", str(tmp_path / "r")])
         assert rc == 2
         assert "unknown config key 'lambda_flow'" in capsys.readouterr().err
+
+    def test_removed_adv_eps_key_exits_2(self, tmp_path, capsys):
+        # the degenerate-group threshold is a fixed numerical guard, not a recipe knob
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(TINY_CONFIG + "adv_eps = 1e-8\n")
+        rc = main(["train", "--config", str(bad), "--out", str(tmp_path / "r")])
+        assert rc == 2
+        assert "unknown config key 'adv_eps'" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
 
     def test_removed_ablate_updates_key_exits_2(self, tmp_path, capsys):
         # ablate runs total_updates; the knob whose 0 meant that is gone
@@ -717,10 +724,24 @@ class TestCli:
             "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "3",
         }
 
-    def test_verify_negative_control_exits_4(self, capsys):
-        rc = main(["verify", "--self-test-corrupt"])
+    def test_verify_negative_control_exits_4(self, capsys, monkeypatch):
+        # a text surrogate whose W0 gradient is off by 0.3 fails its own oracle
+        # and no other
+        honest = TextPolicy.surrogate_loss
+
+        def skewed(self, params, batch, clip_eps):
+            j, grads, stats = honest(self, params, batch, clip_eps)
+            lo, hi, _ = params.layout.spans["W0"]
+            grads[lo:hi] += 0.3
+            return j, grads, stats
+
+        monkeypatch.setattr(TextPolicy, "surrogate_loss", skewed)
+        rc = main(["verify"])
         assert rc == 4
-        assert "FAIL" in capsys.readouterr().out
+        failed = [line for line in capsys.readouterr().out.splitlines()
+                  if line.startswith("FAIL")]
+        assert len(failed) == 1, failed
+        assert failed[0].startswith("FAIL grad/text-surrogate:") and failed[0].endswith(" W0")
 
     def test_ablate_unknown_mode_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,20 +1,35 @@
 """`TrainConfig.validate` is the one gate of config values: every config it
 accepts trains, logs finite metrics and evaluates, so no code behind it
-re-checks a value."""
+re-checks a value.  For every accepted config the update invariants hold:
+first-epoch importance ratios are exactly 1, and a skipped update leaves no
+trace in the parameters or the optimizer states."""
 
 import json
 import math
 import time
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from unigrpo import trainer as trainer_mod
+from unigrpo.checkpoint import load_params
 from unigrpo.config import TrainConfig
-from unigrpo.errors import ConfigError
+from unigrpo.errors import ConfigError, NumericError
 from unigrpo.metrics import read_metrics
-from unigrpo.trainer import evaluate_run, pretrain_all, train
+from unigrpo.nn import AdamState, adam_step
+from unigrpo.task import PROMPT_TOKENS
+from unigrpo.trainer import (
+    collect_rollouts,
+    evaluate_run,
+    make_runtime,
+    pretrain_all,
+    rollout_words,
+    train,
+    unified_update,
+)
 
 EXAMPLES = 300
 TIME_BOUND_S = 5.0
@@ -105,3 +120,128 @@ def test_every_accepted_config_trains_and_evaluates(gate_pretrain, tmp_path):
     # a gate that refuses (nearly) everything shows nothing
     assert len(accepted) >= EXAMPLES // 10, len(accepted)
     assert elapsed < TIME_BOUND_S, f"{len(accepted)} runs took {elapsed:.2f} s"
+
+
+def _update_inputs(cfg, pre):
+    """The runtime, the pretrained policies in `pre` and the groups of update 1
+    they sample (from `rollout_words` and `collect_rollouts`)."""
+    rt = make_runtime(cfg)
+    text, flow = (load_params(pre / name) for name in ("text.ckpt", "flow.ckpt"))
+    draws = rollout_words(cfg, cfg.seed, range(1, 2), cfg.prompts_per_batch)[0]
+    greedy = None if cfg.train_text else rt.text_policy.greedy_trace(text, PROMPT_TOKENS)
+    return rt, text, flow, collect_rollouts(rt, draws.prompts, text, flow, draws, greedy)
+
+
+def _spy_surrogates(rt, stale=False, fail_at=None):
+    """Wrap each policy's surrogate_loss: record the LossStats of each policy's
+    calls, None for a call that raised.  `stale` plants a bug: the first call
+    on a batch first runs at a parameter vector one Adam step away, so the
+    batch's old log-probs or means come from it.  `fail_at` (policy name,
+    call index) raises a NumericError at that call.  "noise" records whether
+    a flow batch's sampled noise is non-zero: noise below the states'
+    resolution reads as 0, and then every flow ratio is exactly 1."""
+    calls = {"text": [], "flow": [], "noise": False}
+    for name, policy in (("text", rt.text_policy), ("flow", rt.flow_policy)):
+        def spy(params, batch, clip_eps, name=name, policy=policy):
+            honest = type(policy).surrogate_loss
+            if name == "flow":
+                calls["noise"] = bool(np.any(batch.eps))
+            calls[name].append(None)
+            if (name, len(calls[name]) - 1) == fail_at:
+                raise NumericError("injected")
+            if stale and len(calls[name]) == 1:
+                moved = adam_step(params, np.ones(params.layout.size),
+                                  AdamState.for_params(params, lr=1e-3))
+                honest(policy, moved, batch, clip_eps)
+            out = honest(policy, params, batch, clip_eps)
+            calls[name][-1] = out[2]
+            return out
+
+        policy.surrogate_loss = spy
+    return calls
+
+
+def _first_ratios_are_one(rt, text, flow, groups, stale=False):
+    """Whether each trained policy's first surrogate_loss call in one
+    `unified_update` from fresh Adam states returns max_ratio == mean_ratio
+    == 1.0 exactly; the parameters and Adam states the update leaves; and
+    whether a ratio can move off 1 at all (a text policy trains, or the flow
+    batch's noise is non-zero)."""
+    adams = [AdamState.for_params(p, lr) for p, lr in ((text, rt.cfg.lr_text),
+                                                        (flow, rt.cfg.lr_flow))]
+    calls = _spy_surrogates(rt, stale=stale)
+    new_text, new_flow, _ = unified_update(rt, groups, text, flow, text, flow, *adams)
+    trained = [name for name in ("text", "flow") if getattr(rt.cfg, f"train_{name}")]
+    ok = all(calls[name] and calls[name][0] is not None
+             and calls[name][0].max_ratio == calls[name][0].mean_ratio == 1.0
+             for name in trained)
+    return ok, (new_text, new_flow, *adams), rt.cfg.train_text or calls["noise"]
+
+
+def _skip_leaves_no_trace(rt, entry, groups, monkeypatch, in_place=False):
+    """Whether a NumericError injected at the last PPO epoch's last surrogate
+    returns both parameter vectors and both Adam states (m, v, step)
+    bit-identical to entry, and whether an Adam step ran before it (without
+    one, a write before the skip check has nothing to show).  `in_place`
+    plants a bug: each Adam step writes the parameter vector in place."""
+    text, flow, adam_text, adam_flow = entry
+    vecs = [p.vec.copy() for p in (text, flow)]
+    states = [(a.m.copy(), a.v.copy(), a.step) for a in (adam_text, adam_flow)]
+    last = "flow" if rt.cfg.train_flow else "text"
+    _spy_surrogates(rt, fail_at=(last, rt.cfg.ppo_epochs - 1))
+    steps = []
+
+    def counted_step(params, grads, state):
+        new = adam_step(params, grads, state)
+        steps.append(state)
+        if in_place:
+            params.vec[:] = new.vec
+            return params
+        return new
+
+    with monkeypatch.context() as mp:
+        mp.setattr(trainer_mod, "adam_step", counted_step)
+        new_text, new_flow, stats = unified_update(rt, groups, text, flow, text, flow,
+                                                   adam_text, adam_flow)
+    same = stats.skipped and all(
+        p.vec.tobytes() == v.tobytes() for p, v in zip((new_text, new_flow), vecs))
+    same = same and all(a.m.tobytes() == m.tobytes() and a.v.tobytes() == v.tobytes()
+                        and a.step == step
+                        for a, (m, v, step) in zip((adam_text, adam_flow), states))
+    return same, bool(steps)
+
+
+def test_update_invariants_hold_for_every_accepted_config(gate_pretrain, monkeypatch):
+    # each negative control plants a bug that its property must catch on the
+    # same config, so neither property passes by checking nothing
+    seen = {"ratios": 0, "skips": 0}
+
+    @settings(max_examples=EXAMPLES, derandomize=True, database=None, deadline=None)
+    @given(values=_configs())
+    def check(values):
+        cfg = replace(BASE, **values)
+        try:
+            cfg.validate()
+        except ConfigError:
+            return
+        rt, text, flow, groups = _update_inputs(cfg, gate_pretrain)
+        if all(g.degenerate for g in groups):
+            return  # the update takes no step
+        ok, entry, movable = _first_ratios_are_one(rt, text, flow, groups)
+        assert ok, values
+        if movable:
+            seen["ratios"] += 1
+            assert not _first_ratios_are_one(rt, text, flow, groups, stale=True)[0], values
+        # from the update's exit state, so the Adam moments are not zero
+        same, stepped = _skip_leaves_no_trace(rt, entry, groups, monkeypatch)
+        assert same, values
+        if stepped:
+            seen["skips"] += 1
+            assert not _skip_leaves_no_trace(rt, entry, groups, monkeypatch, in_place=True)[0], \
+                values
+
+    tic = time.perf_counter()
+    check()
+    elapsed = time.perf_counter() - tic
+    assert seen["ratios"] >= EXAMPLES // 10 and seen["skips"] >= EXAMPLES // 10, seen
+    assert elapsed < TIME_BOUND_S, f"{seen} took {elapsed:.2f} s"

@@ -121,7 +121,7 @@ class TestBackward:
             out, tape = _tape_mlp(p, x, arch, activation="tanh")
             return float(out.sum()), tape.param_grads(np.ones_like(out))
 
-        report = finite_diff_check(loss, params, probes=120, tol=1e-5)
+        report = finite_diff_check(loss, params, np.random.default_rng(0), probes=120, tol=1e-5)
         assert report.passed, report.failing_blocks
 
     def test_untouched_blocks_get_zero(self):
@@ -259,7 +259,7 @@ class TestFusedNode:
             gx = tape.backward(1.0)[x.idx]
             return float(tape.output.value), tape.param_grads(1.0), gx
 
-        report = finite_diff_check(lambda p: loss(p)[:2], params, probes=120, tol=1e-5)
+        report = finite_diff_check(lambda p: loss(p)[:2], params, np.random.default_rng(0), probes=120, tol=1e-5)
         assert report.passed, (report.max_rel_err, report.failing_blocks)
         h, numeric = 1e-3, np.zeros_like(x0)
         for idx in np.ndindex(x0.shape):
@@ -401,7 +401,7 @@ class TestFiniteDiff:
         def loss(p):
             return 1.0 + 3e-8 * float(np.sum(np.sin(p["w"]))), 3e-8 * np.cos(p["w"])
 
-        report = finite_diff_check(loss, params, probes=100, tol=1e-4)
+        report = finite_diff_check(loss, params, np.random.default_rng(0), probes=100, tol=1e-4)
         assert report.passed, report.max_rel_err
 
     def test_probe_perturbs_one_flat_entry(self):
@@ -414,7 +414,7 @@ class TestFiniteDiff:
             grads = np.concatenate([np.ones(6), np.full(4, 2.0)])
             return float(np.sum(p["a"]) + 2.0 * np.sum(p["b"])), grads
 
-        report = finite_diff_check(loss, params, probes=20, tol=1e-8)
+        report = finite_diff_check(loss, params, np.random.default_rng(0), probes=20, tol=1e-8)
         assert report.passed
         assert len(seen) == 4 * 20  # four stencil points per probe, one entry each
         for probe, index in zip(report.probes, seen[::4]):
@@ -430,7 +430,7 @@ class TestFiniteDiff:
             tape.output = tape.sum(tape.square(w))
             return float(tape.output.value), tape.param_grads(1.0)
 
-        report = finite_diff_check(loss, params, probes=50, tol=1e-8)
+        report = finite_diff_check(loss, params, np.random.default_rng(0), probes=50, tol=1e-8)
         assert report.passed
         assert report.max_rel_err < 1e-8
 
@@ -442,7 +442,7 @@ class TestFiniteDiff:
             counter[0] += 1
             return float(counter[0]), np.zeros(2)
 
-        report = finite_diff_check(loss, params, probes=5)
+        report = finite_diff_check(loss, params, np.random.default_rng(0), probes=5)
         assert report.aborted
         assert "deterministic" in report.reason
 
@@ -457,7 +457,7 @@ class TestFiniteDiff:
             grads[lo:hi] += 0.5  # deliberate corruption
             return float(out.sum()), grads
 
-        report = finite_diff_check(loss, params, probes=200, tol=1e-4)
+        report = finite_diff_check(loss, params, np.random.default_rng(0), probes=200, tol=1e-4)
         assert not report.passed
         assert "W0" in report.failing_blocks
 
