@@ -7,7 +7,17 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .errors import ConfigError
+from .flow_policy import step_table, timestep_schedule
 from .task import TRACE_LEN
+
+# The smallest transition std sigma_level * sqrt(t * dt) a step of a non-empty
+# SDE window may have.  A window step stores x' = mu + std * eps, and
+# FlowPolicy.prepare_batch recovers eps = (x' - mu) / std, off by up to
+# |x'| * 2**-53 / std from the rounding of x': at this floor about 1e-10 * |x'|.
+# Far below it the noise is lost in the states: at sigma_level 8.4e-78 every
+# recovered eps reads 0, so every flow ratio is exactly 1 and the flow trains
+# on no signal.
+MIN_WINDOW_STD = 1e-6
 
 
 @dataclass
@@ -50,14 +60,8 @@ class TrainConfig:
     train_cfg_scale: float = 2.0
     eval_cfg_scale: float = 1.0
 
-    # task geometry and reward
-    tau_r: float = 0.5
-    radius_near: float = 0.5
-    radius_far: float = 1.5
-    tau_tight: float = 0.1
-    tau_wide: float = 0.25
+    # reward
     reward_mode: str = "smooth"  # smooth | binary
-    p_noise: float = 0.25
 
     # pretraining
     pretrain_text_n: int = 1024
@@ -95,24 +99,19 @@ class TrainConfig:
                      "flow_hidden", "pretrain_text_epochs", "pretrain_flow_epochs"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
-        for name in ("seed", "total_updates", "eval_every", "checkpoint_every", "tau_tight",
-                     "tau_wide"):
+        for name in ("seed", "total_updates", "eval_every", "checkpoint_every"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0")
         # a canonical trace may be one token longer than the context holds
         if self.max_trace_len < TRACE_LEN - 1:
             raise ConfigError(f"max_trace_len must be >= {TRACE_LEN - 1}: a canonical trace "
                               f"has {TRACE_LEN} tokens")
-        for name in ("temperature", "clip_eps", "lr_text", "lr_flow", "tau_r", "pretrain_text_lr",
+        for name in ("temperature", "clip_eps", "lr_text", "lr_flow", "pretrain_text_lr",
                      "pretrain_flow_lr"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
-        for name in ("p_uncond", "p_noise"):
-            if not 0 <= getattr(self, name) <= 1:
-                raise ConfigError(f"{name} must lie in [0, 1]")
-        if not 0 < self.radius_near < self.radius_far:
-            raise ConfigError(f"radius_near must lie in (0, radius_far), got radius_near = "
-                              f"{self.radius_near} and radius_far = {self.radius_far}")
+        if not 0 <= self.p_uncond <= 1:
+            raise ConfigError("p_uncond must lie in [0, 1]")
         if self.timestep_shift < 1:
             raise ConfigError("timestep_shift must be >= 1")
         if self.reg_mode not in ("none", "latent-kl", "velocity-mse"):
@@ -126,8 +125,14 @@ class TrainConfig:
         span = self.sde_window_hi - self.sde_window_lo + 1
         if not (0 <= self.sde_window_size <= span):
             raise ConfigError("sde_window_size must fit inside [sde_window_lo, sde_window_hi]")
-        if self.sde_window_size > 0 and self.sigma_level <= 0:
-            raise ConfigError("sigma_level must be positive when the SDE window is non-empty")
+        if self.sde_window_size > 0:
+            steps = step_table(timestep_schedule(self.train_timesteps, self.timestep_shift),
+                               self.sigma_level)
+            std = steps.std[self.sde_window_lo:self.sde_window_hi + 1].min()
+            if std < MIN_WINDOW_STD:
+                raise ConfigError(f"sigma_level = {self.sigma_level} gives a window transition "
+                                  f"std of {std:.3g}, below {MIN_WINDOW_STD:g}: the window "
+                                  f"noise would be lost in the states")
         if not (self.train_text or self.train_flow):
             raise ConfigError("train_text and train_flow are both false: a run must train "
                               "at least one policy")

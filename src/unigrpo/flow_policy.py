@@ -22,8 +22,7 @@ from .autodiff import Tape, Var
 from .errors import NumericError
 from .nn import (LossStats, ParamSet, clipped_objective, fit, init_mlp_blocks, mlp_forward_np,
                  mlp_var, slice_blocks)
-from .task import (CANONICAL_TRACES, N_SYNONYMS, PROMPT_DRAWS, VOCAB_SIZE, TaskGeometry,
-                   trace_lengths)
+from .task import CANONICAL_TRACES, N_SYNONYMS, PROMPT_DRAWS, VOCAB_SIZE, targets, trace_lengths
 
 DIM = 2  # sample space
 
@@ -190,7 +189,7 @@ class FlowUpdateBatch:
 
 
 class FlowPolicy:
-    def __init__(self, cond_dim: int = 8, hidden: int = 64):
+    def __init__(self, cond_dim: int, hidden: int):
         self.vocab = VOCAB_SIZE
         self.cond_dim = cond_dim
         self.arch = (DIM + N_TIME_FEATS + cond_dim, hidden, hidden, DIM)
@@ -369,7 +368,7 @@ class FlowPolicy:
         shift 3."""
         steps = step_table(timestep_schedule(20, 3.0))
         ids = np.arange(0, len(PROMPT_DRAWS), N_SYNONYMS**3)  # each tuple's first prompt
-        mu, _ = TaskGeometry().targets(PROMPT_DRAWS[ids, :3])
+        mu, _ = targets(PROMPT_DRAWS[ids, :3])
         shares = []
         for trace, target in zip(CANONICAL_TRACES[ids], mu):
             x1 = rng.standard_normal((200, DIM))

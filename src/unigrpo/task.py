@@ -12,7 +12,6 @@ thing the generator ever sees.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,28 +51,22 @@ _SURFACE_FIRST = np.array([TOKEN_NAMES.index(w) for w in ("northeast", "near", "
 _QUAD_DIRS = np.array([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]]) / np.sqrt(2.0)
 
 
-@dataclass(frozen=True)
-class TaskGeometry:
-    """Target geometry and reward shape; defaults give visible attribute structure."""
+# ---- target geometry, reward and label noise ----
 
-    radius_near: float = 0.5
-    radius_far: float = 1.5
-    tau_tight: float = 0.1
-    tau_wide: float = 0.25
-    tau_r: float = 0.5
-    reward_mode: str = "smooth"  # smooth | binary
+RADIUS_NEAR, RADIUS_FAR = 0.5, 1.5  # target radius of each band
+TAU_TIGHT, TAU_WIDE = 0.1, 0.25     # target spread of each spread value
+TAU_R = 0.5                         # width of the smooth reward
+BAND_SPLIT = 0.5 * (RADIUS_NEAR + RADIUS_FAR)  # the binary reward's band boundary
+P_NOISE = 0.25                      # pretraining label-noise rate
 
-    @property
-    def band_split(self) -> float:
-        return 0.5 * (self.radius_near + self.radius_far)
 
-    def targets(self, attrs) -> tuple[np.ndarray, np.ndarray]:
-        """The (n, 2) means and (n,) spreads of the Gaussian targets of the
-        (n, 3) attribute rows `attrs`: quadrant, band and spread indices, as
-        PROMPT_DRAWS[ids, :3] holds them."""
-        radius = np.array([self.radius_near, self.radius_far])[attrs[:, 1]]
-        tau = np.array([self.tau_tight, self.tau_wide])[attrs[:, 2]]
-        return radius[:, None] * _QUAD_DIRS[attrs[:, 0]], tau
+def targets(attrs) -> tuple[np.ndarray, np.ndarray]:
+    """The (n, 2) means and (n,) spreads of the Gaussian targets of the (n, 3)
+    attribute rows `attrs`: quadrant, band and spread indices, as
+    PROMPT_DRAWS[ids, :3] holds them."""
+    radius = np.array([RADIUS_NEAR, RADIUS_FAR])[attrs[:, 1]]
+    tau = np.array([TAU_TIGHT, TAU_WIDE])[attrs[:, 2]]
+    return radius[:, None] * _QUAD_DIRS[attrs[:, 0]], tau
 
 
 # ---- prompts ----
@@ -122,22 +115,23 @@ def canonical_accuracy(traces: np.ndarray, ids) -> float:
     return float(np.mean((traces[:, :TRACE_LEN] == CANONICAL_TRACES[ids]).all(axis=1)))
 
 
-def score(x0: np.ndarray, ids, geom: TaskGeometry) -> tuple[np.ndarray, np.ndarray]:
+def score(x0: np.ndarray, ids, reward_mode: str) -> tuple[np.ndarray, np.ndarray]:
     """Sparse terminal rewards in [0, 1] of the (n, 2) samples x0, row i scored
-    against prompt id ids[i], and which rows are finite; a non-finite row
-    scores 0.  A pure function of the samples and their prompts."""
+    against prompt id ids[i] under `reward_mode` (smooth | binary), and which
+    rows are finite; a non-finite row scores 0.  A pure function of the
+    samples and their prompts."""
     x0 = np.asarray(x0, dtype=np.float64)
     attrs = PROMPT_DRAWS[ids, :3]
     finite = np.isfinite(x0).all(axis=1)
-    if geom.reward_mode == "binary":
+    if reward_mode == "binary":
         in_quad = (np.sign(x0) == np.sign(_QUAD_DIRS[attrs[:, 0]])).all(axis=1)
         # a row-by-row dot product, so the radius has np.linalg.norm's bits
         r = np.sqrt((x0[:, None, :] @ x0[:, :, None]).ravel())
-        rewards = (in_quad & ((r < geom.band_split) == (attrs[:, 1] == 0))).astype(np.float64)
+        rewards = (in_quad & ((r < BAND_SPLIT) == (attrs[:, 1] == 0))).astype(np.float64)
     else:
-        mu, _ = geom.targets(attrs)
+        mu, _ = targets(attrs)
         dist2 = ((x0 - mu) ** 2).sum(axis=1)
-        rewards = np.exp(-dist2 / (2.0 * geom.tau_r**2))
+        rewards = np.exp(-dist2 / (2.0 * TAU_R**2))
     return np.where(finite, rewards, 0.0), finite
 
 
@@ -149,15 +143,15 @@ def _examples(kind: int, n: int) -> np.ndarray:
     return np.column_stack([np.full(n, kind), np.arange(n), np.zeros(n, dtype=np.int64)])
 
 
-def make_pretrain_data(seed: int, n_text: int, n_flow: int, geom: TaskGeometry,
-                       p_noise: float = 0.25) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+def make_pretrain_data(seed: int, n_text: int,
+                       n_flow: int) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
     """Noisy supervised text rows plus exact generator targets:
     (seqs, (conds, x0)), seqs the (n_text, PROMPT_LEN + TRACE_LEN) text rows
     [prompt | trace], conds the (n_flow, TRACE_LEN) trace rows and x0 an
     (n_flow, 2) array.
 
     Each trace is its prompt's canonical TRACE_LEN tokens, with one attribute
-    token swapped for a wrong value with probability p_noise so the
+    token swapped for a wrong value with probability P_NOISE so the
     pretrained policy is imperfect and RL has headroom; x0[i] is an exact
     draw from the target distribution of the prompt whose canonical trace is
     conds[i].  Text example i takes the "pretrain-data" words of counter row
@@ -171,7 +165,7 @@ def make_pretrain_data(seed: int, n_text: int, n_flow: int, geom: TaskGeometry,
     a = below(seed, tag, index, w[:, :8], PROMPT_BOUNDS + (3, len(QUADRANTS) - 1))
     a = a.astype(np.int64)
     values = a[:, :3].copy()
-    rows = np.flatnonzero(uniforms(w[:, 8]) < p_noise)
+    rows = np.flatnonzero(uniforms(w[:, 8]) < P_NOISE)
     pos = a[rows, 6]
     n = np.array(PROMPT_BOUNDS)[pos]  # the attribute's number of values
     # one of the attribute's n - 1 other values, uniformly
@@ -182,6 +176,6 @@ def make_pretrain_data(seed: int, n_text: int, n_flow: int, geom: TaskGeometry,
     index = _examples(1, n_flow)
     w = words(seed, tag, index, 5)
     values = below(seed, tag, index, w[:, :3], PROMPT_BOUNDS[:3]).astype(np.int64)
-    mu, tau = geom.targets(values)
+    mu, tau = targets(values)
     x0 = mu + tau[:, None] * normals(w[:, 3:5])
     return seqs, (np.column_stack([_CANON_FIRST + values, np.full(n_flow, EOS)]), x0)

@@ -17,7 +17,7 @@ from .autodiff import Tape, Var
 from .errors import NumericError
 from .nn import (LossStats, ParamSet, clipped_objective, fit, init_mlp_blocks, mlp_forward_np,
                  mlp_var)
-from .task import (EOS, PAD, PROMPT_LEN, PROMPT_TOKENS, TRACE_LEN, VOCAB_SIZE, canonical_accuracy,
+from .task import (EOS, PAD, PROMPT_LEN, PROMPT_TOKENS, VOCAB_SIZE, canonical_accuracy,
                    trace_lengths)
 
 
@@ -70,7 +70,7 @@ def _pick_vjp(logp: np.ndarray, rows: np.ndarray, targets: np.ndarray, g_pick: n
 
 
 class TextPolicy:
-    def __init__(self, max_trace_len: int = TRACE_LEN, embed_dim: int = 12, hidden: int = 48):
+    def __init__(self, max_trace_len: int, embed_dim: int, hidden: int):
         self.vocab = VOCAB_SIZE
         self.prompt_len = PROMPT_LEN
         self.max_len = max_trace_len

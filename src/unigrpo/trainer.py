@@ -37,7 +37,6 @@ from .task import (
     PROMPT_DRAWS,
     PROMPT_LEN,
     PROMPT_TOKENS,
-    TaskGeometry,
     canonical_accuracy,
     draw_prompts,
     make_pretrain_data,
@@ -90,7 +89,6 @@ class Runtime:
     training schedule (at `sigma_level`) and the evaluation one."""
 
     cfg: TrainConfig
-    geom: TaskGeometry
     text_policy: TextPolicy
     flow_policy: FlowPolicy
     steps_train: StepTable
@@ -99,20 +97,12 @@ class Runtime:
 
 def make_runtime(cfg: TrainConfig) -> Runtime:
     cfg.validate()
-    geom = TaskGeometry(
-        radius_near=cfg.radius_near,
-        radius_far=cfg.radius_far,
-        tau_tight=cfg.tau_tight,
-        tau_wide=cfg.tau_wide,
-        tau_r=cfg.tau_r,
-        reward_mode=cfg.reward_mode,
-    )
     text_policy = TextPolicy(cfg.max_trace_len, cfg.text_embed_dim, cfg.text_hidden)
     flow_policy = FlowPolicy(cfg.flow_cond_dim, cfg.flow_hidden)
     steps_train = step_table(timestep_schedule(cfg.train_timesteps, cfg.timestep_shift),
                              cfg.sigma_level)
     steps_eval = step_table(timestep_schedule(cfg.eval_timesteps, cfg.timestep_shift))
-    return Runtime(cfg, geom, text_policy, flow_policy, steps_train, steps_eval)
+    return Runtime(cfg, text_policy, flow_policy, steps_train, steps_eval)
 
 
 # ---- rollout phase ----
@@ -190,7 +180,7 @@ def collect_rollouts(rt: Runtime, prompts: np.ndarray, text_old: ParamSet,
         flow_old, seqs[:, PROMPT_LEN:], rt.steps_train, draws.x1, draws.starts,
         cfg.sde_window_size, draws.eps, cfg_scale=cfg.train_cfg_scale if cfg.train_cfg else 1.0,
     )
-    rewards, finite = score(flow.states[-1], ids, rt.geom)
+    rewards, finite = score(flow.states[-1], ids, cfg.reward_mode)
     advantages = group_advantages(rewards.reshape(len(prompts), G)).ravel()
     batch = Rollouts(seqs, flow, rewards, advantages, int(np.count_nonzero(~finite)))
     return [GroupRollout(batch, slice(lo, lo + G)) for lo in range(0, len(ids), G)]
@@ -299,7 +289,7 @@ def evaluate(rt: Runtime, text_params: ParamSet, flow_params: ParamSet,
     owners = np.repeat(np.arange(len(ids)), cfg.eval_samples)
     batch = rt.flow_policy.ode_rollout_batch(flow_params, traces[owners], rt.steps_eval, x1,
                                              cfg.eval_cfg_scale, flow_ref)
-    rewards, _ = score(batch.states[-1], ids[owners], rt.geom)
+    rewards, _ = score(batch.states[-1], ids[owners], cfg.reward_mode)
     # drift averaged in prompt, step, sample order
     drift = batch.drift.reshape(len(batch.drift), len(ids), -1)
     return {
@@ -355,9 +345,7 @@ def pretrain_all(cfg: TrainConfig, out_dir) -> dict:
     out.mkdir(parents=True, exist_ok=True)
     seed = cfg.seed
     laps = [time.perf_counter()]
-    seqs, (conds, x0) = make_pretrain_data(
-        seed, cfg.pretrain_text_n, cfg.pretrain_flow_n, rt.geom, cfg.p_noise
-    )
+    seqs, (conds, x0) = make_pretrain_data(seed, cfg.pretrain_text_n, cfg.pretrain_flow_n)
     laps.append(time.perf_counter())
 
     text_params = rt.text_policy.init_params(stream(seed, "init-text"))

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import TrainConfig
 from .flow_policy import (
     FlowPolicy,
     cfg_velocity,
@@ -25,9 +26,9 @@ from .flow_policy import (
 )
 from .nn import finite_diff_check
 from .rng import stream
-from .task import CANONICAL_TRACES, PROMPT_TOKENS, TaskGeometry
-from .text_policy import TextPolicy, softmax_np
-from .trainer import group_advantages
+from .task import CANONICAL_TRACES, PROMPT_TOKENS, TAU_R, TAU_TIGHT, TAU_WIDE
+from .text_policy import softmax_np
+from .trainer import group_advantages, make_runtime
 
 SEED = 20_240_501
 
@@ -82,8 +83,10 @@ def _nontrivial_flow_params(flow: FlowPolicy, seed: int):
 
 def gradient_oracles() -> list[OracleResult]:
     """Central finite differences vs analytic gradients for every trainable
-    objective, with frozen rollout noise."""
-    text, flow = TextPolicy(), FlowPolicy()
+    objective, with frozen rollout noise, at the config's default sizes and
+    training schedule."""
+    rt = make_runtime(TrainConfig())
+    text, flow = rt.text_policy, rt.flow_policy
     prompt = 200  # quadrant 2, far, wide; synonyms (1, 0, 2)
     results = []
 
@@ -121,7 +124,7 @@ def gradient_oracles() -> list[OracleResult]:
     # flow surrogate under each regularizer
     fparams = _nontrivial_flow_params(flow, SEED)
     fref = _nontrivial_flow_params(flow, SEED + 7)
-    steps = step_table(timestep_schedule(10, 3.0), 0.8)
+    steps = rt.steps_train
     trace = CANONICAL_TRACES[prompt]
     rngs = [stream(SEED, "f", i) for i in range(3)]
     x1 = np.stack([rng.standard_normal(2) for rng in rngs])
@@ -245,7 +248,7 @@ def latent_kl_oracle() -> OracleResult:
 
 def sde_bitwise_oracle() -> OracleResult:
     """Zero noise level must reproduce the deterministic sampler bit for bit."""
-    flow = FlowPolicy()
+    flow = make_runtime(TrainConfig()).flow_policy
     params = _nontrivial_flow_params(flow, SEED + 3)
     trace = CANONICAL_TRACES[[243]]  # quadrant 3, near, wide
     steps = step_table(timestep_schedule(10, 3.0), 0.0)
@@ -305,10 +308,10 @@ def sde_marginal_oracle() -> OracleResult:
 
 
 def rollout_budget_oracle() -> OracleResult:
-    flow = FlowPolicy()
+    rt = make_runtime(TrainConfig())
+    flow, steps = rt.flow_policy, rt.steps_train
     params = _nontrivial_flow_params(flow, SEED + 4)
     trace = CANONICAL_TRACES[[54]]  # quadrant 1, far, tight
-    steps = step_table(timestep_schedule(10, 3.0), 0.8)
     plain, guided = (
         flow.hybrid_rollout(params, trace, steps, rng.standard_normal((1, 2)), [1], 3,
                             rng.standard_normal((1, 3, 2)), cfg_scale)
@@ -359,13 +362,12 @@ def spot_value_oracle() -> OracleResult:
 
 def reward_headroom_oracle() -> OracleResult:
     n = 200_000
-    geom = TaskGeometry()
     rng = stream(SEED, "head")
     worst = 0.0
-    for tau in (geom.tau_tight, geom.tau_wide):
+    for tau in (TAU_TIGHT, TAU_WIDE):
         z = tau * rng.standard_normal((n, 2))
-        mc = float(np.mean(np.exp(-np.sum(z**2, 1) / (2 * geom.tau_r**2))))
-        closed = geom.tau_r**2 / (geom.tau_r**2 + tau**2)
+        mc = float(np.mean(np.exp(-np.sum(z**2, 1) / (2 * TAU_R**2))))
+        closed = TAU_R**2 / (TAU_R**2 + tau**2)
         worst = max(worst, abs(mc - closed))
     return OracleResult("reward/headroom-gaussian-integral", worst, 0.01, worst < 0.01)
 

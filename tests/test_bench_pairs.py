@@ -4,9 +4,12 @@ with perfbench runs replaced by canned result lines."""
 import importlib.util
 import json
 import shutil
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
+
+from unigrpo.config import TrainConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 _spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools/bench_pairs.py")
@@ -21,6 +24,8 @@ def _checkout(path: Path) -> Path:
     shutil.copy(ROOT / "BENCHMARK.json", path / "BENCHMARK.json")
     (path / "perfbench/run.py").write_text("print('run')\n")
     (path / "perfbench/README.md").write_text("bench\n")
+    (path / "src/unigrpo").mkdir(parents=True)
+    shutil.copy(ROOT / "src/unigrpo/config.py", path / "src/unigrpo/config.py")
     return path
 
 
@@ -176,3 +181,18 @@ def test_failures_compare_seed_by_seed(pair, monkeypatch, tmp_path, failing, sta
     assert failed["change"] == {"2": 3}
     assert failed["parent"] == ({"2": 3} if failing == "both" else {})
     assert failed["more_failed"] == ([] if failing == "both" else [2])
+
+
+def test_records_config_keys_next_to_src_lines(pair, monkeypatch, capsys, tmp_path):
+    # the TrainConfig fields of each checkout, read without importing it (its
+    # methods are no fields): the parent is this repository's config, and
+    # the change drops one field
+    config = pair[1] / "src/unigrpo/config.py"
+    config.write_text(config.read_text().replace("    ablate_seeds: int = 3\n", ""))
+    monkeypatch.setattr(bench_pairs, "run_once",
+                        lambda checkout, workload, seed, seconds: _result(1.0))
+    out = tmp_path / "bench.json"
+    _main(pair, "--workload", "train-desk", "--out", str(out))
+    keys = len(fields(TrainConfig))
+    assert json.loads(out.read_text())["config_keys"] == {"parent": keys, "change": keys - 1}
+    assert f"TrainConfig keys: parent {keys}  change {keys - 1}" in capsys.readouterr().out

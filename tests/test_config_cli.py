@@ -14,21 +14,23 @@ import pytest
 import unigrpo
 from unigrpo.checkpoint import load_blocks, save_blocks, save_params
 from unigrpo.cli import main
-from unigrpo.config import TrainConfig, dump_config, load_config, parse_config_text
+from unigrpo.config import (MIN_WINDOW_STD, TrainConfig, dump_config, load_config,
+                            parse_config_text)
 from unigrpo.errors import ConfigError
-from unigrpo.flow_policy import FlowPolicy
+from unigrpo.flow_policy import step_table, timestep_schedule
 from unigrpo.metrics import read_metrics
+from unigrpo.rng import stream
+from unigrpo.task import CANONICAL_TRACES
 from unigrpo.text_policy import TextPolicy
+from unigrpo.trainer import make_runtime
 
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 FLOAT_KEYS = [f.name for f in fields(TrainConfig)
               if isinstance(getattr(TrainConfig(), f.name), float)]
-GEOMETRY_AND_PRETRAIN_LINES = [
+PRETRAIN_LINES = [
     "pretrain_text_lr = 0", "pretrain_text_lr = -3e-3", "pretrain_flow_lr = 0",
     "pretrain_flow_lr = -3e-3", "pretrain_text_n = 0", "pretrain_flow_n = 0",
-    "pretrain_flow_n = -5", "tau_tight = -0.1", "tau_wide = -1e-9", "radius_near = 0",
-    "radius_near = -0.5", "radius_near = 1.5", "radius_near = 2.0", "radius_far = 0.5",
-    "radius_far = 0.1",
+    "pretrain_flow_n = -5",
 ]
 # model sizes and pretraining epochs: a negative size crashed pretraining with
 # a numpy error, and a zero one (flow_cond_dim = 0 hides the reasoning from the
@@ -42,6 +44,22 @@ MODEL_SIZE_LINES = [
 RUN_CONTROL_LINES = [
     "max_trace_len = 2", "max_trace_len = 0", "eval_timesteps = 0", "train_timesteps = 0",
     "total_updates = -2", "eval_every = -1", "checkpoint_every = -5", "ablate_seeds = 0",
+]
+# the task's geometry and label-noise rate, keys until they became task.py
+# constants, at the values they always had
+TASK_KEYS = {"tau_r": 0.5, "radius_near": 0.5, "radius_far": 1.5, "tau_tight": 0.1,
+             "tau_wide": 0.25, "p_noise": 0.25}
+# deleted keys, an old value of each and a command that refuses a config setting it
+REMOVED_KEYS = [
+    # the flow loss weight: with a separate Adam state per policy it only
+    # rescaled Adam's epsilon, and 0 is train_flow = false
+    ("lambda_flow", 1.0, "train"),
+    # the degenerate-group threshold is a fixed numerical guard, not a recipe knob
+    ("adv_eps", 1e-8, "train"),
+    # ablate runs total_updates; the knob whose 0 meant that is gone
+    ("ablate_updates", 0, "ablate"),
+    # the task is fixed: its geometry and label noise are task.py constants
+    *((key, value, "train") for key, value in TASK_KEYS.items()),
 ]
 
 
@@ -128,39 +146,28 @@ class TestValidation:
     @pytest.mark.parametrize(
         "kw",
         [
-            {"tau_r": 0.0},
-            {"tau_r": -0.5},
             {"lr_text": 0.0},
             {"lr_text": -1e-3},
             {"lr_flow": 0.0},
             {"lr_flow": -3e-3},
             {"p_uncond": -0.1},
             {"p_uncond": 2.0},
-            {"p_noise": -0.1},
-            {"p_noise": 1.5},
         ],
     )
     def test_out_of_range_values_rejected(self, kw):
         with pytest.raises(ConfigError, match=next(iter(kw))):
             TrainConfig(**kw).validate()
 
-    @pytest.mark.parametrize("kw", [{"p_uncond": 0.0}, {"p_uncond": 1.0}, {"p_noise": 0.0},
-                                    {"p_noise": 1.0}])
+    @pytest.mark.parametrize("kw", [{"p_uncond": 0.0}, {"p_uncond": 1.0}])
     def test_probability_bounds_accepted(self, kw):
         TrainConfig(**kw).validate()
 
-    @pytest.mark.parametrize("line", GEOMETRY_AND_PRETRAIN_LINES + MODEL_SIZE_LINES)
-    def test_geometry_and_pretrain_values_rejected(self, line):
-        # a negative learning rate would ascend the pretraining losses, an
-        # empty dataset has nothing to fit, and a non-positive or inverted
-        # radius pair would mirror or swap the targets
+    @pytest.mark.parametrize("line", PRETRAIN_LINES + MODEL_SIZE_LINES)
+    def test_pretrain_and_model_size_values_rejected(self, line):
+        # a negative learning rate would ascend the pretraining losses, and
+        # an empty dataset has nothing to fit
         with pytest.raises(ConfigError, match=line.split()[0]):
             parse_config_text(line)
-
-    @pytest.mark.parametrize("line", ["tau_tight = 0", "tau_wide = 0", "radius_near = 1e-9",
-                                      "radius_near = 1.4999", "radius_far = 0.5001"])
-    def test_geometry_bounds_accepted(self, line):
-        parse_config_text(line)
 
     @pytest.mark.parametrize("line", RUN_CONTROL_LINES)
     def test_run_control_values_rejected(self, line):
@@ -179,6 +186,35 @@ class TestValidation:
     def test_window_size_zero_allows_zero_sigma(self):
         cfg = TrainConfig(sde_window_size=0, sigma_level=0.0, train_flow=False)
         cfg.validate()
+
+    @pytest.mark.parametrize("n, shift, lo, hi", [(1, 1.0, 0, 0), (10, 3.0, 0, 5),
+                                                  (6, 5.0, 2, 5)])
+    def test_sigma_level_floor(self, n, shift, lo, hi):
+        # the floor is on the smallest transition std over the window's steps
+        # lo..hi: just below it, and far below (at sigma_level 8.4e-78 every
+        # recovered eps read 0), validate refuses sigma_level; at it, the eps
+        # prepare_batch recovers from a rollout's states is the drawn eps to
+        # 1e-8 of the draws' RMS, for states up to about 10 in size
+        unit = step_table(timestep_schedule(n, shift), 1.0).std[lo:hi + 1].min()
+        window = dict(train_timesteps=n, timestep_shift=shift, sde_window_lo=lo,
+                      sde_window_hi=hi, sde_window_size=hi - lo + 1, train_text=False)
+        for sigma_level in (MIN_WINDOW_STD / unit * (1 - 1e-9), 8.4e-78):
+            with pytest.raises(ConfigError, match=f"sigma_level = {sigma_level}"):
+                TrainConfig(**window, sigma_level=sigma_level).validate()
+        rt = make_runtime(TrainConfig(**window, sigma_level=MIN_WINDOW_STD / unit * (1 + 1e-12)))
+        flow, rng = rt.flow_policy, stream(0, "floor")
+        params = flow.init_params(rng)
+        params = params.with_blocks({"W2": rng.normal(0.0, 0.2, size=params["W2"].shape)})
+        B, W = 1000, hi - lo + 1
+        eps = rng.standard_normal((B, W, 2))
+        batch = flow.hybrid_rollout(params, CANONICAL_TRACES[rng.integers(0, 432, B)],
+                                    rt.steps_train, 3.0 * rng.standard_normal((B, 2)), [lo] * B,
+                                    W, eps)
+        assert rt.steps_train.std[lo:hi + 1].min() >= MIN_WINDOW_STD
+        recovered = flow.prepare_batch(batch, np.arange(B), np.ones(B), "none", 0.0, params).eps
+        assert np.abs(batch.states).max() > 8.0
+        err = np.abs(recovered.reshape(B, W, 2) - eps).max()
+        assert err <= 1e-8 * np.sqrt(np.mean(eps**2)), err
 
     @pytest.mark.parametrize("sigma_level", [0.0, 0.8])
     def test_window_size_zero_rejected_when_flow_trains(self, sigma_level):
@@ -317,13 +353,14 @@ class TestCli:
         assert "run_manifest.json" in capsys.readouterr().err
 
     def test_eval_ignores_keys_the_config_no_longer_has(self, cli_workspace, tmp_path, capsys):
-        # a run from before lambda_flow, ablate_updates and adv_eps were deleted
-        # still evaluates and resumes
+        # a run from before lambda_flow, ablate_updates, adv_eps and the task
+        # keys were deleted still evaluates and resumes
         ws, cfg_path = cli_workspace
         run = _seeded_run_copy(cli_workspace, tmp_path, capsys)
         manifest = run / "run_manifest.json"
         data = json.loads(manifest.read_text())
-        data["config_resolved"].update(lambda_flow=1.0, ablate_updates=0, adv_eps=1e-8)
+        data["config_resolved"].update(lambda_flow=1.0, ablate_updates=0, adv_eps=1e-8,
+                                       **TASK_KEYS)
         manifest.write_text(json.dumps(data))
         assert main(["eval", "--run", str(run)]) == 0
         last = read_metrics(run / "metrics.csv")[-1]
@@ -341,9 +378,12 @@ class TestCli:
         assert f"unrecognized arguments: {option[0]}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("name, params", [
-        ("text", TextPolicy(hidden=40).init_params(np.random.default_rng(0))),
-        ("flow", FlowPolicy(hidden=16).init_params(np.random.default_rng(0))),
-        ("ref_flow", FlowPolicy(hidden=16).init_params(np.random.default_rng(0))),
+        ("text", make_runtime(TrainConfig(text_hidden=40)).text_policy.init_params(
+            np.random.default_rng(0))),
+        ("flow", make_runtime(TrainConfig(flow_hidden=16)).flow_policy.init_params(
+            np.random.default_rng(0))),
+        ("ref_flow", make_runtime(TrainConfig(flow_hidden=16)).flow_policy.init_params(
+            np.random.default_rng(0))),
     ], ids=["text", "flow", "ref_flow"])
     def test_eval_of_another_architecture_exits_3(self, cli_workspace, tmp_path, capsys,
                                                   name, params):
@@ -404,36 +444,21 @@ class TestCli:
         assert rc == 2
         assert "not_a_key" in capsys.readouterr().err
 
-    def test_removed_lambda_flow_key_exits_2(self, tmp_path, capsys):
-        # the flow loss weight is gone: with a separate Adam state per policy
-        # it only rescaled Adam's epsilon, and 0 is train_flow = false
+    @pytest.mark.parametrize("key, value, command", REMOVED_KEYS,
+                             ids=[key for key, _, _ in REMOVED_KEYS])
+    def test_removed_key_exits_2(self, tmp_path, capsys, key, value, command):
         bad = tmp_path / "bad.cfg"
-        bad.write_text(TINY_CONFIG + "lambda_flow = 1.0\n")
-        rc = main(["train", "--config", str(bad), "--out", str(tmp_path / "r")])
+        bad.write_text(TINY_CONFIG + f"{key} = {value}\n")
+        mode = ["--mode", "reg-sweep"] if command == "ablate" else []
+        rc = main([command, "--config", str(bad), *mode, "--out", str(tmp_path / "r")])
         assert rc == 2
-        assert "unknown config key 'lambda_flow'" in capsys.readouterr().err
-
-    def test_removed_adv_eps_key_exits_2(self, tmp_path, capsys):
-        # the degenerate-group threshold is a fixed numerical guard, not a recipe knob
-        bad = tmp_path / "bad.cfg"
-        bad.write_text(TINY_CONFIG + "adv_eps = 1e-8\n")
-        rc = main(["train", "--config", str(bad), "--out", str(tmp_path / "r")])
-        assert rc == 2
-        assert "unknown config key 'adv_eps'" in capsys.readouterr().err
+        assert f"unknown config key '{key}'" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
 
-    def test_removed_ablate_updates_key_exits_2(self, tmp_path, capsys):
-        # ablate runs total_updates; the knob whose 0 meant that is gone
-        bad = tmp_path / "bad.cfg"
-        bad.write_text(TINY_CONFIG + "ablate_updates = 0\n")
-        rc = main(["ablate", "--config", str(bad), "--mode", "reg-sweep",
-                   "--out", str(tmp_path / "a")])
-        assert rc == 2
-        assert "unknown config key 'ablate_updates'" in capsys.readouterr().err
-        assert not (tmp_path / "a").exists()
-
-    @pytest.mark.parametrize("line", ["tau_r = 0", "lr_flow = nan", "p_uncond = 2"]
-                             + GEOMETRY_AND_PRETRAIN_LINES + MODEL_SIZE_LINES)
+    # the last two put the window's transition std below config.MIN_WINDOW_STD
+    @pytest.mark.parametrize("line", ["lr_flow = nan", "p_uncond = 2", "sigma_level = 8.4e-78",
+                                      "sigma_level = 9.9e-7"]
+                             + PRETRAIN_LINES + MODEL_SIZE_LINES)
     def test_out_of_range_value_exits_2(self, tmp_path, capsys, line):
         # the key's own TINY_CONFIG line goes, so no duplicate-key error stands in
         bad = tmp_path / "bad.cfg"
@@ -640,9 +665,9 @@ class TestCli:
     @pytest.mark.parametrize("changes, key, values", [
         ({"group_size": "8", "total_updates": "4", "--seed": "5"}, "seed", ("5", "0")),
         ({"group_size": "8"}, "group_size", ("8", "4")),
-        ({"reward_mode": "binary", "tau_r": "0.25"}, "tau_r", ("0.25", "0.5")),
+        ({"reward_mode": "binary"}, "reward_mode", ("binary", "smooth")),
         ({"pretrain_dir": "pre_copy"}, "pretrain_dir", ("pre_copy", "pre")),
-    ], ids=["seed-group-updates", "group_size", "tau_r", "pretrain_dir"])
+    ], ids=["seed-group-updates", "group_size", "reward_mode", "pretrain_dir"])
     def test_resume_with_another_config_exits_2(self, cli_workspace, capsys, changes, key,
                                                 values):
         # a resume continues the run it finds: a config that would train

@@ -8,6 +8,7 @@ from prompt_draws import prompt_id
 from reference_ops import reference_branches, reference_velocity, trace_tokens
 
 import unigrpo.flow_policy as flow_policy_mod
+from unigrpo.config import TrainConfig
 from unigrpo.errors import NumericError
 from unigrpo.flow_policy import (
     DIM,
@@ -25,10 +26,10 @@ from unigrpo.flow_policy import (
 )
 from unigrpo.nn import AdamState, adam_step, finite_diff_check, mlp_forward_np
 from unigrpo.rng import stream
-from unigrpo.task import CANONICAL_TRACES, EOS, PAD, TaskGeometry, make_pretrain_data
+from unigrpo.task import CANONICAL_TRACES, EOS, PAD, make_pretrain_data
+from unigrpo.trainer import make_runtime
 
-POLICY = FlowPolicy()
-GEOM = TaskGeometry()
+POLICY = make_runtime(TrainConfig()).flow_policy  # at the config's default sizes
 TRACE = tuple(CANONICAL_TRACES[prompt_id(1, "near", "tight")])
 # trace rows: a canonical trace, one filled without EOS, EOS alone, two tokens
 ROWS = np.array([TRACE, (3, 3, 5, 7), (EOS, PAD, PAD, PAD), (7, EOS, PAD, PAD)])
@@ -745,7 +746,7 @@ class TestPretraining:
     def test_columns_match_per_batch_pooling_bit_for_bit(self):
         # reference: each batch's x0 stacked and pooling weights built from
         # its own rows, with the same draws in the same order
-        _, (conds, x0) = make_pretrain_data(36, 1, 300, GEOM)
+        _, (conds, x0) = make_pretrain_data(36, 1, 300)
         params, report = POLICY.pretrain(
             _params(37), conds, x0, epochs=2, lr=3e-3, batch_size=64, p_uncond=0.2,
             rng=stream(38, "sh"),
@@ -773,7 +774,7 @@ class TestPretraining:
         assert report["epoch_losses"] == losses
 
     def test_pretraining_learns_the_task(self):
-        _, (conds, x0) = make_pretrain_data(30, 1, 4096, GEOM)
+        _, (conds, x0) = make_pretrain_data(30, 1, 4096)
         params, report = POLICY.pretrain(
             _params(31), conds, x0, epochs=40, lr=3e-3, batch_size=256,
             p_uncond=0.1, rng=stream(32, "sh"),

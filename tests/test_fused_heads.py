@@ -21,15 +21,16 @@ from prompt_draws import random_prompts
 from reference_ops import OpTape, reference_velocity, trace_tokens
 
 from unigrpo.autodiff import Tape
-from unigrpo.flow_policy import (DIM, FlowPolicy, drift_coefficients, step_table,
-                                 time_features, timestep_schedule)
+from unigrpo.config import TrainConfig
+from unigrpo.flow_policy import (DIM, drift_coefficients, step_table, time_features,
+                                 timestep_schedule)
 from unigrpo.nn import mlp_var
 from unigrpo.rng import stream
-from unigrpo.task import EOS, PAD, PROMPT_TOKENS, TaskGeometry, make_pretrain_data
-from unigrpo.text_policy import TextPolicy
+from unigrpo.task import EOS, PAD, PROMPT_TOKENS, make_pretrain_data
+from unigrpo.trainer import make_runtime
 
-TEXT = TextPolicy()
-FLOW = FlowPolicy()
+DEFAULT = make_runtime(TrainConfig())  # the policies at the config's default sizes
+TEXT, FLOW = DEFAULT.text_policy, DEFAULT.flow_policy
 
 
 def _assert_same(new, old):
@@ -148,7 +149,7 @@ class TestTextHeads:
         assert grads.tobytes() == grads_wide.tobytes()
 
     def test_ce_matches_op_chain(self):
-        seqs, _ = make_pretrain_data(5, 96, 1, TaskGeometry())
+        seqs, _ = make_pretrain_data(5, 96, 1)
         params = _text_params(6)
         rows, targets, _, _ = TEXT.token_rows(seqs)
         loss, gs = TEXT.ce_loss(params, rows, targets)

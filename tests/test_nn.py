@@ -13,8 +13,8 @@ from reference_ops import OpTape, reference_adam_step
 
 from unigrpo.autodiff import Tape
 from unigrpo.checkpoint import load_blocks, load_params, save_blocks, save_params
+from unigrpo.config import TrainConfig
 from unigrpo.errors import CheckpointError, ConfigError, NumericError
-from unigrpo.flow_policy import FlowPolicy
 from unigrpo.nn import (
     AdamState,
     ParamSet,
@@ -27,7 +27,10 @@ from unigrpo.nn import (
     slice_blocks,
 )
 from unigrpo.rng import stream
-from unigrpo.text_policy import TextPolicy
+from unigrpo.trainer import make_runtime
+
+# the policies at the config's default sizes
+DEFAULT = make_runtime(TrainConfig())
 
 
 def _mlp_params(seed=0, arch=(3, 8, 8, 2), **kw):
@@ -77,8 +80,8 @@ class TestForwardMlp:
         assert out.shape == (5, arch[-1])
         np.testing.assert_array_equal(out, mlp_forward_np(params, x, arch))
 
-    @pytest.mark.parametrize("activation, arch", [("tanh", FlowPolicy().arch),
-                                                  ("silu", TextPolicy().arch)])
+    @pytest.mark.parametrize("activation, arch", [("tanh", DEFAULT.flow_policy.arch),
+                                                  ("silu", DEFAULT.text_policy.arch)])
     @pytest.mark.parametrize("S", [1, 2, 3])
     def test_slices_equal_separate_calls_bit_for_bit(self, S, activation, arch):
         # an (S, n, arch[0]) input runs one gemm per slice, so each slice's
@@ -215,8 +218,8 @@ class TestFusedNode:
         for got, ref in zip(*results):
             assert got.tobytes() == ref.tobytes()
 
-    @pytest.mark.parametrize("activation, arch", [("tanh", FlowPolicy().arch),
-                                                  ("silu", TextPolicy().arch)])
+    @pytest.mark.parametrize("activation, arch", [("tanh", DEFAULT.flow_policy.arch),
+                                                  ("silu", DEFAULT.text_policy.arch)])
     @pytest.mark.parametrize("S", [1, 2, 3])
     def test_slices_equal_separate_nodes_bit_for_bit(self, S, activation, arch):
         # one node over (S, n, arch[0]) slices against S nodes of one slice
@@ -297,7 +300,8 @@ class TestAdam:
             vals.append(prev["w"][0])
         assert vals[0] > vals[1] > vals[2] > vals[3]
 
-    @pytest.mark.parametrize("policy", [TextPolicy(), FlowPolicy()], ids=["text", "flow"])
+    @pytest.mark.parametrize("policy", [DEFAULT.text_policy, DEFAULT.flow_policy],
+                             ids=["text", "flow"])
     def test_matches_per_block_reference_bit_for_bit(self, policy):
         params = policy.init_params(stream(40, "adam-init"))
         st = AdamState.for_params(params, lr=3e-3)

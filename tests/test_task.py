@@ -5,8 +5,9 @@ import pytest
 from prompt_draws import (BANDS, ORACLE_PROMPTS, QUADRANTS, SPREADS, SURFACE_WORDS, all_tuples,
                           prompt_id, random_prompts)
 from reference_ops import trace_tokens
-from reference_reward import QUAD_DIRS, reference_reward, reference_target
+from reference_reward import BAND_SPLIT, QUAD_DIRS, TAU_R, reference_reward, reference_target
 
+from unigrpo import task
 from unigrpo.rng import below, stream, words
 from unigrpo.task import (
     CANONICAL_TRACES,
@@ -16,15 +17,14 @@ from unigrpo.task import (
     PROMPT_DRAWS,
     PROMPT_TOKENS,
     TOKEN_NAMES,
-    TaskGeometry,
     draw_prompts,
     make_pretrain_data,
     prompt_ids,
     score,
+    targets,
     trace_lengths,
 )
 
-GEOM = TaskGeometry()
 # canonical trace -> (quadrant, band, spread)
 DECODE = {p.trace: (p.quadrant, p.band, p.spread) for p in ORACLE_PROMPTS}
 # prompt tokens -> prompt
@@ -39,15 +39,15 @@ def _text_columns(seqs):
     return [tuple(r[:3]) for r in rows], [tuple(r[3:]) for r in rows]
 
 
-def score_one(x0, prompt, geom) -> float:
+def score_one(x0, prompt, reward_mode="smooth") -> float:
     """The array score of a single row against prompt id `prompt`."""
-    rewards, _ = score(np.asarray(x0)[None], [prompt], geom)
+    rewards, _ = score(np.asarray(x0)[None], [prompt], reward_mode)
     return rewards[0]
 
 
-def target_spec(quadrant, band, spread, geom):
+def target_spec(quadrant, band, spread):
     """(mu, tau) of an attribute tuple's Gaussian target, by the reference."""
-    return reference_target(prompt_id(quadrant, band, spread), geom)
+    return reference_target(prompt_id(quadrant, band, spread))
 
 
 def _closed_form_expected_reward(mu_true, mu_gen, tau_gen, tau_r):
@@ -98,7 +98,7 @@ class TestPrompts:
             assert np.all(np.abs(freq - 1 / 3) < 0.02), (pos, freq)
 
     def test_every_prompt_decodes_to_valid_target(self):
-        mu, tau = GEOM.targets(PROMPT_DRAWS[:, :3])
+        mu, tau = targets(PROMPT_DRAWS[:, :3])
         assert mu.shape == (432, 2) and tau.shape == (432,)
         assert np.all(tau > 0)
         for p in ORACLE_PROMPTS:
@@ -106,12 +106,10 @@ class TestPrompts:
             assert np.sign(mu[p.prompt_id, 0]) == np.sign(d[0])
             assert np.sign(mu[p.prompt_id, 1]) == np.sign(d[1])
 
-    @pytest.mark.parametrize("geom", [GEOM, TaskGeometry(radius_near=0.3, radius_far=2.1,
-                                                         tau_tight=0.05, tau_wide=0.4)])
-    def test_targets_match_the_reference_bit_for_bit(self, geom):
-        mu, tau = geom.targets(PROMPT_DRAWS[:, :3])
+    def test_targets_match_the_reference_bit_for_bit(self):
+        mu, tau = targets(PROMPT_DRAWS[:, :3])
         for i in range(432):
-            ref_mu, ref_tau = reference_target(i, geom)
+            ref_mu, ref_tau = reference_target(i)
             assert mu[i].tobytes() == ref_mu.tobytes() and tau[i] == ref_tau, i
 
     def test_prompt_ids_unique(self):
@@ -168,46 +166,45 @@ class TestTraceLengths:
 
 class TestReward:
     def test_at_target_mean_is_one(self):
-        mu, _ = target_spec(2, "far", "tight", GEOM)
-        assert score_one(mu, prompt_id(2, "far", "tight"), GEOM) == pytest.approx(1.0)
+        mu, _ = target_spec(2, "far", "tight")
+        assert score_one(mu, prompt_id(2, "far", "tight")) == pytest.approx(1.0)
 
     def test_one_tau_r_away(self):
-        mu, _ = target_spec(1, "near", "tight", GEOM)
-        x = mu + np.array([GEOM.tau_r, 0.0])
-        assert score_one(x, prompt_id(1, "near", "tight"), GEOM) == pytest.approx(np.exp(-0.5),
-                                                                                  abs=1e-12)
+        mu, _ = target_spec(1, "near", "tight")
+        x = mu + np.array([TAU_R, 0.0])
+        assert score_one(x, prompt_id(1, "near", "tight")) == pytest.approx(np.exp(-0.5),
+                                                                            abs=1e-12)
 
     def test_binary_mode(self):
-        geom = TaskGeometry(reward_mode="binary")
         p = prompt_id(1, "near", "tight")
-        mu, _ = target_spec(1, "near", "tight", geom)
-        assert score_one(mu, p, geom) == 1.0
-        assert score_one(-mu, p, geom) == 0.0          # wrong quadrant
-        far_mu, _ = target_spec(1, "far", "tight", geom)
-        assert score_one(far_mu, p, geom) == 0.0            # wrong band
+        mu, _ = target_spec(1, "near", "tight")
+        assert score_one(mu, p, "binary") == 1.0
+        assert score_one(-mu, p, "binary") == 0.0      # wrong quadrant
+        far_mu, _ = target_spec(1, "far", "tight")
+        assert score_one(far_mu, p, "binary") == 0.0   # wrong band
 
     def test_nonfinite_sample_scores_zero(self):
         p = prompt_id(1, "near", "tight")
-        assert score_one(np.array([np.nan, 0.0]), p, GEOM) == 0.0
+        assert score_one(np.array([np.nan, 0.0]), p) == 0.0
 
     def test_bounded_and_pure(self):
         rng = stream(1, "rwd")
         p = prompt_id(3, "far", "wide")
         for _ in range(200):
             x = rng.normal(size=2) * 3
-            r = score_one(x, p, GEOM)
+            r = score_one(x, p)
             assert 0.0 <= r <= 1.0
-            assert r == score_one(x, p, GEOM)
+            assert r == score_one(x, p)
 
     def test_expected_reward_matches_gaussian_integral(self):
         # Monte Carlo vs closed form, correct conditioning
         rng = stream(2, "head")
         for q, b, s in [(1, "near", "tight"), (4, "far", "wide")]:
-            mu, tau = target_spec(q, b, s, GEOM)
+            mu, tau = target_spec(q, b, s)
             xs = mu + tau * rng.standard_normal((200_000, 2))
-            mc = np.mean(np.exp(-np.sum((xs - mu) ** 2, 1) / (2 * GEOM.tau_r**2)))
-            closed = _closed_form_expected_reward(mu, mu, tau, GEOM.tau_r)
-            assert closed == pytest.approx(GEOM.tau_r**2 / (GEOM.tau_r**2 + tau**2))
+            mc = np.mean(np.exp(-np.sum((xs - mu) ** 2, 1) / (2 * TAU_R**2)))
+            closed = _closed_form_expected_reward(mu, mu, tau, TAU_R)
+            assert closed == pytest.approx(TAU_R**2 / (TAU_R**2 + tau**2))
             assert mc == pytest.approx(closed, abs=0.01)
 
     def test_wrong_trace_lowers_expected_reward(self):
@@ -221,22 +218,22 @@ class TestReward:
 
         def mean_reward(gen_spec, true_spec):
             xs = gen_spec[0] + gen_spec[1] * rng.standard_normal((n, 2))
-            return np.mean(np.exp(-np.sum((xs - true_spec[0]) ** 2, 1) / (2 * GEOM.tau_r**2)))
+            return np.mean(np.exp(-np.sum((xs - true_spec[0]) ** 2, 1) / (2 * TAU_R**2)))
 
         # the vectorized scoring above agrees with score() itself
         p0 = prompt_id(2, "far", "wide")
-        mu0, _ = target_spec(2, "far", "wide", GEOM)
+        mu0, _ = target_spec(2, "far", "wide")
         x0 = mu0 + 0.3
-        assert score_one(x0, p0, GEOM) == pytest.approx(
-            np.exp(-np.sum((x0 - mu0) ** 2) / (2 * GEOM.tau_r**2))
+        assert score_one(x0, p0) == pytest.approx(
+            np.exp(-np.sum((x0 - mu0) ** 2) / (2 * TAU_R**2))
         )
 
         worst_gap = np.inf
         for q, b, s in all_tuples():
-            true_spec = target_spec(q, b, s, GEOM)
+            true_spec = target_spec(q, b, s)
             correct = mean_reward(true_spec, true_spec)
             wrong_vals = [
-                mean_reward(target_spec(q2, b2, s2, GEOM), true_spec)
+                mean_reward(target_spec(q2, b2, s2), true_spec)
                 for q2, b2, s2 in all_tuples()
                 if (q2, b2, s2) != (q, b, s)
             ]
@@ -249,10 +246,10 @@ class TestScoreOracle:
 
     N = 100_000
 
-    def _rows(self, geom, seed):
+    def _rows(self, seed):
         rng = np.random.default_rng(seed)
         rows = rng.integers(432, size=self.N)
-        mu = np.array([reference_target(i, geom)[0] for i in range(432)])[rows]
+        mu = np.array([reference_target(i)[0] for i in range(432)])[rows]
         x = mu + 0.3 * rng.standard_normal((self.N, 2))
         part = rng.integers(6, size=self.N)
         wide = part == 1
@@ -260,14 +257,14 @@ class TestScoreOracle:
         # on the band_split circle, up to rounding
         circ = part == 2
         theta = rng.uniform(0.0, 2.0 * np.pi, size=int(circ.sum()))
-        x[circ] = geom.band_split * np.stack([np.cos(theta), np.sin(theta)], axis=1)
+        x[circ] = BAND_SPLIT * np.stack([np.cos(theta), np.sin(theta)], axis=1)
         # one coordinate zero, of either sign
         zero = np.flatnonzero(part == 3)
         x[zero, rng.integers(2, size=len(zero))] = rng.choice([0.0, -0.0], size=len(zero))
         # exactly on band_split: the tiny coordinate's square underflows
         split = np.flatnonzero(part == 4)
         axis = rng.integers(2, size=len(split))
-        x[split, axis] = geom.band_split * rng.choice([-1.0, 1.0], size=len(split))
+        x[split, axis] = BAND_SPLIT * rng.choice([-1.0, 1.0], size=len(split))
         x[split, 1 - axis] = rng.choice([-1e-200, 1e-200, 0.0], size=len(split))
         # non-finite and overflowing coordinates
         bad = np.flatnonzero(part == 5)
@@ -276,29 +273,29 @@ class TestScoreOracle:
         x[:4] = [[0.0, 0.0], [np.nan, np.nan], [np.inf, np.nan], [-0.0, -0.0]]
         return x, rows
 
-    @pytest.mark.parametrize("geom", [TaskGeometry(), TaskGeometry(reward_mode="binary")],
-                             ids=["smooth", "binary"])
-    def test_matches_scalar_reference_bit_for_bit(self, geom):
-        x, rows = self._rows(geom, 11)
+    @pytest.mark.parametrize("reward_mode", ["smooth", "binary"])
+    def test_matches_scalar_reference_bit_for_bit(self, reward_mode):
+        x, rows = self._rows(11)
         with np.errstate(over="ignore"):
-            rewards, finite = score(x, rows, geom)
-            ref = np.array([reference_reward(xx, p, geom) for xx, p in zip(x, rows)])
+            rewards, finite = score(x, rows, reward_mode)
+            ref = np.array([reference_reward(xx, p, reward_mode) for xx, p in zip(x, rows)])
         np.testing.assert_array_equal(finite, np.isfinite(x).all(axis=1))
         assert rewards.dtype == np.float64 and rewards.shape == (self.N,)
         mismatch = np.flatnonzero(rewards.view(np.int64) != ref.view(np.int64))
         assert mismatch.size == 0, (mismatch[:5], x[mismatch[:5]], rewards[mismatch[:5]])
         # the cases the rows were built to hit are there
-        on_split = np.hypot(x[:, 0], x[:, 1]) == geom.band_split
+        on_split = np.hypot(x[:, 0], x[:, 1]) == BAND_SPLIT
         assert np.sum(on_split & (x != 0.0).all(axis=1)) > 1000
         assert np.sum(~finite) > 1000 and np.sum((x == 0.0).any(axis=1)) > 1000
-        if geom.reward_mode == "binary":
+        if reward_mode == "binary":
             assert np.sum(on_split & (ref == 1.0)) > 100
             assert 0.2 < ref.mean() < 0.8
 
 
 class TestPretrainData:
-    def test_zero_noise_gives_canonical_traces(self):
-        seqs, _ = make_pretrain_data(4, 500, 1, GEOM, p_noise=0.0)
+    def test_zero_noise_gives_canonical_traces(self, monkeypatch):
+        monkeypatch.setattr(task, "P_NOISE", 0.0)
+        seqs, _ = make_pretrain_data(4, 500, 1)
         assert seqs.shape == (500, 7) and seqs.dtype == np.int64
         for tokens, trace in zip(*_text_columns(seqs)):
             q, b, s = DECODE[trace]
@@ -307,7 +304,7 @@ class TestPretrainData:
             assert (q, b, s) == (prompt.quadrant, prompt.band, prompt.spread)
 
     def test_corruption_rate(self):
-        prompts, traces = _text_columns(make_pretrain_data(5, 10_000, 1, GEOM, p_noise=0.25)[0])
+        prompts, traces = _text_columns(make_pretrain_data(5, 10_000, 1)[0])
         # a corrupted trace differs from its prompt's canonical trace in one token
         wrong = [sum(a != b for a, b in zip(trace, PROMPTS[tokens].trace))
                  for tokens, trace in zip(prompts, traces)]
@@ -333,13 +330,13 @@ class TestPretrainData:
 
     def test_examples_are_counter_addressed(self):
         # example i's draws do not depend on how many examples are drawn
-        s, (c, x0) = make_pretrain_data(9, 50, 30, GEOM)
-        s2, (c2, x2) = make_pretrain_data(9, 400, 300, GEOM)
+        s, (c, x0) = make_pretrain_data(9, 50, 30)
+        s2, (c2, x2) = make_pretrain_data(9, 400, 300)
         assert s.tobytes() == s2[:50].tobytes() and c.tobytes() == c2[:30].tobytes()
         assert x0.tobytes() == x2[:30].tobytes()
 
     def test_flow_pair_sample_means(self):
-        _, (conds, x0) = make_pretrain_data(6, 1, 16_000, GEOM, p_noise=0.25)
+        _, (conds, x0) = make_pretrain_data(6, 1, 16_000)
         assert x0.shape == (16_000, 2) and conds.shape == (16_000, 4)
         by_cond = {}
         for cond, x in zip(map(tuple, conds.tolist()), x0):
@@ -347,7 +344,7 @@ class TestPretrainData:
         assert len(by_cond) == 16
         for cond, xs in by_cond.items():
             q, b, s = DECODE[cond]
-            mu, tau = target_spec(q, b, s, GEOM)
+            mu, tau = target_spec(q, b, s)
             xs = np.array(xs)
             se = 3 * tau / np.sqrt(len(xs))
             assert np.all(np.abs(xs.mean(axis=0) - mu) < se + 1e-9)

@@ -7,13 +7,22 @@ import pytest
 from prompt_draws import prompt_id, random_prompts
 from reference_ops import OpTape, trace_tokens
 
+from unigrpo import task
+from unigrpo.config import TrainConfig
 from unigrpo.errors import NumericError
 from unigrpo.nn import AdamState, adam_step, finite_diff_check, mlp_var
 from unigrpo.rng import stream
-from unigrpo.task import CANONICAL_TRACES, EOS, PAD, PROMPT_TOKENS, TaskGeometry, make_pretrain_data
-from unigrpo.text_policy import TextPolicy, softmax_np
+from unigrpo.task import CANONICAL_TRACES, EOS, PAD, PROMPT_TOKENS, make_pretrain_data
+from unigrpo.text_policy import softmax_np
+from unigrpo.trainer import make_runtime
 
-POLICY = TextPolicy()
+
+def text_policy(**sizes):
+    """The text policy of the default config with `sizes` changed."""
+    return make_runtime(TrainConfig(**sizes)).text_policy
+
+
+POLICY = text_policy()
 PROMPT = prompt_id(1, "near", "tight")
 
 
@@ -127,7 +136,7 @@ class TestTokenRows:
         # token of a full-width trace is then only a target): EOS at every
         # position, PADs sampled before an EOS, rows filled without EOS, one
         # ending in a sampled PAD; canonical pretraining traces are 4 wide
-        policy = TextPolicy(max_trace_len=max_len)
+        policy = text_policy(max_trace_len=max_len)
         rng = stream(30, "rows", width)
         seqs = np.full((12, policy.prompt_len + width), PAD, dtype=np.int64)
         seqs[:, : policy.prompt_len] = PROMPT_TOKENS[random_prompts(30, "p", 12)]
@@ -328,7 +337,7 @@ class TestSurrogate:
         # a lockstep decode of 2-4 rows makes head calls of 1-3 live rows,
         # which BLAS may round differently from the same rows inside a larger
         # call; the old log-probs come from the surrogate's own rows instead
-        policy, bad = TextPolicy(max_trace_len=6), []
+        policy, bad = text_policy(max_trace_len=6), []
         for seed in range(40):
             n = 2 + seed % 3
             params = policy.init_params(stream(seed, "init-text"))
@@ -415,7 +424,7 @@ class TestDeduplicatedSurrogate:
     def test_matches_per_row_formula(self, temperature, beta_txt, kind, max_len):
         # the net runs once per distinct context; the per-row chain scores
         # every row, so the two agree to rounding (sums run in another order)
-        policy = TextPolicy(max_trace_len=max_len)
+        policy = text_policy(max_trace_len=max_len)
         params = policy.init_params(stream(41, "init-text", max_len))
         ref = policy.init_params(stream(42, "init-text", max_len))
         seqs = _dedup_seqs(policy, params, kind, temperature)
@@ -438,10 +447,9 @@ class TestDeduplicatedSurrogate:
 
 
 class TestPretrain:
-    GEOM = TaskGeometry()
-
-    def test_clean_data_high_accuracy_and_monotone(self):
-        seqs, _ = make_pretrain_data(20, 1024, 1, self.GEOM, p_noise=0.0)
+    def test_clean_data_high_accuracy_and_monotone(self, monkeypatch):
+        monkeypatch.setattr(task, "P_NOISE", 0.0)
+        seqs, _ = make_pretrain_data(20, 1024, 1)
         params, report = POLICY.pretrain(
             _params(21), seqs, epochs=14, lr=3e-3, batch_size=128, rng=stream(22, "sh")
         )
@@ -453,7 +461,7 @@ class TestPretrain:
         # reference: each batch's context rows and targets rebuilt from its
         # own traces; with `short`, one trace ends early, so the traces own
         # different numbers of rows
-        seqs, _ = make_pretrain_data(26, 200, 1, self.GEOM)
+        seqs, _ = make_pretrain_data(26, 200, 1)
         if short:
             seqs[3, POLICY.prompt_len + 2 :] = (EOS, PAD)
         traces = [_trace_tokens(seq) for seq in seqs]
@@ -483,7 +491,7 @@ class TestPretrain:
     def test_noisy_data_leaves_headroom(self):
         # symmetric 25% label noise cannot flip a converged argmax, so the
         # headroom comes from the fixed desk-scale epoch budget
-        seqs, _ = make_pretrain_data(23, 1024, 1, self.GEOM, p_noise=0.25)
+        seqs, _ = make_pretrain_data(23, 1024, 1)
         params, report = POLICY.pretrain(
             _params(24), seqs, epochs=8, lr=3e-3, batch_size=128, rng=stream(25, "sh")
         )

@@ -291,9 +291,9 @@ class TestRollouts:
         calls = []
         real = trainer_mod.score
 
-        def counting(x0, prompts, geom):
+        def counting(x0, prompts, reward_mode):
             calls.append(len(x0))
-            return real(x0, prompts, geom)
+            return real(x0, prompts, reward_mode)
 
         monkeypatch.setattr(trainer_mod, "score", counting)
         _collect(rt, [prompt_id(2, "far", "wide")], text, flow, 0, 1)
@@ -644,7 +644,7 @@ def _two_pass_evaluate(rt, text_params, flow_params, flow_ref, eval_set) -> dict
         if w != 1.0:
             v = cfg_velocity(v[:B], v[B:], w)
         states.append(states[k] - v * (times[k] - times[k + 1]))
-    rewards, _ = score(states[-1], ids[owners], rt.geom)
+    rewards, _ = score(states[-1], ids[owners], rt.cfg.reward_mode)
     diff = np.stack(cond_v)
     for k in range(n):
         rows = np.concatenate([states[k], np.tile(feats[k], (B, 1)),
@@ -690,7 +690,7 @@ class TestEvaluate:
                 v_ref = reference_velocity(fp, flow, x, t, cond_ref)
                 drifts.extend(np.sum((v_cur - v_ref) ** 2, axis=1))
                 x = x - reference_velocity(fp, moved, x, t, cond_cur, eval_cfg_scale) * dt
-            rewards.extend(reference_reward(xx, prompt, rt.geom) for xx in x)
+            rewards.extend(reference_reward(xx, prompt, rt.cfg.reward_mode) for xx in x)
         assert got["text_accuracy"] == np.mean(accs)
         assert got["eval_reward"] == pytest.approx(np.mean(rewards), rel=0, abs=1e-12)
         assert got["velocity_drift"] == pytest.approx(np.mean(drifts), rel=1e-9)
@@ -1112,7 +1112,7 @@ from unigrpo.trainer import keep_freed_heap, make_runtime
 applied = keep_freed_heap() if sys.argv[1] == "on" else False
 cfg = TrainConfig()
 rt = make_runtime(cfg)
-seqs, _ = make_pretrain_data(0, 128, 1, rt.geom, cfg.p_noise)
+seqs, _ = make_pretrain_data(0, 128, 1)
 policy = rt.text_policy
 params = policy.init_params(stream(0, "init-text"))
 rows, targets, _, _ = policy.token_rows(seqs)

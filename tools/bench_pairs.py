@@ -26,8 +26,9 @@ writes, per workload, the change's last result line in the
 BENCH_<pr>.json shape, plus the medians, win counts, failures per seed,
 identical-eval_reward pair count and every run's end-to-end values by seed
 and side (`runs`, so a record can be re-analysed without re-running), and
-`src_lines`, the line count of src/unigrpo/*.py in each checkout, next to
-them.
+`src_lines`, the line count of src/unigrpo/*.py in each checkout, and
+`config_keys`, the number of `TrainConfig` fields in each checkout's
+src/unigrpo/config.py, next to them.
 
 It refuses to run (exit 2) when perfbench/ (its __pycache__ aside) or
 BENCHMARK.json differ between the two checkouts, naming the first file that
@@ -43,6 +44,7 @@ fails the same way on both sides does not fail the comparison.
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import statistics
 import subprocess
@@ -74,6 +76,14 @@ def src_lines(checkout: Path) -> int:
     """Line count of the package source, src/unigrpo/*.py."""
     return sum(len(p.read_text().splitlines())
                for p in sorted((checkout / "src/unigrpo").glob("*.py")))
+
+
+def config_keys(checkout: Path) -> int:
+    """Number of `TrainConfig` fields in src/unigrpo/config.py, read from its
+    syntax tree rather than by importing the checkout's package."""
+    tree = ast.parse((checkout / "src/unigrpo/config.py").read_text())
+    cls = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "TrainConfig")
+    return sum(isinstance(n, ast.AnnAssign) for n in cls.body)
 
 
 def iqr(values: list[float]) -> float:
@@ -182,9 +192,10 @@ def main(argv=None) -> int:
         "note": f"last change-side run of {len(args.seeds)} alternating parent/change pairs "
                 f"per workload, seeds {args.seeds[0]}-{args.seeds[-1]}",
         "src_lines": {"parent": src_lines(args.parent), "change": src_lines(args.change)},
+        "config_keys": {"parent": config_keys(args.parent), "change": config_keys(args.change)},
     }
-    print(f"src/unigrpo lines: parent {record['src_lines']['parent']}  "
-          f"change {record['src_lines']['change']}")
+    for key, label in (("src_lines", "src/unigrpo lines"), ("config_keys", "TrainConfig keys")):
+        print(f"{label}: parent {record[key]['parent']}  change {record[key]['change']}")
     all_ok = True
     for workload in args.workload:
         runs = []
