@@ -187,8 +187,11 @@ class TestValidation:
         cfg = TrainConfig(sde_window_size=0, sigma_level=0.0, train_flow=False)
         cfg.validate()
 
+    # the last three windows have their smallest std at their last step, not
+    # at their first
     @pytest.mark.parametrize("n, shift, lo, hi", [(1, 1.0, 0, 0), (10, 3.0, 0, 5),
-                                                  (6, 5.0, 2, 5)])
+                                                  (6, 5.0, 2, 5), (4, 1.0, 0, 3),
+                                                  (10, 3.0, 7, 9), (10, 3.0, 9, 9)])
     def test_sigma_level_floor(self, n, shift, lo, hi):
         # the floor is on the smallest transition std over the window's steps
         # lo..hi: just below it, and far below (at sigma_level 8.4e-78 every
@@ -352,15 +355,16 @@ class TestCli:
         assert main(["eval", "--run", str(run)]) == 3
         assert "run_manifest.json" in capsys.readouterr().err
 
-    def test_eval_ignores_keys_the_config_no_longer_has(self, cli_workspace, tmp_path, capsys):
-        # a run from before lambda_flow, ablate_updates, adv_eps and the task
-        # keys were deleted still evaluates and resumes
+    @pytest.mark.parametrize("key, value", [(key, value) for key, value, _ in REMOVED_KEYS],
+                             ids=[key for key, _, _ in REMOVED_KEYS])
+    def test_eval_ignores_keys_the_config_no_longer_has(self, cli_workspace, tmp_path, capsys,
+                                                        key, value):
+        # a run from before a key was deleted still evaluates and resumes
         ws, cfg_path = cli_workspace
         run = _seeded_run_copy(cli_workspace, tmp_path, capsys)
         manifest = run / "run_manifest.json"
         data = json.loads(manifest.read_text())
-        data["config_resolved"].update(lambda_flow=1.0, ablate_updates=0, adv_eps=1e-8,
-                                       **TASK_KEYS)
+        data["config_resolved"][key] = value
         manifest.write_text(json.dumps(data))
         assert main(["eval", "--run", str(run)]) == 0
         last = read_metrics(run / "metrics.csv")[-1]
@@ -453,6 +457,18 @@ class TestCli:
         rc = main([command, "--config", str(bad), *mode, "--out", str(tmp_path / "r")])
         assert rc == 2
         assert f"unknown config key '{key}'" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("command", ["pretrain", "train", "ablate"])
+    def test_every_config_command_refuses_a_removed_key(self, tmp_path, capsys, command):
+        # p_noise was the pretraining label-noise rate, so pretrain, the
+        # command that read it, refuses it like the others do
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(TINY_CONFIG + "p_noise = 0.25\n")
+        mode = ["--mode", "reg-sweep"] if command == "ablate" else []
+        rc = main([command, "--config", str(bad), *mode, "--out", str(tmp_path / "r")])
+        assert rc == 2
+        assert "unknown config key 'p_noise'" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
 
     # the last two put the window's transition std below config.MIN_WINDOW_STD

@@ -29,8 +29,8 @@ from unigrpo.metrics import read_metrics
 from unigrpo.nn import AdamState, ParamSet, mlp_forward_np
 from unigrpo.rng import below, normals, stream, uniforms, words
 from unigrpo.flow_policy import FlowPolicy
-from unigrpo.task import (EOS, PAD, PROMPT_LEN, PROMPT_TOKENS, canonical_accuracy, draw_prompts,
-                          score)
+from unigrpo.task import (EOS, PAD, PROMPT_LEN, PROMPT_TOKENS, VOCAB_SIZE, canonical_accuracy,
+                          draw_prompts, score)
 from unigrpo.text_policy import TextPolicy
 from unigrpo.trainer import (
     ROLLOUT_BLOCK,
@@ -145,6 +145,47 @@ def _window_logp(batch: FlowBatch, traj) -> np.ndarray:
         s = batch.steps.sigma_level * np.sqrt(t) * np.sqrt(dt)
         out[n, w] = transition_logprob(batch.mu[i, w], s, batch.states[k + 1, i])
     return out
+
+
+# each policy's size parameters and the config key that sets each
+POLICY_SIZES = [(TextPolicy, "max_trace_len", "max_trace_len"),
+                (TextPolicy, "embed_dim", "text_embed_dim"),
+                (TextPolicy, "hidden", "text_hidden"),
+                (FlowPolicy, "cond_dim", "flow_cond_dim"),
+                (FlowPolicy, "hidden", "flow_hidden")]
+
+
+class TestMakeRuntime:
+    @pytest.mark.parametrize("key", [key for _, _, key in POLICY_SIZES])
+    def test_each_size_key_shapes_its_policy(self, key):
+        # a size set away from its default reaches its own slot of its own
+        # policy, so no two sizes are swapped or dropped
+        cfg = TrainConfig(**{key: getattr(TrainConfig(), key) + 3})
+        rt = make_runtime(cfg)
+        rng = np.random.default_rng(0)
+        text, flow = rt.text_policy.init_params(rng), rt.flow_policy.init_params(rng)
+        ctx, embed, hidden = PROMPT_LEN + cfg.max_trace_len, cfg.text_embed_dim, cfg.text_hidden
+        assert {name: text[name].shape for name in text.names()} == {
+            "wte": (VOCAB_SIZE, embed),
+            "wpe": (ctx, embed), "W0": (ctx * embed, hidden), "b0": (hidden,),
+            "W1": (hidden, hidden), "b1": (hidden,), "W2": (hidden, VOCAB_SIZE),
+            "b2": (VOCAB_SIZE,)}
+        cond, hidden = cfg.flow_cond_dim, cfg.flow_hidden
+        assert {name: flow[name].shape for name in flow.names()} == {
+            "cemb": (VOCAB_SIZE, cond), "W0": (DIM + N_TIME_FEATS + cond, hidden),
+            "b0": (hidden,), "W1": (hidden, hidden), "b1": (hidden,), "W2": (hidden, DIM),
+            "b2": (DIM,)}
+
+    @pytest.mark.parametrize("policy, name, key", POLICY_SIZES,
+                             ids=[f"{p.__name__}-{name}" for p, name, _ in POLICY_SIZES])
+    def test_policy_sizes_are_required(self, policy, name, key):
+        # the sizes are written once, as the config's defaults: a policy built
+        # without one of them is refused instead of taking a second default
+        sizes = {n: getattr(TrainConfig(), k) for p, n, k in POLICY_SIZES if p is policy}
+        policy(**sizes)
+        del sizes[name]
+        with pytest.raises(TypeError, match=name):
+            policy(**sizes)
 
 
 class TestGroupAdvantages:
