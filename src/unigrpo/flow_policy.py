@@ -63,44 +63,6 @@ def drift_coefficients(t: float, sigma_t: float) -> tuple[float, float]:
     return 1.0 + half * (1.0 - t), half
 
 
-def sde_step_values(x, v, t, dt, sigma_t, eps):
-    """(mu, s, x_next) for one noise-injected step given the velocity value."""
-    c1, c2 = drift_coefficients(t, sigma_t)
-    mu = x - (c1 * v + c2 * x) * dt
-    s = sigma_t * np.sqrt(dt)
-    return mu, s, mu + s * eps
-
-
-def transition_logprob(mu: np.ndarray, s: float, x_next: np.ndarray):
-    """Isotropic Gaussian log-density of x_next under N(mu, s^2 I), taken over
-    the last axis: a float for one point, an array for a batch of rows."""
-    if s <= 0.0:
-        raise NumericError("transition std must be positive")
-    mu = np.asarray(mu, dtype=np.float64)
-    d = mu.shape[-1]
-    return (-0.5 * d * np.log(2.0 * np.pi * s * s)
-            - np.sum((np.asarray(x_next) - mu) ** 2, axis=-1) / (2.0 * s * s))
-
-
-def ratio_norm(log_r: float, dmu: np.ndarray, sigma_t: float, dt: float) -> float:
-    """Standardized importance ratio: the log ratio is shifted by its Gaussian
-    expectation and scaled by the transition std so clipping bounds act
-    symmetrically across timesteps."""
-    scale = sigma_t * np.sqrt(dt)
-    if scale <= 0.0:
-        raise NumericError("ratio normalization needs sigma_t * sqrt(dt) > 0")
-    correction = float(np.sum(np.asarray(dmu) ** 2)) / (2.0 * sigma_t**2 * dt)
-    return float(np.exp(scale * (log_r + correction)))
-
-
-def latent_kl(mu_theta: np.ndarray, mu_ref: np.ndarray, sigma_t: float, dt: float) -> float:
-    """Exact KL between equal-variance Gaussian transitions."""
-    var = sigma_t**2 * dt
-    if var <= 0.0:
-        raise NumericError("latent KL needs positive transition variance")
-    return float(np.sum((np.asarray(mu_theta) - np.asarray(mu_ref)) ** 2) / (2.0 * var))
-
-
 def cfg_velocity(v_cond: np.ndarray, v_uncond: np.ndarray, w: float) -> np.ndarray:
     return np.asarray(v_uncond) + w * (np.asarray(v_cond) - np.asarray(v_uncond))
 
@@ -119,6 +81,15 @@ class StepTable:
     c1: np.ndarray      # (n,) drift coefficients of c1 * v + c2 * x
     c2: np.ndarray      # (n,)
     std: np.ndarray     # (n,) transition std sigma_t * sqrt(dt)
+
+    def transition_mean(self, k, x: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """The mean x - (c1 v + c2 x) dt of the noise-injected step k from the
+        states x at the velocities v: k one step for every row of x, or an
+        array of steps, one per row."""
+        c1, c2, dt = self.c1[k], self.c2[k], self.dts[k]
+        if np.ndim(k):
+            c1, c2, dt = c1[:, None], c2[:, None], dt[:, None]
+        return x - (c1 * v + c2 * x) * dt
 
 
 def step_table(times: np.ndarray, sigma_level: float = 0.0) -> StepTable:
@@ -176,9 +147,9 @@ class FlowUpdateBatch:
     xs: np.ndarray          # (n, DIM) state before the step
     inputs: np.ndarray      # (S, n, arch[0]) velocity-net input, a slice per guidance branch
     pool: np.ndarray        # (n, vocab) pooling weights
-    c1: np.ndarray          # (n, 1) drift coefficients c1 * v + c2 * x
-    c2x: np.ndarray         # (n, DIM) c2 * x
-    neg_dt: np.ndarray      # (n, 1) -dt
+    steps: StepTable        # the rollout's steps, whose transition_mean gives mu
+    c1: np.ndarray          # (n, 1) c1 and
+    neg_dt: np.ndarray      # (n, 1) -dt, for the VJP's dmu / dv = -c1 dt
     mu_old: np.ndarray | None  # (n, DIM) transition mean at the sampling parameters, once known
     eps: np.ndarray         # (n, DIM) sampled noise
     adv: np.ndarray         # (n,)
@@ -293,8 +264,7 @@ class FlowPolicy:
                 np.subtract(out[0], out[-1], out=diff[k])
             np.subtract(x, v * dts[k], out=states[k + 1])
             if k in covered:
-                c1, c2 = steps.c1[k], steps.c2[k]
-                np.subtract(x, (c1 * v + c2 * x) * dts[k], out=means[k])
+                means[k] = steps.transition_mean(k, x, v)
                 np.copyto(states[k + 1], means[k] + steps.std[k] * noise[k], where=inside[k])
         mu = means[slots, rows]
         drift = None if diff is None else np.sum(diff * diff, axis=2)
@@ -384,7 +354,7 @@ class FlowPolicy:
         """The per-update part of the surrogate over the trajectories `traj`,
         rows of `batch` gathered from it once, whose advantages are
         `advantages`: one row per (trajectory, window step), row-major, with
-        its state, its step's rows of the batch's StepTable, sampled noise
+        its state, the batch's StepTable and its step's rows of it, sampled noise
         eps = (x' - mu) / s from the rollout's means, pooling weights, and the
         frozen reference's velocity there; the old means are left to the first
         surrogate_loss call.  The velocity net's input is laid out once, a
@@ -426,7 +396,7 @@ class FlowPolicy:
             kappa = c1[:, 0]**2 * dts / (2.0 * steps.sig[ks]**2) if reg_mode == "latent-kl" else 1.0
             reg_scale = reg_weight * (weight * kappa)
         return FlowUpdateBatch(
-            rows, ks, xs, inputs, pool, c1, steps.c2[ks, None] * xs, -dts[:, None], None, eps,
+            rows, ks, xs, inputs, pool, steps, c1, -dts[:, None], None, eps,
             np.repeat(advantages, W), weight, batch.cfg_scale, v_ref, reg_scale,
         )
 
@@ -437,9 +407,11 @@ class FlowPolicy:
         standardized ratios, minus the batch's drift penalty evaluated at the
         stored states against the frozen reference.  Each row weighs
         1/B, so one call over several groups equals the mean of per-group
-        calls.  With eps = (x' - mu_old) / s the sampled noise, ratio_norm's
-        log ratio is exactly eps . (mu - mu_old) (its Gaussian normalizers and
-        correction cancel).  The first call on a batch must be at the sampling
+        calls.  mu is the step's transition_mean.  With eps = (x' - mu_old) / s
+        the sampled noise, the standardized log ratio
+        s (log N(x' | mu, s^2) - log N(x' | mu_old, s^2) + |mu - mu_old|^2 / 2s^2)
+        is exactly eps . (mu - mu_old); the LossStats return each row's
+        ratio, the exp of it.  The first call on a batch must be at the sampling
         parameters: its means become the old means, so its ratios are exactly
         1.  The velocity net is one node over the batch's input slices (both
         guidance branches), and everything after it one fused head node."""
@@ -449,7 +421,7 @@ class FlowPolicy:
         net = mlp_var(tape, params, x, self.arch, "tanh")
         out = net.value
         v = out[0] if len(out) == 1 else cfg_velocity(out[0], out[1], b.cfg_scale)
-        mu = (v * b.c1 + b.c2x) * b.neg_dt + b.xs
+        mu = b.steps.transition_mean(b.ks, b.xs, v)
         if b.mu_old is None:
             b.mu_old = mu
         log_rt = ((mu - b.mu_old) * b.eps).sum(axis=1)

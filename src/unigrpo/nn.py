@@ -1,6 +1,6 @@
 """Parameter containers, MLP construction (tape and plain numpy), Adam and
-the minibatch loop both pretrainings share, the clipped PPO term both
-surrogates share, and a finite-difference oracle.
+the minibatch loop both pretrainings share, and the clipped PPO term both
+surrogates share.
 
 All training math is float64: at desk scale this is free and it keeps
 gradient checks sharp.
@@ -335,13 +335,11 @@ def mlp_forward_np(
 
 @dataclass
 class LossStats:
-    """Importance-ratio statistics of one surrogate evaluation over its rows,
+    """The importance ratios one surrogate evaluation clipped, one per row,
     plus the regularizer value where the surrogate has one."""
 
-    mean_ratio: float
-    max_ratio: float
+    ratio: np.ndarray
     clip_fraction: float  # share of rows with |ratio - 1| > clip_eps
-    rows: int
     reg_value: float = 0.0
 
 
@@ -360,89 +358,5 @@ def clipped_objective(ratio: np.ndarray, adv: np.ndarray, weight: np.ndarray, cl
         g = g * weight
         return g * ~take * adv * inside + g * take * adv
 
-    stats = LossStats(float(ratio.mean()), float(ratio.max()),
-                      float(np.mean(np.abs(ratio - 1.0) > clip_eps)), len(ratio))
+    stats = LossStats(ratio, float(np.mean(np.abs(ratio - 1.0) > clip_eps)))
     return np.sum(np.where(take, unclipped, clipped) * weight), vjp, stats
-
-
-# ---- finite-difference gradient oracle ----
-
-
-@dataclass
-class FdProbe:
-    block: str
-    index: int
-    analytic: float
-    numeric: float
-    rel_err: float
-
-
-@dataclass
-class FdReport:
-    probes: list[FdProbe]
-    tol: float
-    aborted: bool = False
-    reason: str = ""
-
-    @property
-    def max_rel_err(self) -> float:
-        return max((p.rel_err for p in self.probes), default=0.0)
-
-    @property
-    def failing_blocks(self) -> list[str]:
-        return sorted({p.block for p in self.probes if p.rel_err > self.tol})
-
-    @property
-    def passed(self) -> bool:
-        return not self.aborted and not self.failing_blocks
-
-
-def finite_diff_check(
-    loss_fn,
-    params: ParamSet,
-    rng: np.random.Generator,
-    probes: int = 100,
-    tol: float = 1e-4,
-) -> FdReport:
-    """Compare loss_fn's analytic gradient to the fourth-order central
-    difference [8(f(x+h) - f(x-h)) - (f(x+2h) - f(x-2h))] / 12h, h = 1e-3,
-    at flat indices drawn from `rng`, block by size, then index within the
-    block.  Its truncation error is O(h^4), so h can be large enough that
-    roundoff in f stays far below the tolerance even for gradients near 1e-8.
-
-    loss_fn maps ParamSet -> (scalar, gradient vector in its layout) and
-    must be deterministic; two evaluations at identical params are
-    required to agree exactly or the check aborts.
-    """
-    h = 1e-3
-    v1, grads = loss_fn(params)
-    v2, _ = loss_fn(params)
-    if v1 != v2:
-        return FdReport(
-            probes=[], tol=tol, aborted=True,
-            reason=f"loss_fn not deterministic: {v1!r} != {v2!r}",
-        )
-
-    names = params.names()
-    sizes = np.array([params[n].size for n in names], dtype=np.float64)
-    weights = sizes / sizes.sum()
-    results: list[FdProbe] = []
-    for _ in range(probes):
-        block = names[rng.choice(len(names), p=weights)]
-        flat = int(rng.integers(params[block].size))
-        index = params.layout.spans[block][0] + flat
-        base = params.vec[index]
-
-        def loss_at(delta):
-            vec = params.vec.copy()
-            vec[index] = base + delta
-            return loss_fn(params.with_vector(vec))[0]
-
-        near, far = loss_at(h) - loss_at(-h), loss_at(2 * h) - loss_at(-2 * h)
-        numeric = (8.0 * near - far) / (12.0 * h)
-        analytic = float(grads[index])
-        denom = max(abs(analytic), abs(numeric), 1e-8)
-        results.append(
-            FdProbe(block, flat, analytic, float(numeric), abs(analytic - numeric) / denom)
-        )
-    return FdReport(probes=results, tol=tol)

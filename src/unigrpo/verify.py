@@ -1,6 +1,11 @@
 """Self-contained oracle battery: every analytic and Monte-Carlo check that
 gates a release, runnable from the CLI and reused by the acceptance tests.
 
+Every oracle calls the code that trains: the losses and their gradients,
+the samplers, `prepare_batch`, `StepTable.transition_mean`,
+`group_advantages` and `task.score`.  What this module adds is only the
+closed forms they are held to and the finite-difference stencil.
+
 Each oracle returns its measured value, the tolerance it was held to, and a
 pass flag; the battery is deterministic (fixed derivation seeds).
 """
@@ -13,20 +18,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import TrainConfig
-from .flow_policy import (
-    FlowPolicy,
-    cfg_velocity,
-    drift_coefficients,
-    ratio_norm,
-    latent_kl,
-    sde_step_values,
-    step_table,
-    timestep_schedule,
-    transition_logprob,
-)
-from .nn import finite_diff_check
+from .flow_policy import FlowPolicy, cfg_velocity, step_table, timestep_schedule
+from .nn import ParamSet
 from .rng import stream
-from .task import CANONICAL_TRACES, PROMPT_TOKENS, TAU_R, TAU_TIGHT, TAU_WIDE
+from .task import CANONICAL_TRACES, PROMPT_DRAWS, PROMPT_TOKENS, TAU_R, score, targets
 from .text_policy import softmax_np
 from .trainer import group_advantages, make_runtime
 
@@ -70,6 +65,86 @@ def _timed(fn):
 
 
 # ---- gradient oracles ----
+
+
+@dataclass
+class FdProbe:
+    block: str
+    index: int
+    analytic: float
+    numeric: float
+    rel_err: float
+
+
+@dataclass
+class FdReport:
+    probes: list[FdProbe]
+    tol: float
+    aborted: bool = False
+    reason: str = ""
+
+    @property
+    def max_rel_err(self) -> float:
+        return max((p.rel_err for p in self.probes), default=0.0)
+
+    @property
+    def failing_blocks(self) -> list[str]:
+        return sorted({p.block for p in self.probes if p.rel_err > self.tol})
+
+    @property
+    def passed(self) -> bool:
+        return not self.aborted and not self.failing_blocks
+
+
+def finite_diff_check(
+    loss_fn,
+    params: ParamSet,
+    rng: np.random.Generator,
+    probes: int = 100,
+    tol: float = 1e-4,
+) -> FdReport:
+    """Compare loss_fn's analytic gradient to the fourth-order central
+    difference [8(f(x+h) - f(x-h)) - (f(x+2h) - f(x-2h))] / 12h, h = 1e-3,
+    at flat indices drawn from `rng`, block by size, then index within the
+    block.  Its truncation error is O(h^4), so h can be large enough that
+    roundoff in f stays far below the tolerance even for gradients near 1e-8.
+
+    loss_fn maps ParamSet -> (scalar, gradient vector in its layout) and
+    must be deterministic; two evaluations at identical params are
+    required to agree exactly or the check aborts.
+    """
+    h = 1e-3
+    v1, grads = loss_fn(params)
+    v2, _ = loss_fn(params)
+    if v1 != v2:
+        return FdReport(
+            probes=[], tol=tol, aborted=True,
+            reason=f"loss_fn not deterministic: {v1!r} != {v2!r}",
+        )
+
+    names = params.names()
+    sizes = np.array([params[n].size for n in names], dtype=np.float64)
+    weights = sizes / sizes.sum()
+    results: list[FdProbe] = []
+    for _ in range(probes):
+        block = names[rng.choice(len(names), p=weights)]
+        flat = int(rng.integers(params[block].size))
+        index = params.layout.spans[block][0] + flat
+        base = params.vec[index]
+
+        def loss_at(delta):
+            vec = params.vec.copy()
+            vec[index] = base + delta
+            return loss_fn(params.with_vector(vec))[0]
+
+        near, far = loss_at(h) - loss_at(-h), loss_at(2 * h) - loss_at(-2 * h)
+        numeric = (8.0 * near - far) / (12.0 * h)
+        analytic = float(grads[index])
+        denom = max(abs(analytic), abs(numeric), 1e-8)
+        results.append(
+            FdProbe(block, flat, analytic, float(numeric), abs(analytic - numeric) / denom)
+        )
+    return FdReport(probes=results, tol=tol)
 
 
 def _nontrivial_flow_params(flow: FlowPolicy, seed: int):
@@ -192,55 +267,87 @@ def advantage_oracle() -> OracleResult:
                         detail="mean-0/std-1 and affine invariance, 1000 groups")
 
 
-# ---- ratio normalization centering ----
+# ---- the flow surrogate's ratio and latent KL ----
+
+
+def _window_batch(tag: str, reg_mode: str, ref_seed: int):
+    """The flow policy at TrainConfig's sizes, its SEED parameters, their
+    rollout of 4096 rows of prompt 200's canonical trace along the training
+    steps, each row stochastic for 3 steps from a start in 0..3 as
+    TrainConfig's window draws them, and that rollout prepared with unit
+    advantages under `reg_mode` at weight 1 against the parameters of
+    `ref_seed`."""
+    n, rng = 4096, stream(SEED, tag)
+    rt = make_runtime(TrainConfig())
+    flow = rt.flow_policy
+    params = _nontrivial_flow_params(flow, SEED)
+    batch = flow.hybrid_rollout(params, np.tile(CANONICAL_TRACES[200], (n, 1)), rt.steps_train,
+                                rng.standard_normal((n, 2)), rng.integers(0, 4, n), 3,
+                                rng.standard_normal((n, 3, 2)))
+    prepared = flow.prepare_batch(batch, np.arange(n), np.ones(n), reg_mode, 1.0,
+                                  _nontrivial_flow_params(flow, ref_seed))
+    return flow, params, batch, prepared
+
+
+def _means(flow: FlowPolicy, params: ParamSet, prepared) -> np.ndarray:
+    """The transition means of the prepared rows at `params`, at which the
+    last surrogate_loss call on them ran."""
+    v, _ = flow.velocity_np(params, prepared.inputs, prepared.cfg_scale)
+    return prepared.steps.transition_mean(prepared.ks, prepared.xs, v)
+
+
+def _log_normal(x: np.ndarray, mu: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """log N(x | mu, s^2 I) over the last axis of the 2-D points x."""
+    return -np.log(2.0 * np.pi * s * s) - np.sum((x - mu) ** 2, axis=-1) / (2.0 * s * s)
 
 
 def rationorm_oracle() -> OracleResult:
-    n_draws, n_configs = 100_000, 10
-    if ratio_norm(0.0, np.zeros(2), 0.7, 0.05) != 1.0:
-        return OracleResult("rationorm/centering", np.inf, 3.0, False,
-                            detail="identity at theta=theta_old violated")
-    rng = stream(SEED, "rn")
-    worst_z = 0.0
-    for _ in range(n_configs):
-        sigma_t = float(rng.uniform(0.2, 1.2))
-        dt = float(rng.uniform(0.01, 0.2))
-        dmu = rng.normal(scale=0.3, size=2)
-        s = sigma_t * np.sqrt(dt)
-        mu_old = rng.normal(size=2)
-        mu_new = mu_old - dmu
-        x = mu_old + s * rng.standard_normal((n_draws, 2))
-        log_r = (np.sum((x - mu_old) ** 2, 1) - np.sum((x - mu_new) ** 2, 1)) / (2 * s * s)
-        bracket = log_r + np.sum(dmu**2) / (2 * sigma_t**2 * dt)
-        se = bracket.std(ddof=1) / np.sqrt(n_draws)
-        worst_z = max(worst_z, abs(bracket.mean()) / se)
-    return OracleResult("rationorm/centering", worst_z, 3.0, worst_z < 3.0,
-                        detail=f"max |z| over {n_configs} configs")
-
-
-# ---- Gaussian KL identity ----
+    """The ratios the flow surrogate clips, on a rollout at the training
+    steps.  At the sampling parameters every log ratio is exactly 0.  At
+    moved parameters each row's is the standardized Gaussian log ratio
+    s (log N(x' | mu) - log N(x' | mu_old) + |mu - mu_old|^2 / 2s^2), and
+    their Monte-Carlo mean is 0."""
+    name = "rationorm/centering"
+    flow, params, batch, prepared = _window_batch("rn", "none", SEED)
+    rng = stream(SEED, "rn-move")
+    moved = params.with_blocks({"W2": params["W2"] + rng.normal(0, 0.05, params["W2"].shape),
+                                "b2": params["b2"] + rng.normal(0, 0.05, params["b2"].shape)})
+    _, _, first = flow.surrogate_loss(params, prepared, 0.2)
+    if np.any(np.log(first.ratio) != 0.0):
+        return OracleResult(name, np.inf, 3.0, False, detail="a first-epoch log ratio is not 0")
+    _, _, stats = flow.surrogate_loss(moved, prepared, 0.2)
+    log_r = np.log(stats.ratio)
+    mu, mu_old = _means(flow, moved, prepared), prepared.mu_old
+    x_next = batch.states[prepared.ks + 1, prepared.rows]
+    s = prepared.steps.std[prepared.ks]
+    want = s * (_log_normal(x_next, mu, s) - _log_normal(x_next, mu_old, s)
+                + np.sum((mu - mu_old) ** 2, axis=1) / (2.0 * s * s))
+    err = float(np.max(np.abs(log_r - want)))
+    detail = f"{len(log_r)} rows, worst row err {err:.1e} (tol 1e-12)"
+    if not err <= 1e-12:
+        return OracleResult(name, err, 1e-12, False, detail=detail)
+    z = abs(log_r.mean()) / (log_r.std(ddof=1) / np.sqrt(len(log_r)))
+    return OracleResult(name, z, 3.0, z < 3.0, detail=detail)
 
 
 def latent_kl_oracle() -> OracleResult:
-    n_draws, n_configs = 100_000, 10
-    spot = latent_kl(np.array([np.sqrt(0.02), 0.0]), np.zeros(2), 1.0, 0.04)
-    if abs(spot - 0.25) > 1e-12:
-        return OracleResult("latent-kl/identity", spot, 3.0, False, detail="spot value wrong")
-    rng = stream(SEED, "kl")
-    worst_z = 0.0
-    for _ in range(n_configs):
-        sigma_t = float(rng.uniform(0.2, 1.2))
-        dt = float(rng.uniform(0.01, 0.2))
-        mu_t = rng.normal(size=2)
-        mu_r = mu_t + rng.normal(scale=0.2, size=2)
-        s = sigma_t * np.sqrt(dt)
-        x = mu_t + s * rng.standard_normal((n_draws, 2))
-        log_ratio = (np.sum((x - mu_r) ** 2, 1) - np.sum((x - mu_t) ** 2, 1)) / (2 * s * s)
-        se = log_ratio.std(ddof=1) / np.sqrt(n_draws)
-        z = abs(log_ratio.mean() - latent_kl(mu_t, mu_r, sigma_t, dt)) / se
-        worst_z = max(worst_z, z)
-    return OracleResult("latent-kl/identity", worst_z, 3.0, worst_z < 3.0,
-                        detail=f"max |z| over {n_configs} configs")
+    """The flow surrogate's latent-kl penalty at weight 1, on a rollout at the
+    training steps, against the Monte-Carlo KL between each row's transitions
+    N(mu_theta, s^2) and N(mu_ref, s^2), summed with the row weights."""
+    draws = 4
+    flow, params, _, prepared = _window_batch("kl", "latent-kl", SEED + 7)
+    _, _, stats = flow.surrogate_loss(params, prepared, 0.2)
+    mu = _means(flow, params, prepared)
+    mu_ref = prepared.steps.transition_mean(prepared.ks, prepared.xs, prepared.v_ref)
+    s = prepared.steps.std[prepared.ks][:, None]
+    x = mu[:, None] + s[..., None] * stream(SEED, "kl-draws").standard_normal((len(s), draws, 2))
+    log_ratio = _log_normal(x, mu[:, None], s) - _log_normal(x, mu_ref[:, None], s)
+    w = prepared.weight
+    mc = float(w @ log_ratio.mean(axis=1))
+    se = np.sqrt(w**2 @ log_ratio.var(axis=1, ddof=1) / draws)
+    z = abs(mc - stats.reg_value) / se
+    return OracleResult("latent-kl/identity", z, 3.0, z < 3.0,
+                        detail=f"{len(s)} rows x {draws} draws, KL {stats.reg_value:.4f}")
 
 
 # ---- SDE construction ----
@@ -263,13 +370,13 @@ def sde_bitwise_oracle() -> OracleResult:
 
 def sde_marginal_oracle() -> OracleResult:
     """In the linear-Gaussian regime (closed-form optimal velocity) the
-    noise-injected sampler's terminal mean and covariance must match the
-    deterministic sampler's within 3-sigma Monte-Carlo bands."""
+    noise-injected steps, each the StepTable's transition mean plus s times
+    the noise, must match the Euler sampler's terminal mean and covariance
+    within 3-sigma Monte-Carlo bands."""
     n_traj, n_steps = 10_000, 100
     mu0 = np.array([0.5, -0.3])
     tau = 0.4
-    sigma_level = 0.8
-    times = timestep_schedule(n_steps, 1.0)
+    steps = step_table(timestep_schedule(n_steps, 1.0), 0.8)
 
     def v_star(x, t):
         rho2 = (1 - t) ** 2 * tau**2 + t**2
@@ -279,13 +386,10 @@ def sde_marginal_oracle() -> OracleResult:
     rng = stream(SEED, "marginal")
     x_ode = rng.standard_normal((n_traj, 2))
     x_sde = rng.standard_normal((n_traj, 2))
-    for k in range(n_steps):
-        t = float(times[k])
-        dt = float(times[k] - times[k + 1])
+    for k, (t, dt) in enumerate(zip(steps.times, steps.dts)):
         x_ode = x_ode - v_star(x_ode, t) * dt
-        sigma_t = sigma_level * np.sqrt(t)
         eps = rng.standard_normal((n_traj, 2))
-        _, _, x_sde = sde_step_values(x_sde, v_star(x_sde, t), t, dt, sigma_t, eps)
+        x_sde = steps.transition_mean(k, x_sde, v_star(x_sde, t)) + steps.std[k] * eps
 
     worst_z = 0.0
     for i in range(2):
@@ -332,22 +436,9 @@ def spot_value_oracle() -> OracleResult:
     checks = []
     times = timestep_schedule(2, 3.0)
     checks.append(abs(times[1] - 0.75))
-    checks.append(abs(transition_logprob(np.zeros(1), 1.0, np.zeros(1)) + 0.9189385332046727))
-    checks.append(abs(transition_logprob(np.zeros(1), 1.0, np.ones(1)) + 1.4189385332046727))
-    dmu = np.array([np.sqrt(0.08), 0.0])
-    checks.append(abs(ratio_norm(-0.5, dmu, 1.0, 0.04) - np.exp(0.1)))
     checks.append(float(np.max(np.abs(
         cfg_velocity(np.array([1.0, 2.0]), np.zeros(2), 2.0) - np.array([2.0, 4.0])
     ))))
-    # regularizer ordering: exact ratio when drift difference is c1 * velocity difference
-    t0, dt, st = 0.6, 0.05, 0.7
-    x = np.array([0.3, -0.6])
-    v1, v2 = np.array([0.4, 0.2]), np.array([-0.1, 0.5])
-    c1, c2 = drift_coefficients(t0, st)
-    mu1 = x - (c1 * v1 + c2 * x) * dt
-    mu2 = x - (c1 * v2 + c2 * x) * dt
-    expected = c1**2 * dt / (2 * st**2) * float(np.sum((v1 - v2) ** 2))
-    checks.append(abs(latent_kl(mu1, mu2, st, dt) - expected))
     # softmax normalization at extreme logits, through the text loss heads' function
     logits = stream(SEED, "sm").uniform(-50, 50, size=(50, 34))
     ls, p = softmax_np(logits)
@@ -361,14 +452,18 @@ def spot_value_oracle() -> OracleResult:
 
 
 def reward_headroom_oracle() -> OracleResult:
+    """task.score's mean smooth reward over draws from a prompt's target
+    N(mu, tau^2 I) against its closed form TAU_R^2 / (TAU_R^2 + tau^2), at a
+    tight and a wide prompt."""
     n = 200_000
     rng = stream(SEED, "head")
     worst = 0.0
-    for tau in (TAU_TIGHT, TAU_WIDE):
-        z = tau * rng.standard_normal((n, 2))
-        mc = float(np.mean(np.exp(-np.sum(z**2, 1) / (2 * TAU_R**2))))
-        closed = TAU_R**2 / (TAU_R**2 + tau**2)
-        worst = max(worst, abs(mc - closed))
+    for prompt in (54, 200):  # quadrant 1, far, tight; quadrant 2, far, wide
+        mu, tau = targets(PROMPT_DRAWS[[prompt], :3])
+        rewards, _ = score(mu + tau[0] * rng.standard_normal((n, 2)), np.full(n, prompt),
+                           "smooth")
+        closed = TAU_R**2 / (TAU_R**2 + tau[0] ** 2)
+        worst = max(worst, abs(float(rewards.mean()) - closed))
     return OracleResult("reward/headroom-gaussian-integral", worst, 0.01, worst < 0.01)
 
 

@@ -13,6 +13,10 @@ once per pass, the oracle for those rows; under guidance it combines
 the in-place `adam_step`.
 `trace_tokens` reads a trace row one token at a time, the oracle for the
 array readers of the token format (`task.trace_lengths` and its callers).
+`sde_step_values`, `transition_logprob`, `ratio_norm` and `latent_kl` are
+the flow's Gaussian transition one step at a time, from its scalar
+formulas: the references for `StepTable.transition_mean`, the samplers'
+window steps and the flow surrogate's ratio and latent-kl penalty.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from unigrpo.autodiff import Tape, Var
-from unigrpo.flow_policy import cfg_velocity, time_features
+from unigrpo.flow_policy import cfg_velocity, drift_coefficients, time_features
 from unigrpo.nn import mlp_forward_np
 from unigrpo.task import EOS
 
@@ -206,3 +210,35 @@ def trace_tokens(row) -> list[int]:
         if tok == EOS:
             break
     return out
+
+
+# ---- the flow's Gaussian transition, one step at a time ----
+
+
+def sde_step_values(x, v, t, dt, sigma_t, eps):
+    """(mu, s, x_next) of one noise-injected step from x at the velocity v."""
+    c1, c2 = drift_coefficients(t, sigma_t)
+    mu = x - (c1 * v + c2 * x) * dt
+    s = sigma_t * np.sqrt(dt)
+    return mu, s, mu + s * eps
+
+
+def transition_logprob(mu, s: float, x_next):
+    """Isotropic Gaussian log-density of x_next under N(mu, s^2 I), taken over
+    the last axis: a float for one point, an array for a batch of rows."""
+    mu = _f64(mu)
+    d = mu.shape[-1]
+    return (-0.5 * d * np.log(2.0 * np.pi * s * s)
+            - np.sum((_f64(x_next) - mu) ** 2, axis=-1) / (2.0 * s * s))
+
+
+def ratio_norm(log_r: float, dmu, sigma_t: float, dt: float) -> float:
+    """Standardized importance ratio: the log ratio shifted by its Gaussian
+    expectation |dmu|^2 / 2s^2 and scaled by the transition std s."""
+    correction = float(np.sum(_f64(dmu) ** 2)) / (2.0 * sigma_t**2 * dt)
+    return float(np.exp(sigma_t * np.sqrt(dt) * (log_r + correction)))
+
+
+def latent_kl(mu_theta, mu_ref, sigma_t: float, dt: float) -> float:
+    """Exact KL between equal-variance Gaussian transitions."""
+    return float(np.sum((_f64(mu_theta) - _f64(mu_ref)) ** 2) / (2.0 * sigma_t**2 * dt))

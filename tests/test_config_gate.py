@@ -2,7 +2,9 @@
 accepts trains, logs finite metrics and evaluates, so no code behind it
 re-checks a value.  For every accepted config the update invariants hold:
 first-epoch importance ratios are exactly 1, and a skipped update leaves no
-trace in the parameters or the optimizer states."""
+trace in the parameters or the optimizer states.  The accepted configs are
+drawn constructively, so every draw is one; each refusal edge moves the keys
+of its own accepted draws across a bound, and validate must refuse it."""
 
 import json
 import math
@@ -32,9 +34,13 @@ from unigrpo.trainer import (
     unified_update,
 )
 
-EXAMPLES = 300
 TIME_BOUND_S = 5.0
 EVAL_COLUMNS = ("eval_reward", "text_accuracy", "velocity_drift")
+# draws per test: every draw of _accepted is a config validate accepts, so
+# each is a training run, and each refusal edge gets its own draws
+TRAIN_EXAMPLES = 80
+INVARIANT_EXAMPLES = 120
+EDGE_EXAMPLES = 20
 
 # model sizes fixed, so one pretraining serves every drawn config
 BASE = TrainConfig(
@@ -45,51 +51,91 @@ BASE = TrainConfig(
 )
 
 
+def _least_sigma(values) -> float:
+    """The least sigma_level validate accepts with the window of `values`,
+    up to rounding: the one that keeps each window step's transition std at
+    MIN_WINDOW_STD."""
+    steps = step_table(timestep_schedule(values["train_timesteps"], values["timestep_shift"]), 1.0)
+    return MIN_WINDOW_STD / steps.std[values["sde_window_lo"]:values["sde_window_hi"] + 1].min()
+
+
 @st.composite
-def _configs(draw):
+def _accepted(draw):
     """The sampling, window, regularizer and guidance keys, each drawn over
-    its admissible range (the window's relative to the drawn
-    train_timesteps, and at least one step wide when the flow trains; with a
-    window, sigma_level 0 or from the least that keeps each window step's
-    transition std at MIN_WINDOW_STD), then at most one of them moved to a
-    value at or just across a bound validate sets."""
+    the range validate accepts given the others, bounds included: the window
+    inside the drawn train_timesteps, at least one policy trained, a window
+    at least one step wide when the flow trains, and with a window a
+    sigma_level from the least validate accepts (without one, any)."""
     n = draw(st.integers(1, 6))
     lo = draw(st.integers(0, n - 1))
     hi = draw(st.integers(lo, n - 1))
-    span = hi - lo + 1
-    train_flow = draw(st.booleans())
-    shift = draw(st.floats(1.0, 5.0))
-    size = draw(st.integers(int(train_flow), span))
-    # the least sigma_level validate accepts with a window, up to rounding
-    unit = step_table(timestep_schedule(n, shift), 1.0).std[lo:hi + 1].min()
-    least = MIN_WINDOW_STD / unit * (1 + 1e-12)
+    train_text, train_flow = draw(st.sampled_from([(True, False), (False, True), (True, True)]))
+    size = draw(st.integers(int(train_flow), hi - lo + 1))
     values = {
         "group_size": draw(st.integers(2, 4)),
         "prompts_per_batch": draw(st.integers(1, 3)),
         "train_timesteps": n,
         "eval_timesteps": draw(st.integers(1, 6)),
-        "timestep_shift": shift,
+        "timestep_shift": draw(st.just(1.0) | st.floats(1.0, 5.0)),
         "sde_window_lo": lo,
         "sde_window_hi": hi,
         "sde_window_size": size,
-        "sigma_level": draw(st.just(0.0) | st.floats(least if size else 0.0, 1.5)),
         "reg_mode": draw(st.sampled_from(["none", "latent-kl", "velocity-mse"])),
-        "train_text": draw(st.booleans()),
+        "train_text": train_text,
         "train_flow": train_flow,
         "train_cfg": draw(st.booleans()),
         "temperature": draw(st.floats(0.05, 3.0)),
         "eval_cfg_scale": draw(st.floats(-1.0, 3.0)),
         "ppo_epochs": draw(st.integers(1, 3)),
     }
-    edges = [("timestep_shift", 1.0 - 1e-9), ("timestep_shift", 0.0), ("sde_window_lo", -1),
-             ("sde_window_hi", n), ("sde_window_hi", lo - 1), ("sde_window_size", -1),
-             ("sde_window_size", 0), ("sde_window_size", span + 1), ("sigma_level", -1e-9),
-             ("sigma_level", least * (1 - 1e-9)),
-             ("temperature", 0.0), ("ppo_epochs", 0)]
-    moved = draw(st.none() | st.sampled_from(edges))
-    if moved:
-        values[moved[0]] = moved[1]
+    least = _least_sigma(values) * (1 + 1e-12)
+    values["sigma_level"] = draw(st.just(least) | st.floats(least, 1.5) if size
+                                 else st.floats(-1.0, 1.5))
     return values
+
+
+# each refusal edge: the keys it moves in a drawn accepted config, and what
+# validate's refusal says
+EDGES = {
+    "shift-below-1": (lambda v: {"timestep_shift": 1.0 - 1e-9}, "timestep_shift"),
+    "shift-0": (lambda v: {"timestep_shift": 0.0}, "timestep_shift"),
+    "window-lo-negative": (lambda v: {"sde_window_lo": -1}, "SDE window"),
+    "window-hi-past-schedule": (lambda v: {"sde_window_hi": v["train_timesteps"]}, "SDE window"),
+    "window-hi-below-lo": (lambda v: {"sde_window_hi": v["sde_window_lo"] - 1}, "SDE window"),
+    "window-size-negative": (lambda v: {"sde_window_size": -1}, "sde_window_size"),
+    "window-size-past-span": (
+        lambda v: {"sde_window_size": v["sde_window_hi"] - v["sde_window_lo"] + 2},
+        "sde_window_size"),
+    "window-size-0-flow-trains": (lambda v: {"sde_window_size": 0, "train_flow": True},
+                                  "train_flow needs"),
+    "sigma-negative-with-window": (
+        lambda v: {"sde_window_size": max(v["sde_window_size"], 1), "sigma_level": -1e-9},
+        "sigma_level"),
+    "sigma-0-with-window": (
+        lambda v: {"sde_window_size": max(v["sde_window_size"], 1), "sigma_level": 0.0},
+        "sigma_level"),
+    "sigma-below-least": (
+        lambda v: {"sde_window_size": max(v["sde_window_size"], 1),
+                   "sigma_level": _least_sigma(v) * (1 - 1e-9)},
+        "sigma_level"),
+    "no-policy-trains": (lambda v: {"train_text": False, "train_flow": False},
+                         "both false"),
+    "temperature-0": (lambda v: {"temperature": 0.0}, "temperature"),
+    "ppo-epochs-0": (lambda v: {"ppo_epochs": 0}, "ppo_epochs"),
+}
+
+
+@pytest.mark.parametrize("edge", EDGES)
+def test_every_refusal_edge_is_refused(edge):
+    move, says = EDGES[edge]
+
+    @settings(max_examples=EDGE_EXAMPLES, derandomize=True, database=None, deadline=None)
+    @given(values=_accepted())
+    def check(values):
+        with pytest.raises(ConfigError, match=says):
+            replace(BASE, **{**values, **move(values)}).validate()
+
+    check()
 
 
 @pytest.fixture(scope="module")
@@ -102,14 +148,10 @@ def gate_pretrain(tmp_path_factory):
 def test_every_accepted_config_trains_and_evaluates(gate_pretrain, tmp_path):
     accepted = []
 
-    @settings(max_examples=EXAMPLES, derandomize=True, database=None, deadline=None)
-    @given(values=_configs())
+    @settings(max_examples=TRAIN_EXAMPLES, derandomize=True, database=None, deadline=None)
+    @given(values=_accepted())
     def check(values):
-        cfg = replace(BASE, pretrain_dir=str(gate_pretrain), **values)
-        try:
-            cfg.validate()
-        except ConfigError:
-            return
+        cfg = replace(BASE, pretrain_dir=str(gate_pretrain), **values).validate()
         run = tmp_path / f"run{len(accepted)}"
         accepted.append(values)
         train(cfg, run)
@@ -125,8 +167,9 @@ def test_every_accepted_config_trains_and_evaluates(gate_pretrain, tmp_path):
     tic = time.perf_counter()
     check()
     elapsed = time.perf_counter() - tic
-    # a gate that refuses (nearly) everything shows nothing
-    assert len(accepted) >= EXAMPLES // 10, len(accepted)
+    # validate refused none of the draws (it would have raised), so every
+    # one of them trained
+    assert len(accepted) == TRAIN_EXAMPLES, len(accepted)
     assert elapsed < TIME_BOUND_S, f"{len(accepted)} runs took {elapsed:.2f} s"
 
 
@@ -167,15 +210,15 @@ def _spy_surrogates(rt, stale=False, fail_at=None):
 
 def _first_ratios_are_one(rt, text, flow, groups, stale=False):
     """Whether each trained policy's first surrogate_loss call in one
-    `unified_update` from fresh Adam states returns max_ratio == mean_ratio
-    == 1.0 exactly, and the parameters and Adam states the update leaves."""
+    `unified_update` from fresh Adam states returns every ratio exactly 1.0,
+    and the parameters and Adam states the update leaves."""
     adams = [AdamState.for_params(p, lr) for p, lr in ((text, rt.cfg.lr_text),
                                                         (flow, rt.cfg.lr_flow))]
     calls = _spy_surrogates(rt, stale=stale)
     new_text, new_flow, _ = unified_update(rt, groups, text, flow, text, flow, *adams)
     trained = [name for name in ("text", "flow") if getattr(rt.cfg, f"train_{name}")]
     ok = all(calls[name] and calls[name][0] is not None
-             and calls[name][0].max_ratio == calls[name][0].mean_ratio == 1.0
+             and (calls[name][0].ratio == 1.0).all()
              for name in trained)
     return ok, (new_text, new_flow, *adams)
 
@@ -216,16 +259,13 @@ def _skip_leaves_no_trace(rt, entry, groups, monkeypatch, in_place=False):
 def test_update_invariants_hold_for_every_accepted_config(gate_pretrain, monkeypatch):
     # each negative control plants a bug that its property must catch on the
     # same config, so neither property passes by checking nothing
-    seen = {"ratios": 0, "skips": 0}
+    seen = {"configs": 0, "ratios": 0, "skips": 0}
 
-    @settings(max_examples=EXAMPLES, derandomize=True, database=None, deadline=None)
-    @given(values=_configs())
+    @settings(max_examples=INVARIANT_EXAMPLES, derandomize=True, database=None, deadline=None)
+    @given(values=_accepted())
     def check(values):
-        cfg = replace(BASE, **values)
-        try:
-            cfg.validate()
-        except ConfigError:
-            return
+        cfg = replace(BASE, **values).validate()
+        seen["configs"] += 1
         rt, text, flow, groups = _update_inputs(cfg, gate_pretrain)
         if all(g.degenerate for g in groups):
             return  # the update takes no step
@@ -236,6 +276,9 @@ def test_update_invariants_hold_for_every_accepted_config(gate_pretrain, monkeyp
         # from the update's exit state, so the Adam moments are not zero
         same, stepped = _skip_leaves_no_trace(rt, entry, groups, monkeypatch)
         assert same, values
+        # an Adam step precedes the failure injected at the last epoch's last
+        # policy when an epoch comes before the last or text steps before flow
+        assert stepped == (cfg.ppo_epochs > 1 or (cfg.train_text and cfg.train_flow)), values
         if stepped:
             seen["skips"] += 1
             assert not _skip_leaves_no_trace(rt, entry, groups, monkeypatch, in_place=True)[0], \
@@ -244,5 +287,9 @@ def test_update_invariants_hold_for_every_accepted_config(gate_pretrain, monkeyp
     tic = time.perf_counter()
     check()
     elapsed = time.perf_counter() - tic
-    assert seen["ratios"] >= EXAMPLES // 10 and seen["skips"] >= EXAMPLES // 10, seen
+    # validate refused none of the draws (it would have raised); each control
+    # showed on every config where it can, and on no fewer than the 68 and 59
+    # configs of a strategy that also drew refused ones
+    assert seen["configs"] == INVARIANT_EXAMPLES, seen
+    assert seen["ratios"] >= 68 and seen["skips"] >= 59, seen
     assert elapsed < TIME_BOUND_S, f"{seen} took {elapsed:.2f} s"

@@ -19,7 +19,6 @@ from unigrpo.nn import (
     AdamState,
     ParamSet,
     adam_step,
-    finite_diff_check,
     fit,
     init_mlp_blocks,
     mlp_forward_np,
@@ -28,6 +27,7 @@ from unigrpo.nn import (
 )
 from unigrpo.rng import stream
 from unigrpo.trainer import make_runtime
+from unigrpo.verify import finite_diff_check
 
 # the policies at the config's default sizes
 DEFAULT = make_runtime(TrainConfig())

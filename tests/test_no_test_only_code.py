@@ -1,6 +1,7 @@
 """Rules over the syntax of src/unigrpo: every function and method has a
-caller there, every defaulted parameter is passed there, the command line
-hides no option, and no check is an `assert`."""
+caller there, and a module-level function outside verify.py one outside it
+too; every defaulted parameter is passed there, the command line hides no
+option, and no check is an `assert`."""
 
 import ast
 import tomllib
@@ -10,19 +11,38 @@ ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src/unigrpo").glob("*.py"))
 
 
+def _uses(tree: ast.Module) -> set[str]:
+    """The names `tree` references, as a name or an attribute."""
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    # an attribute read off numpy (np.tanh) is no use of a method of that name
+    used |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)
+             and not (isinstance(n.value, ast.Name) and n.value.id in ("np", "numpy"))}
+    return used
+
+
 def test_every_function_is_referenced_in_the_package():
     trees = [ast.parse(p.read_text()) for p in SOURCES]
-    nodes = [node for tree in trees for node in ast.walk(tree)]
-    defined = {n.name for n in nodes if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
+    defined = {n.name for tree in trees for n in ast.walk(tree)
+               if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
                and not (n.name.startswith("__") and n.name.endswith("__"))}
-    used = {n.id for n in nodes if isinstance(n, ast.Name)}
-    # an attribute read off numpy (np.tanh) is no use of a method of that name
-    used |= {n.attr for n in nodes if isinstance(n, ast.Attribute)
-             and not (isinstance(n.value, ast.Name) and n.value.id in ("np", "numpy"))}
+    used = set().union(*map(_uses, trees))
     scripts = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["scripts"]
     used |= {target.rsplit(":", 1)[-1] for target in scripts.values()}
     unused = sorted(defined - used)
     assert not unused, f"referenced nowhere in src/unigrpo: {', '.join(unused)}"
+
+
+def test_no_function_serves_only_the_oracle_battery():
+    # verify's oracles check the code that trains: a module-level function
+    # defined elsewhere that only verify.py references is math no training
+    # path runs, or a helper that belongs in verify.py
+    trees = {p.stem: ast.parse(p.read_text()) for p in SOURCES}
+    battery = trees.pop("verify")
+    defined = {n.name for tree in trees.values() for n in tree.body
+               if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    used = set().union(*map(_uses, trees.values()))
+    only_battery = sorted(defined & _uses(battery) - used)
+    assert not only_battery, f"referenced only from verify.py: {', '.join(only_battery)}"
 
 
 def test_no_assert_statements():
