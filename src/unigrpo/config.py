@@ -7,7 +7,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .errors import ConfigError
-from .flow_policy import step_table, timestep_schedule
+from .flow_policy import TIMESTEP_SHIFT, step_table, timestep_schedule
 from .task import TRACE_LEN
 
 # The smallest transition std sigma_level * sqrt(t * dt) a step of a non-empty
@@ -44,7 +44,6 @@ class TrainConfig:
     # flow sampling
     train_timesteps: int = 10
     eval_timesteps: int = 20
-    timestep_shift: float = 3.0
     sde_window_lo: int = 0
     sde_window_hi: int = 5
     sde_window_size: int = 3
@@ -66,12 +65,9 @@ class TrainConfig:
     # pretraining
     pretrain_text_n: int = 1024
     pretrain_text_epochs: int = 8
-    pretrain_text_lr: float = 3e-3
     pretrain_flow_n: int = 4096
     pretrain_flow_epochs: int = 40
-    pretrain_flow_lr: float = 3e-3
     pretrain_batch: int = 128
-    p_uncond: float = 0.1
 
     # model sizes
     text_embed_dim: int = 12
@@ -106,14 +102,9 @@ class TrainConfig:
         if self.max_trace_len < TRACE_LEN - 1:
             raise ConfigError(f"max_trace_len must be >= {TRACE_LEN - 1}: a canonical trace "
                               f"has {TRACE_LEN} tokens")
-        for name in ("temperature", "clip_eps", "lr_text", "lr_flow", "pretrain_text_lr",
-                     "pretrain_flow_lr"):
+        for name in ("temperature", "clip_eps", "lr_text", "lr_flow"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
-        if not 0 <= self.p_uncond <= 1:
-            raise ConfigError("p_uncond must lie in [0, 1]")
-        if self.timestep_shift < 1:
-            raise ConfigError("timestep_shift must be >= 1")
         if self.reg_mode not in ("none", "latent-kl", "velocity-mse"):
             raise ConfigError(f"unknown reg_mode '{self.reg_mode}'")
         if self.beta_img < 0 or self.mse_weight < 0 or self.beta_txt < 0:
@@ -125,8 +116,10 @@ class TrainConfig:
         span = self.sde_window_hi - self.sde_window_lo + 1
         if not (0 <= self.sde_window_size <= span):
             raise ConfigError("sde_window_size must fit inside [sde_window_lo, sde_window_hi]")
+        if self.sigma_level < 0:
+            raise ConfigError(f"sigma_level must be >= 0, got {self.sigma_level}")
         if self.sde_window_size > 0:
-            steps = step_table(timestep_schedule(self.train_timesteps, self.timestep_shift),
+            steps = step_table(timestep_schedule(self.train_timesteps, TIMESTEP_SHIFT),
                                self.sigma_level)
             std = steps.std[self.sde_window_lo:self.sde_window_hi + 1].min()
             if std < MIN_WINDOW_STD:

@@ -39,6 +39,9 @@ def time_features(t) -> np.ndarray:
 
 N_TIME_FEATS = 7
 
+# the schedule shift of every training, evaluation and warm-start sampler
+TIMESTEP_SHIFT = 3.0
+
 
 def timestep_schedule(n_steps: int, shift: float) -> np.ndarray:
     """Times t_0=1 > ... > t_n=0 on the shifted grid.
@@ -334,9 +337,8 @@ class FlowPolicy:
 
     def quadrant_accuracy(self, params: ParamSet, rng) -> dict:
         """Mean and smallest share, over the attribute tuples, of deterministic
-        samples landing in the conditioned quadrant: 200 per tuple, 20 steps,
-        shift 3."""
-        steps = step_table(timestep_schedule(20, 3.0))
+        samples landing in the conditioned quadrant: 200 per tuple, 20 steps."""
+        steps = step_table(timestep_schedule(20, TIMESTEP_SHIFT))
         ids = np.arange(0, len(PROMPT_DRAWS), N_SYNONYMS**3)  # each tuple's first prompt
         mu, _ = targets(PROMPT_DRAWS[ids, :3])
         shares = []

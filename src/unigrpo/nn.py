@@ -114,10 +114,6 @@ class ParamSet:
     def copy(self) -> "ParamSet":
         return self.with_vector(self.vec.copy())
 
-    def with_blocks(self, updates: dict[str, np.ndarray]) -> "ParamSet":
-        """New ParamSet with some blocks replaced; names/shapes must match."""
-        return self.with_vector(self.layout.flatten({**self._views, **updates}))
-
 
 @dataclass
 class AdamState:
@@ -261,8 +257,10 @@ def mlp_var(
         for i in range(n_layers - 1, -1, -1):
             layer_in = acts[i - 1] if i else x.value
             if sliced:
-                grads += [_latest_first(g.sum(axis=1)),
-                          _latest_first(layer_in.transpose(0, 2, 1) @ g)]
+                # numpy reduces a short leading axis row by row in order, so
+                # the reversed stack adds the last slice first
+                grads += [g.sum(axis=1)[::-1].sum(axis=0),
+                          (layer_in.transpose(0, 2, 1) @ g)[::-1].sum(axis=0)]
             else:
                 grads += [g.sum(axis=0), layer_in.T @ g]
             if i:
@@ -272,15 +270,6 @@ def mlp_var(
         return (g, *grads[::-1])
 
     return tape.node(out, [x, *leaves], vjp)
-
-
-def _latest_first(per_slice: np.ndarray) -> np.ndarray:
-    """Sum over the leading slice axis in the order a tape sums the
-    gradients of S readers of one leaf: the last slice first."""
-    total = per_slice[-1]
-    for part in per_slice[-2::-1]:
-        total = total + part
-    return total
 
 
 def slice_blocks(param_sets: list[ParamSet], rows: int,

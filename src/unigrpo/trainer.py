@@ -27,7 +27,8 @@ import numpy as np
 from . import checkpoint
 from .config import TrainConfig, config_from_dict, config_to_dict, dump_config
 from .errors import CheckpointError, ConfigError, NumericError
-from .flow_policy import DIM, FlowBatch, FlowPolicy, StepTable, step_table, timestep_schedule
+from .flow_policy import (DIM, TIMESTEP_SHIFT, FlowBatch, FlowPolicy, StepTable, step_table,
+                          timestep_schedule)
 from .metrics import MetricsRow, MetricsWriter, read_metrics, rewind_run
 from .nn import AdamState, ParamSet, adam_step, checked_count
 from .rng import below, normals, stream, uniforms, words_by_tag
@@ -99,9 +100,9 @@ def make_runtime(cfg: TrainConfig) -> Runtime:
     cfg.validate()
     text_policy = TextPolicy(cfg.max_trace_len, cfg.text_embed_dim, cfg.text_hidden)
     flow_policy = FlowPolicy(cfg.flow_cond_dim, cfg.flow_hidden)
-    steps_train = step_table(timestep_schedule(cfg.train_timesteps, cfg.timestep_shift),
+    steps_train = step_table(timestep_schedule(cfg.train_timesteps, TIMESTEP_SHIFT),
                              cfg.sigma_level)
-    steps_eval = step_table(timestep_schedule(cfg.eval_timesteps, cfg.timestep_shift))
+    steps_eval = step_table(timestep_schedule(cfg.eval_timesteps, TIMESTEP_SHIFT))
     return Runtime(cfg, text_policy, flow_policy, steps_train, steps_eval)
 
 
@@ -301,6 +302,11 @@ def evaluate(rt: Runtime, text_params: ParamSet, flow_params: ParamSet,
 
 # ---- pretraining entry ----
 
+# the warm starts' fixed recipe: one Adam learning rate for both policies,
+# and the flow's batch rows and condition-dropout rate
+PRETRAIN_LR = 3e-3
+PRETRAIN_FLOW_BATCH = 256
+PRETRAIN_P_UNCOND = 0.1
 
 # glibc's mallopt parameter numbers (malloc.h) and the thresholds
 # `keep_freed_heap` fixes.  32 MiB is the largest mmap threshold glibc
@@ -350,14 +356,14 @@ def pretrain_all(cfg: TrainConfig, out_dir) -> dict:
 
     text_params = rt.text_policy.init_params(stream(seed, "init-text"))
     text_params, text_report = rt.text_policy.pretrain(
-        text_params, seqs, cfg.pretrain_text_epochs, cfg.pretrain_text_lr,
-        cfg.pretrain_batch, stream(seed, "pretrain-text"),
+        text_params, seqs, cfg.pretrain_text_epochs, PRETRAIN_LR, cfg.pretrain_batch,
+        stream(seed, "pretrain-text"),
     )
     laps.append(time.perf_counter())
     flow_params = rt.flow_policy.init_params(stream(seed, "init-flow"))
     flow_params, flow_report = rt.flow_policy.pretrain(
-        flow_params, conds, x0, cfg.pretrain_flow_epochs, cfg.pretrain_flow_lr,
-        max(cfg.pretrain_batch, 256), cfg.p_uncond, stream(seed, "pretrain-flow"),
+        flow_params, conds, x0, cfg.pretrain_flow_epochs, PRETRAIN_LR, PRETRAIN_FLOW_BATCH,
+        PRETRAIN_P_UNCOND, stream(seed, "pretrain-flow"),
     )
     laps.append(time.perf_counter())
     checkpoint.save_params(out / "text.ckpt", text_params)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import TrainConfig
-from .flow_policy import FlowPolicy, cfg_velocity, step_table, timestep_schedule
+from .flow_policy import TIMESTEP_SHIFT, FlowPolicy, cfg_velocity, step_table, timestep_schedule
 from .nn import ParamSet
 from .rng import stream
 from .task import CANONICAL_TRACES, PROMPT_DRAWS, PROMPT_TOKENS, TAU_R, score, targets
@@ -147,10 +147,16 @@ def finite_diff_check(
     return FdReport(probes=results, tol=tol)
 
 
+def with_blocks(params: ParamSet, updates: dict[str, np.ndarray]) -> ParamSet:
+    """New ParamSet with some blocks of `params` replaced; names and shapes
+    must match."""
+    return params.with_vector(params.layout.flatten({**dict(params.items()), **updates}))
+
+
 def _nontrivial_flow_params(flow: FlowPolicy, seed: int):
     p = flow.init_params(stream(seed, "vf-init"))
     rng = stream(seed, "vf-head")
-    return p.with_blocks({
+    return with_blocks(p, {
         "W2": rng.normal(0, 0.2, size=p["W2"].shape),
         "b2": rng.normal(0, 0.1, size=p["b2"].shape),
     })
@@ -172,7 +178,7 @@ def gradient_oracles() -> list[OracleResult]:
                                        for i in range(3)]))
     adv = np.array([1.0, -0.4, 0.3])
     tref = text.init_params(stream(SEED + 1, "t-init"))
-    tmoved = tparams.with_blocks({"W2": tparams["W2"] + 0.01})
+    tmoved = with_blocks(tparams, {"W2": tparams["W2"] + 0.01})
     tbatch = text.prepare_batch(seqs, adv, 1.0, 0.05, tref)
     text.surrogate_loss(tparams, tbatch, 0.2)  # the old log-probs are those at tparams
 
@@ -208,7 +214,7 @@ def gradient_oracles() -> list[OracleResult]:
         [int(stream(SEED, "w", i).integers(0, 4)) for i in range(3)], 3,
         np.stack([rng.standard_normal((3, 2)) for rng in rngs]),
     )
-    fmoved = fparams.with_blocks({"b2": fparams["b2"] + 0.01})
+    fmoved = with_blocks(fparams, {"b2": fparams["b2"] + 0.01})
     for reg_mode, weight in (("none", 0.0), ("latent-kl", 0.02), ("velocity-mse", 0.5)):
         fbatch = flow.prepare_batch(batch, np.arange(3), adv, reg_mode, weight, fref)
         flow.surrogate_loss(fparams, fbatch, 0.2)  # the old means are those at fparams
@@ -310,8 +316,8 @@ def rationorm_oracle() -> OracleResult:
     name = "rationorm/centering"
     flow, params, batch, prepared = _window_batch("rn", "none", SEED)
     rng = stream(SEED, "rn-move")
-    moved = params.with_blocks({"W2": params["W2"] + rng.normal(0, 0.05, params["W2"].shape),
-                                "b2": params["b2"] + rng.normal(0, 0.05, params["b2"].shape)})
+    moved = with_blocks(params, {"W2": params["W2"] + rng.normal(0, 0.05, params["W2"].shape),
+                                 "b2": params["b2"] + rng.normal(0, 0.05, params["b2"].shape)})
     _, _, first = flow.surrogate_loss(params, prepared, 0.2)
     if np.any(np.log(first.ratio) != 0.0):
         return OracleResult(name, np.inf, 3.0, False, detail="a first-epoch log ratio is not 0")
@@ -358,7 +364,7 @@ def sde_bitwise_oracle() -> OracleResult:
     flow = make_runtime(TrainConfig()).flow_policy
     params = _nontrivial_flow_params(flow, SEED + 3)
     trace = CANONICAL_TRACES[[243]]  # quadrant 3, near, wide
-    steps = step_table(timestep_schedule(10, 3.0), 0.0)
+    steps = step_table(timestep_schedule(10, TIMESTEP_SHIFT), 0.0)
     n = len(steps.dts)
     rng = stream(SEED, "bit")
     x1 = rng.standard_normal((1, 2))

@@ -5,17 +5,21 @@ Criterion 9 is soft by design: a reward-gap miss prints WARN without
 failing, while its evaluation-budget half remains a hard assertion.
 """
 
+import hashlib
+import json
 import shutil
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from prompt_draws import prompt_id
 
+import unigrpo.ablate as ablate_mod
 from unigrpo import checkpoint, verify
 from unigrpo.ablate import ablate
-from unigrpo.config import TrainConfig
+from unigrpo.config import TrainConfig, config_to_dict
 from unigrpo.trainer import (
     collect_rollouts,
     group_advantages,
@@ -42,6 +46,44 @@ def _with_seed0_pretrain(out_dir, seed0_pretrain):
     where `ablate` looks for it (it skips a pretraining it finds)."""
     shutil.copytree(seed0_pretrain, out_dir / "seed0" / "pretrain")
     return out_dir
+
+
+def _run_key(cfg: TrainConfig) -> str:
+    """What decides a training run: its full resolved config, with
+    pretrain_dir standing for the bytes of the checkpoints there rather than
+    for its path."""
+    pre = Path(cfg.pretrain_dir)
+    refs = b"".join((pre / name).read_bytes() for name in ("text.ckpt", "flow.ckpt"))
+    return json.dumps({**config_to_dict(cfg), "pretrain_dir": hashlib.sha256(refs).hexdigest()},
+                      sort_keys=True)
+
+
+@pytest.fixture(scope="session")
+def finished_runs(tmp_path_factory):
+    """The session's store of finished `ablate` runs: a directory and, by
+    `_run_key`, each run's copy there and the summary `train` returned."""
+    return tmp_path_factory.mktemp("finished-runs"), {}
+
+
+@pytest.fixture
+def shared_runs(finished_runs, monkeypatch):
+    """`ablate` trains each run once per session; a later arm with the same
+    key gets a copy of that run directory and its summary.  Criteria 7, 8
+    and 9 each train the seed-0 default config, as `unified`,
+    `reg-velocity-mse` and `cfg-free`: the first of them to run trains it."""
+    store, runs = finished_runs
+
+    def train_once(cfg, out_dir):
+        key = _run_key(cfg)
+        if key in runs:
+            copy, summary = runs[key]
+            shutil.copytree(copy, out_dir)
+            return {**summary, "out_dir": str(out_dir)}
+        summary = train(cfg, out_dir)
+        runs[key] = shutil.copytree(out_dir, store / f"run{len(runs)}"), summary
+        return summary
+
+    monkeypatch.setattr(ablate_mod, "train", train_once)
 
 
 def _report(criterion: int, passed: bool, detail: str, warn: bool = False):
@@ -127,7 +169,7 @@ def test_criterion_6_cfg_free_rollout_contract(tmp_path):
     )
 
 
-def test_criterion_7_end_to_end_improvement(tmp_path, seed0_pretrain):
+def test_criterion_7_end_to_end_improvement(tmp_path, seed0_pretrain, shared_runs):
     out = _with_seed0_pretrain(tmp_path / "comp", seed0_pretrain)
     tic = time.perf_counter()
     report = ablate(TrainConfig(), "component-sweep", out)
@@ -146,7 +188,7 @@ def test_criterion_7_end_to_end_improvement(tmp_path, seed0_pretrain):
     )
 
 
-def test_criterion_8_regularization_ablation(tmp_path, seed0_pretrain):
+def test_criterion_8_regularization_ablation(tmp_path, seed0_pretrain, shared_runs):
     out = _with_seed0_pretrain(tmp_path / "reg", seed0_pretrain)
     tic = time.perf_counter()
     report = ablate(TrainConfig(), "reg-sweep", out)
@@ -163,7 +205,7 @@ def test_criterion_8_regularization_ablation(tmp_path, seed0_pretrain):
     )
 
 
-def test_criterion_9_cfg_ablation(tmp_path, seed0_pretrain):
+def test_criterion_9_cfg_ablation(tmp_path, seed0_pretrain, shared_runs):
     out = _with_seed0_pretrain(tmp_path / "cfg", seed0_pretrain)
     report = ablate(TrainConfig(), "cfg-on-vs-off", out)
     verdicts = {name: (status, detail) for name, status, detail in report["verdicts"]}

@@ -17,21 +17,18 @@ from unigrpo.cli import main
 from unigrpo.config import (MIN_WINDOW_STD, TrainConfig, dump_config, load_config,
                             parse_config_text)
 from unigrpo.errors import ConfigError
-from unigrpo.flow_policy import step_table, timestep_schedule
+from unigrpo.flow_policy import TIMESTEP_SHIFT, step_table, timestep_schedule
 from unigrpo.metrics import read_metrics
 from unigrpo.rng import stream
 from unigrpo.task import CANONICAL_TRACES
 from unigrpo.text_policy import TextPolicy
 from unigrpo.trainer import make_runtime
+from unigrpo.verify import with_blocks
 
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 FLOAT_KEYS = [f.name for f in fields(TrainConfig)
               if isinstance(getattr(TrainConfig(), f.name), float)]
-PRETRAIN_LINES = [
-    "pretrain_text_lr = 0", "pretrain_text_lr = -3e-3", "pretrain_flow_lr = 0",
-    "pretrain_flow_lr = -3e-3", "pretrain_text_n = 0", "pretrain_flow_n = 0",
-    "pretrain_flow_n = -5",
-]
+PRETRAIN_LINES = ["pretrain_text_n = 0", "pretrain_flow_n = 0", "pretrain_flow_n = -5"]
 # model sizes and pretraining epochs: a negative size crashed pretraining with
 # a numpy error, and a zero one (flow_cond_dim = 0 hides the reasoning from the
 # generator) or negative epoch count ran silently
@@ -49,6 +46,11 @@ RUN_CONTROL_LINES = [
 # constants, at the values they always had
 TASK_KEYS = {"tau_r": 0.5, "radius_near": 0.5, "radius_far": 1.5, "tau_tight": 0.1,
              "tau_wide": 0.25, "p_noise": 0.25}
+# the warm starts' learning rates and condition-dropout rate and the schedule
+# shift, keys until they became trainer.py and flow_policy.py constants, at
+# the values they always had, each with the command that read it
+WARM_START_KEYS = [("pretrain_text_lr", 3e-3, "pretrain"), ("pretrain_flow_lr", 3e-3, "pretrain"),
+                   ("p_uncond", 0.1, "pretrain"), ("timestep_shift", 3.0, "train")]
 # deleted keys, an old value of each and a command that refuses a config setting it
 REMOVED_KEYS = [
     # the flow loss weight: with a separate Adam state per policy it only
@@ -60,6 +62,9 @@ REMOVED_KEYS = [
     ("ablate_updates", 0, "ablate"),
     # the task is fixed: its geometry and label noise are task.py constants
     *((key, value, "train") for key, value in TASK_KEYS.items()),
+    # the warm starts and the schedule are fixed: trainer.PRETRAIN_LR,
+    # PRETRAIN_P_UNCOND and flow_policy.TIMESTEP_SHIFT
+    *WARM_START_KEYS,
 ]
 
 
@@ -110,6 +115,15 @@ class TestConfigParsing:
         assert cfg.seed == 11
         assert text == "seed = 11\n"
 
+    def test_desk_config_names_every_key_once_at_its_default(self):
+        # the benchmark builds both its workloads from this file, so a deleted
+        # key left in it would stop every benchmark run at set-up
+        cfg, text = load_config(Path(__file__).resolve().parents[1] / "configs/desk.cfg")
+        assert cfg == TrainConfig()
+        bodies = (line.split("#", 1)[0] for line in text.splitlines())
+        keys = [body.split("=", 1)[0].strip() for body in bodies if body.strip()]
+        assert sorted(keys) == sorted(f.name for f in fields(TrainConfig))
+
 
 class TestValidation:
     @pytest.mark.parametrize(
@@ -119,7 +133,6 @@ class TestValidation:
             {"ppo_epochs": 0},
             {"beta_img": -1.0},
             {"temperature": 0.0},
-            {"timestep_shift": 0.5},
             {"reg_mode": "bogus"},
             {"reward_mode": "bogus"},
             {"sde_window_hi": 99},
@@ -150,21 +163,14 @@ class TestValidation:
             {"lr_text": -1e-3},
             {"lr_flow": 0.0},
             {"lr_flow": -3e-3},
-            {"p_uncond": -0.1},
-            {"p_uncond": 2.0},
         ],
     )
     def test_out_of_range_values_rejected(self, kw):
         with pytest.raises(ConfigError, match=next(iter(kw))):
             TrainConfig(**kw).validate()
 
-    @pytest.mark.parametrize("kw", [{"p_uncond": 0.0}, {"p_uncond": 1.0}])
-    def test_probability_bounds_accepted(self, kw):
-        TrainConfig(**kw).validate()
-
     @pytest.mark.parametrize("line", PRETRAIN_LINES + MODEL_SIZE_LINES)
     def test_pretrain_and_model_size_values_rejected(self, line):
-        # a negative learning rate would ascend the pretraining losses, and
         # an empty dataset has nothing to fit
         with pytest.raises(ConfigError, match=line.split()[0]):
             parse_config_text(line)
@@ -187,27 +193,34 @@ class TestValidation:
         cfg = TrainConfig(sde_window_size=0, sigma_level=0.0, train_flow=False)
         cfg.validate()
 
+    @pytest.mark.parametrize("sigma_level", [-0.5, -1e-300])
+    def test_negative_sigma_rejected_without_a_window(self, sigma_level):
+        # no window reads the noise level, but a run record must not carry
+        # one no run could train with
+        cfg = TrainConfig(sde_window_size=0, sigma_level=sigma_level, train_flow=False)
+        with pytest.raises(ConfigError, match="sigma_level must be >= 0"):
+            cfg.validate()
+
     # the last three windows have their smallest std at their last step, not
     # at their first
-    @pytest.mark.parametrize("n, shift, lo, hi", [(1, 1.0, 0, 0), (10, 3.0, 0, 5),
-                                                  (6, 5.0, 2, 5), (4, 1.0, 0, 3),
-                                                  (10, 3.0, 7, 9), (10, 3.0, 9, 9)])
-    def test_sigma_level_floor(self, n, shift, lo, hi):
+    @pytest.mark.parametrize("n, lo, hi", [(1, 0, 0), (10, 0, 5), (6, 2, 5), (10, 6, 9),
+                                           (10, 7, 9), (10, 9, 9)])
+    def test_sigma_level_floor(self, n, lo, hi):
         # the floor is on the smallest transition std over the window's steps
         # lo..hi: just below it, and far below (at sigma_level 8.4e-78 every
         # recovered eps read 0), validate refuses sigma_level; at it, the eps
         # prepare_batch recovers from a rollout's states is the drawn eps to
         # 1e-8 of the draws' RMS, for states up to about 10 in size
-        unit = step_table(timestep_schedule(n, shift), 1.0).std[lo:hi + 1].min()
-        window = dict(train_timesteps=n, timestep_shift=shift, sde_window_lo=lo,
-                      sde_window_hi=hi, sde_window_size=hi - lo + 1, train_text=False)
+        unit = step_table(timestep_schedule(n, TIMESTEP_SHIFT), 1.0).std[lo:hi + 1].min()
+        window = dict(train_timesteps=n, sde_window_lo=lo, sde_window_hi=hi,
+                      sde_window_size=hi - lo + 1, train_text=False)
         for sigma_level in (MIN_WINDOW_STD / unit * (1 - 1e-9), 8.4e-78):
             with pytest.raises(ConfigError, match=f"sigma_level = {sigma_level}"):
                 TrainConfig(**window, sigma_level=sigma_level).validate()
         rt = make_runtime(TrainConfig(**window, sigma_level=MIN_WINDOW_STD / unit * (1 + 1e-12)))
         flow, rng = rt.flow_policy, stream(0, "floor")
         params = flow.init_params(rng)
-        params = params.with_blocks({"W2": rng.normal(0.0, 0.2, size=params["W2"].shape)})
+        params = with_blocks(params, {"W2": rng.normal(0.0, 0.2, size=params["W2"].shape)})
         B, W = 1000, hi - lo + 1
         eps = rng.standard_normal((B, W, 2))
         batch = flow.hybrid_rollout(params, CANONICAL_TRACES[rng.integers(0, 432, B)],
@@ -459,21 +472,27 @@ class TestCli:
         assert f"unknown config key '{key}'" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
 
+    @pytest.mark.parametrize("key", ["p_noise", *(key for key, _, _ in WARM_START_KEYS)])
     @pytest.mark.parametrize("command", ["pretrain", "train", "ablate"])
-    def test_every_config_command_refuses_a_removed_key(self, tmp_path, capsys, command):
-        # p_noise was the pretraining label-noise rate, so pretrain, the
-        # command that read it, refuses it like the others do
+    def test_every_config_command_refuses_a_removed_key(self, tmp_path, capsys, command, key):
+        # p_noise, the learning rates and p_uncond were read by pretraining
+        # alone, and timestep_shift by every sampler: each command refuses
+        # each of them
+        value = next(value for name, value, _ in REMOVED_KEYS if name == key)
         bad = tmp_path / "bad.cfg"
-        bad.write_text(TINY_CONFIG + "p_noise = 0.25\n")
+        bad.write_text(TINY_CONFIG + f"{key} = {value}\n")
         mode = ["--mode", "reg-sweep"] if command == "ablate" else []
         rc = main([command, "--config", str(bad), *mode, "--out", str(tmp_path / "r")])
         assert rc == 2
-        assert "unknown config key 'p_noise'" in capsys.readouterr().err
+        assert f"unknown config key '{key}'" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
 
-    # the last two put the window's transition std below config.MIN_WINDOW_STD
-    @pytest.mark.parametrize("line", ["lr_flow = nan", "p_uncond = 2", "sigma_level = 8.4e-78",
-                                      "sigma_level = 9.9e-7"]
+    # the third and fourth put the window's transition std below
+    # config.MIN_WINDOW_STD; the second has no window, so only the sign rule
+    # refuses it
+    @pytest.mark.parametrize("line", ["lr_flow = nan",
+                                      "sigma_level = -0.5\nsde_window_size = 0\ntrain_flow = false",
+                                      "sigma_level = 8.4e-78", "sigma_level = 9.9e-7"]
                              + PRETRAIN_LINES + MODEL_SIZE_LINES)
     def test_out_of_range_value_exits_2(self, tmp_path, capsys, line):
         # the key's own TINY_CONFIG line goes, so no duplicate-key error stands in

@@ -20,7 +20,7 @@ from unigrpo import trainer as trainer_mod
 from unigrpo.checkpoint import load_params
 from unigrpo.config import MIN_WINDOW_STD, TrainConfig
 from unigrpo.errors import ConfigError, NumericError
-from unigrpo.flow_policy import step_table, timestep_schedule
+from unigrpo.flow_policy import TIMESTEP_SHIFT, step_table, timestep_schedule
 from unigrpo.metrics import read_metrics
 from unigrpo.nn import AdamState, adam_step
 from unigrpo.task import PROMPT_TOKENS
@@ -55,7 +55,7 @@ def _least_sigma(values) -> float:
     """The least sigma_level validate accepts with the window of `values`,
     up to rounding: the one that keeps each window step's transition std at
     MIN_WINDOW_STD."""
-    steps = step_table(timestep_schedule(values["train_timesteps"], values["timestep_shift"]), 1.0)
+    steps = step_table(timestep_schedule(values["train_timesteps"], TIMESTEP_SHIFT), 1.0)
     return MIN_WINDOW_STD / steps.std[values["sde_window_lo"]:values["sde_window_hi"] + 1].min()
 
 
@@ -65,7 +65,7 @@ def _accepted(draw):
     the range validate accepts given the others, bounds included: the window
     inside the drawn train_timesteps, at least one policy trained, a window
     at least one step wide when the flow trains, and with a window a
-    sigma_level from the least validate accepts (without one, any)."""
+    sigma_level from the least validate accepts (without one, from 0)."""
     n = draw(st.integers(1, 6))
     lo = draw(st.integers(0, n - 1))
     hi = draw(st.integers(lo, n - 1))
@@ -76,7 +76,6 @@ def _accepted(draw):
         "prompts_per_batch": draw(st.integers(1, 3)),
         "train_timesteps": n,
         "eval_timesteps": draw(st.integers(1, 6)),
-        "timestep_shift": draw(st.just(1.0) | st.floats(1.0, 5.0)),
         "sde_window_lo": lo,
         "sde_window_hi": hi,
         "sde_window_size": size,
@@ -90,15 +89,13 @@ def _accepted(draw):
     }
     least = _least_sigma(values) * (1 + 1e-12)
     values["sigma_level"] = draw(st.just(least) | st.floats(least, 1.5) if size
-                                 else st.floats(-1.0, 1.5))
+                                 else st.floats(0.0, 1.5))
     return values
 
 
 # each refusal edge: the keys it moves in a drawn accepted config, and what
 # validate's refusal says
 EDGES = {
-    "shift-below-1": (lambda v: {"timestep_shift": 1.0 - 1e-9}, "timestep_shift"),
-    "shift-0": (lambda v: {"timestep_shift": 0.0}, "timestep_shift"),
     "window-lo-negative": (lambda v: {"sde_window_lo": -1}, "SDE window"),
     "window-hi-past-schedule": (lambda v: {"sde_window_hi": v["train_timesteps"]}, "SDE window"),
     "window-hi-below-lo": (lambda v: {"sde_window_hi": v["sde_window_lo"] - 1}, "SDE window"),
@@ -110,6 +107,10 @@ EDGES = {
                                   "train_flow needs"),
     "sigma-negative-with-window": (
         lambda v: {"sde_window_size": max(v["sde_window_size"], 1), "sigma_level": -1e-9},
+        "sigma_level"),
+    "sigma-negative-without-window": (
+        lambda v: {"sde_window_size": 0, "train_text": True, "train_flow": False,
+                   "sigma_level": -1e-9},
         "sigma_level"),
     "sigma-0-with-window": (
         lambda v: {"sde_window_size": max(v["sde_window_size"], 1), "sigma_level": 0.0},

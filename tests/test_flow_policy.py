@@ -25,7 +25,7 @@ from unigrpo.nn import AdamState, adam_step, mlp_forward_np
 from unigrpo.rng import stream
 from unigrpo.task import CANONICAL_TRACES, EOS, PAD, make_pretrain_data
 from unigrpo.trainer import make_runtime
-from unigrpo.verify import finite_diff_check
+from unigrpo.verify import finite_diff_check, with_blocks
 
 POLICY = make_runtime(TrainConfig()).flow_policy  # at the config's default sizes
 TRACE = tuple(CANONICAL_TRACES[prompt_id(1, "near", "tight")])
@@ -182,7 +182,7 @@ class TestVelocityNet:
 
     def test_deterministic(self):
         params = _params(1)
-        params = params.with_blocks({"W2": _params(2)["W2"]})
+        params = with_blocks(params, {"W2": _params(2)["W2"]})
         x, cond = np.array([0.1, 0.2]), np.ones(POLICY.cond_dim)
         v1 = reference_velocity(POLICY, params, x, 0.3, cond)
         v2 = reference_velocity(POLICY, params, x, 0.3, cond)
@@ -231,7 +231,7 @@ class TestSdeStep:
 
     def test_zero_noise_is_euler(self):
         params = _params(3)
-        params = params.with_blocks({"W2": _params(4)["W2"]})
+        params = with_blocks(params, {"W2": _params(4)["W2"]})
         cond = _cond(params, _tile(1))
         n = len(self.TIMES) - 1
         batch = _rollout(params, self.TIMES, 0, n, 0.0, stream(0, "sde"))
@@ -251,7 +251,7 @@ class TestSdeStep:
 
     def test_stored_stats_reproduce_logp(self):
         params = _params(5)
-        params = params.with_blocks({"W2": _params(6)["W2"]})
+        params = with_blocks(params, {"W2": _params(6)["W2"]})
         batch = _rollout(params, self.TIMES, 1, 3, 0.8, stream(1, "sde"))
         cond = _cond(params, _tile(1))
         for j in range(3):
@@ -270,7 +270,7 @@ def _nontrivial_params(seed=7):
     """Random params with a non-zero head so velocities are informative."""
     p = _params(seed)
     rng = stream(seed, "head")
-    return p.with_blocks({
+    return with_blocks(p, {
         "W2": rng.normal(0, 0.2, size=p["W2"].shape),
         "b2": rng.normal(0, 0.1, size=p["b2"].shape),
     })
@@ -561,8 +561,8 @@ class TestVelocityInputs:
                 np.testing.assert_array_equal(batch.drift, drift)
 
     def test_feature_table_matches_per_step_features(self):
-        # every schedule the parser accepts up to 100 steps: n_steps >= 1 and
-        # any finite shift >= 1, here a grid plus random shifts; the per-step
+        # every schedule up to 100 steps: n_steps >= 1 and any finite
+        # shift >= 1, here a grid plus random shifts; the per-step
         # features are taken as the samplers took them, over t broadcast to
         # every row.  Each schedule runs from 1 down to 0, strictly, so every
         # step time is positive: drift_coefficients divides by it
@@ -851,7 +851,7 @@ class TestFlowSurrogate:
         # second route: rebuild the objective from the stored statistics with
         # the standalone scalar helpers
         params = _nontrivial_params(15)
-        moved = params.with_blocks({"b2": params["b2"] + 0.02})
+        moved = with_blocks(params, {"b2": params["b2"] + 0.02})
         batch = _rollout_group(params, seed=2)
         adv = np.array([0.8, -0.4, 0.1, -0.5])
         eps = 0.05
@@ -887,7 +887,7 @@ class TestFlowSurrogate:
         ref = _nontrivial_params(17)
         batch = _rollout_group(params, g=3, seed=3)
         adv = np.array([1.0, -0.3, 0.6])
-        moved = params.with_blocks({"b2": params["b2"] + 0.01})
+        moved = with_blocks(params, {"b2": params["b2"] + 0.01})
         prepared = _prepared(batch, adv, reg_mode, weight, ref, params)
 
         def loss(p):
@@ -907,7 +907,7 @@ class TestFlowSurrogate:
         ref = _nontrivial_params(17)
         batch = _rollout_group(params, g=3, seed=3, cfg_scale=2.0)
         adv = np.array([1.0, -0.3, 0.6])
-        moved = params.with_blocks({"b2": params["b2"] + 0.01})
+        moved = with_blocks(params, {"b2": params["b2"] + 0.01})
         prepared = _prepared(batch, adv, reg_mode, weight, ref, params)
 
         def loss(p):
@@ -921,7 +921,7 @@ class TestFlowSurrogate:
         params = _nontrivial_params(18)
         batch = _rollout_group(params, g=2, seed=4, cfg_scale=2.0)
         adv = np.array([0.5, -0.5])
-        moved = params.with_blocks({"b2": params["b2"] + 0.01})
+        moved = with_blocks(params, {"b2": params["b2"] + 0.01})
         prepared = _prepared(batch, adv, "velocity-mse", 0.1, params, params)
 
         def loss(p):

@@ -28,6 +28,7 @@ from unigrpo.nn import mlp_var
 from unigrpo.rng import stream
 from unigrpo.task import EOS, PAD, PROMPT_TOKENS, make_pretrain_data
 from unigrpo.trainer import make_runtime
+from unigrpo.verify import with_blocks
 
 DEFAULT = make_runtime(TrainConfig())  # the policies at the config's default sizes
 TEXT, FLOW = DEFAULT.text_policy, DEFAULT.flow_policy
@@ -118,7 +119,7 @@ class TestTextHeads:
         adv = stream(3, "adv").normal(size=len(traces))
         batch = TEXT.prepare_batch(traces, adv, temperature, beta_txt, ref)
         assert len(batch.rows) < len(batch.targets)  # the groups share contexts
-        moved = params.with_blocks({"W2": params["W2"] + 0.01, "wte": params["wte"] - 0.02})
+        moved = with_blocks(params, {"W2": params["W2"] + 0.01, "wte": params["wte"] - 0.02})
         for theta in (params, moved):
             for clip_eps in (0.2, 1e-4, 0.0):
                 j, gs, stats = TEXT.surrogate_loss(theta, batch, clip_eps)
@@ -166,8 +167,8 @@ class TestTextHeads:
 def _flow_params(seed):
     p = FLOW.init_params(stream(seed, "vf-init"))
     rng = stream(seed, "vf-head")
-    return p.with_blocks({"W2": rng.normal(0, 0.2, size=p["W2"].shape),
-                          "b2": rng.normal(0, 0.1, size=p["b2"].shape)})
+    return with_blocks(p, {"W2": rng.normal(0, 0.2, size=p["W2"].shape),
+                           "b2": rng.normal(0, 0.1, size=p["b2"].shape)})
 
 
 def _old_velocity_var(tape, params, xs, ts, cond, cfg_scale):
@@ -251,7 +252,7 @@ def _mean_space_rel_err(params, batch, adv, prepared, ref, weight=0.02) -> float
     """Largest relative error of the fused latent-KL surrogate's value,
     gradient and regularizer against the mean-space op chain, on params and
     on a moved copy; `prepared` carries the regularizer weight `weight`."""
-    moved = params.with_blocks({"b2": params["b2"] + 0.01, "cemb": params["cemb"] - 0.02})
+    moved = with_blocks(params, {"b2": params["b2"] + 0.01, "cemb": params["cemb"] - 0.02})
     errs = []
     for theta in (params, moved):
         j, gs, stats = FLOW.surrogate_loss(theta, prepared, 0.2)
@@ -272,7 +273,7 @@ class TestFlowHeads:
         batch = _flow_rollout(params, cfg_scale)
         adv = stream(9, "adv").normal(size=8)
         prepared = FLOW.prepare_batch(batch, np.arange(8), adv, reg_mode, weight, ref)
-        moved = params.with_blocks({"b2": params["b2"] + 0.01, "cemb": params["cemb"] - 0.02})
+        moved = with_blocks(params, {"b2": params["b2"] + 0.01, "cemb": params["cemb"] - 0.02})
         for theta in (params, moved):
             for clip_eps in (0.2, 1e-4, 0.0):
                 j, gs, stats = FLOW.surrogate_loss(theta, prepared, clip_eps)

@@ -27,7 +27,7 @@ from unigrpo.nn import (
 )
 from unigrpo.rng import stream
 from unigrpo.trainer import make_runtime
-from unigrpo.verify import finite_diff_check
+from unigrpo.verify import finite_diff_check, with_blocks
 
 # the policies at the config's default sizes
 DEFAULT = make_runtime(TrainConfig())
@@ -474,9 +474,9 @@ class TestParamSet:
     def test_with_blocks_validates_shape(self):
         p = ParamSet({"w": np.zeros(3)})
         with pytest.raises(ConfigError, match="w"):
-            p.with_blocks({"w": np.zeros(4)})
+            with_blocks(p, {"w": np.zeros(4)})
         with pytest.raises(ConfigError):
-            p.with_blocks({"nope": np.zeros(1)})
+            with_blocks(p, {"nope": np.zeros(1)})
 
     def test_flatten_checks_names_and_shapes(self):
         p = ParamSet({"a": np.zeros((2, 2)), "b": np.zeros(3)})

@@ -15,7 +15,7 @@ from unigrpo.rng import stream
 from unigrpo.task import CANONICAL_TRACES, EOS, PAD, PROMPT_TOKENS, make_pretrain_data
 from unigrpo.text_policy import softmax_np
 from unigrpo.trainer import make_runtime
-from unigrpo.verify import finite_diff_check
+from unigrpo.verify import finite_diff_check, with_blocks
 
 
 def text_policy(**sizes):
@@ -103,7 +103,7 @@ class TestTokenLogprobs:
         params = _params()
         nw = f"W{len(POLICY.arch) - 2}"
         nb = f"b{len(POLICY.arch) - 2}"
-        params = params.with_blocks({
+        params = with_blocks(params, {
             nw: np.zeros_like(params[nw]), nb: np.zeros_like(params[nb]),
         })
         np.testing.assert_allclose(_old_logp(params, _sample(params)), -np.log(POLICY.vocab),
@@ -248,8 +248,8 @@ class TestSampling:
         # to a cumulative probability picks the token after it
         params = _params(9)
         nw, nb = f"W{len(POLICY.arch) - 2}", f"b{len(POLICY.arch) - 2}"
-        params = params.with_blocks({nw: np.zeros_like(params[nw]),
-                                     nb: np.zeros_like(params[nb])})
+        params = with_blocks(params, {nw: np.zeros_like(params[nw]),
+                                      nb: np.zeros_like(params[nb])})
         p = np.exp(_log_softmax(np.zeros(POLICY.vocab)))
         p /= p.sum()
         cdf = p.cumsum()
@@ -354,7 +354,7 @@ class TestSurrogate:
         params = _params(13)
         ref = _params(14)
         # move params off theta_old so the ratios are nontrivial
-        moved = params.with_blocks({"W2": params["W2"] + 0.01})
+        moved = with_blocks(params, {"W2": params["W2"] + 0.01})
         adv = np.array([1.0, -0.5, 0.25])
         for temperature in (1.0, 0.7):
             traces = _group(params, g=3, seed=5, temperature=temperature)
@@ -438,7 +438,7 @@ class TestDeduplicatedSurrogate:
         # first epoch: every ratio is exactly 1
         _, _, stats = policy.surrogate_loss(params, batch, 0.0)
         assert (stats.ratio == 1.0).all() and stats.clip_fraction == 0.0
-        moved = params.with_blocks({"W2": params["W2"] + 0.01, "wte": params["wte"] - 0.02})
+        moved = with_blocks(params, {"W2": params["W2"] + 0.01, "wte": params["wte"] - 0.02})
         for theta in (params, moved):
             j, grads, _ = policy.surrogate_loss(theta, batch, 0.2)
             ref_j, ref_grads = _per_row_surrogate(policy, theta, seqs, batch.old_logp, adv, 0.2,

@@ -46,6 +46,7 @@ from unigrpo.trainer import (
     train,
     unified_update,
 )
+from unigrpo.verify import with_blocks
 
 TINY = TrainConfig(
     seed=0,
@@ -516,9 +517,9 @@ class TestUnifiedUpdate:
         # per-row weights carry 1/(G * len), so concatenating the groups
         # changes neither the objective nor its gradient
         rt, groups, text, flow, _, _ = self._setup(tiny_pretrain, prompts_per_batch=3)
-        text_moved = text.with_blocks({"W2": text["W2"] + 0.01})
-        flow_moved = flow.with_blocks({"b2": flow["b2"] + 0.01})
-        text_ref = text.with_blocks({"b2": text["b2"] - 0.02})
+        text_moved = with_blocks(text, {"W2": text["W2"] + 0.01})
+        flow_moved = with_blocks(flow, {"b2": flow["b2"] + 0.01})
+        text_ref = with_blocks(text, {"b2": text["b2"] - 0.02})
         calls = {
             "text": lambda gs: rt.text_policy.surrogate_loss(
                 text_moved, _text_batch(
@@ -703,7 +704,7 @@ class TestEvaluate:
     def test_batched_matches_per_prompt_loop(self, tiny_pretrain, eval_cfg_scale):
         rt = make_runtime(replace(TINY, eval_cfg_scale=eval_cfg_scale))
         text, flow = _snap(rt, tiny_pretrain)
-        moved = flow.with_blocks({"b2": flow["b2"] + 0.01})
+        moved = with_blocks(flow, {"b2": flow["b2"] + 0.01})
         es = make_eval_set(rt, 0)
         got = evaluate(rt, text, moved, flow, es)
 
@@ -743,7 +744,7 @@ class TestEvaluate:
         # its unconditional ones, and the reference's
         rt = make_runtime(replace(TINY, eval_cfg_scale=eval_cfg_scale))
         text, flow = _snap(rt, tiny_pretrain)
-        moved = flow.with_blocks({"b2": flow["b2"] + 0.01})
+        moved = with_blocks(flow, {"b2": flow["b2"] + 0.01})
         calls = {"velocity": [], "mlp": []}
         real_velocity, real_mlp = FlowPolicy.velocity_np, flow_policy_mod.mlp_forward_np
 
@@ -769,7 +770,7 @@ class TestEvaluate:
         # second pass over the sampled states
         rt = make_runtime(replace(TINY, eval_cfg_scale=eval_cfg_scale))
         text, flow = _snap(rt, tiny_pretrain)
-        moved = flow.with_blocks({"b2": flow["b2"] + 0.01, "W1": flow["W1"] * 1.01})
+        moved = with_blocks(flow, {"b2": flow["b2"] + 0.01, "W1": flow["W1"] * 1.01})
         es = make_eval_set(rt, 0)
         got = evaluate(rt, text, moved, flow, es)
         assert got == _two_pass_evaluate(rt, text, moved, flow, es)
@@ -864,7 +865,7 @@ class TestGreedyTable:
     def test_evaluate_with_table_equals_evaluate_without(self, tiny_pretrain, eval_cfg_scale):
         rt = make_runtime(replace(TINY, eval_cfg_scale=eval_cfg_scale))
         text, flow = _snap(rt, tiny_pretrain)
-        moved = flow.with_blocks({"b2": flow["b2"] + 0.01})
+        moved = with_blocks(flow, {"b2": flow["b2"] + 0.01})
         es = make_eval_set(rt, 0)
         got = evaluate(rt, text, moved, flow, es, rt.text_policy.greedy_trace(text, PROMPT_TOKENS))
         assert got == evaluate(rt, text, moved, flow, es)
