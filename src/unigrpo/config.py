@@ -19,6 +19,14 @@ from .task import TRACE_LEN
 # on no signal.
 MIN_WINDOW_STD = 1e-6
 
+# Removed keys that changed what `train` or `eval` computes, each at the value
+# now fixed.  A run manifest may hold one only at that value.  Keys read only
+# by pretraining are left out: a run reads its pretraining through its
+# checkpoints.
+RETIRED_KEYS = {"lambda_flow": 1.0, "adv_eps": 1e-8, "tau_r": 0.5, "radius_near": 0.5,
+                "radius_far": 1.5, "tau_tight": 0.1, "tau_wide": 0.25, "timestep_shift": 3.0,
+                "beta_txt": 0.0, "train_cfg_scale": 2.0}
+
 
 @dataclass
 class TrainConfig:
@@ -33,7 +41,6 @@ class TrainConfig:
     group_size: int = 8
     prompts_per_batch: int = 4
     clip_eps: float = 1e-4
-    beta_txt: float = 0.0
     ppo_epochs: int = 2
     temperature: float = 1.0
     lr_text: float = 1e-3
@@ -56,7 +63,6 @@ class TrainConfig:
 
     # guidance
     train_cfg: bool = False
-    train_cfg_scale: float = 2.0
     eval_cfg_scale: float = 1.0
 
     # reward
@@ -67,7 +73,6 @@ class TrainConfig:
     pretrain_text_epochs: int = 8
     pretrain_flow_n: int = 4096
     pretrain_flow_epochs: int = 40
-    pretrain_batch: int = 128
 
     # model sizes
     text_embed_dim: int = 12
@@ -89,10 +94,10 @@ class TrainConfig:
                 raise ConfigError(f"{f.name} must be finite, got {value}")
         if self.group_size < 2:
             raise ConfigError("group_size must be >= 2")
-        for name in ("prompts_per_batch", "eval_samples", "pretrain_batch", "ppo_epochs",
-                     "pretrain_text_n", "pretrain_flow_n", "train_timesteps", "eval_timesteps",
-                     "ablate_seeds", "text_embed_dim", "text_hidden", "flow_cond_dim",
-                     "flow_hidden", "pretrain_text_epochs", "pretrain_flow_epochs"):
+        for name in ("prompts_per_batch", "eval_samples", "ppo_epochs", "pretrain_text_n",
+                     "pretrain_flow_n", "train_timesteps", "eval_timesteps", "ablate_seeds",
+                     "text_embed_dim", "text_hidden", "flow_cond_dim", "flow_hidden",
+                     "pretrain_text_epochs", "pretrain_flow_epochs"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
         for name in ("seed", "total_updates", "eval_every", "checkpoint_every"):
@@ -107,7 +112,7 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be positive")
         if self.reg_mode not in ("none", "latent-kl", "velocity-mse"):
             raise ConfigError(f"unknown reg_mode '{self.reg_mode}'")
-        if self.beta_img < 0 or self.mse_weight < 0 or self.beta_txt < 0:
+        if self.beta_img < 0 or self.mse_weight < 0:
             raise ConfigError("regularizer weights must be >= 0")
         if self.reward_mode not in ("smooth", "binary"):
             raise ConfigError(f"unknown reward_mode '{self.reward_mode}'")
@@ -195,8 +200,19 @@ def config_to_dict(cfg: TrainConfig) -> dict:
     return {f.name: getattr(cfg, f.name) for f in fields(TrainConfig)}
 
 
+def check_retired(values: dict) -> None:
+    """ConfigError naming the first key of RETIRED_KEYS that `values` holds at
+    another value than the one now fixed."""
+    for key, fixed in RETIRED_KEYS.items():
+        if key in values and values[key] != fixed:
+            raise ConfigError(f"{key} = {values[key]!r} is no longer a key: every run now "
+                              f"computes with {key} = {fixed}")
+
+
 def config_from_dict(values: dict) -> TrainConfig:
-    """The config `config_to_dict` gave `values`; keys it no longer has are ignored."""
+    """The config `config_to_dict` gave `values`; a removed key is ignored, and
+    one of RETIRED_KEYS is refused unless it holds its fixed value."""
+    check_retired(values)
     for key, want in _KEY_TYPES.items():
         if type(values.get(key)) is not want:
             raise ConfigError(f"{key} = {values.get(key)!r} is missing or not a {want.__name__}")

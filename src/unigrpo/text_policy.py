@@ -38,34 +38,21 @@ class TextUpdateBatch:
     adv: np.ndarray        # (n,) advantage of each row's trace
     weight: np.ndarray     # (n,) 1 / (traces * trace length)
     inv_t: float
-    kl_weight: np.ndarray | None  # (u,) beta_txt * weight summed per context, or None
-    ref_logp: np.ndarray | None   # (u, vocab) reference log-softmax at T
-
-
-def softmax_np(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row log-softmax and softmax of a 2-D array, stable under large logits."""
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    total = e.sum(axis=-1, keepdims=True)
-    return z - np.log(total), e / total
 
 
 def log_softmax_np(z: np.ndarray) -> np.ndarray:
-    """The log-softmax half of softmax_np, with the same bits."""
+    """Row log-softmax of a 2-D array, stable under large logits."""
     z = z - z.max(axis=-1, keepdims=True)
     return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
 
-def _pick_vjp(logp: np.ndarray, rows: np.ndarray, targets: np.ndarray, g_pick: np.ndarray,
-              g_rows: np.ndarray | None = None) -> np.ndarray:
+def _pick_vjp(logp: np.ndarray, rows: np.ndarray, targets: np.ndarray,
+              g_pick: np.ndarray) -> np.ndarray:
     """Logits gradient through the log-softmax rows `logp` and their entries
     picked at (`rows`, `targets`), given the picks' gradient (one per pick or
-    one for all, summed per entry in pick order) and, when given, a gradient
-    on the whole rows (summed in that order)."""
+    one for all, summed per entry in pick order)."""
     g_pick = np.broadcast_to(g_pick, targets.shape)
     g = np.bincount(rows * logp.shape[1] + targets, g_pick, logp.size).reshape(logp.shape)
-    if g_rows is not None:
-        g = g_rows + g
     return g - np.exp(logp) * g.sum(axis=-1, keepdims=True)
 
 
@@ -175,13 +162,12 @@ class TextPolicy:
 
     # ---- GRPO surrogate ----
 
-    def prepare_batch(self, seqs: np.ndarray, advantages: np.ndarray, temperature: float,
-                      beta_txt: float, ref_params: ParamSet) -> TextUpdateBatch:
+    def prepare_batch(self, seqs: np.ndarray, advantages: np.ndarray,
+                      temperature: float) -> TextUpdateBatch:
         """The per-update part of the surrogate for the text rows `seqs`:
         the distinct context rows (sorted, so their order is fixed by the
         rows alone) and each scored row's index into them, targets, per-row
-        advantages and weights, and the reference head's log-softmax at T
-        when the KL term is on.  The old log-probs are left to the first
+        advantages and weights.  The old log-probs are left to the first
         surrogate_loss call.  Each trace weighs 1/len(seqs), so one batch
         over several groups equals the mean of per-group batches."""
         G = len(seqs)
@@ -191,32 +177,26 @@ class TextPolicy:
         keys = rows.view(np.dtype((np.void, rows.itemsize * self.ctx))).ravel()
         distinct, inverse = np.unique(keys, return_inverse=True)
         rows = distinct.view(np.int64).reshape(-1, self.ctx)
-        inv_t = 1.0 / temperature
-        kl_weight = ref_logp = None
-        if beta_txt != 0.0:
-            kl_weight = np.bincount(inverse, beta_txt * weight, len(rows))
-            ref_logp = log_softmax_np(self.logits_np(ref_params, rows) * inv_t)
         return TextUpdateBatch(rows, self._cells(rows), inverse, targets, owner, position, None,
                                np.asarray(advantages, dtype=np.float64)[owner], weight,
-                               inv_t, kl_weight, ref_logp)
+                               1.0 / temperature)
 
     def surrogate_loss(
         self, params: ParamSet, batch: TextUpdateBatch, clip_eps: float,
     ) -> tuple[float, np.ndarray, LossStats]:
         """Clipped importance-weighted objective, averaged per token within a
-        trace and across traces, minus the exact per-token KL to the reference
-        head.  Both policies are scored at the sampling temperature, so the
-        ratio is taken against the distribution the traces were drawn from.
-        Everything after the MLP is one fused head node.  The first call on
-        a batch must be at the sampling parameters: its picked log-probs
-        become the batch's old log-probs, so every ratio of that call is
-        exactly 1.  The net and the softmax run once per distinct context;
-        each scored row picks from its context's log-softmax.  Returns the
-        ascent gradient."""
+        trace and across traces.  The policy is scored at the sampling
+        temperature, so the ratio is taken against the distribution the
+        traces were drawn from.  Everything after the MLP is one fused head
+        node.  The first call on a batch must be at the sampling parameters:
+        its picked log-probs become the batch's old log-probs, so every ratio
+        of that call is exactly 1.  The net and the softmax run once per
+        distinct context; each scored row picks from its context's
+        log-softmax.  Returns the ascent gradient."""
         b = batch
         tape = Tape()
         out = self._logits_var(tape, params, b.rows, b.cells)
-        logp, probs = softmax_np(out.value * b.inv_t)
+        logp = log_softmax_np(out.value * b.inv_t)
         pick = logp[b.inverse, b.targets]
         if b.old_logp is None:
             b.old_logp = pick
@@ -227,21 +207,9 @@ class TextPolicy:
                                f"position {b.position[bad[0]]}")
 
         j, clip_vjp, stats = clipped_objective(ratio, b.adv, b.weight, clip_eps)
-        if b.kl_weight is not None:
-            # exact KL(pi_theta || pi_ref) over the vocabulary, token level
-            diff = logp - b.ref_logp
-            j = j - np.sum((probs * diff).sum(axis=1) * b.kl_weight)
 
         def vjp(g):
-            g_rows = g_logits = None
-            if b.kl_weight is not None:
-                g_kl = ((-g) * b.kl_weight)[:, None]
-                g_probs = g_kl * diff
-                g_rows = g_kl * probs
-                g_logits = probs * (g_probs - (g_probs * probs).sum(axis=-1, keepdims=True))
-            g_pick = _pick_vjp(logp, b.inverse, b.targets, clip_vjp(g) * ratio, g_rows)
-            g_logits = g_pick if g_logits is None else g_logits + g_pick
-            return (g_logits * b.inv_t,)
+            return (_pick_vjp(logp, b.inverse, b.targets, clip_vjp(g) * ratio) * b.inv_t,)
 
         tape.output = tape.node(j, [out], vjp)
         return float(j), tape.param_grads(1.0), stats

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import checkpoint
-from .config import TrainConfig, config_from_dict, config_to_dict, dump_config
+from .config import TrainConfig, check_retired, config_from_dict, config_to_dict, dump_config
 from .errors import CheckpointError, ConfigError, NumericError
 from .flow_policy import (DIM, TIMESTEP_SHIFT, FlowBatch, FlowPolicy, StepTable, step_table,
                           timestep_schedule)
@@ -110,6 +110,8 @@ def make_runtime(cfg: TrainConfig) -> Runtime:
 
 # updates whose rollout words `train` draws in one Philox pass
 ROLLOUT_BLOCK = 32
+# the guidance scale of a rollout when train_cfg is true
+TRAIN_CFG_SCALE = 2.0
 
 
 @dataclass
@@ -179,7 +181,7 @@ def collect_rollouts(rt: Runtime, prompts: np.ndarray, text_old: ParamSet,
         seqs = greedy[ids]
     flow = rt.flow_policy.hybrid_rollout(
         flow_old, seqs[:, PROMPT_LEN:], rt.steps_train, draws.x1, draws.starts,
-        cfg.sde_window_size, draws.eps, cfg_scale=cfg.train_cfg_scale if cfg.train_cfg else 1.0,
+        cfg.sde_window_size, draws.eps, cfg_scale=TRAIN_CFG_SCALE if cfg.train_cfg else 1.0,
     )
     rewards, finite = score(flow.states[-1], ids, cfg.reward_mode)
     advantages = group_advantages(rewards.reshape(len(prompts), G)).ravel()
@@ -205,7 +207,6 @@ def unified_update(
     groups: list[GroupRollout],
     text_params: ParamSet,
     flow_params: ParamSet,
-    text_ref: ParamSet,
     flow_ref: ParamSet,
     adam_text: AdamState,
     adam_flow: AdamState,
@@ -232,8 +233,7 @@ def unified_update(
         trained = []  # (name, policy, prepared batch, optimizer state)
         if cfg.train_text:
             trained.append(("text", rt.text_policy, rt.text_policy.prepare_batch(
-                batch.seqs[rows], advantages, cfg.temperature, cfg.beta_txt, text_ref
-            ), adam_text))
+                batch.seqs[rows], advantages, cfg.temperature), adam_text))
         if cfg.train_flow:
             reg_weight = {"none": 0.0, "latent-kl": cfg.beta_img,
                           "velocity-mse": cfg.mse_weight}[cfg.reg_mode]
@@ -303,8 +303,10 @@ def evaluate(rt: Runtime, text_params: ParamSet, flow_params: ParamSet,
 # ---- pretraining entry ----
 
 # the warm starts' fixed recipe: one Adam learning rate for both policies,
-# and the flow's batch rows and condition-dropout rate
+# each policy's batch (text traces, flow rows) and the flow's condition-dropout
+# rate
 PRETRAIN_LR = 3e-3
+PRETRAIN_TEXT_BATCH = 128
 PRETRAIN_FLOW_BATCH = 256
 PRETRAIN_P_UNCOND = 0.1
 
@@ -356,7 +358,7 @@ def pretrain_all(cfg: TrainConfig, out_dir) -> dict:
 
     text_params = rt.text_policy.init_params(stream(seed, "init-text"))
     text_params, text_report = rt.text_policy.pretrain(
-        text_params, seqs, cfg.pretrain_text_epochs, PRETRAIN_LR, cfg.pretrain_batch,
+        text_params, seqs, cfg.pretrain_text_epochs, PRETRAIN_LR, PRETRAIN_TEXT_BATCH,
         stream(seed, "pretrain-text"),
     )
     laps.append(time.perf_counter())
@@ -494,20 +496,21 @@ def train(cfg: TrainConfig, out_dir, resume: bool = False, config_text: str | No
     out = Path(out_dir)
 
     pre = Path(cfg.pretrain_dir)
-    # a resume keeps the references its run started from, whatever pretrain_dir holds now
-    refs = [out / f"ref_{name}" if resume else pre / name for name in ("text.ckpt", "flow.ckpt")]
-    for path in refs:
+    # a fresh run starts both policies from pretrain_dir; a resume reads them
+    # from state.ckpt and keeps the flow reference its run started from,
+    # whatever pretrain_dir holds now
+    ref_path = out / "ref_flow.ckpt" if resume else pre / "flow.ckpt"
+    for path in [ref_path] if resume else [pre / "text.ckpt", ref_path]:
         if not path.exists():
             raise CheckpointError(f"missing reference checkpoint {path}" if resume else
                                   f"missing pretrained checkpoint {path}; run pretraining first")
-    text_ref, flow_ref = map(checkpoint.load_params, refs)
-    check_architecture(text_ref, rt.text_policy, "text")
-    check_architecture(flow_ref, rt.flow_policy, "flow")
+    flow_ref = check_architecture(checkpoint.load_params(ref_path), rt.flow_policy, "flow")
 
     manifest_path = out / _MANIFEST_FILE
     if resume:
         # the whole run directory is checked before any file of it is written
         saved = read_run_config(out)
+        check_retired(saved)
         for key, value in config_to_dict(cfg).items():
             if key not in _RESUME_FREE_KEYS and saved.get(key) != value:
                 raise ConfigError(f"{key} = {value} differs from the run's {key} = "
@@ -519,11 +522,12 @@ def train(cfg: TrainConfig, out_dir, resume: bool = False, config_text: str | No
                               f"{start_update}, which {out / _STATE_FILE} was saved at")
         rewind_run(out, start_update)
     else:
-        # a fresh run replaces another run's manifest, references and state; a resume keeps them
-        start_update, text_params, flow_params = 0, text_ref.copy(), flow_ref.copy()
+        # a fresh run replaces another run's manifest, reference and state; a resume keeps them
+        text_params = check_architecture(checkpoint.load_params(pre / "text.ckpt"),
+                                         rt.text_policy, "text")
+        start_update, flow_params = 0, flow_ref.copy()
         adam_text = AdamState.for_params(text_params, lr=cfg.lr_text)
         adam_flow = AdamState.for_params(flow_params, lr=cfg.lr_flow)
-        checkpoint.save_params(out / "ref_text.ckpt", text_ref)
         checkpoint.save_params(out / "ref_flow.ckpt", flow_ref)
         checkpoint.save_blocks(out / _STATE_FILE, _state_blocks(
             0, text_params, flow_params, adam_text, adam_flow))
@@ -564,8 +568,7 @@ def train(cfg: TrainConfig, out_dir, resume: bool = False, config_text: str | No
         groups = collect_rollouts(rt, draws.prompts, text_params, flow_params, draws, greedy)
         t_rollout = time.perf_counter()
         text_params, flow_params, ustats = unified_update(
-            rt, groups, text_params, flow_params, text_ref, flow_ref,
-            adam_text, adam_flow,
+            rt, groups, text_params, flow_params, flow_ref, adam_text, adam_flow,
         )
         t_update = time.perf_counter()
 

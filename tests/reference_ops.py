@@ -84,13 +84,6 @@ class OpTape(Tape):
         xv = x.value
         return self.node(xv * xv, [x], lambda g: (2.0 * xv * g,))
 
-    def softmax(self, x: Var) -> Var:
-        """Row softmax of a 2-D array (stable under large logits)."""
-        z = x.value - x.value.max(axis=-1, keepdims=True)
-        e = np.exp(z)
-        y = e / e.sum(axis=-1, keepdims=True)
-        return self.node(y, [x], lambda g: (y * (g - (g * y).sum(axis=-1, keepdims=True)),))
-
     def log_softmax(self, x: Var) -> Var:
         z = x.value - x.value.max(axis=-1, keepdims=True)
         y = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))

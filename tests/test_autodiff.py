@@ -11,7 +11,7 @@ from reference_ops import OpTape
 
 from unigrpo.autodiff import Tape
 from unigrpo.nn import ParamSet, mlp_var
-from unigrpo.text_policy import softmax_np
+from unigrpo.text_policy import log_softmax_np
 
 
 def _fd_scalar(fn, x, h=1e-6):
@@ -59,7 +59,7 @@ def _activation(name):
 
 @pytest.mark.parametrize(
     "name",
-    ["tanh", "silu", "exp", "square", "softmax", "log_softmax", "sum_rows"],
+    ["tanh", "silu", "exp", "square", "log_softmax", "sum_rows"],
 )
 def test_unary_op_gradients(name):
     rng = np.random.default_rng(3)
@@ -184,13 +184,16 @@ def test_minimum_tie_goes_to_first_argument():
 
 
 def test_softmax_rows_sum_to_one():
-    # the loss heads' softmax_np, at extreme logits
+    # the loss heads' log_softmax_np, at extreme logits
     rng = np.random.default_rng(19)
     x = rng.uniform(-50, 50, size=(20, 11))
-    logp, p = softmax_np(x)
-    np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-12)
+    logp = log_softmax_np(x)
     assert np.all(np.isfinite(logp))
-    np.testing.assert_allclose(np.exp(logp), p, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(np.exp(logp).sum(axis=1), 1.0, atol=1e-12)
+    # the softmax it stands for: exp of the shifted logits over their sum
+    e = np.exp(x - x.max(axis=1, keepdims=True))
+    np.testing.assert_allclose(np.exp(logp), e / e.sum(axis=1, keepdims=True), rtol=1e-12,
+                               atol=0)
 
 
 def test_backward_seed_shape_mismatch_raises():

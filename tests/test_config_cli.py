@@ -14,8 +14,8 @@ import pytest
 import unigrpo
 from unigrpo.checkpoint import load_blocks, save_blocks, save_params
 from unigrpo.cli import main
-from unigrpo.config import (MIN_WINDOW_STD, TrainConfig, dump_config, load_config,
-                            parse_config_text)
+from unigrpo.config import (MIN_WINDOW_STD, RETIRED_KEYS, TrainConfig, dump_config,
+                            load_config, parse_config_text)
 from unigrpo.errors import ConfigError
 from unigrpo.flow_policy import TIMESTEP_SHIFT, step_table, timestep_schedule
 from unigrpo.metrics import read_metrics
@@ -51,6 +51,11 @@ TASK_KEYS = {"tau_r": 0.5, "radius_near": 0.5, "radius_far": 1.5, "tau_tight": 0
 # the values they always had, each with the command that read it
 WARM_START_KEYS = [("pretrain_text_lr", 3e-3, "pretrain"), ("pretrain_flow_lr", 3e-3, "pretrain"),
                    ("p_uncond", 0.1, "pretrain"), ("timestep_shift", 3.0, "train")]
+# the text update's KL weight, the training guidance scale and the text warm
+# start's batch, keys until the KL term went and the other two became
+# trainer.py constants, at the values they always had
+FIXED_KEYS = [("beta_txt", 0.0, "train"), ("train_cfg_scale", 2.0, "train"),
+              ("pretrain_batch", 128, "pretrain")]
 # deleted keys, an old value of each and a command that refuses a config setting it
 REMOVED_KEYS = [
     # the flow loss weight: with a separate Adam state per policy it only
@@ -65,7 +70,14 @@ REMOVED_KEYS = [
     # the warm starts and the schedule are fixed: trainer.PRETRAIN_LR,
     # PRETRAIN_P_UNCOND and flow_policy.TIMESTEP_SHIFT
     *WARM_START_KEYS,
+    # the text update is the clipped surrogate alone, rollouts guide at
+    # trainer.TRAIN_CFG_SCALE and text pretraining batches PRETRAIN_TEXT_BATCH
+    *FIXED_KEYS,
 ]
+# removed keys that only pretraining read (a run reads its pretraining through
+# its checkpoints), and ablate_updates: a manifest may hold them at any value
+PRETRAIN_ONLY_KEYS = {"p_noise", "pretrain_text_lr", "pretrain_flow_lr", "p_uncond",
+                      "pretrain_batch", "ablate_updates"}
 
 
 class TestConfigParsing:
@@ -125,6 +137,14 @@ class TestConfigParsing:
         assert sorted(keys) == sorted(f.name for f in fields(TrainConfig))
 
 
+def test_retired_keys_are_the_removed_keys_a_run_computes_with():
+    # each at the value it always had; the rest were read by pretraining
+    # alone, or by nothing
+    removed = {key: value for key, value, _ in REMOVED_KEYS}
+    assert {key: removed[key] for key in RETIRED_KEYS} == RETIRED_KEYS
+    assert removed.keys() - RETIRED_KEYS.keys() == PRETRAIN_ONLY_KEYS
+
+
 class TestValidation:
     @pytest.mark.parametrize(
         "kw",
@@ -141,7 +161,6 @@ class TestValidation:
             {"max_trace_len": 0},
             {"prompts_per_batch": 0},
             {"eval_samples": 0},
-            {"pretrain_batch": 0},
             {"seed": -1},
             {"train_text": False, "train_flow": False},
         ],
@@ -277,7 +296,7 @@ def cli_workspace(tmp_path_factory):
 
 EVAL_COLUMNS = ("eval_reward", "text_accuracy", "velocity_drift")
 RUN_FILES = {"run_manifest.json", "metrics.csv", "timings.csv", "groups.jsonl", "state.ckpt",
-             "ref_text.ckpt", "ref_flow.ckpt"}
+             "ref_flow.ckpt"}
 # the summary `train` printed for each finished seeded run, by run directory
 _SEEDED_SUMMARIES: dict[Path, dict] = {}
 
@@ -368,11 +387,17 @@ class TestCli:
         assert main(["eval", "--run", str(run)]) == 3
         assert "run_manifest.json" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key, value", [(key, value) for key, value, _ in REMOVED_KEYS],
-                             ids=[key for key, _, _ in REMOVED_KEYS])
+    @pytest.mark.parametrize(
+        "key, value",
+        [(key, value) for key, value, _ in REMOVED_KEYS]
+        + [(key, value * 2 + 1) for key, value, _ in REMOVED_KEYS if key in PRETRAIN_ONLY_KEYS],
+        ids=[key for key, _, _ in REMOVED_KEYS]
+        + [f"{key}-other" for key, _, _ in REMOVED_KEYS if key in PRETRAIN_ONLY_KEYS])
     def test_eval_ignores_keys_the_config_no_longer_has(self, cli_workspace, tmp_path, capsys,
                                                         key, value):
         # a run from before a key was deleted still evaluates and resumes
+        # when the key held the value now fixed, and at any value when only
+        # pretraining read it
         ws, cfg_path = cli_workspace
         run = _seeded_run_copy(cli_workspace, tmp_path, capsys)
         manifest = run / "run_manifest.json"
@@ -385,6 +410,26 @@ class TestCli:
         assert main([*_seeded_args(ws, cfg_path), "--out", str(run), "--resume"]) == 0
         assert _printed_summary(capsys) == {**_SEEDED_SUMMARIES[ws / "seeded_run_text_true"],
                                             "out_dir": str(run)}
+
+    @pytest.mark.parametrize("key", RETIRED_KEYS)
+    def test_a_retired_key_at_another_value_is_refused(self, cli_workspace, tmp_path, capsys,
+                                                       key):
+        # a run trained under another schedule, reward or objective than the
+        # one now fixed: eval would score it under the fixed one, and a resume
+        # would continue it under another objective than it started with
+        ws, cfg_path = cli_workspace
+        run = _seeded_run_copy(cli_workspace, tmp_path, capsys)
+        manifest = run / "run_manifest.json"
+        data = json.loads(manifest.read_text())
+        value = RETIRED_KEYS[key] + 0.5
+        data["config_resolved"][key] = value
+        manifest.write_text(json.dumps(data))
+        before = {p.name: p.read_bytes() for p in run.iterdir()}
+        assert main(["eval", "--run", str(run)]) == 3
+        assert f"checkpoint error: {manifest}: {key} = {value!r}" in capsys.readouterr().err
+        assert main([*_seeded_args(ws, cfg_path), "--out", str(run), "--resume"]) == 2
+        assert f"config error: {key} = {value!r}" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in run.iterdir()} == before
 
     @pytest.mark.parametrize("option", [["--config", "tiny.cfg"], ["--seed", "5"],
                                         ["--out", "run"]], ids=["config", "seed", "out"])
@@ -472,12 +517,13 @@ class TestCli:
         assert f"unknown config key '{key}'" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
 
-    @pytest.mark.parametrize("key", ["p_noise", *(key for key, _, _ in WARM_START_KEYS)])
+    @pytest.mark.parametrize("key", ["p_noise", *(key for key, _, _ in WARM_START_KEYS),
+                                     *(key for key, _, _ in FIXED_KEYS)])
     @pytest.mark.parametrize("command", ["pretrain", "train", "ablate"])
     def test_every_config_command_refuses_a_removed_key(self, tmp_path, capsys, command, key):
-        # p_noise, the learning rates and p_uncond were read by pretraining
-        # alone, and timestep_shift by every sampler: each command refuses
-        # each of them
+        # p_noise, the learning rates, p_uncond and pretrain_batch were read by
+        # pretraining alone, timestep_shift by every sampler, beta_txt and
+        # train_cfg_scale by training: each command refuses each of them
         value = next(value for name, value, _ in REMOVED_KEYS if name == key)
         bad = tmp_path / "bad.cfg"
         bad.write_text(TINY_CONFIG + f"{key} = {value}\n")
@@ -562,8 +608,8 @@ class TestCli:
 
     def test_resume_keeps_the_runs_references(self, tmp_path, capsys):
         # the pretraining directory is replaced while a run is stopped: the
-        # resume continues against the references the run started from, as
-        # the uninterrupted run does
+        # resume continues from the run's state against the flow reference
+        # the run started from, as the uninterrupted run does
         pre, cfg, short = tmp_path / "pre", tmp_path / "c.cfg", tmp_path / "short.cfg"
         cfg.write_text(TINY_CONFIG + f"pretrain_dir = {pre}\n")
         short.write_text(cfg.read_text().replace("total_updates = 4", "total_updates = 2"))
@@ -574,23 +620,38 @@ class TestCli:
         assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "cut"),
                      "--resume"]) == 0
         capsys.readouterr()
-        for name in ("metrics.csv", "state.ckpt", "ref_text.ckpt", "ref_flow.ckpt"):
+        for name in ("metrics.csv", "state.ckpt", "ref_flow.ckpt"):
             assert (tmp_path / "full" / name).read_bytes() == \
                 (tmp_path / "cut" / name).read_bytes(), name
 
-    @pytest.mark.parametrize("name", ["ref_text.ckpt", "ref_flow.ckpt"])
-    def test_resume_without_its_reference_copy_exits_3(self, cli_workspace, capsys, name):
+    def test_resume_without_its_reference_copy_exits_3(self, cli_workspace, capsys):
         ws, cfg_path = cli_workspace
         short = ws / "two_updates.cfg"
         short.write_text(cfg_path.read_text().replace("total_updates = 4", "total_updates = 2"))
-        out = ws / f"without_{name}"
+        out = ws / "without_ref_flow.ckpt"
         assert main(["train", "--config", str(short), "--out", str(out)]) == 0
-        (out / name).unlink()
+        (out / "ref_flow.ckpt").unlink()
         capsys.readouterr()
         rc = main(["train", "--config", str(cfg_path), "--out", str(out), "--resume"])
         assert rc == 3
-        assert str(out / name) in capsys.readouterr().err
-        assert not (out / name).exists()
+        assert str(out / "ref_flow.ckpt") in capsys.readouterr().err
+        assert not (out / "ref_flow.ckpt").exists()
+
+    def test_resume_without_a_text_reference_equals_uninterrupted(self, cli_workspace, capsys):
+        # the text update has no KL term, so a run keeps no text reference: a
+        # run directory without ref_text.ckpt resumes byte-identically
+        ws, cfg_path = cli_workspace
+        short = ws / "two_updates.cfg"
+        short.write_text(cfg_path.read_text().replace("total_updates = 4", "total_updates = 2"))
+        full, cut = ws / "no_ref_text_full", ws / "no_ref_text_cut"
+        assert main(["train", "--config", str(cfg_path), "--out", str(full)]) == 0
+        assert main(["train", "--config", str(short), "--out", str(cut)]) == 0
+        (cut / "ref_text.ckpt").unlink(missing_ok=True)
+        assert main(["train", "--config", str(cfg_path), "--out", str(cut), "--resume"]) == 0
+        capsys.readouterr()
+        for name in ("metrics.csv", "groups.jsonl", "state.ckpt"):
+            assert (full / name).read_bytes() == (cut / name).read_bytes(), name
+        assert not (cut / "ref_text.ckpt").exists()
 
     def test_resume_from_nonfinite_optimizer_state_exits_3(self, cli_workspace, capsys):
         # a NaN Adam moment in state.ckpt must not resume into silently skipped updates

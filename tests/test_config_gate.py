@@ -1,10 +1,11 @@
 """`TrainConfig.validate` is the one gate of config values: every config it
-accepts trains, logs finite metrics and evaluates, so no code behind it
-re-checks a value.  For every accepted config the update invariants hold:
-first-epoch importance ratios are exactly 1, and a skipped update leaves no
-trace in the parameters or the optimizer states.  The accepted configs are
-drawn constructively, so every draw is one; each refusal edge moves the keys
-of its own accepted draws across a bound, and validate must refuse it."""
+accepts trains, logs finite metrics and evaluates, and `unigrpo eval --run`
+reads its run directory back, so no code behind it re-checks a value.  For
+every accepted config the update invariants hold: first-epoch importance
+ratios are exactly 1, and a skipped update leaves no trace in the parameters
+or the optimizer states.  The accepted configs are drawn constructively, so
+every draw is one; each refusal edge moves the keys of its own accepted
+draws across a bound, and validate must refuse it."""
 
 import json
 import math
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 
 from unigrpo import trainer as trainer_mod
 from unigrpo.checkpoint import load_params
+from unigrpo.cli import main
 from unigrpo.config import MIN_WINDOW_STD, TrainConfig
 from unigrpo.errors import ConfigError, NumericError
 from unigrpo.flow_policy import TIMESTEP_SHIFT, step_table, timestep_schedule
@@ -26,7 +28,6 @@ from unigrpo.nn import AdamState, adam_step
 from unigrpo.task import PROMPT_TOKENS
 from unigrpo.trainer import (
     collect_rollouts,
-    evaluate_run,
     make_runtime,
     pretrain_all,
     rollout_words,
@@ -47,7 +48,6 @@ BASE = TrainConfig(
     total_updates=3, eval_every=0, checkpoint_every=0, eval_samples=2,
     text_embed_dim=6, text_hidden=6, flow_cond_dim=6, flow_hidden=6,
     pretrain_text_n=64, pretrain_text_epochs=1, pretrain_flow_n=64, pretrain_flow_epochs=1,
-    pretrain_batch=64,
 )
 
 
@@ -146,7 +146,7 @@ def gate_pretrain(tmp_path_factory):
     return out
 
 
-def test_every_accepted_config_trains_and_evaluates(gate_pretrain, tmp_path):
+def test_every_accepted_config_trains_and_evaluates(gate_pretrain, tmp_path, capsys):
     accepted = []
 
     @settings(max_examples=TRAIN_EXAMPLES, derandomize=True, database=None, deadline=None)
@@ -163,7 +163,11 @@ def test_every_accepted_config_trains_and_evaluates(gate_pretrain, tmp_path):
             assert r["nonfinite_samples"] == 0, r
         with open(run / "groups.jsonl") as fh:
             assert not any(json.loads(line)["skipped"] for line in fh)
-        assert evaluate_run(run) == {key: rows[-1][key] for key in EVAL_COLUMNS}
+        # the run's manifest, state and reference, read back by the CLI
+        capsys.readouterr()
+        assert main(["eval", "--run", str(run)]) == 0, values
+        assert json.loads(capsys.readouterr().out) == \
+            {key: rows[-1][key] for key in EVAL_COLUMNS}, values
 
     tic = time.perf_counter()
     check()
@@ -216,7 +220,7 @@ def _first_ratios_are_one(rt, text, flow, groups, stale=False):
     adams = [AdamState.for_params(p, lr) for p, lr in ((text, rt.cfg.lr_text),
                                                         (flow, rt.cfg.lr_flow))]
     calls = _spy_surrogates(rt, stale=stale)
-    new_text, new_flow, _ = unified_update(rt, groups, text, flow, text, flow, *adams)
+    new_text, new_flow, _ = unified_update(rt, groups, text, flow, flow, *adams)
     trained = [name for name in ("text", "flow") if getattr(rt.cfg, f"train_{name}")]
     ok = all(calls[name] and calls[name][0] is not None
              and (calls[name][0].ratio == 1.0).all()
@@ -247,8 +251,8 @@ def _skip_leaves_no_trace(rt, entry, groups, monkeypatch, in_place=False):
 
     with monkeypatch.context() as mp:
         mp.setattr(trainer_mod, "adam_step", counted_step)
-        new_text, new_flow, stats = unified_update(rt, groups, text, flow, text, flow,
-                                                   adam_text, adam_flow)
+        new_text, new_flow, stats = unified_update(rt, groups, text, flow, flow, adam_text,
+                                                   adam_flow)
     same = stats.skipped and all(
         p.vec.tobytes() == v.tobytes() for p, v in zip((new_text, new_flow), vecs))
     same = same and all(a.m.tobytes() == m.tobytes() and a.v.tobytes() == v.tobytes()

@@ -10,7 +10,7 @@ as the surrogate scores each distinct context once.  The fused
 losses must give the same value, ratios and gradient blocks, bit for bit:
 the heads repeat the chains' floating-point operations in the same order,
 so every case agrees exactly, not only those at the desk defaults (T 1,
-beta_txt 0, cfg 1, velocity-mse).
+cfg 1, velocity-mse).
 """
 
 from dataclasses import replace
@@ -43,11 +43,6 @@ def _assert_same(new, old):
 # ---- the text chain ----
 
 
-def _old_log_softmax_np(z):
-    z = z - z.max(axis=-1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
-
-
 def _old_context_rows(prompt_tokens, trace_tokens):
     rows = np.full((len(trace_tokens), TEXT.ctx), PAD, dtype=np.int64)
     rows[:, : TEXT.prompt_len] = prompt_tokens
@@ -64,8 +59,7 @@ def _old_logits_var(tape, params, rows):
     return mlp_var(tape, params, tape.bias_add(flat, wpe), TEXT.arch, "silu")
 
 
-def _old_text_surrogate(params, seqs, old_lp, advantages, clip_eps, beta_txt, ref_params,
-                        temperature):
+def _old_text_surrogate(params, seqs, old_lp, advantages, clip_eps, temperature):
     G = len(seqs)
     inv_t = 1.0 / temperature
     traces = [trace_tokens(seq[TEXT.prompt_len:]) for seq in seqs]
@@ -76,12 +70,9 @@ def _old_text_surrogate(params, seqs, old_lp, advantages, clip_eps, beta_txt, re
     w_rows = np.array([1.0 / (G * len(tr)) for tr in traces for _ in tr])
 
     # each distinct context once, in sorted order; every scored row gathers
-    # its context's log-softmax row, and the KL term weighs a context by the
-    # summed weight of the rows that read it
+    # its context's log-softmax row
     distinct, inverse = np.unique(rows, axis=0, return_inverse=True)
     inverse = inverse.reshape(-1)
-    w_distinct = np.zeros(len(distinct))
-    np.add.at(w_distinct, inverse, beta_txt * w_rows)
 
     tape = OpTape()
     logits = tape.cmul(_old_logits_var(tape, params, distinct), inv_t)
@@ -90,10 +81,6 @@ def _old_text_surrogate(params, seqs, old_lp, advantages, clip_eps, beta_txt, re
     unclipped = tape.cmul(ratio, adv_rows)
     clipped = tape.cmul(tape.clip(ratio, 1.0 - clip_eps, 1.0 + clip_eps), adv_rows)
     j = tape.sum(tape.cmul(tape.minimum(unclipped, clipped), w_rows))
-    if beta_txt != 0.0:
-        ref_ls = _old_log_softmax_np(TEXT.logits_np(ref_params, distinct) * inv_t)
-        kl_rows = tape.sum_rows(tape.mul(tape.softmax(logits), tape.cadd(ls, -ref_ls)))
-        j = tape.sub(j, tape.sum(tape.cmul(kl_rows, w_distinct)))
     tape.output = j
     grads = tape.param_grads(1.0)
     return float(j.value), grads, ratio.value, distinct, inverse
@@ -111,20 +98,19 @@ def _traces(params, temperature, g=16, seed=0, group=1):
 
 
 class TestTextHeads:
-    @pytest.mark.parametrize("beta_txt", [0.0, 0.05])
     @pytest.mark.parametrize("temperature", [0.7, 1.0, 1.3])
-    def test_surrogate_matches_op_chain(self, temperature, beta_txt):
-        params, ref = _text_params(1), _text_params(2)
+    def test_surrogate_matches_op_chain(self, temperature):
+        params = _text_params(1)
         traces = _traces(params, temperature, group=4)
         adv = stream(3, "adv").normal(size=len(traces))
-        batch = TEXT.prepare_batch(traces, adv, temperature, beta_txt, ref)
+        batch = TEXT.prepare_batch(traces, adv, temperature)
         assert len(batch.rows) < len(batch.targets)  # the groups share contexts
         moved = with_blocks(params, {"W2": params["W2"] + 0.01, "wte": params["wte"] - 0.02})
         for theta in (params, moved):
             for clip_eps in (0.2, 1e-4, 0.0):
                 j, gs, stats = TEXT.surrogate_loss(theta, batch, clip_eps)
                 old_j, old_grads, old_ratio, distinct, inverse = _old_text_surrogate(
-                    theta, traces, batch.old_logp, adv, clip_eps, beta_txt, ref, temperature
+                    theta, traces, batch.old_logp, adv, clip_eps, temperature
                 )
                 _assert_same(batch.rows, distinct)
                 _assert_same(batch.inverse, inverse)
@@ -141,7 +127,7 @@ class TestTextHeads:
         # (unclipped term first) leaves a gradient
         params = _text_params(4)
         traces = _traces(params, 1.0, g=6, seed=4)
-        batch = TEXT.prepare_batch(traces, np.linspace(-1.0, 1.0, 6), 1.0, 0.0, params)
+        batch = TEXT.prepare_batch(traces, np.linspace(-1.0, 1.0, 6), 1.0)
         _, grads, _ = TEXT.surrogate_loss(params, batch, 0.0)
         _, grads_wide, _ = TEXT.surrogate_loss(params, batch, 0.5)
         assert np.any(grads != 0.0)
@@ -343,7 +329,7 @@ def test_every_loss_tape_is_at_most_eleven_nodes(monkeypatch):
     monkeypatch.setattr(Tape, "param_grads", counting)
     tparams, fparams = _text_params(12), _flow_params(13)
     traces = _traces(tparams, 1.0, g=4)
-    TEXT.surrogate_loss(tparams, TEXT.prepare_batch(traces, np.ones(4), 1.0, 0.05, tparams), 0.2)
+    TEXT.surrogate_loss(tparams, TEXT.prepare_batch(traces, np.ones(4), 1.0), 0.2)
     rows, targets, _, _ = TEXT.token_rows(traces)
     TEXT.ce_loss(tparams, rows, targets)
     for cfg_scale in (1.0, 2.0):

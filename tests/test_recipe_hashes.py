@@ -55,3 +55,15 @@ def test_write_prints_what_moved_then_records(canned, monkeypatch, capsys):
     assert lines[4] == f"wrote 3 hashes to {canned}"
     assert json.loads(canned.read_text()) == GOT
     assert _main(monkeypatch) == 0
+
+
+def test_config_text_replaces_each_overridden_line():
+    text = recipe_hashes.config_text({"group_size": "16", "train_cfg": "true"})
+    assert "\ngroup_size = 16\n" in text and "\ntrain_cfg = true\n" in text
+
+
+@pytest.mark.parametrize("key", ["timestep_shift", "train_cfg_scale", "grop_size"])
+def test_config_text_refuses_a_key_desk_cfg_lacks(key):
+    # a dropped override would run another recipe than the one named
+    with pytest.raises(KeyError, match=f"'{key}'"):
+        recipe_hashes.config_text({"group_size": "16", key: "2.0"})

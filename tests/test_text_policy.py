@@ -13,7 +13,7 @@ from unigrpo.errors import NumericError
 from unigrpo.nn import AdamState, adam_step, mlp_var
 from unigrpo.rng import stream
 from unigrpo.task import CANONICAL_TRACES, EOS, PAD, PROMPT_TOKENS, make_pretrain_data
-from unigrpo.text_policy import softmax_np
+from unigrpo.text_policy import log_softmax_np
 from unigrpo.trainer import make_runtime
 from unigrpo.verify import finite_diff_check, with_blocks
 
@@ -40,10 +40,6 @@ def _text_row(trace_tokens, prompt_tokens=PROMPT_TOKENS[PROMPT], policy=POLICY):
     return row
 
 
-def _log_softmax(z):
-    return softmax_np(z)[0]
-
-
 def _context_rows(prompt_tokens, trace_tokens, policy=POLICY):
     """(len(trace), ctx) token-id rows, one position at a time: row k sees
     prompt + trace[:k]."""
@@ -54,21 +50,20 @@ def _context_rows(prompt_tokens, trace_tokens, policy=POLICY):
     return rows
 
 
-def _batch(seqs, adv, temperature, beta_txt, ref_params, old_params, old_logp=None):
+def _batch(seqs, adv, temperature, old_params, old_logp=None):
     """A prepared batch whose old log-probs are `old_logp` when given, else
     those a first surrogate call at `old_params` takes."""
-    batch = POLICY.prepare_batch(seqs, adv, temperature, beta_txt, ref_params)
+    batch = POLICY.prepare_batch(seqs, adv, temperature)
     if old_logp is not None:
         return replace(batch, old_logp=old_logp)
     POLICY.surrogate_loss(old_params, batch, 0.0)
     return batch
 
 
-def _surrogate(params, seqs, adv, clip_eps, beta_txt, ref_params, temperature=1.0,
-               old_logp=None):
+def _surrogate(params, seqs, adv, clip_eps, temperature=1.0, old_logp=None):
     """One surrogate evaluation through a freshly prepared batch whose old
     policy is `params`, unless `old_logp` gives the old log-probs."""
-    batch = _batch(seqs, adv, temperature, beta_txt, ref_params, params, old_logp)
+    batch = _batch(seqs, adv, temperature, params, old_logp)
     return POLICY.surrogate_loss(params, batch, clip_eps)
 
 
@@ -86,7 +81,7 @@ def _sample(params, temperature=1.0, seed=0, tag="s"):
 
 def _old_logp(params, seqs, temperature=1.0):
     """The old log-probs the first surrogate call takes at `params`."""
-    return _batch(seqs, np.ones(len(seqs)), temperature, 0.0, params, params).old_logp
+    return _batch(seqs, np.ones(len(seqs)), temperature, params).old_logp
 
 
 def _softmax_logprobs(params, trace_tokens):
@@ -113,7 +108,7 @@ class TestTokenLogprobs:
         params = _params(1)
         rows = _context_rows(PROMPT_TOKENS[PROMPT], list(CANONICAL_TRACES[PROMPT]))
         logits = POLICY.logits_np(params, rows)
-        p = np.exp(_log_softmax(logits))
+        p = np.exp(log_softmax_np(logits))
         np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-12)
 
     def test_matches_slow_recomputation(self):
@@ -220,7 +215,7 @@ class TestSampling:
         rows[:, : POLICY.prompt_len] = prompts
         live = np.arange(len(prompts))
         for k in range(POLICY.max_len):
-            logp = _log_softmax(POLICY.logits_np(params, rows[live]) * (1.0 / temperature))
+            logp = log_softmax_np(POLICY.logits_np(params, rows[live]) * (1.0 / temperature))
             chosen = []
             for i, lp in zip(live, logp):
                 p = np.exp(lp)
@@ -250,7 +245,7 @@ class TestSampling:
         nw, nb = f"W{len(POLICY.arch) - 2}", f"b{len(POLICY.arch) - 2}"
         params = with_blocks(params, {nw: np.zeros_like(params[nw]),
                                       nb: np.zeros_like(params[nb])})
-        p = np.exp(_log_softmax(np.zeros(POLICY.vocab)))
+        p = np.exp(log_softmax_np(np.zeros(POLICY.vocab)))
         p /= p.sum()
         cdf = p.cumsum()
         cdf /= cdf[-1]
@@ -272,9 +267,7 @@ class TestSurrogate:
         params = _params(6)
         traces = _group(params)
         adv = np.array([0.5, -0.2, 1.0, -1.3])
-        j, _, stats = _surrogate(
-            params, traces, adv, clip_eps=0.2, beta_txt=0.0, ref_params=params,
-        )
+        j, _, stats = _surrogate(params, traces, adv, clip_eps=0.2)
         assert j == pytest.approx(adv.mean(), abs=1e-10)
         assert stats.clip_fraction == 0.0
         assert (stats.ratio == 1.0).all()
@@ -283,14 +276,14 @@ class TestSurrogate:
         # force r = 1.3 by shifting the stored old logprob
         params = _params(7)
         lp = _softmax_logprobs(params, (EOS,))
-        j, _, _ = _surrogate(params, _text_row([EOS]), np.array([2.0]), 0.2, 0.0, params,
+        j, _, _ = _surrogate(params, _text_row([EOS]), np.array([2.0]), 0.2,
                              old_logp=np.array([lp[0] - np.log(1.3)]))
         assert j == pytest.approx(min(1.3 * 2.0, 1.2 * 2.0), abs=1e-9)
 
     def test_single_token_clip_negative_advantage(self):
         params = _params(8)
         lp = _softmax_logprobs(params, (EOS,))
-        j, _, _ = _surrogate(params, _text_row([EOS]), np.array([-1.0]), 0.2, 0.0, params,
+        j, _, _ = _surrogate(params, _text_row([EOS]), np.array([-1.0]), 0.2,
                              old_logp=np.array([lp[0] - np.log(0.7)]))
         assert j == pytest.approx(min(-0.7, -0.8), abs=1e-9)
 
@@ -300,25 +293,14 @@ class TestSurrogate:
         adv = np.array([2.0, -2.0, 1.0, -1.0, 0.5, -0.5])
         eps = 0.2
         old = _old_logp(params, seqs) + 0.5  # big ratios
-        j, _, stats = _surrogate(params, seqs, adv, eps, 0.0, params, old_logp=old)
+        j, _, stats = _surrogate(params, seqs, adv, eps, old_logp=old)
         assert abs(j) <= (1 + eps) * np.max(np.abs(adv)) + 1e-12
         assert 0.0 <= stats.clip_fraction <= 1.0
-
-    def test_kl_nonnegative_and_zero_iff_equal(self):
-        params = _params(10)
-        other = _params(11)
-        traces = _group(params)
-        # with zero advantages the objective is -beta_txt * KL
-        adv = np.zeros(4)
-        j_same, _, _ = _surrogate(params, traces, adv, 0.2, 0.1, params)
-        j_diff, _, _ = _surrogate(params, traces, adv, 0.2, 0.1, other)
-        assert j_same == 0.0
-        assert j_diff < 0.0
 
     def test_nan_ratio_aborts_with_position(self):
         params = _params(12)
         with pytest.raises(NumericError, match="trace 0, position 0"):
-            _surrogate(params, _text_row([EOS]), np.array([1.0]), 0.2, 0.0, params,
+            _surrogate(params, _text_row([EOS]), np.array([1.0]), 0.2,
                        old_logp=np.array([-np.inf]))
 
     @pytest.mark.parametrize("temperature", [0.7, 1.0, 1.3])
@@ -328,9 +310,7 @@ class TestSurrogate:
         # whose ratio is not exactly 1
         params = _params(15)
         traces = _group(params, g=6, seed=7, temperature=temperature)
-        _, _, stats = _surrogate(
-            params, traces, np.ones(6), 0.0, 0.0, params, temperature
-        )
+        _, _, stats = _surrogate(params, traces, np.ones(6), 0.0, temperature)
         assert stats.clip_fraction == 0.0
         assert (stats.ratio == 1.0).all()
 
@@ -344,7 +324,7 @@ class TestSurrogate:
             params = policy.init_params(stream(seed, "init-text"))
             prompts = PROMPT_TOKENS[random_prompts(seed, "p", n)]
             seqs = policy.sample_trace(params, prompts, 1.3, stream(seed, "u").random((n, 6)))
-            batch = policy.prepare_batch(seqs, np.ones(n), 1.3, 0.0, params)
+            batch = policy.prepare_batch(seqs, np.ones(n), 1.3)
             _, _, stats = policy.surrogate_loss(params, batch, 0.2)
             if not (stats.ratio == 1.0).all():
                 bad.append(seed)
@@ -352,13 +332,12 @@ class TestSurrogate:
 
     def test_gradient_matches_finite_differences(self):
         params = _params(13)
-        ref = _params(14)
         # move params off theta_old so the ratios are nontrivial
         moved = with_blocks(params, {"W2": params["W2"] + 0.01})
         adv = np.array([1.0, -0.5, 0.25])
         for temperature in (1.0, 0.7):
             traces = _group(params, g=3, seed=5, temperature=temperature)
-            batch = _batch(traces, adv, temperature, 0.05, ref, params)
+            batch = _batch(traces, adv, temperature, params)
 
             def loss(p):
                 j, gs, _ = POLICY.surrogate_loss(p, batch, 0.2)
@@ -371,8 +350,7 @@ class TestSurrogate:
             assert report.passed, (temperature, report.max_rel_err, report.failing_blocks)
 
 
-def _per_row_surrogate(policy, params, seqs, old_logp, adv, clip_eps, beta_txt, ref_params,
-                       temperature):
+def _per_row_surrogate(policy, params, seqs, old_logp, adv, clip_eps, temperature):
     """The surrogate as one op chain over every (trace, position) row, each
     context scored as often as it is read: the formula without deduplication."""
     rows, targets, owner, _ = policy.token_rows(seqs)
@@ -392,10 +370,6 @@ def _per_row_surrogate(policy, params, seqs, old_logp, adv, clip_eps, beta_txt, 
     unclipped = tape.cmul(ratio, adv_rows)
     clipped = tape.cmul(tape.clip(ratio, 1.0 - clip_eps, 1.0 + clip_eps), adv_rows)
     j = tape.sum(tape.cmul(tape.minimum(unclipped, clipped), w_rows))
-    if beta_txt != 0.0:
-        ref_ls = _log_softmax(policy.logits_np(ref_params, rows) * inv_t)
-        kl_rows = tape.sum_rows(tape.mul(tape.softmax(logits), tape.cadd(ls, -ref_ls)))
-        j = tape.sub(j, tape.sum(tape.cmul(kl_rows, beta_txt * w_rows)))
     tape.output = j
     return float(j.value), tape.param_grads(1.0)
 
@@ -420,17 +394,15 @@ def _dedup_seqs(policy, params, kind, temperature):
 class TestDeduplicatedSurrogate:
     @pytest.mark.parametrize("max_len", [4, 10])
     @pytest.mark.parametrize("kind", ["identical", "distinct", "groups"])
-    @pytest.mark.parametrize("beta_txt", [0.0, 0.05])
     @pytest.mark.parametrize("temperature", [0.7, 1.0, 1.3])
-    def test_matches_per_row_formula(self, temperature, beta_txt, kind, max_len):
+    def test_matches_per_row_formula(self, temperature, kind, max_len):
         # the net runs once per distinct context; the per-row chain scores
         # every row, so the two agree to rounding (sums run in another order)
         policy = text_policy(max_trace_len=max_len)
         params = policy.init_params(stream(41, "init-text", max_len))
-        ref = policy.init_params(stream(42, "init-text", max_len))
         seqs = _dedup_seqs(policy, params, kind, temperature)
         adv = stream(43, "adv").normal(size=len(seqs))
-        batch = policy.prepare_batch(seqs, adv, temperature, beta_txt, ref)
+        batch = policy.prepare_batch(seqs, adv, temperature)
         n = len(batch.targets)
         distinct = {"identical": n // len(seqs), "distinct": n}
         assert len(batch.rows) == distinct.get(kind, len(batch.rows))
@@ -442,7 +414,7 @@ class TestDeduplicatedSurrogate:
         for theta in (params, moved):
             j, grads, _ = policy.surrogate_loss(theta, batch, 0.2)
             ref_j, ref_grads = _per_row_surrogate(policy, theta, seqs, batch.old_logp, adv, 0.2,
-                                                  beta_txt, ref, temperature)
+                                                  temperature)
             assert abs(j - ref_j) <= 1e-12 * abs(ref_j)
             assert np.abs(grads - ref_grads).max() <= 1e-12 * np.abs(ref_grads).max()
 

@@ -33,6 +33,7 @@ from unigrpo.task import (EOS, PAD, PROMPT_LEN, PROMPT_TOKENS, VOCAB_SIZE, canon
 from unigrpo.text_policy import TextPolicy
 from unigrpo.trainer import (
     ROLLOUT_BLOCK,
+    TRAIN_CFG_SCALE,
     GroupRollout,
     check_architecture,
     collect_rollouts,
@@ -106,9 +107,9 @@ def _rows(groups):
                            mu=b.flow.mu[rows])
 
 
-def _text_batch(rt, seqs, advantages, temperature, beta_txt, ref, old):
+def _text_batch(rt, seqs, advantages, temperature, old):
     """A text batch whose old log-probs a first surrogate call at `old` took."""
-    batch = rt.text_policy.prepare_batch(seqs, advantages, temperature, beta_txt, ref)
+    batch = rt.text_policy.prepare_batch(seqs, advantages, temperature)
     rt.text_policy.surrogate_loss(old, batch, 0.0)
     return batch
 
@@ -124,8 +125,7 @@ def _flow_batch(rt, flow_batch, traj, advantages, reg_mode, reg_weight, ref, old
 
 def _old_logp(rt, text, seqs):
     """The old log-probs the text update takes for the rows `seqs`."""
-    return _text_batch(rt, seqs, np.ones(len(seqs)), rt.cfg.temperature, 0.0, text,
-                       text).old_logp
+    return _text_batch(rt, seqs, np.ones(len(seqs)), rt.cfg.temperature, text).old_logp
 
 
 def _snap(rt, pre_dir):
@@ -451,7 +451,7 @@ class TestUnifiedUpdate:
         rt, groups, text, flow, at, af = self._setup(tiny_pretrain, reg_mode="none")
         for g in groups:
             g.batch.advantages[g.rows] = 0.0
-        new_text, new_flow, stats = unified_update(rt, groups, text, flow, text, flow, at, af)
+        new_text, new_flow, stats = unified_update(rt, groups, text, flow, flow, at, af)
         for name, arr in text.items():
             np.testing.assert_array_equal(new_text[name], arr)
         for name, arr in flow.items():
@@ -468,18 +468,18 @@ class TestUnifiedUpdate:
             assert g.mu.shape == (rt.cfg.group_size, 0, 2)
             np.testing.assert_array_equal(g.starts, rt.cfg.sde_window_lo)
             assert np.isfinite(g.rewards).all()
-        new_text, _, stats = unified_update(rt, groups, text, flow, text, flow, at, af)
+        new_text, _, stats = unified_update(rt, groups, text, flow, flow, at, af)
         assert not stats.skipped and np.isfinite(stats.j["text"])
         assert any(not np.array_equal(new_text[name], arr) for name, arr in text.items())
 
     def test_freeze_flags(self, tiny_pretrain):
         rt, groups, text, flow, at, af = self._setup(tiny_pretrain, train_text=False)
-        new_text, _, _ = unified_update(rt, groups, text, flow, text, flow, at, af)
+        new_text, _, _ = unified_update(rt, groups, text, flow, flow, at, af)
         for name, arr in text.items():
             np.testing.assert_array_equal(new_text[name], arr)
 
         rt, groups, text, flow, at, af = self._setup(tiny_pretrain, train_flow=False)
-        new_text, new_flow, _ = unified_update(rt, groups, text, flow, text, flow, at, af)
+        new_text, new_flow, _ = unified_update(rt, groups, text, flow, flow, at, af)
         for name, arr in flow.items():
             np.testing.assert_array_equal(new_flow[name], arr)
         assert af.step == 0
@@ -494,7 +494,7 @@ class TestUnifiedUpdate:
         active = [_rows(g) for g in groups if not g.degenerate]
         j_text_sep = np.mean([
             rt.text_policy.surrogate_loss(text, rt.text_policy.prepare_batch(
-                g.seqs, g.advantages, cfg.temperature, cfg.beta_txt, text,
+                g.seqs, g.advantages, cfg.temperature,
             ), cfg.clip_eps)[0]
             for g in active
         ])
@@ -504,7 +504,7 @@ class TestUnifiedUpdate:
             ), cfg.clip_eps)[0]
             for g in active
         ])
-        _, _, stats = unified_update(rt, groups, text, flow, text, flow, at, af)
+        _, _, stats = unified_update(rt, groups, text, flow, flow, at, af)
         assert stats.j["text"] == pytest.approx(j_text_sep, abs=1e-12)
         assert stats.j["flow"] == pytest.approx(j_flow_sep, abs=1e-12)
         # reg evaluated at theta = theta_ref contributes exactly 0
@@ -519,11 +519,10 @@ class TestUnifiedUpdate:
         rt, groups, text, flow, _, _ = self._setup(tiny_pretrain, prompts_per_batch=3)
         text_moved = with_blocks(text, {"W2": text["W2"] + 0.01})
         flow_moved = with_blocks(flow, {"b2": flow["b2"] + 0.01})
-        text_ref = with_blocks(text, {"b2": text["b2"] - 0.02})
         calls = {
             "text": lambda gs: rt.text_policy.surrogate_loss(
                 text_moved, _text_batch(
-                    rt, _rows(gs).seqs, _rows(gs).advantages, 0.7, 0.05, text_ref, text,
+                    rt, _rows(gs).seqs, _rows(gs).advantages, 0.7, text,
                 ), 0.2,
             ),
             "flow": lambda gs: rt.flow_policy.surrogate_loss(
@@ -568,7 +567,7 @@ class TestUnifiedUpdate:
         rt, groups, text, flow, at, af = self._setup(tiny_pretrain)
         row = next(g for g in groups if not g.degenerate).rows.start
         groups[0].batch.flow.mu[row, 1] = np.nan
-        new_text, new_flow, stats = unified_update(rt, groups, text, flow, text, flow, at, af)
+        new_text, new_flow, stats = unified_update(rt, groups, text, flow, flow, at, af)
         assert stats.skipped and at.step == af.step == 0
         assert new_text is text and new_flow is flow
 
@@ -581,22 +580,21 @@ class TestUnifiedUpdate:
         # leaves parameters and both optimizer states as they came in
         rt, groups, text, flow, at, af = self._setup(tiny_pretrain, reg_mode=reg_mode,
                                                      train_cfg=train_cfg)
-        assert rt.cfg.train_cfg_scale == 2.0
+        assert TRAIN_CFG_SCALE == 2.0
         flow_batch = groups[0].batch.flow
         B, W = flow_batch.mu.shape[:2]
         prepared = rt.flow_policy.prepare_batch(flow_batch, np.arange(B), np.ones(B), reg_mode,
                                                 0.1, flow)
         np.testing.assert_array_equal(prepared.rows, np.repeat(np.arange(B), W))
         # a completed update first, so the optimizer state is non-trivial
-        text, flow, stats = unified_update(rt, groups, text, flow, text, flow, at, af)
+        text, flow, stats = unified_update(rt, groups, text, flow, flow, at, af)
         assert not stats.skipped
         entry = [(st.m.copy(), st.v.copy(), st.step) for st in (at, af)]
         # a next state far out but finite: its noise, and so its ratio, overflows
         row = next(g for g in groups[::-1] if not g.degenerate).rows.stop - 1
         flow_batch.states[flow_batch.starts[row] + W, row] = 1e308
         with np.errstate(over="ignore", invalid="ignore"):
-            new_text, new_flow, stats = unified_update(rt, groups, text, flow, text, flow,
-                                                       at, af)
+            new_text, new_flow, stats = unified_update(rt, groups, text, flow, flow, at, af)
         assert stats.skipped and new_text is text and new_flow is flow
         for st, (m, v, step) in zip((at, af), entry):
             assert st.step == step
@@ -627,14 +625,14 @@ class TestUnifiedUpdate:
                     raise
             monkeypatch.setattr(FlowPolicy, name, spy)
         with np.errstate(over="ignore", invalid="ignore"):
-            _, _, stats = unified_update(rt, groups, text, flow, text, flow, at, af)
+            _, _, stats = unified_update(rt, groups, text, flow, flow, at, af)
         assert stats.skipped
         assert errors == [f"non-finite flow {plant} at trajectory {row}, step {k}"]
 
     def test_failed_epoch_leaves_no_trace(self, tiny_pretrain, monkeypatch):
         rt, groups, text, flow, at, af = self._setup(tiny_pretrain)
         # a completed update first, so the optimizer state is non-trivial
-        text, flow, _ = unified_update(rt, groups, text, flow, text, flow, at, af)
+        text, flow, _ = unified_update(rt, groups, text, flow, flow, at, af)
         entry = {
             key: (st.m.copy(), st.v.copy(), st.step) for key, st in (("at", at), ("af", af))
         }
@@ -648,7 +646,7 @@ class TestUnifiedUpdate:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(rt.flow_policy, "surrogate_loss", fails_in_epoch_two)
-        new_text, new_flow, stats = unified_update(rt, groups, text, flow, text, flow, at, af)
+        new_text, new_flow, stats = unified_update(rt, groups, text, flow, flow, at, af)
         assert stats.skipped and len(calls) == 2
         for new, old in ((new_text, text), (new_flow, flow)):
             for name, arr in old.items():
@@ -967,7 +965,7 @@ class TestTrainLoop:
         # written; a run of no updates saves its update-0 state
         cfg = replace(TINY, pretrain_dir=str(tiny_pretrain))
         files = {"run_manifest.json", "metrics.csv", "timings.csv", "groups.jsonl",
-                 "state.ckpt", "ref_text.ckpt", "ref_flow.ckpt"}
+                 "state.ckpt", "ref_flow.ckpt"}
         train(replace(cfg, total_updates=2), tmp_path / "run")
         assert {p.name for p in (tmp_path / "run").iterdir()} == files
         train(cfg, tmp_path / "run", resume=True)
@@ -997,14 +995,17 @@ class TestTrainLoop:
             assert (tmp_path / "full" / name).read_bytes() == \
                 (tmp_path / "run" / name).read_bytes(), name
 
-    def test_older_policy_files_are_left_unread(self, tiny_pretrain, tmp_path):
+    @pytest.mark.parametrize("names", [("text.ckpt", "flow.ckpt"), ("ref_text.ckpt",)],
+                             ids=["policies", "text-reference"])
+    def test_older_policy_files_are_left_unread(self, tiny_pretrain, tmp_path, names):
         # a run directory from before state.ckpt was the one checkpoint keeps
-        # its text.ckpt and flow.ckpt through a resume; neither the resume
-        # nor eval reads them
+        # its text.ckpt and flow.ckpt through a resume, and one from before
+        # the text update lost its KL term keeps its ref_text.ckpt; neither
+        # the resume nor eval reads them
         cfg = replace(TINY, pretrain_dir=str(tiny_pretrain))
         train(cfg, tmp_path / "full")
         train(replace(cfg, total_updates=3), tmp_path / "run")
-        for name in ("text.ckpt", "flow.ckpt"):
+        for name in names:
             (tmp_path / "run" / name).write_bytes(b"stale")
         train(cfg, tmp_path / "run", resume=True)
         for name in ("metrics.csv", "state.ckpt"):
@@ -1013,7 +1014,7 @@ class TestTrainLoop:
         last = read_metrics(tmp_path / "run/metrics.csv")[-1]
         assert evaluate_run(tmp_path / "run") == \
             {key: last[key] for key in ("eval_reward", "text_accuracy", "velocity_drift")}
-        for name in ("text.ckpt", "flow.ckpt"):
+        for name in names:
             assert (tmp_path / "run" / name).read_bytes() == b"stale"
 
     def test_train_and_eval_keep_freed_heap(self, tiny_pretrain, tmp_path, monkeypatch):

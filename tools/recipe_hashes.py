@@ -8,7 +8,7 @@ The recipe runs `unigrpo pretrain --seed 101` at desk defaults, then
 temporary directory:
 
     desk     desk defaults
-    guided   frozen text, train_cfg = true at scale 2, latent-kl, group 16
+    guided   frozen text, train_cfg = true, latent-kl, group 16
     t07      reg_mode none, temperature 0.7
     binary   reward_mode binary
     odd      3 prompts x group 5, train_cfg = true: 15-row guided batches
@@ -47,8 +47,8 @@ HASHES = Path(__file__).with_name("recipe_hashes.json")
 SEED = "101"
 RUNS = {
     "desk": {},
-    "guided": {"train_text": "false", "train_cfg": "true", "train_cfg_scale": "2.0",
-               "reg_mode": "latent-kl", "group_size": "16"},
+    "guided": {"train_text": "false", "train_cfg": "true", "reg_mode": "latent-kl",
+               "group_size": "16"},
     "t07": {"reg_mode": "none", "temperature": "0.7"},
     "binary": {"reward_mode": "binary"},
     "odd": {"prompts_per_batch": "3", "group_size": "5", "train_cfg": "true"},
@@ -60,13 +60,17 @@ RUN_FILES = ("metrics.csv", "groups.jsonl", "state.ckpt")
 
 
 def config_text(overrides: dict) -> str:
-    """configs/desk.cfg with each overridden key's line replaced."""
-    lines = []
+    """configs/desk.cfg with each overridden key's line replaced; a KeyError
+    naming an overridden key the file does not set."""
+    lines, missing = [], set(overrides)
     for line in (ROOT / "configs" / "desk.cfg").read_text().splitlines():
         key = line.split("=", 1)[0].strip()
         if "=" in line and not line.lstrip().startswith("#") and key in overrides:
             line = f"{key} = {overrides[key]}"
+            missing.discard(key)
         lines.append(line)
+    if missing:
+        raise KeyError(f"configs/desk.cfg sets no key '{min(missing)}'")
     return "\n".join(lines) + "\n"
 
 
